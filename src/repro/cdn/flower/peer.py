@@ -1226,9 +1226,14 @@ class FlowerPeer(BasePeer):
         )
 
     def _on_evicted(self, keys) -> None:
-        # Summaries have no removal (Bloom filters cannot unlearn), so
-        # rebuild from the store; the next push carries the full key list
-        # and the directory's set-diff unlearns the evictions.
+        # An exact summary simply unlearns the evicted keys.  A Bloom
+        # filter cannot, so it is rebuilt from the store.  Either way the
+        # next push carries the full key list and the directory's
+        # set-diff unlearns the evictions.
+        discard = getattr(self.summary, "discard", None)
+        if discard is not None:
+            discard(keys)
+            return
         self.summary = make_summary(self.system.params.summary_kind)
         for key in self.store.keys():
             self.summary.add(key)

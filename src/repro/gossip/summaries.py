@@ -36,9 +36,9 @@ class ExactSummary:
     ``snapshot()`` used to eagerly copy the whole key set -- once per gossip
     exchange per peer, i.e. thousands of copies per simulated hour.  Instead,
     a snapshot now *shares* the underlying set and both sides are marked
-    shared; the first subsequent ``add`` on either side copies before
-    writing.  Receivers only ever call ``contains``, so in the common case
-    no copy is ever made and a snapshot is O(1).
+    shared; the first subsequent ``add`` or ``discard`` on either side
+    copies before writing.  Receivers only ever call ``contains``, so in
+    the common case no copy is ever made and a snapshot is O(1).
     """
 
     __slots__ = ("_keys", "_shared")
@@ -54,6 +54,14 @@ class ExactSummary:
             self._keys = set(self._keys)  # copy-on-write
             self._shared = False
         self._keys.add(key)
+
+    def discard(self, keys: Iterable[ObjectKey]) -> None:
+        """Stop advertising *keys* (cache evictions).  Like :meth:`add`,
+        never writes to a set an earlier snapshot still reads."""
+        if self._shared:
+            self._keys = set(self._keys)  # copy-on-write
+            self._shared = False
+        self._keys.difference_update(keys)
 
     def contains(self, key: ObjectKey) -> bool:
         return key in self._keys

@@ -343,6 +343,7 @@ class ShardedNetwork(Network):
             address = self.shard_map.peer_address(self.shard_id, locality, index)
         self._nodes[address] = node
         self.topology.register(address, cluster_hint)
+        self.liveness_epoch += 1
         return address
 
     def node(self, address: Address) -> NetworkNode:

@@ -18,9 +18,9 @@ value becomes the RPC reply payload.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from heapq import heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.message import Message
@@ -90,6 +90,7 @@ class NetworkNode:
         call ``super().fail()``.
         """
         self.alive = False
+        self.network.liveness_epoch += 1
 
     def revive(self) -> None:
         """Bring the node back up (a user re-joining from the same machine).
@@ -98,6 +99,7 @@ class NetworkNode:
         it is the same physical host.
         """
         self.alive = True
+        self.network.liveness_epoch += 1
 
     # ------------------------------------------------------------ messaging
     #
@@ -190,9 +192,10 @@ class NetworkNode:
             cache[(src_addr << 32) | dst] = latency
         if network.faults is not None:
             latency = network.faults.latency_adjust(src_addr, dst, latency)
-        # Two sim.defer calls, inlined: timeout event then request delivery
-        # (the timeout takes the lower sequence number, exactly as two
-        # sequential defers would assign).
+        # Two sequence numbers, exactly as a timeout defer followed by a
+        # delivery defer would take them: the timeout owns the lower one,
+        # whether or not it ever becomes a heap entry (see
+        # ``Network._fire_timeouts``).
         queue = sim._queue
         heap = queue._heap
         seq = queue._seq
@@ -200,21 +203,23 @@ class NetworkNode:
         # The event sequence number doubles as the correlation id: it is
         # unique per scheduled event, so per RPC, and already in hand.
         message.request_id = seq
-        # The context object is itself the timeout callback (__call__ is
-        # fire_timeout): no bound-method allocation per RPC.  The context
-        # keeps a reference to its timeout entry so that settling the RPC
-        # can swap the callback slot for a C-level no-op -- the event still
-        # executes (identical event stream and counts), but the vast
-        # majority of timeouts, which fire after their RPC has already been
-        # answered, no longer pay a Python frame just to return early.
-        timeout_entry: List[Any] = [now + timeout_ms, seq, context, ()]
-        context.entry = timeout_entry
-        heappush(heap, timeout_entry)
+        context.deadline = deadline = now + timeout_ms
+        context.seq = seq
+        live = queue._live + 1
+        # ``now`` is monotone, so deadlines of one timeout value are FIFO:
+        # only the head of each FIFO holds a heap entry, and the answered
+        # majority of RPCs never cost a timeout event at all.
+        fifo = network._timeout_fifos.get(timeout_ms)
+        if fifo is None:
+            fifo = network._timeout_fifos[timeout_ms] = deque()
+        if not fifo:
+            heappush(heap, [deadline, seq, network._fire_timeouts_cb, (fifo,)])
+            live += 1
+        fifo.append(context)
         heappush(
             heap,
             [now + latency, seq + 1, network._deliver_cb, (message, context)],
         )
-        live = queue._live + 2
         queue._live = live
         if live > queue._peak:
             queue._peak = live
@@ -324,6 +329,16 @@ class Network:
         #: event would otherwise allocate a fresh bound method.
         self._deliver_cb = self._deliver
         self._deliver_reply_cb = self._deliver_reply
+        self._fire_timeouts_cb = self._fire_timeouts
+        #: timeout value -> RPC contexts awaiting that timeout, in deadline
+        #: order; each non-empty FIFO has exactly one heap entry, for its
+        #: head (see :meth:`_fire_timeouts`).
+        self._timeout_fifos: Dict[float, Deque["_RpcContext"]] = {}
+        #: bumped on every write of a node's ``alive`` flag (registration,
+        #: :meth:`NetworkNode.fail`, :meth:`NetworkNode.revive`), so a
+        #: consumer can cache anything derived from the live population
+        #: and revalidate it with one integer comparison.
+        self.liveness_epoch = 0
         self.messages_sent = 0
         #: drop cause -> count; see :data:`DROP_CAUSES`.  ``messages_dropped``
         #: (the historical single counter) is the sum over all causes.
@@ -406,6 +421,7 @@ class Network:
             )
         self._nodes.append(node)
         self.topology.register(address, cluster_hint)
+        self.liveness_epoch += 1
         return address
 
     def node(self, address: Address) -> NetworkNode:
@@ -579,27 +595,49 @@ class Network:
         if context.settled or not context.src.alive:
             return
         context.settled = True
-        entry = context.entry
-        if entry is not None and entry[2] is context:
-            # Swap the pending timeout's callback for a C-level no-op: the
-            # event still executes (identical stream and counts) but skips
-            # the Python frame it would burn just to see ``settled``.
-            entry[2] = _NOOP
         on_reply = context.on_reply
+        context.src = context.on_reply = context.on_timeout = None
         if on_reply is not None:
             on_reply(payload)
 
+    def _fire_timeouts(self, fifo: Deque["_RpcContext"]) -> None:
+        """The armed head of one timeout FIFO has reached its deadline.
 
-#: C-level no-op swapped into a settled RPC's timeout event (see
-#: ``NetworkNode.rpc``): ``int()`` takes no arguments, allocates nothing
-#: (it returns the cached zero) and costs no Python frame.
-_NOOP = int
+        Contexts settled by their reply are dropped without ever having
+        been events; the next unsettled one is armed under the
+        ``(deadline, seq)`` its RPC reserved, so it fires at the heap
+        position a per-RPC timeout event would have had.  Arming comes
+        before the callback: ``on_timeout`` may issue an RPC with this
+        same timeout, which must find the FIFO's one entry in place.
+        """
+        context = fifo.popleft()
+        while fifo:
+            head = fifo[0]
+            if not head.settled:
+                # sim.defer at the head's reserved position, inlined.
+                queue = self.sim._queue
+                heappush(
+                    queue._heap,
+                    [head.deadline, head.seq, self._fire_timeouts_cb, (fifo,)],
+                )
+                live = queue._live + 1
+                queue._live = live
+                if live > queue._peak:
+                    queue._peak = live
+                break
+            fifo.popleft()
+        context.fire_timeout()
 
 
 class _RpcContext:
-    """Correlates one RPC's reply and timeout; whichever fires first wins."""
+    """Correlates one RPC's reply and timeout; whichever fires first wins.
 
-    __slots__ = ("src", "on_reply", "on_timeout", "settled", "entry")
+    Settling releases the callbacks at once: a context answered early
+    stays in its timeout FIFO until the deadline passes, and must not keep
+    the caller's closures (and whatever they capture) alive that long.
+    """
+
+    __slots__ = ("src", "on_reply", "on_timeout", "settled", "deadline", "seq")
 
     def __init__(
         self,
@@ -611,28 +649,28 @@ class _RpcContext:
         self.on_reply = on_reply
         self.on_timeout = on_timeout
         self.settled = False
-        self.entry = None
+        self.deadline = 0.0
+        self.seq = 0
 
     def fire_reply(self, payload: Dict[str, Any]) -> None:
         if self.settled or not self.src.alive:
             return
         self.settled = True
-        entry = self.entry
-        if entry is not None and entry[2] is self:
-            entry[2] = _NOOP  # the pending timeout becomes a free event
-        if self.on_reply is not None:
-            self.on_reply(payload)
+        on_reply = self.on_reply
+        self.src = self.on_reply = self.on_timeout = None
+        if on_reply is not None:
+            on_reply(payload)
 
     def fire_timeout(self) -> None:
         if self.settled or not self.src.alive:
             return
         self.settled = True
-        if self.on_timeout is not None:
-            self.on_timeout()
-
-    #: The context doubles as its own timeout callback, so scheduling the
-    #: timeout event does not allocate a bound method per RPC.
-    __call__ = fire_timeout
+        on_timeout = self.on_timeout
+        # ``src`` stays: a reply that arrives late still needs the source
+        # address for its fault-model drop check before it is discarded.
+        self.on_reply = self.on_timeout = None
+        if on_timeout is not None:
+            on_timeout()
 
 
 #: ``_RpcContext.__new__`` bound once -- see ``_new_message`` above.

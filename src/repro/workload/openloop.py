@@ -163,9 +163,8 @@ class ArrivalProfile:
         phase = 2.0 * math.pi * time_ms / self.diurnal_period_ms
         return 1.0 + self.diurnal_amplitude * math.sin(phase)
 
-    def multiplier(self, time_ms: float, surges=None) -> float:
-        surges = self.surges if surges is None else surges
-        return self.diurnal(time_ms) + sum(s.excess(time_ms) for s in surges)
+    def multiplier(self, time_ms: float) -> float:
+        return self.diurnal(time_ms) + sum(s.excess(time_ms) for s in self.surges)
 
     def rate_per_ms(self, time_ms: float) -> float:
         return self.rate_qps / 1000.0 * self.multiplier(time_ms)
@@ -207,19 +206,27 @@ class OpenLoopWorkload:
         #: extra randomness, so golden streams are unaffected.
         self.offered: Dict[Tuple[int, int], int] = {}
         self._started = False
+        #: eligible-peer lists, valid while the network's liveness epoch
+        #: equals ``_eligible_epoch`` (see :meth:`_eligible_peers`).
+        self._eligible_epoch = -1
+        self._eligible: List = []
+        #: (locality, hot website) -> sub-list, -1 meaning "any".
+        self._eligible_scoped: Dict[Tuple[int, int], List] = {}
         self._recompute_peak()
 
     def _recompute_peak(self) -> None:
         peak = 1.0 + self.profile.diurnal_amplitude
         peak += sum(s.peak_multiplier - 1.0 for s in self.surges)
         self._peak = peak
+        #: candidates are generated at this, the peak composite rate.
+        self._peak_rate_per_ms = self.profile.rate_qps / 1000.0 * peak
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         if self._started:
             raise WorkloadError("open-loop workload already started")
         self._started = True
-        self._schedule_next_candidate()
+        self.sim.defer(self.rng.expovariate(self._peak_rate_per_ms), self._candidate)
 
     def add_surge(self, surge: RegionalSurge) -> None:
         """Install one more flash crowd (chaos overload windows)."""
@@ -234,23 +241,28 @@ class OpenLoopWorkload:
         return top_gini_contributors(self.offered, limit)
 
     # -------------------------------------------------------------- arrivals
-    def _schedule_next_candidate(self) -> None:
-        peak_rate_per_ms = self.profile.rate_qps / 1000.0 * self._peak
-        gap = self.rng.expovariate(peak_rate_per_ms)
-        self.sim.schedule(gap, self._candidate)
-
     def _candidate(self) -> None:
-        self._schedule_next_candidate()
+        sim = self.sim
+        sim.defer(self.rng.expovariate(self._peak_rate_per_ms), self._candidate)
         self.stats["candidates"] += 1
-        now = self.sim.now
-        multiplier = self.profile.multiplier(now, self.surges)
-        acceptance = min(1.0, multiplier / self._peak)
-        if self.rng.random() > acceptance:
+        now = sim.now
+        # One evaluation of the composite rate per candidate, shared by
+        # the thinning test and the surge attribution.  Summing the
+        # diurnal term first, then the surges in list order, is what keeps
+        # the floats (hence every draw's outcome) bit-identical.
+        baseline = self.profile.diurnal(now)
+        excesses = [surge.excess(now) for surge in self.surges]
+        total_excess = sum(excesses)
+        # Accepted with probability min(1, multiplier / peak); a draw from
+        # [0, 1) can never exceed a ratio of 1 or more, so no clamp.
+        if self.rng.random() > (baseline + total_excess) / self._peak:
             return  # thinned: candidate above the current rate
         self.stats["arrivals"] += 1
-        self._arrive(now, multiplier)
+        self._arrive(now, self._attribute_surge(baseline, excesses, total_excess))
 
-    def _attribute_surge(self, now: float) -> Optional[RegionalSurge]:
+    def _attribute_surge(
+        self, baseline: float, excesses: List[float], total_excess: float
+    ) -> Optional[RegionalSurge]:
         """Which surge (if any) this arrival belongs to.
 
         The composite rate is ``diurnal + sum excess``; an arrival is a
@@ -258,40 +270,66 @@ class OpenLoopWorkload:
         surge, which is exactly the share of the rate that surge
         contributes right now.
         """
-        excesses = [(surge, surge.excess(now)) for surge in self.surges]
-        total_excess = sum(excess for _, excess in excesses)
         if total_excess <= 0.0:
             return None
-        baseline = self.profile.diurnal(now)
         draw = self.rng.uniform(0.0, baseline + total_excess)
         if draw < baseline:
             return None
         draw -= baseline
-        for surge, excess in excesses:
+        for surge, excess in zip(self.surges, excesses):
             if draw < excess:
                 return surge
             draw -= excess
-        return excesses[-1][0] if excesses else None
+        return self.surges[-1]
 
-    def _eligible_peers(self, surge: Optional[RegionalSurge]) -> List:
+    def _scan_eligible(self) -> List:
+        """Every online peer of an active website, in ``system.peers``
+        insertion order (the order the arrival's ``randrange`` indexes)."""
         catalog = self.system.catalog
-        peers = [
+        return [
             peer
             for peer in self.system.peers.values()
             if peer.alive and catalog.is_active(peer.website)
         ]
+
+    def _eligible_peers(self, surge: Optional[RegionalSurge]) -> List:
+        """The peers one arrival may land on -- without a population scan.
+
+        Eligibility only changes when some node's ``alive`` flag is
+        written, which the network counts (``liveness_epoch``); a peer's
+        website and locality never change.  The lists are therefore
+        rebuilt a few hundred times per run instead of once per arrival,
+        and the per-arrival cost no longer grows with the population.
+        """
+        epoch = self.system.network.liveness_epoch
+        if epoch != self._eligible_epoch:
+            self._eligible_epoch = epoch
+            self._eligible = self._scan_eligible()
+            self._eligible_scoped.clear()
+        peers = self._eligible
         if surge is None:
             return peers
-        if surge.locality >= 0:
-            scoped = [peer for peer in peers if peer.locality == surge.locality]
-            peers = scoped or peers
-        if surge.hot_website >= 0 and self.rng.random() < surge.hot_probability:
-            hot = [peer for peer in peers if peer.website == surge.hot_website]
+        scoped_lists = self._eligible_scoped
+        locality = surge.locality
+        if locality >= 0:
+            scoped = scoped_lists.get((locality, -1))
+            if scoped is None:
+                scoped = [peer for peer in peers if peer.locality == locality]
+                scoped_lists[(locality, -1)] = scoped
+            if scoped:
+                peers = scoped
+            else:
+                locality = -1  # nobody online there: the crowd lands anywhere
+        website = surge.hot_website
+        if website >= 0 and self.rng.random() < surge.hot_probability:
+            hot = scoped_lists.get((locality, website))
+            if hot is None:
+                hot = [peer for peer in peers if peer.website == website]
+                scoped_lists[(locality, website)] = hot
             peers = hot or peers
         return peers
 
-    def _arrive(self, now: float, multiplier: float) -> None:
-        surge = self._attribute_surge(now)
+    def _arrive(self, now: float, surge: Optional[RegionalSurge]) -> None:
         if surge is not None:
             self.stats["surge_arrivals"] += 1
         peers = self._eligible_peers(surge)

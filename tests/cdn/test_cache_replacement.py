@@ -101,6 +101,29 @@ class TestFlowerWithBoundedCache:
         assert not peer.summary.contains((0, 1))
         assert peer.summary.contains((0, 3))
 
+    def test_eviction_leaves_gossiped_snapshots_alone(self):
+        world = self.make_world(capacity=2)
+        peer = world.arrive(website=0)
+        world.query(peer, (0, 1))
+        world.query(peer, (0, 2))
+        gossiped = peer._gossip_data()["summary"]
+        world.query(peer, (0, 3))  # evicts (0, 1)
+        assert gossiped.contains((0, 1)) and not gossiped.contains((0, 3))
+        assert not peer.summary.contains((0, 1))
+
+    @pytest.mark.parametrize("summary_kind", ["exact", "bloom"])
+    def test_summary_tracks_the_store_through_evictions(self, summary_kind):
+        world = CdnWorld(
+            params=make_params(cache_capacity=3, summary_kind=summary_kind)
+        )
+        peer = world.arrive(website=0)
+        for index in (1, 2, 3, 1, 4, 5, 2, 6):
+            world.query(peer, (0, index))
+            held = peer.store.keys()
+            assert all(peer.summary.contains(key) for key in held)
+            if summary_kind == "exact":
+                assert peer.summary.keys() == held  # after _finish_query
+
     def test_directory_unlearns_evicted_objects(self):
         world = self.make_world(capacity=2)
         peer = world.arrive(website=0)

@@ -25,6 +25,22 @@ class TestExactSummary:
         assert not snap.contains((2, 2))
         assert snap.contains((1, 1))
 
+    def test_discard_unlearns_keys(self):
+        summary = ExactSummary([(1, 1), (1, 2), (1, 3)])
+        summary.discard([(1, 1), (1, 3), (9, 9)])  # an absent key is fine
+        assert summary.keys() == {(1, 2)}
+        assert len(summary) == 1
+
+    def test_discard_leaves_earlier_snapshots_alone(self):
+        summary = ExactSummary([(1, 1), (1, 2)])
+        snap = summary.snapshot()
+        summary.discard([(1, 1)])
+        assert snap.contains((1, 1))  # the receiver's past does not change
+        assert not summary.contains((1, 1))
+        later = summary.snapshot()
+        snap.discard([(1, 2)])  # ... and neither side writes through
+        assert summary.contains((1, 2)) and later.contains((1, 2))
+
     def test_keys_returns_copy(self):
         summary = ExactSummary([(1, 1)])
         ks = summary.keys()
@@ -77,6 +93,11 @@ class TestBloomSummary:
         for key in inserted:
             summary.add(key)
         assert all(summary.contains(key) for key in inserted)
+
+
+    def test_cannot_unlearn(self):
+        # FlowerPeer._on_evicted picks discard-or-rebuild by this.
+        assert not hasattr(BloomSummary(), "discard")
 
 
 def test_make_summary_factory():

@@ -188,3 +188,153 @@ def test_message_repr_and_dataclass():
     msg = Message(src=1, dst=2, kind="ping", payload={"a": 1}, sent_at=5.0)
     assert msg.request_id is None
     assert "ping" in repr(msg)
+
+
+# ---------------------------------------------------------------------------
+# Timeout FIFOs: one armed heap entry per distinct timeout value, each
+# timeout still firing at the (deadline, seq) its RPC reserved.
+# ---------------------------------------------------------------------------
+
+
+def armed_timeout_entries(sim, network):
+    """Heap entries that are timeout events (live ones only)."""
+    return sum(
+        1 for entry in sim._queue._heap if entry[2] == network._fire_timeouts_cb
+    )
+
+
+def test_interleaved_timeout_values_fire_in_deadline_then_seq_order():
+    sim, __, nodes = make_network()
+    nodes[1].fail()  # nothing is ever answered
+    fired = []
+
+    def call(label, timeout_ms):
+        nodes[0].rpc(
+            1,
+            "ping",
+            on_timeout=lambda: fired.append((label, sim.now)),
+            timeout_ms=timeout_ms,
+        )
+
+    call("A", 300.0)                      # deadline 300
+    call("B", 500.0)                      # deadline 500, reserved first
+    sim.schedule(100.0, call, "C", 300.0)  # deadline 400
+    sim.schedule(100.0, call, "D", 500.0)  # deadline 600
+    # A plain event for t=500, scheduled between B's and E's reservations:
+    # a per-RPC timeout event would run B, this marker, then E.
+    sim.schedule(150.0, lambda: sim.schedule(350.0, fired.append, ("marker", 500.0)))
+    sim.schedule(200.0, call, "E", 300.0)  # deadline 500, reserved after B
+    sim.run()
+    assert fired == [
+        ("A", 300.0),
+        ("C", 400.0),
+        ("B", 500.0),
+        ("marker", 500.0),
+        ("E", 500.0),
+        ("D", 600.0),
+    ]
+
+
+def test_timeout_callback_issuing_same_timeout_rpc_keeps_one_armed_entry():
+    sim, network, nodes = make_network()
+    nodes[1].fail()
+    fired = []
+    armed = []
+
+    def follow_up():
+        fired.append(("follow-up", sim.now))
+
+    def first():
+        fired.append(("first", sim.now))
+        nodes[0].rpc(1, "ping", on_timeout=follow_up, timeout_ms=300.0)
+        armed.append(armed_timeout_entries(sim, network))
+
+    nodes[0].rpc(1, "ping", on_timeout=first, timeout_ms=300.0)
+    sim.schedule(
+        100.0,
+        lambda: nodes[0].rpc(
+            1,
+            "ping",
+            on_timeout=lambda: fired.append(("second", sim.now)),
+            timeout_ms=300.0,
+        ),
+    )
+    sim.run(until=350.0)
+    # "first" fired with "second" (deadline 400) waiting: the entry was
+    # re-armed for it before the callback ran, so the callback's own RPC
+    # (deadline 600) queued behind it without arming a second one.
+    assert armed == [1]
+    assert armed_timeout_entries(sim, network) == 1
+    sim.run()
+    assert fired == [("first", 300.0), ("second", 400.0), ("follow-up", 600.0)]
+    assert armed_timeout_entries(sim, network) == 0
+
+
+def test_timeout_callback_rearms_an_emptied_fifo():
+    sim, network, nodes = make_network()
+    nodes[1].fail()
+    fired = []
+
+    def first():
+        nodes[0].rpc(1, "ping", on_timeout=lambda: fired.append(sim.now))
+
+    nodes[0].rpc(1, "ping", on_timeout=first)
+    sim.run(until=1500.0)
+    assert armed_timeout_entries(sim, network) == 1
+    sim.run()
+    assert fired == [2000.0]
+
+
+def test_answered_rpcs_leave_one_pending_event_not_one_each():
+    sim, network, nodes = make_network()
+    outcomes = []
+    for __ in range(50):
+        nodes[0].rpc(
+            1,
+            "ping",
+            on_reply=lambda p: outcomes.append("reply"),
+            on_timeout=lambda: outcomes.append("timeout"),
+        )
+    assert sim.pending_events == 50 + 1   # deliveries + one armed timeout
+    sim.run(until=250.0)                  # every reply landed at t=200
+    assert outcomes == ["reply"] * 50
+    assert sim.pending_events == 1
+    sim.run()
+    assert outcomes == ["reply"] * 50
+    # 50 deliveries + 50 replies + the single timeout entry, which found
+    # only settled contexts behind it and armed nothing.
+    assert sim.events_executed == 101
+    assert not network._timeout_fifos[1000.0]
+
+
+def test_dead_source_timeout_stays_suppressed_and_does_not_block_the_fifo():
+    sim, __, nodes = make_network()
+    nodes[1].fail()
+    outcomes = []
+    nodes[0].rpc(1, "ping", on_timeout=lambda: outcomes.append("dead source"))
+    sim.schedule(
+        50.0,
+        lambda: nodes[2].rpc(1, "ping", on_timeout=lambda: outcomes.append(sim.now)),
+    )
+    sim.schedule(150.0, nodes[0].fail)
+    sim.run()
+    assert outcomes == [1050.0]
+
+
+def test_reply_releases_the_callbacks_before_the_deadline():
+    import weakref
+
+    sim, network, nodes = make_network()
+
+    def on_reply(payload):
+        pass
+
+    def on_timeout():
+        pass
+
+    released = [weakref.ref(on_reply), weakref.ref(on_timeout)]
+    nodes[0].rpc(1, "ping", on_reply=on_reply, on_timeout=on_timeout)
+    del on_reply, on_timeout
+    sim.run(until=250.0)  # reply delivered at 200; the deadline is 1000
+    assert len(network._timeout_fifos[1000.0]) == 1  # still queued ...
+    assert [ref() for ref in released] == [None, None]  # ... holding nothing

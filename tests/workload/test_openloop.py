@@ -7,6 +7,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
+from repro.net.faults import MassFailureSpec
 from repro.sim.clock import hours, minutes
 from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload, RegionalSurge
 
@@ -154,3 +155,83 @@ class TestOpenLoopWorkload:
             return dict(world.openloop.stats), world.system.metrics.hit_ratio()
 
         assert stats_of() == stats_of()
+
+
+class TestEligibleListCache:
+    """The cached eligible lists equal a fresh population scan -- same
+    peer objects in the same order -- at every single arrival."""
+
+    CONFIG = ExperimentConfig.scaled(
+        population=60,
+        duration_hours=1.0,
+        num_websites=4,
+        num_active_websites=2,
+        num_localities=2,
+        objects_per_website=30,
+        openloop_rate_qps=4.0,
+        # One crowd scoped to a locality, one also to a hot website.
+        openloop_surges=(
+            (minutes(10), minutes(5), 3.0, minutes(30), 0, -1, 0.9),
+            (minutes(20), minutes(5), 2.0, minutes(30), 1, 0, 0.5),
+        ),
+        # Crashes through FaultController -> node.crash(), not the churn
+        # hooks: the epoch must be bumped where ``alive`` is written.
+        fault_schedule=(MassFailureSpec(at_ms=minutes(30), fraction=0.5),),
+    )
+
+    def test_cache_matches_a_fresh_scan_at_every_arrival(self):
+        checked = {"arrivals": 0, "surge": 0, "rebuilds": 0}
+        scopes = set()
+
+        class Checking(OpenLoopWorkload):
+            def _eligible_peers(self, surge):
+                before = self._eligible_epoch
+                peers = super()._eligible_peers(surge)
+                checked["rebuilds"] += self._eligible_epoch != before
+                fresh = self._scan_eligible()
+                cached = self._eligible
+                assert len(cached) == len(fresh)
+                assert all(a is b for a, b in zip(cached, fresh))
+                scopes.update(self._eligible_scoped)
+                for (locality, website), sub in self._eligible_scoped.items():
+                    expected = [
+                        peer
+                        for peer in fresh
+                        if (locality < 0 or peer.locality == locality)
+                        and (website < 0 or peer.website == website)
+                    ]
+                    assert len(sub) == len(expected)
+                    assert all(a is b for a, b in zip(sub, expected))
+                checked["arrivals"] += 1
+                checked["surge"] += surge is not None
+                return peers
+
+        world = build_world("petalup", self.CONFIG, seed=5)
+        world.openloop.__class__ = Checking
+        online = []
+        world.sim.schedule_at(
+            minutes(30) - 1.0, lambda: online.append(world.system.online_peers)
+        )
+        world.sim.schedule_at(
+            minutes(30) + 1.0, lambda: online.append(world.system.online_peers)
+        )
+        world.run()
+        assert checked["arrivals"] == world.openloop.stats["arrivals"] > 1000
+        assert checked["surge"] == world.openloop.stats["surge_arrivals"] > 100
+        assert {(0, -1), (1, -1), (1, 0)} <= scopes  # locality and hot sub-lists
+        assert world.churn.arrivals > 0 and world.churn.departures > 0
+        assert online[1] < 0.7 * online[0]  # the mass failure hit
+        # The point of the cache: far fewer scans than arrivals.
+        assert 0 < checked["rebuilds"] < checked["arrivals"] / 10
+
+    def test_liveness_epoch_counts_every_write_of_alive(self):
+        world = build_world("petalup", self.CONFIG, seed=5)
+        network = world.network
+        peer = next(iter(world.system.peers.values()))
+        epoch = network.liveness_epoch
+        peer.fail()
+        assert network.liveness_epoch == epoch + 1
+        peer.revive()
+        assert network.liveness_epoch == epoch + 2
+        world.system.peer_for(10_000)  # a new identity registers a node
+        assert network.liveness_epoch > epoch + 2
