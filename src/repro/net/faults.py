@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
@@ -174,8 +175,8 @@ class _GilbertElliottLink:
 
 
 class _Partition:
-    """One scheduled partition: an address-set (or locality) boundary plus
-    its active window."""
+    """One scheduled partition: an address-set (or locality) boundary cut
+    during ``[start_ms, end_ms)``."""
 
     def __init__(
         self,
@@ -186,13 +187,10 @@ class _Partition:
         locality_of: Optional[LocalityFn],
     ) -> None:
         self.start_ms = start_ms
-        self.heal_ms = heal_ms
+        self.end_ms = heal_ms
         self._side = side
         self._locality = locality
         self._locality_of = locality_of
-
-    def active(self, now: float) -> bool:
-        return self.start_ms <= now < self.heal_ms
 
     def _in_side(self, address: Address) -> bool:
         if self._side is not None:
@@ -206,12 +204,14 @@ class _Partition:
 
 
 class _LatencySpike:
+    """One scheduled latency spike, degrading matching links during
+    ``[start_ms, end_ms)``."""
+
     def __init__(self, spec: LatencySpikeSpec, locality_of: Optional[LocalityFn]):
         self.spec = spec
+        self.start_ms = spec.start_ms
+        self.end_ms = spec.end_ms
         self._locality_of = locality_of
-
-    def active(self, now: float) -> bool:
-        return self.spec.start_ms <= now < self.spec.end_ms
 
     def applies(self, src: Address, dst: Address) -> bool:
         if self.spec.locality is None:
@@ -226,13 +226,36 @@ class _LatencySpike:
         return base * self.spec.multiplier + self.spec.additive_ms
 
 
+def _open_windows(windows: list, now: float) -> Tuple[list, float]:
+    """The windows open at *now*, in the order given, and the earliest
+    start or end of any window that lies after *now*."""
+    opened = []
+    edge = inf
+    for window in windows:
+        if now < window.start_ms:
+            edge = min(edge, window.start_ms)
+        elif now < window.end_ms:
+            opened.append(window)
+            edge = min(edge, window.end_ms)
+    return opened, edge
+
+
 class FaultController:
     """Schedules and executes fault campaigns against one network.
 
     Install with ``network.install_faults(controller)`` (the constructor
     does it for you); :class:`~repro.net.transport.Network` then consults
     :meth:`drop_cause` on every delivery and :meth:`latency_adjust` on
-    every send.
+    every message leg -- but only once the clock has reached
+    :attr:`calm_until`.
+
+    The controller is edge-triggered: it keeps the windows that are open
+    *now* and one time, the next start or end of any window, at which
+    that knowledge expires.  The hooks poll that edge with one comparison
+    and loop over the open windows only, so the cost of a schedule is
+    paid at its edges, not per message.  Edges are polled rather than
+    scheduled as events because event sequence numbers double as RPC
+    request ids: one extra event would renumber every later RPC.
 
     Args:
         sim: the driving simulator.
@@ -258,17 +281,42 @@ class FaultController:
         self.locality_of = locality_of
         self._bursty: Optional[BurstyLossSpec] = None
         self._links: Dict[Tuple[Address, Address], _GilbertElliottLink] = {}
+        #: the whole schedule, in registration order.
         self._partitions: List[_Partition] = []
         self._spikes: List[_LatencySpike] = []
+        #: the part of it that is open now (same order), valid until the
+        #: clock reaches ``_next_edge_ms``; see :meth:`_refresh`.
+        self._open_partitions: List[_Partition] = []
+        self._open_spikes: List[_LatencySpike] = []
+        self._bursty_open = False
+        self._next_edge_ms = inf
+        #: read-only for the network: before this time no delivery is
+        #: dropped and no latency adjusted, so a caller that sees
+        #: ``now < calm_until`` may skip :meth:`drop_cause` and
+        #: :meth:`latency_adjust` altogether.  ``-inf`` while any window
+        #: is open.
+        self.calm_until = inf
         #: fault kind -> how many times it struck (drops, crashes, ...).
         self.stats: Dict[str, int] = {}
         network.install_faults(self)
 
     # ------------------------------------------------------------- configure
     def apply(self, specs) -> None:
-        """Install every declarative spec from a ``fault_schedule``."""
+        """Install every declarative spec from a ``fault_schedule``.
+
+        A schedule carries at most one bursty-loss window (the controller
+        runs one Gilbert-Elliott chain per link); a second one is an
+        error, not a silent replacement of the first.
+        """
+        bursty: Optional[BurstyLossSpec] = None
         for spec in specs:
             if isinstance(spec, BurstyLossSpec):
+                if bursty is not None:
+                    raise TransportError(
+                        "a fault schedule can carry only one bursty-loss "
+                        f"window, got {bursty!r} and {spec!r}"
+                    )
+                bursty = spec
                 self.set_bursty_loss(spec)
             elif isinstance(spec, PartitionSpec):
                 self.schedule_partition(
@@ -287,9 +335,11 @@ class FaultController:
                 raise TransportError(f"unknown fault spec {spec!r}")
 
     def set_bursty_loss(self, spec: BurstyLossSpec) -> None:
-        """Enable Gilbert-Elliott loss on every link (one spec at a time)."""
+        """Enable Gilbert-Elliott loss on every link (one spec at a time:
+        a later call replaces the earlier spec and resets every link)."""
         self._bursty = spec
         self._links.clear()
+        self._refresh(self.sim.now)
 
     def schedule_partition(
         self,
@@ -319,6 +369,7 @@ class FaultController:
             self.locality_of,
         )
         self._partitions.append(partition)
+        self._refresh(self.sim.now)
         self.sim.schedule_at(
             self._due(start_ms, "partition_start"),
             self._emit_partition,
@@ -337,6 +388,7 @@ class FaultController:
         if spec.locality is not None and self.locality_of is None:
             raise TransportError("locality spikes need a locality_of mapping")
         self._spikes.append(_LatencySpike(spec, self.locality_of))
+        self._refresh(self.sim.now)
 
     def schedule_mass_failure(
         self,
@@ -419,38 +471,68 @@ class FaultController:
             directories_only=spec.directories_only,
         )
 
+    # ---------------------------------------------------------- open windows
+    def _refresh(self, now: float) -> None:
+        """Recompute what is open at *now* and when that next changes.
+
+        Runs when the clock crosses ``_next_edge_ms`` and whenever the
+        schedule itself changes, so between two edges the open sets, the
+        bursty flag and :attr:`calm_until` are exact.
+        """
+        self._open_partitions, edge = _open_windows(self._partitions, now)
+        self._open_spikes, spike_edge = _open_windows(self._spikes, now)
+        edge = min(edge, spike_edge)
+        spec = self._bursty
+        self._bursty_open = False
+        if spec is not None:
+            end_ms = inf if spec.end_ms is None else spec.end_ms
+            if now < spec.start_ms:
+                edge = min(edge, spec.start_ms)
+            elif now < end_ms:
+                self._bursty_open = True
+                edge = min(edge, end_ms)
+        self._next_edge_ms = edge
+        calm = not (self._open_partitions or self._open_spikes or self._bursty_open)
+        self.calm_until = edge if calm else -inf
+
     # --------------------------------------------------------- network hooks
     def drop_cause(self, src: Address, dst: Address) -> Optional[str]:
         """Consulted once per delivery attempt: partition cut first (a cut
         link drops deterministically), then the bursty-loss chain."""
         now = self.sim.now
-        for partition in self._partitions:
-            if partition.active(now) and partition.cuts(src, dst):
+        if now >= self._next_edge_ms:
+            self._refresh(now)
+        for partition in self._open_partitions:
+            if partition.cuts(src, dst):
                 self.stats["partition_drops"] = self.stats.get("partition_drops", 0) + 1
                 return "partition"
-        spec = self._bursty
-        if spec is not None and spec.start_ms <= now and (
-            spec.end_ms is None or now < spec.end_ms
-        ):
+        if self._bursty_open:
             link = self._links.get((src, dst))
             if link is None:
                 link = self._links[(src, dst)] = _GilbertElliottLink()
-            if link.step_and_drop(spec, self.rng):
+            if link.step_and_drop(self._bursty, self.rng):
                 self.stats["burst_drops"] = self.stats.get("burst_drops", 0) + 1
                 return "loss"
         return None
 
     def latency_adjust(self, src: Address, dst: Address, base: float) -> float:
-        """Consulted at scheduling time for every message leg."""
+        """Consulted at scheduling time for every message leg; open spikes
+        compose in registration order."""
         now = self.sim.now
+        if now >= self._next_edge_ms:
+            self._refresh(now)
         adjusted = base
-        for spike in self._spikes:
-            if spike.active(now) and spike.applies(src, dst):
+        for spike in self._open_spikes:
+            if spike.applies(src, dst):
                 adjusted = spike.adjust(adjusted)
         return adjusted
 
     # ------------------------------------------------------------ inspection
     def partition_active(self, now: Optional[float] = None) -> bool:
-        """Is any partition currently cutting traffic?"""
-        at = self.sim.now if now is None else now
-        return any(p.active(at) for p in self._partitions)
+        """Is any partition cutting traffic now (or at time *now*)?"""
+        present = self.sim.now
+        if now is None or now == present:
+            if present >= self._next_edge_ms:
+                self._refresh(present)
+            return bool(self._open_partitions)
+        return any(p.start_ms <= now < p.end_ms for p in self._partitions)

@@ -397,7 +397,10 @@ class ShardedNetwork(Network):
         if dst_node is None or not dst_node.alive:
             self._drop("dead_dst", message.kind, dst)
             return
-        if self.faults is not None or self._drop_rate > 0.0:
+        faults = self.faults
+        if (
+            faults is not None and self.sim.now >= faults.calm_until
+        ) or self._drop_rate > 0.0:
             cause = self._delivery_drop_cause(message.src, dst)
             if cause is not None:
                 self._drop(cause, message.kind, dst)
@@ -444,7 +447,10 @@ class ShardedNetwork(Network):
         if dst_node is None or not dst_node.alive:
             self._drop("dead_dst", kind, dst)
             return
-        if self.faults is not None or self._drop_rate > 0.0:
+        faults = self.faults
+        if (
+            faults is not None and self.sim.now >= faults.calm_until
+        ) or self._drop_rate > 0.0:
             cause = self._delivery_drop_cause(src, dst)
             if cause is not None:
                 self._drop(cause, kind, dst)
@@ -472,7 +478,10 @@ class ShardedNetwork(Network):
         context = self._pending_remote.pop(token, None)
         if context is None:
             return  # already timed out and swept
-        if self.faults is not None or self._drop_rate > 0.0:
+        faults = self.faults
+        if (
+            faults is not None and self.sim.now >= faults.calm_until
+        ) or self._drop_rate > 0.0:
             cause = self._delivery_drop_cause(replier, context.src.address)
             if cause is not None:
                 self._drop(cause, "(reply)", context.src.address)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.errors import TransportError
 from repro.net.message import Message
@@ -136,8 +136,9 @@ class NetworkNode:
         if latency is None:
             latency = network.topology.latency(src_addr, dst)
             cache[(src_addr << 32) | dst] = latency
-        if network.faults is not None:
-            latency = network.faults.latency_adjust(src_addr, dst, latency)
+        faults = network.faults
+        if faults is not None and now >= faults.calm_until:
+            latency = faults.latency_adjust(src_addr, dst, latency)
         # sim.defer, inlined (one delivery event per message).
         queue = sim._queue
         seq = queue._seq
@@ -190,8 +191,9 @@ class NetworkNode:
         if latency is None:
             latency = network.topology.latency(src_addr, dst)
             cache[(src_addr << 32) | dst] = latency
-        if network.faults is not None:
-            latency = network.faults.latency_adjust(src_addr, dst, latency)
+        faults = network.faults
+        if faults is not None and now >= faults.calm_until:
+            latency = faults.latency_adjust(src_addr, dst, latency)
         # Two sequence numbers, exactly as a timeout defer followed by a
         # delivery defer would take them: the timeout owns the lower one,
         # whether or not it ever becomes a heap entry (see
@@ -320,11 +322,11 @@ class Network:
         self._drop_rate = 0.0
         self._drop_rng: Optional["random.Random"] = None
         self._nodes: List[NetworkNode] = []
-        #: memoized symmetric base link latencies, keyed (min(a,b), max(a,b)).
-        #: Topology positions are immutable after registration, so entries
-        #: never go stale; fault-injected adjustments are applied on top and
-        #: are never cached.
-        self._latency_cache: Dict[Tuple[Address, Address], float] = {}
+        #: memoized base link latencies per directed pair, keyed by the
+        #: packed int ``(src << ADDR_SHIFT) | dst``.  Topology positions are
+        #: immutable after registration, so entries never go stale;
+        #: fault-injected adjustments are applied on top and are never cached.
+        self._latency_cache: Dict[int, float] = {}
         #: bound delivery callbacks, created once -- every scheduled message
         #: event would otherwise allocate a fresh bound method.
         self._deliver_cb = self._deliver
@@ -350,7 +352,8 @@ class Network:
         self.kind_counts: Dict[str, int] = defaultdict(int)
         #: optional :class:`~repro.net.faults.FaultController`; consulted at
         #: scheduling time (latency degradation) and delivery time (partition
-        #: cuts, bursty loss).
+        #: cuts, bursty loss), in both cases only once the clock has reached
+        #: its ``calm_until``.
         self.faults = None
         #: optional :class:`~repro.net.bandwidth.BandwidthModel`.  ``None``
         #: (the default) keeps the latency-only link model bit-identical to
@@ -381,7 +384,11 @@ class Network:
         return self.drop_counts["partition"]
 
     def install_faults(self, controller) -> None:
-        """Attach a :class:`~repro.net.faults.FaultController` to delivery."""
+        """Attach a :class:`~repro.net.faults.FaultController` to delivery.
+
+        The network reads its ``calm_until`` on every leg and calls
+        ``drop_cause`` / ``latency_adjust`` only once the clock is there.
+        """
         self.faults = controller
 
     def install_bandwidth(self, model) -> None:
@@ -462,8 +469,9 @@ class Network:
         if base is None:
             base = self.topology.latency(src, dst)
             cache[key] = base
-        if self.faults is not None:
-            return self.faults.latency_adjust(src, dst, base)
+        faults = self.faults
+        if faults is not None and self.sim.now >= faults.calm_until:
+            return faults.latency_adjust(src, dst, base)
         return base
 
     def _drop(self, cause: str, kind: str, dst: Address) -> None:
@@ -520,8 +528,9 @@ class Network:
 
     def _delivery_drop_cause(self, src: Address, dst: Address) -> Optional[str]:
         """Why a delivery on link src -> dst is lost right now, if at all."""
-        if self.faults is not None:
-            cause = self.faults.drop_cause(src, dst)
+        faults = self.faults
+        if faults is not None and self.sim.now >= faults.calm_until:
+            cause = faults.drop_cause(src, dst)
             if cause is not None:
                 return cause
         if self._drop_rate > 0.0 and self._lost():
@@ -535,7 +544,10 @@ class Network:
         if dst_node is None or not dst_node.alive:
             self._drop("dead_dst", message.kind, dst)
             return
-        if self.faults is not None or self._drop_rate > 0.0:
+        faults = self.faults
+        if (
+            faults is not None and self.sim.now >= faults.calm_until
+        ) or self._drop_rate > 0.0:
             cause = self._delivery_drop_cause(message.src, dst)
             if cause is not None:
                 self._drop(cause, message.kind, dst)
@@ -556,10 +568,11 @@ class Network:
             if latency is None:
                 latency = self.topology.latency(dst, src)
                 cache[(dst << 32) | src] = latency
-            if self.faults is not None:
-                latency = self.faults.latency_adjust(dst, src, latency)
-            # sim.defer, inlined (one reply event per answered RPC).
             sim = self.sim
+            faults = self.faults
+            if faults is not None and sim.now >= faults.calm_until:
+                latency = faults.latency_adjust(dst, src, latency)
+            # sim.defer, inlined (one reply event per answered RPC).
             queue = sim._queue
             seq = queue._seq
             queue._seq = seq + 1
@@ -583,10 +596,13 @@ class Network:
         replier: Address,
         payload: Dict[str, Any],
     ) -> None:
-        # Same fast-path guard as request delivery: with no fault controller
-        # and no configured loss, a reply cannot be dropped, so skip the
-        # cause computation entirely (one reply per answered RPC).
-        if self.faults is not None or self._drop_rate > 0.0:
+        # Same fast-path guard as request delivery: with no fault window
+        # open and no configured loss, a reply cannot be dropped, so skip
+        # the cause computation entirely (one reply per answered RPC).
+        faults = self.faults
+        if (
+            faults is not None and self.sim.now >= faults.calm_until
+        ) or self._drop_rate > 0.0:
             cause = self._delivery_drop_cause(replier, context.src.address)
             if cause is not None:
                 self._drop(cause, "(reply)", context.src.address)

@@ -12,10 +12,10 @@ from repro.cdn.base import BasePeer
 from repro.chaos import generate_plan, load_bundle, replay_bundle, run_chaos
 from repro.chaos.auditor import AuditorConfig
 from repro.chaos.runner import config_from_dict, config_to_dict
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TransportError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_chaos_experiment
-from repro.net.faults import MassFailureSpec, PartitionSpec
+from repro.net.faults import BurstyLossSpec, MassFailureSpec, PartitionSpec
 from repro.sim.clock import hours
 
 
@@ -39,6 +39,22 @@ def small_plan(chaos_seed, duration_hours=1.5, intensity=1.0):
         intensity=intensity,
         population=100,
     )
+
+
+def test_config_bursty_window_is_not_lost_to_the_plans():
+    """The plan's faults are appended to the config's schedule; when both
+    carry a bursty-loss window the run is refused, where it used to run
+    with the plan's window and silently without the config's."""
+    plan = next(
+        plan
+        for plan in map(small_plan, range(1, 30))
+        if any(isinstance(fault, BurstyLossSpec) for fault in plan.faults)
+    )
+    config = small_config().replace(
+        fault_schedule=(BurstyLossSpec(p_good_to_bad=0.02, p_bad_to_good=0.5),)
+    )
+    with pytest.raises(TransportError, match="only one bursty-loss window"):
+        run_chaos("flower", config, plan, seed=1, results_dir=None)
 
 
 # ---------------------------------------------------------------------------

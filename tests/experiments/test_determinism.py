@@ -21,6 +21,13 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
+from repro.net.faults import (
+    BurstyLossSpec,
+    LatencySpikeSpec,
+    MassFailureSpec,
+    PartitionSpec,
+)
+from repro.sim.clock import hours, minutes
 
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
 #: Re-derived when the query-lifecycle ledger landed: ``cdn.query_done``
@@ -38,6 +45,50 @@ GOLDEN = {
         0.6013110846245531,
     ),
 }
+
+#: (stream SHA-256, hit ratio) for GOLDEN_CONFIG + FAULT_SCHEDULE on
+#: flower at seed 1: the only golden stream with the fault plane on.
+#: Recorded on the commit *before* the controller became edge-triggered
+#: (open-window sets + ``calm_until``), so it pins the per-message full
+#: scan's behaviour: 346 partition drops, 697 burst drops, 16 mass-failure
+#: crashes.
+GOLDEN_FAULTED = (
+    "27ad95454612352c75356bf87d6eb67079a77c8a559f2e152a3fc8d696560b1a",
+    0.6450742240215924,
+)
+
+#: Every kind of window, overlapping the way a hand-written schedule may:
+#: two partitions of different localities open together, a global and a
+#: locality-scoped spike open together (they compose in schedule order),
+#: the bursty window spans a partition heal and both spike starts
+#: (partition-before-bursty order matters), then a mass failure.
+FAULT_SCHEDULE = (
+    PartitionSpec(locality=0, start_ms=hours(1), heal_ms=hours(1) + minutes(15)),
+    PartitionSpec(
+        locality=1, start_ms=hours(1) + minutes(5), heal_ms=hours(1) + minutes(20)
+    ),
+    LatencySpikeSpec(
+        start_ms=hours(1) + minutes(10),
+        end_ms=hours(2.5),
+        multiplier=2.0,
+        additive_ms=20.0,
+    ),
+    LatencySpikeSpec(
+        start_ms=hours(2),
+        end_ms=hours(3),
+        multiplier=1.5,
+        additive_ms=50.0,
+        locality=1,
+    ),
+    BurstyLossSpec(
+        p_good_to_bad=0.05,
+        p_bad_to_good=0.3,
+        loss_bad=0.9,
+        start_ms=hours(1) + minutes(10),
+        end_ms=hours(2.25),
+    ),
+    MassFailureSpec(at_ms=hours(4), fraction=0.3, locality=0),
+)
 
 SEED = 1
 
@@ -82,6 +133,16 @@ def test_golden_stream_fingerprint(protocol):
     golden_sha, golden_hit = GOLDEN[protocol]
     assert sha == golden_sha
     assert hit_ratio == golden_hit  # exact: same floats in the same order
+
+
+@pytest.mark.slow
+def test_golden_faulted_stream_fingerprint():
+    """The golden scenario under a fixed fault schedule, event for event:
+    which deliveries are cut or lost, which legs are slowed by how much,
+    and every draw from the ``faults`` RNG stream."""
+    config = golden_config().replace(fault_schedule=FAULT_SCHEDULE)
+    sha, hit_ratio, _ = run_world("flower", firehose=True, config=config)
+    assert (sha, hit_ratio) == GOLDEN_FAULTED
 
 
 @pytest.mark.slow
@@ -226,11 +287,15 @@ def sharded_config() -> ExperimentConfig:
     )
 
 
-def run_sharded(workers: int):
+def run_sharded(workers: int, config: ExperimentConfig = None):
     from repro.experiments.sharded import run_sharded_experiment
 
     return run_sharded_experiment(
-        "flower", sharded_config(), seed=SEED, workers=workers, fingerprint=True
+        "flower",
+        config or sharded_config(),
+        seed=SEED,
+        workers=workers,
+        fingerprint=True,
     )
 
 
@@ -271,6 +336,44 @@ def test_sharded_worker_count_invariance(sharded_reference, workers):
     assert result.events_executed == reference.events_executed
     assert result.extra["message_counts"] == reference.extra["message_counts"]
     assert result.extra["drop_counts"] == reference.extra["drop_counts"]
+
+
+@pytest.mark.slow
+def test_sharded_faults_worker_count_invariance():
+    """The fault plane under the sharded engine: one controller per shard,
+    each polling its own clock.  The schedule is FAULT_SCHEDULE squeezed
+    into the sharded scenario's hour; hosting the shards in two processes
+    must change neither a shard's stream nor what was dropped and why."""
+    schedule = (
+        PartitionSpec(locality=0, start_ms=minutes(10), heal_ms=minutes(25)),
+        PartitionSpec(locality=2, start_ms=minutes(15), heal_ms=minutes(30)),
+        LatencySpikeSpec(
+            start_ms=minutes(20), end_ms=minutes(40), multiplier=2.0, additive_ms=20.0
+        ),
+        LatencySpikeSpec(
+            start_ms=minutes(35),
+            end_ms=minutes(50),
+            multiplier=1.5,
+            additive_ms=50.0,
+            locality=1,
+        ),
+        BurstyLossSpec(
+            p_good_to_bad=0.05,
+            p_bad_to_good=0.3,
+            loss_bad=0.9,
+            start_ms=minutes(20),
+            end_ms=minutes(45),
+        ),
+        MassFailureSpec(at_ms=minutes(52), fraction=0.3, locality=3),
+    )
+    config = sharded_config().replace(fault_schedule=schedule)
+    one, two = (run_sharded(workers, config) for workers in (1, 2))
+    drops = one.extra["drop_counts"]
+    assert drops["partition"] > 0 and drops["loss"] > 0
+    assert two.extra["sharded"]["fingerprints"] == one.extra["sharded"]["fingerprints"]
+    assert two.extra["drop_counts"] == drops
+    assert two.hit_ratio == one.hit_ratio
+    assert two.events_executed == one.events_executed
 
 
 @pytest.mark.slow

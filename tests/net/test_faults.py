@@ -1,7 +1,11 @@
 """Tests for the fault-injection subsystem (partitions, bursty loss,
 latency spikes, mass failures, determinism)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TransportError
 from repro.net.faults import (
@@ -77,6 +81,38 @@ def test_apply_rejects_unknown_spec():
     controller = FaultController(sim, network)
     with pytest.raises(TransportError):
         controller.apply(["not a spec"])
+
+
+def test_apply_rejects_a_second_bursty_window():
+    """One Gilbert-Elliott chain per link: a schedule with two bursty specs
+    (a config's own plus a chaos plan's, say) must not lose one silently."""
+    sim, network, __ = make_world()
+    controller = FaultController(sim, network)
+    first = BurstyLossSpec(p_good_to_bad=0.1, p_bad_to_good=0.5, end_ms=100.0)
+    second = BurstyLossSpec(p_good_to_bad=0.2, p_bad_to_good=0.4, start_ms=200.0)
+    with pytest.raises(TransportError) as raised:
+        controller.apply([first, MassFailureSpec(at_ms=5.0), second])
+    assert repr(first) in str(raised.value)
+    assert repr(second) in str(raised.value)
+
+
+def test_set_bursty_loss_replaces_the_spec_and_resets_links():
+    always = BurstyLossSpec(
+        p_good_to_bad=0.0, p_bad_to_good=0.0, loss_good=1.0, loss_bad=1.0
+    )
+    never = BurstyLossSpec(p_good_to_bad=0.0, p_bad_to_good=0.0)
+    sim, network, (a, b) = make_world()
+    controller = FaultController(sim, network)
+    controller.set_bursty_loss(always)
+    send_at(sim, 0.0, a, b, "lost")
+    sim.run(until=50.0)
+    assert controller._links
+    controller.set_bursty_loss(never)  # mid-run: takes effect at once
+    assert not controller._links
+    send_at(sim, 60.0, a, b, "kept")
+    sim.run()
+    assert b.received == ["kept"]
+    assert network.dropped_loss == 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +406,277 @@ def test_controller_defaults_to_dedicated_rng_stream():
     controller = FaultController(sim, network)
     assert controller.rng is sim.rng("faults")
     assert controller.rng is not sim.rng("churn")
+
+
+# ---------------------------------------------------------------------------
+# Open-window sets and calm_until: oracle and zero-cost-while-calm
+# ---------------------------------------------------------------------------
+
+class FullScanReference:
+    """Brute-force fault plane: re-tests the whole schedule on every query.
+
+    Kept independent of :mod:`repro.net.faults` on purpose (its own window
+    tests, its own Gilbert-Elliott step) -- it is what the edge-triggered
+    controller must be indistinguishable from, RNG draw for RNG draw.
+    """
+
+    def __init__(self, rng, locality_of):
+        self.rng = rng
+        self.locality_of = locality_of
+        self.partitions = []  # (start, heal, locality, group)
+        self.spikes = []
+        self.bursty = None
+        self.bad_links = {}
+
+    def set_bursty(self, spec):
+        self.bursty = spec
+        self.bad_links = {}
+
+    def _in_side(self, address, locality, group):
+        if group is not None:
+            return address in group
+        return self.locality_of(address) == locality
+
+    def partition_active(self, now):
+        return any(start <= now < heal for start, heal, __, __ in self.partitions)
+
+    def drop_cause(self, now, src, dst):
+        for start, heal, locality, group in self.partitions:
+            if start <= now < heal and self._in_side(
+                src, locality, group
+            ) != self._in_side(dst, locality, group):
+                return "partition"
+        spec = self.bursty
+        if spec is None or now < spec.start_ms:
+            return None
+        if spec.end_ms is not None and now >= spec.end_ms:
+            return None
+        bad = self.bad_links.get((src, dst), False)
+        if bad:
+            if self.rng.random() < spec.p_bad_to_good:
+                bad = False
+        elif self.rng.random() < spec.p_good_to_bad:
+            bad = True
+        self.bad_links[(src, dst)] = bad
+        loss = spec.loss_bad if bad else spec.loss_good
+        if loss > 0.0 and self.rng.random() < loss:
+            return "loss"
+        return None
+
+    def latency_adjust(self, now, src, dst, base):
+        for spec in self.spikes:
+            if spec.start_ms <= now < spec.end_ms and (
+                spec.locality is None
+                or spec.locality in (self.locality_of(src), self.locality_of(dst))
+            ):
+                base = base * spec.multiplier + spec.additive_ms
+        return base
+
+
+#: Times sit on a coarse grid so that queries land exactly on window
+#: boundaries and windows share edges, nest and overlap.
+_grid = st.integers(min_value=0, max_value=24).map(lambda n: 10.0 * n)
+_length = st.integers(min_value=1, max_value=10).map(lambda n: 10.0 * n)
+#: ``None`` installs a window before the run, a time installs it mid-run.
+_install_at = st.none() | _grid
+_locality = st.integers(min_value=0, max_value=2)
+_partitions = st.lists(
+    st.tuples(
+        _install_at,
+        _grid,
+        _length,
+        _locality | st.frozensets(st.integers(0, 3), min_size=1, max_size=3),
+    ),
+    max_size=6,
+)
+_spikes = st.lists(
+    st.tuples(
+        _install_at,
+        _grid,
+        _length,
+        st.sampled_from([1.0, 1.5, 3.0]),
+        st.sampled_from([0.0, 5.0, 12.5]),
+        st.none() | _locality,
+    ),
+    max_size=4,
+)
+_probability = st.sampled_from([0.0, 0.3, 0.7, 1.0])
+_bursty = st.none() | st.tuples(
+    _install_at, _grid, st.none() | _length, _probability, _probability, _probability
+)
+#: Query times off the grid, strictly inside windows and gaps.
+_between = st.lists(_grid.map(lambda t: t + 5.0), max_size=6)
+_LINKS = [(0, 1), (1, 0), (0, 3), (2, 1), (3, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partitions, _spikes, _bursty, _between)
+def test_open_window_sets_match_a_full_scan(partitions, spikes, bursty, extra_times):
+    sim, network, __ = make_world(num_nodes=4)
+
+    def locality_of(address):
+        return address % 3
+
+    controller = FaultController(
+        sim, network, rng=random.Random(11), locality_of=locality_of
+    )
+    reference = FullScanReference(random.Random(11), locality_of)
+
+    installs = []  # (install time or None, callable installing on both sides)
+    times = set(extra_times)
+    for at, start, length, side in partitions:
+        locality, group = (side, None) if isinstance(side, int) else (None, side)
+
+        def install(start=start, heal=start + length, locality=locality, group=group):
+            controller.schedule_partition(start, heal, locality=locality, group=group)
+            reference.partitions.append((start, heal, locality, group))
+
+        installs.append((at, install))
+        times.update((start, start + length))
+    for at, start, length, multiplier, additive, locality in spikes:
+        spec = LatencySpikeSpec(start, start + length, multiplier, additive, locality)
+
+        def install(spec=spec):
+            controller.schedule_latency_spike(spec)
+            reference.spikes.append(spec)
+
+        installs.append((at, install))
+        times.update((spec.start_ms, spec.end_ms))
+    if bursty is not None:
+        at, start, length, p_gb, loss_good, loss_bad = bursty
+        spec = BurstyLossSpec(
+            p_good_to_bad=p_gb,
+            p_bad_to_good=0.5,
+            loss_good=loss_good,
+            loss_bad=loss_bad,
+            start_ms=start,
+            end_ms=None if length is None else start + length,
+        )
+
+        def install(spec=spec):
+            controller.set_bursty_loss(spec)
+            reference.set_bursty(spec)
+
+        installs.append((at, install))
+        times.add(spec.start_ms)
+        if spec.end_ms is not None:
+            times.add(spec.end_ms)
+    times.update(at for at, __ in installs if at is not None)
+
+    for at, install in installs:
+        if at is None:
+            install()
+    for now in sorted(times):
+        sim.run(until=now)
+        assert sim.now == now
+        for at, install in installs:
+            if at == now:
+                install()
+        for src, dst in _LINKS:
+            # The network's gate: before ``calm_until`` it does not call in.
+            calm = now < controller.calm_until
+            cause = None if calm else controller.drop_cause(src, dst)
+            assert cause == reference.drop_cause(now, src, dst)
+            assert controller.rng.getstate() == reference.rng.getstate()
+            calm = now < controller.calm_until
+            adjusted = 10.0 if calm else controller.latency_adjust(src, dst, 10.0)
+            assert adjusted == reference.latency_adjust(now, src, dst, 10.0)
+            # Called directly (no gate) the hooks answer the same.
+            assert controller.latency_adjust(src, dst, 10.0) == adjusted
+        assert controller.partition_active() == reference.partition_active(now)
+        for other in (now - 10.0, now + 10.0):
+            assert controller.partition_active(other) == reference.partition_active(
+                other
+            )
+
+
+class CountingController(FaultController):
+    """Counts every call the network makes into the fault plane."""
+
+    calls = 0
+
+    def drop_cause(self, src, dst):
+        self.calls += 1
+        return super().drop_cause(src, dst)
+
+    def latency_adjust(self, src, dst, base):
+        self.calls += 1
+        return super().latency_adjust(src, dst, base)
+
+
+def _traffic(sim, network, a, b, start, legs):
+    """*legs* message legs from *start* on, 1 ms apart: hot-path sends,
+    RPCs (request and reply legs) and the network-level cold-path send."""
+    replies = []
+    at = start
+    for index in range(legs // 4):
+        send_at(sim, at, a, b, index)
+        sim.schedule_at(
+            at, lambda: a.rpc(b.address, "ping", on_reply=replies.append)
+        )
+        sim.schedule_at(at, lambda: network.send(b, a.address, "ping", {}))
+        at += 1.0
+    return replies
+
+
+def test_calm_fault_plane_is_never_called():
+    """Zero cost while calm, structurally: with every window in the future
+    -- and again once every window is in the past -- no leg calls into the
+    controller at all; the leg at exactly ``start_ms`` is the first."""
+    sim, network, (a, b) = make_world(latency=10.0)
+    controller = CountingController(sim, network, locality_of=lambda address: address)
+    controller.apply(
+        [
+            PartitionSpec(locality=0, start_ms=5000.0, heal_ms=5100.0),
+            LatencySpikeSpec(start_ms=5000.0, end_ms=5200.0, multiplier=2.0),
+            BurstyLossSpec(0.5, 0.5, start_ms=5050.0, end_ms=5300.0),
+        ]
+    )
+    assert controller.calm_until == 5000.0
+
+    replies = _traffic(sim, network, a, b, 0.0, 1000)
+    sim.run(until=4999.0)
+    assert len(replies) == 250 and len(b.received) == 500
+    assert controller.calls == 0
+
+    # The first leg at exactly start_ms calls in: once, for its latency.
+    sim.run(until=5000.0)
+    assert sim.now == 5000.0 and controller.calls == 0
+    a.send(b.address, "ping", seq="edge")
+    assert controller.calls == 1
+    assert controller.calm_until < 5000.0
+    sim.run(until=5300.0)  # ...and once more at delivery: cut by the partition
+    assert controller.calls == 2
+    assert network.dropped_partition == 1
+
+    # Every window is over.  Edges are polled, not scheduled: the first leg
+    # afterwards makes the call that notices, and from then on nobody calls.
+    a.send(b.address, "ping", seq="notices")
+    assert controller.calls == 3
+    assert controller.calm_until == float("inf")
+    controller.calls = 0
+    replies = _traffic(sim, network, a, b, 5400.0, 1000)
+    sim.run()
+    assert len(replies) == 250
+    assert controller.calls == 0
+
+
+def test_scheduling_mid_run_ends_the_calm():
+    sim, network, (a, b) = make_world(latency=10.0)
+    controller = CountingController(sim, network)
+    controller.schedule_latency_spike(
+        LatencySpikeSpec(start_ms=1000.0, end_ms=2000.0, multiplier=2.0)
+    )
+    sim.run(until=100.0)
+    assert controller.calm_until == 1000.0
+    controller.schedule_latency_spike(
+        LatencySpikeSpec(start_ms=50.0, end_ms=300.0, additive_ms=7.0)
+    )
+    assert controller.calm_until <= sim.now  # already open
+    a.send(b.address, "ping", seq="spiked")
+    sim.run(until=200.0)
+    assert b.received_at["spiked"] == pytest.approx(117.0)
+    controller.schedule_partition(400.0, 500.0, group=frozenset({a.address}))
+    sim.run(until=350.0)
+    a.send(b.address, "ping", seq="calm again")
+    assert controller.calm_until == 400.0
