@@ -456,12 +456,7 @@ class BasePeer(NetworkNode):
             self.store.touch(key)
         __, evicted = self.store.add_with_evictions(key)
         if evicted:
-            if self.stream is not None:
-                # Evicted objects may legitimately be queried again.
-                self.stream.forget(
-                    {index for ws, index in evicted if ws == self.website}
-                )
-            self._on_evicted(evicted)
+            self._forget_evicted(evicted)
         self.system.metrics.record(
             QueryRecord(
                 time=self.sim.now,
@@ -476,6 +471,13 @@ class BasePeer(NetworkNode):
         )
         self.sim.emit("cdn.query_done", outcome=outcome, peer=self.address, key=key)
         self._after_query(key, outcome)
+
+    def _forget_evicted(self, evicted) -> None:
+        """Cache replacement made room by dropping the *evicted* keys."""
+        if self.stream is not None:
+            # Evicted objects may legitimately be queried again.
+            self.stream.forget({index for ws, index in evicted if ws == self.website})
+        self._on_evicted(evicted)
 
     def _after_query(self, key: ObjectKey, outcome: str) -> None:
         """Protocol hook: push-threshold checks, summary updates, ..."""
@@ -641,16 +643,3 @@ class CdnSystem:
         self.sizes = sizes
         for server in self.servers.values():
             server.sizes = sizes
-
-    def swarm_stats(self) -> Dict[str, float]:
-        """Deprecated: use ``stats().swarm`` (same data, typed)."""
-        import warnings
-
-        from repro.cdn.flower.stats import collect_swarm_stats
-
-        warnings.warn(
-            "CdnSystem.swarm_stats() is deprecated; use stats().swarm instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return collect_swarm_stats(self).to_dict()

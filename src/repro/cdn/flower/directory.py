@@ -13,9 +13,10 @@ module owns that state:
   evaluated in terms of the number of content peers in its view and is
   compared against a predefined limit" (section 4).
 
-The network behaviour (answering queries, reacting to pushes) lives on
-:class:`~repro.cdn.flower.peer.FlowerPeer`, which holds one of these roles
-while it serves as a directory.
+The network behaviour (answering queries, reacting to pushes, splitting,
+failing over) lives on :class:`~repro.cdn.flower.service.DirectoryService`,
+which a :class:`~repro.cdn.flower.peer.FlowerPeer` holds next to one of
+these roles while it serves as a directory.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ class DirectoryRole:
 
     def overloaded(self, limit: Optional[int]) -> bool:
         return limit is not None and self.load >= limit
+
+    @property
+    def registered(self) -> bool:
+        """Holds the slot's D-ring position rather than a provisional
+        (partition-side) claim on it."""
+        return self.chord is not None and not self.provisional
 
     # ------------------------------------------------------------- admission
     def queue_depth(self, now: float, service_ms: float) -> int:

@@ -38,6 +38,11 @@ non-replicated build):
     its own :class:`ReplicaStore` is consulted first (the member heir
     winning the race takes over with zero network round trips).
 
+This module is the wire and storage side (payloads, :class:`ReplicaStore`,
+held by every peer); the serving directory's side -- who syncs whom, warm
+takeover, split-brain resolution -- is
+:class:`~repro.cdn.flower.failover.DirectoryReplicator`.
+
 Versioning: :class:`~repro.cdn.flower.directory.DirectoryRole` carries a
 monotonically increasing ``version`` plus a change journal (member ->
 version of last change, tombstones for removals).  The journal is pure
@@ -49,8 +54,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import CDNError
-from repro.sim.process import PeriodicProcess
 from repro.types import Address, ChordId, ObjectKey
 
 
@@ -112,6 +115,18 @@ def delta_sync_payload(role, origin: Address, base_version: int) -> Dict[str, An
         ]
         payload["postings_removed"] = role.postings_removed_since(base_version)
     return payload
+
+
+def merge_sync_payload(role, payload: Dict[str, Any]) -> int:
+    """Merge another claimant's sync *payload* into *role* (per-entry
+    dominance, :meth:`DirectoryRole.merge_remote`); returns the number of
+    entries adopted."""
+    entries = payload.get("entries", ())
+    return role.merge_remote(
+        {address: age for address, age, _keys in entries},
+        {address: keys for address, _age, keys in entries},
+        payload["version"],
+    )
 
 
 class ReplicaRecord:
@@ -289,163 +304,3 @@ class ReplicaStore:
             return {"status": "stale", "have": record.version}
         record.apply(payload, now)
         return {"status": "ok", "version": record.version}
-
-    def best_for(self, position: ChordId) -> Optional[ReplicaRecord]:
-        """Alias of :meth:`get` kept for call-site readability."""
-        return self._records.get(position)
-
-
-class DirectoryReplicator:
-    """Drives the periodic replica-sync of one directory role.
-
-    Attached by :class:`~repro.cdn.flower.peer.FlowerPeer` when it
-    activates a directory role with ``params.replication_k > 0``.  One
-    sync tick runs per keepalive period (the paper couples directory
-    maintenance to that cadence); every ``anti_entropy_rounds``-th tick
-    ships full snapshots instead of deltas.
-
-    Determinism note: the tick process draws its initial delay and jitter
-    from the owning peer's private stream -- replication-enabled runs have
-    their own deterministic schedule, and replication-off runs never
-    construct this object.
-    """
-
-    def __init__(self, peer, role) -> None:
-        params = peer.system.params
-        if params.replication_k < 1:
-            raise CDNError("DirectoryReplicator needs replication_k >= 1")
-        self.peer = peer
-        self.role = role
-        self.k = params.replication_k
-        self.anti_entropy_rounds = params.replication_anti_entropy_rounds
-        #: target address -> last version it acknowledged.
-        self.acked: Dict[Address, int] = {}
-        self.rounds = 0
-        self.stats = {"syncs": 0, "fulls": 0, "deltas": 0, "rejected": 0}
-        period = params.keepalive_period_ms
-        self._process: Optional[PeriodicProcess] = PeriodicProcess(
-            peer.sim,
-            period,
-            self._sync_tick,
-            initial_delay=peer.rng.uniform(0.25 * period, 0.75 * period),
-            jitter=0.05,
-            rng=peer.rng,
-        )
-
-    # ------------------------------------------------------------- lifecycle
-    @property
-    def active(self) -> bool:
-        return self._process is not None
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.cancel()
-            self._process = None
-
-    # --------------------------------------------------------------- targets
-    def member_heir(self) -> Optional[Address]:
-        """The deterministic in-petal replica target: the member with the
-        smallest address.  It survives partitions that cut the petal's
-        locality off from the rest of the D-ring."""
-        addresses = self.role.members.addresses()
-        return min(addresses) if addresses else None
-
-    def targets(self) -> List[Address]:
-        """Member heir + up to ``k`` distinct ring successors."""
-        out: List[Address] = []
-        seen: Set[Address] = {self.peer.address}
-        heir = self.member_heir()
-        if heir is not None:
-            out.append(heir)
-            seen.add(heir)
-        chord = self.role.chord
-        successors: Tuple = tuple(chord.successors) if chord is not None else ()
-        ring = 0
-        for ref in successors:
-            if ring >= self.k:
-                break
-            if ref.address in seen:
-                continue
-            seen.add(ref.address)
-            out.append(ref.address)
-            ring += 1
-        return out
-
-    # ------------------------------------------------------------------ sync
-    def _sync_tick(self) -> None:
-        peer = self.peer
-        if not peer.alive or peer.directory is not self.role:
-            return
-        # Lazy search attach: tests (and late-configured runs) install the
-        # engine after seed directories exist; make sure this role's
-        # posting lists are live before they are serialized below.
-        peer._attach_search(self.role)
-        self.rounds += 1
-        force_full = self.rounds % self.anti_entropy_rounds == 0
-        for target in self.targets():
-            self.sync_target(target, force_full=force_full)
-
-    def sync_target(self, target: Address, force_full: bool = False) -> None:
-        """Send one sync (delta when possible) to *target*."""
-        role = self.role
-        peer = self.peer
-        base = self.acked.get(target)
-        if base is not None and not force_full and base == role.version:
-            return  # nothing new since the last acknowledgement
-        if base is None or force_full:
-            payload = full_sync_payload(role, peer.address)
-            self.stats["fulls"] += 1
-        else:
-            payload = delta_sync_payload(role, peer.address, base)
-            self.stats["deltas"] += 1
-        self.stats["syncs"] += 1
-        params = peer.system.params
-        if params.redirect_hints and params.directory_queue_limit > 0:
-            # Queue-aware redirect hints: the periodic sync doubles as the
-            # per-petal load-vector gossip -- replica holders, the member
-            # heir and (via the ring successors) sibling instances all
-            # learn this instance's current admission-queue depth.  Only
-            # shipped when hints are on, so hint-free runs stay
-            # byte-identical on this channel.
-            payload["load_vector"] = role.load_vector(
-                peer.sim.now, params.directory_service_ms
-            )
-
-        def on_reply(reply: Dict[str, Any], target=target) -> None:
-            if peer.directory is not role:
-                return
-            status = reply.get("status")
-            if status == "ok":
-                self.acked[target] = reply["version"]
-            elif status == "need_full":
-                # Target lost (or never had) our base: next tick goes full.
-                self.acked.pop(target, None)
-            elif status == "conflict":
-                # The target *is itself* a live directory of our slot --
-                # split brain discovered through replication traffic.
-                self.acked.pop(target, None)
-                peer._resolve_slot_conflict(
-                    role, reply["holder"], bool(reply.get("registered"))
-                )
-            elif status == "off":
-                self.acked.pop(target, None)
-            else:  # "stale": the target holds a *newer* replica than our
-                # state -- we are a version-behind origin (split-brain
-                # loser racing its own demotion).  Stop acknowledging;
-                # the slot-reconcile path owns the resolution.
-                self.stats["rejected"] += 1
-                self.acked.pop(target, None)
-                if peer.sim.tracing("flower.replica_rejected"):
-                    peer.sim.emit(
-                        "flower.replica_rejected",
-                        origin=peer.address,
-                        target=target,
-                        position=role.position_id,
-                        have=reply.get("have"),
-                        version=role.version,
-                    )
-
-        def on_timeout(target=target) -> None:
-            self.acked.pop(target, None)
-
-        peer.rpc(target, "flower.replica_sync", payload, on_reply, on_timeout)

@@ -46,6 +46,13 @@ SearchCallback = Callable[[List[SearchMatch]], None]
 #: converges to "compute each object's digest exactly once per space".
 _KEYWORD_CACHE_SIZE = 65536
 
+#: How many extra petal-mates extend a search-failover chain beyond the
+#: synced replica holders (section 5.4): the member sample a directory
+#: ships in its failover plan, and the gossip-view contacts a client
+#: appends to it -- they catch promoted heirs / provisional claimants a
+#: stale hint cannot name.
+FAILOVER_EXTRA_CANDIDATES = 4
+
 
 def staleness_bound_ms(params) -> float:
     """Declared bound on the age of replica-served search results.

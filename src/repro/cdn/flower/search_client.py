@@ -1,0 +1,242 @@
+"""Keyword search from a peer's side (paper section 7 future work;
+optional) -- a :class:`~repro.cdn.flower.peer.FlowerPeer` mixin.
+
+A directory peer answers from its own index; a content peer asks its
+directory; an unregistered peer gets no results.  When the directory is
+suspect, times out or denies, the query fails over to the slot's replica
+holders (section 5.4): the member heir and the k ring successors, learnt
+from the ``search_replicas`` plan directories piggyback on keepalive /
+push / registration replies, extended with fresh petal-mates from the
+gossip view.  Replica answers are accepted only within the declared
+staleness bound.  The answering side of that failover --
+``flower.search_replica``, served from our replica store -- lives here
+too: every peer may hold a replica.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List
+
+from repro.cdn.flower.search import FAILOVER_EXTRA_CANDIDATES, staleness_bound_ms
+from repro.errors import CDNError
+from repro.net.message import Message
+from repro.types import Address
+
+
+class SearchClient:
+    """Search entry point, failover chain and replica-side answering of
+    :class:`~repro.cdn.flower.peer.FlowerPeer`; all state lives on the
+    peer."""
+
+    @property
+    def search_probe_target(self) -> bool:
+        """Eligible for a search probe: in a petal now, or orphaned from
+        one (its directory declared failed) -- orphans must keep counting
+        toward an outage instead of silently leaving the denominator."""
+        return self.alive and (
+            self.directory is not None
+            or self.dir_info is not None
+            or self._search_position is not None
+        )
+
+    def _harvest_search_replicas(self, payload: Dict[str, Any]) -> None:
+        """Remember the failover plan carried by a directory reply."""
+        hint = payload.get("search_replicas")
+        if hint is not None:
+            self._search_position = hint["position"]
+            self._search_replicas = [
+                address for address in hint["replicas"] if address != self.address
+            ]
+            self._search_members = [
+                address
+                for address in hint.get("members", ())
+                if address != self.address
+            ]
+
+    def search(self, keyword: str, on_results) -> None:
+        """Find petal members holding objects about *keyword*.
+
+        Requires ``system.search_engine`` to be set (see
+        :mod:`repro.cdn.flower.search`).  Every completion is accounted
+        through one ``flower.search_done`` event stamped with its source.
+        """
+        if self.system.search_engine is None:
+            raise CDNError("keyword search requires system.search_engine")
+        if self.service is not None:
+            self._finish_search(
+                keyword, self.service.search_index(keyword), "local", 0.0, on_results
+            )
+            return
+        info = self.dir_info
+        if info is None and self._search_position is None:
+            self._finish_search(keyword, [], "unregistered", 0.0, on_results)
+            return
+        if info is None or self._dir_suspect:
+            # Orphaned mid-failure (the directory was declared dead and no
+            # replacement adopted yet) or suspect: straight to replicas.
+            self._search_failover(keyword, self._search_failover_plan(), on_results)
+            return
+
+        def on_reply(payload: Dict[str, Any]) -> None:
+            if not self.alive:
+                return
+            if payload.get("status") != "ok":
+                self._search_failover(
+                    keyword, self._search_failover_plan(), on_results
+                )
+                return
+            self._note_directory_alive(info, payload)
+            self._finish_search(
+                keyword,
+                [(tuple(key), address) for key, address in payload["matches"]],
+                "directory",
+                0.0,
+                on_results,
+            )
+
+        def on_give_up() -> None:
+            if not self.alive:
+                return
+            self._on_directory_strike(info)
+            self._search_failover(keyword, self._search_failover_plan(), on_results)
+
+        self._directory_rpc(
+            info, "flower.search", {"keyword": keyword}, on_reply, on_give_up
+        )
+
+    def _search_failover_plan(self) -> List[Address]:
+        """Candidate chain for a failed-over search: the hinted replica
+        holders (member heir first, then ring successors), extended with
+        our freshest petal-mates from the gossip view.  The view catches
+        the cases a stale hint cannot: the heir may have died since the
+        hint was harvested, but a petal-mate that since promoted (warm
+        takeover or provisional claim) answers the slot directly."""
+        plan = list(self._search_replicas)
+        seen = set(plan)
+        seen.add(self.address)
+        for address in self._search_members:
+            if address not in seen:
+                seen.add(address)
+                plan.append(address)
+        contacts = sorted(
+            self.view.contacts(), key=lambda c: (c.age, c.address)
+        )
+        extras = 0
+        for contact in contacts:
+            if extras >= FAILOVER_EXTRA_CANDIDATES:
+                break
+            if contact.address in seen:
+                continue
+            seen.add(contact.address)
+            plan.append(contact.address)
+            extras += 1
+        return plan
+
+    def _search_failover(
+        self, keyword: str, candidates: List[Address], on_results
+    ) -> None:
+        """Walk the known replica holders of our slot (member heir first,
+        then ring successors) until one answers within the staleness
+        bound; our own replica store is consulted first (the heir itself
+        pays zero round trips)."""
+        engine = self.system.search_engine
+        position = self._search_position
+        if engine is None or position is None:
+            self._finish_search(keyword, [], "none", 0.0, on_results)
+            return
+        bound = staleness_bound_ms(self.system.params)
+        record = self.replica_store.get(position)
+        if record is not None:
+            staleness = self.sim.now - record.updated_at
+            if staleness <= bound:
+                matches = record.search_matches(
+                    engine.space, keyword, engine.max_results
+                )
+                self._finish_search(
+                    keyword, matches, "replica", staleness, on_results
+                )
+                return
+        while candidates and candidates[0] == self.address:
+            candidates = candidates[1:]
+        if not candidates:
+            self._finish_search(keyword, [], "none", 0.0, on_results)
+            return
+        target, rest = candidates[0], candidates[1:]
+        params = self.system.params
+
+        def on_reply(payload: Dict[str, Any]) -> None:
+            if not self.alive:
+                return
+            if payload.get("status") == "ok":
+                staleness = float(payload.get("staleness_ms", 0.0))
+                if staleness <= bound:
+                    self._finish_search(
+                        keyword,
+                        [(tuple(key), address) for key, address in payload["matches"]],
+                        payload.get("source", "replica"),
+                        staleness,
+                        on_results,
+                    )
+                    return
+            self._search_failover(keyword, rest, on_results)
+
+        self.retrying_rpc(
+            target,
+            "flower.search_replica",
+            {"position": position, "keyword": keyword},
+            on_reply=on_reply,
+            on_give_up=lambda: self._search_failover(keyword, rest, on_results),
+            retries=params.rpc_retries,
+            backoff_ms=params.rpc_backoff_ms,
+        )
+
+    def _finish_search(
+        self,
+        keyword: str,
+        matches: List,
+        source: str,
+        staleness_ms: float,
+        on_results,
+    ) -> None:
+        """Deliver results and account the completion (one event per
+        search, stamped with how -- and how stale -- it was answered)."""
+        sim = self.sim
+        if sim.tracing("flower.search_done"):
+            sim.emit(
+                "flower.search_done",
+                peer=self.address,
+                website=self.website,
+                locality=self.locality,
+                keyword=keyword,
+                matches=len(matches),
+                source=source,
+                staleness_ms=staleness_ms,
+            )
+        on_results(matches)
+
+    def handle_flower_search_replica(self, message: Message) -> Dict[str, Any]:
+        """Scoped failover search (section 5.4): answer for a directory
+        slot we replicate -- or serve authoritatively when we turned out
+        to be the slot's (possibly provisional) directory ourselves."""
+        engine = self.system.search_engine
+        if engine is None or not self.alive:
+            return {"status": "off"}
+        position = message.payload["position"]
+        keyword = message.payload["keyword"]
+        service = self.service
+        if service is not None and service.role.position_id == position:
+            return {
+                "status": "ok",
+                "source": "takeover",
+                "staleness_ms": 0.0,
+                "matches": service.search_index(keyword),
+            }
+        record = self.replica_store.get(position)
+        if record is None:
+            return {"status": "no_replica"}
+        return {
+            "status": "ok",
+            "source": "replica",
+            "staleness_ms": self.sim.now - record.updated_at,
+            "matches": record.search_matches(engine.space, keyword, engine.max_results),
+        }

@@ -33,6 +33,7 @@ from typing import List, Optional
 from repro.cdn.base import ProtocolParams
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.peer import FlowerPeer
+from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.system import FlowerSystem
 from repro.dht.node import ChordNode, NodeRef
 from repro.errors import CDNError
@@ -122,4 +123,4 @@ class ShardedFlowerSystem(FlowerSystem):
             identity += 1
         for peer, role in zip(peers, roles):
             peer.begin_session()
-            peer._directory_role_active(role)
+            DirectoryService(peer, role).start()

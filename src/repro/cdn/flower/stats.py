@@ -1,15 +1,10 @@
 """Typed system-statistics facade (one entry point, one version).
 
-Historically each extension grew its own reporting method on
-:class:`~repro.cdn.flower.system.FlowerSystem` -- ``overload_stats()``,
-``replication_stats()``, and the swarm counters via
-:meth:`~repro.cdn.base.CdnSystem.swarm_stats` -- each returning a loosely
-shaped dict.  This module unifies them: :func:`collect_system_stats`
-gathers everything into frozen dataclasses under a single versioned
-:class:`SystemStats`, reached through ``system.stats()``.  The old methods
-survive as deprecated delegates whose dict shapes are preserved by the
-``to_dict()`` methods here, so existing reports and benchmarks keep
-parsing.
+Each extension used to grow its own loosely shaped reporting dict.
+:func:`collect_system_stats` gathers them into frozen dataclasses under
+a single versioned :class:`SystemStats`, reached through
+``system.stats()``; the ``to_dict()`` methods keep those dict shapes, so
+existing reports and benchmarks keep parsing.
 
 ``STATS_VERSION`` bumps whenever a field is added, renamed, or changes
 meaning -- consumers that persist snapshots (the chaos bundles, the bench
@@ -123,7 +118,7 @@ class SwarmStats:
 
     ``bandwidth`` carries the bandwidth model's extra counters verbatim
     when one is installed; ``to_dict()`` merges them into the flat shape
-    the pre-facade :meth:`~repro.cdn.base.CdnSystem.swarm_stats` returned.
+    the swarm reports parse.
     """
 
     transfers_started: int = 0
@@ -274,7 +269,7 @@ def collect_replication_stats(system) -> ReplicationStats:
                     "postings": len(d.postings),
                     "provisional": d.provisional,
                 }
-        replicator = peer._replicator
+        replicator = peer.service.replicator if peer.service is not None else None
         if replicator is not None:
             for key in counters:
                 counters[key] += replicator.stats[key]

@@ -14,19 +14,14 @@ directory role, and wired into a warm-started (already stabilized) D-ring.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional
 
 from repro.cdn.base import BasePeer, CdnSystem, ProtocolParams
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.dring import DRingKeyService
 from repro.cdn.flower.peer import FlowerPeer
-from repro.cdn.flower.stats import (
-    SystemStats,
-    collect_overload_stats,
-    collect_replication_stats,
-    collect_system_stats,
-)
+from repro.cdn.flower.service import DirectoryService
+from repro.cdn.flower.stats import SystemStats, collect_system_stats
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
 from repro.errors import CDNError
@@ -147,7 +142,7 @@ class FlowerSystem(CdnSystem):
         self.ring.warm_start(chord_nodes)
         for peer, role in zip(peers, roles):
             peer.begin_session()
-            peer._directory_role_active(role)
+            DirectoryService(peer, role).start()
 
     def _place_peer_in_locality(
         self, identity: int, website: int, locality: int
@@ -194,27 +189,6 @@ class FlowerSystem(CdnSystem):
         The single stats entry point: typed sub-blocks for the overload,
         replication, and swarm planes (see
         :mod:`repro.cdn.flower.stats`).  Serialize with
-        ``stats().to_dict()``; the legacy per-plane methods below delegate
-        here and warn.
+        ``stats().to_dict()``.
         """
         return collect_system_stats(self)
-
-    def overload_stats(self) -> dict:
-        """Deprecated: use ``stats().overload`` (same data, typed)."""
-        warnings.warn(
-            "FlowerSystem.overload_stats() is deprecated; "
-            "use stats().overload instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return collect_overload_stats(self).to_dict()
-
-    def replication_stats(self) -> dict:
-        """Deprecated: use ``stats().replication`` (same data, typed)."""
-        warnings.warn(
-            "FlowerSystem.replication_stats() is deprecated; "
-            "use stats().replication instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return collect_replication_stats(self).to_dict()

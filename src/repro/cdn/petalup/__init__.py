@@ -7,8 +7,8 @@ new clients to the next instance, and -- when it is the last one -- selects
 one of its content peers to join D-ring as the next instance.
 
 All of that behaviour lives in :mod:`repro.cdn.flower` (the scan in
-``FlowerPeer._contact_directory``, the split in
-``FlowerPeer._maybe_promote_next``); this package contributes the system
+``QueryPaths._contact_directory``, the split in
+``LoadRelief.maybe_promote_next``); this package contributes the system
 class that turns it on via :class:`~repro.cdn.base.ProtocolParams`.
 """
 

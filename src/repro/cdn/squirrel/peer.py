@@ -27,9 +27,10 @@ class SquirrelPeer(BasePeer):
         self.chord: Optional[ChordNode] = None
         #: object key -> ordered delegate addresses (oldest first).
         self.home_directory: Dict[ObjectKey, "OrderedDict[Address, None]"] = {}
-        # Delivery fast path: pre-register wrappers so ``Network._deliver``
-        # can dispatch straight from the handler cache (each wrapper re-reads
-        # ``self.chord`` at call time -- identical to the on_message route).
+        # Chord traffic goes to the Chord component: pre-registered wrappers
+        # let ``NetworkNode.on_message`` and ``Network._deliver`` dispatch it
+        # straight from the handler cache (each wrapper re-reads
+        # ``self.chord`` at call time).
         cache = self._handler_cache
         cache["chord.route"] = self._dispatch_chord_route
         cache["chord.route_result"] = self._dispatch_chord_route_result
@@ -44,20 +45,6 @@ class SquirrelPeer(BasePeer):
             cache[kind] = self._dispatch_chord_component
 
     # ------------------------------------------------------------ dispatch
-    def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
-        """Route chord traffic to the Chord component, rest to handlers."""
-        if message.kind == "chord.route":
-            return route_step(self.chord, self, message)
-        if message.kind == "chord.route_result":
-            return deliver_route_result(self, message)
-        if message.kind.startswith("chord."):
-            if self.chord is None:
-                if message.kind == "chord.probe":
-                    return {"status": "not_ready"}
-                return {}
-            return self.chord.on_message(message)
-        return super().on_message(message)
-
     # Cache-resident wrappers (see ``__init__``).
     def _dispatch_chord_route(self, message: Message) -> Optional[Dict[str, Any]]:
         return route_step(self.chord, self, message)

@@ -14,8 +14,7 @@ paper's full Table 1 parameters (expect minutes of wall clock).
 Option names are normalized across subcommands: ``--replication``,
 ``--workers``, ``--overload``, and ``--rebalance`` mean the same thing
 everywhere (``--rebalance`` implies the ``--overload`` recipe and turns
-on redirect hints + content rebalancing).  Deprecated alias spellings
-(``--replication-k``, ``--num-workers``) still parse but warn.
+on redirect hints + content rebalancing).
 
 ``chaos`` runs seeded randomized fault schedules with the online
 invariant auditor (:mod:`repro.chaos`); it exits non-zero when any
@@ -28,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.analysis.ascii import line_chart
@@ -38,27 +36,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import PROTOCOLS, run_experiment
 from repro.metrics.overhead import OverheadReport
 from repro.metrics.report import render_table
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Old option spelling: still works, but names its replacement.
-
-    Normalized option names are the single source of truth; aliases warn
-    on stderr (visible in CLI use) and via :class:`DeprecationWarning`
-    (catchable in tests) instead of silently diverging.
-    """
-
-    def __init__(self, *args, canonical: str = "", **kwargs):
-        self.canonical = canonical
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        message = f"{option_string} is deprecated; use {self.canonical}"
-        print(f"warning: {message}", file=sys.stderr)
-        warnings.warn(message, DeprecationWarning, stacklevel=2)
-        if self.nargs == 0:
-            values = True
-        setattr(namespace, self.dest, values)
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -77,15 +54,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="directory replication degree (0 = off; warm failover, section 5.3)",
     )
-    parser.add_argument(
-        "--replication-k",
-        type=int,
-        dest="replication",
-        action=_DeprecatedAlias,
-        canonical="--replication",
-        metavar="K",
-        help=argparse.SUPPRESS,
-    )
     parser.add_argument("--json", metavar="PATH", help="also write the result as JSON")
     parser.add_argument(
         "--workers",
@@ -95,15 +63,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default 1 = the single-simulator path; "
         "> 1 runs the sharded engine, flower only, and N must divide the "
         "shard map -- one shard per locality)",
-    )
-    parser.add_argument(
-        "--num-workers",
-        type=int,
-        dest="workers",
-        action=_DeprecatedAlias,
-        canonical="--workers",
-        metavar="N",
-        help=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--overload",

@@ -27,133 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.cdn.base import ProtocolParams
 from repro.dht.ring import RingParams
 from repro.errors import ConfigError
 from repro.sim.clock import minutes, seconds
-
-
-class _SubConfig:
-    """Shared plumbing of the typed sub-config views.
-
-    Each subclass declares ``_FLAT``: its own field name -> the flat
-    :class:`ExperimentConfig` field it mirrors.  The flat fields remain
-    the single source of truth (serialization, hashing, ``replace`` and
-    the chaos-bundle JSON shape are untouched); the views only group
-    them for construction and readable access.
-    """
-
-    _FLAT: Dict[str, str] = {}
-
-    def as_flat(self) -> Dict[str, Any]:
-        """This view's values as flat ``ExperimentConfig`` kwargs."""
-        return {flat: getattr(self, name) for name, flat in self._FLAT.items()}
-
-    @classmethod
-    def _from_config(cls, config: "ExperimentConfig"):
-        return cls(**{name: getattr(config, flat) for name, flat in cls._FLAT.items()})
-
-
-@dataclass(frozen=True)
-class ReplicationConfig(_SubConfig):
-    """Warm directory failover (section 5.3)."""
-
-    k: int = 0
-    anti_entropy: int = 4
-
-    _FLAT = {
-        "k": "directory_replication_k",
-        "anti_entropy": "directory_replication_anti_entropy",
-    }
-
-
-@dataclass(frozen=True)
-class OverloadConfig(_SubConfig):
-    """Open-loop traffic, admission queues, shedding, hints, rebalancing."""
-
-    rate_qps: float = 0.0
-    diurnal_amplitude: float = 0.0
-    diurnal_period_hours: float = 24.0
-    surges: tuple = ()
-    queue_limit: int = 0
-    service_ms: float = 40.0
-    shedding: bool = False
-    redirect_hints: bool = False
-    hint_ttl_ms: float = 60_000.0
-    rebalance: bool = False
-    rebalance_cooldown_rounds: int = 2
-    rebalance_budget_kb: float = 1024.0
-    rebalance_max_keys: int = 4
-
-    _FLAT = {
-        "rate_qps": "openloop_rate_qps",
-        "diurnal_amplitude": "openloop_diurnal_amplitude",
-        "diurnal_period_hours": "openloop_diurnal_period_hours",
-        "surges": "openloop_surges",
-        "queue_limit": "directory_queue_limit",
-        "service_ms": "directory_service_ms",
-        "shedding": "overload_shedding",
-        "redirect_hints": "redirect_hints",
-        "hint_ttl_ms": "hint_ttl_ms",
-        "rebalance": "rebalance",
-        "rebalance_cooldown_rounds": "rebalance_cooldown_rounds",
-        "rebalance_budget_kb": "rebalance_budget_kb",
-        "rebalance_max_keys": "rebalance_max_keys",
-    }
-
-
-@dataclass(frozen=True)
-class SearchConfig(_SubConfig):
-    """Keyword-search extension (paper section 7)."""
-
-    keywords: int = 0
-    probe_period_s: float = 0.0
-
-    _FLAT = {
-        "keywords": "search_keywords",
-        "probe_period_s": "search_probe_period_s",
-    }
-
-
-@dataclass(frozen=True)
-class SwarmConfig(_SubConfig):
-    """Chunked swarming transfers, object sizes and the bandwidth model."""
-
-    enabled: bool = False
-    parallel: int = 4
-    sources: int = 4
-    resume: bool = True
-    replicate: int = 0
-    stall_ms: float = 8000.0
-    retry_ms: float = 200.0
-    chunk_kb: int = 64
-    object_mean_kb: float = 64.0
-    object_alpha: float = 1.5
-    object_max_kb: float = 4096.0
-    bandwidth_kbps: float = 0.0
-    bandwidth_link_kbps: float = 0.0
-    bandwidth_slow_fraction: float = 0.0
-    bandwidth_slow_factor: float = 8.0
-
-    _FLAT = {
-        "enabled": "swarming",
-        "parallel": "swarm_parallel",
-        "sources": "swarm_sources",
-        "resume": "swarm_resume",
-        "replicate": "swarm_replicate",
-        "stall_ms": "swarm_stall_ms",
-        "retry_ms": "swarm_retry_ms",
-        "chunk_kb": "swarm_chunk_kb",
-        "object_mean_kb": "object_mean_kb",
-        "object_alpha": "object_alpha",
-        "object_max_kb": "object_max_kb",
-        "bandwidth_kbps": "bandwidth_kbps",
-        "bandwidth_link_kbps": "bandwidth_link_kbps",
-        "bandwidth_slow_fraction": "bandwidth_slow_fraction",
-        "bandwidth_slow_factor": "bandwidth_slow_factor",
-    }
 
 
 @dataclass(frozen=True)
@@ -233,12 +112,6 @@ class ExperimentConfig:
             under-loaded members under overload pressure, bounded by a
             cooldown and a per-pass byte budget (see
             :class:`~repro.cdn.base.ProtocolParams`).
-
-    Constructor: the historical flat kwargs keep working verbatim; the
-    typed sub-config views (``replication=ReplicationConfig(...)``,
-    ``overload=...``, ``search=...``, ``swarm=...``) expand into the same
-    flat fields, so serialization (``config_to_dict`` / ``from_dict``),
-    hashing and ``replace`` are unchanged.
         swarming: chunked multi-source transfers with per-chunk failover
             (:mod:`repro.cdn.swarm`).  Off = the paper's atomic-fetch
             model, bit-identical to the pre-swarming goldens.
@@ -315,57 +188,6 @@ class ExperimentConfig:
     rebalance_cooldown_rounds: int = 2
     rebalance_budget_kb: float = 1024.0
     rebalance_max_keys: int = 4
-
-    def __init__(
-        self,
-        *args: Any,
-        replication: Optional[ReplicationConfig] = None,
-        overload: Optional[OverloadConfig] = None,
-        search: Optional[SearchConfig] = None,
-        swarm: Optional[SwarmConfig] = None,
-        **kwargs: Any,
-    ) -> None:
-        """Accept the historical flat kwargs, typed sub-configs, or both.
-
-        Hand-written (the dataclass machinery keeps every generated
-        method -- ``fields``, equality, hashing, ``replace`` -- because
-        the flat fields are unchanged): sub-config views expand into
-        their flat kwargs first, then assignment proceeds exactly as the
-        generated initializer would.  A field named both ways with
-        different values is a :class:`ConfigError`, never a silent pick.
-        """
-        cls_fields = dataclasses.fields(self)
-        names = [f.name for f in cls_fields]
-        if len(args) > len(names):
-            raise TypeError(
-                f"ExperimentConfig takes at most {len(names)} positional "
-                f"arguments ({len(args)} given)"
-            )
-        for name, value in zip(names, args):
-            if name in kwargs:
-                raise TypeError(
-                    f"ExperimentConfig got multiple values for argument {name!r}"
-                )
-            kwargs[name] = value
-        for group in (replication, overload, search, swarm):
-            if group is None:
-                continue
-            for flat, value in group.as_flat().items():
-                if flat in kwargs and kwargs[flat] != value:
-                    raise ConfigError(
-                        f"conflicting values for {flat!r}: flat kwarg "
-                        f"{kwargs[flat]!r} vs sub-config {value!r}"
-                    )
-                kwargs[flat] = value
-        unknown = set(kwargs) - set(names)
-        if unknown:
-            raise TypeError(
-                f"ExperimentConfig got unexpected keyword arguments: "
-                f"{sorted(unknown)}"
-            )
-        for f in cls_fields:
-            object.__setattr__(self, f.name, kwargs.get(f.name, f.default))
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rpc_retries < 0:
@@ -459,27 +281,6 @@ class ExperimentConfig:
     @property
     def duration_ms(self) -> float:
         return self.duration_hours * 3_600_000.0
-
-    # ------------------------------------------------------ typed views
-    @property
-    def replication(self) -> ReplicationConfig:
-        """The warm-failover fields as a typed view."""
-        return ReplicationConfig._from_config(self)
-
-    @property
-    def overload(self) -> OverloadConfig:
-        """The overload-plane fields as a typed view."""
-        return OverloadConfig._from_config(self)
-
-    @property
-    def search(self) -> SearchConfig:
-        """The search-extension fields as a typed view."""
-        return SearchConfig._from_config(self)
-
-    @property
-    def swarm(self) -> SwarmConfig:
-        """The swarming/bandwidth fields as a typed view."""
-        return SwarmConfig._from_config(self)
 
     def protocol_params(self) -> ProtocolParams:
         """The CDN-layer parameter object derived from this config."""

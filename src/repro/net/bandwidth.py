@@ -131,7 +131,7 @@ class BandwidthModel:
         self.params = params
         self._flows_by_src: Dict[Address, List[Flow]] = {}
         self._capacity: Dict[Address, float] = {}
-        #: Counters (exported through ``swarm_stats()`` / bench reports).
+        #: Counters (exported through ``stats().swarm`` / bench reports).
         self.flows_started = 0
         self.flows_completed = 0
         self.flows_aborted = 0

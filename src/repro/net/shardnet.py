@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, TransportError
 from repro.net.message import Message
@@ -509,10 +509,3 @@ def drain_outbox(network: ShardedNetwork) -> List[tuple]:
     network.outbox = []
     network.sweep_settled()
     return entries
-
-
-def make_payload_picklable(payload: Dict[str, Any]) -> Dict[str, Any]:  # pragma: no cover
-    """Debugging helper: verify a boundary payload survives pickling."""
-    import pickle
-
-    return pickle.loads(pickle.dumps(payload))

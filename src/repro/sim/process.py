@@ -85,6 +85,10 @@ class PeriodicProcess:
         if self._cancelled:
             return
         self._cancelled = True
+        # Let go of the owner: ``_tick_cb`` makes this object cyclic garbage,
+        # and until the next full collection it would keep alive whatever
+        # the callback is bound to (a stopped directory role's whole index).
+        self._callback = None
         if self._handle is not None:
             self._sim.cancel(self._handle)
             self._handle = None

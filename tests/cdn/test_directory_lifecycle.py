@@ -63,7 +63,7 @@ class TestGracefulLeave:
             world, locality=first.locality, key=(0, 9)
         )
         old_role = old_dir.directory
-        old_dir._attach_search(old_role)
+        old_dir.service.attach_search()
         assert old_role.postings, "predecessor has no posting lists"
         snapshot = old_role.snapshot()
         assert snapshot["postings"], "handoff snapshot must carry postings"

@@ -5,7 +5,7 @@ pin down the smaller mechanisms: dir-info reconciliation, summary-candidate
 selection, push triggering, registration payloads.
 """
 
-from repro.cdn.flower.peer import DirInfo
+from repro.cdn.flower import DirInfo
 from repro.gossip.view import Contact
 from repro.sim.clock import seconds
 
@@ -176,7 +176,7 @@ class TestRoleGuards:
         role = directory.directory
         for address in (50, 51, 52):
             role.add_member(address)
-        payload = directory._registration_payload(role, joiner=51)
+        payload = directory.service.registration_payload(joiner=51)
         assert 51 not in payload["view_sample"]
         assert payload["dir_address"] == directory.address
         assert payload["dir_position"] == role.position_id

@@ -15,6 +15,7 @@ from repro.cdn.flower.replication import (
     delta_sync_payload,
     full_sync_payload,
 )
+from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.system import FlowerSystem
 from repro.sim.clock import minutes, seconds
 from tests.cdn.conftest import CdnWorld, make_params
@@ -264,7 +265,7 @@ class TestGracefulLeaveWithReplication:
         heir_address = min(first.address, second.address)
 
         old_dir.leave_directory_gracefully()
-        assert old_dir._replicator is None  # driver detached with the role
+        assert old_dir.service is None  # replicator detached with the role
         world.run(seconds(30))
 
         new_dir = world.directory_of(0, 0)
@@ -297,7 +298,7 @@ class TestSplitBrainReconciliation:
         position = world.system.key_service.position_id(0, 0, 0)
         role = DirectoryRole(claimant.address, 0, 0, 0, position)
         role.add_member(client.address, [(0, 5)])
-        claimant._activate_provisional(role)
+        DirectoryService(claimant, role).replicator.serve_provisionally()
         assert claimant.directory is role and role.provisional
 
         world.run(minutes(20))  # discovery + reconcile + demotion
@@ -440,7 +441,7 @@ class TestSplitBrainSearch:
         position = world.system.key_service.position_id(0, 0, 0)
         role = DirectoryRole(claimant.address, 0, 0, 0, position)
         role.add_member(client.address, [(0, 5)])
-        claimant._activate_provisional(role)
+        DirectoryService(claimant, role).replicator.serve_provisionally()
         assert claimant.directory is role and role.provisional
         # Promotion attached the search plane: postings are live.
         assert role.search_space is space and role.postings
@@ -473,7 +474,7 @@ class TestSplitBrainSearch:
         position = world.system.key_service.position_id(0, 0, 0)
         role = DirectoryRole(claimant.address, 0, 0, 0, position)
         role.add_member(client.address, [(0, 5)])
-        claimant._activate_provisional(role)
+        DirectoryService(claimant, role).replicator.serve_provisionally()
 
         world.run(minutes(20))  # discovery + reconcile + demotion
 

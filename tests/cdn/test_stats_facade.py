@@ -1,10 +1,8 @@
-"""The versioned ``SystemStats`` facade and its deprecated delegates.
+"""The versioned ``SystemStats`` facade.
 
 One entry point (``system.stats()``), typed frozen dataclasses, and a
-pinned ``STATS_VERSION``; the historical ``replication_stats()`` /
-``overload_stats()`` / ``swarm_stats()`` methods survive as thin
-delegates that warn and return the exact same dict shape, so every
-pre-facade consumer keeps parsing.
+pinned ``STATS_VERSION``; each block's ``to_dict()`` keeps the dict shape
+the pre-facade reports parsed.
 """
 
 import dataclasses
@@ -34,27 +32,6 @@ def test_stats_returns_the_versioned_snapshot():
     payload = stats.to_dict()
     assert payload["version"] == STATS_VERSION
     assert set(payload) == {"version", "overload", "replication", "swarm"}
-
-
-def test_deprecated_overload_stats_delegates_and_warns():
-    world = make_world()
-    with pytest.deprecated_call():
-        legacy = world.system.overload_stats()
-    assert legacy == world.system.stats().overload.to_dict()
-
-
-def test_deprecated_replication_stats_delegates_and_warns():
-    world = make_world()
-    with pytest.deprecated_call():
-        legacy = world.system.replication_stats()
-    assert legacy == world.system.stats().replication.to_dict()
-
-
-def test_deprecated_swarm_stats_delegates_and_warns():
-    world = make_world()
-    with pytest.deprecated_call():
-        legacy = world.system.swarm_stats()
-    assert legacy == world.system.stats().swarm.to_dict()
 
 
 def test_overload_dict_shape_is_the_legacy_one_plus_new_counters():

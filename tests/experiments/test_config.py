@@ -81,91 +81,14 @@ def test_protocol_params_derivation():
     assert params.dring.rpc_timeout_ms > 2 * config.latency_max_ms
 
 
-# ------------------------------------------------------- typed sub-configs
-def test_subconfig_construction_equals_flat_kwargs():
-    from repro.experiments.config import (
-        OverloadConfig,
-        ReplicationConfig,
-        SearchConfig,
-        SwarmConfig,
-    )
-
-    flat = ExperimentConfig(
-        directory_replication_k=2,
-        directory_replication_anti_entropy=7,
-        openloop_rate_qps=9.0,
-        directory_queue_limit=8,
-        overload_shedding=True,
-        redirect_hints=True,
-        rebalance=True,
-        search_keywords=24,
-        search_probe_period_s=45.0,
-        swarming=True,
-        swarm_replicate=2,
-    )
-    grouped = ExperimentConfig(
-        replication=ReplicationConfig(k=2, anti_entropy=7),
-        overload=OverloadConfig(
-            rate_qps=9.0,
-            queue_limit=8,
-            shedding=True,
-            redirect_hints=True,
-            rebalance=True,
-        ),
-        search=SearchConfig(keywords=24, probe_period_s=45.0),
-        swarm=SwarmConfig(enabled=True, replicate=2),
-    )
-    assert flat == grouped  # same frozen dataclass, same flat fields
-
-
-def test_subconfig_views_round_trip():
-    config = ExperimentConfig(
-        directory_replication_k=3,
-        openloop_rate_qps=4.0,
-        directory_queue_limit=6,
-        redirect_hints=True,
-        search_keywords=12,
-        swarming=True,
-    )
-    rebuilt = ExperimentConfig(
-        replication=config.replication,
-        overload=config.overload,
-        search=config.search,
-        swarm=config.swarm,
-    )
-    assert rebuilt.directory_replication_k == 3
-    assert rebuilt.openloop_rate_qps == 4.0
-    assert rebuilt.redirect_hints is True
-    assert rebuilt.search_keywords == 12
-    assert rebuilt.swarming is True
-
-
-def test_conflicting_flat_and_subconfig_values_raise():
-    from repro.experiments.config import ReplicationConfig
-
-    with pytest.raises(ConfigError):
-        ExperimentConfig(
-            directory_replication_k=1, replication=ReplicationConfig(k=2)
-        )
-
-
-def test_matching_flat_and_subconfig_values_are_fine():
-    from repro.experiments.config import ReplicationConfig
-
-    config = ExperimentConfig(
-        directory_replication_k=2, replication=ReplicationConfig(k=2)
-    )
-    assert config.directory_replication_k == 2
-
-
 def test_unknown_kwargs_still_rejected():
     with pytest.raises(TypeError):
         ExperimentConfig(not_a_field=1)
 
 
 def test_json_shape_is_still_flat():
-    """The chaos-bundle JSON shape is the flat field list -- grouping is
-    construction/view sugar only, so pre-PR bundles replay unchanged."""
+    """The chaos-bundle JSON shape is the flat field list, so old bundles
+    replay unchanged."""
     import dataclasses as dc
 
     from repro.chaos.runner import config_from_dict, config_to_dict

@@ -121,18 +121,6 @@ def test_overload_without_rebalance_keeps_the_reactive_plane_off():
     assert config.openloop_rate_qps > 0
 
 
-def test_deprecated_aliases_warn_but_work(capsys):
-    with pytest.deprecated_call():
-        args = build_parser().parse_args(
-            ["run", "flower", "--replication-k", "3"]
-        )
-    assert args.replication == 3
-    assert "deprecated" in capsys.readouterr().err
-    with pytest.deprecated_call():
-        args = build_parser().parse_args(["run", "flower", "--num-workers", "1"])
-    assert args.workers == 1
-
-
 def test_rebalanced_run_end_to_end(capsys):
     assert main(["run", "flower", *FAST, "--rebalance"]) == 0
     out = capsys.readouterr().out

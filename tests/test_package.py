@@ -61,3 +61,18 @@ def test_subpackage_exports():
     assert metrics.MetricsCollector
     assert experiments.ExperimentConfig
     assert analysis.ComparisonReport
+
+
+def test_no_flower_module_outgrows_its_role():
+    """``cdn/flower`` is one module per role/plane; a file past 700 lines
+    is a second role hiding in the first (``peer.py`` once held 3075)."""
+    from pathlib import Path
+
+    import repro.cdn.flower
+
+    package = Path(repro.cdn.flower.__file__).parent
+    lengths = {
+        path.name: len(path.read_text().splitlines())
+        for path in package.glob("*.py")
+    }
+    assert lengths and max(lengths.values()) <= 700, lengths
