@@ -34,7 +34,7 @@ from repro.cdn.server import OriginServer
 from repro.cdn.storage import ContentStore
 from repro.dht.ring import RingParams
 from repro.errors import CDNError
-from repro.metrics.collector import MetricsCollector, QueryRecord
+from repro.metrics.collector import MetricsCollector
 from repro.net.landmarks import LandmarkBinner
 from repro.net.transport import Network, NetworkNode
 from repro.sim.clock import minutes, seconds
@@ -335,16 +335,7 @@ class BasePeer(NetworkNode):
         tracing = sim.tracing("cdn.query_done")
         for key, started_at in self._open_queries.items():
             metrics.record(
-                QueryRecord(
-                    time=sim.now,
-                    website=key[0],
-                    object_key=key,
-                    locality=self.locality,
-                    outcome="failed_crash",
-                    lookup_latency_ms=sim.now - started_at,
-                    transfer_ms=0.0,
-                    hops=0,
-                )
+                sim.now, key, self.locality, "failed_crash", sim.now - started_at, 0.0
             )
             if tracing:
                 sim.emit(
@@ -458,16 +449,7 @@ class BasePeer(NetworkNode):
         if evicted:
             self._forget_evicted(evicted)
         self.system.metrics.record(
-            QueryRecord(
-                time=self.sim.now,
-                website=key[0],
-                object_key=key,
-                locality=self.locality,
-                outcome=outcome,
-                lookup_latency_ms=lookup_latency,
-                transfer_ms=transfer,
-                hops=hops,
-            )
+            self.sim.now, key, self.locality, outcome, lookup_latency, transfer, hops
         )
         self.sim.emit("cdn.query_done", outcome=outcome, peer=self.address, key=key)
         self._after_query(key, outcome)
@@ -522,16 +504,7 @@ class BasePeer(NetworkNode):
             return  # already finalized (crash sweep or a racing completion)
         del self._open_queries[key]
         self.system.metrics.record(
-            QueryRecord(
-                time=self.sim.now,
-                website=key[0],
-                object_key=key,
-                locality=self.locality,
-                outcome=outcome,
-                lookup_latency_ms=self.sim.now - started_at,
-                transfer_ms=0.0,
-                hops=0,
-            )
+            self.sim.now, key, self.locality, outcome, self.sim.now - started_at, 0.0
         )
         self.sim.emit("cdn.query_done", outcome=outcome, peer=self.address, key=key)
 

@@ -799,12 +799,17 @@ class _Lookup:
 # Recursive routing (the default lookup mode)
 # ---------------------------------------------------------------------------
 #
-# The query travels hop by hop as one-way ``chord.route`` messages -- one
-# link latency per hop, the way PeerSim-style Chord simulations route -- and
-# the node owning the key sends a ``chord.route_result`` straight back to
-# the origin.  A message that lands on a dead hop is simply lost; the origin
-# retries the whole route after ``recursive_timeout_ms`` and gives up after
-# ``recursive_retries`` attempts.
+# The query travels hop by hop as ``chord.route`` RPCs, and the node owning
+# the key sends a one-way ``chord.route_result`` straight back to the
+# origin.  A hop acknowledges the previous hop and forwards in the same
+# instant, so a route still costs one link latency per hop, the way
+# PeerSim-style Chord simulations route.  The ack is what makes a hop
+# reliable: a previous hop that hears ``{"ok": False}`` or nothing within
+# ``rpc_timeout_ms`` purges the dead entry and reroutes through its next
+# best candidate, up to three handoffs (``forward_route``).  Only a route
+# that runs out of handoffs, or whose result is lost, is lost: the origin
+# then retries the whole route after ``recursive_timeout_ms`` and gives up
+# after ``recursive_retries`` attempts.
 #
 # Hosts keep one pending-callback table for all their Chord activity (a
 # host may run several logical nodes over its lifetime -- e.g. a Flower

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Dict, List, Tuple
 
-from repro.metrics.collector import SERVED_OUTCOMES, MetricsCollector
+from repro.metrics.collector import HIT_TABLE, SERVED_TABLE, MetricsCollector
 from repro.metrics.distribution import Distribution, WeightedDistribution
 from repro.metrics.timeseries import RatioSeries
 from repro.sim.clock import HOUR
@@ -75,12 +76,15 @@ class ExperimentResult:
         **kwargs: Any,
     ) -> "ExperimentResult":
         """Build the summary from a populated metrics collector."""
+        rows = metrics.records
+        # Both views below cover served queries only; failed and shed
+        # records are ledger bookkeeping.  Each reads just its columns.
+        served = rows.mask(SERVED_TABLE)
         series = RatioSeries()
-        for record in metrics.records:
-            # The hit-ratio curve covers served queries only; failed
-            # (terminal-but-not-served) records are ledger bookkeeping.
-            if record.outcome in SERVED_OUTCOMES:
-                series.observe(record.time, record.is_hit)
+        for time, hit in zip(
+            compress(rows.time, served), compress(rows.mask(HIT_TABLE), served)
+        ):
+            series.observe(time, hit == 1)
         horizon = duration_hours * HOUR
         window = curve_window_hours * HOUR
         curve = [
@@ -98,9 +102,10 @@ class ExperimentResult:
 
         sizes = ObjectSizeModel(seed=seed)
         weighted = WeightedDistribution(
-            (record.transfer_ms, sizes.size_bytes(record.object_key))
-            for record in metrics.records
-            if record.outcome in SERVED_OUTCOMES
+            (transfer_ms, sizes.size_bytes((website, index)))
+            for transfer_ms, website, index in compress(
+                zip(rows.transfer_ms, rows.website, rows.object_index), served
+            )
         )
         return cls(
             protocol=protocol,
@@ -111,12 +116,7 @@ class ExperimentResult:
             hit_ratio=metrics.hit_ratio(),
             mean_lookup_latency_ms=metrics.mean_lookup_latency_ms(),
             mean_transfer_ms=metrics.mean_transfer_ms(),
-            outcome_counts={
-                outcome: metrics.outcome_count(outcome)
-                for outcome in sorted(
-                    {record.outcome for record in metrics.records}
-                )
-            },
+            outcome_counts=metrics.outcome_counts(),
             hit_ratio_curve=curve,
             lookup_cdf=lookup.cdf_points(250),
             transfer_cdf=transfer.cdf_points(250),

@@ -31,12 +31,15 @@ timeouts from bus scheduling alone).
 from __future__ import annotations
 
 import dataclasses
+import heapq
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import OUTCOME_NAMES, MetricsCollector, RecordColumns
 from repro.net.faults import FaultController
 from repro.net.shardnet import (
     MAX_SHARDS,
@@ -190,7 +193,7 @@ class ShardCell:
         system = self.system
         return {
             "shard_id": self.shard_id,
-            "records": list(system.metrics.records),
+            "records": system.metrics.records,
             "events_executed": self.sim.events_executed,
             "peak_pending_events": self.sim.peak_pending_events,
             "messages_sent": self.network.messages_sent,
@@ -329,6 +332,33 @@ def run_sharded_experiment(
     )
 
 
+def merge_records(shards: List[RecordColumns]) -> MetricsCollector:
+    """One collector holding every shard's records in full sort order.
+
+    The order is that of the column tuples -- time first, then website,
+    object index, locality, outcome code, ... -- which is the order
+    ``QueryRecord`` rows sort in.  A shard records in time order with ties
+    in any order, so merging the shard streams and sorting each run of
+    equal times is that full sort, without a tuple per query held at once.
+    """
+    metrics = MetricsCollector()
+    streams = [zip(*shard.columns()) for shard in shards]
+    for __, tied in groupby(heapq.merge(*streams), key=itemgetter(0)):
+        for time, website, index, locality, code, lookup, transfer, hops in sorted(
+            tied
+        ):
+            metrics.record(
+                time,
+                (website, index),
+                locality,
+                OUTCOME_NAMES[code],
+                lookup,
+                transfer,
+                hops,
+            )
+    return metrics
+
+
 def merge_shard_results(
     protocol: str,
     config: ExperimentConfig,
@@ -340,15 +370,12 @@ def merge_shard_results(
 ) -> ExperimentResult:
     """Fold per-shard payloads into one :class:`ExperimentResult`.
 
-    Query records are merged in full sort order (QueryRecord is a tuple;
-    time leads the key), so the merged metrics are independent of shard
-    iteration order and worker count.
+    Query records are merged in full sort order (:func:`merge_records`),
+    so the merged metrics are independent of shard iteration order and
+    worker count.
     """
     ordered = [payloads[sid] for sid in sorted(payloads)]
-    records = sorted(record for payload in ordered for record in payload["records"])
-    metrics = MetricsCollector()
-    for record in records:
-        metrics.record(record)
+    metrics = merge_records([payload["records"] for payload in ordered])
     kind_counts: Dict[str, int] = {}
     drop_counts: Dict[str, int] = {}
     for payload in ordered:

@@ -9,7 +9,8 @@ The paper evaluates with three metrics:
 3. **Transfer distance** -- "the network distance, in latency, from the
    querying peer to the peer that will provide the requested object".
 
-:mod:`repro.metrics.collector` records one :class:`QueryRecord` per query;
+:mod:`repro.metrics.collector` records every query as one row of typed
+columns (:class:`RecordColumns`), read back as :class:`QueryRecord` rows;
 :mod:`repro.metrics.timeseries` produces the hit-ratio-over-time curve of
 Figure 3; :mod:`repro.metrics.distribution` produces the bucketed latency /
 distance distributions of Figures 4 and 5; :mod:`repro.metrics.report`
@@ -19,7 +20,7 @@ availability and time-to-recover in fault-injection experiments;
 (Gini coefficient) for the overload reports.
 """
 
-from repro.metrics.collector import MetricsCollector, QueryRecord
+from repro.metrics.collector import MetricsCollector, QueryRecord, RecordColumns
 from repro.metrics.distribution import Distribution
 from repro.metrics.loadbalance import gini
 from repro.metrics.overhead import OverheadReport
@@ -30,6 +31,7 @@ from repro.metrics.timeseries import RatioSeries
 __all__ = [
     "MetricsCollector",
     "QueryRecord",
+    "RecordColumns",
     "Distribution",
     "RatioSeries",
     "OverheadReport",

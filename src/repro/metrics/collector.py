@@ -1,7 +1,9 @@
 """Per-query measurement records.
 
-Every query issued in an experiment produces exactly one
-:class:`QueryRecord`, stamped with how it was served:
+Every query issued in an experiment produces exactly one record, stamped
+with how it was served.  Records are *stored* as typed columns
+(:class:`RecordColumns`, about 40 bytes a query) and *read* either column
+by column or as :class:`QueryRecord` rows built on access:
 
 ==================  ============================================== =========
 outcome             meaning                                        P2P hit?
@@ -53,7 +55,10 @@ one of them is terminally accounted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from array import array
+from collections.abc import Sequence
+from itertools import compress, starmap
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import CDNError
 from repro.types import LocalityId, ObjectKey, WebsiteId
@@ -89,15 +94,32 @@ SERVED_OUTCOMES = HIT_OUTCOMES | MISS_OUTCOMES
 
 ALL_OUTCOMES = SERVED_OUTCOMES | FAILED_OUTCOMES | SHED_OUTCOMES
 
+#: Outcome names by their one-byte column code.  Sorted, so codes order
+#: like the names do and column tuples sort exactly like ``QueryRecord``s.
+OUTCOME_NAMES: Tuple[str, ...] = tuple(sorted(ALL_OUTCOMES))
+OUTCOME_CODES: Dict[str, int] = {name: code for code, name in enumerate(OUTCOME_NAMES)}
+
+
+def outcome_table(outcomes: Iterable[str]) -> bytes:
+    """``table[code]`` is 1 for the codes of *outcomes*, else 0.
+
+    Also a ``bytes.translate`` table: it turns the outcome column into a
+    0/1 row mask without a Python-level loop.  Names that are no outcome
+    select nothing.
+    """
+    codes = {OUTCOME_CODES.get(name) for name in outcomes}
+    return bytes(1 if code in codes else 0 for code in range(256))
+
+
+HIT_TABLE = outcome_table(HIT_OUTCOMES)
+SERVED_TABLE = outcome_table(SERVED_OUTCOMES)
+
 
 class QueryRecord(NamedTuple):
-    """The measured life of one query.
+    """The measured life of one query: the *row type* of the record store.
 
-    A ``NamedTuple`` rather than a frozen dataclass: one record is built per
-    query for the whole run, and a frozen dataclass pays an
-    ``object.__setattr__`` call *per field* in ``__init__`` -- roughly an
-    order of magnitude slower to construct.  The API (keyword construction,
-    immutability, field access, eq/repr) is unchanged.
+    No row is kept per query -- :class:`RecordColumns` stores the fields
+    and builds a ``QueryRecord`` when one is read.
 
     Attributes:
         time: simulation time the query completed (ms).
@@ -124,20 +146,140 @@ class QueryRecord(NamedTuple):
         return self.outcome in HIT_OUTCOMES
 
 
+def _row(
+    time, website, object_index, locality, code, lookup_latency_ms, transfer_ms, hops
+) -> QueryRecord:
+    """The row of one value from each column, in column order."""
+    return QueryRecord(
+        time,
+        website,
+        (website, object_index),
+        locality,
+        OUTCOME_NAMES[code],
+        lookup_latency_ms,
+        transfer_ms,
+        hops,
+    )
+
+
+class RecordColumns(Sequence):
+    """Every query record of a run: eight typed columns, readable as rows.
+
+    One ``array`` per :class:`QueryRecord` field, 41 bytes a query instead
+    of a tuple, three boxed floats and a key tuple (about 215).  The
+    ``object_key`` field is stored as ``object_index`` alone, its website
+    being the ``website`` column; ``outcome`` holds the one-byte codes of
+    :data:`OUTCOME_NAMES`.
+
+    Two ways to read it, and no way to write it except
+    :meth:`MetricsCollector.record`:
+
+    - **by column** -- ``records.time``, ``records.outcome``, ... are the
+      arrays themselves (read them, never change them); :meth:`mask`
+      selects rows by outcome.  Whatever scans a whole run reads these;
+    - **by row** -- a sequence of ``QueryRecord``: ``len``, index, slice
+      (a list), iteration and ``==`` against any sequence of records
+      build rows on access and keep none.  Unhashable, like a list.
+
+    Pickles as the eight raw buffers.
+    """
+
+    def __init__(self) -> None:
+        self.time = array("d")
+        self.website = array("i")
+        self.object_index = array("i")
+        self.locality = array("i")
+        self.outcome = array("B")
+        self.lookup_latency_ms = array("d")
+        self.transfer_ms = array("d")
+        self.hops = array("i")
+
+    def columns(self) -> Tuple[array, ...]:
+        """The columns in ``QueryRecord`` field order."""
+        return (
+            self.time,
+            self.website,
+            self.object_index,
+            self.locality,
+            self.outcome,
+            self.lookup_latency_ms,
+            self.transfer_ms,
+            self.hops,
+        )
+
+    def mask(self, table: bytes) -> bytes:
+        """One 0/1 byte per row: whether *table* (see :func:`outcome_table`)
+        selects the row's outcome.  Feed it to ``itertools.compress``."""
+        return self.outcome.tobytes().translate(table)
+
+    # --------------------------------------------------------------- as rows
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, item: Union[int, slice]):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        return _row(*[column[item] for column in self.columns()])
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        return starmap(_row, zip(*self.columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordColumns):
+            return self.columns() == other.columns()
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+
 class MetricsCollector:
     """Accumulates query records and answers the paper's three metrics."""
 
     def __init__(self) -> None:
-        self.records: List[QueryRecord] = []
-        self._outcome_counts: Dict[str, int] = {}
+        #: Read-only to everyone else; :meth:`record` is its one writer.
+        self.records = RecordColumns()
+        self._outcome_counts: Dict[str, int] = dict.fromkeys(OUTCOME_NAMES, 0)
 
-    def record(self, record: QueryRecord) -> None:
-        if record.outcome not in ALL_OUTCOMES:
-            raise CDNError(f"unknown query outcome {record.outcome!r}")
-        self.records.append(record)
-        self._outcome_counts[record.outcome] = (
-            self._outcome_counts.get(record.outcome, 0) + 1
-        )
+    def record(
+        self,
+        time: float,
+        object_key: ObjectKey,
+        locality: LocalityId,
+        outcome: str,
+        lookup_latency_ms: float,
+        transfer_ms: float,
+        hops: int = 0,
+    ) -> None:
+        """Store one terminal query: the fields of a :class:`QueryRecord`
+        (``website`` is ``object_key[0]``), appended to the columns."""
+        try:
+            code = OUTCOME_CODES[outcome]
+        except KeyError:
+            raise CDNError(f"unknown query outcome {outcome!r}") from None
+        website, object_index = object_key
+        rows = self.records
+        try:
+            rows.time.append(time)
+            rows.website.append(website)
+            rows.object_index.append(object_index)
+            rows.locality.append(locality)
+            rows.outcome.append(code)
+            rows.lookup_latency_ms.append(lookup_latency_ms)
+            rows.transfer_ms.append(transfer_ms)
+            rows.hops.append(hops)
+        except (OverflowError, TypeError) as error:
+            # A value its column cannot hold: drop the half-written row, so
+            # the columns stay one length, and say so rather than wrap.
+            columns = rows.columns()
+            whole = min(map(len, columns))
+            for column in columns:
+                del column[whole:]
+            raise CDNError(
+                f"query record does not fit its columns: {error}"
+            ) from error
+        self._outcome_counts[outcome] += 1
 
     # ------------------------------------------------------------- summaries
     def __len__(self) -> int:
@@ -146,23 +288,29 @@ class MetricsCollector:
     def outcome_count(self, outcome: str) -> int:
         return self._outcome_counts.get(outcome, 0)
 
+    def outcome_counts(self) -> Dict[str, int]:
+        """Queries per outcome that occurred, in outcome-name order."""
+        return {
+            outcome: count for outcome, count in self._outcome_counts.items() if count
+        }
+
     @property
     def hits(self) -> int:
-        return sum(self._outcome_counts.get(o, 0) for o in HIT_OUTCOMES)
+        return sum(self._outcome_counts[o] for o in HIT_OUTCOMES)
 
     @property
     def misses(self) -> int:
-        return sum(self._outcome_counts.get(o, 0) for o in MISS_OUTCOMES)
+        return sum(self._outcome_counts[o] for o in MISS_OUTCOMES)
 
     @property
     def failures(self) -> int:
         """Terminal failures (never served): crash sweeps, unreachable origin."""
-        return sum(self._outcome_counts.get(o, 0) for o in FAILED_OUTCOMES)
+        return sum(self._outcome_counts[o] for o in FAILED_OUTCOMES)
 
     @property
     def sheds(self) -> int:
         """Queries explicitly shed by a full directory admission queue."""
-        return sum(self._outcome_counts.get(o, 0) for o in SHED_OUTCOMES)
+        return sum(self._outcome_counts[o] for o in SHED_OUTCOMES)
 
     def hit_ratio(self) -> float:
         """Fraction of *served* queries answered from the P2P system.
@@ -186,19 +334,15 @@ class MetricsCollector:
     #
     # Failed records carry no meaningful latency/transfer measurements
     # (there was no provider), so the distributions cover served queries.
+    def _served(self, column: array, hits_only: bool) -> List[float]:
+        mask = self.records.mask(HIT_TABLE if hits_only else SERVED_TABLE)
+        return list(compress(column, mask))
+
     def lookup_latencies(self, hits_only: bool = False) -> List[float]:
-        return [
-            r.lookup_latency_ms
-            for r in self.records
-            if (r.is_hit if hits_only else r.outcome in SERVED_OUTCOMES)
-        ]
+        return self._served(self.records.lookup_latency_ms, hits_only)
 
     def transfer_distances(self, hits_only: bool = False) -> List[float]:
-        return [
-            r.transfer_ms
-            for r in self.records
-            if (r.is_hit if hits_only else r.outcome in SERVED_OUTCOMES)
-        ]
+        return self._served(self.records.transfer_ms, hits_only)
 
     def filtered(
         self,
@@ -206,11 +350,13 @@ class MetricsCollector:
         locality: Optional[LocalityId] = None,
         outcomes: Optional[Iterable[str]] = None,
     ) -> List[QueryRecord]:
-        wanted = frozenset(outcomes) if outcomes is not None else None
+        rows = self.records
+        keep: Iterable[int] = range(len(rows))
+        if outcomes is not None:
+            keep = compress(keep, rows.mask(outcome_table(outcomes)))
         return [
-            r
-            for r in self.records
-            if (website is None or r.website == website)
-            and (locality is None or r.locality == locality)
-            and (wanted is None or r.outcome in wanted)
+            rows[i]
+            for i in keep
+            if (website is None or rows.website[i] == website)
+            and (locality is None or rows.locality[i] == locality)
         ]

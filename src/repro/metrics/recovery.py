@@ -11,7 +11,7 @@ module measures how a protocol rides through them:
   unanswered queries are precisely the partition's availability cost;
 - **phase hit ratios** -- the P2P hit ratio before the fault, while it is
   active, and after it heals, computed from the same
-  :class:`~repro.metrics.collector.QueryRecord` stream as the paper's
+  :class:`~repro.metrics.collector.RecordColumns` as the paper's
   Figure 3;
 - **time to recover** -- how long after the heal the windowed hit ratio
   first returns to within ``epsilon`` of its pre-fault baseline.
@@ -25,10 +25,11 @@ the failure it experienced.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CDNError
-from repro.metrics.collector import SERVED_OUTCOMES, QueryRecord
+from repro.metrics.collector import HIT_TABLE, SERVED_TABLE, RecordColumns
 from repro.metrics.report import render_table
 from repro.metrics.timeseries import RatioPoint, RatioSeries
 from repro.sim.clock import minutes
@@ -77,8 +78,8 @@ class RecoveryReport:
     """Fault-phase breakdown + time-to-recover of one experiment run.
 
     Args:
-        records: completed-query records (time-ordered, as the collector
-            produces them).
+        records: the collector's ``records`` (time-ordered, as it
+            produces them); read by column.
         issued_times: issue timestamps from :func:`track_issued_queries`
             (``None``: assume every answered query was issued in-phase).
         fault_start_ms / fault_end_ms: the fault window (e.g. partition
@@ -92,7 +93,7 @@ class RecoveryReport:
 
     def __init__(
         self,
-        records: Sequence[QueryRecord],
+        records: RecordColumns,
         fault_start_ms: float,
         fault_end_ms: float,
         horizon_ms: float,
@@ -108,7 +109,10 @@ class RecoveryReport:
         # ledger but were never *answered*: they stay in the issued count
         # and out of the answered/hit accounting, i.e. they are precisely
         # the availability cost this report measures.
-        self.records = [r for r in records if r.outcome in SERVED_OUTCOMES]
+        served = records.mask(SERVED_TABLE)
+        #: Completion time / hit flag (0 or 1) of every served query.
+        self.answered_times: List[float] = list(compress(records.time, served))
+        self._hit_flags = bytes(compress(records.mask(HIT_TABLE), served))
         self.fault_start_ms = fault_start_ms
         self.fault_end_ms = fault_end_ms
         self.horizon_ms = horizon_ms
@@ -117,23 +121,27 @@ class RecoveryReport:
         self.issued_times = (
             sorted(issued_times)
             if issued_times is not None
-            else sorted(r.time for r in self.records)
+            else sorted(self.answered_times)
         )
         self._series = RatioSeries()
-        for record in self.records:
-            self._series.observe(record.time, record.is_hit)
+        for time, hit in zip(self.answered_times, self._hit_flags):
+            self._series.observe(time, hit == 1)
 
     # ---------------------------------------------------------------- phases
     def _phase(self, name: str, start: float, end: float) -> PhaseStats:
-        answered = [r for r in self.records if start <= r.time < end]
+        in_phase = [
+            hit
+            for time, hit in zip(self.answered_times, self._hit_flags)
+            if start <= time < end
+        ]
         issued = sum(1 for t in self.issued_times if start <= t < end)
         return PhaseStats(
             name=name,
             start_ms=start,
             end_ms=end,
             issued=issued,
-            answered=len(answered),
-            hits=sum(1 for r in answered if r.is_hit),
+            answered=len(in_phase),
+            hits=sum(in_phase),
         )
 
     @property
@@ -157,11 +165,11 @@ class RecoveryReport:
     def availability(self) -> float:
         """Overall fraction of issued queries that completed."""
         issued = len(self.issued_times)
-        return len(self.records) / issued if issued else 1.0
+        return len(self.answered_times) / issued if issued else 1.0
 
     @property
     def unanswered(self) -> int:
-        return max(0, len(self.issued_times) - len(self.records))
+        return max(0, len(self.issued_times) - len(self.answered_times))
 
     # -------------------------------------------------------------- recovery
     def timeseries(self) -> List[RatioPoint]:
@@ -324,7 +332,7 @@ class DirectoryRecoveryTracker:
             return None
         return max(0.0, self.recovered_at - self.dipped_at)
 
-    def cold_window_misses(self, records: Sequence[QueryRecord]) -> int:
+    def cold_window_misses(self, records: RecordColumns) -> int:
         """Queries the cold window pushed to the origin (or lost).
 
         Counts non-hit records from the tracked localities completed
@@ -336,12 +344,14 @@ class DirectoryRecoveryTracker:
         start = self.dipped_at
         end = self.recovered_at if self.recovered_at is not None else self.horizon_ms
         count = 0
-        for record in records:
-            if not start <= record.time < end:
+        for time, locality, code in zip(
+            records.time, records.locality, records.outcome
+        ):
+            if not start <= time < end:
                 continue
-            if self.localities is not None and record.locality not in self.localities:
+            if self.localities is not None and locality not in self.localities:
                 continue
-            if not record.is_hit:
+            if not HIT_TABLE[code]:
                 count += 1
         return count
 
@@ -353,7 +363,7 @@ class DirectoryRecoveryTracker:
             if adoption["time"] >= self.fault_start_ms
         ]
 
-    def summary(self, records: Sequence[QueryRecord]) -> Dict:
+    def summary(self, records: RecordColumns) -> Dict:
         """One JSON-friendly dict with every tracked metric."""
         ttfi = self.time_to_full_index_ms()
         staleness = self.takeover_staleness_ms()

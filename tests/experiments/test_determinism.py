@@ -18,9 +18,12 @@ a "performance" commit.
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
+from repro.metrics.collector import ALL_OUTCOMES, MetricsCollector, QueryRecord
 from repro.net.faults import (
     BurstyLossSpec,
     LatencySpikeSpec,
@@ -336,6 +339,46 @@ def test_sharded_worker_count_invariance(sharded_reference, workers):
     assert result.events_executed == reference.events_executed
     assert result.extra["message_counts"] == reference.extra["message_counts"]
     assert result.extra["drop_counts"] == reference.extra["drop_counts"]
+
+
+_merge_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3).map(float),  # few distinct times: ties everywhere
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 1),
+        st.sampled_from(sorted(ALL_OUTCOMES)),
+        st.sampled_from([0.0, 12.5, 300.0]),
+        st.sampled_from([0.0, 40.0]),
+        st.integers(0, 2),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_merge_rows, st.randoms(use_true_random=False))
+def test_shard_records_merge_in_full_sort_order(rows, rng):
+    """The merged collector holds exactly ``sorted(all QueryRecord rows)``
+    however the rows were dealt to shards and however a shard ordered the
+    rows of one instant -- which is what makes shard iteration order and
+    worker count unobservable in the merged metrics."""
+    from repro.experiments.sharded import merge_records
+
+    rows = [
+        QueryRecord(time, website, (website, index), *rest)
+        for time, website, index, *rest in rows
+    ]
+    shards = [MetricsCollector() for __ in range(3)]
+    dealt = [(rng.randrange(3), rng.random(), row) for row in rows]
+    # A shard records in time order; its ties fall in any order.
+    for shard, __, row in sorted(dealt, key=lambda d: (d[2].time, d[1])):
+        shards[shard].record(
+            row.time, row.object_key, row.locality, row.outcome, *row[5:]
+        )
+    merged = merge_records([shard.records for shard in shards])
+    assert merged.records == sorted(rows)
+    assert merged.hits == sum(1 for row in rows if row.is_hit)
 
 
 @pytest.mark.slow

@@ -3,28 +3,19 @@
 import json
 
 from repro.experiments.results import ExperimentResult
-from repro.metrics.collector import MetricsCollector, QueryRecord
-
-
-def record(time, outcome, lookup=100.0, transfer=50.0):
-    return QueryRecord(
-        time=time,
-        website=0,
-        object_key=(0, 1),
-        locality=0,
-        outcome=outcome,
-        lookup_latency_ms=lookup,
-        transfer_ms=transfer,
-        hops=2,
-    )
+from repro.metrics.collector import MetricsCollector
 
 
 def filled_metrics():
     metrics = MetricsCollector()
     hour = 3_600_000.0
-    metrics.record(record(0.5 * hour, "miss_server", lookup=900.0))
-    metrics.record(record(1.5 * hour, "hit_directory", lookup=120.0))
-    metrics.record(record(2.5 * hour, "hit_summary", lookup=40.0, transfer=20.0))
+
+    def record(time, outcome, lookup=100.0, transfer=50.0):
+        metrics.record(time, (0, 1), 0, outcome, lookup, transfer, hops=2)
+
+    record(0.5 * hour, "miss_server", lookup=900.0)
+    record(1.5 * hour, "hit_directory", lookup=120.0)
+    record(2.5 * hour, "hit_summary", lookup=40.0, transfer=20.0)
     return metrics
 
 
