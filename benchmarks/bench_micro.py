@@ -41,7 +41,6 @@ def test_chord_lookup_warm_ring(benchmark):
     world = ChordWorld(
         seed=3,
         params=RingParams(bits=16, maintenance_period_ms=60_000.0),
-        lookup_mode="recursive",
     )
     ids = sorted(world.sim.rng("ids").sample(range(2**16), 128))
     hosts = world.warm_ring(ids)

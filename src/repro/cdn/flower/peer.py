@@ -113,7 +113,6 @@ class FlowerPeer(
             "chord.get_state",
             "chord.notify",
             "chord.ping",
-            "chord.probe",
             "chord.successor_hint",
             "chord.predecessor_hint",
         ):
@@ -152,10 +151,7 @@ class FlowerPeer(
         directory = self.directory
         chord = directory.chord if directory is not None else None
         if chord is None:
-            # Stale D-ring traffic for a role we no longer hold.
-            if message.kind == "chord.probe":
-                return {"status": "not_ready"}
-            return {}
+            return {}  # stale D-ring traffic for a role we no longer hold
         handler = chord._handler_cache.get(message.kind)
         if handler is None:
             return chord.on_message(message)  # resolve + cache once

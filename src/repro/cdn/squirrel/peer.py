@@ -38,7 +38,6 @@ class SquirrelPeer(BasePeer):
             "chord.get_state",
             "chord.notify",
             "chord.ping",
-            "chord.probe",
             "chord.successor_hint",
             "chord.predecessor_hint",
         ):
@@ -55,8 +54,6 @@ class SquirrelPeer(BasePeer):
     def _dispatch_chord_component(self, message: Message) -> Optional[Dict[str, Any]]:
         chord = self.chord
         if chord is None:
-            if message.kind == "chord.probe":
-                return {"status": "not_ready"}
             return {}
         handler = chord._handler_cache.get(message.kind)
         if handler is None:

@@ -19,12 +19,10 @@ file.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cdn.flower.stats import collect_swarm_stats
 from repro.chaos.auditor import AuditorConfig, InvariantAuditor, Violation
 from repro.chaos.plan import (
     ChaosPlan,
@@ -37,8 +35,9 @@ from repro.chaos.plan import (
 from repro.errors import CDNError, ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import World, build_world
+from repro.experiments.runner import World, build_world, summarize
 from repro.sim.clock import HOUR
+from repro.sim.trace import StreamFingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +93,9 @@ class ChaosRunReport:
         stats: the auditor's counters (audits, ledger traffic, ...).
         reacquire_times_ms: observed directory-slot recovery times.
         bundle_paths: reproducer bundles written for the violations.
-        fingerprint: SHA-256 of the full trace stream when requested
-            (the determinism handle: same inputs => same fingerprint).
+        fingerprint: :class:`~repro.sim.trace.StreamFingerprint` of the
+            full trace stream when requested (the determinism handle:
+            same inputs => same fingerprint).
     """
 
     protocol: str
@@ -294,25 +294,6 @@ def _install_phase_markers(world: World, plan: ChaosPlan) -> None:
         )
 
 
-def _install_fingerprint(world: World):
-    """Chain every trace event into a SHA-256; returns the finisher.
-
-    Uses the exact fingerprint recipe of the determinism regression
-    suite so chaos-replay equality means the same thing everywhere.
-    """
-    h = hashlib.sha256()
-
-    def on_event(event, _h=h) -> None:
-        _h.update(
-            repr(
-                (round(event.time, 9), event.kind, sorted(event.payload.items()))
-            ).encode()
-        )
-
-    world.sim.trace.subscribe_all(on_event)
-    return h.hexdigest
-
-
 # ---------------------------------------------------------------------------
 # Running and replaying
 # ---------------------------------------------------------------------------
@@ -359,9 +340,7 @@ def run_chaos(
         ),
     )
     world = build_world(protocol, cfg, seed)
-    finish_fingerprint = (
-        _install_fingerprint(world) if collect_fingerprint else None
-    )
+    fingerprint = StreamFingerprint(world.sim.trace) if collect_fingerprint else None
     auditor = InvariantAuditor(
         world,
         plan=plan,
@@ -375,35 +354,13 @@ def run_chaos(
     _install_seeder_deaths(world, plan.seeder_deaths)
     world.run()
     auditor.finalize()
-    system = world.system
-    extra: Dict[str, Any] = {
-        "online_peers": system.online_peers,
-        "message_counts": dict(world.network.kind_counts),
-        "drop_counts": dict(world.network.drop_counts),
-        "chaos_plan": plan.name,
-        "chaos_violations": len(auditor.violations),
-        "auditor_stats": dict(auditor.stats),
-    }
-    if world.faults is not None:
-        extra["fault_stats"] = dict(world.faults.stats)
-    if world.openloop is not None:
-        extra["openloop"] = dict(world.openloop.stats)
-        stats = getattr(system, "stats", None)
-        if stats is not None:
-            extra["overload"] = stats().overload.to_dict()
-    if getattr(system, "sizes", None) is not None:
-        extra["swarm"] = collect_swarm_stats(system).to_dict()
-    result = ExperimentResult.from_metrics(
-        protocol=protocol,
-        seed=seed,
-        population=cfg.population,
-        duration_hours=cfg.duration_hours,
-        metrics=system.metrics,
-        events_executed=world.sim.events_executed,
-        messages_sent=world.network.messages_sent,
-        arrivals=world.churn.arrivals,
-        departures=world.churn.departures,
-        extra=extra,
+    result = summarize(
+        world,
+        protocol,
+        seed,
+        chaos_plan=plan.name,
+        chaos_violations=len(auditor.violations),
+        auditor_stats=dict(auditor.stats),
     )
     return ChaosRunReport(
         protocol=protocol,
@@ -414,7 +371,7 @@ def run_chaos(
         stats=dict(auditor.stats),
         reacquire_times_ms=list(auditor.reacquire_times_ms),
         bundle_paths=list(auditor.bundle_paths),
-        fingerprint=finish_fingerprint() if finish_fingerprint else None,
+        fingerprint=fingerprint.hexdigest() if fingerprint else None,
     )
 
 

@@ -62,7 +62,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes (default 1 = the single-simulator path; "
         "> 1 runs the sharded engine, flower only, and N must divide the "
-        "shard map -- one shard per locality)",
+        "shard map -- one shard per locality).  The sharded engine carries "
+        "replication, search, uniform loss, fault schedules and the "
+        "directory-side overload controls; the open-loop workload "
+        "(--overload, --rebalance), swarming and the bandwidth model "
+        "(--seeder-death) need --workers 1",
     )
     parser.add_argument(
         "--overload",

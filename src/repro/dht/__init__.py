@@ -8,8 +8,9 @@ Chord from scratch:
   hashing);
 - :mod:`repro.dht.node` -- the per-node protocol state machine: successor
   list, predecessor, finger table, periodic stabilization / finger repair /
-  predecessor check, and iterative ``find_successor`` lookups with failure
-  exclusion and per-hop latency accounting;
+  predecessor check, and recursive (forwarded) ``find_successor`` lookups
+  with per-hop acks, reroute around dead hops and per-hop latency
+  accounting;
 - :mod:`repro.dht.ring` -- ring-wide configuration, the bootstrap service,
   and an instant "warm start" constructor used to stand up the initial
   D-ring population (the paper starts its experiments from a formed ring of

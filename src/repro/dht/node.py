@@ -5,10 +5,10 @@ deployed Chord uses:
 
 - a **successor list** of r entries instead of a single successor, so the
   ring survives r-1 simultaneous adjacent failures;
-- **iterative lookups** driven by the querier, with *failure exclusion*: a
-  hop that times out is excluded, its tables-entry purged, and the lookup
-  backtracks to the last responsive node -- this is what keeps routing alive
-  under the paper's "worst scenarios of churn";
+- **recursive lookups** forwarded hop by hop, every hop acknowledged: a
+  next hop that stays silent is purged from the forwarder's tables and the
+  route continues through the next best candidate -- this is what keeps
+  routing alive under the paper's "worst scenarios of churn";
 - a single combined **maintenance tick** (stabilize + notify + one finger
   repair + predecessor check) per period, desynchronized across nodes.
 
@@ -25,7 +25,7 @@ the paper's "novel key management service".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import DHTError
 from repro.net.message import Message
@@ -59,13 +59,14 @@ class NodeRef(NamedTuple):
 
 
 class LookupResult(NamedTuple):
-    """Outcome of one iterative lookup.
+    """Outcome of one lookup.
 
     Attributes:
         key: the identifier that was looked up.
         found: ref of the key's successor, or None when the lookup failed.
-        hops: number of probe RPCs that were answered.
-        timeouts: number of dead hops encountered (each cost a timeout).
+        hops: number of nodes the route was forwarded through.
+        timeouts: number of end-to-end attempts that timed out (a dead hop
+            rerouted around in flight costs latency, not an attempt).
         latency_ms: wall-clock (simulated) time from start to completion,
             including timeout stalls -- the paper's "lookup latency".
     """
@@ -85,7 +86,7 @@ LookupCallback = Callable[[LookupResult], None]
 
 #: ``tuple.__new__`` bound once: LookupResult is a NamedTuple, so building
 #: it directly from a tuple skips the generated constructor frame (one
-#: LookupResult per lookup; see _finish in both lookup strategies).
+#: LookupResult per lookup; see _RecursiveLookup._finish).
 _new_lookup_result = tuple.__new__
 
 
@@ -297,20 +298,18 @@ class ChordNode:
         self.shutdown()
 
     # ------------------------------------------------------------ local data
-    def closest_preceding(self, key: ChordId, exclude: Set[ChordId]) -> Optional[NodeRef]:
+    def closest_preceding(self, key: ChordId) -> Optional[NodeRef]:
         """Best locally known node strictly between self and *key*.
 
         Scans the finger table from the top, then the successor list, per
-        the Chord paper; nodes in *exclude* (known dead) are skipped.
+        the Chord paper; a node observed dead has already left both
+        (:meth:`note_failed`).
         """
         best: Optional[NodeRef] = None
         space = self.space
         size = space.size
         best_distance = size
         node_id = self.node_id
-        # Routing (the common caller) passes an empty exclusion set; skip
-        # the per-finger set membership test entirely in that case.
-        excluding = bool(exclude)
         # The interval test ``id in (node_id, key)`` is inlined below: the
         # finger scan runs for every routing hop and the ``in_open`` method
         # call dominates its cost at paper scale (semantics identical to
@@ -326,7 +325,7 @@ class ChordNode:
                 continue
             prev = finger
             fid = finger.id
-            if fid == node_id or (excluding and fid in exclude):
+            if fid == node_id:
                 continue
             if wraps:
                 if node_id == key:
@@ -338,7 +337,7 @@ class ChordNode:
                 return finger
         for candidate in self.successors:
             cid = candidate.id
-            if cid == node_id or (excluding and cid in exclude):
+            if cid == node_id:
                 continue
             if space.in_open(cid, node_id, key):
                 distance = (key - cid) % size
@@ -382,7 +381,8 @@ class ChordNode:
         on_done: LookupCallback,
         start: Optional[Address] = None,
     ) -> None:
-        """Find the successor of *key* (mode per ``ring.params.lookup_mode``).
+        """Find the successor of *key* by recursive routing (see the
+        "Recursive routing" comment below).
 
         Args:
             key: identifier to resolve.
@@ -393,10 +393,7 @@ class ChordNode:
         """
         if start is None and not self.joined:
             raise DHTError("lookup from a non-member requires a start address")
-        if self.ring.params.lookup_mode == "recursive":
-            _RecursiveLookup(self, key, on_done, start).begin()
-        else:
-            _Lookup(self, key, on_done, start).begin()
+        _RecursiveLookup(self, key, on_done, start).begin()
 
     # ------------------------------------------------------------- handlers
     def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
@@ -409,23 +406,6 @@ class ChordNode:
                 raise DHTError(f"unknown chord message kind {message.kind!r}")
             self._handler_cache[kind] = handler
         return handler(message)
-
-    def handle_chord_probe(self, message: Message) -> Dict[str, Any]:
-        """One step of an iterative lookup (see :class:`_Lookup`)."""
-        if not self.joined:
-            return {"status": "not_ready"}
-        key: ChordId = message.payload["key"]
-        exclude: Set[ChordId] = set(message.payload.get("exclude", ()))
-        succ = next((s for s in self.successors if s.id not in exclude), None)
-        if succ is None:
-            return {"status": "not_ready"}
-        if self.space.in_half_open_right(key, self.node_id, succ.id):
-            return {"status": "done", "result": succ.pack()}
-        nxt = self.closest_preceding(key, exclude)
-        if nxt is None:
-            # Nothing better than our successor: hand the lookup to it.
-            return {"status": "next", "next": succ.pack()}
-        return {"status": "next", "next": nxt.pack()}
 
     def handle_chord_get_state(self, message: Message) -> Dict[str, Any]:
         """Stabilization read: our predecessor and successor list."""
@@ -636,167 +616,8 @@ class ChordNode:
         )
 
 
-
-class _Lookup:
-    """State of one in-flight iterative lookup (failure-excluding)."""
-
-    def __init__(
-        self,
-        node: ChordNode,
-        key: ChordId,
-        on_done: LookupCallback,
-        start: Optional[Address],
-    ) -> None:
-        self.node = node
-        self.key = key
-        self.on_done = on_done
-        self.start_address = start
-        self.started_at = node.host.sim.now
-        self.hops = 0
-        self.timeouts = 0
-        self.exclude: Set[ChordId] = set()
-        self.visited: Set[Address] = set()
-        self.backtrack: List[Address] = []  # responsive nodes, nearest last
-        self._id_of: Dict[Address, ChordId] = {}  # ids learnt mid-lookup
-
-    def begin(self) -> None:
-        if self.start_address is not None:
-            self._probe(self.start_address)
-            return
-        node = self.node
-        successors = node.successors
-        succ = successors[0] if successors else None
-        if succ is None:
-            self._finish(None)
-            return
-        if node.space.in_half_open_right(self.key, node.node_id, succ.id):
-            self._finish(succ)
-            return
-        nxt = node.closest_preceding(self.key, self.exclude)
-        target = nxt or succ
-        self._probe(target.address, target.id)
-
-    # ------------------------------------------------------------ internals
-    def _finish(self, found: Optional[NodeRef]) -> None:
-        sim = self.node.host.sim
-        hops = self.hops
-        timeouts = self.timeouts
-        latency_ms = sim.now - self.started_at
-        # NamedTuple construction via tuple.__new__: LookupResult *is* a
-        # tuple, and one is built per lookup -- the generated __new__ frame
-        # is pure overhead on this path.
-        result = _new_lookup_result(
-            LookupResult, (self.key, found, hops, timeouts, latency_ms)
-        )
-        sim.emit(
-            "chord.lookup",
-            ok=found is not None,
-            hops=hops,
-            timeouts=timeouts,
-            latency_ms=latency_ms,
-        )
-        self.on_done(result)
-
-    def _probe(self, address: Address, node_id: Optional[ChordId] = None) -> None:
-        if self.hops + self.timeouts >= self.node.ring.params.lookup_max_probes:
-            self._finish(None)
-            return
-        if node_id is not None:
-            self._id_of[address] = node_id
-        self.visited.add(address)
-        params = self.node.ring.params
-        # Per-hop retries (capped backoff, deterministic jitter) so one
-        # transiently lost probe does not condemn a live hop; only after the
-        # retry budget is exhausted do we blame the node and backtrack.
-        self.node.host.retrying_rpc(
-            address,
-            "chord.probe",
-            {"key": self.key, "exclude": list(self.exclude)[-16:]},
-            on_reply=lambda payload: self._on_reply(address, payload),
-            on_give_up=lambda: self._on_timeout(address),
-            timeout_ms=params.rpc_timeout_ms,
-            retries=params.probe_retries,
-            backoff_ms=params.retry_backoff_ms,
-        )
-
-    def _on_reply(self, address: Address, payload: Dict[str, Any]) -> None:
-        if not self.node.host.alive:
-            return
-        self.hops += 1
-        status = payload.get("status")
-        if status == "done":
-            self._finish(NodeRef.unpack(payload["result"]))
-            return
-        if status == "next":
-            self.backtrack.append(address)
-            nxt = NodeRef.unpack(payload["next"])
-            if nxt is None or nxt.address in self.visited:
-                # No progress possible through this node: exclude the
-                # suggestion and backtrack.
-                if nxt is not None:
-                    self.exclude.add(nxt.id)
-                self._backtrack()
-                return
-            self._probe(nxt.address, nxt.id)
-            return
-        # "not_ready" (node mid-join): treat like a dead hop.
-        self._on_timeout(address, answered=True)
-
-    def _on_timeout(self, address: Address, answered: bool = False) -> None:
-        if not self.node.host.alive:
-            return
-        if not answered:
-            self.timeouts += 1
-            if self.timeouts > self.node.ring.params.lookup_max_timeouts:
-                self._finish(None)
-                return
-        # Blame the unresponsive node and purge it from our own tables.
-        dead_ids = {ref.id for ref in self._refs_for(address)}
-        learnt = self._id_of.get(address)
-        if learnt is not None:
-            dead_ids.add(learnt)
-        for dead in dead_ids:
-            self.exclude.add(dead)
-            self.node.note_failed(dead)
-        self._backtrack()
-
-    def _refs_for(self, address: Address) -> List[NodeRef]:
-        """Every local table entry pointing at *address*."""
-        node = self.node
-        refs = [s for s in node.successors if s.address == address]
-        refs += [f for f in node.fingers if f is not None and f.address == address]
-        if node.predecessor is not None and node.predecessor.address == address:
-            refs.append(node.predecessor)
-        return refs
-
-    def _backtrack(self) -> None:
-        if self.backtrack:
-            # Re-ask the last responsive node; with the updated exclusion
-            # set it will suggest a different next hop.  The probe budget
-            # bounds any ping-pong.
-            self._probe(self.backtrack.pop())
-            return
-        # Restart from our own tables with the exclusions learnt so far.
-        node = self.node
-        if not node.joined:
-            self._finish(None)
-            return
-        succ = next((s for s in node.successors if s.id not in self.exclude), None)
-        if succ is not None and node.space.in_half_open_right(
-            self.key, node.node_id, succ.id
-        ):
-            self._finish(succ)
-            return
-        nxt = node.closest_preceding(self.key, self.exclude)
-        candidate = nxt or succ
-        if candidate is None or candidate.address in self.visited:
-            self._finish(None)
-            return
-        self._probe(candidate.address, candidate.id)
-
-
 # ---------------------------------------------------------------------------
-# Recursive routing (the default lookup mode)
+# Recursive routing
 # ---------------------------------------------------------------------------
 #
 # The query travels hop by hop as ``chord.route`` RPCs, and the node owning
@@ -884,7 +705,7 @@ def forward_route(
     if attempts <= 0 or not host.alive or not node.joined:
         return
     key: ChordId = payload["key"]
-    nxt = node.closest_preceding(key, _EMPTY_EXCLUDE)
+    nxt = node.closest_preceding(key)
     if nxt is None:
         successors = node.successors
         nxt = successors[0] if successors else None
@@ -911,9 +732,6 @@ def forward_route(
     )
 
 
-_EMPTY_EXCLUDE: Set[ChordId] = frozenset()
-
-
 class _RecursiveLookup:
     """State of one in-flight recursive lookup (origin side)."""
 
@@ -934,9 +752,6 @@ class _RecursiveLookup:
         self.nonce: Optional[tuple] = None
 
     # ------------------------------------------------------------ plumbing
-    def _pending_table(self) -> Dict:
-        return self.node.host._chord_pending_lookups  # pre-created by NetworkNode
-
     def _next_nonce(self) -> tuple:
         host = self.node.host
         sequence = host._chord_nonce_seq + 1
@@ -1009,8 +824,9 @@ class _RecursiveLookup:
         if timeouts is None:
             timeouts = self.attempts - 1
         latency_ms = sim.now - self.started_at
-        # See the iterative _finish: tuple.__new__ skips the NamedTuple
-        # constructor frame on the once-per-lookup path.
+        # NamedTuple construction via tuple.__new__: LookupResult *is* a
+        # tuple, and one is built per lookup -- the generated __new__ frame
+        # is pure overhead on this path.
         result = _new_lookup_result(
             LookupResult, (self.key, found, hops, timeouts, latency_ms)
         )

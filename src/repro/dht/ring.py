@@ -38,24 +38,17 @@ class RingParams:
             (stabilize + notify + one finger repair + predecessor check).
         maintenance_jitter: relative jitter applied to the period so nodes
             do not tick in lock-step.
-        lookup_max_probes: hard cap on probes per lookup (loop guard).
-        lookup_max_timeouts: give up after this many dead hops in one lookup.
+        lookup_max_probes: hard cap on hops per route (loop guard).
         rpc_timeout_ms: failure-detection timeout for Chord RPCs; must
             exceed the worst round trip.
-        lookup_mode: ``"recursive"`` (default -- the query is forwarded
-            hop by hop, one one-way link latency per hop, as PeerSim-style
-            Chord simulations route) or ``"iterative"`` (the querier probes
-            each hop itself with per-hop failure detection -- twice the
-            latency, but robust to in-route failures without retries).
-        recursive_timeout_ms: end-to-end retry timeout of one recursive
-            routing attempt (a forwarded message that hits a dead hop is
-            simply lost; the origin retries after this long).
+        recursive_timeout_ms: end-to-end retry timeout of one routing
+            attempt.  Lookups are recursive -- the query is forwarded hop
+            by hop, one one-way link latency per hop, as PeerSim-style
+            Chord simulations route -- and every hop is acknowledged, a
+            silent one rerouted around (``forward_route``); only a route
+            that runs out of handoffs, or whose result message is lost,
+            makes the origin retry after this long.
         recursive_retries: recursive routing attempts before giving up.
-        probe_retries: per-hop retry budget of iterative lookup probes
-            (``NetworkNode.retrying_rpc``); 0 restores the seed's
-            single-shot behaviour where one lost probe condemns the hop.
-        retry_backoff_ms: base backoff of those per-hop retries (doubled
-            per attempt, jittered, capped).
     """
 
     bits: int = 32
@@ -63,23 +56,15 @@ class RingParams:
     maintenance_period_ms: float = seconds(30)
     maintenance_jitter: float = 0.1
     lookup_max_probes: int = 64
-    lookup_max_timeouts: int = 8
     rpc_timeout_ms: float = 1200.0
-    lookup_mode: str = "recursive"
     recursive_timeout_ms: float = 4000.0
     recursive_retries: int = 2
-    probe_retries: int = 1
-    retry_backoff_ms: float = 300.0
 
     def __post_init__(self) -> None:
         if self.successor_list_size < 1:
             raise DHTError("successor_list_size must be >= 1")
-        if self.lookup_max_probes < 1 or self.lookup_max_timeouts < 0:
+        if self.lookup_max_probes < 1:
             raise DHTError("invalid lookup limits")
-        if self.lookup_mode not in ("recursive", "iterative"):
-            raise DHTError(f"unknown lookup mode {self.lookup_mode!r}")
-        if self.probe_retries < 0:
-            raise DHTError("probe_retries must be >= 0")
 
 
 class ChordRing:

@@ -51,8 +51,7 @@ class ExperimentConfig:
         directory_load_limit / max_instances: PetalUp-CDN's split knobs
             (None / 1 = plain Flower-CDN).
         directory_collaboration: same-website directory collaboration.
-        rpc_retries: retry budget of directory-facing RPCs and (paired with
-            the dring's ``probe_retries``) Chord probes; 0 restores the
+        rpc_retries: retry budget of directory-facing RPCs; 0 restores the
             seed's single-shot behaviour.
         directory_replication_k: warm-failover replication degree -- each
             directory replicates its versioned state to this many D-ring
@@ -320,7 +319,6 @@ class ExperimentConfig:
                 successor_list_size=self.chord_successor_list,
                 maintenance_period_ms=seconds(self.chord_maintenance_s),
                 rpc_timeout_ms=2.4 * self.latency_max_ms,
-                probe_retries=min(1, self.rpc_retries),
             ),
         )
 

@@ -3,7 +3,13 @@
 :func:`build_world` assembles one complete simulated deployment --
 simulator, latency topology, landmark binner, origin servers, CDN system,
 churn process -- exactly as section 6.1 describes; :func:`run_experiment`
-runs it to the horizon and summarises the metrics.
+runs it to the horizon and :func:`summarize` turns the finished world into
+an :class:`~repro.experiments.results.ExperimentResult`.
+
+One path per job: every run door (plain, recovery, chaos, each shard of a
+sharded run) populates its world through :func:`assemble_world` and reports
+through :func:`summarize` / :func:`world_totals`, so a plane wired or
+reported there is wired and reported everywhere.
 
 Determinism: the whole run is a pure function of ``(protocol, config,
 seed)``; every stochastic choice draws from a named stream of the
@@ -13,7 +19,7 @@ simulator's RNG registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.cdn.base import CdnSystem
 from repro.cdn.flower.search import (
@@ -100,44 +106,40 @@ def _make_binner(
     )
 
 
-def build_world(
-    protocol: str,
+def assemble_world(
     config: ExperimentConfig,
-    seed: int = 0,
+    seed: int,
+    sim: Simulator,
+    network: Network,
+    binner: LandmarkBinner,
+    make_system: Callable[[Catalog], CdnSystem],
+    num_identities: Optional[int] = None,
+    population: Optional[int] = None,
 ) -> World:
-    """Assemble a deployment without running it (examples & tests use this
-    to poke at intermediate states)."""
-    try:
-        system_cls = PROTOCOLS[protocol]
-    except KeyError:
-        raise ConfigError(
-            f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}"
-        ) from None
-    if protocol == "petalup":
-        # PetalUp-CDN needs its split knobs on; fill in the defaults when
-        # the caller did not choose them explicitly.
-        from repro.cdn.petalup.system import DEFAULT_LOAD_LIMIT, DEFAULT_MAX_INSTANCES
+    """Populate a fabric -- simulator, network, binner -- into a :class:`World`.
 
-        if config.directory_load_limit is None:
-            config = config.replace(directory_load_limit=DEFAULT_LOAD_LIMIT)
-        if config.max_instances < 2:
-            config = config.replace(max_instances=DEFAULT_MAX_INSTANCES)
-    sim = Simulator(seed=seed)
-    topology = _make_topology(config, sim)
-    network = Network(
-        sim, topology, default_timeout_ms=3.0 * config.latency_max_ms
-    )
+    Everything a deployment needs beyond its fabric is wired here and only
+    here: uniform loss, catalog, CDN system, object sizes, bandwidth, the
+    search engine and its probes, the initial population, churn, the
+    open-loop workload and the fault controller.
+
+    Args:
+        seed: the run's master seed.  Object sizes and uplink classes are
+            keyed on it rather than on ``sim.seed``, which a shard derives.
+        make_system: ``catalog -> CdnSystem``; the caller knows the system
+            class and what else its constructor takes.
+        num_identities / population: the churn process's identity pool and
+            target population (default: the config's; a shard passes its
+            share of each).
+    """
     if config.message_loss_rate > 0.0:
         network.configure_loss(config.message_loss_rate, sim.rng("loss"))
-    binner = _make_binner(config, topology, network)
     catalog = Catalog(
         num_websites=config.num_websites,
         objects_per_website=config.objects_per_website,
         num_active_websites=config.num_active_websites,
     )
-    system = system_cls(
-        sim, network, binner, catalog, config.protocol_params()
-    )
+    system = make_system(catalog)
     if config.swarming:
         # Chunked swarming transfers: attach the seeded object-size model
         # (shared with the origin servers for byte accounting) and, when
@@ -190,9 +192,11 @@ def build_world(
     churn = ChurnModel(
         sim,
         sim.rng("churn"),
-        num_identities=config.num_identities,
+        num_identities=(
+            config.num_identities if num_identities is None else num_identities
+        ),
         mean_uptime_ms=minutes(config.mean_uptime_min),
-        target_population=config.population,
+        target_population=config.population if population is None else population,
         on_arrival=system.on_arrival,
         on_departure=system.on_departure,
     )
@@ -218,7 +222,7 @@ def build_world(
         faults.apply(config.fault_schedule)
     return World(
         sim=sim,
-        topology=topology,
+        topology=network.topology,
         network=network,
         binner=binner,
         catalog=catalog,
@@ -228,6 +232,106 @@ def build_world(
         faults=faults,
         search_probes=search_probes,
         openloop=openloop,
+    )
+
+
+def build_world(
+    protocol: str,
+    config: ExperimentConfig,
+    seed: int = 0,
+) -> World:
+    """Assemble a deployment without running it (examples & tests use this
+    to poke at intermediate states)."""
+    try:
+        system_cls = PROTOCOLS[protocol]
+    except KeyError:
+        raise ConfigError(
+            f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}"
+        ) from None
+    if protocol == "petalup":
+        # PetalUp-CDN needs its split knobs on; fill in the defaults when
+        # the caller did not choose them explicitly.
+        from repro.cdn.petalup.system import DEFAULT_LOAD_LIMIT, DEFAULT_MAX_INSTANCES
+
+        if config.directory_load_limit is None:
+            config = config.replace(directory_load_limit=DEFAULT_LOAD_LIMIT)
+        if config.max_instances < 2:
+            config = config.replace(max_instances=DEFAULT_MAX_INSTANCES)
+    sim = Simulator(seed=seed)
+    topology = _make_topology(config, sim)
+    network = Network(
+        sim, topology, default_timeout_ms=3.0 * config.latency_max_ms
+    )
+    binner = _make_binner(config, topology, network)
+    return assemble_world(
+        config,
+        seed,
+        sim,
+        network,
+        binner,
+        lambda catalog: system_cls(
+            sim, network, binner, catalog, config.protocol_params()
+        ),
+    )
+
+
+def world_totals(world: World) -> Dict[str, Any]:
+    """What a finished world counted, as :class:`ExperimentResult` fields.
+
+    ``extra`` is the standard block, each plane's keys present exactly
+    when that plane exists in the world -- written once, so every run door
+    reports the same keys for the same config.  A sharded run takes these
+    from every cell and folds them (``merge_shard_results``).
+    """
+    system = world.system
+    config = world.config
+    extra: Dict[str, Any] = {
+        "online_peers": system.online_peers,
+        "message_counts": dict(world.network.kind_counts),
+        "drop_counts": dict(world.network.drop_counts),
+    }
+    if isinstance(system, FlowerSystem):
+        extra["directories"] = system.directory_count()
+        extra["expired_members"] = system.expired_members
+        if (
+            config.openloop_rate_qps > 0
+            or config.directory_queue_limit > 0
+            or config.overload_shedding
+        ):
+            extra["overload"] = system.stats().overload.to_dict()
+    if system.sizes is not None:
+        extra["swarm"] = collect_swarm_stats(system).to_dict()
+    if world.openloop is not None:
+        extra["openloop"] = dict(world.openloop.stats)
+    if world.faults is not None:
+        extra["fault_stats"] = dict(world.faults.stats)
+    if isinstance(system, SquirrelSystem):
+        extra["ring_size"] = system.ring_size()
+    if isinstance(system, HomeStoreSquirrelSystem):
+        extra["forced_replicas"] = system.total_forced_replicas()
+    return {
+        "events_executed": world.sim.events_executed,
+        "messages_sent": world.network.messages_sent,
+        "arrivals": world.churn.arrivals,
+        "departures": world.churn.departures,
+        "extra": extra,
+    }
+
+
+def summarize(
+    world: World, protocol: str, seed: int, **own_extra: Any
+) -> ExperimentResult:
+    """Summarise a finished world; *own_extra* adds the caller's own keys
+    (``availability``, ``chaos_plan``, ...) to the standard ``extra``."""
+    totals = world_totals(world)
+    totals["extra"].update(own_extra)
+    return ExperimentResult.from_metrics(
+        protocol=protocol,
+        seed=seed,
+        population=world.config.population,
+        duration_hours=world.config.duration_hours,
+        metrics=world.system.metrics,
+        **totals,
     )
 
 
@@ -261,83 +365,41 @@ def run_experiment(
         return run_sharded_experiment(protocol, config, seed=seed, workers=workers)
     world = build_world(protocol, config, seed)
     world.run()
-    system = world.system
-    extra = {
-        "online_peers": system.online_peers,
-        "message_counts": dict(world.network.kind_counts),
-        "drop_counts": dict(world.network.drop_counts),
-    }
-    if isinstance(system, FlowerSystem):
-        extra["directories"] = system.directory_count()
-        extra["expired_members"] = system.expired_members
-        if (
-            config.openloop_rate_qps > 0
-            or config.directory_queue_limit > 0
-            or config.overload_shedding
-        ):
-            extra["overload"] = system.stats().overload.to_dict()
-    if config.swarming:
-        extra["swarm"] = collect_swarm_stats(system).to_dict()
-    if world.openloop is not None:
-        extra["openloop"] = dict(world.openloop.stats)
-    if isinstance(system, SquirrelSystem):
-        extra["ring_size"] = system.ring_size()
-    if isinstance(system, HomeStoreSquirrelSystem):
-        extra["forced_replicas"] = system.total_forced_replicas()
-    return ExperimentResult.from_metrics(
-        protocol=protocol,
-        seed=seed,
-        population=config.population,
-        duration_hours=config.duration_hours,
-        metrics=system.metrics,
-        events_executed=world.sim.events_executed,
-        messages_sent=world.network.messages_sent,
-        arrivals=world.churn.arrivals,
-        departures=world.churn.departures,
-        extra=extra,
-    )
+    return summarize(world, protocol, seed)
 
 
-def run_chaos_experiment(
+def _run_recovery(
+    world: World,
     protocol: str,
-    config: Optional[ExperimentConfig] = None,
-    chaos_seed: int = 0,
-    seed: int = 0,
-    intensity: float = 1.0,
-    results_dir: Optional[str] = "results/chaos",
-    halt_on_violation: bool = False,
+    seed: int,
+    fault_start_ms: float,
+    fault_end_ms: float,
+    window_ms: Optional[float],
+    epsilon: float,
+    tracker=None,
 ):
-    """Run one randomized chaos plan with the invariant auditor online.
+    """Run *world* through its fault and return ``(result, recovery)`` --
+    the one body of both recovery runners; a directory *tracker* attached
+    to the world beforehand adds its blocks to ``extra``."""
+    from repro.metrics.recovery import RecoveryReport, track_issued_queries
 
-    Convenience front door to :mod:`repro.chaos`: generates the plan for
-    ``(chaos_seed, intensity)`` from the config's shape (horizon,
-    localities, websites, population) and executes it under audit.  For
-    full control -- explicit plans, bundle replay, fingerprints -- use
-    :func:`repro.chaos.run_chaos` directly.
-
-    Returns:
-        A :class:`repro.chaos.runner.ChaosRunReport`.
-    """
-    # Local import: repro.chaos builds on this module (build_world).
-    from repro.chaos import generate_plan, run_chaos
-
-    config = config or ExperimentConfig.scaled()
-    plan = generate_plan(
-        chaos_seed,
-        horizon_ms=config.duration_ms,
-        num_localities=config.num_localities,
-        num_websites=config.num_websites,
-        intensity=intensity,
-        population=config.population,
+    issued = track_issued_queries(world.sim)
+    world.run()
+    records = world.system.metrics.records
+    recovery = RecoveryReport(
+        records,
+        fault_start_ms=fault_start_ms,
+        fault_end_ms=fault_end_ms,
+        horizon_ms=world.config.duration_ms,
+        window_ms=window_ms if window_ms is not None else minutes(30),
+        issued_times=issued,
+        epsilon=epsilon,
     )
-    return run_chaos(
-        protocol,
-        config,
-        plan,
-        seed=seed,
-        results_dir=results_dir,
-        halt_on_violation=halt_on_violation,
-    )
+    own_extra = {"availability": recovery.availability}
+    if tracker is not None:
+        own_extra["directory_recovery"] = tracker.summary(records)
+        own_extra["replication"] = world.system.stats().replication.to_dict()
+    return summarize(world, protocol, seed, **own_extra), recovery
 
 
 def run_recovery_experiment(
@@ -360,45 +422,10 @@ def run_recovery_experiment(
         :class:`~repro.experiments.results.ExperimentResult` plus a
         :class:`~repro.metrics.recovery.RecoveryReport`.
     """
-    from repro.metrics.recovery import RecoveryReport, track_issued_queries
-
     world = build_world(protocol, config, seed)
-    issued = track_issued_queries(world.sim)
-    world.run()
-    system = world.system
-    recovery = RecoveryReport(
-        system.metrics.records,
-        fault_start_ms=fault_start_ms,
-        fault_end_ms=fault_end_ms,
-        horizon_ms=config.duration_ms,
-        window_ms=window_ms if window_ms is not None else minutes(30),
-        issued_times=issued,
-        epsilon=epsilon,
+    return _run_recovery(
+        world, protocol, seed, fault_start_ms, fault_end_ms, window_ms, epsilon
     )
-    extra = {
-        "online_peers": system.online_peers,
-        "message_counts": dict(world.network.kind_counts),
-        "drop_counts": dict(world.network.drop_counts),
-        "availability": recovery.availability,
-    }
-    if isinstance(system, FlowerSystem):
-        extra["directories"] = system.directory_count()
-        extra["expired_members"] = system.expired_members
-    if isinstance(system, SquirrelSystem):
-        extra["ring_size"] = system.ring_size()
-    result = ExperimentResult.from_metrics(
-        protocol=protocol,
-        seed=seed,
-        population=config.population,
-        duration_hours=config.duration_hours,
-        metrics=system.metrics,
-        events_executed=world.sim.events_executed,
-        messages_sent=world.network.messages_sent,
-        arrivals=world.churn.arrivals,
-        departures=world.churn.departures,
-        extra=extra,
-    )
-    return result, recovery
 
 
 def run_directory_recovery_experiment(
@@ -425,53 +452,17 @@ def run_directory_recovery_experiment(
         the tracker's :meth:`~repro.metrics.recovery.DirectoryRecoveryTracker.summary`
         dict.
     """
-    from repro.metrics.recovery import (
-        DirectoryRecoveryTracker,
-        RecoveryReport,
-        track_issued_queries,
-    )
+    from repro.metrics.recovery import DirectoryRecoveryTracker
 
     world = build_world(protocol, config, seed)
     if not isinstance(world.system, FlowerSystem):
         raise ConfigError(
             "directory recovery metrics need a Flower-family protocol"
         )
-    issued = track_issued_queries(world.sim)
     tracker = DirectoryRecoveryTracker(
         world, fault_start_ms=fault_start_ms, localities=localities
     )
-    world.run()
-    system = world.system
-    recovery = RecoveryReport(
-        system.metrics.records,
-        fault_start_ms=fault_start_ms,
-        fault_end_ms=fault_end_ms,
-        horizon_ms=config.duration_ms,
-        window_ms=window_ms if window_ms is not None else minutes(30),
-        issued_times=issued,
-        epsilon=epsilon,
+    result, recovery = _run_recovery(
+        world, protocol, seed, fault_start_ms, fault_end_ms, window_ms, epsilon, tracker
     )
-    directory_recovery = tracker.summary(system.metrics.records)
-    extra = {
-        "online_peers": system.online_peers,
-        "message_counts": dict(world.network.kind_counts),
-        "drop_counts": dict(world.network.drop_counts),
-        "availability": recovery.availability,
-        "directories": system.directory_count(),
-        "expired_members": system.expired_members,
-        "directory_recovery": directory_recovery,
-        "replication": system.stats().replication.to_dict(),
-    }
-    result = ExperimentResult.from_metrics(
-        protocol=protocol,
-        seed=seed,
-        population=config.population,
-        duration_hours=config.duration_hours,
-        metrics=system.metrics,
-        events_executed=world.sim.events_executed,
-        messages_sent=world.network.messages_sent,
-        arrivals=world.churn.arrivals,
-        departures=world.churn.departures,
-        extra=extra,
-    )
-    return result, recovery, directory_recovery
+    return result, recovery, result.extra["directory_recovery"]

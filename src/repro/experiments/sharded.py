@@ -3,11 +3,12 @@
 Front door: :func:`run_sharded_experiment` -- the sharded counterpart of
 :func:`repro.experiments.runner.run_experiment`.  The world is partitioned
 by locality into ``num_shards`` shards (default: one per locality, capped
-by the address space), each shard gets its own complete stack -- simulator,
-sharded network, origin-server replicas, Flower system, churn process,
-fault controller -- and the conservative window scheduler of
-:mod:`repro.sim.sharded` drives them to the horizon, locally or across
-forked worker processes.
+by the address space), each shard gets its own fabric -- simulator, sharded
+topology / network / binner, origin-server replicas, Flower system --
+populated into a :class:`~repro.experiments.runner.World` by the same
+:func:`~repro.experiments.runner.assemble_world` the single-simulator build
+uses, and the conservative window scheduler of :mod:`repro.sim.sharded`
+drives them to the horizon, locally or across forked worker processes.
 
 Determinism: a shard's full event stream is a pure function of
 ``(config, seed, shard_id, num_shards)``.  Worker count only changes which
@@ -36,11 +37,12 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Dict, List, Optional
 
+from repro.cdn.flower.sharded import ShardedFlowerSystem
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
+from repro.experiments.runner import assemble_world, world_totals
 from repro.metrics.collector import OUTCOME_NAMES, MetricsCollector, RecordColumns
-from repro.net.faults import FaultController
 from repro.net.shardnet import (
     MAX_SHARDS,
     ShardedBinner,
@@ -49,12 +51,10 @@ from repro.net.shardnet import (
     ShardMap,
     drain_outbox,
 )
-from repro.sim.clock import minutes, seconds
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
-from repro.sim.sharded import StreamFingerprint, run_windows_parallel
-from repro.workload.catalog import Catalog
-from repro.workload.churn import ChurnModel
+from repro.sim.sharded import run_windows_parallel
+from repro.sim.trace import StreamFingerprint
 
 #: Protocols the sharded engine supports.  Flower's structure is the
 #: parallelism argument (petal traffic is locality-internal); squirrel's
@@ -86,7 +86,8 @@ def _split(total: int, num_shards: int, shard_id: int) -> int:
 
 
 class ShardCell:
-    """One shard's fully assembled world, driven by the window scheduler."""
+    """One shard's fabric, populated into a :class:`World` and driven by
+    the window scheduler."""
 
     def __init__(
         self,
@@ -107,105 +108,55 @@ class ShardCell:
                 rpc_timeout_ms=params.dring.rpc_timeout_ms + slack_ms,
             ),
         )
-        self.sim = Simulator(seed=derive_seed(master_seed, f"shard-{shard_id}"))
-        self.fingerprint = StreamFingerprint(self.sim) if fingerprint else None
+        sim = Simulator(seed=derive_seed(master_seed, f"shard-{shard_id}"))
+        self.fingerprint = StreamFingerprint(sim.trace) if fingerprint else None
         topology = ShardedTopology(
             shard_map,
             topology_seed=master_seed,
             latency_min_ms=config.latency_min_ms,
             latency_max_ms=config.latency_max_ms,
         )
-        self.network = ShardedNetwork(
-            self.sim,
+        network = ShardedNetwork(
+            sim,
             topology,
             shard_map,
             shard_id,
             default_timeout_ms=3.0 * config.latency_max_ms + slack_ms,
         )
-        if config.message_loss_rate > 0.0:
-            self.network.configure_loss(config.message_loss_rate, self.sim.rng("loss"))
         binner = ShardedBinner(shard_map)
-        catalog = Catalog(
-            num_websites=config.num_websites,
-            objects_per_website=config.objects_per_website,
-            num_active_websites=config.num_active_websites,
-        )
-        # Local import: ShardedFlowerSystem -> FlowerSystem -> cdn.base is a
-        # heavier dependency chain than this module needs at import time.
-        from repro.cdn.flower.sharded import ShardedFlowerSystem
-
-        self.system = ShardedFlowerSystem(
-            self.sim, self.network, binner, catalog, params, shard_map, shard_id
-        )
-        self.search_probes = None
-        if config.search_keywords > 0:
-            from repro.cdn.flower.search import (
-                KeywordSearchEngine,
-                KeywordSpace,
-                SearchProbeWorkload,
-            )
-
-            self.system.search_engine = KeywordSearchEngine(
-                KeywordSpace(num_keywords=config.search_keywords)
-            )
-            if config.search_probe_period_s > 0:
-                self.search_probes = SearchProbeWorkload(
-                    self.sim,
-                    self.system,
-                    period_ms=seconds(config.search_probe_period_s),
-                    rng=self.sim.rng("search_probes"),
-                )
-        self.system.setup_initial_population()
-        self.churn = ChurnModel(
-            self.sim,
-            self.sim.rng("churn"),
+        self.world = assemble_world(
+            config,
+            master_seed,
+            sim,
+            network,
+            binner,
+            lambda catalog: ShardedFlowerSystem(
+                sim, network, binner, catalog, params, shard_map, shard_id
+            ),
             num_identities=_split(config.num_identities, shard_map.num_shards, shard_id),
-            mean_uptime_ms=minutes(config.mean_uptime_min),
-            target_population=_split(config.population, shard_map.num_shards, shard_id),
-            on_arrival=self.system.on_arrival,
-            on_departure=self.system.on_departure,
+            population=_split(config.population, shard_map.num_shards, shard_id),
         )
-        for identity in self.system.seed_identities:
-            self.churn.seed_online(identity)
-        self.churn.start()
-        self.faults: Optional[FaultController] = None
-        if config.fault_schedule:
-            self.faults = FaultController(
-                self.sim,
-                self.network,
-                rng=self.sim.rng("faults"),
-                locality_of=binner.locality_of,
-            )
-            self.faults.apply(config.fault_schedule)
 
     # ------------------------------------------------- window-scheduler API
     def run_to(self, until_ms: float) -> None:
-        self.sim.run(until=until_ms)
+        self.world.run(until_ms)
 
     def drain(self) -> List[tuple]:
-        return drain_outbox(self.network)
+        return drain_outbox(self.world.network)
 
     def inject(self, entries: List[tuple], barrier_ms: float) -> None:
-        self.network.inject_entries(entries, barrier_ms)
+        self.world.network.inject_entries(entries, barrier_ms)
 
     def finalize(self) -> Dict[str, Any]:
-        """The shard's results as a plain picklable payload."""
-        system = self.system
+        """The shard's results as a plain picklable payload: the world's
+        totals, which add up over shards, plus what describes this one."""
+        world = self.world
         return {
+            "totals": world_totals(world),
             "shard_id": self.shard_id,
-            "records": system.metrics.records,
-            "events_executed": self.sim.events_executed,
-            "peak_pending_events": self.sim.peak_pending_events,
-            "messages_sent": self.network.messages_sent,
-            "kind_counts": dict(self.network.kind_counts),
-            "drop_counts": dict(self.network.drop_counts),
-            "bus_entries_out": self.network.bus_entries_out,
-            "bus_entries_in": self.network.bus_entries_in,
-            "arrivals": self.churn.arrivals,
-            "departures": self.churn.departures,
-            "online_peers": system.online_peers,
-            "directories": system.directory_count(),
-            "expired_members": system.expired_members,
+            "records": world.system.metrics.records,
+            "peak_pending_events": world.sim.peak_pending_events,
+            "bus_entries_out": world.network.bus_entries_out,
             "fingerprint": (
                 self.fingerprint.hexdigest() if self.fingerprint is not None else None
             ),
@@ -252,8 +203,8 @@ def validate_sharded(
     """Check a sharded run's shape; return the resolved shard count.
 
     Raises :class:`~repro.errors.ConfigError` with an actionable message on
-    any mismatch (unsupported protocol/topology, worker count that does not
-    divide the shard map, population too small to split).
+    any mismatch (unsupported protocol/topology/plane, worker count that
+    does not divide the shard map, population too small to split).
     """
     if protocol not in SHARDABLE_PROTOCOLS:
         raise ConfigError(
@@ -265,6 +216,25 @@ def validate_sharded(
         raise ConfigError(
             "sharded execution needs the clustered topology (localities are "
             "the shard unit); rerun with --workers 1"
+        )
+    # Planes the sharded model does not carry yet.  Cells would build them
+    # happily -- they go through the same assembly as any world -- but
+    # wrongly: the aggregate open-loop rate once per shard is num_shards
+    # times the load, and swarming / bandwidth need cross-shard chunk
+    # sources and uplinks the bus does not model (parked in ROADMAP).
+    unsharded = [
+        plane
+        for plane, on in (
+            ("open-loop workload (openloop_rate_qps > 0)", config.openloop_rate_qps > 0),
+            ("swarming transfers (swarming)", config.swarming),
+            ("bandwidth model (bandwidth_kbps > 0)", config.bandwidth_kbps > 0),
+        )
+        if on
+    ]
+    if unsharded:
+        raise ConfigError(
+            f"sharded execution (workers > 1) does not carry these planes "
+            f"yet: {', '.join(unsharded)}; rerun with --workers 1"
         )
     resolved = num_shards if num_shards is not None else default_num_shards(config)
     # ShardMap re-validates shard/locality divisibility with its own errors.
@@ -359,6 +329,22 @@ def merge_records(shards: List[RecordColumns]) -> MetricsCollector:
     return metrics
 
 
+def _fold(total: Dict[str, Any], part: Dict[str, Any]) -> None:
+    """Fold one shard's totals into *total*: counts add, per-directory
+    lists concatenate, maps (per message kind; per address or petal,
+    disjoint across shards) merge key by key, and the one high-water mark
+    takes the maximum."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            _fold(total.setdefault(key, {}), value)
+        elif key == "peak_queue_depth":
+            total[key] = max(total.get(key, 0), value)
+        elif key in total:
+            total[key] = total[key] + value
+        else:
+            total[key] = value
+
+
 def merge_shard_results(
     protocol: str,
     config: ExperimentConfig,
@@ -375,43 +361,25 @@ def merge_shard_results(
     worker count.
     """
     ordered = [payloads[sid] for sid in sorted(payloads)]
-    metrics = merge_records([payload["records"] for payload in ordered])
-    kind_counts: Dict[str, int] = {}
-    drop_counts: Dict[str, int] = {}
+    totals: Dict[str, Any] = {}
     for payload in ordered:
-        for kind, count in payload["kind_counts"].items():
-            kind_counts[kind] = kind_counts.get(kind, 0) + count
-        for cause, count in payload["drop_counts"].items():
-            drop_counts[cause] = drop_counts.get(cause, 0) + count
-    extra = {
-        "online_peers": sum(p["online_peers"] for p in ordered),
-        "message_counts": kind_counts,
-        "drop_counts": drop_counts,
-        "directories": sum(p["directories"] for p in ordered),
-        "expired_members": sum(p["expired_members"] for p in ordered),
-        "sharded": {
-            "num_shards": num_shards,
-            "workers": workers,
-            "window_ms": window_ms,
-            "bus_entries": sum(p["bus_entries_out"] for p in ordered),
-            "peak_pending_events": max(p["peak_pending_events"] for p in ordered),
-            "events_per_shard": {
-                str(p["shard_id"]): p["events_executed"] for p in ordered
-            },
-            "fingerprints": {
-                str(p["shard_id"]): p["fingerprint"] for p in ordered
-            },
+        _fold(totals, payload["totals"])
+    totals["extra"]["sharded"] = {
+        "num_shards": num_shards,
+        "workers": workers,
+        "window_ms": window_ms,
+        "bus_entries": sum(p["bus_entries_out"] for p in ordered),
+        "peak_pending_events": max(p["peak_pending_events"] for p in ordered),
+        "events_per_shard": {
+            str(p["shard_id"]): p["totals"]["events_executed"] for p in ordered
         },
+        "fingerprints": {str(p["shard_id"]): p["fingerprint"] for p in ordered},
     }
     return ExperimentResult.from_metrics(
         protocol=protocol,
         seed=seed,
         population=config.population,
         duration_hours=config.duration_hours,
-        metrics=metrics,
-        events_executed=sum(p["events_executed"] for p in ordered),
-        messages_sent=sum(p["messages_sent"] for p in ordered),
-        arrivals=sum(p["arrivals"] for p in ordered),
-        departures=sum(p["departures"] for p in ordered),
-        extra=extra,
+        metrics=merge_records([payload["records"] for payload in ordered]),
+        **totals,
     )

@@ -104,11 +104,9 @@ class NetworkNode:
     # ------------------------------------------------------------ messaging
     #
     # send/rpc carry the full transmit path inline (latency-cache lookup,
-    # event pushes) rather than delegating to Network methods: these two are
+    # event pushes) rather than calling Network helpers: these two are
     # called once per message in the whole system, and the wrapper frames
-    # plus re-dispatch measurably slow the canonical benchmark.  The
-    # Network.send / Network.rpc methods remain as thin delegates for
-    # callers holding only the network.
+    # plus re-dispatch measurably slow the canonical benchmark.
 
     def send(self, dst: Address, kind: str, **payload: Any) -> None:
         """Fire-and-forget one-way message; delivered after the link latency
@@ -161,7 +159,18 @@ class NetworkNode:
         on_timeout: Optional[FailureCallback] = None,
         timeout_ms: Optional[float] = None,
     ) -> None:
-        """Request/response with a timeout (semantics in :meth:`Network.rpc`)."""
+        """Request/response with timeout.
+
+        The destination handler runs when the request arrives; its return
+        value travels back and ``on_reply`` fires at the source one link
+        latency later.  If the destination is dead (at delivery time) the
+        request vanishes and ``on_timeout`` fires ``timeout_ms`` after the
+        send -- the caller cannot tell *why* there was no answer, only that
+        there was none, matching real failure detection.
+
+        Callbacks are suppressed if the *source* has died in the meantime
+        (a dead peer processes nothing, including its own timers).
+        """
         if not self.alive:
             return
         network = self.network
@@ -479,53 +488,6 @@ class Network:
         self.sim.emit("net.drop", message_kind=kind, dst=dst, cause=cause)
 
     # -------------------------------------------------------------- delivery
-    def send(
-        self,
-        src: NetworkNode,
-        dst: Address,
-        kind: str,
-        payload: Dict[str, Any],
-    ) -> None:
-        """One-way message; delivered after the link latency if dst is alive.
-
-        Cold-path twin of :meth:`NetworkNode.send` (the hot entry point,
-        which inlines this logic) for callers holding only the network.
-        """
-        if not src.alive:
-            return  # a crashed node sends nothing
-        sim = self.sim
-        message = Message(src.address, dst, kind, payload, sent_at=sim.now)
-        self.messages_sent += 1
-        self.kind_counts[kind] += 1
-        sim.defer(self._link_latency(src.address, dst), self._deliver, message, None)
-
-    def rpc(
-        self,
-        src: NetworkNode,
-        dst: Address,
-        kind: str,
-        payload: Dict[str, Any],
-        on_reply: Optional[ReplyCallback],
-        on_timeout: Optional[FailureCallback],
-        timeout_ms: Optional[float],
-    ) -> None:
-        """Request/response with timeout.
-
-        The destination handler runs when the request arrives; its return
-        value travels back and ``on_reply`` fires at the source one link
-        latency later.  If the destination is dead (at delivery time) the
-        request vanishes and ``on_timeout`` fires ``timeout_ms`` after the
-        send -- the caller cannot tell *why* there was no answer, only that
-        there was none, matching real failure detection.
-
-        Callbacks are suppressed if the *source* has died in the meantime
-        (a dead peer processes nothing, including its own timers).
-
-        Thin delegate: the transmit path lives in :meth:`NetworkNode.rpc`
-        (the hot entry point).
-        """
-        src.rpc(dst, kind, payload, on_reply, on_timeout, timeout_ms)
-
     def _delivery_drop_cause(self, src: Address, dst: Address) -> Optional[str]:
         """Why a delivery on link src -> dst is lost right now, if at all."""
         faults = self.faults

@@ -33,12 +33,10 @@ answering any of them, so the exchange cannot deadlock.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 from typing import Any, Callable, Dict, List, Protocol, Tuple
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim.engine import Simulator
 
 
 class ShardCellLike(Protocol):
@@ -229,26 +227,3 @@ def run_windows_parallel(
             if process.is_alive():  # pragma: no cover - hang safety valve
                 process.terminate()
                 process.join()
-
-
-# --------------------------------------------------------------- fingerprint
-class StreamFingerprint:
-    """SHA-256 chain over a simulator's full ordered trace stream.
-
-    The same scheme the determinism regression tests use: one repr of
-    ``(rounded time, kind, sorted payload)`` per event, folded into a
-    running hash.  Attaching one subscribes the firehose, which makes every
-    ``emit`` construct its payload -- observation-only, but not free; leave
-    it off for timing runs.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self._hash = hashlib.sha256()
-        sim.trace.subscribe_all(self._observe)
-
-    def _observe(self, event) -> None:
-        line = repr((round(event.time, 9), event.kind, sorted(event.payload.items())))
-        self._hash.update(line.encode("utf-8"))
-
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()

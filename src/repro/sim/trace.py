@@ -20,6 +20,7 @@ even the payload keyword-dict construction.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter, defaultdict
 from typing import Any, Callable, DefaultDict, Dict, List, NamedTuple, Optional, Set
 
@@ -94,9 +95,9 @@ class TraceRecorder:
     def subscribe_all(self, listener: TraceListener) -> None:
         """Invoke *listener* for every event of every kind (the firehose).
 
-        Used by determinism regression tests to fingerprint the full ordered
-        event stream.  Kind-specific listeners fire before firehose
-        listeners for any given event.
+        :class:`StreamFingerprint` is its one caller: it fingerprints the
+        full ordered event stream.  Kind-specific listeners fire before
+        firehose listeners for any given event.
         """
         self._all_listeners.append(listener)
         self._watch_all = True
@@ -139,3 +140,26 @@ class TraceRecorder:
         else:
             self.counters.pop(kind, None)
             self._recorded.pop(kind, None)
+
+
+class StreamFingerprint:
+    """SHA-256 chain over a recorder's full ordered trace stream.
+
+    The one fingerprint recipe -- the golden hashes of the determinism
+    regression tests, the sharded engine's per-shard fingerprints and chaos
+    replay equality all mean this: one repr of ``(rounded time, kind,
+    sorted payload)`` per event, folded into a running hash.  Attaching one
+    subscribes the firehose, which makes every ``emit`` construct its
+    payload -- observation-only, but not free; leave it off for timing runs.
+    """
+
+    def __init__(self, recorder: TraceRecorder) -> None:
+        self._hash = hashlib.sha256()
+        recorder.subscribe_all(self._observe)
+
+    def _observe(self, event: TraceEvent) -> None:
+        line = repr((round(event.time, 9), event.kind, sorted(event.payload.items())))
+        self._hash.update(line.encode("utf-8"))
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()

@@ -134,7 +134,6 @@ ROLE_LESS_REPLIES = {
     "chord.get_state": {},
     "chord.notify": {},
     "chord.ping": {},
-    "chord.probe": {"status": "not_ready"},
     "chord.successor_hint": {},
     "chord.predecessor_hint": {},
 }

@@ -14,7 +14,6 @@ from repro.chaos.auditor import AuditorConfig
 from repro.chaos.runner import config_from_dict, config_to_dict
 from repro.errors import ConfigError, TransportError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_chaos_experiment
 from repro.net.faults import BurstyLossSpec, MassFailureSpec, PartitionSpec
 from repro.sim.clock import hours
 
@@ -121,19 +120,6 @@ def test_petalup_clean_run(tmp_path):
     )
     assert report.ok, [v.to_dict() for v in report.violations]
     assert not list(tmp_path.iterdir())  # no bundles on a clean run
-
-
-@pytest.mark.slow
-def test_run_chaos_experiment_wrapper():
-    report = run_chaos_experiment(
-        "flower",
-        small_config(duration_hours=1.0),
-        chaos_seed=5,
-        seed=2,
-        results_dir=None,
-    )
-    assert report.plan.name == "chaos-5-i1"
-    assert report.ok, [v.to_dict() for v in report.violations]
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,14 @@ class ChordHost(NetworkNode):
 class ChordWorld:
     """A simulator + network + one Chord ring, with helpers for tests."""
 
-    def __init__(self, seed=1, params=None, latency=(10.0, 100.0), lookup_mode="iterative"):
+    def __init__(self, seed=1, params=None, latency=(10.0, 100.0)):
         self.sim = Simulator(seed=seed)
         self.topology = UniformRandomTopology(
             seed=seed, latency_min_ms=latency[0], latency_max_ms=latency[1]
         )
         self.network = Network(self.sim, self.topology)
-        # Iterative mode by default: these tests assert per-hop failure
-        # semantics; recursive mode has its own test module.
         self.ring = ChordRing(
-            params
-            or RingParams(
-                bits=16, maintenance_period_ms=5000.0, lookup_mode=lookup_mode
-            )
+            params or RingParams(bits=16, maintenance_period_ms=5000.0)
         )
         self.hosts = []
 

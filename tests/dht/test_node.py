@@ -58,8 +58,9 @@ class TestLookups:
         ids = sorted(world.sim.rng("ids").sample(range(2**16), 32))
         hosts = world.warm_ring(ids)
         result = world.lookup_sync(hosts[0], (hosts[0].chord.node_id + 2**15) % 2**16)
-        if result.hops > 0:
-            assert result.latency_ms >= result.hops * 2 * 10.0  # round trips >= 2x min
+        assert result.hops > 0
+        # one one-way link per hop plus the result message back
+        assert result.latency_ms >= (result.hops + 1) * 10.0
 
     def test_lookup_key_ownership_includes_exact_id(self):
         world = ChordWorld()
@@ -84,8 +85,9 @@ class TestLookups:
         assert result.found.id == 30000
 
     def test_lookup_survives_dead_finger(self):
-        """A lookup that routes through a dead node must exclude it and
-        still resolve (with timeouts counted)."""
+        """A lookup whose first hop is dead reroutes around it and still
+        resolves to the right live successor, paying the failure-detection
+        timeout in latency and purging the dead entry."""
         world = ChordWorld(seed=13)
         ids = sorted(world.sim.rng("ids").sample(range(2**16), 32))
         hosts = world.warm_ring(ids)
@@ -93,13 +95,15 @@ class TestLookups:
         querier = hosts[0]
         # Kill the first hop the querier would use for a far key.
         key = (querier.chord.node_id + 2**15) % 2**16
-        first_hop = querier.chord.closest_preceding(key, set())
+        first_hop = querier.chord.closest_preceding(key)
         by_id[first_hop.id].fail()
         result = world.lookup_sync(querier, key)
         assert result.ok
-        assert result.timeouts >= 1
         expected = true_successor(sorted(i for i in ids if i != first_hop.id), key, 2**16)
         assert result.found.id == expected
+        assert result.latency_ms >= world.ring.params.rpc_timeout_ms
+        assert all(f is None or f.id != first_hop.id for f in querier.chord.fingers)
+        assert all(s.id != first_hop.id for s in querier.chord.successors)
 
 
 class TestJoin:

@@ -1,4 +1,4 @@
-"""Tests for recursive (forwarded) Chord routing -- the default mode."""
+"""Tests for recursive (forwarded) Chord routing."""
 
 import math
 
@@ -9,7 +9,7 @@ from tests.dht.conftest import ChordWorld
 
 
 def recursive_world(seed=1, **params):
-    defaults = dict(bits=16, maintenance_period_ms=5000.0, lookup_mode="recursive")
+    defaults = dict(bits=16, maintenance_period_ms=5000.0)
     defaults.update(params)
     return ChordWorld(seed=seed, params=RingParams(**defaults))
 
@@ -42,23 +42,21 @@ def test_recursive_single_node():
 
 
 def test_recursive_latency_is_one_way_per_hop():
-    """Recursive routing costs ~half an iterative lookup: each hop is one
-    one-way link plus a single result message back."""
-    world_r = recursive_world(seed=5)
-    world_i = ChordWorld(seed=5)  # iterative, same topology seed
-    ids = sorted(world_r.sim.rng("ids").sample(range(2**16), 48))
-    hosts_r = world_r.warm_ring(ids)
-    hosts_i = world_i.warm_ring(ids)
-    rng_r = world_r.sim.rng("keys")
-    rng_i = world_i.sim.rng("keys")
-    total_r = total_i = 0.0
+    """Each hop is one one-way link plus a single result message back:
+    no round trip per hop, so ``hops + 1`` links bound the latency."""
+    latency_min, latency_max = 10.0, 100.0  # ChordWorld's link latencies
+    world = recursive_world(seed=5)
+    ids = sorted(world.sim.rng("ids").sample(range(2**16), 48))
+    hosts = world.warm_ring(ids)
+    rng = world.sim.rng("keys")
+    forwarded = 0
     for __ in range(30):
-        key = rng_r.randrange(2**16)
-        rng_i.randrange(2**16)  # keep streams aligned
-        querier = 3
-        total_r += world_r.lookup_sync(hosts_r[querier], key).latency_ms
-        total_i += world_i.lookup_sync(hosts_i[querier], key).latency_ms
-    assert total_r < 0.75 * total_i
+        result = world.lookup_sync(hosts[3], rng.randrange(2**16))
+        assert result.ok
+        links = result.hops + 1 if result.hops else 0
+        assert links * latency_min <= result.latency_ms <= links * latency_max
+        forwarded += result.hops > 0
+    assert forwarded >= 20  # the bound was exercised, not vacuous
 
 
 def test_recursive_hops_logarithmic():
@@ -92,7 +90,7 @@ def test_recursive_reroutes_around_dead_hop():
     by_id = {h.chord.node_id: h for h in hosts}
     querier = hosts[0]
     key = (querier.chord.node_id + 2**15) % 2**16
-    first_hop = querier.chord.closest_preceding(key, frozenset())
+    first_hop = querier.chord.closest_preceding(key)
     by_id[first_hop.id].fail()
     result = world.lookup_sync(querier, key, horizon=minutes(5))
     assert result.ok

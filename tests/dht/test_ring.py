@@ -15,6 +15,18 @@ def test_params_validation():
         RingParams(lookup_max_probes=0)
 
 
+def test_params_select_no_lookup_mode():
+    """Lookups are recursive, full stop: the iterative twin and the four
+    knobs that configured it are gone."""
+    import dataclasses
+
+    names = {f.name for f in dataclasses.fields(RingParams)}
+    assert len(names) == 8
+    assert not names & {
+        "lookup_mode", "probe_retries", "retry_backoff_ms", "lookup_max_timeouts"
+    }
+
+
 def test_node_id_must_fit_space():
     world = ChordWorld()
     with pytest.raises(DHTError):

@@ -36,7 +36,6 @@ class ChordMachine(RuleBasedStateMachine):
             params=RingParams(
                 bits=16,
                 maintenance_period_ms=seconds(5),
-                lookup_mode="recursive",
                 recursive_timeout_ms=2000.0,
             ),
         )

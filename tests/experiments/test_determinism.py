@@ -6,7 +6,8 @@ hot protocol paths.  All of it is only admissible because the simulated
 every summary statistic derived from it, must be reproducible bit-for-bit
 from the seed -- and must not depend on whether anyone is tracing.
 
-The golden SHA-256 fingerprints below chain
+The golden SHA-256 fingerprints below are
+:class:`~repro.sim.trace.StreamFingerprint` digests: they chain
 ``repr((round(time, 9), kind, sorted(payload.items())))`` over every event
 seen by a :meth:`~repro.sim.trace.TraceRecorder.subscribe_all` firehose.
 If a change moves one of these hashes, it reordered, added, dropped or
@@ -14,8 +15,6 @@ altered at least one event: that is a behaviour change and must be called
 out (and the goldens re-derived) explicitly, never absorbed silently into
 a "performance" commit.
 """
-
-import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +30,7 @@ from repro.net.faults import (
     PartitionSpec,
 )
 from repro.sim.clock import hours, minutes
+from repro.sim.trace import StreamFingerprint
 
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
 #: Re-derived when the query-lifecycle ledger landed: ``cdn.query_done``
@@ -110,21 +110,9 @@ def golden_config() -> ExperimentConfig:
 def run_world(protocol: str, firehose: bool, config: ExperimentConfig = None):
     """Run the golden scenario; return (sha_or_None, hit_ratio, events)."""
     world = build_world(protocol, config or golden_config(), SEED)
-    digest = None
-    if firehose:
-        h = hashlib.sha256()
-
-        def on_event(event, _h=h):
-            _h.update(
-                repr(
-                    (round(event.time, 9), event.kind, sorted(event.payload.items()))
-                ).encode()
-            )
-
-        world.sim.trace.subscribe_all(on_event)
+    fingerprint = StreamFingerprint(world.sim.trace) if firehose else None
     world.run()
-    if firehose:
-        digest = h.hexdigest()
+    digest = fingerprint.hexdigest() if firehose else None
     return digest, world.system.metrics.hit_ratio(), world.sim.events_executed
 
 
@@ -379,6 +367,41 @@ def test_shard_records_merge_in_full_sort_order(rows, rng):
     merged = merge_records([shard.records for shard in shards])
     assert merged.records == sorted(rows)
     assert merged.hits == sum(1 for row in rows if row.is_hit)
+
+
+def test_shard_totals_fold():
+    """Shard totals are ``world_totals`` dicts: counts add at every depth,
+    per-directory lists concatenate, disjoint maps union, and the queue
+    high-water mark is a maximum, not a sum."""
+    from repro.experiments.sharded import _fold
+
+    def totals(events, sent, peak, loads, petal):
+        return {
+            "events_executed": events,
+            "extra": {
+                "message_counts": sent,
+                "overload": {
+                    "peak_queue_depth": peak,
+                    "directory_loads": loads,
+                    "instances": {petal: 1},
+                },
+            },
+        }
+
+    merged = {}
+    _fold(merged, totals(10, {"chord.route": 2}, 3, [4], "0:0"))
+    _fold(merged, totals(5, {"chord.route": 1, "flower.query": 7}, 2, [1, 6], "0:1"))
+    assert merged == {
+        "events_executed": 15,
+        "extra": {
+            "message_counts": {"chord.route": 3, "flower.query": 7},
+            "overload": {
+                "peak_queue_depth": 3,
+                "directory_loads": [4, 1, 6],
+                "instances": {"0:0": 1, "0:1": 1},
+            },
+        },
+    }
 
 
 @pytest.mark.slow

@@ -7,7 +7,14 @@ from repro.cdn.petalup.system import PetalUpSystem
 from repro.cdn.squirrel.system import SquirrelSystem
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_world, run_experiment
+from repro.experiments.runner import (
+    World,
+    build_world,
+    run_experiment,
+    run_recovery_experiment,
+)
+from repro.net.faults import PartitionSpec
+from repro.sim.clock import hours, minutes
 
 TINY = ExperimentConfig.scaled(
     population=60,
@@ -97,3 +104,87 @@ def test_summary_line_contains_metrics():
     line = result.summary_line()
     assert "flower" in line
     assert "hit=" in line and "lookup=" in line
+
+
+# --------------------------------------------- one summary for every door
+def test_every_run_door_reports_the_same_standard_extra():
+    """One config -- admission queues on, a fault scheduled, no open loop
+    -- through the plain, recovery and chaos doors: each plane's block is
+    reported by all of them, and only the door's own keys differ."""
+    from repro.chaos import run_chaos
+    from repro.chaos.plan import ChaosPlan
+
+    start, heal = minutes(20), minutes(40)
+    config = TINY.replace(
+        duration_hours=1.0,
+        directory_queue_limit=8,
+        fault_schedule=(PartitionSpec(locality=0, start_ms=start, heal_ms=heal),),
+    )
+    plain = run_experiment("flower", config, seed=5)
+    recovery, __ = run_recovery_experiment("flower", config, start, heal, seed=5)
+    plan = ChaosPlan(name="none", chaos_seed=0, horizon_ms=hours(1.0))
+    chaos = run_chaos("flower", config, plan, seed=5, results_dir=None).result
+    standard = {
+        "online_peers",
+        "message_counts",
+        "drop_counts",
+        "directories",
+        "expired_members",
+        "overload",
+        "fault_stats",
+    }
+    assert set(plain.extra) == standard
+    assert set(recovery.extra) == standard | {"availability"}
+    assert set(chaos.extra) == standard | {
+        "chaos_plan",
+        "chaos_violations",
+        "auditor_stats",
+    }
+    # The same world ran three times: the shared blocks agree.
+    for door in (recovery, chaos):
+        assert {k: door.extra[k] for k in standard} == plain.extra
+
+
+# ------------------------------------------------------- the sharded door
+SHARDED = ExperimentConfig.scaled(
+    population=96,
+    duration_hours=0.25,
+    num_websites=4,
+    num_active_websites=2,
+    num_localities=4,
+    objects_per_website=30,
+)
+
+
+@pytest.mark.parametrize(
+    "plane, overrides",
+    [
+        ("open-loop", dict(openloop_rate_qps=20.0)),
+        ("swarming", dict(swarming=True)),
+        ("bandwidth", dict(bandwidth_kbps=4000.0)),
+    ],
+)
+def test_sharded_run_refuses_planes_it_does_not_carry(plane, overrides):
+    """These planes used to be dropped without a word: the run came back
+    with the plain run's numbers."""
+    with pytest.raises(ConfigError, match=plane) as error:
+        run_experiment("flower", SHARDED.replace(**overrides), seed=1, workers=2)
+    assert "--workers 1" in str(error.value)
+
+
+def test_shard_cell_holds_a_world():
+    """A shard is a ``World`` like any other, so whatever takes a world --
+    the invariant auditor first of all -- takes a shard's."""
+    from repro.chaos.auditor import InvariantAuditor
+    from repro.experiments.sharded import ShardCell, default_window_ms
+    from repro.net.shardnet import ShardMap
+
+    shard_map = ShardMap(4, SHARDED.num_localities, SHARDED.num_websites)
+    config = SHARDED.replace(search_keywords=8, message_loss_rate=0.01)
+    cell = ShardCell(config, 1, shard_map, 2, default_window_ms(config), False)
+    assert isinstance(cell.world, World)
+    assert cell.world.system.search_engine is not None
+    assert cell.world.churn.online_count == SHARDED.num_websites  # one locality
+    InvariantAuditor(cell.world, results_dir=None)
+    cell.run_to(minutes(1))
+    assert cell.finalize()["totals"]["events_executed"] > 0

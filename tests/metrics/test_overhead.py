@@ -5,7 +5,7 @@ from repro.metrics.overhead import OverheadReport, classify
 
 def test_classification_covers_every_protocol_kind():
     maintenance = [
-        "chord.probe", "chord.route", "chord.get_state", "chord.notify",
+        "chord.route", "chord.get_state", "chord.notify",
         "chord.ping", "gossip.shuffle", "flower.keepalive", "flower.push",
         "flower.dead_provider", "flower.promote", "flower.handoff",
         "squirrel.dead",

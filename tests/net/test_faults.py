@@ -604,9 +604,9 @@ class CountingController(FaultController):
         return super().latency_adjust(src, dst, base)
 
 
-def _traffic(sim, network, a, b, start, legs):
-    """*legs* message legs from *start* on, 1 ms apart: hot-path sends,
-    RPCs (request and reply legs) and the network-level cold-path send."""
+def _traffic(sim, a, b, start, legs):
+    """*legs* message legs from *start* on, 1 ms apart: sends in both
+    directions and RPCs (request and reply legs)."""
     replies = []
     at = start
     for index in range(legs // 4):
@@ -614,7 +614,7 @@ def _traffic(sim, network, a, b, start, legs):
         sim.schedule_at(
             at, lambda: a.rpc(b.address, "ping", on_reply=replies.append)
         )
-        sim.schedule_at(at, lambda: network.send(b, a.address, "ping", {}))
+        sim.schedule_at(at, lambda: b.send(a.address, "ping"))
         at += 1.0
     return replies
 
@@ -634,7 +634,7 @@ def test_calm_fault_plane_is_never_called():
     )
     assert controller.calm_until == 5000.0
 
-    replies = _traffic(sim, network, a, b, 0.0, 1000)
+    replies = _traffic(sim, a, b, 0.0, 1000)
     sim.run(until=4999.0)
     assert len(replies) == 250 and len(b.received) == 500
     assert controller.calls == 0
@@ -655,7 +655,7 @@ def test_calm_fault_plane_is_never_called():
     assert controller.calls == 3
     assert controller.calm_until == float("inf")
     controller.calls = 0
-    replies = _traffic(sim, network, a, b, 5400.0, 1000)
+    replies = _traffic(sim, a, b, 5400.0, 1000)
     sim.run()
     assert len(replies) == 250
     assert controller.calls == 0

@@ -238,7 +238,7 @@ def test_zero_retries_matches_single_shot_semantics():
 
 def test_flower_retries_beat_single_shot_under_loss():
     """With retries enabled Flower's hit ratio under uniform loss is no
-    worse than the single-shot (rpc_retries=0, probe_retries=0) behaviour
+    worse than the single-shot (rpc_retries=0) behaviour
     at the same loss rate."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_experiment

@@ -1,6 +1,6 @@
 """Unit tests for the trace recorder."""
 
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import StreamFingerprint, TraceRecorder
 
 
 def test_counters_always_update():
@@ -69,3 +69,19 @@ def test_clear_all():
     trace.clear()
     assert trace.count("a") == 0
     assert trace.events("a") == []
+
+
+def test_stream_fingerprint_pins_order_and_content_not_keyword_order():
+    def digest(*events):
+        trace = TraceRecorder()
+        fingerprint = StreamFingerprint(trace)
+        for time, kind, payload in events:
+            trace.emit(time, kind, **payload)
+        return fingerprint.hexdigest()
+
+    a = (1.0, "x", {"p": 1, "q": 2})
+    b = (2.0, "y", {})
+    assert digest(a, b) == digest((1.0, "x", {"q": 2, "p": 1}), b)
+    assert digest(a, b) != digest(b, a)
+    assert digest(a, b) != digest((1.0, "x", {"p": 1, "q": 3}), b)
+    assert digest(a, b) != digest(a)

@@ -125,3 +125,12 @@ def test_rebalanced_run_end_to_end(capsys):
     assert main(["run", "flower", *FAST, "--rebalance"]) == 0
     out = capsys.readouterr().out
     assert "hit=" in out
+
+
+def test_sharded_overload_is_refused_not_silently_plain(capsys):
+    """``--workers N --overload`` used to run the plain workload and call
+    it overload; it is a shape error now, like a bad worker count."""
+    sharded = ["run", "flower", "--workers", "3", "--population", "96", "--hours", "0.5"]
+    assert main([*sharded, "--overload"]) == 2
+    err = capsys.readouterr().err
+    assert "open-loop" in err and "--workers 1" in err

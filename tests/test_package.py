@@ -76,3 +76,37 @@ def test_no_flower_module_outgrows_its_role():
         for path in package.glob("*.py")
     }
     assert lengths and max(lengths.values()) <= 700, lengths
+
+
+def _sources(*subpackages):
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    return {
+        str(path.relative_to(root)): path.read_text()
+        for sub in subpackages
+        for path in (root / sub).rglob("*.py")
+    }
+
+
+def test_a_run_is_summarised_in_one_place():
+    """``ExperimentResult.from_metrics(`` is called by the world summary
+    and by the shard merge, nowhere else (five hand-rolled ``extra`` blocks
+    once disagreed about which planes to report)."""
+    callers = {
+        name: text.count("ExperimentResult.from_metrics(")
+        for name, text in _sources("").items()
+    }
+    callers = {name: count for name, count in callers.items() if count}
+    assert sum(callers.values()) <= 2, callers
+
+
+def test_one_fingerprint_recipe():
+    """Stream fingerprints are ``repro.sim.trace.StreamFingerprint``,
+    imported: no run door hashes a trace stream by hand."""
+    hashing = [
+        name
+        for name, text in _sources("chaos", "experiments").items()
+        if "hashlib" in text
+    ]
+    assert hashing == []
