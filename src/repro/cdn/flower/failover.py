@@ -290,17 +290,10 @@ class DirectoryReplicator:
 
     # --------------------------------------------- provisional (partitioned)
     def serve_provisionally(self) -> None:
-        """Serve the slot without ring membership (partition-side takeover).
-
-        The petal keeps a -- warm, if we held a replica -- directory during
-        the cut; integration into D-ring is retried in the background until
-        it succeeds or a conflicting claimant wins the reconciliation.
-        """
+        """Our half of :meth:`DirectoryService.serve_provisionally`, once
+        the role serves: seed it from our replica, announce it, and keep
+        retrying the ring join in the background."""
         peer, role = self.peer, self.role
-        role.provisional = True
-        role.chord = None
-        peer._forget_directory()
-        self.service.begin_serving()
         self._merge_own_replica()
         peer.sim.emit(
             "flower.directory_provisional",

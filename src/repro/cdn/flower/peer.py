@@ -30,8 +30,7 @@ content peer.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.cdn.base import BasePeer
 from repro.cdn.flower.directory import DirectoryRole
@@ -73,10 +72,6 @@ class FlowerPeer(
         )
         self._gossip_process: Optional[PeriodicProcess] = None
         self._keepalive_process: Optional[PeriodicProcess] = None
-        # Pushes queued (drop-oldest) while the directory is suspect.
-        self._pending_pushes: Deque[List[ObjectKey]] = deque(
-            maxlen=system.params.push_queue_limit
-        )
         #: Successful ``flower.fetch`` replies served from our cache --
         #: the per-peer content-load signal behind the Gini reports.
         self.fetches_served = 0
@@ -109,6 +104,7 @@ class FlowerPeer(
         cache["chord.route"] = self._dispatch_chord_route
         cache["chord.route_result"] = self._dispatch_chord_route_result
         cache["gossip.shuffle"] = self.gossip.handle_shuffle
+        dispatch_chord_component = self._dispatch_chord_component
         for kind in (
             "chord.get_state",
             "chord.notify",
@@ -116,7 +112,7 @@ class FlowerPeer(
             "chord.successor_hint",
             "chord.predecessor_hint",
         ):
-            cache[kind] = self._dispatch_chord_component
+            cache[kind] = dispatch_chord_component
 
     def _forget_membership(self) -> None:
         """The state a session starts from: no petal, no directory, nothing

@@ -21,6 +21,7 @@ What keeps a content peer attached to its petal:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -154,7 +155,7 @@ class PetalMember:
             self.store.mark_pushed()
             # This push carried the full key list, superseding anything
             # queued while the directory was suspect.
-            self._pending_pushes.clear()
+            self._pending_pushes = ()
 
         self._tell_directory(
             info, "flower.push", {"keys": keys}, on_ok, lambda: self._queue_push(keys)
@@ -218,7 +219,7 @@ class PetalMember:
         if forgive:
             self._dir_strikes = 0
             self._reprobe_pending = False
-            self._pending_pushes.clear()
+            self._pending_pushes = ()
         self._start_content_processes()
         if repush:
             self.store.reset_push_state()
@@ -230,7 +231,9 @@ class PetalMember:
         self.dir_info = None
         self._dir_strikes = 0
         self._reprobe_pending = False
-        self._pending_pushes.clear()
+        # Pushes queued (drop-oldest) while the directory is suspect: ``()``
+        # or the bounded deque :meth:`_queue_push` builds.
+        self._pending_pushes = ()
 
     def handle_flower_member_shed(self, message: Message) -> None:
         """Our overloaded directory shed us to another instance: re-point
@@ -397,11 +400,17 @@ class PetalMember:
                 position=info.position_id,
             )
         if self._pending_pushes:
-            self._pending_pushes.clear()
+            self._pending_pushes = ()
             self.sim.emit("flower.push_flushed", peer=self.address)
             self._push_to_directory()
 
     def _queue_push(self, keys: List[ObjectKey]) -> None:
+        if not self._pending_pushes:
+            # Built on the first queued push only: most peers never see
+            # their directory suspect, and ``()`` is "nothing queued".
+            self._pending_pushes = deque(
+                maxlen=self.system.params.push_queue_limit
+            )
         self._pending_pushes.append(keys)
         self.sim.emit(
             "flower.push_queued",

@@ -59,11 +59,14 @@ class DirectoryService:
         self.system = peer.system
         self.shed_notices = shed_notices
         self._sweep_process: Optional[PeriodicProcess] = None
-        self.relief = LoadRelief(self)
-        #: The replication plane; absent while ``replication_k == 0``.
-        self.replicator: Optional[DirectoryReplicator] = (
-            DirectoryReplicator(self) if self.system.params.replication_k > 0 else None
-        )
+        #: The planes of a served slot: load relief and, while
+        #: ``replication_k > 0``, replication.  They point back at us, so
+        #: they exist from :meth:`begin_serving` to :meth:`stop` only -- a
+        #: service that never gets to serve (a lost join race, a crash
+        #: mid-join) reaches nothing that reaches it, and is freed by
+        #: refcount with its role when the join's last callback goes.
+        self.relief: Optional[LoadRelief] = None
+        self.replicator: Optional[DirectoryReplicator] = None
 
     # =====================================================================
     # Lifecycle: join the ring, start serving, stop serving
@@ -93,7 +96,7 @@ class DirectoryService:
             elif (
                 reason == "lookup"
                 and peer.alive
-                and self.replicator is not None
+                and self.system.params.replication_k > 0
                 and peer.directory is None
             ):
                 # D-ring is unreachable -- most likely we sit on the minority
@@ -101,7 +104,7 @@ class DirectoryService:
                 # (seeded from any replica we hold) and keep retrying the
                 # integration; the reconciliation protocol resolves any
                 # split-brain claim once the partition heals (section 5.3).
-                self.replicator.serve_provisionally()
+                self.serve_provisionally()
             self.sim.emit(
                 "flower.directory_join_failed", peer=peer.address, reason=reason
             )
@@ -160,6 +163,11 @@ class DirectoryService:
         self.system.register_directory(peer, role)
         peer.dir_info = None
         if self._sweep_process is None:
+            # (A provisional role that wins the ring comes through here a
+            # second time and keeps its planes and its sweep.)
+            self.relief = LoadRelief(self)
+            if self.system.params.replication_k > 0:
+                self.replicator = DirectoryReplicator(self)
             period = self.system.params.keepalive_period_ms
             self._sweep_process = PeriodicProcess(
                 self.sim,
@@ -169,6 +177,21 @@ class DirectoryService:
                 jitter=0.05,
                 rng=peer.rng,
             )
+
+    def serve_provisionally(self) -> None:
+        """Serve the slot without ring membership (partition-side takeover,
+        section 5.3; needs ``replication_k > 0``).
+
+        The petal keeps a -- warm, if we held a replica -- directory during
+        the cut; integration into D-ring is retried in the background until
+        it succeeds or a conflicting claimant wins the reconciliation.
+        """
+        peer, role = self.peer, self.role
+        role.provisional = True
+        role.chord = None
+        peer._forget_directory()
+        self.begin_serving()
+        self.replicator.serve_provisionally()
 
     def stop(self, graceful: bool = False) -> None:
         """Stop serving the slot: crash, demotion or (*graceful*) leave."""
@@ -188,7 +211,7 @@ class DirectoryService:
         peer.directory = None
         peer.service = None
         # Our planes point back at us; let go of them so the role's index
-        # is freed now, not at the next full garbage collection.
+        # is freed now, by refcount, not by the cyclic collector.
         self.relief = self.replicator = None
 
     def leave_gracefully(self) -> None:

@@ -34,6 +34,7 @@ class SquirrelPeer(BasePeer):
         cache = self._handler_cache
         cache["chord.route"] = self._dispatch_chord_route
         cache["chord.route_result"] = self._dispatch_chord_route_result
+        dispatch_chord_component = self._dispatch_chord_component
         for kind in (
             "chord.get_state",
             "chord.notify",
@@ -41,7 +42,7 @@ class SquirrelPeer(BasePeer):
             "chord.successor_hint",
             "chord.predecessor_hint",
         ):
-            cache[kind] = self._dispatch_chord_component
+            cache[kind] = dispatch_chord_component
 
     # ------------------------------------------------------------ dispatch
     # Cache-resident wrappers (see ``__init__``).

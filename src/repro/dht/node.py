@@ -283,6 +283,9 @@ class ChordNode:
         if self.joined:
             self.ring.deregister(self)
             self.joined = False
+        # The cached handlers are bound to us: a node that is shut down is
+        # about to be dropped, and must be freeable by refcount.
+        self._handler_cache.clear()
         self.host.sim.emit("chord.shutdown", id=self.node_id)
 
     def leave_gracefully(self) -> None:

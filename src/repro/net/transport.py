@@ -264,30 +264,21 @@ class NetworkNode:
         """
         if retries < 0:
             raise TransportError(f"retry budget must be >= 0 (got {retries})")
-        jitter_rng = rng if rng is not None else self.sim.rng("rpc.retry")
-        body = dict(payload or {})
-
-        def attempt(number: int) -> None:
-            if not self.alive:
-                return
-
-            def on_timeout() -> None:
-                if not self.alive:
-                    return
-                if number >= retries:
-                    if on_give_up is not None:
-                        on_give_up()
-                    return
-                delay = min(backoff_cap_ms, backoff_ms * (backoff_factor ** number))
-                delay *= 0.5 + 0.5 * jitter_rng.random()
-                self.sim.emit(
-                    "net.rpc_retry", rpc_kind=kind, dst=dst, attempt=number + 1
-                )
-                self.sim.defer(delay, attempt, number + 1)
-
-            self.rpc(dst, kind, dict(body), on_reply, on_timeout, timeout_ms)
-
-        attempt(0)
+        record = _RetryingRpc()
+        record.src = self
+        record.dst = dst
+        record.kind = kind
+        record.body = dict(payload or {})
+        record.on_reply = on_reply
+        record.on_give_up = on_give_up
+        record.timeout_ms = timeout_ms
+        record.retries = retries
+        record.backoff_ms = backoff_ms
+        record.backoff_factor = backoff_factor
+        record.backoff_cap_ms = backoff_cap_ms
+        record.rng = rng if rng is not None else self.sim.rng("rpc.retry")
+        record.number = 0
+        record.attempt()
 
     def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
         """Dispatch to ``handle_<kind>``.  Subclasses rarely override this."""
@@ -653,3 +644,69 @@ class _RpcContext:
 
 #: ``_RpcContext.__new__`` bound once -- see ``_new_message`` above.
 _new_rpc_context = _RpcContext.__new__
+
+
+class _RetryingRpc:
+    """The state of one :meth:`NetworkNode.retrying_rpc` call.
+
+    Attempts are sequential, so one record serves the whole call and its
+    methods are the attempt and timeout callbacks.  Nothing here refers to
+    itself: the only references to the record are the pending attempt's
+    RPC context (``on_timeout``) or the backoff event, so the moment the
+    reply is delivered or the budget is spent the record -- and with it
+    the caller's callbacks, the payload and whatever they capture -- is
+    freed by refcount, never by the cyclic collector.
+    """
+
+    __slots__ = (
+        "src",
+        "dst",
+        "kind",
+        "body",
+        "on_reply",
+        "on_give_up",
+        "timeout_ms",
+        "retries",
+        "backoff_ms",
+        "backoff_factor",
+        "backoff_cap_ms",
+        "rng",
+        "number",
+        "__weakref__",
+    )
+
+    def attempt(self) -> None:
+        """Send attempt ``number`` (a fresh copy of the payload each time:
+        handlers may mutate what they receive)."""
+        src = self.src
+        if not src.alive:
+            return
+        src.rpc(
+            self.dst,
+            self.kind,
+            dict(self.body),
+            self.on_reply,
+            self.timed_out,
+            self.timeout_ms,
+        )
+
+    def timed_out(self) -> None:
+        """Attempt ``number`` went unanswered: back off and retry, or give
+        up once the budget is spent."""
+        src = self.src
+        if not src.alive:
+            return
+        number = self.number
+        if number >= self.retries:
+            if self.on_give_up is not None:
+                self.on_give_up()
+            return
+        delay = min(
+            self.backoff_cap_ms, self.backoff_ms * (self.backoff_factor ** number)
+        )
+        delay *= 0.5 + 0.5 * self.rng.random()
+        self.number = number + 1
+        src.sim.emit(
+            "net.rpc_retry", rpc_kind=self.kind, dst=self.dst, attempt=number + 1
+        )
+        src.sim.defer(delay, self.attempt)

@@ -98,8 +98,8 @@ class Simulator:
 
         The hot transport paths use this for message deliveries and RPC
         timeouts, which are never cancelled individually.  The push is
-        inlined here (identical semantics to ``EventQueue.push_anon``)
-        because this is the single most frequent scheduling call in a run.
+        inlined here (``EventQueue.push`` minus the handle) because this is
+        the single most frequent scheduling call in a run.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")

@@ -13,8 +13,9 @@ Representation notes (the hot path of the whole simulator):
   second -- the callback is never reached), instead of calling a
   Python-level ``__lt__`` millions of times per run.
 - :class:`EventHandle` is a thin, lazily allocated view over an entry; the
-  common fire-and-forget schedules (message deliveries, RPC timeouts) can
-  use :meth:`EventQueue.push_anon` and skip the handle allocation entirely.
+  common fire-and-forget schedules (message deliveries, RPC timeouts) push
+  the bare entry -- ``Simulator.defer`` and the transport's inlined copies
+  of it -- and skip the handle allocation entirely.
 - Cancellation is *lazy*: cancelling nulls the entry's callback slot
   (a tombstone) and the queue discards tombstones when they surface at the
   top of the heap.  This is the standard approach (also used by ``sched``
@@ -141,26 +142,6 @@ class EventQueue:
         if live > self._peak:
             self._peak = live
         return EventHandle(entry)
-
-    def push_anon(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-    ) -> None:
-        """Schedule without allocating a handle (fire-and-forget events).
-
-        Identical ordering semantics to :meth:`push`; the event simply
-        cannot be cancelled.  Used by the hot transport paths (message
-        deliveries, RPC timeouts) where the handle is never looked at.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, [time, seq, callback, args])
-        live = self._live + 1
-        self._live = live
-        if live > self._peak:
-            self._peak = live
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""

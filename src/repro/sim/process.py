@@ -85,21 +85,15 @@ class PeriodicProcess:
         if self._cancelled:
             return
         self._cancelled = True
-        # Let go of the owner: ``_tick_cb`` makes this object cyclic garbage,
-        # and until the next full collection it would keep alive whatever
-        # the callback is bound to (a stopped directory role's whole index).
-        self._callback = None
+        # ``_tick_cb`` is a reference to ourselves and ``_callback`` usually
+        # one to our owner, which points back at us: drop both, so that the
+        # process and whatever the callback is bound to (a stopped directory
+        # role's whole index) are freed by refcount when the owner lets go,
+        # not by some later pass of the cyclic collector.
+        self._tick_cb = self._callback = None
         if self._handle is not None:
             self._sim.cancel(self._handle)
             self._handle = None
-
-    def _next_gap(self) -> float:
-        if self._jitter == 0.0:
-            return self._period
-        assert self._rng is not None
-        low = self._period * (1.0 - self._jitter)
-        high = self._period * (1.0 + self._jitter)
-        return self._rng.uniform(low, high)
 
     def _tick(self) -> None:
         if self._cancelled:  # cancelled while the tick event was in flight
@@ -108,7 +102,7 @@ class PeriodicProcess:
         # Reschedule before running the callback so the callback may cancel
         # the process (a peer deciding to leave mid-tick must not resurrect).
         #
-        # The gap draw (= _next_gap), ``rng.uniform``, ``sim.schedule`` and
+        # The gap draw, ``rng.uniform``, ``sim.schedule`` and
         # ``EventQueue.push`` are all inlined below: a tick is two Python
         # frames (this one and the callback) instead of six, and every
         # periodic process in the system ticks for the whole run.

@@ -43,7 +43,7 @@ def _lost_join_race(world, peer, position, address):
 
 def _demotion(world, peer, position, address):
     role = DirectoryRole(peer.address, 0, 0, 0, position)
-    DirectoryService(peer, role).replicator.serve_provisionally()
+    DirectoryService(peer, role).serve_provisionally()
     _suspect_with_queued_push(peer)
     peer.service.replicator._demote(address)
 
@@ -86,7 +86,7 @@ ENTRY_POINTS = {
 def _suspect_with_queued_push(peer):
     peer._dir_strikes = 1
     peer._reprobe_pending = True
-    peer._pending_pushes.append([(0, 1)])
+    peer._queue_push([(0, 1)])
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -124,6 +124,20 @@ def test_every_repoint_entry_ends_in_the_same_state(entry):
     assert pushes == [(directory.address, sorted(peer.store.keys()))]
 
 
+def test_push_queue_exists_only_while_pushes_are_queued():
+    """``()`` is "nothing queued": the bounded deque is built by the first
+    queued push and dropped with the queue, so the many peers that never
+    see their directory suspect never carry one."""
+    world = CdnWorld(FlowerSystem, params=make_params(push_queue_limit=2))
+    peer = world.arrive(website=0, locality=0)
+    assert peer._pending_pushes == ()
+    for index in range(3):
+        peer._queue_push([(0, index)])
+    assert list(peer._pending_pushes) == [[(0, 1)], [(0, 2)]]  # drop-oldest
+    peer._forget_directory()
+    assert peer._pending_pushes == ()
+
+
 # ---------------------------------------------------------------------------
 # Dispatch: on_message and Network._deliver share one table
 # ---------------------------------------------------------------------------
@@ -150,6 +164,9 @@ def test_on_message_and_delivery_reach_the_same_handler(system_cls):
     registered = dict(peer._handler_cache)
     assert set(ROLE_LESS_REPLIES) <= set(registered)
     assert ("gossip.shuffle" in registered) == (system_cls is FlowerSystem)
+    # The five component kinds share one bound method, not one each.
+    component_kinds = [k for k, reply in ROLE_LESS_REPLIES.items() if reply == {}]
+    assert len({id(registered[kind]) for kind in component_kinds}) == 1
     for kind, handler in registered.items():
         seen = []
 

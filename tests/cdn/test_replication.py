@@ -298,7 +298,7 @@ class TestSplitBrainReconciliation:
         position = world.system.key_service.position_id(0, 0, 0)
         role = DirectoryRole(claimant.address, 0, 0, 0, position)
         role.add_member(client.address, [(0, 5)])
-        DirectoryService(claimant, role).replicator.serve_provisionally()
+        DirectoryService(claimant, role).serve_provisionally()
         assert claimant.directory is role and role.provisional
 
         world.run(minutes(20))  # discovery + reconcile + demotion
@@ -441,7 +441,7 @@ class TestSplitBrainSearch:
         position = world.system.key_service.position_id(0, 0, 0)
         role = DirectoryRole(claimant.address, 0, 0, 0, position)
         role.add_member(client.address, [(0, 5)])
-        DirectoryService(claimant, role).replicator.serve_provisionally()
+        DirectoryService(claimant, role).serve_provisionally()
         assert claimant.directory is role and role.provisional
         # Promotion attached the search plane: postings are live.
         assert role.search_space is space and role.postings
@@ -474,7 +474,7 @@ class TestSplitBrainSearch:
         position = world.system.key_service.position_id(0, 0, 0)
         role = DirectoryRole(claimant.address, 0, 0, 0, position)
         role.add_member(client.address, [(0, 5)])
-        DirectoryService(claimant, role).replicator.serve_provisionally()
+        DirectoryService(claimant, role).serve_provisionally()
 
         world.run(minutes(20))  # discovery + reconcile + demotion
 

@@ -1,6 +1,7 @@
 """Protocol tests for ChordNode: lookups, joins, stabilization, failures."""
 
 import math
+import weakref
 
 import pytest
 
@@ -251,3 +252,18 @@ class TestStabilizationUnderChurn:
         host.chord.shutdown()
         assert not host.chord.joined
         assert len(world.ring) == 0
+
+    def test_shut_down_node_dies_by_refcount(self, refcount_only):
+        """A node caches its own bound handlers and owns a process bound to
+        it; shutdown lets go of both, so dropping the node frees it with
+        the collector off."""
+        world = ChordWorld(seed=8)
+        hosts = world.warm_ring([0, 10000, 20000])
+        world.sim.run(until=minutes(1))
+        node = hosts[1].chord
+        assert node._handler_cache  # it did answer its neighbours
+        hosts[1].fail()  # shuts the node down
+        world.sim.run(until=minutes(2))  # its last RPC contexts expire
+        ref = weakref.ref(node)
+        hosts[1].chord = node = None
+        assert ref() is None

@@ -1,5 +1,7 @@
 """Tests for the message-loss fault model."""
 
+import weakref
+
 import pytest
 
 from repro.errors import TransportError
@@ -232,8 +234,137 @@ def test_zero_retries_matches_single_shot_semantics():
     )
     sim.run()
     assert outcomes == ["give_up"]
+    sent = network.messages_sent
     with pytest.raises(TransportError):
         a.retrying_rpc(b.address, "ping", {}, retries=-1)
+    assert network.messages_sent == sent  # refused before anything is sent
+
+
+def test_backoff_delays_and_attempt_numbers_are_exact():
+    """delay_n = min(cap, backoff * factor**n) * (0.5 + 0.5 * u_n), one
+    draw per retry, and ``net.rpc_retry`` numbers the attempt it announces."""
+    sim, network, a, b = make_pair()  # 10 ms links, 100 ms timeout
+    b.fail()
+    sim.trace.record("net.rpc_retry", "net.drop")
+    gave_up = []
+    a.retrying_rpc(
+        b.address,
+        "ping",
+        {},
+        on_give_up=lambda: gave_up.append(sim.now),
+        retries=2,
+        backoff_ms=20.0,
+        backoff_factor=2.0,
+        backoff_cap_ms=30.0,
+        rng=ScriptedRng([0.0, 0.5]),
+    )
+    sim.run()
+    # Attempt 0 at t=0 times out at 100; wait min(30, 20) * 0.5 = 10.
+    # Attempt 1 at 110 times out at 210; wait min(30, 40) * 0.75 = 22.5.
+    # Attempt 2 at 232.5 times out at 332.5: the budget is spent.
+    retries = sim.trace.events("net.rpc_retry")
+    assert [(e.time, e.payload["attempt"]) for e in retries] == [(100.0, 1), (210.0, 2)]
+    assert all(
+        e.payload["rpc_kind"] == "ping" and e.payload["dst"] == b.address
+        for e in retries
+    )
+    # Each request dies at the dead destination one link latency after it
+    # was sent.
+    assert [e.time for e in sim.trace.events("net.drop")] == [10.0, 120.0, 242.5]
+    assert gave_up == [332.5]
+
+
+def test_source_dying_mid_backoff_ends_the_chain():
+    """A dead peer processes nothing, its own backoff timer included: no
+    further attempt is sent and nobody is told the call gave up."""
+    sim, network, a, b = make_pair()
+    b.fail()
+    outcomes = []
+    a.retrying_rpc(
+        b.address,
+        "ping",
+        {},
+        on_reply=lambda p: outcomes.append("reply"),
+        on_give_up=lambda: outcomes.append("give_up"),
+        retries=2,
+        backoff_ms=20.0,
+        rng=ScriptedRng([0.0]),
+    )
+    sim.schedule(105.0, a.fail)  # timeout at 100, next attempt due at 110
+    sim.run()
+    assert outcomes == []
+    assert network.messages_sent == 1
+    assert sim.trace.count("net.rpc_retry") == 1
+
+
+def test_every_attempt_carries_the_payload_as_it_was_at_the_call():
+    """One copy per call (the caller may reuse its dict) and one per
+    attempt (a handler may scribble on what it receives)."""
+
+    class Scribbler(Responder):
+        def __init__(self, network):
+            super().__init__(network)
+            self.seen = []
+
+        def handle_ping(self, message):
+            self.seen.append(dict(message.payload))
+            message.payload["scribbled"] = True
+            return super().handle_ping(message)
+
+    sim = Simulator(seed=1)
+    network = Network(
+        sim, ExplicitTopology([[0.0, 10.0], [10.0, 0.0]]), default_timeout_ms=100.0
+    )
+    a, b = Responder(network), Scribbler(network)
+    # Draw 1: request 1 delivered.  Draw 2: reply 1 dropped.  Then clean.
+    network.configure_loss(0.5, ScriptedRng([0.9, 0.1]))
+    payload = {"value": 1}
+    a.retrying_rpc(b.address, "ping", payload, retries=1, backoff_ms=20.0)
+    payload["value"] = 2  # the caller moves on
+    sim.run()
+    assert b.seen == [{"value": 1}, {"value": 1}]
+    assert payload == {"value": 2}
+
+
+@pytest.mark.parametrize("answered", [True, False])
+def test_a_finished_call_is_freed_by_refcount(refcount_only, answered):
+    """Nothing of a retrying call refers to itself: the retry record, the
+    caller's callbacks and whatever they capture are gone the moment the
+    reply is delivered or the budget is spent -- with the collector off,
+    and while the answered RPC's context still waits out its deadline."""
+    sim, network, a, b = make_pair()
+    if not answered:
+        b.fail()
+    outcomes = []
+    refs = []
+    rpc = a.rpc
+
+    def spy(dst, kind, payload, on_reply, on_timeout, timeout_ms):
+        # The timeout callback is the record's bound method.
+        refs.append(weakref.ref(getattr(on_timeout, "__self__", on_timeout)))
+        rpc(dst, kind, payload, on_reply, on_timeout, timeout_ms)
+
+    a.rpc = spy
+
+    def on_reply(payload):
+        outcomes.append("reply")
+
+    def on_give_up():
+        outcomes.append("give_up")
+
+    refs += [weakref.ref(on_reply), weakref.ref(on_give_up)]
+    a.retrying_rpc(
+        b.address, "ping", {}, on_reply=on_reply, on_give_up=on_give_up, retries=1
+    )
+    del on_reply, on_give_up
+    assert all(ref() is not None for ref in refs)
+    if answered:
+        sim.run(until=25.0)  # the reply lands at 20, the deadline is 100
+        assert network._timeout_fifos[100.0]
+    else:
+        sim.run()
+    assert outcomes == (["reply"] if answered else ["give_up"])
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_flower_retries_beat_single_shot_under_loss():

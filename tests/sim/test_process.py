@@ -1,5 +1,7 @@
 """Unit tests for periodic processes."""
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -53,6 +55,46 @@ def test_callback_may_cancel_its_own_process():
     process_box.append(PeriodicProcess(sim, 10.0, tick))
     sim.run(until=100.0)
     assert process_box[0].ticks == 2
+
+
+class Ticker:
+    """Owns a process whose callback is bound to it, like every role."""
+
+    def __init__(self, sim, stop_at=float("inf")):
+        self.sim = sim
+        self.stop_at = stop_at
+        self.process = PeriodicProcess(sim, 10.0, self.tick)
+
+    def tick(self):
+        if self.sim.now >= self.stop_at:
+            self.process.cancel()
+
+
+def test_cancelled_process_and_its_owner_die_by_refcount(refcount_only):
+    """Cancelling drops the process's reference to itself (its bound tick)
+    and to its owner: both go with the last outside reference, collector
+    off."""
+    sim = Simulator()
+    ticker = Ticker(sim)
+    sim.run(until=25.0)
+    refs = [weakref.ref(ticker), weakref.ref(ticker.process)]
+    ticker.process.cancel()
+    del ticker
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_cancelling_inside_the_tick_frees_without_resurrecting(refcount_only):
+    """The tick reschedules itself before it runs the callback; a callback
+    that cancels must kill that event too, and release the process while
+    its own tick is still on the stack."""
+    sim = Simulator()
+    ticker = Ticker(sim, stop_at=20.0)
+    process = weakref.ref(ticker.process)
+    sim.run(until=100.0)
+    assert process().ticks == 2
+    assert sim.pending_events == 0
+    del ticker
+    assert process() is None
 
 
 def test_cancel_is_idempotent():
