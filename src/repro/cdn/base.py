@@ -332,18 +332,16 @@ class BasePeer(NetworkNode):
             return
         sim = self.sim
         metrics = self.system.metrics
-        tracing = sim.tracing("cdn.query_done")
         for key, started_at in self._open_queries.items():
             metrics.record(
                 sim.now, key, self.locality, "failed_crash", sim.now - started_at, 0.0
             )
-            if tracing:
-                sim.emit(
-                    "cdn.query_done",
-                    outcome="failed_crash",
-                    peer=self.address,
-                    key=key,
-                )
+            sim.emit(
+                "cdn.query_done",
+                outcome="failed_crash",
+                peer=self.address,
+                key=key,
+            )
         self._open_queries.clear()
 
     def _on_session_begin(self) -> None:
@@ -432,13 +430,12 @@ class BasePeer(NetworkNode):
             # Stale completion from a previous session of this peer: the
             # query was already finalized (failed_crash at crash time).
             # Observable so the auditor can assert it never double-counts.
-            if self.sim.tracing("cdn.query_stale"):
-                self.sim.emit(
-                    "cdn.query_stale",
-                    outcome=outcome,
-                    peer=self.address,
-                    key=key,
-                )
+            self.sim.emit(
+                "cdn.query_stale",
+                outcome=outcome,
+                peer=self.address,
+                key=key,
+            )
             return
         del self._open_queries[key]
         transfer = self.network.latency(self.address, provider)

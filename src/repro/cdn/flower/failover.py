@@ -183,15 +183,14 @@ class DirectoryReplicator:
                 # the slot-reconcile path owns the resolution.
                 self.stats["rejected"] += 1
                 self.acked.pop(target, None)
-                if peer.sim.tracing("flower.replica_rejected"):
-                    peer.sim.emit(
-                        "flower.replica_rejected",
-                        origin=peer.address,
-                        target=target,
-                        position=role.position_id,
-                        have=reply.get("have"),
-                        version=role.version,
-                    )
+                peer.sim.emit(
+                    "flower.replica_rejected",
+                    origin=peer.address,
+                    target=target,
+                    position=role.position_id,
+                    have=reply.get("have"),
+                    version=role.version,
+                )
 
         def on_timeout(target=target) -> None:
             self.acked.pop(target, None)

@@ -88,16 +88,15 @@ class RedirectHints:
         """
         system = self.system
         system.hint_hops += 1
-        if self.sim.tracing("flower.hint_hop"):
-            self.sim.emit(
-                "flower.hint_hop",
-                peer=self.address,
-                key=key,
-                frm=home.address,
-                to=target,
-                depth_from=depth_from,
-                depth_to=depth_to,
-            )
+        self.sim.emit(
+            "flower.hint_hop",
+            peer=self.address,
+            key=key,
+            frm=home.address,
+            to=target,
+            depth_from=depth_from,
+            depth_to=depth_to,
+        )
 
         def forget_hint() -> None:
             self._petal_loads.pop(target, None)

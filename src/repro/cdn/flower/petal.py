@@ -470,13 +470,12 @@ class PetalMember:
                 self.system.rebalance_adoptions += 1
                 self.summary.add(key)
                 self._maybe_place_chunks(key)
-                if self.sim.tracing("flower.key_adopted"):
-                    self.sim.emit(
-                        "flower.key_adopted",
-                        peer=self.address,
-                        key=key,
-                        source=source,
-                    )
+                self.sim.emit(
+                    "flower.key_adopted",
+                    peer=self.address,
+                    key=key,
+                    source=source,
+                )
                 if self.dir_info is not None:
                     self._push_to_directory()
 

@@ -114,13 +114,12 @@ class LoadRelief:
                 )
             d.members_shed += len(shed)
             self.system.members_shed += len(shed)
-            if self.sim.tracing("flower.members_shed"):
-                self.sim.emit(
-                    "flower.members_shed",
-                    directory=peer.address,
-                    successor=successor,
-                    count=len(shed),
-                )
+            self.sim.emit(
+                "flower.members_shed",
+                directory=peer.address,
+                successor=successor,
+                count=len(shed),
+            )
 
         def on_timeout() -> None:
             self._shedding_members = False
@@ -267,15 +266,14 @@ class LoadRelief:
             # sources to try in turn instead of betting on one.
             sources = sorted(holders)[:3]
             self.peer.send(target, "flower.rebalance", key=key, sources=sources)
-            if self.sim.tracing("flower.key_rebalanced"):
-                self.sim.emit(
-                    "flower.key_rebalanced",
-                    directory=self.peer.address,
-                    key=key,
-                    target=target,
-                    source=sources[0],
-                    count=d.fetch_counts.get(key, 0),
-                )
+            self.sim.emit(
+                "flower.key_rebalanced",
+                directory=self.peer.address,
+                key=key,
+                target=target,
+                source=sources[0],
+                count=d.fetch_counts.get(key, 0),
+            )
         d.fetch_counts.clear()
         if spilled:
             d.rebalance_cooldown = params.rebalance_cooldown_rounds

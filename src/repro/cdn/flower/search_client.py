@@ -201,17 +201,16 @@ class SearchClient:
         """Deliver results and account the completion (one event per
         search, stamped with how -- and how stale -- it was answered)."""
         sim = self.sim
-        if sim.tracing("flower.search_done"):
-            sim.emit(
-                "flower.search_done",
-                peer=self.address,
-                website=self.website,
-                locality=self.locality,
-                keyword=keyword,
-                matches=len(matches),
-                source=source,
-                staleness_ms=staleness_ms,
-            )
+        sim.emit(
+            "flower.search_done",
+            peer=self.address,
+            website=self.website,
+            locality=self.locality,
+            keyword=keyword,
+            matches=len(matches),
+            source=source,
+            staleness_ms=staleness_ms,
+        )
         on_results(matches)
 
     def handle_flower_search_replica(self, message: Message) -> Dict[str, Any]:

@@ -317,16 +317,15 @@ class DirectoryService:
         """
         self.system.shed_queries += 1
         redirect = self.relief.next_instance_address()
-        if self.sim.tracing("flower.query_shed"):
-            self.sim.emit(
-                "flower.query_shed",
-                directory=self.peer.address,
-                client=client,
-                key=key,
-                position=self.role.position_id,
-                depth=depth,
-                redirect=redirect,
-            )
+        self.sim.emit(
+            "flower.query_shed",
+            directory=self.peer.address,
+            client=client,
+            key=key,
+            position=self.role.position_id,
+            depth=depth,
+            redirect=redirect,
+        )
         if self.system.params.overload_shedding:
             self.relief.maybe_promote_next()
         reply: Dict[str, Any] = {"status": "shed"}
@@ -546,17 +545,16 @@ class DirectoryService:
         if expired:
             self.system.expired_members += len(expired)
             sim = self.sim
-            if sim.tracing("flower.member_expired"):
-                # Per-member eviction events: the auditor (and recovery
-                # reports) can tell a silent keepalive expiry apart from a
-                # crash-driven removal or a failure false positive.
-                for member in expired:
-                    sim.emit(
-                        "flower.member_expired",
-                        directory=peer.address,
-                        member=member,
-                        position=role.position_id,
-                    )
+            # Per-member eviction events: the auditor (and recovery
+            # reports) can tell a silent keepalive expiry apart from a
+            # crash-driven removal or a failure false positive.
+            for member in expired:
+                sim.emit(
+                    "flower.member_expired",
+                    directory=peer.address,
+                    member=member,
+                    position=role.position_id,
+                )
             sim.emit(
                 "flower.members_expired",
                 directory=peer.address,

@@ -20,48 +20,33 @@ derives converged successor/predecessor/finger tables for its own nodes
 setup.
 
 Deviations from the single-process build (documented in docs/PROTOCOLS.md
-section 10): the bootstrap registry (``ring.random_bootstrap`` and join-race
-settlement) is shard-local -- correct because a position's join candidates
-are always petal members of its own locality, hence of its own shard -- and
-seed placement is exact rather than landmark-probed.
+section 10), each one override below: origin servers are replicated per
+shard; of the one seed loop (``FlowerSystem.setup_initial_population``)
+three steps differ -- which slots are seeded here, exact instead of
+landmark-probed placement, warm tables from the global membership in
+enumeration order.  The bootstrap registry (``ring.random_bootstrap`` and
+join-race settlement) is shard-local with no override at all -- correct
+because a position's join candidates are always petal members of its own
+locality, hence of its own shard.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Tuple
 
-from repro.cdn.base import ProtocolParams
-from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.peer import FlowerPeer
-from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.system import FlowerSystem
 from repro.dht.node import ChordNode, NodeRef
 from repro.errors import CDNError
-from repro.metrics.collector import MetricsCollector
-from repro.net.shardnet import ShardedBinner, ShardedNetwork, ShardMap
-from repro.sim.engine import Simulator
-from repro.workload.catalog import Catalog
 
 
 class ShardedFlowerSystem(FlowerSystem):
-    """Flower-CDN restricted to one shard of a partitioned world."""
+    """Flower-CDN restricted to one shard of a partitioned world.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: ShardedNetwork,
-        binner: ShardedBinner,
-        catalog: Catalog,
-        params: ProtocolParams,
-        shard_map: ShardMap,
-        shard_id: int,
-        metrics: Optional[MetricsCollector] = None,
-    ) -> None:
-        # Set before super().__init__: the base constructor calls
-        # _make_servers(), which needs the shard context.
-        self.shard_map = shard_map
-        self.shard_id = shard_id
-        super().__init__(sim, network, binner, catalog, params, metrics)
+    Constructed like a :class:`FlowerSystem` on a
+    :class:`~repro.net.shardnet.ShardedNetwork`, which carries the shard
+    context (``network.shard_map`` / ``network.shard_id``).
+    """
 
     def _make_servers(self):
         # Every shard hosts its own replica of the (stateless, always-up)
@@ -74,53 +59,54 @@ class ShardedFlowerSystem(FlowerSystem):
     @property
     def num_seed_identities(self) -> int:
         """One initial directory peer per (website, local locality)."""
-        return self.catalog.num_websites * self.shard_map.localities_per_shard
+        return self.catalog.num_websites * self.network.shard_map.localities_per_shard
 
-    def setup_initial_population(self) -> None:
-        """Create this shard's slice of the initial D-ring, globally warm.
+    def _seed_slots(self) -> Iterable[Tuple[int, int, int]]:
+        """This shard's slice of the deterministic global enumeration;
+        identities number it 0..n_local-1 (each shard has its own
+        identity space)."""
+        local = self.network.shard_map.localities_of(self.network.shard_id)
+        return (
+            slot for slot in self.key_service.all_positions(0) if slot[1] in local
+        )
 
-        Iterates the deterministic global enumeration, creating peers only
-        for local localities; identities are numbered 0..n_local-1 in
-        enumeration order (each shard has its own identity space).  Warm
-        tables are computed against the full global membership, so fingers
-        and successor lists point across shards from the first event.
+    def _place_peer_in_locality(
+        self, identity: int, website: int, locality: int
+    ) -> FlowerPeer:
+        """Exact placement: the hint *is* the locality, and the address
+        must be the one every other shard computes for this seed."""
+        peer = FlowerPeer(self, identity, website, cluster_hint=locality)
+        expected = self.network.shard_map.seed_peer_address(website, locality)
+        if peer.address != expected:  # pragma: no cover - layout invariant
+            raise CDNError(
+                f"seed address drift: got {peer.address}, expected {expected}"
+            )
+        return peer
+
+    def _warm_start_seeds(self, chord_nodes: List[ChordNode]) -> None:
+        """Warm tables against the full *global* membership, so fingers and
+        successor lists point across shards from the first event.
+
+        Nodes start in the order given -- enumeration order -- where
+        :meth:`ChordRing.warm_start` starts them in identifier order.
+        D-ring identifiers are hashed per website, so the two orders
+        differ, and every start draws its first tick from the shared
+        ``chord.maintenance`` stream: going through ``warm_start`` here
+        moves every pinned sharded fingerprint (the first diverging event
+        is the second ``chord.join``).
         """
-        if self.seed_identities:
-            raise CDNError("initial population already created")
-        local = set(self.shard_map.localities_of(self.shard_id))
         # The full initial membership, computable in any shard.
+        seed_address = self.network.shard_map.seed_peer_address
         global_refs: List[NodeRef] = sorted(
-            NodeRef(position, self.shard_map.seed_peer_address(website, locality))
+            NodeRef(position, seed_address(website, locality))
             for website, locality, position in self.key_service.all_positions(0)
         )
         index_of = {ref.id: i for i, ref in enumerate(global_refs)}
-        roles: List[DirectoryRole] = []
-        peers: List[FlowerPeer] = []
-        identity = 0
-        for website, locality, position in self.key_service.all_positions(0):
-            if locality not in local:
-                continue
-            self.assign_website(identity, website)
-            peer = FlowerPeer(self, identity, website, cluster_hint=locality)
-            expected = self.shard_map.seed_peer_address(website, locality)
-            if peer.address != expected:  # pragma: no cover - layout invariant
-                raise CDNError(
-                    f"seed address drift: got {peer.address}, expected {expected}"
-                )
-            self.peers[identity] = peer
-            self.seed_identities.append(identity)
-            role = DirectoryRole(peer.address, website, locality, 0, position)
-            role.chord = ChordNode(peer, self.ring, position)
+        for node in chord_nodes:
             successors, predecessor, fingers = self.ring.warm_tables(
-                global_refs, index_of[position]
+                global_refs, index_of[node.node_id]
             )
-            role.chord.adopt_warm_state(
+            node.adopt_warm_state(
                 successors=successors, predecessor=predecessor, fingers=fingers
             )
-            self.ring.register(role.chord)
-            roles.append(role)
-            peers.append(peer)
-            identity += 1
-        for peer, role in zip(peers, roles):
-            peer.begin_session()
-            DirectoryService(peer, role).start()
+            self.ring.register(node)

@@ -13,7 +13,7 @@ JSON artifacts) can tell apart shapes without guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.types import Address
@@ -53,25 +53,7 @@ class OverloadStats:
     instances: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "queries_shed": self.queries_shed,
-            "members_shed": self.members_shed,
-            "hint_hops": self.hint_hops,
-            "hint_hits": self.hint_hits,
-            "hint_stale": self.hint_stale,
-            "rebalance_spills": self.rebalance_spills,
-            "rebalance_adoptions": self.rebalance_adoptions,
-            "rebalance_kb": self.rebalance_kb,
-            "directories": self.directories,
-            "peak_queue_depth": self.peak_queue_depth,
-            "directory_loads": list(self.directory_loads),
-            "directory_queries": list(self.directory_queries),
-            "directory_sheds": list(self.directory_sheds),
-            "directory_detail": dict(self.directory_detail),
-            "content_fetches": list(self.content_fetches),
-            "content_detail": dict(self.content_detail),
-            "instances": dict(self.instances),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -96,20 +78,7 @@ class ReplicationStats:
     search_index: Dict[Any, Dict[str, Any]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "syncs": self.syncs,
-            "fulls": self.fulls,
-            "deltas": self.deltas,
-            "rejected": self.rejected,
-            "replicas_stored": self.replicas_stored,
-            "replica_holders": self.replica_holders,
-            "provisional_directories": self.provisional_directories,
-            "search_directories": self.search_directories,
-            "search_postings": self.search_postings,
-            "search_replicas": self.search_replicas,
-            "search_replica_staleness_ms": self.search_replica_staleness_ms,
-            "search_index": dict(self.search_index),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -133,19 +102,10 @@ class SwarmStats:
     bandwidth: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {
-            "transfers_started": self.transfers_started,
-            "transfers_completed": self.transfers_completed,
-            "transfers_degraded": self.transfers_degraded,
-            "transfers_failed": self.transfers_failed,
-            "restarts": self.restarts,
-            "chunk_retries": self.chunk_retries,
-            "p2p_bytes": self.p2p_bytes,
-            "origin_bytes": self.origin_bytes,
-            "offload_fraction": self.offload_fraction,
-        }
-        if self.bandwidth is not None:
-            stats.update(self.bandwidth)
+        stats = asdict(self)
+        bandwidth = stats.pop("bandwidth")
+        if bandwidth is not None:
+            stats.update(bandwidth)
         return stats
 
 

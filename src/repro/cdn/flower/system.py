@@ -14,7 +14,7 @@ directory role, and wired into a warm-started (already stabilized) D-ring.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.cdn.base import BasePeer, CdnSystem, ProtocolParams
 from repro.cdn.flower.directory import DirectoryRole
@@ -121,14 +121,19 @@ class FlowerSystem(CdnSystem):
         return self.catalog.num_websites * self.binner.num_localities
 
     def setup_initial_population(self) -> None:
-        """Create the initial directory peers and warm-start D-ring."""
+        """Create the initial directory peers and warm-start D-ring.
+
+        The three steps a sharded world does differently are methods:
+        which slots are seeded here (:meth:`_seed_slots`), how a seed peer
+        is placed (:meth:`_place_peer_in_locality`) and how the seeded
+        Chord nodes are wired (:meth:`_warm_start_seeds`).
+        """
         if self.seed_identities:
             raise CDNError("initial population already created")
         chord_nodes: List[ChordNode] = []
         roles: List[DirectoryRole] = []
         peers: List[FlowerPeer] = []
-        identity = 0
-        for website, locality, position in self.key_service.all_positions(0):
+        for identity, (website, locality, position) in enumerate(self._seed_slots()):
             self.assign_website(identity, website)
             peer = self._place_peer_in_locality(identity, website, locality)
             self.peers[identity] = peer
@@ -138,11 +143,18 @@ class FlowerSystem(CdnSystem):
             chord_nodes.append(role.chord)
             roles.append(role)
             peers.append(peer)
-            identity += 1
-        self.ring.warm_start(chord_nodes)
+        self._warm_start_seeds(chord_nodes)
         for peer, role in zip(peers, roles):
             peer.begin_session()
             DirectoryService(peer, role).start()
+
+    def _seed_slots(self) -> Iterable[Tuple[int, int, int]]:
+        """The ``(website, locality, position)`` slots seeded in this world."""
+        return self.key_service.all_positions(0)
+
+    def _warm_start_seeds(self, chord_nodes: List[ChordNode]) -> None:
+        """Wire the seeded nodes into a converged D-ring."""
+        self.ring.warm_start(chord_nodes)
 
     def _place_peer_in_locality(
         self, identity: int, website: int, locality: int

@@ -54,28 +54,6 @@ class PetalUpSystem(FlowerSystem):
         super().__init__(sim, network, binner, catalog, params, metrics)
 
     # ------------------------------------------------------------- reports
-    def petal_load_profile(self, website: int, locality: int):
-        """Live per-instance admission-queue load of one petal.
-
-        Rows ``(instance, address, queue_depth, queries_shed)`` sorted by
-        instance position -- the ground truth the redirect-hint plane
-        (``ProtocolParams.redirect_hints``) approximates at the clients,
-        so tests and benches can compare a peer's gossiped ``load_hint``
-        view against the real depths.
-        """
-        params = self.params
-        rows = []
-        for peer in self.directory_instances(website, locality).values():
-            d = peer.directory
-            if not peer.alive or d is None:
-                continue
-            if d.website != website or d.locality != locality:
-                continue
-            depth = d.queue_depth(self.sim.now, params.directory_service_ms)
-            rows.append((d.instance, peer.address, depth, d.queries_shed))
-        rows.sort()
-        return rows
-
     def instance_count(self, website: int, locality: int) -> int:
         """How many directory instances currently serve one petal.
 

@@ -30,7 +30,7 @@ completed / degraded / failed closes each ``swarm.start``, with byte
 accounting consistent — bytes received equals the chunk sizes of
 completed chunks, no chunk counted twice within a generation.
 
-Trace events (all gated on :meth:`Simulator.tracing`):
+Trace events:
 
 ``swarm.start``        transfer opened (peer, key, chunks, size)
 ``swarm.chunk_done``   one chunk landed (chunk, source, bytes)
@@ -124,14 +124,13 @@ class SwarmTransfer:
             old.abort()  # superseded by a fresh query for the same key
         peer._swarms[self.key] = self
         peer.system.swarm_started += 1
-        if self.sim.tracing("swarm.start"):
-            self.sim.emit(
-                "swarm.start",
-                peer=peer.address,
-                key=self.key,
-                chunks=len(self.chunk_sizes),
-                size=self.size_bytes,
-            )
+        self.sim.emit(
+            "swarm.start",
+            peer=peer.address,
+            key=self.key,
+            chunks=len(self.chunk_sizes),
+            size=self.size_bytes,
+        )
         self._ask_manifest(self.provider)
         for address in self._extra_sources:
             if len(self._asked) - 1 >= self.max_sources:
@@ -281,15 +280,14 @@ class SwarmTransfer:
     def _chunk_failed(self, chunk: int, source: Address, reason: str) -> None:
         self._clear_chunk(chunk)
         self.peer.system.swarm_chunk_retries += 1
-        if self.sim.tracing("swarm.chunk_retry"):
-            self.sim.emit(
-                "swarm.chunk_retry",
-                peer=self.peer.address,
-                key=self.key,
-                chunk=chunk,
-                source=source,
-                reason=reason,
-            )
+        self.sim.emit(
+            "swarm.chunk_retry",
+            peer=self.peer.address,
+            key=self.key,
+            chunk=chunk,
+            source=source,
+            reason=reason,
+        )
         if not self.resume:
             self._restart_from_zero()
             return
@@ -324,15 +322,14 @@ class SwarmTransfer:
         size = self.chunk_sizes[chunk]
         self.bytes_received += size
         self.peer.system.swarm_p2p_bytes += size
-        if self.sim.tracing("swarm.chunk_done"):
-            self.sim.emit(
-                "swarm.chunk_done",
-                peer=self.peer.address,
-                key=self.key,
-                chunk=chunk,
-                source=source,
-                bytes=size,
-            )
+        self.sim.emit(
+            "swarm.chunk_done",
+            peer=self.peer.address,
+            key=self.key,
+            chunk=chunk,
+            source=source,
+            bytes=size,
+        )
         self._pump()
 
     # --------------------------------------------------------------- origin
@@ -341,13 +338,12 @@ class SwarmTransfer:
         if not self.degraded:
             self.degraded = True
             self.peer.system.swarm_degraded += 1
-            if self.sim.tracing("swarm.degraded"):
-                self.sim.emit(
-                    "swarm.degraded",
-                    peer=self.peer.address,
-                    key=self.key,
-                    remaining=len(self.pending) + 1,
-                )
+            self.sim.emit(
+                "swarm.degraded",
+                peer=self.peer.address,
+                key=self.key,
+                remaining=len(self.pending) + 1,
+            )
         self.pending.discard(chunk)
         self.in_flight[chunk] = None
         gen = self.generation
@@ -363,15 +359,14 @@ class SwarmTransfer:
             self.origin_chunks.add(chunk)
             self.origin_bytes += size
             self.peer.system.swarm_origin_bytes += size
-            if self.sim.tracing("swarm.chunk_done"):
-                self.sim.emit(
-                    "swarm.chunk_done",
-                    peer=self.peer.address,
-                    key=self.key,
-                    chunk=chunk,
-                    source=server.address,
-                    bytes=size,
-                )
+            self.sim.emit(
+                "swarm.chunk_done",
+                peer=self.peer.address,
+                key=self.key,
+                chunk=chunk,
+                source=server.address,
+                bytes=size,
+            )
             self._pump()
 
         def on_give_up() -> None:
@@ -407,8 +402,7 @@ class SwarmTransfer:
         self.completed.clear()
         self.origin_chunks.clear()
         self.pending = set(range(len(self.chunk_sizes)))
-        if self.sim.tracing("swarm.restart"):
-            self.sim.emit("swarm.restart", peer=self.peer.address, key=self.key)
+        self.sim.emit("swarm.restart", peer=self.peer.address, key=self.key)
         while self.pending:
             self._origin_chunk(min(self.pending))
 
@@ -444,14 +438,13 @@ class SwarmTransfer:
             self.peer.system.swarm_failed += 1
         if self.peer._swarms.get(self.key) is self:
             del self.peer._swarms[self.key]
-        if self.sim.tracing("swarm.done"):
-            self.sim.emit(
-                "swarm.done",
-                peer=self.peer.address,
-                key=self.key,
-                outcome=outcome,
-                bytes=self.bytes_received,
-                origin_bytes=self.origin_bytes,
-                size=self.size_bytes,
-                elapsed_ms=self.sim.now - self.started_at,
-            )
+        self.sim.emit(
+            "swarm.done",
+            peer=self.peer.address,
+            key=self.key,
+            outcome=outcome,
+            bytes=self.bytes_received,
+            origin_bytes=self.origin_bytes,
+            size=self.size_bytes,
+            elapsed_ms=self.sim.now - self.started_at,
+        )

@@ -49,11 +49,12 @@ I10 **hint-hop discipline** -- with queue-aware redirect hints on, every
    the hinted query still terminates exactly once (a hop onto a crashed
    or demoted target must resolve as an accounted miss, never vanish).
 
-Zero cost when absent: all observation happens through subscriber-gated
-trace kinds plus an explicitly scheduled audit tick -- a run without an
-auditor schedules nothing and subscribes to nothing, so the hot path pays
-exactly what it paid before this module existed (verified by
-``bench_engine.py --check``).
+Nothing added when absent: all observation happens through trace
+subscriptions plus an explicitly scheduled audit tick -- a run without an
+auditor schedules nothing and subscribes to nothing.  The kinds it would
+watch are still emitted: every emit builds its payload and counts (see
+:mod:`repro.sim.trace`); what the absent auditor saves is the
+``TraceEvent`` per emit, its dispatch and the checks themselves.
 
 On violation a minimal reproducer bundle -- seed, plan, the last-N trace
 window, an offending-state snapshot -- is written to ``results/chaos/``;

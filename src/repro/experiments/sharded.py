@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Dict, List, Optional
@@ -53,7 +54,7 @@ from repro.net.shardnet import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
-from repro.sim.sharded import run_windows_parallel
+from repro.sim.sharded import check_workers, run_windows_parallel
 from repro.sim.trace import StreamFingerprint
 
 #: Protocols the sharded engine supports.  Flower's structure is the
@@ -130,9 +131,7 @@ class ShardCell:
             sim,
             network,
             binner,
-            lambda catalog: ShardedFlowerSystem(
-                sim, network, binner, catalog, params, shard_map, shard_id
-            ),
+            lambda catalog: ShardedFlowerSystem(sim, network, binner, catalog, params),
             num_identities=_split(config.num_identities, shard_map.num_shards, shard_id),
             population=_split(config.population, shard_map.num_shards, shard_id),
         )
@@ -163,35 +162,22 @@ class ShardCell:
         }
 
 
-class _CellBuilder:
-    """Builds one worker's cells; module-level so fork workers can run it."""
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        master_seed: int,
-        shard_map: ShardMap,
-        window_ms: float,
-        fingerprint: bool,
-    ) -> None:
-        self.config = config
-        self.master_seed = master_seed
-        self.shard_map = shard_map
-        self.window_ms = window_ms
-        self.fingerprint = fingerprint
-
-    def __call__(self, shard_ids: List[int]) -> Dict[int, ShardCell]:
-        return {
-            shard_id: ShardCell(
-                self.config,
-                self.master_seed,
-                self.shard_map,
-                shard_id,
-                self.window_ms,
-                self.fingerprint,
-            )
-            for shard_id in shard_ids
-        }
+def _build_cells(
+    config: ExperimentConfig,
+    master_seed: int,
+    shard_map: ShardMap,
+    window_ms: float,
+    fingerprint: bool,
+    shard_ids: List[int],
+) -> Dict[int, ShardCell]:
+    """One worker's cells: the ``CellFactory`` of a run once everything
+    but *shard_ids* is bound."""
+    return {
+        shard_id: ShardCell(
+            config, master_seed, shard_map, shard_id, window_ms, fingerprint
+        )
+        for shard_id in shard_ids
+    }
 
 
 def validate_sharded(
@@ -199,8 +185,8 @@ def validate_sharded(
     config: ExperimentConfig,
     workers: int,
     num_shards: Optional[int] = None,
-) -> int:
-    """Check a sharded run's shape; return the resolved shard count.
+) -> ShardMap:
+    """Check a sharded run's shape; return the shard map it resolves to.
 
     Raises :class:`~repro.errors.ConfigError` with an actionable message on
     any mismatch (unsupported protocol/topology/plane, worker count that
@@ -237,16 +223,9 @@ def validate_sharded(
             f"yet: {', '.join(unsharded)}; rerun with --workers 1"
         )
     resolved = num_shards if num_shards is not None else default_num_shards(config)
-    # ShardMap re-validates shard/locality divisibility with its own errors.
+    # ShardMap validates shard/locality divisibility with its own errors.
     shard_map = ShardMap(resolved, config.num_localities, config.num_websites)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1 (got {workers})")
-    if resolved % workers != 0:
-        raise ConfigError(
-            f"workers={workers} does not divide the {resolved}-shard map "
-            f"cleanly; choose a divisor of {resolved} (shards = one per "
-            f"locality group, {config.num_localities} localities here)"
-        )
+    check_workers(workers, resolved)
     if config.population < resolved:
         raise ConfigError(
             f"population {config.population} cannot be split over "
@@ -260,7 +239,7 @@ def validate_sharded(
             f"per-shard seed population ({seeds_per_shard}); raise "
             f"population or shrink num_websites x num_localities"
         )
-    return resolved
+    return shard_map
 
 
 def run_sharded_experiment(
@@ -288,17 +267,17 @@ def run_sharded_experiment(
             (slows the run; used by the invariance tests).
     """
     config = config or ExperimentConfig()
-    resolved = validate_sharded(protocol, config, workers, num_shards)
-    shard_map = ShardMap(resolved, config.num_localities, config.num_websites)
+    shard_map = validate_sharded(protocol, config, workers, num_shards)
     window = window_ms if window_ms is not None else default_window_ms(config)
-    if window <= 0:
-        raise ConfigError(f"window_ms must be positive (got {window})")
-    builder = _CellBuilder(config, seed, shard_map, window, fingerprint)
     payloads = run_windows_parallel(
-        builder, resolved, workers, config.duration_ms, window
+        partial(_build_cells, config, seed, shard_map, window, fingerprint),
+        shard_map.num_shards,
+        workers,
+        config.duration_ms,
+        window,
     )
     return merge_shard_results(
-        protocol, config, seed, payloads, workers, resolved, window
+        protocol, config, seed, payloads, workers, shard_map.num_shards, window
     )
 
 

@@ -133,9 +133,6 @@ class WeightedDistribution:
     def empty(self) -> bool:
         return not self._values
 
-    def total_weight(self) -> float:
-        return self._total
-
     def mean(self) -> float:
         """The weight-averaged sample value."""
         if self.empty:

@@ -1,32 +1,37 @@
-"""Sharded network fabric: structured addresses, pure topology, bus boundary.
+"""Sharded network fabric: the single-simulator fabric, forked where it differs.
 
 The sharded execution layer (:mod:`repro.sim.sharded`) runs one
 :class:`~repro.sim.engine.Simulator` per *shard* -- a group of localities --
 possibly in separate worker processes.  Three things make that possible
-without any shared mutable state between shards:
+without any shared mutable state between shards, and each is one small
+override of the class the single-simulator build uses:
 
-1. **Structured addresses** (:class:`ShardMap`).  Every address encodes its
-   shard and its locality: shard ``s`` owns the block
+1. **Structured addresses** (:class:`ShardMap`, allocated by
+   :meth:`ShardedNetwork._next_address`).  Every address encodes its shard
+   and its locality: shard ``s`` owns the block
    ``[s * 2**16, (s+1) * 2**16)``, whose first ``num_websites`` slots hold
    the shard's own origin-server replicas and whose remainder is split into
    equal per-locality sub-blocks.  Any shard can decode any address it sees
    in a message without asking anyone.
 
-2. **A pure-function topology** (:class:`ShardedTopology`).  A peer's
-   coordinates are a deterministic function of its address alone (seeded
-   hash -> Gaussian scatter around its locality's cluster centre), so
-   ``latency(a, b)`` is computable in *any* shard for *any* pair of
-   addresses -- cross-shard sends price their link at the source exactly as
-   local sends do.  This replaces the registration-order-dependent RNG of
-   :class:`~repro.net.topology.ClusteredTopology`, whose draws could never
-   be kept consistent across independently running shards.
+2. **A pure-function topology** (:class:`ShardedTopology`, a
+   :class:`~repro.net.topology.ClusteredTopology` that overrides where a
+   peer sits).  A peer's coordinates are a deterministic function of its
+   address alone (seeded hash -> Gaussian scatter around its locality's
+   cluster centre), so ``latency(a, b)`` is computable in *any* shard for
+   *any* pair of addresses -- cross-shard sends price their link at the
+   source exactly as local sends do.  The base class draws positions from
+   one stream in registration order, which could never be kept consistent
+   across independently running shards.
 
-3. **A bus boundary in delivery** (:class:`ShardedNetwork`).  The transport
-   send paths are untouched; when the delivery event for a message addressed
-   to a foreign shard fires, the message becomes an *outbox entry* instead
-   of a local dispatch.  The window scheduler drains outboxes at every
-   barrier and injects them into the destination shards in a canonical
-   order (see :mod:`repro.sim.sharded`).
+3. **A bus boundary in delivery** (:meth:`ShardedNetwork._deliver`).  The
+   transport send paths are untouched; when the delivery event for a
+   message addressed to a foreign shard fires, the message becomes an
+   *outbox entry* instead of a local dispatch -- everything local falls
+   through to :meth:`Network._deliver`.  The window scheduler drains
+   outboxes at every barrier and injects them into the destination shards
+   in a canonical order (see :mod:`repro.sim.sharded`), where they pass the
+   same delivery gate and the same reply settling as local traffic.
 
 Because ``Network._link_latency`` packs latency-cache keys as
 ``(src << ADDR_SHIFT) | dst``, the full sharded address space must stay
@@ -36,15 +41,14 @@ the map at 65536 shards — far beyond any practical host count.
 
 from __future__ import annotations
 
-import math
 import random
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, TransportError
 from repro.net.message import Message
-from repro.net.topology import Topology
-from repro.net.transport import ADDR_SHIFT, Network, NetworkNode, _RpcContext
+from repro.net.topology import ClusteredTopology
+from repro.net.transport import ADDR_SHIFT, DROPPED, Network, _RpcContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
 from repro.types import Address, Coordinate, LocalityId
@@ -117,9 +121,7 @@ class ShardMap:
 
     def localities_of(self, shard: int) -> Tuple[LocalityId, ...]:
         """The localities shard *shard* owns, ascending."""
-        return tuple(
-            loc for loc in range(self.num_localities) if loc % self.num_shards == shard
-        )
+        return tuple(range(shard, self.num_localities, self.num_shards))
 
     # ------------------------------------------------------------- addresses
     def shard_of_address(self, address: Address) -> int:
@@ -131,12 +133,17 @@ class ShardMap:
 
     def peer_address(self, shard: int, locality: LocalityId, index: int) -> Address:
         """The *index*-th peer address of *locality* inside *shard*."""
+        in_map = 0 <= locality < self.num_localities
+        if not in_map or self.shard_of_locality(locality) != shard:
+            raise TransportError(f"locality {locality} is not owned by shard {shard}")
         if index >= self.locality_capacity:
             raise TransportError(
                 f"locality {locality} address sub-block exhausted "
                 f"({self.locality_capacity} slots)"
             )
-        slot = self.localities_of(shard).index(locality)
+        # Round-robin assignment: the shard's slot-th locality is
+        # ``shard + slot * num_shards`` (decoded in locality_of_address).
+        slot = locality // self.num_shards
         offset = self.num_websites + slot * self.locality_capacity + index
         return (shard << BLOCK_BITS) | offset
 
@@ -152,13 +159,13 @@ class ShardMap:
         """
         shard = address >> BLOCK_BITS
         offset = address & ((1 << BLOCK_BITS) - 1)
-        local = self.localities_of(shard)
         if offset < self.num_websites:
-            return local[offset % len(local)]
-        slot = (offset - self.num_websites) // self.locality_capacity
-        if slot >= len(local):
+            slot = offset % self.localities_per_shard
+        else:
+            slot = (offset - self.num_websites) // self.locality_capacity
+        if slot >= self.localities_per_shard or shard >= self.num_shards:
             raise TransportError(f"address {address} outside any locality sub-block")
-        return local[slot]
+        return shard + slot * self.num_shards
 
     def seed_peer_address(self, website: int, locality: LocalityId) -> Address:
         """Address of the seed directory peer of petal (website, locality).
@@ -189,18 +196,17 @@ class ShardedBinner:
         return self._map.locality_of_address(address)
 
 
-class ShardedTopology(Topology):
-    """Clustered latency model as a pure function of the address.
+class ShardedTopology(ClusteredTopology):
+    """The clustered latency model with positions as a pure function of
+    the address.
 
-    Geometry matches :class:`~repro.net.topology.ClusteredTopology` (cluster
-    centres on a jittered circle, Gaussian scatter, affine distance-to-
-    latency map); only the randomness source differs: every coordinate is
-    derived from ``(topology_seed, address)``, never from registration
-    order.  All shards construct this object from the same master seed and
-    therefore agree on every pairwise latency.
+    Cluster centres, the distance-to-latency map and parameter validation
+    are :class:`~repro.net.topology.ClusteredTopology`'s; only the
+    randomness source differs: every coordinate is derived from
+    ``(topology_seed, address)``, never from registration order, and the
+    cluster is decoded from the address.  All shards construct this object
+    from the same master seed and therefore agree on every pairwise latency.
     """
-
-    _MAX_DISTANCE = math.sqrt(2.0)
 
     def __init__(
         self,
@@ -210,27 +216,17 @@ class ShardedTopology(Topology):
         latency_max_ms: float = 500.0,
         spread: float = 0.04,
     ) -> None:
-        if not 0 < latency_min_ms < latency_max_ms:
-            raise ConfigError(
-                f"need 0 < latency_min < latency_max "
-                f"(got {latency_min_ms}, {latency_max_ms})"
-            )
+        super().__init__(
+            random.Random(derive_seed(topology_seed, "sharded-centers")),
+            shard_map.num_localities,
+            latency_min_ms,
+            latency_max_ms,
+            spread,
+        )
         self._map = shard_map
         self._seed = topology_seed
-        self.latency_min_ms = latency_min_ms
-        self.latency_max_ms = latency_max_ms
-        self.spread = spread
-        self.num_clusters = shard_map.num_localities
-        rng = random.Random(derive_seed(topology_seed, "sharded-centers"))
-        self.centers: List[Coordinate] = []
-        for i in range(self.num_clusters):
-            angle = 2.0 * math.pi * i / self.num_clusters
-            jitter_x = rng.uniform(-0.03, 0.03)
-            jitter_y = rng.uniform(-0.03, 0.03)
-            x = 0.5 + 0.38 * math.cos(angle) + jitter_x
-            y = 0.5 + 0.38 * math.sin(angle) + jitter_y
-            self.centers.append((min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)))
-        self._positions: Dict[Address, Coordinate] = {}
+        #: ``_positions`` is only a cache here (it also holds foreign
+        #: addresses), so registration is tracked on its own.
         self._registered: set = set()
 
     def register(self, address: Address, cluster_hint: Optional[int] = None) -> None:
@@ -247,34 +243,21 @@ class ShardedTopology(Topology):
     def position(self, address: Address) -> Coordinate:
         pos = self._positions.get(address)
         if pos is None:
-            cx, cy = self.centers[self._map.locality_of_address(address)]
             rng = random.Random(derive_seed(self._seed, f"sharded-pos:{address}"))
-            x = min(max(rng.gauss(cx, self.spread), 0.0), 1.0)
-            y = min(max(rng.gauss(cy, self.spread), 0.0), 1.0)
-            pos = (x, y)
+            pos = self._scatter(rng, self.cluster_of(address))
             self._positions[address] = pos
         return pos
-
-    def latency_at(self, pa: Coordinate, pb: Coordinate) -> float:
-        dist = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-        fraction = dist / self._MAX_DISTANCE
-        return self.latency_min_ms + fraction * (self.latency_max_ms - self.latency_min_ms)
-
-    def latency(self, a: Address, b: Address) -> float:
-        if a == b:
-            return 0.0
-        return self.latency_at(self.position(a), self.position(b))
 
 
 class ShardedNetwork(Network):
     """One shard's slice of the fabric, with a bus boundary in delivery.
 
-    Addresses come from the :class:`ShardMap` instead of a dense counter;
-    the node registry is a dict keyed by global address.  The send paths
-    (``NetworkNode.send`` / ``rpc``) are inherited unchanged -- the pure
-    topology prices any link, local or not -- and the fork happens when the
-    delivery event fires: a foreign destination turns the message into an
-    outbox entry that the window scheduler ships at the next barrier.
+    Addresses come from the :class:`ShardMap` instead of a dense counter.
+    Registry, send paths (``NetworkNode.send`` / ``rpc``), the delivery gate
+    and reply settling are inherited unchanged -- the pure topology prices
+    any link, local or not -- and the fork happens when the delivery event
+    fires: a foreign destination turns the message into an outbox entry
+    that the window scheduler ships at the next barrier.
 
     Outbox entry wire forms (plain tuples, picklable)::
 
@@ -299,10 +282,9 @@ class ShardedNetwork(Network):
         super().__init__(sim, topology, default_timeout_ms)
         self.shard_map = shard_map
         self.shard_id = shard_id
-        #: global address -> node, replacing the base class's dense list.
-        self._nodes: Dict[Address, NetworkNode] = {}
         self._localities = shard_map.localities_of(shard_id)
-        self._locality_fill: Dict[LocalityId, int] = {loc: 0 for loc in self._localities}
+        #: locality -> peer addresses handed out so far.
+        self._locality_fill: Dict[LocalityId, int] = {}
         self._infra_mode = False
         self._infra_count = 0
         self._placement_rng = sim.rng("placement")
@@ -311,7 +293,6 @@ class ShardedNetwork(Network):
         self._pending_remote: Dict[Tuple[int, int], _RpcContext] = {}
         self._remote_serial = 0
         self.bus_entries_out = 0
-        self.bus_entries_in = 0
 
     # -------------------------------------------------------------- registry
     @contextmanager
@@ -323,101 +304,54 @@ class ShardedNetwork(Network):
         finally:
             self._infra_mode = False
 
-    def register(self, node: NetworkNode, cluster_hint: Optional[int] = None) -> Address:
+    def _next_address(self, cluster_hint: Optional[int]) -> Address:
+        """An origin-server slot inside :meth:`infra_registration`, else the
+        next slot of the hinted (or a randomly placed) local locality."""
         if self._infra_mode:
             if self._infra_count >= self.shard_map.num_websites:
                 raise TransportError("origin-server address block exhausted")
             address = self.shard_map.server_address(self.shard_id, self._infra_count)
             self._infra_count += 1
+            return address
+        if cluster_hint is None:
+            locality = self._placement_rng.choice(self._localities)
         else:
-            if cluster_hint is None:
-                locality = self._placement_rng.choice(self._localities)
-            elif cluster_hint in self._locality_fill:
-                locality = cluster_hint
-            else:
-                raise TransportError(
-                    f"locality {cluster_hint} is not owned by shard {self.shard_id}"
-                )
-            index = self._locality_fill[locality]
-            self._locality_fill[locality] = index + 1
-            address = self.shard_map.peer_address(self.shard_id, locality, index)
-        self._nodes[address] = node
-        self.topology.register(address, cluster_hint)
-        self.liveness_epoch += 1
+            locality = cluster_hint
+        index = self._locality_fill.get(locality, 0)
+        # Refuses a hinted locality this shard does not own.
+        address = self.shard_map.peer_address(self.shard_id, locality, index)
+        self._locality_fill[locality] = index + 1
         return address
-
-    def node(self, address: Address) -> NetworkNode:
-        found = self._nodes.get(address)
-        if found is None:
-            raise TransportError(f"unknown address {address}")
-        return found
-
-    def is_alive(self, address: Address) -> bool:
-        found = self._nodes.get(address)
-        return found is not None and found.alive
-
-    def is_local(self, address: Address) -> bool:
-        return (address >> BLOCK_BITS) == self.shard_id
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def nodes(self) -> Iterator[NetworkNode]:
-        return iter(self._nodes.values())
 
     # -------------------------------------------------------------- delivery
     def _deliver(self, message: Message, context: Optional[_RpcContext]) -> None:
         dst = message.dst
-        if (dst >> BLOCK_BITS) != self.shard_id:
-            # Foreign shard: the link latency has already elapsed (this event
-            # fired at send + latency); ship the message over the bus.  The
-            # RPC timeout event stays local and fires unless a reply entry
-            # comes back and settles the context first.
-            token = None
-            if context is not None:
-                token = (self.shard_id, self._remote_serial)
-                self._remote_serial += 1
-                self._pending_remote[token] = context
-            self.outbox.append(
-                (
-                    MSG,
-                    self.sim.now,
-                    dst >> BLOCK_BITS,
-                    dst,
-                    message.kind,
-                    message.payload,
-                    message.src,
-                    message.sent_at,
-                    token,
-                )
-            )
-            self.bus_entries_out += 1
+        if (dst >> BLOCK_BITS) == self.shard_id:
+            super()._deliver(message, context)
             return
-        dst_node = self._nodes.get(dst)
-        if dst_node is None or not dst_node.alive:
-            self._drop("dead_dst", message.kind, dst)
-            return
-        faults = self.faults
-        if (
-            faults is not None and self.sim.now >= faults.calm_until
-        ) or self._drop_rate > 0.0:
-            cause = self._delivery_drop_cause(message.src, dst)
-            if cause is not None:
-                self._drop(cause, message.kind, dst)
-                return
-        handler = dst_node._handler_cache.get(message.kind)
-        reply = dst_node.on_message(message) if handler is None else handler(message)
+        # Foreign shard: the link latency has already elapsed (this event
+        # fired at send + latency); ship the message over the bus.  The
+        # RPC timeout event stays local and fires unless a reply entry
+        # comes back and settles the context first.
+        token = None
         if context is not None:
-            self.messages_sent += 1
-            src = message.src
-            latency = self._link_latency(dst, src)
-            self.sim.defer(
-                latency,
-                self._deliver_reply_cb,
-                context,
+            token = (self.shard_id, self._remote_serial)
+            self._remote_serial += 1
+            self._pending_remote[token] = context
+        self.outbox.append(
+            (
+                MSG,
+                self.sim.now,
+                dst >> BLOCK_BITS,
                 dst,
-                reply if reply is not None else {},
+                message.kind,
+                message.payload,
+                message.src,
+                message.sent_at,
+                token,
             )
+        )
+        self.bus_entries_out += 1
 
     # ------------------------------------------------------------------- bus
     def inject_entries(self, entries: List[tuple], barrier: float) -> None:
@@ -430,41 +364,24 @@ class ShardedNetwork(Network):
         :func:`repro.sim.sharded.route_entries`, so equal-time deliveries
         fire in canonical bus order.
         """
-        sim = self.sim
+        apply = {MSG: self._apply_remote_message, REPLY: self._apply_remote_reply}
         for entry in entries:
-            self.bus_entries_in += 1
-            when = entry[1]
-            if when < barrier:
-                when = barrier
-            if entry[0] == MSG:
-                sim.schedule_at(when, self._apply_remote_message, entry)
-            else:
-                sim.schedule_at(when, self._apply_remote_reply, entry)
+            self.sim.schedule_at(max(entry[1], barrier), apply[entry[0]], entry)
 
     def _apply_remote_message(self, entry: tuple) -> None:
+        """A request from the bus: the local delivery gate and dispatch,
+        but an RPC's reply leaves as an outbox entry priced *now*.  (A
+        local reply event firing at ``now + latency`` would ship one
+        barrier later and cost an event the bus does not have.)"""
         __, __, __, dst, kind, payload, src, sent_at, token = entry
-        dst_node = self._nodes.get(dst)
-        if dst_node is None or not dst_node.alive:
-            self._drop("dead_dst", kind, dst)
-            return
-        faults = self.faults
-        if (
-            faults is not None and self.sim.now >= faults.calm_until
-        ) or self._drop_rate > 0.0:
-            cause = self._delivery_drop_cause(src, dst)
-            if cause is not None:
-                self._drop(cause, kind, dst)
-                return
         message = Message(src, dst, kind, payload, sent_at=sent_at)
-        handler = dst_node._handler_cache.get(kind)
-        reply = dst_node.on_message(message) if handler is None else handler(message)
-        if token is not None:
+        reply = super()._deliver(message, None)
+        if token is not None and reply is not DROPPED:
             self.messages_sent += 1
-            latency = self._link_latency(dst, src)
             self.outbox.append(
                 (
                     REPLY,
-                    self.sim.now + latency,
+                    self.sim.now + self._link_latency(dst, src),
                     token[0],
                     token,
                     reply if reply is not None else {},
@@ -476,17 +393,8 @@ class ShardedNetwork(Network):
     def _apply_remote_reply(self, entry: tuple) -> None:
         __, __, __, token, payload, replier = entry
         context = self._pending_remote.pop(token, None)
-        if context is None:
-            return  # already timed out and swept
-        faults = self.faults
-        if (
-            faults is not None and self.sim.now >= faults.calm_until
-        ) or self._drop_rate > 0.0:
-            cause = self._delivery_drop_cause(replier, context.src.address)
-            if cause is not None:
-                self._drop(cause, "(reply)", context.src.address)
-                return
-        context.fire_reply(payload)
+        if context is not None:  # else it timed out and was swept
+            self._deliver_reply(context, replier, payload)
 
     def sweep_settled(self) -> None:
         """Drop pending cross-shard RPC contexts that have settled.

@@ -123,11 +123,16 @@ class ClusteredTopology(Topology):
         if cluster_hint is not None and not 0 <= cluster_hint < self.num_clusters:
             raise TopologyError(f"cluster hint {cluster_hint} out of range")
         cluster = cluster_hint if cluster_hint is not None else self._rng.randrange(self.num_clusters)
-        cx, cy = self.centers[cluster]
-        x = min(max(self._rng.gauss(cx, self.spread), 0.0), 1.0)
-        y = min(max(self._rng.gauss(cy, self.spread), 0.0), 1.0)
-        self._positions[address] = (x, y)
+        self._positions[address] = self._scatter(self._rng, cluster)
         self._clusters[address] = cluster
+
+    def _scatter(self, rng: random.Random, cluster: int) -> Coordinate:
+        """A point drawn from *rng* around *cluster*'s centre, clamped to
+        the unit square."""
+        cx, cy = self.centers[cluster]
+        x = min(max(rng.gauss(cx, self.spread), 0.0), 1.0)
+        y = min(max(rng.gauss(cy, self.spread), 0.0), 1.0)
+        return (x, y)
 
     def knows(self, address: Address) -> bool:
         return address in self._positions

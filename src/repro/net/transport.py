@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, Optional
 
 from repro.errors import TransportError
 from repro.net.message import Message
@@ -52,6 +52,9 @@ ADDR_SHIFT = 32
 
 #: First address that no longer fits the packed-key scheme.
 MAX_PACKED_ADDRESS = 1 << ADDR_SHIFT
+
+#: What :meth:`Network._deliver` returns for a message it dropped.
+DROPPED = object()
 
 
 class NetworkNode:
@@ -321,7 +324,9 @@ class Network:
         self.default_timeout_ms = default_timeout_ms
         self._drop_rate = 0.0
         self._drop_rng: Optional["random.Random"] = None
-        self._nodes: List[NetworkNode] = []
+        #: address -> node; a dict, because the sharded fabric's structured
+        #: addresses are sparse.
+        self._nodes: Dict[Address, NetworkNode] = {}
         #: memoized base link latencies per directed pair, keyed by the
         #: packed int ``(src << ADDR_SHIFT) | dst``.  Topology positions are
         #: immutable after registration, so entries never go stale;
@@ -416,9 +421,14 @@ class Network:
         )
 
     # -------------------------------------------------------------- registry
+    def _next_address(self, cluster_hint: Optional[int]) -> Address:
+        """The address the next registration takes: a dense counter here,
+        a slot of a structured block in the sharded fabric."""
+        return len(self._nodes)
+
     def register(self, node: NetworkNode, cluster_hint: Optional[int] = None) -> Address:
         """Register *node*, place it in the topology, return its address."""
-        address = len(self._nodes)
+        address = self._next_address(cluster_hint)
         if address >= MAX_PACKED_ADDRESS:
             # The latency cache packs (src, dst) into one int; an address
             # beyond the shift width would silently alias another link.
@@ -426,7 +436,7 @@ class Network:
                 f"address {address} exceeds the {ADDR_SHIFT}-bit packed "
                 f"latency-cache key space"
             )
-        self._nodes.append(node)
+        self._nodes[address] = node
         self.topology.register(address, cluster_hint)
         self.liveness_epoch += 1
         return address
@@ -435,12 +445,13 @@ class Network:
         """The node registered at *address*."""
         try:
             return self._nodes[address]
-        except IndexError:
+        except KeyError:
             raise TransportError(f"unknown address {address}") from None
 
     def is_alive(self, address: Address) -> bool:
         """Liveness of the node at *address* (False for unknown addresses)."""
-        return 0 <= address < len(self._nodes) and self._nodes[address].alive
+        node = self._nodes.get(address)
+        return node is not None and node.alive
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -451,7 +462,7 @@ class Network:
 
     def nodes(self) -> Iterator[NetworkNode]:
         """All registered nodes (fault campaigns iterate this)."""
-        return iter(self._nodes)
+        return iter(self._nodes.values())
 
     def _link_latency(self, src: Address, dst: Address) -> float:
         """Base latency plus any active fault-injected degradation.
@@ -490,13 +501,16 @@ class Network:
             return "loss"
         return None
 
-    def _deliver(self, message: Message, context: Optional["_RpcContext"]) -> None:
+    def _deliver(self, message: Message, context: Optional["_RpcContext"]) -> Any:
+        """The delivery event of a request or one-way message.  Returns the
+        handler's reply (possibly ``None``) or :data:`DROPPED` -- read only
+        by the sharded fabric, which answers a request that came in over
+        the bus with an outbox entry, not the reply event a *context* gets."""
         dst = message.dst
-        nodes = self._nodes
-        dst_node = nodes[dst] if 0 <= dst < len(nodes) else None
+        dst_node = self._nodes.get(dst)
         if dst_node is None or not dst_node.alive:
             self._drop("dead_dst", message.kind, dst)
-            return
+            return DROPPED
         faults = self.faults
         if (
             faults is not None and self.sim.now >= faults.calm_until
@@ -504,7 +518,7 @@ class Network:
             cause = self._delivery_drop_cause(message.src, dst)
             if cause is not None:
                 self._drop(cause, message.kind, dst)
-                return
+                return DROPPED
         # Cache-first dispatch: a node's ``_handler_cache`` only ever holds
         # handlers whose invocation is behaviourally identical to running the
         # node's full ``on_message`` for that kind (overrides special-case
@@ -542,6 +556,7 @@ class Network:
             queue._live = live
             if live > queue._peak:
                 queue._peak = live
+        return reply
 
     def _deliver_reply(
         self,
@@ -560,7 +575,7 @@ class Network:
             if cause is not None:
                 self._drop(cause, "(reply)", context.src.address)
                 return
-        # context.fire_reply, inlined (it is the tail of every answered RPC).
+        # Settle by reply, inline: this is the tail of every answered RPC.
         if context.settled or not context.src.alive:
             return
         context.settled = True
@@ -599,7 +614,9 @@ class Network:
 
 
 class _RpcContext:
-    """Correlates one RPC's reply and timeout; whichever fires first wins.
+    """Correlates one RPC's reply and timeout; whichever fires first wins
+    (:meth:`Network._deliver_reply` settles by reply, :meth:`fire_timeout`
+    by timeout; :meth:`NetworkNode.rpc` fills the slots).
 
     Settling releases the callbacks at once: a context answered early
     stays in its timeout FIFO until the deadline passes, and must not keep
@@ -607,28 +624,6 @@ class _RpcContext:
     """
 
     __slots__ = ("src", "on_reply", "on_timeout", "settled", "deadline", "seq")
-
-    def __init__(
-        self,
-        src: NetworkNode,
-        on_reply: Optional[ReplyCallback],
-        on_timeout: Optional[FailureCallback],
-    ) -> None:
-        self.src = src
-        self.on_reply = on_reply
-        self.on_timeout = on_timeout
-        self.settled = False
-        self.deadline = 0.0
-        self.seq = 0
-
-    def fire_reply(self, payload: Dict[str, Any]) -> None:
-        if self.settled or not self.src.alive:
-            return
-        self.settled = True
-        on_reply = self.on_reply
-        self.src = self.on_reply = self.on_timeout = None
-        if on_reply is not None:
-            on_reply(payload)
 
     def fire_timeout(self) -> None:
         if self.settled or not self.src.alive:

@@ -15,12 +15,14 @@ Performance notes:
 - :meth:`Simulator.run` is a *batched* loop that works directly on the heap
   of slotted entries -- no per-event ``peek``/``pop``/``_fire`` call chain
   and no handle-object churn.  Semantics (ordering, half-open ``until``,
-  ``stop()``, cancellation) are bit-identical to the step-wise loop.
-- :meth:`Simulator.emit` is subscriber-gated: it consults the trace
-  recorder's cheap interest flags and skips event construction entirely
-  when nobody listens (see :mod:`repro.sim.trace`).  Hot call sites can
-  additionally guard on :meth:`Simulator.tracing` to avoid building the
-  payload keyword dict at all.
+  ``stop()``, cancellation) are bit-identical to the step-wise loop,
+  which is what serves the tests' ``max_events`` budget: there is one
+  copy of the inlined dispatch, and it knows no budget.
+- :meth:`Simulator.emit` always counts (the per-kind counters feed the
+  reports and the benchmark ledger) and is subscriber-gated past that: it
+  consults the trace recorder's cheap interest flags and builds no
+  :class:`~repro.sim.trace.TraceEvent` when nobody listens (see
+  :mod:`repro.sim.trace`).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
     ) -> EventHandle:
-        """Schedule *callback(*args)* to run *delay* ms from now.
+        """Schedule *callback*, called with *args*, to run *delay* ms from now.
 
         Raises:
             SimulationError: if *delay* is negative (the past is immutable).
@@ -118,7 +120,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
     ) -> EventHandle:
-        """Schedule *callback(*args)* at absolute *time* (>= now)."""
+        """Schedule *callback*, called with *args*, at absolute *time* (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
@@ -178,42 +180,15 @@ class Simulator:
         queue = self._queue
         executed = 0
         pop = heappop
-        # Hoist the optional-argument checks out of the loop: both limits
-        # degenerate to +inf comparisons, which cost one C-level compare.
+        # Hoist the optional-argument check out of the loop: no horizon
+        # degenerates to a +inf comparison, which costs one C-level compare.
         horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
         # The heap list object is stable (compaction rebuilds it in place),
         # so its reference can be hoisted out of the loop.
         heap = queue._heap
         try:
-            # Two copies of the dispatch loop: the common case (no event
-            # budget) drops the per-event limit comparison entirely.  The
-            # bodies are otherwise identical; keep them in sync.
-            if max_events is None:
-                while not self._stopped:
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[2] is None:
-                        # Discard tombstones of cancelled events (lazy deletion).
-                        dead = queue._dead
-                        while heap and heap[0][2] is None:
-                            pop(heap)
-                            if dead > 0:
-                                dead -= 1
-                        queue._dead = dead
-                        continue
-                    time = entry[0]
-                    if time >= horizon:
-                        break
-                    pop(heap)
-                    queue._live -= 1
-                    self.now = time
-                    executed += 1
-                    callback = entry[2]
-                    args = entry[3]
-                    entry[2] = None
-                    callback(*args)
+            if max_events is not None:
+                self._run_budgeted(horizon, max_events)
             else:
                 while not self._stopped:
                     if not heap:
@@ -231,8 +206,6 @@ class Simulator:
                     time = entry[0]
                     if time >= horizon:
                         break
-                    if executed >= limit:
-                        raise SimulationError(f"exceeded max_events={max_events}")
                     pop(heap)
                     queue._live -= 1
                     self.now = time
@@ -247,26 +220,27 @@ class Simulator:
             self._events_executed += executed
             self._running = False
 
+    def _run_budgeted(self, horizon: float, max_events: int) -> None:
+        """The ``max_events`` safety valve, served stepwise: tests are its
+        only callers, so it costs the batched loop not even a comparison."""
+        queue = self._queue
+        for ran in range(max_events + 1):
+            time = queue.peek_time()
+            if self._stopped or time is None or time >= horizon:
+                return
+            if ran == max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
+            self.step()
+
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""
         self._stopped = True
 
     # ----------------------------------------------------------------- trace
-    def tracing(self, kind: str) -> bool:
-        """True if emitting *kind* would be observed by anyone.
-
-        Hot paths guard their :meth:`emit` calls on this so that, when the
-        recorder is fully quiet (counting disabled, nobody subscribed), not
-        even the payload keyword dict is constructed.
-        """
-        trace = self.trace
-        return trace._counting or trace._watch_all or kind in trace._watched
-
     def emit(self, kind: str, **payload: Any) -> None:
         """Emit a trace event stamped with the current simulation time."""
         trace = self.trace
-        if trace._counting:
-            trace.counters[kind] += 1
+        trace.counters[kind] += 1
         if trace._watch_all or kind in trace._watched:
             trace._dispatch(TraceEvent(self.now, kind, payload))
 

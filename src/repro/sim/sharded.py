@@ -24,11 +24,14 @@ most ``2 * (latency_max + window)``; sharded runs widen their RPC timeouts
 by ``2 * window`` (see :mod:`repro.experiments.sharded`) so failure
 detection never misfires on bus scheduling delay alone.
 
-Multi-process execution uses a parent-hub barrier: workers (forked, one
-slice of shards each) send their outboxes to the parent, the parent runs
-the same :func:`route_entries` merge a single-process run uses and sends
-each worker its inboxes.  The hub fully drains every worker before
-answering any of them, so the exchange cannot deadlock.
+There is one window loop, :func:`run_windows`; what a process does with
+its shards' outboxes at a barrier is its *exchange* argument.  With every
+shard in one process that is :func:`route_entries` itself.  Multi-process
+execution uses a parent-hub barrier: workers (forked, one slice of shards
+each) run the same loop with an exchange that sends their outboxes to the
+parent and returns the inboxes it answers with; the parent runs the same
+:func:`route_entries` merge over all of them.  The hub fully drains every
+worker before answering any of them, so the exchange cannot deadlock.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class ShardCellLike(Protocol):
 #: Builds the cells for one worker: shard_ids -> {shard_id: cell}.
 CellFactory = Callable[[List[int]], Dict[int, ShardCellLike]]
 
+#: What happens to outboxes at a barrier: {src shard: outbox} in, the
+#: hosted shards' {dst shard: inbox} out.
+Exchange = Callable[[Dict[int, List[tuple]]], Dict[int, List[tuple]]]
+
 
 def route_entries(outboxes: Dict[int, List[tuple]]) -> Dict[int, List[tuple]]:
     """Merge per-source outboxes into canonically ordered per-dst inboxes.
@@ -76,19 +83,39 @@ def route_entries(outboxes: Dict[int, List[tuple]]) -> Dict[int, List[tuple]]:
     return inboxes
 
 
+def check_window(window_ms: float) -> None:
+    """Refuse a window the loop could not advance through."""
+    if window_ms <= 0:
+        raise ConfigError(f"window must be positive (got {window_ms})")
+
+
+def check_workers(workers: int, num_shards: int) -> None:
+    """Refuse a worker count that cannot split *num_shards* evenly."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1 (got {workers})")
+    if num_shards % workers != 0:
+        raise ConfigError(
+            f"workers={workers} does not divide the {num_shards}-shard map "
+            f"cleanly; choose a divisor of {num_shards}"
+        )
+
+
 def run_windows(
     cells: Dict[int, ShardCellLike],
     horizon_ms: float,
     window_ms: float,
+    exchange: Exchange = route_entries,
 ) -> Dict[int, Dict[str, Any]]:
-    """Single-process windowed loop over all shards (workers=1 reference).
+    """The windowed loop over the shards one process hosts.
 
-    Also the semantic reference for the multi-process driver: both use the
-    same drain/route/inject sequence at every barrier, which is what makes
-    worker count unobservable in the results.
+    At every barrier but the last, the cells' outboxes go to *exchange* and
+    what it returns is injected.  With every shard in this process that is
+    the merge itself, :func:`route_entries`; a forked worker passes a round
+    trip to the hub, which runs the same merge over all workers' outboxes.
+    One loop and one merge either way, which is what makes worker count
+    unobservable in the results.
     """
-    if window_ms <= 0:
-        raise ConfigError(f"window must be positive (got {window_ms})")
+    check_window(window_ms)
     ordered = sorted(cells)
     now = 0.0
     while now < horizon_ms:
@@ -97,8 +124,7 @@ def run_windows(
             cells[sid].run_to(barrier)
         if barrier >= horizon_ms:
             break
-        outboxes = {sid: cells[sid].drain() for sid in ordered}
-        inboxes = route_entries(outboxes)
+        inboxes = exchange({sid: cells[sid].drain() for sid in ordered})
         for sid in ordered:
             cells[sid].inject(inboxes.get(sid, []), barrier)
         now = barrier
@@ -113,30 +139,23 @@ def _worker_main(
     horizon_ms: float,
     window_ms: float,
 ) -> None:
-    """One forked worker: runs its shard slice window by window.
+    """One forked worker: :func:`run_windows` over its shard slice.
 
     Protocol (per window, in lockstep with the parent): send
     ``("out", {sid: outbox})``, receive ``("in", {sid: inbox})``.  After the
     final window: send ``("done", {sid: finalize()})``.
     """
+
+    def exchange(outboxes: Dict[int, List[tuple]]) -> Dict[int, List[tuple]]:
+        conn.send(("out", outboxes))
+        tag, inboxes = conn.recv()
+        if tag != "in":  # pragma: no cover - protocol violation
+            raise SimulationError(f"unexpected hub message {tag!r}")
+        return inboxes
+
     try:
-        cells = factory(shard_ids)
-        ordered = sorted(cells)
-        now = 0.0
-        while now < horizon_ms:
-            barrier = min(now + window_ms, horizon_ms)
-            for sid in ordered:
-                cells[sid].run_to(barrier)
-            if barrier >= horizon_ms:
-                break
-            conn.send(("out", {sid: cells[sid].drain() for sid in ordered}))
-            tag, inboxes = conn.recv()
-            if tag != "in":  # pragma: no cover - protocol violation
-                raise SimulationError(f"unexpected hub message {tag!r}")
-            for sid in ordered:
-                cells[sid].inject(inboxes.get(sid, []), barrier)
-            now = barrier
-        conn.send(("done", {sid: cells[sid].finalize() for sid in ordered}))
+        payloads = run_windows(factory(shard_ids), horizon_ms, window_ms, exchange)
+        conn.send(("done", payloads))
     except Exception as exc:  # pragma: no cover - surfaced by the parent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -161,13 +180,8 @@ def run_windows_parallel(
     routes them with :func:`route_entries` (identical to the in-process
     merge) and answers each worker with its inboxes.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1 (got {workers})")
-    if num_shards % workers != 0:
-        raise ConfigError(
-            f"workers={workers} does not divide the {num_shards}-shard map "
-            f"cleanly; choose a divisor of {num_shards}"
-        )
+    check_workers(workers, num_shards)
+    check_window(window_ms)
     if workers == 1:
         return run_windows(factory(list(range(num_shards))), horizon_ms, window_ms)
     try:
@@ -194,30 +208,22 @@ def run_windows_parallel(
             pipes.append(parent_conn)
             processes.append(process)
         results: Dict[int, Dict[str, Any]] = {}
-        done = [False] * workers
-        while not all(done):
+        while not results:
+            # Every worker runs the same loop over the same horizon, so a
+            # round is all outboxes or, after the last window, all results.
             outboxes: Dict[int, List[tuple]] = {}
-            window_active = [False] * workers
             for j, conn in enumerate(pipes):
-                if done[j]:
-                    continue
                 tag, body = conn.recv()
                 if tag == "out":
                     outboxes.update(body)
-                    window_active[j] = True
                 elif tag == "done":
                     results.update(body)
-                    done[j] = True
                 else:
                     raise SimulationError(f"shard worker {j} failed: {body}")
-            if not any(window_active):
-                break
-            inboxes = route_entries(outboxes)
-            for j, conn in enumerate(pipes):
-                if window_active[j]:
-                    conn.send(
-                        ("in", {sid: inboxes.get(sid, []) for sid in slices[j]})
-                    )
+            if not results:
+                inboxes = route_entries(outboxes)
+                for conn, shard_ids in zip(pipes, slices):
+                    conn.send(("in", {sid: inboxes.get(sid, []) for sid in shard_ids}))
         return results
     finally:
         for conn in pipes:

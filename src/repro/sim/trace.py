@@ -7,15 +7,15 @@ experiment subscribes to.  Keeping full records opt-in matters: a 24-hour
 run at P=5000 emits millions of events, and the metrics collector only needs
 a few types.
 
-Fast path: the recorder maintains one set, :attr:`_watched`, of every kind
-that has a listener or is being recorded, plus two flags -- ``_watch_all``
-(a firehose listener exists) and ``_counting`` (per-kind counters are
-maintained; on by default).  ``Simulator.emit`` reads those three attributes
-directly: when counting is disabled and a kind is unobserved, an emit is a
-couple of attribute loads and a set-membership test -- no
-:class:`TraceEvent` is built, nothing is appended anywhere.  Perf-critical
-call sites can additionally guard on ``Simulator.tracing(kind)`` to skip
-even the payload keyword-dict construction.
+Every emit builds its payload and bumps its kind's counter: counting is not
+optional, because the reports and the benchmark ledger read
+:attr:`TraceRecorder.counters` after the run.  What is subscriber-gated is
+everything past the count.  The recorder maintains one set,
+:attr:`_watched`, of every kind that has a listener or is being recorded,
+plus the flag ``_watch_all`` (a firehose listener exists), and
+``Simulator.emit`` reads those two directly: for an unobserved kind no
+:class:`TraceEvent` is built, nothing is dispatched, nothing is appended
+anywhere.
 """
 
 from __future__ import annotations
@@ -38,48 +38,17 @@ TraceListener = Callable[[TraceEvent], None]
 
 
 class TraceRecorder:
-    """Counts every event kind; records and/or forwards subscribed kinds.
+    """Counts every event kind; records and/or forwards subscribed kinds."""
 
-    Args:
-        counting: maintain the per-kind emit counters (default True; disable
-            for throughput-critical runs that do not read ``count()``).
-    """
-
-    def __init__(self, counting: bool = True) -> None:
+    def __init__(self) -> None:
         self.counters: Counter = Counter()
         self._recorded: DefaultDict[str, List[TraceEvent]] = defaultdict(list)
         self._record_kinds: Set[str] = set()
         self._listeners: DefaultDict[str, List[TraceListener]] = defaultdict(list)
         self._all_listeners: List[TraceListener] = []
         # --- fast-path interest flags (read directly by Simulator.emit) ---
-        self._counting = counting
         self._watch_all = False
         self._watched: Set[str] = set()
-
-    # -------------------------------------------------------------- interest
-    @property
-    def counting(self) -> bool:
-        """Whether per-kind counters are being maintained."""
-        return self._counting
-
-    def set_counting(self, enabled: bool) -> None:
-        """Enable/disable the per-kind counters.
-
-        With counting off and no subscriptions, emits are (near) zero-cost;
-        ``count()`` then reports only what was counted while enabled.
-        """
-        self._counting = enabled
-
-    def wants(self, kind: str) -> bool:
-        """True if emitting *kind* would be observed (counted, recorded,
-        or forwarded to a listener)."""
-        return self._counting or self._watch_all or kind in self._watched
-
-    @property
-    def enabled(self) -> bool:
-        """True unless the recorder is fully quiet (no counting, no
-        subscriptions of any sort)."""
-        return self._counting or self._watch_all or bool(self._watched)
 
     # --------------------------------------------------------- subscriptions
     def record(self, *kinds: str) -> None:
@@ -105,8 +74,7 @@ class TraceRecorder:
     # ------------------------------------------------------------------ emit
     def emit(self, time: float, kind: str, **payload: Any) -> None:
         """Emit one event.  Cheap (one Counter update) unless subscribed."""
-        if self._counting:
-            self.counters[kind] += 1
+        self.counters[kind] += 1
         if self._watch_all or kind in self._watched:
             self._dispatch(TraceEvent(time, kind, payload))
 
@@ -149,8 +117,9 @@ class StreamFingerprint:
     regression tests, the sharded engine's per-shard fingerprints and chaos
     replay equality all mean this: one repr of ``(rounded time, kind,
     sorted payload)`` per event, folded into a running hash.  Attaching one
-    subscribes the firehose, which makes every ``emit`` construct its
-    payload -- observation-only, but not free; leave it off for timing runs.
+    subscribes the firehose, which makes every ``emit`` construct and
+    dispatch a :class:`TraceEvent` -- observation-only, but not free; leave
+    it off for timing runs.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
-from repro.metrics.loadbalance import top_gini_contributors
 
 #: Redraw budget per arrival before the arrival is dropped: open-loop
 #: traffic may repeat objects freely -- a repeat of a cached key is
@@ -200,11 +199,6 @@ class OpenLoopWorkload:
             "skipped_no_peer": 0,
             "skipped_open_key": 0,
         }
-        #: Issued queries per object key -- the ground-truth offered load
-        #: the per-directory hot-key fetch counters (content rebalancing)
-        #: approximate from their own vantage point.  Pure counting, no
-        #: extra randomness, so golden streams are unaffected.
-        self.offered: Dict[Tuple[int, int], int] = {}
         self._started = False
         #: eligible-peer lists, valid while the network's liveness epoch
         #: equals ``_eligible_epoch`` (see :meth:`_eligible_peers`).
@@ -232,13 +226,6 @@ class OpenLoopWorkload:
         """Install one more flash crowd (chaos overload windows)."""
         self.surges.append(surge)
         self._recompute_peak()
-
-    def hot_keys(self, limit: int) -> List[Tuple[int, int]]:
-        """The *limit* most-offered keys (ties broken by key).
-
-        What a rebalancing directory *should* be spilling if its windowed
-        fetch counters tracked the offered load perfectly."""
-        return top_gini_contributors(self.offered, limit)
 
     # -------------------------------------------------------------- arrivals
     def _candidate(self) -> None:
@@ -342,7 +329,6 @@ class OpenLoopWorkload:
             self.stats["skipped_open_key"] += 1
             return
         self.stats["issued"] += 1
-        self.offered[key] = self.offered.get(key, 0) + 1
         peer.queries_issued += 1
         self.sim.emit("cdn.query", peer=peer.address, key=key)
         peer.resolve_query(key, started_at=now)

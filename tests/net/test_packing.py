@@ -60,8 +60,8 @@ def test_no_aliasing_past_the_old_20_bit_boundary():
     assert network._link_latency(*pair_b) == latency_b
 
 
-class _Full(list):
-    """A node list that claims the packed address space is exhausted."""
+class _Full(dict):
+    """A node registry that claims the packed address space is exhausted."""
 
     def __len__(self):
         return MAX_PACKED_ADDRESS
@@ -69,14 +69,13 @@ class _Full(list):
 
 def test_register_rejects_addresses_beyond_the_key_space():
     network = Network(Simulator(seed=1), SpyTopology())
-    # register() assigns address = len(nodes) and must refuse before
-    # appending; fake exhaustion instead of allocating 2**32 nodes.
+    # The dense allocator hands out address = len(registry) and register()
+    # must refuse before storing; fake exhaustion instead of allocating
+    # 2**32 nodes.
     network._nodes = _Full()
     with pytest.raises(TransportError, match="packed"):
         NetworkNode(network)  # auto-registers in __init__
-    # Not list(...) / len(...): both route through the fake __len__ (as a
-    # 2**32 preallocation hint -> MemoryError on a small host).
-    assert list.__len__(network._nodes) == 0  # nothing was appended
+    assert dict.__len__(network._nodes) == 0  # nothing was stored
 
 
 def test_shard_map_accepts_32_shards():

@@ -8,6 +8,8 @@ scheduler's lockstep sequencing.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TransportError
 from repro.net.message import Message
@@ -67,6 +69,39 @@ class TestShardMap:
         smap = ShardMap(num_shards=1, num_localities=1, num_websites=1)
         with pytest.raises(TransportError):
             smap.peer_address(0, 0, smap.locality_capacity)
+
+    def test_locality_of_another_shard_is_a_transport_error(self):
+        """Once a bare ``ValueError`` from ``tuple.index``."""
+        smap = ShardMap(num_shards=2, num_localities=4, num_websites=3)
+        with pytest.raises(TransportError, match="locality 1.*shard 0"):
+            smap.peer_address(0, 1, 0)
+        for locality in (-2, 4):  # congruent to shard 0, outside the map
+            with pytest.raises(TransportError):
+                smap.peer_address(0, locality, 0)
+
+    @given(
+        shards=st.integers(1, 12),
+        per_shard=st.integers(1, 6),
+        websites=st.integers(1, 40),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_address_codec_roundtrip_over_drawn_shapes(
+        self, shards, per_shard, websites, data
+    ):
+        """Encode and decode are arithmetic inverses of each other and of
+        the round-robin assignment ``localities_of`` enumerates."""
+        smap = ShardMap(shards, shards * per_shard, websites)
+        locality = data.draw(st.integers(0, smap.num_localities - 1))
+        index = data.draw(st.integers(0, smap.locality_capacity - 1))
+        shard = smap.shard_of_locality(locality)
+        assert locality in smap.localities_of(shard)
+        address = smap.peer_address(shard, locality, index)
+        assert smap.shard_of_address(address) == shard
+        assert smap.locality_of_address(address) == locality
+        assert not smap.is_server_address(address)
+        server = smap.server_address(shard, data.draw(st.integers(0, websites - 1)))
+        assert smap.locality_of_address(server) in smap.localities_of(shard)
 
     @pytest.mark.parametrize(
         "shards,localities,websites",
@@ -274,6 +309,33 @@ class TestRunWindows:
             ("inject", 0, 10.0, 1),
             ("inject", 1, 10.0, 1),
             ("inject", 0, 20.0, 1),
+            ("inject", 1, 20.0, 1),
+        ]
+
+    def test_what_exchange_returns_is_what_gets_injected(self):
+        """The barrier step is a parameter: a forked worker's round trip
+        to the hub stands where the in-process merge does."""
+        log = []
+        cells = {0: _FakeCell(0, 1, log), 1: _FakeCell(1, 0, log)}
+        seen = []
+
+        def exchange(outboxes):
+            seen.append({sid: [e[3] for e in box] for sid, box in outboxes.items()})
+            # Shard 1's inbox is scripted; shard 0 gets none at all.
+            return {1: [(MSG, 0.0, 1, f"hub{len(seen)}")]}
+
+        results = run_windows(cells, horizon_ms=30.0, window_ms=10.0, exchange=exchange)
+        # Once per non-final barrier, with every hosted shard's outbox.
+        assert seen == [
+            {0: ["s0w1"], 1: ["s1w1"]},
+            {0: ["s0w2"], 1: ["s1w2"]},
+        ]
+        assert results[0]["received"] == []
+        assert results[1]["received"] == ["hub1", "hub2"]
+        assert [item for item in log if item[0] == "inject"] == [
+            ("inject", 0, 10.0, 0),
+            ("inject", 1, 10.0, 1),
+            ("inject", 0, 20.0, 0),
             ("inject", 1, 20.0, 1),
         ]
 

@@ -110,3 +110,40 @@ def test_one_fingerprint_recipe():
         if "hashlib" in text
     ]
     assert hashing == []
+
+
+def test_the_sharded_fabric_overrides_only_what_differs():
+    """The sharded engine is the single-simulator fabric plus its five
+    documented deviations (PROTOCOLS.md section 10), not a second copy:
+    geometry, registry, delivery gate, seed loop and window loop are
+    inherited, so a change to any of them is made once."""
+    from repro.cdn.flower.sharded import ShardedFlowerSystem
+    from repro.net.shardnet import ShardedNetwork, ShardedTopology
+    from repro.net.topology import ClusteredTopology
+    from repro.net.transport import Network
+
+    assert issubclass(ShardedTopology, ClusteredTopology)
+    for inherited in ("latency", "latency_at", "_place_centers"):
+        assert inherited not in vars(ShardedTopology)
+    for inherited in ("register", "node", "is_alive", "__len__", "nodes"):
+        assert inherited not in vars(ShardedNetwork)
+    shared = {name for name in vars(ShardedNetwork) if name in vars(Network)}
+    assert shared - {"__module__", "__doc__"} == {
+        "__init__",
+        "_next_address",
+        "_deliver",
+    }
+    assert "setup_initial_population" not in vars(ShardedFlowerSystem)
+    windowed = _sources("sim")["sim/sharded.py"]
+    assert windowed.count("while now < horizon_ms") == 1
+
+
+def test_every_emit_counts_and_nothing_pretends_otherwise():
+    """Counting is not optional (reports and the benchmark ledger read the
+    counters), so no flag selects it and no call site guards on it."""
+    from repro.sim.trace import TraceRecorder
+
+    with pytest.raises(TypeError):
+        TraceRecorder(counting=False)
+    for name, text in _sources("").items():
+        assert "_counting" not in text and ".tracing(" not in text, name
