@@ -578,6 +578,13 @@ class CdnSystem:
             )
         self._websites[identity] = website
 
+    def offer_website(self, identity: int, website: WebsiteId) -> None:
+        """Pin an identity's interest unless it already holds one: a flash
+        crowd also sweeps up returning peers with other interests, and
+        their interest is fixed for the whole experiment."""
+        self.catalog.validate_website(website)
+        self._websites.setdefault(identity, website)
+
     def peer_for(self, identity: int) -> BasePeer:
         """The peer object of *identity*, created on first contact."""
         peer = self.peers.get(identity)

@@ -11,13 +11,14 @@ bundles to ``results/chaos/`` on violation.
 """
 
 from repro.chaos.auditor import AuditorConfig, InvariantAuditor, Violation
-from repro.chaos.plan import (
-    ChaosPhase,
-    ChaosPlan,
-    ChurnSurgeSpec,
-    generate_plan,
+from repro.chaos.plan import ChaosPhase, ChaosPlan, ChurnSurgeSpec, generate_plan
+from repro.chaos.runner import (
+    ChaosRunReport,
+    load_bundle,
+    merged_config,
+    replay_bundle,
+    run_chaos,
 )
-from repro.chaos.runner import ChaosRunReport, load_bundle, replay_bundle, run_chaos
 
 __all__ = [
     "AuditorConfig",
@@ -29,6 +30,7 @@ __all__ = [
     "Violation",
     "generate_plan",
     "load_bundle",
+    "merged_config",
     "replay_bundle",
     "run_chaos",
 ]

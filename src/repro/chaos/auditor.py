@@ -71,6 +71,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cdn.flower.search import staleness_bound_ms
 from repro.cdn.flower.system import FlowerSystem
+from repro.net.faults import BurstyLossSpec, LatencySpikeSpec, PartitionSpec
 from repro.sim.clock import minutes
 from repro.sim.trace import TraceEvent
 
@@ -170,7 +171,9 @@ class InvariantAuditor:
             object with ``sim``, ``system``, ``network``, ``config``,
             ``faults`` works).
         plan: the :class:`~repro.chaos.plan.ChaosPlan` being executed, if
-            any -- carried into reproducer bundles.
+            any -- carried into reproducer bundles.  Its specs are the
+            tail of the world's ``fault_schedule``
+            (:func:`repro.chaos.runner.merged_config`).
         config: auditor bounds (defaults are derived-friendly).
         results_dir: where reproducer bundles are written (created lazily;
             ``None`` disables bundle dumping).
@@ -262,17 +265,22 @@ class InvariantAuditor:
         #: successor pointer, so convergence is only owed once membership
         #: has quiesced.
         self._last_ring_change_ms = float("-inf")
-        #: declared fault windows (loss, latency, partitions) from the
-        #: config's schedule: convergence is only owed outside them.  The
-        #: event subscriptions catch point faults (mass failures) and
+        #: declared fault windows (partitions, latency, bounded loss) from
+        #: the config's schedule: convergence is only owed outside them.
+        #: The event subscriptions catch point faults (mass failures) and
         #: partition edges; windowed faults never emit edge events, so
-        #: they are read off the schedule instead.
+        #: they are read off the schedule instead -- selected by type, not
+        #: by which attributes a spec happens to have: the surges riding
+        #: in the same schedule have a start too, and they must not widen
+        #: the I2 / I3 / I5 / I7 tolerance.
         self._disturbance_windows: List[Tuple[float, float]] = []
-        for spec in getattr(world.config, "fault_schedule", ()):
-            start = getattr(spec, "start_ms", None)
-            end = getattr(spec, "end_ms", getattr(spec, "heal_ms", None))
-            if start is not None and end is not None:
-                self._disturbance_windows.append((float(start), float(end)))
+        for spec in world.config.fault_schedule:
+            if isinstance(spec, PartitionSpec):
+                self._disturbance_windows.append((spec.start_ms, spec.heal_ms))
+            elif isinstance(spec, LatencySpikeSpec) or (
+                isinstance(spec, BurstyLossSpec) and spec.end_ms is not None
+            ):
+                self._disturbance_windows.append((spec.start_ms, spec.end_ms))
         # --- staleness / convergence trackers ---
         self._first_seen: Dict[tuple, float] = {}
         self._vacant_since: Dict[tuple, float] = {}
@@ -977,11 +985,17 @@ class InvariantAuditor:
         from repro.chaos.runner import config_to_dict
 
         os.makedirs(self.results_dir, exist_ok=True)
+        config = self.world.config
+        if self.plan is not None:
+            # Each spec once: the bundle holds the base config and the
+            # plan, the two a replay merges again.
+            own = len(config.fault_schedule) - len(self.plan.faults)
+            config = config.replace(fault_schedule=config.fault_schedule[:own])
         bundle = {
             "schema": PLAN_SCHEMA,
             "protocol": self.system.name,
             "seed": self.sim.seed,
-            "config": config_to_dict(self.world.config),
+            "config": config_to_dict(config),
             "plan": self.plan.to_dict() if self.plan is not None else None,
             "violation": violation.to_dict(),
             "violation_index": len(self.violations) - 1,

@@ -1,8 +1,14 @@
 """Declarative, seeded chaos plans.
 
-A :class:`ChaosPlan` is a reproducible fault schedule: a phase timeline
-plus the concrete fault specs (:mod:`repro.net.faults`) and churn surges
-that implement each phase.  Plans come from two places:
+A :class:`ChaosPlan` is a reproducible schedule of disturbances: a phase
+timeline for humans and the auditor, plus one list of specs,
+``plan.faults``, that implements it.  Every spec is of a kind
+``ExperimentConfig.fault_schedule`` accepts and each kind is defined
+beside the thing it acts on (network faults and crash campaigns in
+:mod:`repro.net.faults`, churn surges in :mod:`repro.workload.churn`,
+open-loop surges in :mod:`repro.workload.openloop`), so running a plan is
+appending ``plan.faults`` to a config's schedule.  Plans come from two
+places:
 
 - :func:`generate_plan` composes one *randomly* from a dedicated RNG
   stream seeded by ``chaos_seed`` -- the same ``(chaos_seed, horizon,
@@ -51,104 +57,23 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.experiments.config import ScheduleSpec
 from repro.net.faults import (
     BurstyLossSpec,
     LatencySpikeSpec,
     MassFailureSpec,
     PartitionSpec,
+    SeederDeathSpec,
 )
 from repro.sim.clock import minutes
+from repro.workload.churn import ChurnSurgeSpec
+from repro.workload.openloop import RegionalSurge
 
 #: Current on-disk schema of serialized plans / reproducer bundles.
-PLAN_SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class ChurnSurgeSpec:
-    """A burst of extra arrivals on top of the baseline churn process.
-
-    Attributes:
-        start_ms / duration_ms: the surge window; arrivals are spread
-            evenly across it.
-        arrivals: how many extra identities are brought online.
-        hot_website: if set, arriving identities are pinned to this
-            website (a flash crowd); ``None`` keeps the uniform interest
-            assignment (a plain churn burst).
-        hot_interest_probability: fraction of surge arrivals that get the
-            hot-website pin (ignored when ``hot_website`` is None).
-    """
-
-    start_ms: float
-    duration_ms: float
-    arrivals: int
-    hot_website: Optional[int] = None
-    hot_interest_probability: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.duration_ms <= 0 or self.arrivals < 1:
-            raise ConfigError("surge needs a positive window and >= 1 arrival")
-        if not 0.0 <= self.hot_interest_probability <= 1.0:
-            raise ConfigError("hot_interest_probability must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class OverloadSurgeSpec:
-    """A sustained open-loop overload window (chaos overload phases).
-
-    The runner converts this into a
-    :class:`~repro.workload.openloop.RegionalSurge` on the world's
-    open-loop workload: arrivals ramp to ``peak_multiplier`` times the
-    base rate over ``ramp_ms``, hold-and-decay with time constant
-    ``decay_ms`` after the ramp, optionally pinned to one locality and
-    one hot website.  Inert when the config runs no open-loop traffic.
-
-    Attributes:
-        start_ms / ramp_ms / peak_multiplier / decay_ms: surge shape.
-        locality: locality the overload concentrates in (None = all).
-        hot_website: website the overload targets (None = no bias).
-    """
-
-    start_ms: float
-    ramp_ms: float
-    peak_multiplier: float
-    decay_ms: float
-    locality: Optional[int] = None
-    hot_website: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.peak_multiplier < 1.0:
-            raise ConfigError("overload peak multiplier must be >= 1")
-        if self.ramp_ms <= 0 or self.decay_ms <= 0:
-            raise ConfigError("overload ramp and decay must be positive")
-
-
-@dataclass(frozen=True)
-class SeederDeathSpec:
-    """Kill the top uploaders of the swarming plane mid-window.
-
-    The runner ranks live peers by chunk payload bytes uploaded so far
-    (``bytes_uploaded``) at ``at_ms`` and crashes the top ``count`` of
-    them — mid-transfer, which is the point: every chunk they were
-    uploading aborts and the downloaders must fail over per-chunk.
-    Optionally restricted to uploaders of one hot website.  Inert when
-    nothing has been uploaded (no swarming, or no traffic yet).
-
-    Attributes:
-        at_ms: strike time.
-        count: how many top uploaders to crash.
-        hot_website: if set, only peers interested in this website are
-            candidates (the flash-crowd seeders).
-    """
-
-    at_ms: float
-    count: int
-    hot_website: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.at_ms < 0:
-            raise ConfigError("seeder death needs at_ms >= 0")
-        if self.count < 1:
-            raise ConfigError("seeder death needs count >= 1")
+#: 2: one spec list (``faults``) where schema 1 kept surges, overload
+#: surges and seeder deaths in side lists, and a bundle's config no longer
+#: repeats its plan's specs.
+PLAN_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -172,7 +97,7 @@ _SPEC_TYPES = {
     "latency_spike": LatencySpikeSpec,
     "mass_failure": MassFailureSpec,
     "churn_surge": ChurnSurgeSpec,
-    "overload_surge": OverloadSurgeSpec,
+    "regional_surge": RegionalSurge,
     "seeder_death": SeederDeathSpec,
     "chaos_phase": ChaosPhase,
 }
@@ -208,22 +133,16 @@ class ChaosPlan:
         chaos_seed: the seed :func:`generate_plan` used (carried for the
             reproducer bundle even though the plan itself is explicit).
         horizon_ms: intended experiment length.
-        faults: the :mod:`repro.net.faults` specs to install.
-        surges: extra-arrival bursts (churn bursts, flash crowds).
-        overload_surges: sustained open-loop overload windows (installed
-            on the world's open-loop workload; empty for classic plans).
-        seeder_deaths: targeted top-uploader kills (swarming robustness;
-            empty for classic plans).
+        faults: every disturbance of the plan, in generation order -- the
+            tuple :func:`~repro.chaos.runner.run_chaos` appends to the
+            config's ``fault_schedule``.
         phases: the labelled timeline (emitted as ``chaos.phase`` events).
     """
 
     name: str
     chaos_seed: int
     horizon_ms: float
-    faults: Tuple[Any, ...] = ()
-    surges: Tuple[ChurnSurgeSpec, ...] = ()
-    overload_surges: Tuple[OverloadSurgeSpec, ...] = ()
-    seeder_deaths: Tuple[SeederDeathSpec, ...] = ()
+    faults: Tuple[ScheduleSpec, ...] = ()
     phases: Tuple[ChaosPhase, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -231,42 +150,19 @@ class ChaosPlan:
             raise ConfigError("plan horizon must be positive")
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
-        if not isinstance(self.surges, tuple):
-            object.__setattr__(self, "surges", tuple(self.surges))
-        if not isinstance(self.overload_surges, tuple):
-            object.__setattr__(
-                self, "overload_surges", tuple(self.overload_surges)
-            )
-        if not isinstance(self.seeder_deaths, tuple):
-            object.__setattr__(
-                self, "seeder_deaths", tuple(self.seeder_deaths)
-            )
         if not isinstance(self.phases, tuple):
             object.__setattr__(self, "phases", tuple(self.phases))
 
     # ------------------------------------------------------------ serialize
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "schema": PLAN_SCHEMA,
             "name": self.name,
             "chaos_seed": self.chaos_seed,
             "horizon_ms": self.horizon_ms,
             "faults": [spec_to_dict(s) for s in self.faults],
-            "surges": [spec_to_dict(s) for s in self.surges],
             "phases": [spec_to_dict(p) for p in self.phases],
         }
-        if self.overload_surges:
-            # Only stamped when present, so classic plans serialize
-            # byte-identically to the pre-overload schema.
-            data["overload_surges"] = [
-                spec_to_dict(s) for s in self.overload_surges
-            ]
-        if self.seeder_deaths:
-            # Same optional-stamp discipline as overload_surges.
-            data["seeder_deaths"] = [
-                spec_to_dict(s) for s in self.seeder_deaths
-            ]
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosPlan":
@@ -278,13 +174,6 @@ class ChaosPlan:
             chaos_seed=data["chaos_seed"],
             horizon_ms=data["horizon_ms"],
             faults=tuple(spec_from_dict(s) for s in data.get("faults", ())),
-            surges=tuple(spec_from_dict(s) for s in data.get("surges", ())),
-            overload_surges=tuple(
-                spec_from_dict(s) for s in data.get("overload_surges", ())
-            ),
-            seeder_deaths=tuple(
-                spec_from_dict(s) for s in data.get("seeder_deaths", ())
-            ),
             phases=tuple(spec_from_dict(p) for p in data.get("phases", ())),
         )
 
@@ -349,10 +238,7 @@ def generate_plan(
     kinds = [k for k, _ in menu]
     weights = [w for _, w in menu]
 
-    faults: List[Any] = []
-    surges: List[ChurnSurgeSpec] = []
-    overload_surges: List[OverloadSurgeSpec] = []
-    seeder_deaths: List[SeederDeathSpec] = []
+    faults: List[ScheduleSpec] = []
     phases: List[ChaosPhase] = []
     used_bursty = False
 
@@ -385,7 +271,7 @@ def generate_plan(
                 )
             )
         elif kind == "churn_burst":
-            surges.append(
+            faults.append(
                 ChurnSurgeSpec(
                     start_ms=start,
                     duration_ms=duration * 0.5,
@@ -454,7 +340,7 @@ def generate_plan(
                 )
             )
         elif kind == "flash_crowd":
-            surges.append(
+            faults.append(
                 ChurnSurgeSpec(
                     start_ms=start,
                     duration_ms=duration * 0.4,
@@ -467,25 +353,26 @@ def generate_plan(
             # A long plateau, not a blip: the ramp is a small fraction of
             # the phase and the decay constant stretches past its end, so
             # the admission queues stay saturated for most of the window.
-            overload_surges.append(
-                OverloadSurgeSpec(
+            # ``RegionalSurge`` spells "everywhere" / "no website" as -1.
+            faults.append(
+                RegionalSurge(
                     start_ms=start,
                     ramp_ms=max(minutes(1.0), duration * 0.15),
                     peak_multiplier=1.0 + intensity * rng.uniform(1.5, 3.0),
                     decay_ms=duration * 0.5,
                     locality=rng.randrange(num_localities)
                     if rng.random() < 0.5
-                    else None,
+                    else -1,
                     hot_website=rng.randrange(num_websites)
                     if rng.random() < 0.5
-                    else None,
+                    else -1,
                 )
             )
         elif kind == "seeder_death":
-            # Strike once the window's transfers are underway: the runner
-            # ranks live peers by bytes uploaded *at the strike instant*,
-            # so the kill lands on whoever actually carried the swarm.
-            seeder_deaths.append(
+            # Strike once the window's transfers are underway: peers are
+            # ranked by bytes uploaded *at the strike instant*, so the
+            # kill lands on whoever actually carried the swarm.
+            faults.append(
                 SeederDeathSpec(
                     at_ms=start + duration * rng.uniform(0.3, 0.6),
                     count=max(1, int(0.02 * intensity * population)),
@@ -505,8 +392,5 @@ def generate_plan(
         chaos_seed=chaos_seed,
         horizon_ms=horizon_ms,
         faults=tuple(faults),
-        surges=tuple(surges),
-        overload_surges=tuple(overload_surges),
-        seeder_deaths=tuple(seeder_deaths),
         phases=tuple(phases),
     )

@@ -2,18 +2,19 @@
 
 :func:`run_chaos` executes one :class:`~repro.chaos.plan.ChaosPlan`
 against a standard experiment world with the
-:class:`~repro.chaos.auditor.InvariantAuditor` online: the plan's fault
-specs merge into the config's ``fault_schedule`` (same
-:class:`~repro.net.faults.FaultController` path as any other fault run),
-its churn surges are driven through the churn model's admission hook, and
-its phase timeline is emitted as ``chaos.phase`` trace events so the
-auditor -- and any reproducer bundle -- can contextualise violations.
+:class:`~repro.chaos.auditor.InvariantAuditor` online.  The plan's specs
+are appended to the config's ``fault_schedule`` and installed where every
+schedule is installed (:func:`~repro.experiments.runner.assemble_world`),
+so a chaos run differs from any other run of that config only in what
+this module adds on top: the auditor, an optional stream fingerprint, and
+the phase timeline emitted as ``chaos.phase`` trace events so the auditor
+-- and any reproducer bundle -- can contextualise violations.
 
 Reproducibility contract: a chaos run is a pure function of
-``(protocol, config, plan, seed)``.  :func:`replay_bundle` re-executes a
-dumped reproducer bundle bit-for-bit -- same faults, same surges, same
-RNG streams -- so a violation found in CI replays locally from one JSON
-file.
+``(protocol, config, plan, seed)``.  A reproducer bundle stores exactly
+those four, each spec once, and :func:`replay_bundle` hands them back to
+:func:`run_chaos` -- same schedule, same RNG streams -- so a violation
+found in CI replays locally from one JSON file.
 """
 
 from __future__ import annotations
@@ -21,18 +22,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.chaos.auditor import AuditorConfig, InvariantAuditor, Violation
-from repro.chaos.plan import (
-    ChaosPlan,
-    ChurnSurgeSpec,
-    OverloadSurgeSpec,
-    SeederDeathSpec,
-    spec_from_dict,
-    spec_to_dict,
-)
-from repro.errors import CDNError, ConfigError
+from repro.chaos.plan import ChaosPlan, spec_from_dict, spec_to_dict
+from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import World, build_world, summarize
@@ -163,117 +157,8 @@ class ChaosRunReport:
 
 
 # ---------------------------------------------------------------------------
-# Surge / phase wiring
+# Phase wiring
 # ---------------------------------------------------------------------------
-
-
-def _install_surges(world: World, surges: Tuple[ChurnSurgeSpec, ...]) -> None:
-    """Schedule every surge arrival on the world's simulator.
-
-    Arrivals are spread evenly across each surge window (jitter would
-    need another RNG draw per arrival for no modelling benefit); the hot
-    -website pin draws from the dedicated ``chaos`` stream so surge
-    randomness never perturbs the churn or protocol streams.
-    """
-    sim = world.sim
-    churn = world.churn
-    system = world.system
-    rng = sim.rng("chaos")
-
-    def admit(hot_website: Optional[int], probability: float) -> None:
-        hook = None
-        if hot_website is not None and rng.random() < probability:
-
-            def hook(identity: int) -> None:
-                try:
-                    system.assign_website(identity, hot_website)
-                except CDNError:
-                    # The identity already holds a (different) interest
-                    # from an earlier session; a real flash crowd also
-                    # sweeps up returning peers with other interests.
-                    pass
-
-        churn._admit_arrival(pre_arrival=hook)
-
-    for surge in surges:
-        step = surge.duration_ms / surge.arrivals
-        for i in range(surge.arrivals):
-            at = surge.start_ms + (i + 0.5) * step
-            sim.schedule(
-                max(at - sim.now, 0.0),
-                admit,
-                surge.hot_website,
-                surge.hot_interest_probability,
-            )
-
-
-def _install_overload_surges(
-    world: World, specs: Tuple[OverloadSurgeSpec, ...]
-) -> None:
-    """Register the plan's sustained-overload windows with the world's
-    open-loop workload.
-
-    The specs convert directly into
-    :class:`~repro.workload.openloop.RegionalSurge` shapes (absolute
-    simulation-time windows, so no scheduling is needed).  A config
-    without open-loop traffic has no workload to overload; the surges are
-    then inert, which keeps replaying old bundles against odd configs
-    from crashing mid-flight.
-    """
-    if not specs or world.openloop is None:
-        return
-    from repro.workload.openloop import RegionalSurge
-
-    for spec in specs:
-        world.openloop.add_surge(
-            RegionalSurge(
-                start_ms=spec.start_ms,
-                ramp_ms=spec.ramp_ms,
-                peak_multiplier=spec.peak_multiplier,
-                decay_ms=spec.decay_ms,
-                locality=-1 if spec.locality is None else spec.locality,
-                hot_website=-1 if spec.hot_website is None else spec.hot_website,
-            )
-        )
-
-
-def _install_seeder_deaths(
-    world: World, specs: Tuple[SeederDeathSpec, ...]
-) -> None:
-    """Schedule the plan's targeted top-uploader kills.
-
-    At each strike instant the live peers are ranked by
-    ``bytes_uploaded`` (descending, address-ascending tiebreak -- the
-    ranking must be deterministic) and the top ``count`` are crashed.
-    ``hot_website`` restricts the cull to peers interested in that
-    website.  A world where nobody has uploaded anything (swarming off,
-    or no transfer started yet) has no seeders to kill; the strike is
-    then inert, mirroring how overload surges are inert without an
-    open-loop workload.
-    """
-    if not specs:
-        return
-    system = world.system
-
-    def strike(spec: SeederDeathSpec) -> None:
-        candidates = [
-            peer
-            for peer in system.peers.values()
-            if peer.alive
-            and getattr(peer, "bytes_uploaded", 0) > 0
-            and (spec.hot_website is None or peer.website == spec.hot_website)
-        ]
-        candidates.sort(key=lambda p: (-p.bytes_uploaded, p.address))
-        for peer in candidates[: spec.count]:
-            world.sim.emit(
-                "chaos.seeder_death",
-                peer=peer.address,
-                bytes_uploaded=peer.bytes_uploaded,
-            )
-            peer.crash()
-
-    for spec in specs:
-        world.sim.schedule(max(spec.at_ms - world.sim.now, 0.0), strike, spec)
 
 
 def _install_phase_markers(world: World, plan: ChaosPlan) -> None:
@@ -299,6 +184,16 @@ def _install_phase_markers(world: World, plan: ChaosPlan) -> None:
 # ---------------------------------------------------------------------------
 
 
+def merged_config(config: ExperimentConfig, plan: ChaosPlan) -> ExperimentConfig:
+    """*config* running *plan*: the plan's horizon, and the plan's specs
+    after the config's own -- the whole difference between a chaos run's
+    config and its base, for every door that runs one."""
+    return config.replace(
+        duration_hours=plan.horizon_ms / HOUR,
+        fault_schedule=config.fault_schedule + plan.faults,
+    )
+
+
 def run_chaos(
     protocol: str,
     config: ExperimentConfig,
@@ -308,15 +203,14 @@ def run_chaos(
     halt_on_violation: bool = False,
     collect_fingerprint: bool = False,
     auditor_config: Optional[AuditorConfig] = None,
-    merge_faults: bool = True,
 ) -> ChaosRunReport:
     """Run *plan* against *protocol* with the invariant auditor online.
 
     Args:
         protocol: "flower", "petalup", "squirrel" or "squirrel-home".
         config: base experiment config; its duration is overridden by the
-            plan's horizon and (when ``merge_faults``) the plan's fault
-            specs are appended to its ``fault_schedule``.
+            plan's horizon and the plan's specs are appended to its
+            ``fault_schedule``.
         seed: master simulation seed (the chaos plan carries its own).
         results_dir: where violation reproducer bundles land (None
             disables dumping).
@@ -324,22 +218,11 @@ def run_chaos(
         collect_fingerprint: also hash the full trace stream (used by the
             replay-determinism tests; costs one firehose subscriber).
         auditor_config: override the auditor's bounds.
-        merge_faults: append ``plan.faults`` to the config's schedule.
-            :func:`replay_bundle` passes False because a bundle's config
-            already carries the merged schedule.
 
     Returns:
         A :class:`ChaosRunReport`; ``report.ok`` is the pass/fail bit.
     """
-    cfg = config.replace(
-        duration_hours=plan.horizon_ms / HOUR,
-        fault_schedule=(
-            tuple(config.fault_schedule) + tuple(plan.faults)
-            if merge_faults
-            else tuple(config.fault_schedule)
-        ),
-    )
-    world = build_world(protocol, cfg, seed)
+    world = build_world(protocol, merged_config(config, plan), seed)
     fingerprint = StreamFingerprint(world.sim.trace) if collect_fingerprint else None
     auditor = InvariantAuditor(
         world,
@@ -349,9 +232,6 @@ def run_chaos(
         halt_on_violation=halt_on_violation,
     )
     _install_phase_markers(world, plan)
-    _install_surges(world, plan.surges)
-    _install_overload_surges(world, plan.overload_surges)
-    _install_seeder_deaths(world, plan.seeder_deaths)
     world.run()
     auditor.finalize()
     result = summarize(
@@ -394,10 +274,9 @@ def replay_bundle(
 ) -> ChaosRunReport:
     """Re-execute a dumped reproducer bundle bit-for-bit.
 
-    The bundle's config already contains the plan's merged fault
-    schedule, so the plan is replayed for its surges and phase timeline
-    only (``merge_faults=False``).  On an unchanged build the replay
-    re-triggers the recorded violation deterministically; on a fixed
+    A bundle holds the arguments of the :func:`run_chaos` call that
+    produced it, so the replay is that call again.  On an unchanged build
+    it re-triggers the recorded violation deterministically; on a fixed
     build it comes back clean -- either way the report says so.
     """
     bundle = (
@@ -426,5 +305,4 @@ def replay_bundle(
         halt_on_violation=halt_on_violation,
         collect_fingerprint=collect_fingerprint,
         auditor_config=auditor_config,
-        merge_faults=False,
     )

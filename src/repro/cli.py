@@ -254,7 +254,7 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Handler of ``repro chaos``: audited chaos plans or bundle replay."""
-    from repro.chaos import generate_plan, replay_bundle, run_chaos
+    from repro.chaos import generate_plan, merged_config, replay_bundle, run_chaos
 
     if args.replay:
         report = replay_bundle(
@@ -321,13 +321,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             seeder_death=seeder_death,
         )
         if workers != 1:
-            from repro.experiments.sharded import run_sharded_experiment
-
-            chaos_config = config.replace(
-                fault_schedule=tuple(config.fault_schedule) + tuple(plan.faults)
-            )
-            result = run_sharded_experiment(
-                args.protocol, chaos_config, seed=args.seed, workers=workers
+            result = run_experiment(
+                args.protocol,
+                merged_config(config, plan),
+                seed=args.seed,
+                workers=workers,
             )
             print(f"{plan.name}: {result.summary_line()}")
             drops = result.extra.get("drop_counts", {})

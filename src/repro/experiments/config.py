@@ -27,12 +27,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 from repro.cdn.base import ProtocolParams
 from repro.dht.ring import RingParams
 from repro.errors import ConfigError
+from repro.net.faults import FaultSpec
 from repro.sim.clock import minutes, seconds
+from repro.workload.churn import ChurnSurgeSpec
+from repro.workload.openloop import RegionalSurge
+
+#: The kinds ``ExperimentConfig.fault_schedule`` accepts: what the fault
+#: controller executes, plus the two kinds a workload executes.
+ScheduleSpec = Union[FaultSpec, ChurnSurgeSpec, RegionalSurge]
 
 
 @dataclass(frozen=True)
@@ -67,14 +74,23 @@ class ExperimentConfig:
         search_probe_period_s: period of the synthetic search-probe
             workload driving the availability experiments (0 = no
             probes; needs ``search_keywords > 0``).
-        fault_schedule: tuple of fault specs from :mod:`repro.net.faults`
+        fault_schedule: everything the run is subjected to, one tuple of
+            frozen specs (:data:`ScheduleSpec`), each kind defined beside
+            the thing it acts on: the network faults and crash campaigns
+            of :mod:`repro.net.faults`
             (:class:`~repro.net.faults.BurstyLossSpec`,
             :class:`~repro.net.faults.PartitionSpec`,
             :class:`~repro.net.faults.LatencySpikeSpec`,
-            :class:`~repro.net.faults.MassFailureSpec`), applied by the
-            runner through a :class:`~repro.net.faults.FaultController`
-            on its own deterministic RNG stream.  Empty = no injected
-            faults (uniform ``message_loss_rate`` still applies).
+            :class:`~repro.net.faults.MassFailureSpec`,
+            :class:`~repro.net.faults.SeederDeathSpec`), bursts of extra
+            arrivals (:class:`~repro.workload.churn.ChurnSurgeSpec`) and
+            open-loop flash crowds
+            (:class:`~repro.workload.openloop.RegionalSurge`, inert
+            without an open loop).  Installed in one place,
+            :func:`~repro.experiments.runner.assemble_world`, on the
+            dedicated ``faults`` / ``chaos`` RNG streams; a chaos plan is
+            a tuple appended here.  Empty = nothing injected (uniform
+            ``message_loss_rate`` still applies).
         openloop_rate_qps: aggregate open-loop arrival rate (queries per
             second across the whole system) of the overload workload
             (:mod:`repro.workload.openloop`).  0 = off, the default: the
@@ -87,8 +103,11 @@ class ExperimentConfig:
             open-loop process -- a tuple of plain-number tuples
             ``(start_ms, ramp_ms, peak_multiplier, decay_ms, locality,
             hot_website, hot_probability)`` (``locality``/``hot_website``
-            of -1 mean "all"/"none"); kept as primitives so configs stay
-            hashable and JSON-serializable (chaos reproducer bundles).
+            of -1 mean "all"/"none").  These are part of the arrival
+            profile the thinning peak is computed from *before* the first
+            candidate is drawn; the same surge as a ``RegionalSurge`` in
+            ``fault_schedule`` joins after the process has started, and
+            the two draw different streams.
         directory_queue_limit: bounded per-directory admission queue
             depth (0 = off -- no admission control, the paper's
             unbounded behaviour).
@@ -158,7 +177,7 @@ class ExperimentConfig:
     directory_replication_anti_entropy: int = 4
     search_keywords: int = 0
     search_probe_period_s: float = 0.0
-    fault_schedule: tuple = ()
+    fault_schedule: Tuple[ScheduleSpec, ...] = ()
     openloop_rate_qps: float = 0.0
     openloop_diurnal_amplitude: float = 0.0
     openloop_diurnal_period_hours: float = 24.0

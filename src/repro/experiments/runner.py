@@ -42,8 +42,8 @@ from repro.net.transport import Network, NetworkNode
 from repro.sim.clock import minutes, seconds
 from repro.sim.engine import Simulator
 from repro.workload.catalog import Catalog
-from repro.workload.churn import ChurnModel
-from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload
+from repro.workload.churn import ChurnModel, ChurnSurgeSpec
+from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload, RegionalSurge
 
 #: protocol name -> system class
 PROTOCOLS = {
@@ -121,7 +121,8 @@ def assemble_world(
     Everything a deployment needs beyond its fabric is wired here and only
     here: uniform loss, catalog, CDN system, object sizes, bandwidth, the
     search engine and its probes, the initial population, churn, the
-    open-loop workload and the fault controller.
+    open-loop workload, and every entry of ``config.fault_schedule`` --
+    on the fault controller, the churn process or the open loop, by kind.
 
     Args:
         seed: the run's master seed.  Object sizes and uplink classes are
@@ -213,13 +214,33 @@ def assemble_world(
         openloop.start()
     faults: Optional[FaultController] = None
     if config.fault_schedule:
-        # Dedicated "faults" RNG stream: injecting faults perturbs no other
-        # component's random sequence, so fault runs stay comparable with
-        # fault-free runs of the same seed.
+        # The one place a schedule is installed: network faults and crash
+        # campaigns go to the controller, the two workload kinds to the
+        # workload they act on.  The controller draws from the dedicated
+        # "faults" stream and a surge's website pin from "chaos", so the
+        # injection decisions themselves perturb no other component's
+        # random sequence and fault runs stay comparable with fault-free
+        # runs of the same seed.
         faults = FaultController(
             sim, network, rng=sim.rng("faults"), locality_of=binner.locality_of
         )
-        faults.apply(config.fault_schedule)
+        workload_kinds = (ChurnSurgeSpec, RegionalSurge)
+        faults.apply(
+            spec
+            for spec in config.fault_schedule
+            if not isinstance(spec, workload_kinds)
+        )
+        for spec in config.fault_schedule:
+            if isinstance(spec, ChurnSurgeSpec):
+                churn.schedule_surge(spec, sim.rng("chaos"), system.offer_website)
+            elif isinstance(spec, RegionalSurge) and openloop is not None:
+                # Joins after ``start()``, through ``add_surge``, not
+                # through the ``ArrivalProfile``: a surge in the profile
+                # raises the thinning peak before the first candidate is
+                # drawn and moves the whole open-loop stream.  Without an
+                # open loop there is nothing to overload: inert, like a
+                # seeder death without swarming.
+                openloop.add_surge(spec)
     return World(
         sim=sim,
         topology=network.topology,

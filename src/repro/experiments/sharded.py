@@ -36,11 +36,11 @@ import heapq
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cdn.flower.sharded import ShardedFlowerSystem
 from repro.errors import ConfigError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, ScheduleSpec
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import assemble_world, world_totals
 from repro.metrics.collector import OUTCOME_NAMES, MetricsCollector, RecordColumns
@@ -56,6 +56,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
 from repro.sim.sharded import check_workers, run_windows_parallel
 from repro.sim.trace import StreamFingerprint
+from repro.workload.churn import ChurnSurgeSpec
 
 #: Protocols the sharded engine supports.  Flower's structure is the
 #: parallelism argument (petal traffic is locality-internal); squirrel's
@@ -84,6 +85,28 @@ def default_window_ms(config: ExperimentConfig) -> float:
 def _split(total: int, num_shards: int, shard_id: int) -> int:
     """Shard *shard_id*'s share of *total*, remainder to the lowest ids."""
     return total // num_shards + (1 if shard_id < total % num_shards else 0)
+
+
+def shard_schedule(
+    schedule: Tuple[ScheduleSpec, ...], num_shards: int, shard_id: int
+) -> Tuple[ScheduleSpec, ...]:
+    """Shard *shard_id*'s share of a fault schedule.
+
+    A churn surge is an amount, so it splits the way identities and
+    population split: each shard admits its share of ``arrivals`` over the
+    same window, and a zero share schedules nothing.  Every other kind is
+    a condition or a per-node fraction and is installed whole on every
+    shard, whose controller applies it to the traffic and nodes it hosts.
+    """
+    share = []
+    for spec in schedule:
+        if isinstance(spec, ChurnSurgeSpec):
+            arrivals = _split(spec.arrivals, num_shards, shard_id)
+            if arrivals == 0:
+                continue
+            spec = dataclasses.replace(spec, arrivals=arrivals)
+        share.append(spec)
+    return tuple(share)
 
 
 class ShardCell:
@@ -126,7 +149,11 @@ class ShardCell:
         )
         binner = ShardedBinner(shard_map)
         self.world = assemble_world(
-            config,
+            config.replace(
+                fault_schedule=shard_schedule(
+                    config.fault_schedule, shard_map.num_shards, shard_id
+                )
+            ),
             master_seed,
             sim,
             network,
@@ -208,6 +235,9 @@ def validate_sharded(
     # wrongly: the aggregate open-loop rate once per shard is num_shards
     # times the load, and swarming / bandwidth need cross-shard chunk
     # sources and uplinks the bus does not model (parked in ROADMAP).
+    # The schedule kinds that act on those planes (``RegionalSurge``,
+    # ``SeederDeathSpec``) need no check of their own: without their plane
+    # they are inert, here as in any world.
     unsharded = [
         plane
         for plane, on in (

@@ -1,4 +1,4 @@
-"""Fault injection: bursty loss, partitions, latency spikes, mass failures.
+"""Fault injection: bursty loss, partitions, latency spikes, crash campaigns.
 
 The seed harness could only stress the protocols two ways -- i.i.d. uniform
 message loss (:meth:`~repro.net.transport.Network.configure_loss`) and
@@ -17,7 +17,9 @@ provides those scenarios as schedulable, reproducible fault campaigns:
   selected links for a while (congestion, route flaps);
 - **mass-failure campaigns** -- crash a fraction of a locality's peers, or
   every directory peer, at a scheduled instant (correlated churn, the
-  paper's "worst scenarios").
+  paper's "worst scenarios");
+- **seeder deaths** -- crash the top chunk uploaders of the swarming plane
+  at a scheduled instant, ranked at the strike.
 
 Everything is driven by the deterministic simulation clock, and every
 random draw comes from one dedicated RNG stream (``"faults"`` by default),
@@ -26,9 +28,13 @@ identical seeds produce identical trajectories, fault for fault.
 
 Declarative specs (:class:`PartitionSpec` & friends) are hashable frozen
 dataclasses so they can ride inside the frozen
-:class:`~repro.experiments.config.ExperimentConfig`; the experiment runner
-turns a ``fault_schedule`` tuple of specs into a live controller via
-:meth:`FaultController.apply`.
+:class:`~repro.experiments.config.ExperimentConfig`.  Its
+``fault_schedule`` is the one list of everything a run is subjected to:
+:func:`~repro.experiments.runner.assemble_world` hands the kinds defined
+here (:data:`FaultSpec`) to :meth:`FaultController.apply` and the two
+workload-level kinds to the workload they act on
+(:class:`~repro.workload.churn.ChurnSurgeSpec`,
+:class:`~repro.workload.openloop.RegionalSurge`).
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.errors import TransportError
+from repro.errors import ConfigError, TransportError
 from repro.sim.engine import Simulator
 from repro.types import Address
 
@@ -146,8 +152,39 @@ class MassFailureSpec:
             raise TransportError("mass-failure fraction must be in (0, 1]")
 
 
-#: Union accepted by :meth:`FaultController.apply`.
-FaultSpec = object
+@dataclass(frozen=True)
+class SeederDeathSpec:
+    """Kill the top uploaders of the swarming plane mid-window.
+
+    At ``at_ms`` the live nodes are ranked by chunk payload bytes uploaded
+    so far (``bytes_uploaded``) and the top ``count`` of them crashed --
+    mid-transfer, which is the point: every chunk they were uploading
+    aborts and the downloaders must fail over per-chunk.  Optionally
+    restricted to uploaders of one hot website.  Inert when nothing has
+    been uploaded (no swarming, or no traffic yet).
+
+    Attributes:
+        at_ms: strike time.
+        count: how many top uploaders to crash.
+        hot_website: if set, only peers interested in this website are
+            candidates (the flash-crowd seeders).
+    """
+
+    at_ms: float
+    count: int
+    hot_website: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.at_ms < 0:
+            raise ConfigError("seeder death needs at_ms >= 0")
+        if self.count < 1:
+            raise ConfigError("seeder death needs count >= 1")
+
+
+#: The kinds :meth:`FaultController.apply` accepts.
+FaultSpec = Union[
+    BurstyLossSpec, PartitionSpec, LatencySpikeSpec, MassFailureSpec, SeederDeathSpec
+]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +338,7 @@ class FaultController:
         network.install_faults(self)
 
     # ------------------------------------------------------------- configure
-    def apply(self, specs) -> None:
+    def apply(self, specs: Iterable[FaultSpec]) -> None:
         """Install every declarative spec from a ``fault_schedule``.
 
         A schedule carries at most one bursty-loss window (the controller
@@ -331,6 +368,8 @@ class FaultController:
                     locality=spec.locality,
                     directories_only=spec.directories_only,
                 )
+            elif isinstance(spec, SeederDeathSpec):
+                self.schedule_seeder_death(spec)
             else:
                 raise TransportError(f"unknown fault spec {spec!r}")
 
@@ -396,7 +435,6 @@ class FaultController:
         fraction: float = 0.5,
         locality: Optional[int] = None,
         directories_only: bool = False,
-        predicate: Optional[Callable[[object], bool]] = None,
     ) -> None:
         """Crash *fraction* of matching live peers at time *at_ms*.
 
@@ -414,7 +452,13 @@ class FaultController:
             directories_only=directories_only,
         )
         self.sim.schedule_at(
-            self._due(at_ms, "mass_failure"), self._execute_mass_failure, spec, predicate
+            self._due(at_ms, "mass_failure"), self._execute_mass_failure, spec
+        )
+
+    def schedule_seeder_death(self, spec: SeederDeathSpec) -> None:
+        """Crash the top ``spec.count`` uploaders at ``spec.at_ms``."""
+        self.sim.schedule_at(
+            self._due(spec.at_ms, "seeder_death"), self._execute_seeder_death, spec
         )
 
     def _due(self, at_ms: float, what: str) -> float:
@@ -438,9 +482,7 @@ class FaultController:
         )
         return now
 
-    def _execute_mass_failure(
-        self, spec: MassFailureSpec, predicate: Optional[Callable]
-    ) -> None:
+    def _execute_mass_failure(self, spec: MassFailureSpec) -> None:
         victims = []
         for node in self.network.nodes():
             if not node.alive:
@@ -451,8 +493,6 @@ class FaultController:
             ):
                 continue
             if spec.directories_only and not getattr(node, "is_directory", False):
-                continue
-            if predicate is not None and not predicate(node):
                 continue
             victims.append(node)
         count = max(1, round(spec.fraction * len(victims))) if victims else 0
@@ -470,6 +510,28 @@ class FaultController:
             matched=len(victims),
             directories_only=spec.directories_only,
         )
+
+    def _execute_seeder_death(self, spec: SeederDeathSpec) -> None:
+        """Rank and crash.  Only swarming peers carry ``bytes_uploaded``,
+        so origin servers and landmarks never rank; descending bytes with
+        an address tiebreak, because the ranking must be deterministic.
+        The trace kind keeps the name it had when the chaos runner struck:
+        renaming it would move every pinned stream with a strike in it."""
+        seeders = [
+            node
+            for node in self.network.nodes()
+            if node.alive
+            and getattr(node, "bytes_uploaded", 0) > 0
+            and (spec.hot_website is None or node.website == spec.hot_website)
+        ]
+        seeders.sort(key=lambda node: (-node.bytes_uploaded, node.address))
+        for node in seeders[: spec.count]:
+            self.sim.emit(
+                "chaos.seeder_death",
+                peer=node.address,
+                bytes_uploaded=node.bytes_uploaded,
+            )
+            node.crash()
 
     # ---------------------------------------------------------- open windows
     def _refresh(self, now: float) -> None:

@@ -20,7 +20,7 @@ reflect object accesses while we are interested in website accesses":
 """
 
 from repro.workload.catalog import Catalog
-from repro.workload.churn import ChurnModel
+from repro.workload.churn import ChurnModel, ChurnSurgeSpec
 from repro.workload.flashcrowd import FlashCrowdChurnModel, FlashCrowdProfile
 from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload, RegionalSurge
 from repro.workload.queries import QueryStream
@@ -31,6 +31,7 @@ __all__ = [
     "ZipfSampler",
     "QueryStream",
     "ChurnModel",
+    "ChurnSurgeSpec",
     "FlashCrowdProfile",
     "FlashCrowdChurnModel",
     "ArrivalProfile",

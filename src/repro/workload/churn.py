@@ -12,14 +12,20 @@ paper's "total network size").
 else; what a peer *does* while online belongs to the CDN layer, which plugs
 in through the two callbacks.  In expectation the online population is
 ``arrival_rate x mean_uptime = P`` -- a property the tests verify.
+
+A :class:`ChurnSurgeSpec` is a burst of extra arrivals on top of that
+process (a churn burst, or a flash crowd when pinned to one website); it
+rides in ``ExperimentConfig.fault_schedule`` and is installed by
+:meth:`ChurnModel.schedule_surge`.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.sim.engine import Simulator
 
 #: Fired when an identity comes online.
@@ -27,6 +33,34 @@ ArrivalCallback = Callable[[int], None]
 
 #: Fired when an online identity crashes.
 DepartureCallback = Callable[[int], None]
+
+
+@dataclass(frozen=True)
+class ChurnSurgeSpec:
+    """A burst of extra arrivals on top of the baseline churn process.
+
+    Attributes:
+        start_ms / duration_ms: the surge window; arrivals are spread
+            evenly across it.
+        arrivals: how many extra identities are brought online.
+        hot_website: if set, arriving identities are pinned to this
+            website (a flash crowd); ``None`` keeps the uniform interest
+            assignment (a plain churn burst).
+        hot_interest_probability: fraction of surge arrivals that get the
+            hot-website pin (ignored when ``hot_website`` is None).
+    """
+
+    start_ms: float
+    duration_ms: float
+    arrivals: int
+    hot_website: Optional[int] = None
+    hot_interest_probability: float = 0.8
+
+    def __post_init__(self) -> None:
+        if self.duration_ms <= 0 or self.arrivals < 1:
+            raise ConfigError("surge needs a positive window and >= 1 arrival")
+        if not 0.0 <= self.hot_interest_probability <= 1.0:
+            raise ConfigError("hot_interest_probability must be in [0, 1]")
 
 
 class ChurnModel:
@@ -102,7 +136,7 @@ class ChurnModel:
         self._started = True
         self._schedule_next_arrival()
 
-    def seed_online(self, identity: int, schedule_departure: bool = True) -> None:
+    def seed_online(self, identity: int) -> None:
         """Mark *identity* online without an arrival event.
 
         Used for the initial population (the 600 directory peers that form
@@ -112,8 +146,40 @@ class ChurnModel:
         """
         self._take_offline_identity(identity)
         self._online.add(identity)
-        if schedule_departure:
-            self._schedule_departure(identity)
+        self._schedule_departure(identity)
+
+    def schedule_surge(
+        self,
+        spec: ChurnSurgeSpec,
+        rng: random.Random,
+        pin_website: Callable[[int, int], None],
+    ) -> None:
+        """Schedule every arrival of one surge.
+
+        Arrivals are spread evenly across the window (jitter would need
+        another draw per arrival for no modelling benefit).  The
+        hot-website pin draws from *rng*, a stream of the caller's, so
+        surge randomness never perturbs the churn or protocol streams;
+        ``pin_website(identity, website)`` lands before the arrival
+        callback, so the CDN layer sees the identity already pinned.
+        """
+        step = spec.duration_ms / spec.arrivals
+        for i in range(spec.arrivals):
+            at = spec.start_ms + (i + 0.5) * step
+            self.sim.schedule(
+                max(at - self.sim.now, 0.0), self._admit_surge, spec, rng, pin_website
+            )
+
+    def _admit_surge(
+        self,
+        spec: ChurnSurgeSpec,
+        rng: random.Random,
+        pin_website: Callable[[int, int], None],
+    ) -> None:
+        if spec.hot_website is not None and rng.random() < spec.hot_interest_probability:
+            self._admit_arrival(lambda identity: pin_website(identity, spec.hot_website))
+        else:
+            self._admit_arrival()
 
     def draw_uptime_ms(self) -> float:
         """One exponential session length."""

@@ -180,9 +180,9 @@ class OpenLoopWorkload:
     website's Zipf popularity law -- repeats allowed, this is the open
     loop -- and issues it through the peer's normal query path.
 
-    Surges may be added mid-run (the chaos sustained-overload phase does
-    this): the peak bound is recomputed and applies from the next
-    scheduled candidate on.
+    Surges may be added after :meth:`start` (a ``RegionalSurge`` in
+    ``fault_schedule`` is; see :meth:`add_surge`): the peak bound is
+    recomputed and applies from the next scheduled candidate on.
     """
 
     def __init__(self, sim, system, profile: ArrivalProfile) -> None:
@@ -223,7 +223,16 @@ class OpenLoopWorkload:
         self.sim.defer(self.rng.expovariate(self._peak_rate_per_ms), self._candidate)
 
     def add_surge(self, surge: RegionalSurge) -> None:
-        """Install one more flash crowd (chaos overload windows)."""
+        """Install one more flash crowd on the running process.
+
+        This, not the profile, is how a ``RegionalSurge`` of a
+        ``fault_schedule`` joins (``assemble_world``, right after
+        :meth:`start`): the first candidate gap is already drawn at the
+        profile's own peak by then.  The same surge inside the profile
+        would raise the peak before that draw and so yield a different
+        stream from the first event on -- the two spellings are not
+        interchangeable under the pinned chaos goldens.
+        """
         self.surges.append(surge)
         self._recompute_peak()
 

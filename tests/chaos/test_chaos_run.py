@@ -10,12 +10,22 @@ import pytest
 
 from repro.cdn.base import BasePeer
 from repro.chaos import generate_plan, load_bundle, replay_bundle, run_chaos
-from repro.chaos.auditor import AuditorConfig
-from repro.chaos.runner import config_from_dict, config_to_dict
+from repro.chaos.auditor import AuditorConfig, InvariantAuditor
+from repro.chaos.plan import ChaosPlan
+from repro.chaos.runner import config_from_dict, config_to_dict, merged_config
 from repro.errors import ConfigError, TransportError
 from repro.experiments.config import ExperimentConfig
-from repro.net.faults import BurstyLossSpec, MassFailureSpec, PartitionSpec
-from repro.sim.clock import hours
+from repro.experiments.runner import PROTOCOLS, build_world
+from repro.net.faults import (
+    BurstyLossSpec,
+    LatencySpikeSpec,
+    MassFailureSpec,
+    PartitionSpec,
+    SeederDeathSpec,
+)
+from repro.sim.clock import hours, minutes
+from repro.workload.churn import ChurnSurgeSpec
+from repro.workload.openloop import RegionalSurge
 
 
 def small_config(duration_hours=1.5):
@@ -69,6 +79,69 @@ def test_config_round_trips_with_fault_schedule():
     )
     data = json.loads(json.dumps(config_to_dict(config)))
     assert config_from_dict(data) == config
+
+
+#: One spec of each kind ``fault_schedule`` accepts.
+ONE_OF_EACH_KIND = (
+    ChurnSurgeSpec(start_ms=minutes(5), duration_ms=minutes(10), arrivals=6, hot_website=1),
+    PartitionSpec(locality=1, start_ms=minutes(10), heal_ms=minutes(20)),
+    RegionalSurge(minutes(12), minutes(2), 3.0, minutes(8), locality=0, hot_website=1),
+    LatencySpikeSpec(start_ms=minutes(15), end_ms=minutes(30), multiplier=2.0),
+    SeederDeathSpec(at_ms=minutes(25), count=2),
+    BurstyLossSpec(
+        p_good_to_bad=0.05, p_bad_to_good=0.3, start_ms=minutes(30), end_ms=minutes(40)
+    ),
+    MassFailureSpec(at_ms=minutes(45), fraction=0.2),
+)
+
+
+def test_schedule_of_every_kind_round_trips_and_builds_everywhere():
+    """All seven kinds ride in one ``fault_schedule``: the config stays
+    hashable, survives the bundle's JSON form equal, and every protocol's
+    world installs it (open-loop surges and seeder deaths are inert where
+    their plane is off)."""
+    config = small_config().replace(fault_schedule=ONE_OF_EACH_KIND)
+    data = json.loads(json.dumps(config_to_dict(config)))
+    restored = config_from_dict(data)
+    assert restored == config and hash(restored) == hash(config)
+    for protocol in sorted(PROTOCOLS):
+        world = build_world(protocol, restored, seed=1)
+        assert world.faults is not None and world.openloop is None
+    overloaded = build_world("flower", config.replace(openloop_rate_qps=2.0), seed=1)
+    assert overloaded.openloop.surges == [ONE_OF_EACH_KIND[2]]
+
+
+def test_auditor_reads_disturbance_windows_by_type():
+    """Partitions, latency spikes and *bounded* bursty loss open a window
+    in which convergence is not owed; nothing else in a schedule does --
+    in particular not the surges, which also carry a ``start_ms``."""
+
+    def windows(schedule):
+        world = build_world("flower", small_config().replace(fault_schedule=schedule), 1)
+        return InvariantAuditor(world, results_dir=None)._disturbance_windows
+
+    assert windows(ONE_OF_EACH_KIND) == [
+        (minutes(10), minutes(20)),
+        (minutes(15), minutes(30)),
+        (minutes(30), minutes(40)),
+    ]
+    assert windows((BurstyLossSpec(p_good_to_bad=0.05, p_bad_to_good=0.3),)) == []
+
+
+def test_bundle_stores_each_spec_of_its_plan_once(tmp_path):
+    """A bundle is the arguments of its ``run_chaos`` call: the base
+    config's own schedule under ``config``, the plan's under ``plan``."""
+    own = (MassFailureSpec(at_ms=minutes(50), fraction=0.1),)
+    base = small_config().replace(fault_schedule=own)
+    plan = small_plan(6)  # a latency spike, a churn surge, a mass failure
+    assert len(plan.faults) == 3
+    world = build_world("flower", merged_config(base, plan), seed=1)
+    auditor = InvariantAuditor(world, plan=plan, results_dir=str(tmp_path))
+    auditor._violation("synthetic", subject="test", details={})
+    bundle = load_bundle(auditor.bundle_paths[0])
+    assert config_from_dict(bundle["config"]).fault_schedule == own
+    assert ChaosPlan.from_dict(bundle["plan"]) == plan
+    assert bundle["schema"] == bundle["plan"]["schema"] == 2
 
 
 def test_config_from_dict_rejects_unknown_fields():
@@ -181,6 +254,32 @@ def test_broken_build_trips_auditor_and_bundle_replays(
     assert replay.violations[0].kind == report.violations[0].kind
     assert replay.violations[0].subject == report.violations[0].subject
     assert replay.violations[0].time == report.violations[0].time
+
+
+@pytest.mark.slow
+def test_all_planes_at_once_stay_clean(tmp_path):
+    """Replication, search + probes, open loop + admission queues +
+    shedding, hints, rebalance, swarming + bandwidth, together, under a
+    plan drawn from the full menu (the first plan of CI's all-planes
+    ``chaos-smoke`` lane): no violation, every query and every transfer
+    terminally accounted."""
+    from repro.cli import main
+
+    report_path = tmp_path / "report.json"
+    argv = (
+        f"chaos flower --replication 2 --search --rebalance --seeder-death "
+        f"--population 100 --hours 3 --seed 1 --plans 1 --chaos-seed 1 "
+        f"--intensity 1.5 --results-dir {tmp_path / 'bundles'} --json {report_path}"
+    )
+    assert main(argv.split()) == 0
+    (report,) = json.loads(report_path.read_text()).values()
+    stats = report["stats"]
+    assert report["violations"] == []
+    assert stats["searches"] > 0 and stats["queries_opened"] > 50_000
+    # Whatever is still open at the horizon is younger than the ledger
+    # grace (older would be a ``query_leaked`` violation above).
+    assert 0 <= stats["queries_opened"] - stats["queries_closed"] <= 5
+    assert stats["transfers_opened"] == stats["transfers_closed"] > 0
 
 
 def test_load_bundle_rejects_garbage(tmp_path):

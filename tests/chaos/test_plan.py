@@ -1,19 +1,26 @@
 """Chaos plan generation: determinism, structure, serialization."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.plan import (
     ChaosPhase,
     ChaosPlan,
-    ChurnSurgeSpec,
-    SeederDeathSpec,
     generate_plan,
     spec_from_dict,
     spec_to_dict,
 )
 from repro.errors import ConfigError
-from repro.net.faults import BurstyLossSpec, MassFailureSpec, PartitionSpec
+from repro.net.faults import (
+    BurstyLossSpec,
+    MassFailureSpec,
+    PartitionSpec,
+    SeederDeathSpec,
+)
 from repro.sim.clock import hours
+from repro.workload.churn import ChurnSurgeSpec
+from repro.workload.openloop import RegionalSurge
 
 
 def make_plan(chaos_seed=7, horizon_h=6.0, intensity=1.0, **kwargs):
@@ -121,37 +128,66 @@ def test_split_brain_phase_wipes_directories_inside_the_cut():
     assert found > 0, "30 seeds at weight 1.0 must produce split_brain phases"
 
 
+def of_kind(plan, kind):
+    return [spec for spec in plan.faults if isinstance(spec, kind)]
+
+
+def test_a_plan_is_a_timeline_plus_one_spec_list():
+    names = [f.name for f in dataclasses.fields(ChaosPlan)]
+    assert names == ["name", "chaos_seed", "horizon_ms", "faults", "phases"]
+
+
 def test_seeder_death_is_opt_in_and_byte_compatible():
-    """Without the kwarg the menu, RNG stream and serialized form are
-    exactly the classic ones -- replay bundles stay valid."""
+    """Without the kwargs the menu, RNG stream and serialized form are
+    exactly the classic ones: no opt-in kind is ever generated."""
     for seed in range(12):
         classic = make_plan(chaos_seed=seed)
-        assert classic == make_plan(chaos_seed=seed, seeder_death=False)
-        assert classic.seeder_deaths == ()
-        assert "seeder_deaths" not in classic.to_dict()
+        assert classic == make_plan(chaos_seed=seed, overload=False, seeder_death=False)
+        assert not of_kind(classic, (SeederDeathSpec, RegionalSurge))
+        kinds = {spec["type"] for spec in classic.to_dict()["faults"]}
+        assert not kinds & {"seeder_death", "regional_surge"}
 
 
 def test_seeder_death_phases_produce_bounded_strikes():
     found = 0
     for seed in range(12):
         plan = make_plan(chaos_seed=seed, intensity=2.0, seeder_death=True)
-        for spec in plan.seeder_deaths:
+        strikes = of_kind(plan, SeederDeathSpec)
+        for spec in strikes:
             found += 1
             assert 0.0 <= spec.at_ms <= plan.horizon_ms
             assert spec.count >= 1
             assert spec.hot_website is None or 0 <= spec.hot_website < 12
-        if plan.seeder_deaths:
+        if strikes:
             # The strike lands inside a declared seeder_death phase.
             windows = [
                 (p.start_ms, p.end_ms)
                 for p in plan.phases
                 if p.kind == "seeder_death"
             ]
-            for spec in plan.seeder_deaths:
+            for spec in strikes:
                 assert any(lo <= spec.at_ms <= hi for lo, hi in windows)
             # And the opted-in plan still round-trips.
             assert ChaosPlan.from_dict(plan.to_dict()) == plan
     assert found > 0, "12 seeds with the kwarg must produce seeder deaths"
+
+
+def test_sustained_overload_phases_produce_one_surge_each():
+    """Every ``sustained_overload`` phase is one ``RegionalSurge`` starting
+    with it, in the spelling the open loop reads (-1 = everywhere / no
+    website), and the opted-in plan round-trips."""
+    found = 0
+    for seed in range(12):
+        plan = make_plan(chaos_seed=seed, intensity=2.0, overload=True)
+        surges = of_kind(plan, RegionalSurge)
+        starts = [p.start_ms for p in plan.phases if p.kind == "sustained_overload"]
+        assert [s.start_ms for s in surges] == starts
+        for surge in surges:
+            found += 1
+            assert surge.peak_multiplier > 1.0
+            assert -1 <= surge.locality < 3 and -1 <= surge.hot_website < 12
+        assert ChaosPlan.from_dict(plan.to_dict()) == plan
+    assert found > 0, "12 seeds with the kwarg must produce overload surges"
 
 
 def test_seeder_death_spec_validation():
@@ -192,6 +228,7 @@ def test_spec_registry_round_trips_every_type():
         MassFailureSpec(at_ms=5.0, fraction=0.25, directories_only=True),
         BurstyLossSpec(p_good_to_bad=0.1, p_bad_to_good=0.4),
         ChurnSurgeSpec(start_ms=0.0, duration_ms=100.0, arrivals=4, hot_website=2),
+        RegionalSurge(10.0, 5.0, 3.0, 20.0, locality=1, hot_website=2),
         SeederDeathSpec(at_ms=30.0, count=3, hot_website=1),
         SeederDeathSpec(at_ms=30.0, count=1),
         ChaosPhase("calm", 0.0, 50.0),
@@ -206,10 +243,13 @@ def test_unknown_spec_type_rejected():
 
 
 def test_unknown_schema_rejected():
-    data = make_plan().to_dict()
-    data["schema"] = 99
-    with pytest.raises(ConfigError):
-        ChaosPlan.from_dict(data)
+    """Schema 1 (side lists of surges and seeder deaths) is refused like
+    any other schema this build does not write."""
+    for schema in (1, 99):
+        data = make_plan().to_dict()
+        data["schema"] = schema
+        with pytest.raises(ConfigError):
+            ChaosPlan.from_dict(data)
 
 
 def test_surge_validation():

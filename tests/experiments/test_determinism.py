@@ -16,6 +16,8 @@ out (and the goldens re-derived) explicitly, never absorbed silently into
 a "performance" commit.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from repro.net.faults import (
 )
 from repro.sim.clock import hours, minutes
 from repro.sim.trace import StreamFingerprint
+from repro.workload.churn import ChurnSurgeSpec
 
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
 #: Re-derived when the query-lifecycle ledger landed: ``cdn.query_done``
@@ -59,6 +62,57 @@ GOLDEN_FAULTED = (
     "27ad95454612352c75356bf87d6eb67079a77c8a559f2e152a3fc8d696560b1a",
     0.6450742240215924,
 )
+
+#: phase the plan must contain -> (protocol, config overrides,
+#: ``generate_plan`` opt-ins, stream SHA-256, hit ratio) of one
+#: ``run_chaos`` per plan menu over CHAOS_GOLDEN_BASE at seed 1, chaos
+#: seed 1, intensity 1.5.  The classic plan is four ``flash_crowd`` surges
+#: around a ``split_brain``; the overload plan two ``sustained_overload``
+#: plateaus (3 454 surge arrivals), a ``churn_burst`` and two flash
+#: crowds; the seeder plan two ``seeder_death`` strikes (one lands), a
+#: ``churn_burst`` and two flash crowds.  Recorded
+#: on the commit *before* surges, overload windows and seeder deaths moved
+#: from three side lists of the plan (each with its own installer, run
+#: after the auditor and the phase markers) into ``fault_schedule``, so
+#: they pin that one installer schedules in the same order and draws the
+#: same streams as three.
+GOLDEN_CHAOS = {
+    "flash_crowd": (
+        "flower",
+        {},
+        {},
+        "c5b85bbadbb412b11d6cca1efd05589baa0881c5dcd11ef356ba388d567ac1fc",
+        0.4005252790544977,
+    ),
+    "sustained_overload": (
+        "petalup",
+        dict(
+            openloop_rate_qps=1.0,
+            directory_queue_limit=16,
+            directory_service_ms=40.0,
+            overload_shedding=True,
+            redirect_hints=True,
+            rebalance=True,
+        ),
+        dict(overload=True),
+        "790fdc779a62aa18c6aa1c79e44e9c343ce62a05a26f1572efe7af42bf974718",
+        0.9458549423329979,
+    ),
+    "seeder_death": (
+        "flower",
+        dict(
+            swarming=True,
+            swarm_replicate=2,
+            object_mean_kb=256.0,
+            bandwidth_kbps=4000.0,
+            bandwidth_slow_fraction=0.15,
+        ),
+        dict(seeder_death=True),
+        "9ac5d7a0235ce1d1af9f1d26c88c731c9c40669fd1d86e68e1f2739d9d111a7c",
+        0.33881278538812787,
+    ),
+}
+CHAOS_GOLDEN_BASE = dict(population=120, duration_hours=6.0, directory_replication_k=2)
 
 #: Every kind of window, overlapping the way a hand-written schedule may:
 #: two partitions of different localities open together, a global and a
@@ -134,6 +188,33 @@ def test_golden_faulted_stream_fingerprint():
     config = golden_config().replace(fault_schedule=FAULT_SCHEDULE)
     sha, hit_ratio, _ = run_world("flower", firehose=True, config=config)
     assert (sha, hit_ratio) == GOLDEN_FAULTED
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("phase", sorted(GOLDEN_CHAOS))
+def test_golden_chaos_stream_fingerprint(phase):
+    """A whole chaos run, event for event: the plan's surges, overload
+    windows and seeder deaths installed from ``fault_schedule``, the
+    auditor's ticks and the phase markers around them."""
+    from repro.chaos import generate_plan, run_chaos
+
+    protocol, overrides, opt_ins, golden_sha, golden_hit = GOLDEN_CHAOS[phase]
+    config = ExperimentConfig.scaled(**CHAOS_GOLDEN_BASE, **overrides)
+    plan = generate_plan(
+        1,
+        horizon_ms=config.duration_ms,
+        num_localities=config.num_localities,
+        num_websites=config.num_websites,
+        intensity=1.5,
+        population=config.population,
+        **opt_ins,
+    )
+    assert phase in {p.kind for p in plan.phases}
+    report = run_chaos(
+        protocol, config, plan, seed=SEED, results_dir=None, collect_fingerprint=True
+    )
+    assert report.ok
+    assert (report.fingerprint, report.result.hit_ratio) == (golden_sha, golden_hit)
 
 
 @pytest.mark.slow
@@ -431,6 +512,11 @@ def test_sharded_faults_worker_count_invariance():
             end_ms=minutes(45),
         ),
         MassFailureSpec(at_ms=minutes(52), fraction=0.3, locality=3),
+        # Split over the four shards 3 + 3 + 2 + 2, pinned from each
+        # shard's own "chaos" stream.
+        ChurnSurgeSpec(
+            start_ms=minutes(5), duration_ms=minutes(30), arrivals=10, hot_website=1
+        ),
     )
     config = sharded_config().replace(fault_schedule=schedule)
     one, two = (run_sharded(workers, config) for workers in (1, 2))
@@ -440,6 +526,26 @@ def test_sharded_faults_worker_count_invariance():
     assert two.extra["drop_counts"] == drops
     assert two.hit_ratio == one.hit_ratio
     assert two.events_executed == one.events_executed
+
+
+@given(st.integers(1, 10_000), st.integers(1, 16))
+def test_shard_schedule_splits_a_churn_surge_exactly(arrivals, num_shards):
+    """Per-shard shares of a surge sum to its ``arrivals``; a shard with a
+    zero share carries no surge at all; every other kind is installed
+    whole on every shard."""
+    from repro.experiments.sharded import shard_schedule
+
+    surge = ChurnSurgeSpec(start_ms=0.0, duration_ms=60.0, arrivals=arrivals)
+    wipe = MassFailureSpec(at_ms=30.0, fraction=0.5)
+    shares = [
+        shard_schedule((wipe, surge), num_shards, shard_id)
+        for shard_id in range(num_shards)
+    ]
+    assert all(share[0] == wipe for share in shares)
+    carried = [share[1] for share in shares if len(share) == 2]
+    assert sum(spec.arrivals for spec in carried) == arrivals
+    assert len(carried) == min(arrivals, num_shards)
+    assert all(spec == dataclasses.replace(surge, arrivals=spec.arrivals) for spec in carried)
 
 
 @pytest.mark.slow

@@ -188,3 +188,22 @@ def test_shard_cell_holds_a_world():
     InvariantAuditor(cell.world, results_dir=None)
     cell.run_to(minutes(1))
     assert cell.finalize()["totals"]["events_executed"] > 0
+
+
+def test_shard_cell_schedules_its_share_of_a_churn_surge():
+    """A surge of 10 arrivals over 4 shards is 3 + 3 + 2 + 2 admissions:
+    that many more events wait in each cell than without the surge."""
+    from repro.experiments.sharded import ShardCell, default_window_ms
+    from repro.net.shardnet import ShardMap
+    from repro.workload.churn import ChurnSurgeSpec
+
+    shard_map = ShardMap(4, SHARDED.num_localities, SHARDED.num_websites)
+    surge = ChurnSurgeSpec(start_ms=minutes(5), duration_ms=minutes(30), arrivals=10)
+
+    def pending(config, shard_id):
+        cell = ShardCell(config, 1, shard_map, shard_id, default_window_ms(config), False)
+        return cell.world.sim.pending_events
+
+    surged = SHARDED.replace(fault_schedule=(surge,))
+    shares = [pending(surged, shard) - pending(SHARDED, shard) for shard in range(4)]
+    assert shares == [3, 3, 2, 2]

@@ -43,7 +43,7 @@ def test_mean_interarrival_is_m_over_p():
 def test_seed_online():
     sim = Simulator(seed=1)
     model = make_model(sim)
-    model.seed_online(3, schedule_departure=False)
+    model.seed_online(3)
     assert model.is_online(3)
     assert model.online_count == 1
 
@@ -51,7 +51,7 @@ def test_seed_online():
 def test_seed_online_twice_rejected():
     sim = Simulator(seed=1)
     model = make_model(sim)
-    model.seed_online(3, schedule_departure=False)
+    model.seed_online(3)
     with pytest.raises(WorkloadError):
         model.seed_online(3)
 
