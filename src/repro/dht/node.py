@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import DHTError
 from repro.net.message import Message
-from repro.net.transport import NetworkNode
+from repro.net.transport import ACK, NetworkNode
 from repro.sim.process import PeriodicProcess, desynchronized_start
 from repro.types import Address, ChordId
 
@@ -440,9 +440,9 @@ class ChordNode:
             return {"accepted": True}
         return {"accepted": False, "holder": pred.pack()}
 
-    def handle_chord_ping(self, message: Message) -> Dict[str, Any]:
-        """Liveness probe (predecessor check)."""
-        return {"id": self.node_id, "joined": self.joined}
+    def handle_chord_ping(self, message: Message) -> Any:
+        """Liveness probe (predecessor check): a ring member just acks."""
+        return ACK if self.joined else {"id": self.node_id, "joined": False}
 
     def handle_chord_successor_hint(self, message: Message) -> None:
         """A gracefully leaving successor points us past itself."""
@@ -602,12 +602,15 @@ class ChordNode:
             return
 
         def on_timeout() -> None:
+            if not self.joined:
+                return  # shut down meanwhile: these are not our tables now
             if self.predecessor is not None and self.predecessor.id == pred.id:
                 self.predecessor = None
 
         def on_reply(payload: Dict[str, Any]) -> None:
-            if not payload.get("joined"):
-                on_timeout()  # answers, but no longer a ring member
+            # A member's ack never gets here: whoever answers in words is
+            # no longer a ring member.
+            on_timeout()
 
         self.host.rpc(
             pred.address,
@@ -630,10 +633,14 @@ class ChordNode:
 # PeerSim-style Chord simulations route.  The ack is what makes a hop
 # reliable: a previous hop that hears ``{"ok": False}`` or nothing within
 # ``rpc_timeout_ms`` purges the dead entry and reroutes through its next
-# best candidate, up to three handoffs (``forward_route``).  Only a route
-# that runs out of handoffs, or whose result is lost, is lost: the origin
-# then retries the whole route after ``recursive_timeout_ms`` and gives up
-# after ``recursive_retries`` attempts.
+# best candidate, up to three handoffs (``forward_route``).  The positive
+# ack is the transport's ``ACK``: it settles the hop's RPC and calls
+# nobody, and on a fabric that cannot lose or delay it, it is not even an
+# event.  Only a route that runs out of handoffs, or whose result is lost,
+# is lost: the origin then retries the whole route after
+# ``recursive_timeout_ms`` (a deadline armed with ``Network.arm_deadline``,
+# so an attempt that finished in time never fires) and gives up after
+# ``recursive_retries`` attempts.
 #
 # Hosts keep one pending-callback table for all their Chord activity (a
 # host may run several logical nodes over its lifetime -- e.g. a Flower
@@ -651,14 +658,14 @@ def deliver_route_result(host: NetworkNode, message: Message) -> None:
     return None
 
 
-def route_step(node: Optional["ChordNode"], host: NetworkNode, message: Message) -> Dict[str, Any]:
+def route_step(node: Optional["ChordNode"], host: NetworkNode, message: Message) -> Any:
     """Host-side dispatch of ``chord.route``: acknowledge, then answer the
     origin or forward one hop closer.
 
-    The ack tells the previous hop the message is in good hands; a previous
-    hop that gets no ack (we crashed) or ``{"ok": False}`` (we are not a
-    ring member any more) reroutes around us -- per-hop reliability, the
-    way deployed recursive DHTs forward.
+    The :data:`~repro.net.transport.ACK` tells the previous hop the message
+    is in good hands; a previous hop that gets no ack (we crashed) or
+    ``{"ok": False}`` (we are not a ring member any more) reroutes around
+    us -- per-hop reliability, the way deployed recursive DHTs forward.
     """
     if node is None or not node.joined or not host.alive:
         return {"ok": False}
@@ -666,7 +673,7 @@ def route_step(node: Optional["ChordNode"], host: NetworkNode, message: Message)
     key: ChordId = payload["key"]
     hops: int = payload["hops"]
     if hops >= node.ring.params.lookup_max_probes:
-        return {"ok": True}  # loop guard: swallow silently
+        return ACK  # loop guard: swallow silently
     successors = node.successors
     if not successors:
         return {"ok": False}
@@ -687,9 +694,9 @@ def route_step(node: Optional["ChordNode"], host: NetworkNode, message: Message)
             result=succ,
             hops=hops,
         )
-        return {"ok": True}
+        return ACK
     forward_route(node, host, dict(payload, hops=hops + 1))
-    return {"ok": True}
+    return ACK
 
 
 def forward_route(
@@ -716,11 +723,16 @@ def forward_route(
         return
 
     def on_ack(reply: Dict[str, Any]) -> None:
-        if not reply.get("ok"):
-            node.note_failed(nxt.id)
-            forward_route(node, host, payload, attempts - 1)
+        # Only a refusal gets here (the positive ack is the transport's
+        # ACK): the next hop answers but is not a ring member any more.
+        if not node.joined:
+            return
+        node.note_failed(nxt.id)
+        forward_route(node, host, payload, attempts - 1)
 
     def on_timeout() -> None:
+        if not node.joined:
+            return  # shut down meanwhile: no table to repair, no reroute
         node.note_failed(nxt.id)
         host.sim.emit("chord.route_reroute", at=node.node_id, dead=nxt.id)
         forward_route(node, host, payload, attempts - 1)
@@ -736,7 +748,13 @@ def forward_route(
 
 
 class _RecursiveLookup:
-    """State of one in-flight recursive lookup (origin side)."""
+    """State of one in-flight recursive lookup (origin side).
+
+    Attempts are sequential, so the lookup is its own deadline record for
+    :meth:`Network.arm_deadline` (``settled`` / ``deadline`` / ``seq`` /
+    :meth:`fire_timeout`): nothing refers back to it, and once it has
+    finished its pending deadline is dropped without becoming an event.
+    """
 
     def __init__(
         self,
@@ -751,7 +769,7 @@ class _RecursiveLookup:
         self.start_address = start
         self.started_at = node.host.sim.now
         self.attempts = 0
-        self.done = False
+        self.settled = False
         self.nonce: Optional[tuple] = None
 
     # ------------------------------------------------------------ plumbing
@@ -766,13 +784,8 @@ class _RecursiveLookup:
         self.attempts += 1
         node, host = self.node, self.node.host
         self.nonce = self._next_nonce()
-        self.node.host._chord_pending_lookups[self.nonce] = self._on_result
-        # defer, not schedule: the timeout is never cancelled (the nonce
-        # check in _on_attempt_timeout makes stale firings no-ops), so no
-        # handle needs to be allocated -- one per lookup attempt.
-        host.sim.defer(
-            node.ring.params.recursive_timeout_ms, self._on_attempt_timeout, self.nonce
-        )
+        host._chord_pending_lookups[self.nonce] = self._on_result
+        host.network.arm_deadline(node.ring.params.recursive_timeout_ms, self)
         payload = {
             "key": self.key,
             "origin": host.address,
@@ -803,16 +816,15 @@ class _RecursiveLookup:
         forward_route(node, host, payload)
 
     def _on_result(self, payload: Dict[str, Any]) -> None:
-        if self.done or not self.node.host.alive:
+        if self.settled or not self.node.host.alive:
             return
         self._finish(NodeRef.unpack(payload.get("result")), payload.get("hops", 0))
 
-    def _on_attempt_timeout(self, nonce: tuple) -> None:
-        if self.done or nonce != self.nonce:
-            return
-        self.node.host._chord_pending_lookups.pop(nonce, None)
+    def fire_timeout(self) -> None:
+        """The current attempt's deadline passed with no result."""
+        self.node.host._chord_pending_lookups.pop(self.nonce, None)
         if not self.node.host.alive:
-            self.done = True
+            self.settled = True
             return
         if self.attempts > self.node.ring.params.recursive_retries:
             self._finish(None, 0, timeouts=self.attempts)
@@ -820,7 +832,7 @@ class _RecursiveLookup:
         self.begin()
 
     def _finish(self, found: Optional[NodeRef], hops: int, timeouts: Optional[int] = None) -> None:
-        self.done = True
+        self.settled = True
         if self.nonce is not None:
             self.node.host._chord_pending_lookups.pop(self.nonce, None)
         sim = self.node.host.sim

@@ -12,7 +12,9 @@ This is where the simulation meets the "physical" network:
 
 Protocol endpoints subclass :class:`NetworkNode` and implement handlers named
 ``handle_<kind>`` (dots in the kind become underscores).  A handler's return
-value becomes the RPC reply payload.
+value becomes the RPC reply payload; a handler with nothing to say beyond
+"I am here" returns :data:`ACK`, which settles the caller's RPC without
+calling its ``on_reply``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,27 @@ MAX_PACKED_ADDRESS = 1 << ADDR_SHIFT
 
 #: What :meth:`Network._deliver` returns for a message it dropped.
 DROPPED = object()
+
+
+class _Ack:
+    """The type of :data:`ACK`; pickles by name, so a copy that crossed
+    the shard bus is the same object again."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "ACK"
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "ACK"
+
+
+#: The reply of a handler that has nothing to say beyond "I am here".  It
+#: settles the caller's RPC like any reply, but ``on_reply`` is never
+#: called for it -- a caller's ``on_reply`` hears negative or informative
+#: replies only -- and where a sent reply cannot fail to arrive in time it
+#: is not an event either (see :meth:`Network._deliver`).
+ACK = _Ack()
 
 
 class NetworkNode:
@@ -166,10 +189,13 @@ class NetworkNode:
 
         The destination handler runs when the request arrives; its return
         value travels back and ``on_reply`` fires at the source one link
-        latency later.  If the destination is dead (at delivery time) the
-        request vanishes and ``on_timeout`` fires ``timeout_ms`` after the
-        send -- the caller cannot tell *why* there was no answer, only that
-        there was none, matching real failure detection.
+        latency later -- unless the handler returned :data:`ACK`, which
+        only settles the call: ``on_reply`` hears negative or informative
+        replies, never a bare acknowledgement.  If the destination is dead
+        (at delivery time) the request vanishes and ``on_timeout`` fires
+        ``timeout_ms`` after the send -- the caller cannot tell *why* there
+        was no answer, only that there was none, matching real failure
+        detection.
 
         Callbacks are suppressed if the *source* has died in the meantime
         (a dead peer processes nothing, including its own timers).
@@ -207,33 +233,21 @@ class NetworkNode:
         if faults is not None and now >= faults.calm_until:
             latency = faults.latency_adjust(src_addr, dst, latency)
         # Two sequence numbers, exactly as a timeout defer followed by a
-        # delivery defer would take them: the timeout owns the lower one,
-        # whether or not it ever becomes a heap entry (see
-        # ``Network._fire_timeouts``).
-        queue = sim._queue
-        heap = queue._heap
-        seq = queue._seq
-        queue._seq = seq + 2
+        # delivery defer would take them: the deadline owns the lower one,
+        # whether or not it ever becomes a heap entry.
+        network.arm_deadline(timeout_ms, context)
         # The event sequence number doubles as the correlation id: it is
         # unique per scheduled event, so per RPC, and already in hand.
-        message.request_id = seq
-        context.deadline = deadline = now + timeout_ms
-        context.seq = seq
-        live = queue._live + 1
-        # ``now`` is monotone, so deadlines of one timeout value are FIFO:
-        # only the head of each FIFO holds a heap entry, and the answered
-        # majority of RPCs never cost a timeout event at all.
-        fifo = network._timeout_fifos.get(timeout_ms)
-        if fifo is None:
-            fifo = network._timeout_fifos[timeout_ms] = deque()
-        if not fifo:
-            heappush(heap, [deadline, seq, network._fire_timeouts_cb, (fifo,)])
-            live += 1
-        fifo.append(context)
+        message.request_id = context.seq
+        # sim.defer, inlined (one delivery event per request).
+        queue = sim._queue
+        seq = queue._seq
+        queue._seq = seq + 1
         heappush(
-            heap,
-            [now + latency, seq + 1, network._deliver_cb, (message, context)],
+            queue._heap,
+            [now + latency, seq, network._deliver_cb, (message, context)],
         )
+        live = queue._live + 1
         queue._live = live
         if live > queue._peak:
             queue._peak = live
@@ -337,10 +351,10 @@ class Network:
         self._deliver_cb = self._deliver
         self._deliver_reply_cb = self._deliver_reply
         self._fire_timeouts_cb = self._fire_timeouts
-        #: timeout value -> RPC contexts awaiting that timeout, in deadline
-        #: order; each non-empty FIFO has exactly one heap entry, for its
-        #: head (see :meth:`_fire_timeouts`).
-        self._timeout_fifos: Dict[float, Deque["_RpcContext"]] = {}
+        #: timeout value -> records awaiting that timeout (RPC contexts,
+        #: lookup attempts), in deadline order; each non-empty FIFO has
+        #: exactly one heap entry, for its head (see :meth:`arm_deadline`).
+        self._timeout_fifos: Dict[float, Deque[Any]] = {}
         #: bumped on every write of a node's ``alive`` flag (registration,
         #: :meth:`NetworkNode.fail`, :meth:`NetworkNode.revive`), so a
         #: consumer can cache anything derived from the live population
@@ -536,9 +550,23 @@ class Network:
                 latency = self.topology.latency(dst, src)
                 cache[(dst << 32) | src] = latency
             sim = self.sim
+            now = sim.now
             faults = self.faults
-            if faults is not None and sim.now >= faults.calm_until:
-                latency = faults.latency_adjust(dst, src, latency)
+            if faults is not None:
+                if now >= faults.calm_until:
+                    latency = faults.latency_adjust(dst, src, latency)
+            elif (
+                reply is ACK
+                and self._drop_rate == 0.0
+                and now + latency < context.deadline
+            ):
+                # Nothing can drop, delay or outrun this ack (a tie with
+                # the deadline would lose to the timeout's lower sequence
+                # number, hence strict), and nobody listens for it: settle
+                # here and spend no reply event.
+                context.settled = True
+                context.src = context.on_reply = context.on_timeout = None
+                return reply
             # sim.defer, inlined (one reply event per answered RPC).
             queue = sim._queue
             seq = queue._seq
@@ -546,7 +574,7 @@ class Network:
             heappush(
                 queue._heap,
                 [
-                    sim.now + latency,
+                    now + latency,
                     seq,
                     self._deliver_reply_cb,
                     (context, dst, reply if reply is not None else {}),
@@ -581,20 +609,50 @@ class Network:
         context.settled = True
         on_reply = context.on_reply
         context.src = context.on_reply = context.on_timeout = None
-        if on_reply is not None:
+        if on_reply is not None and payload is not ACK:
             on_reply(payload)
 
-    def _fire_timeouts(self, fifo: Deque["_RpcContext"]) -> None:
+    def arm_deadline(self, timeout_ms: float, record: Any) -> None:
+        """Give *record* a deadline *timeout_ms* from now.
+
+        *record* is anything with ``settled`` / ``deadline`` / ``seq``
+        attributes and a ``fire_timeout()`` method (an RPC context, a
+        lookup attempt).  It takes one sequence number, as ``sim.defer``
+        would, and unless it is ``settled`` by then its ``fire_timeout()``
+        runs at exactly that ``(deadline, seq)`` -- but it is not an event
+        of its own: ``now`` is monotone, so deadlines of one timeout value
+        are FIFO, only the head of each FIFO holds a heap entry, and a
+        record settled while it waits behind that head never costs an
+        event at all.
+        """
+        sim = self.sim
+        queue = sim._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        record.deadline = deadline = sim.now + timeout_ms
+        record.seq = seq
+        fifo = self._timeout_fifos.get(timeout_ms)
+        if fifo is None:
+            fifo = self._timeout_fifos[timeout_ms] = deque()
+        if not fifo:
+            heappush(queue._heap, [deadline, seq, self._fire_timeouts_cb, (fifo,)])
+            live = queue._live + 1
+            queue._live = live
+            if live > queue._peak:
+                queue._peak = live
+        fifo.append(record)
+
+    def _fire_timeouts(self, fifo: Deque[Any]) -> None:
         """The armed head of one timeout FIFO has reached its deadline.
 
-        Contexts settled by their reply are dropped without ever having
-        been events; the next unsettled one is armed under the
-        ``(deadline, seq)`` its RPC reserved, so it fires at the heap
-        position a per-RPC timeout event would have had.  Arming comes
-        before the callback: ``on_timeout`` may issue an RPC with this
-        same timeout, which must find the FIFO's one entry in place.
+        Records settled early are dropped without ever having been events;
+        the next unsettled one is armed under the ``(deadline, seq)`` it
+        reserved, so it fires at the heap position a timeout event of its
+        own would have had.  Arming comes before the callback:
+        ``fire_timeout`` may arm a deadline of this same timeout value,
+        which must find the FIFO's one entry in place.
         """
-        context = fifo.popleft()
+        record = fifo.popleft()
         while fifo:
             head = fifo[0]
             if not head.settled:
@@ -610,13 +668,16 @@ class Network:
                     queue._peak = live
                 break
             fifo.popleft()
-        context.fire_timeout()
+        if not record.settled:
+            record.fire_timeout()
 
 
 class _RpcContext:
     """Correlates one RPC's reply and timeout; whichever fires first wins
-    (:meth:`Network._deliver_reply` settles by reply, :meth:`fire_timeout`
-    by timeout; :meth:`NetworkNode.rpc` fills the slots).
+    (:meth:`Network._deliver_reply` settles by reply, :meth:`Network._deliver`
+    by an :data:`ACK` that needs no reply event, :meth:`fire_timeout` by
+    timeout; :meth:`NetworkNode.rpc` and :meth:`Network.arm_deadline` fill
+    the slots).
 
     Settling releases the callbacks at once: a context answered early
     stays in its timeout FIFO until the deadline passes, and must not keep
@@ -626,7 +687,7 @@ class _RpcContext:
     __slots__ = ("src", "on_reply", "on_timeout", "settled", "deadline", "seq")
 
     def fire_timeout(self) -> None:
-        if self.settled or not self.src.alive:
+        if not self.src.alive:
             return
         self.settled = True
         on_timeout = self.on_timeout

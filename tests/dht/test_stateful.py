@@ -11,7 +11,7 @@ work) and asserts the invariants real Chord maintains:
 - no live node's tables contain a node it has itself observed dead forever.
 """
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -134,3 +134,40 @@ TestChordStateful = ChordMachine.TestCase
 TestChordStateful.settings = settings(
     max_examples=12, stateful_step_count=12, deadline=None
 )
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    list_size=st.sampled_from([2, 3, 4, 8]),
+    origin=st.integers(0, 23),
+)
+@settings(max_examples=12, deadline=None)
+def test_routing_survives_all_but_one_of_the_successor_list_failing_at_once(
+    seed, list_size, origin
+):
+    """``successor_list_size - 1`` simultaneous failures of a node's
+    *adjacent* successors -- what the list is sized for.  One lookup may
+    spend its handoffs and retries discovering the gap; a minute of
+    maintenance later the node's successor is the one entry of its list
+    that survived, and the key just past the gap routes to it."""
+    world = ChordWorld(
+        seed=seed,
+        params=RingParams(
+            bits=16,
+            successor_list_size=list_size,
+            maintenance_period_ms=seconds(5),
+            recursive_timeout_ms=2000.0,
+        ),
+    )
+    ids = sorted(world.sim.rng("ids").sample(range(2**16), 24))
+    hosts = world.warm_ring(ids)
+    for step in range(1, list_size):
+        hosts[(origin + step) % len(hosts)].fail()
+    survivor = ids[(origin + list_size) % len(ids)]
+    last_dead = ids[(origin + list_size - 1) % len(ids)]
+    world.sim.run(until=minutes(1))
+    assert hosts[origin].chord.successor.id == survivor
+    key = (last_dead + 1) % 2**16  # owned by the first live successor
+    result = world.lookup_sync(hosts[origin], key, horizon=minutes(5))
+    assert result.ok
+    assert result.found.id == survivor

@@ -27,6 +27,7 @@ from repro.experiments.runner import build_world
 from repro.metrics.collector import ALL_OUTCOMES, MetricsCollector, QueryRecord
 from repro.net.faults import (
     BurstyLossSpec,
+    FaultController,
     LatencySpikeSpec,
     MassFailureSpec,
     PartitionSpec,
@@ -561,3 +562,59 @@ def test_tracing_does_not_change_results(protocol):
     _, quiet_hit, quiet_events = run_world(protocol, firehose=False)
     assert traced_events == quiet_events
     assert traced_hit == quiet_hit
+
+
+def _run_observed(protocol, config, seed, acks_travel):
+    """Everything a run shows of itself except its event count -- and that
+    count.  With *acks_travel* an empty fault controller is installed: no
+    window ever opens, but a reply may now fail to arrive, so every ACK
+    takes the wire as an event of its own."""
+    world = build_world(protocol, config, seed)
+    if acks_travel:
+        FaultController(world.sim, world.network)
+    fingerprint = StreamFingerprint(world.sim.trace)
+    world.run()
+    network = world.network
+    observed = (
+        fingerprint.hexdigest(),
+        dict(network.kind_counts),
+        dict(network.drop_counts),
+        network.messages_sent,
+        list(world.system.metrics.records),
+    )
+    return observed, world.sim.events_executed
+
+
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None)
+@given(
+    protocol=st.sampled_from(["flower", "petalup", "squirrel"]),
+    population=st.integers(30, 100),
+    quarter_hours=st.integers(2, 8),
+    num_localities=st.integers(1, 3),
+    mean_uptime_min=st.sampled_from([10.0, 30.0, 60.0]),
+    replication=st.sampled_from([0, 2]),
+    seed=st.integers(0, 2**16),
+)
+def test_an_elided_ack_and_a_travelling_ack_run_the_same_world(
+    protocol, population, quarter_hours, num_localities, mean_uptime_min, replication, seed
+):
+    """The oracle of ack elision is the fabric's other path, not a switch:
+    the same world, bare (acks settle at delivery) and under an installed
+    but empty fault controller (acks travel), emits the same trace stream,
+    sends, counts and drops the same messages and records the same queries
+    -- and only the bare one saves events."""
+    config = ExperimentConfig.scaled(
+        population=population,
+        duration_hours=quarter_hours / 4,
+        num_websites=4,
+        num_active_websites=2,
+        num_localities=num_localities,
+        objects_per_website=30,
+        mean_uptime_min=mean_uptime_min,
+        directory_replication_k=replication,
+    )
+    bare, bare_events = _run_observed(protocol, config, seed, acks_travel=False)
+    wired, wired_events = _run_observed(protocol, config, seed, acks_travel=True)
+    assert bare == wired
+    assert bare_events < wired_events

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.net.topology import ExplicitTopology
-from repro.net.transport import Network, NetworkNode
+from repro.net.transport import ACK, Network, NetworkNode
 from repro.sim.engine import Simulator
 
 
@@ -20,14 +20,14 @@ class Responder(NetworkNode):
         return {"ok": True}
 
 
-def make_pair(loss=0.0, seed=1):
+def make_pair(loss=0.0, seed=1, answering=Responder):
     sim = Simulator(seed=seed)
     network = Network(
         sim, ExplicitTopology([[0.0, 10.0], [10.0, 0.0]]), default_timeout_ms=100.0
     )
     if loss:
         network.configure_loss(loss, sim.rng("loss"))
-    return sim, network, Responder(network), Responder(network)
+    return sim, network, Responder(network), answering(network)
 
 
 def test_loss_rate_validated():
@@ -324,6 +324,55 @@ def test_every_attempt_carries_the_payload_as_it_was_at_the_call():
     sim.run()
     assert b.seen == [{"value": 1}, {"value": 1}]
     assert payload == {"value": 2}
+
+
+class Acker(Responder):
+    def handle_ping(self, message):
+        self.received += 1
+        return ACK
+
+
+def test_under_configured_loss_an_ack_travels_and_can_be_lost():
+    """Loss is drawn per delivery, so on a lossy fabric the ack is a
+    delivery of its own: the event count shows it, a draw is spent on it,
+    and when that draw loses it the caller times out."""
+    sim, network, a, b = make_pair(answering=Acker)
+    # Call 1: request in, ack in.  Call 2: request in, ack lost.
+    network.configure_loss(0.5, ScriptedRng([0.9, 0.9, 0.9, 0.1]))
+    outcomes = []
+    for __ in range(2):
+        a.rpc(
+            b.address,
+            "ping",
+            {},
+            on_reply=lambda p: outcomes.append("reply"),
+            on_timeout=lambda: outcomes.append(("timeout", sim.now)),
+        )
+    sim.run(until=99.0)
+    assert b.received == 2
+    assert sim.events_executed == 4  # two requests, two acks on the wire
+    assert network.drop_counts["loss"] == 1
+    sim.run()
+    assert outcomes == [("timeout", 100.0)]  # on_reply heard neither ack
+
+
+def test_retry_survives_a_lost_ack_without_a_word_to_on_reply():
+    sim, network, a, b = make_pair(answering=Acker)
+    network.configure_loss(0.5, ScriptedRng([0.9, 0.1]))  # ack 1 lost
+    outcomes = []
+    a.retrying_rpc(
+        b.address,
+        "ping",
+        {},
+        on_reply=lambda p: outcomes.append("reply"),
+        on_give_up=lambda: outcomes.append("give_up"),
+        retries=2,
+        backoff_ms=20.0,
+    )
+    sim.run()
+    assert b.received == 2
+    assert sim.trace.count("net.rpc_retry") == 1
+    assert outcomes == []  # settled by the second ack: nothing to report
 
 
 @pytest.mark.parametrize("answered", [True, False])

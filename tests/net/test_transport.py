@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import TransportError
+from repro.net.faults import FaultController
 from repro.net.message import Message
 from repro.net.topology import ExplicitTopology
-from repro.net.transport import Network, NetworkNode
+from repro.net.transport import ACK, Network, NetworkNode
 from repro.sim.engine import Simulator
 
 
@@ -191,7 +192,7 @@ def test_message_repr_and_dataclass():
 
 
 # ---------------------------------------------------------------------------
-# Timeout FIFOs: one armed heap entry per distinct timeout value, each
+# Deadline FIFOs: one armed heap entry per distinct timeout value, each
 # timeout still firing at the (deadline, seq) its RPC reserved.
 # ---------------------------------------------------------------------------
 
@@ -338,3 +339,219 @@ def test_reply_releases_the_callbacks_before_the_deadline():
     sim.run(until=250.0)  # reply delivered at 200; the deadline is 1000
     assert len(network._timeout_fifos[1000.0]) == 1  # still queued ...
     assert [ref() for ref in released] == [None, None]  # ... holding nothing
+
+
+# ---------------------------------------------------------------------------
+# ACK: the reply that settles a call and says nothing.  ``on_reply`` never
+# hears it; where it cannot be lost, delayed or outrun it is no event.
+# ---------------------------------------------------------------------------
+
+
+class Acker(Echo):
+    """Acks ``probe`` -- or, told to refuse, answers it in words."""
+
+    refuse = False
+
+    def handle_probe(self, message):
+        self.pings.append(self.sim.now)
+        return {"ok": False} if self.refuse else ACK
+
+
+class NeverDrops:
+    """A loss RNG whose every draw is above any loss rate."""
+
+    def random(self):
+        return 1.0
+
+
+def make_ack_network(fabric="bare"):
+    """Nodes 0 and 1 are 100 ms apart; the default timeout is 1000 ms.
+    ``"loss"`` and ``"faults"`` are fabrics on which a sent reply *may*
+    fail to arrive -- although on these two it never does."""
+    sim = Simulator(seed=1)
+    network = Network(sim, ExplicitTopology(MATRIX), default_timeout_ms=1000.0)
+    nodes = [Acker(network) for _ in range(3)]
+    if fabric == "loss":
+        network.configure_loss(0.5, NeverDrops())
+    elif fabric == "faults":
+        FaultController(sim, network)  # installed, no window scheduled
+    return sim, network, nodes
+
+
+def probe(sim, node, outcomes, **kwargs):
+    node.rpc(
+        1,
+        "probe",
+        on_reply=lambda p: outcomes.append(("reply", p, sim.now)),
+        on_timeout=lambda: outcomes.append(("timeout", sim.now)),
+        **kwargs,
+    )
+
+
+def test_answered_ack_rpc_is_one_event_and_leaves_one_armed_entry():
+    sim, network, nodes = make_ack_network()
+    outcomes = []
+    for __ in range(5):
+        probe(sim, nodes[0], outcomes)
+    sim.run(until=999.0)
+    assert nodes[1].pings == [100.0] * 5
+    assert outcomes == []
+    assert network.messages_sent == 10        # the acks are still counted
+    assert sim.events_executed == 5           # ... but only requests ran
+    assert sim.pending_events == 1
+    assert armed_timeout_entries(sim, network) == 1
+    sim.run()
+    # The armed entry found five settled contexts and armed nothing.
+    assert sim.events_executed == 6
+    assert outcomes == []
+    assert not network._timeout_fifos[1000.0]
+
+
+@pytest.mark.parametrize(
+    "fabric, events", [("bare", 1), ("loss", 2), ("faults", 2)]
+)
+def test_on_reply_is_not_called_for_an_ack_elided_or_travelling(fabric, events):
+    sim, network, nodes = make_ack_network(fabric)
+    outcomes = []
+    probe(sim, nodes[0], outcomes)
+    sim.run(until=999.0)
+    assert sim.events_executed == events      # says whether the ack travelled
+    assert network.messages_sent == 2
+    sim.run()
+    assert outcomes == []                     # settled: no reply, no timeout
+
+
+def test_negative_reply_is_still_delivered():
+    sim, network, nodes = make_ack_network()
+    nodes[1].refuse = True
+    outcomes = []
+    probe(sim, nodes[0], outcomes)
+    sim.run()
+    assert outcomes == [("reply", {"ok": False}, 200.0)]
+
+
+def test_travelling_ack_can_be_lost_to_an_installed_fault_window():
+    sim, network, nodes = make_ack_network()
+    faults = FaultController(sim, network)
+    # Opens after the request landed (t=100), before the ack does (t=200).
+    faults.schedule_partition(150.0, 500.0, group=frozenset({0}))
+    outcomes = []
+    probe(sim, nodes[0], outcomes)
+    sim.run()
+    assert nodes[1].pings == [100.0]
+    assert network.drop_counts["partition"] == 1
+    assert outcomes == [("timeout", 1000.0)]
+
+
+@pytest.mark.parametrize(
+    "timeout_ms, events, expected",
+    [
+        # The ack would land at t=200, before the deadline: elided.
+        (200.5, 2, []),
+        # It would tie with the deadline, and the timeout owns the lower
+        # sequence number: the ack travels and arrives too late.
+        (200.0, 3, [("timeout", 200.0)]),
+        (150.0, 3, [("timeout", 150.0)]),
+    ],
+)
+def test_ack_due_at_or_after_the_deadline_travels_and_loses(
+    timeout_ms, events, expected
+):
+    sim, network, nodes = make_ack_network()
+    outcomes = []
+    probe(sim, nodes[0], outcomes, timeout_ms=timeout_ms)
+    sim.run()
+    assert outcomes == expected
+    # request + armed timeout entry (+ the travelling ack)
+    assert sim.events_executed == events
+
+
+def test_elided_ack_releases_the_callbacks_at_delivery(refcount_only):
+    import weakref
+
+    sim, network, nodes = make_ack_network()
+
+    def on_reply(payload):
+        pass
+
+    def on_timeout():
+        pass
+
+    released = [weakref.ref(on_reply), weakref.ref(on_timeout)]
+    nodes[0].rpc(1, "probe", on_reply=on_reply, on_timeout=on_timeout)
+    del on_reply, on_timeout
+    sim.run(until=150.0)  # the request landed at 100; the deadline is 1000
+    assert len(network._timeout_fifos[1000.0]) == 1  # still queued ...
+    assert [ref() for ref in released] == [None, None]  # ... holding nothing
+
+
+# ---------------------------------------------------------------------------
+# arm_deadline: the same FIFOs for any record, not only RPC contexts.
+# ---------------------------------------------------------------------------
+
+
+class Deadline:
+    """The least a deadline record is."""
+
+    def __init__(self, label, fired, sim):
+        self.label, self.fired, self.sim = label, fired, sim
+        self.settled = False
+
+    def fire_timeout(self):
+        self.settled = True
+        self.fired.append((self.label, self.sim.now))
+
+
+def test_settled_deadline_is_no_event_and_a_live_one_keeps_its_position():
+    sim, network, nodes = make_ack_network()
+    nodes[1].fail()
+    fired = []
+    records = {label: Deadline(label, fired, sim) for label in "ABCD"}
+
+    def arm(label, timeout_ms):
+        network.arm_deadline(timeout_ms, records[label])
+
+    arm("A", 300.0)                       # deadline 300: the armed head
+    sim.schedule(100.0, arm, "B", 300.0)  # deadline 400, settled at 150
+    sim.schedule(150.0, setattr, records["B"], "settled", True)
+    # An RPC timeout and a plain event share C's instant, reserved before
+    # and after it: the three must run in reservation order.
+    sim.schedule(
+        200.0,
+        lambda: nodes[0].rpc(
+            1, "probe", on_timeout=lambda: fired.append(("rpc", sim.now)),
+            timeout_ms=300.0,
+        ),
+    )
+    sim.schedule(200.0, arm, "C", 300.0)  # deadline 500
+    sim.schedule(200.0, lambda: sim.schedule(300.0, fired.append, ("marker", 500.0)))
+    sim.schedule(250.0, arm, "D", 300.0)  # deadline 550, settled at once
+    sim.schedule(250.0, setattr, records["D"], "settled", True)
+    sim.run()
+    assert fired == [
+        ("A", 300.0),
+        ("rpc", 500.0),
+        ("C", 500.0),
+        ("marker", 500.0),
+    ]
+    assert (records["C"].deadline, records["D"].deadline) == (500.0, 550.0)
+    # 7 scheduled calls + the marker + the request that found node 1 dead,
+    # and three timeout entries (A, the RPC, C): B and D were none.
+    assert sim.events_executed == 7 + 1 + 1 + 3
+    assert not network._timeout_fifos[300.0]
+
+
+def test_deadline_record_dies_by_refcount_once_its_deadline_passed(refcount_only):
+    import weakref
+
+    sim, network, nodes = make_ack_network()
+    fired = []
+    live, settled = Deadline("live", fired, sim), Deadline("settled", fired, sim)
+    refs = [weakref.ref(live), weakref.ref(settled)]
+    network.arm_deadline(300.0, live)
+    network.arm_deadline(300.0, settled)
+    settled.settled = True
+    del live, settled
+    sim.run()
+    assert fired == [("live", 300.0)]
+    assert [ref() for ref in refs] == [None, None]

@@ -7,6 +7,8 @@ barrier-floor injection rule, the pure-function topology and the window
 scheduler's lockstep sequencing.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,9 @@ from repro.net.shardnet import (
     ShardedNetwork,
     ShardedTopology,
     ShardMap,
+    drain_outbox,
 )
-from repro.net.transport import NetworkNode
+from repro.net.transport import ACK, NetworkNode
 from repro.sim.engine import Simulator
 from repro.sim.sharded import route_entries, run_windows, run_windows_parallel
 
@@ -158,6 +161,10 @@ class _Recorder(NetworkNode):
         self.seen.append((self.sim.now, message.payload["tag"]))
         return {"ok": True}
 
+    def handle_probe(self, message: Message):
+        self.seen.append((self.sim.now, message.payload["tag"]))
+        return ACK
+
 
 def _shard0_world():
     smap = ShardMap(num_shards=2, num_localities=2, num_websites=1)
@@ -200,6 +207,47 @@ class TestInjection:
         assert payload == {"ok": True}
         assert replier == node.address
         assert arrival > 150.0  # reply leg priced with the real link latency
+
+    def test_an_ack_crosses_the_bus_as_a_reply_entry_and_is_the_sentinel_again(self):
+        """A cross-shard RPC whose handler acks: the ack is an ordinary
+        REPLY entry (so the bus carries what it always carried), survives
+        the pickling a forked worker's pipe does to it as the same object,
+        and settles the caller without a word to ``on_reply``."""
+        smap = ShardMap(num_shards=2, num_localities=2, num_websites=1)
+        sims, networks, nodes = [], [], []
+        for shard in range(2):
+            sims.append(Simulator(seed=7))
+            networks.append(
+                ShardedNetwork(
+                    sims[shard], ShardedTopology(smap, topology_seed=7), smap, shard
+                )
+            )
+            nodes.append(_Recorder(networks[shard], cluster_hint=shard))
+        outcomes = []
+        nodes[0].rpc(
+            nodes[1].address,
+            "probe",
+            {"tag": "over"},
+            on_reply=lambda p: outcomes.append("reply"),
+            on_timeout=lambda: outcomes.append("timeout"),
+        )
+        sims[0].run(until=600.0)  # the link latency is at most 500 ms
+        (request,) = drain_outbox(networks[0])
+        sims[1].run(until=600.0)
+        networks[1].inject_entries([pickle.loads(pickle.dumps(request))], 600.0)
+        sims[1].run(until=601.0)
+        assert nodes[1].seen == [(600.0, "over")]
+        (reply,) = drain_outbox(networks[1])
+        assert reply[0] == REPLY and reply[4] is ACK
+        assert networks[1].messages_sent == 1  # the ack is a message
+        reply = pickle.loads(pickle.dumps(reply))
+        assert reply[4] is ACK
+        sims[0].run(until=700.0)
+        networks[0].inject_entries([reply], 700.0)
+        sims[0].run()
+        assert outcomes == []
+        assert [n.bus_entries_out for n in networks] == [1, 1]
+        assert not networks[0]._pending_remote
 
     def test_foreign_delivery_becomes_an_outbox_entry(self):
         smap, sim, network, node = _shard0_world()
