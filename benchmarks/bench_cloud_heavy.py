@@ -36,12 +36,15 @@ The acceptance gates (ISSUE 8):
 - warm spreads directory load **more evenly**: strictly lower Gini than
   cold.
 
-CLI front door for CI smoke runs::
+CLI front door, the one writer of the committed
+``results/cloud_heavy_{overload,rebalance}.{json,txt}`` pairs (each table
+goes beside its JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_cloud_heavy.py --quick \
-        --output results/cloud_heavy_overload.json
+    PYTHONPATH=src python benchmarks/bench_cloud_heavy.py \
+        --output results/cloud_heavy_overload.json \
+        --output-rebalance results/cloud_heavy_rebalance.json
 
-which exits non-zero when any gate fails.
+which exits non-zero when any gate fails (``--quick`` for CI smoke runs).
 
 Always reduced scale: each A/B runs two full systems end-to-end (see the
 ablations note in bench_ablations.py).
@@ -49,22 +52,9 @@ ablations note in bench_ablations.py).
 
 import argparse
 import json
+import pathlib
 import sys
 from typing import Dict, List, Optional
-
-try:
-    from benchmarks.conftest import emit_report
-except ModuleNotFoundError:  # direct script invocation (CI smoke)
-    import pathlib
-
-    _RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-    def emit_report(name: str, text: str) -> None:
-        print()
-        print(text)
-        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
@@ -448,7 +438,8 @@ def _rebalance_acceptable(ab: Dict) -> bool:
 
 def test_replica_aware_shedding_beats_section4_scan(benchmark):
     ab = benchmark.pedantic(run_cold_warm_ab, rounds=1, iterations=1)
-    emit_report("cloud_heavy_overload", _ab_table(ab, POPULATION, SEED))
+    # Printed, not persisted: main() writes the committed A/B pairs.
+    print(_ab_table(ab, POPULATION, SEED))
     # The overload actually bit: queries were shed in both arms.
     assert ab["cold"]["shed_queries"] > 0
     assert ab["warm"]["shed_queries"] > 0
@@ -460,7 +451,7 @@ def test_replica_aware_shedding_beats_section4_scan(benchmark):
 
 def test_hints_and_rebalance_act_on_the_gini(benchmark):
     ab = benchmark.pedantic(run_rebalance_ab, rounds=1, iterations=1)
-    emit_report("cloud_heavy_rebalance", _rebalance_table(ab, POPULATION, SEED))
+    print(_rebalance_table(ab, POPULATION, SEED))
     # The reactive arm actually reacted: hints routed, spills adopted.
     assert ab["rebalance"]["hint_hops"] > 0
     assert ab["rebalance"]["rebalance_adoptions"] > 0
@@ -499,13 +490,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     reb_ab = {"warm": warm, "rebalance": reactive}
     table = _ab_table(ab, population, args.seed)
     reb_table = _rebalance_table(reb_ab, population, args.seed)
-    if args.quick:
-        # Don't clobber the committed full-scale artifacts with a smoke run.
-        print(table)
-        print(reb_table)
-    else:
-        emit_report("cloud_heavy_overload", table)
-        emit_report("cloud_heavy_rebalance", reb_table)
+    print(table)
+    print(reb_table)
     ok = _ab_acceptable(ab)
     reb_ok = _rebalance_acceptable(reb_ab)
     print(
@@ -528,7 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         with open(args.output, "w") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"wrote {args.output}")
+        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
+        print(f"wrote {args.output} and its table")
     if args.output_rebalance:
         payload = {
             "population": population,
@@ -539,7 +526,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         with open(args.output_rebalance, "w") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"wrote {args.output_rebalance}")
+        pathlib.Path(args.output_rebalance).with_suffix(".txt").write_text(
+            reb_table + "\n"
+        )
+        print(f"wrote {args.output_rebalance} and its table")
     return 0 if ok and reb_ok else 1
 
 

@@ -13,19 +13,23 @@ the recovery metrics the claim implies:
 - **bursty loss** -- a Gilbert-Elliott channel at ~10% stationary loss.
   With the retry/backoff RPC layer enabled (the default) Flower's hit
   ratio is strictly better than the seed's single-shot behaviour
-  (``rpc_retries=0``) at the same loss rate and seed;
+  (``rpc_retries=0``) at the same loss rate and seed, at a cost counted
+  as retransmissions per RPC kind;
 - **cold vs warm failover** -- the same partition plus a total directory
   wipe inside the cut, run once with replication off (the paper's cold
   replacement of section 5.2) and once with ``directory_replication_k=2``
   (the warm failover of section 5.3).  Warm must be *strictly* better on
   both replica-aware metrics: time-to-full-index and cold-window misses.
 
-The cold/warm A/B also has a CLI front door for CI smoke runs::
+The cold/warm A/B also has a CLI front door, the one writer of the
+committed ``results/fault_recovery_warm_failover.{json,txt}`` pair (the
+table goes beside the JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_fault_recovery.py --quick \
+    PYTHONPATH=src python benchmarks/bench_fault_recovery.py \
         --output results/fault_recovery_warm_failover.json
 
-which exits non-zero when warm fails to strictly beat cold.
+which exits non-zero when warm fails to strictly beat cold (``--quick``
+for CI smoke runs).
 
 Always reduced scale: each test runs two full systems end-to-end (see the
 ablations note in bench_ablations.py).
@@ -33,28 +37,17 @@ ablations note in bench_ablations.py).
 
 import argparse
 import json
+import pathlib
 import sys
+from collections import Counter
 from typing import Dict, List, Optional
-
-try:
-    from benchmarks.conftest import emit_report
-except ModuleNotFoundError:  # direct script invocation (CI smoke)
-    import pathlib
-
-    _RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-    def emit_report(name: str, text: str) -> None:
-        print()
-        print(text)
-        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    build_world,
     run_directory_recovery_experiment,
-    run_experiment,
     run_recovery_experiment,
+    summarize,
 )
 from repro.metrics.report import render_table
 from repro.net.faults import BurstyLossSpec, MassFailureSpec, PartitionSpec
@@ -84,6 +77,8 @@ def _partition_config() -> ExperimentConfig:
 
 
 def test_partition_and_heal_recovery(benchmark):
+    from benchmarks.conftest import emit_report
+
     config = _partition_config()
 
     def run():
@@ -159,7 +154,20 @@ def test_partition_and_heal_recovery(benchmark):
 BURSTY_10PCT = BurstyLossSpec(p_good_to_bad=0.05, p_bad_to_good=0.45)
 
 
+def _run_counting_retransmissions(config: ExperimentConfig, seed: int):
+    """One Flower run, plus its RPC retransmissions counted by kind."""
+    world = build_world("flower", config, seed)
+    retransmitted: Counter = Counter()
+    world.sim.trace.subscribe(
+        "net.rpc_retry", lambda event: retransmitted.update((event.payload["rpc_kind"],))
+    )
+    world.run()
+    return summarize(world, "flower", seed), dict(retransmitted)
+
+
 def test_retries_beat_single_shot_under_bursty_loss(benchmark):
+    from benchmarks.conftest import emit_report
+
     assert abs(BURSTY_10PCT.stationary_loss_rate - 0.10) < 1e-9
     config = ExperimentConfig.scaled(
         population=POPULATION,
@@ -173,9 +181,9 @@ def test_retries_beat_single_shot_under_bursty_loss(benchmark):
 
     def run():
         return {
-            "flower (retries=2)": run_experiment("flower", config, seed=4),
-            "flower (single-shot)": run_experiment(
-                "flower", config.replace(rpc_retries=0), seed=4
+            "flower (retries=2)": _run_counting_retransmissions(config, 4),
+            "flower (single-shot)": _run_counting_retransmissions(
+                config.replace(rpc_retries=0), 4
             ),
         }
 
@@ -188,29 +196,39 @@ def test_retries_beat_single_shot_under_bursty_loss(benchmark):
             f"{result.mean_lookup_latency_ms:.0f} ms",
             result.extra["drop_counts"].get("loss", 0),
             result.messages_sent,
+            sum(retransmitted.values()),
         ]
-        for name, result in results.items()
+        for name, (result, retransmitted) in results.items()
     ]
+    retries, retransmitted = results["flower (retries=2)"]
+    single, single_retransmitted = results["flower (single-shot)"]
     emit_report(
         "fault_recovery_bursty_loss",
         render_table(
-            ["variant", "hit ratio", "lookup", "lost messages", "sent"],
+            ["variant", "hit ratio", "lookup", "lost messages", "sent", "retransmitted"],
             rows,
             title=(
                 f"Gilbert-Elliott loss at "
                 f"{BURSTY_10PCT.stationary_loss_rate:.0%} stationary rate "
                 f"(P={config.population}, {config.duration_hours:.0f}h)"
             ),
-        ),
+        )
+        + "\nretransmissions by kind (retries=2): "
+        + ", ".join(f"{kind} {count}" for kind, count in sorted(retransmitted.items())),
     )
 
-    retries = results["flower (retries=2)"]
-    single = results["flower (single-shot)"]
     # The acceptance bar: retry/backoff strictly beats the seed's
     # single-shot RPC behaviour at the same loss rate and seed.
     assert retries.hit_ratio > single.hit_ratio
-    # Retries cost extra traffic -- the win is not free.
-    assert retries.messages_sent > single.messages_sent
+    # The win is not free: it costs retransmissions of the directory- and
+    # server-facing RPCs, which single-shot never sends.  Total traffic is
+    # no measure of that cost: single-shot condemns a directory on one lost
+    # message, and the D-ring scans and replacement races that follow send
+    # about as much as the retries do (53 425 messages with retries, 54 333
+    # without, at this config and seed).
+    assert single_retransmitted == {}
+    assert retransmitted.get("flower.query", 0) > 0
+    assert retransmitted.get("server.fetch", 0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +336,8 @@ def _ab_strictly_better(ab: Dict) -> bool:
 
 def test_warm_failover_beats_cold_restart(benchmark):
     ab = benchmark.pedantic(run_cold_warm_ab, rounds=1, iterations=1)
-    emit_report(
-        "fault_recovery_warm_failover", _ab_table(ab, POPULATION, SEED)
-    )
+    # Printed, not persisted: main() writes the committed A/B pair.
+    print(_ab_table(ab, POPULATION, SEED))
     # The section 5.3 acceptance bar: with k=2 the cold window is
     # *strictly* shorter and cheaper than the paper's cold replacement.
     assert _ab_strictly_better(ab)
@@ -345,9 +362,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     population = 100 if args.quick else POPULATION
     ab = run_cold_warm_ab(population=population, seed=args.seed)
-    emit_report(
-        "fault_recovery_warm_failover", _ab_table(ab, population, args.seed)
-    )
+    table = _ab_table(ab, population, args.seed)
+    print(table)
     ok = _ab_strictly_better(ab)
     print(
         "warm strictly beats cold: "
@@ -363,7 +379,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         with open(args.output, "w") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"wrote {args.output}")
+        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
+        print(f"wrote {args.output} and its table")
     return 0 if ok else 1
 
 

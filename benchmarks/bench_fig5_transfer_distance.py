@@ -14,16 +14,9 @@ once transfers are chunked and bandwidth-limited (ISSUE 9).
 """
 
 from benchmarks.conftest import HEADLINE_POPULATION, bench_config, emit_report
+from repro.analysis.compare import cdf_fraction_below
 from repro.metrics.distribution import TRANSFER_DISTANCE_EDGES
 from repro.metrics.report import render_table
-
-
-def fraction_below(cdf_points, threshold):
-    best = 0.0
-    for value, fraction in cdf_points:
-        if value <= threshold:
-            best = fraction
-    return best
 
 
 def test_fig5_transfer_distance_distribution(benchmark, experiments):
@@ -41,8 +34,8 @@ def test_fig5_transfer_distance_distribution(benchmark, experiments):
     previous = 0.0
     prev_f = prev_s = 0.0
     for edge in TRANSFER_DISTANCE_EDGES:
-        f_below = fraction_below(flower.transfer_cdf, edge)
-        s_below = fraction_below(squirrel.transfer_cdf, edge)
+        f_below = cdf_fraction_below(flower.transfer_cdf, edge)
+        s_below = cdf_fraction_below(squirrel.transfer_cdf, edge)
         label = f"<={edge:g} ms" if previous == 0.0 else f"{previous:g}-{edge:g} ms"
         rows.append([label, f"{f_below - prev_f:.1%}", f"{s_below - prev_s:.1%}"])
         previous, prev_f, prev_s = edge, f_below, s_below
@@ -52,17 +45,17 @@ def test_fig5_transfer_distance_distribution(benchmark, experiments):
     previous = 0.0
     prev_f = prev_s = 0.0
     for edge in TRANSFER_DISTANCE_EDGES:
-        f_below = fraction_below(flower.transfer_cdf_bytes, edge)
-        s_below = fraction_below(squirrel.transfer_cdf_bytes, edge)
+        f_below = cdf_fraction_below(flower.transfer_cdf_bytes, edge)
+        s_below = cdf_fraction_below(squirrel.transfer_cdf_bytes, edge)
         label = f"<={edge:g} ms" if previous == 0.0 else f"{previous:g}-{edge:g} ms"
         byte_rows.append([label, f"{f_below - prev_f:.1%}", f"{s_below - prev_s:.1%}"])
         previous, prev_f, prev_s = edge, f_below, s_below
     byte_rows.append([f">{previous:g} ms", f"{1 - prev_f:.1%}", f"{1 - prev_s:.1%}"])
 
-    flower_100 = fraction_below(flower.transfer_cdf, 100.0)
-    squirrel_100 = fraction_below(squirrel.transfer_cdf, 100.0)
-    flower_100_bytes = fraction_below(flower.transfer_cdf_bytes, 100.0)
-    squirrel_100_bytes = fraction_below(squirrel.transfer_cdf_bytes, 100.0)
+    flower_100 = cdf_fraction_below(flower.transfer_cdf, 100.0)
+    squirrel_100 = cdf_fraction_below(squirrel.transfer_cdf, 100.0)
+    flower_100_bytes = cdf_fraction_below(flower.transfer_cdf_bytes, 100.0)
+    squirrel_100_bytes = cdf_fraction_below(squirrel.transfer_cdf_bytes, 100.0)
     emit_report(
         "fig5_transfer_distance",
         render_table(

@@ -17,7 +17,9 @@ One scenario, two arms:
   and no replica-served answer exceeds the declared staleness bound of
   :func:`repro.cdn.flower.search.staleness_bound_ms`.
 
-CLI front door (CI smoke; exits non-zero when the warm gate fails)::
+CLI front door (CI smoke; exits non-zero when the warm gate fails), the
+one writer of the committed ``results/search_availability_warm.{json,txt}``
+pair (the table goes beside the JSON)::
 
     PYTHONPATH=src python benchmarks/bench_search_availability.py \
         --output results/search_availability_warm.json
@@ -28,22 +30,9 @@ ablations note in bench_ablations.py).
 
 import argparse
 import json
+import pathlib
 import sys
 from typing import Dict, List, Optional
-
-try:
-    from benchmarks.conftest import emit_report
-except ModuleNotFoundError:  # direct script invocation (CI smoke)
-    import pathlib
-
-    _RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-    def emit_report(name: str, text: str) -> None:
-        print()
-        print(text)
-        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
 
 from repro.cdn.flower.search import SearchAvailabilityTracker, staleness_bound_ms
 from repro.experiments.config import ExperimentConfig
@@ -197,9 +186,8 @@ def test_replicated_search_survives_directory_wipe(benchmark):
     ab = benchmark.pedantic(
         run_search_availability_ab, rounds=1, iterations=1
     )
-    emit_report(
-        "search_availability_warm", _ab_table(ab, POPULATION, SEED)
-    )
+    # Printed, not persisted: main() writes the committed A/B pair.
+    print(_ab_table(ab, POPULATION, SEED))
     assert _gates_pass(ab) == []
 
 
@@ -218,9 +206,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     population = 100 if args.quick else POPULATION
     ab = run_search_availability_ab(population=population, seed=args.seed)
-    emit_report(
-        "search_availability_warm", _ab_table(ab, population, args.seed)
-    )
+    table = _ab_table(ab, population, args.seed)
+    print(table)
     failures = _gates_pass(ab)
     if failures:
         for failure in failures:
@@ -238,7 +225,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
+        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
+        print(f"wrote {args.output} and its table")
     return 1 if failures else 0
 
 

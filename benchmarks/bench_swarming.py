@@ -31,12 +31,14 @@ The acceptance gates (ISSUE 9):
 - warm keeps **strictly more bytes off the origin** than cold
   (higher offload fraction).
 
-CLI front door for CI smoke runs::
+CLI front door, the one writer of the committed
+``results/swarming_transfer.{json,txt}`` pair (the table goes beside the
+JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_swarming.py --quick \
+    PYTHONPATH=src python benchmarks/bench_swarming.py \
         --output results/swarming_transfer.json
 
-which exits non-zero when any gate fails.
+which exits non-zero when any gate fails (``--quick`` for CI smoke runs).
 
 Always reduced scale: each A/B runs two full systems end-to-end (see the
 ablations note in bench_ablations.py).
@@ -44,22 +46,9 @@ ablations note in bench_ablations.py).
 
 import argparse
 import json
+import pathlib
 import sys
 from typing import Dict, List, Optional
-
-try:
-    from benchmarks.conftest import emit_report
-except ModuleNotFoundError:  # direct script invocation (CI smoke)
-    import pathlib
-
-    _RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-    def emit_report(name: str, text: str) -> None:
-        print()
-        print(text)
-        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
@@ -273,7 +262,8 @@ def _ab_acceptable(ab: Dict) -> bool:
 
 def test_swarming_survives_seeder_death(benchmark):
     ab = benchmark.pedantic(run_cold_warm_ab, rounds=1, iterations=1)
-    emit_report("swarming_transfer", _ab_table(ab, POPULATION, SEED))
+    # Printed, not persisted: main() writes the committed A/B pair.
+    print(_ab_table(ab, POPULATION, SEED))
     # The strikes actually bit: both arms lost chunk sources mid-flight.
     assert ab["cold"]["chunk_retries"] > 0
     assert ab["warm"]["chunk_retries"] > 0
@@ -301,11 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         population=population, duration_hours=duration, seed=args.seed
     )
     table = _ab_table(ab, population, args.seed)
-    if args.quick:
-        # Don't clobber the committed full-scale artifact with a smoke run.
-        print(table)
-    else:
-        emit_report("swarming_transfer", table)
+    print(table)
     ok = _ab_acceptable(ab)
     print(
         "swarming gates (accounting / no-restart / completion / offload): "
@@ -322,7 +308,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         with open(args.output, "w") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"wrote {args.output}")
+        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
+        print(f"wrote {args.output} and its table")
     return 0 if ok else 1
 
 

@@ -1,33 +1,34 @@
 #!/usr/bin/env python
-"""A true flash crowd: a non-homogeneous surge of arrivals on one website.
+"""A true flash crowd: a sudden surge of arrivals on one website.
 
-Unlike examples/flash_crowd.py (steady demand on a hot site), this builds
-the world from the lower-level APIs and drives it with
-:class:`~repro.workload.flashcrowd.FlashCrowdChurnModel`: at hour 2 the
-arrival rate ramps to 8x within 15 minutes, newcomers overwhelmingly
-interested in the hot website, then decays.  Watch the petals absorb the
-wave: the origin server's load rises with the front of the crowd and falls
-back as the community starts serving itself.
+Unlike examples/flash_crowd.py (steady demand on a hot site), this run
+schedules a burst: at hour 2 a :class:`~repro.workload.churn.ChurnSurgeSpec`
+in the config's ``fault_schedule`` brings 300 extra peers online over 75
+minutes -- on top of the baseline churn, and 90 % of them interested in
+the hot website.  Watch the petals absorb the wave: the origin server's
+load rises with the front of the crowd and falls back as the community
+starts serving itself.
 
-Runtime: ~15-30 seconds.
+Runtime: a few seconds.
 """
 
-from repro.cdn.flower.system import FlowerSystem
-from repro.errors import CDNError
 from repro.experiments.config import ExperimentConfig
-from repro.net.landmarks import LandmarkBinner
-from repro.net.topology import ClusteredTopology
-from repro.net.transport import Network
+from repro.experiments.runner import build_world
 from repro.metrics.report import render_table
 from repro.sim.clock import hours, minutes
-from repro.sim.engine import Simulator
-from repro.workload.catalog import Catalog
-from repro.workload.flashcrowd import FlashCrowdChurnModel, FlashCrowdProfile
+from repro.workload.churn import ChurnSurgeSpec
 
 HOT_WEBSITE = 0
 
 
 def main() -> None:
+    surge = ChurnSurgeSpec(
+        start_ms=hours(2),
+        duration_ms=minutes(75),
+        arrivals=300,
+        hot_website=HOT_WEBSITE,
+        hot_interest_probability=0.9,
+    )
     config = ExperimentConfig.scaled(
         population=150,
         duration_hours=8.0,
@@ -36,59 +37,23 @@ def main() -> None:
         num_localities=3,
         objects_per_website=60,
         peer_pool_factor=4.0,  # a deep pool: the crowd comes from outside
+        fault_schedule=(surge,),
     )
+    world = build_world("flower", config, seed=23)
+    system, churn = world.system, world.churn
 
-    # ---- assemble the world by hand (what build_world does internally) ----
-    sim = Simulator(seed=23)
-    topology = ClusteredTopology(sim.rng("topology"), num_clusters=config.num_localities)
-    network = Network(sim, topology, default_timeout_ms=3 * config.latency_max_ms)
-    binner = LandmarkBinner.for_clustered(topology)
-    catalog = Catalog(config.num_websites, config.objects_per_website,
-                      config.num_active_websites)
-    system = FlowerSystem(sim, network, binner, catalog, config.protocol_params())
-    system.setup_initial_population()
-
-    def pin_to_hot_site(identity: int) -> None:
-        try:
-            system.assign_website(identity, HOT_WEBSITE)
-        except CDNError:
-            pass  # a returning identity keeps its existing interest
-
-    profile = FlashCrowdProfile(
-        start_ms=hours(2),
-        ramp_ms=minutes(15),
-        peak_multiplier=8.0,
-        decay_ms=hours(1),
-        hot_website=HOT_WEBSITE,
-        hot_interest_probability=0.9,
-    )
-    churn = FlashCrowdChurnModel(
-        sim,
-        sim.rng("churn"),
-        num_identities=config.num_identities,
-        mean_uptime_ms=minutes(config.mean_uptime_min),
-        target_population=config.population,
-        on_arrival=system.on_arrival,
-        on_departure=system.on_departure,
-        profile=profile,
-        on_surge_interest=pin_to_hot_site,
-    )
-    for identity in system.seed_identities:
-        churn.seed_online(identity)
-    churn.start()
-
-    # ------------------------------- run, sampling the world every hour ---
     print(
-        f"flash crowd at hour 2: arrival rate x{profile.peak_multiplier:.0f} "
-        f"for ~{(profile.ramp_ms + profile.decay_ms) / hours(1):.1f}h, "
-        f"{profile.hot_interest_probability:.0%} of the crowd wants website 0"
+        f"flash crowd at hour 2: {surge.arrivals} extra arrivals within "
+        f"{surge.duration_ms / minutes(1):.0f} minutes, "
+        f"{surge.hot_interest_probability:.0%} of them want website "
+        f"{HOT_WEBSITE}"
     )
     print()
     rows = []
     hot_server = system.servers[HOT_WEBSITE]
-    last_origin = last_queries = 0
+    last_origin = last_queries = last_arrivals = 0
     for hour in range(1, int(config.duration_hours) + 1):
-        sim.run(until=hours(hour))
+        world.run(until_ms=hours(hour))
         queries = len(system.metrics)
         origin = hot_server.requests_served
         window_queries = queries - last_queries
@@ -100,7 +65,7 @@ def main() -> None:
         rows.append(
             [
                 hour,
-                f"x{profile.intensity(hours(hour)):.1f}",
+                churn.arrivals - last_arrivals,
                 churn.online_count,
                 window_queries,
                 window_origin,
@@ -109,10 +74,11 @@ def main() -> None:
             ]
         )
         last_origin, last_queries = origin, queries
+        last_arrivals = churn.arrivals
 
     print(
         render_table(
-            ["hour", "arrival rate", "online", "queries", "origin hits",
+            ["hour", "arrivals", "online", "queries", "origin hits",
              "offloaded", "hot petals"],
             rows,
             title="the surge and its absorption",
@@ -120,7 +86,7 @@ def main() -> None:
     )
     print()
     print(
-        f"surge arrivals: {churn.surge_arrivals} of {churn.arrivals} total; "
+        f"surge arrivals: {surge.arrivals} of {churn.arrivals} total; "
         f"final hit ratio {system.metrics.hit_ratio():.3f}"
     )
 

@@ -13,6 +13,8 @@ import json
 import pathlib
 import sys
 
+from repro.analysis.compare import cdf_fraction_below
+
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 PAPER_TABLE2 = {
@@ -28,14 +30,6 @@ def load(protocol, population):
     if not path.exists():
         return None
     return json.loads(path.read_text())
-
-
-def fraction_below(cdf, threshold):
-    best = 0.0
-    for value, fraction in cdf:
-        if value <= threshold:
-            best = fraction
-    return best
 
 
 def main() -> int:
@@ -142,8 +136,8 @@ def main() -> int:
                     f"| {bucket} ms | {hist_f[bucket]:.1%} | "
                     f"{hist_s.get(bucket, 0.0):.1%} |"
                 )
-        f150 = fraction_below(flower3["lookup_cdf"], 150.0)
-        s1200 = 1 - fraction_below(squirrel3["lookup_cdf"], 1200.0)
+        f150 = cdf_fraction_below(flower3["lookup_cdf"], 150.0)
+        s1200 = 1 - cdf_fraction_below(squirrel3["lookup_cdf"], 1200.0)
         w("")
         w(
             f"Paper: \"66% of our queries are resolved within 150 ms while 75% "
@@ -167,8 +161,8 @@ def main() -> int:
                     f"| {bucket} ms | {hist_f[bucket]:.1%} | "
                     f"{hist_s.get(bucket, 0.0):.1%} |"
                 )
-        f100 = fraction_below(flower3["transfer_cdf"], 100.0)
-        s100 = fraction_below(squirrel3["transfer_cdf"], 100.0)
+        f100 = cdf_fraction_below(flower3["transfer_cdf"], 100.0)
+        s100 = cdf_fraction_below(squirrel3["transfer_cdf"], 100.0)
         w("")
         w(
             f"Paper: \"the percentage of queries served from a distance within "

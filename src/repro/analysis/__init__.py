@@ -1,27 +1,17 @@
-"""Result analysis: terminal plots, comparisons, multi-seed aggregation.
+"""Result analysis: terminal plots and comparisons.
 
 The paper reports line charts (Figure 3), bucketed bar charts (Figures 4
 and 5) and a comparison table (Table 2).  This package renders all three
-in plain text, codifies the paper's qualitative claims as checkable
-*shape assertions*, and aggregates repeated runs across seeds:
+in plain text and codifies the paper's qualitative claims as checkable
+*shape assertions*:
 
 - :mod:`repro.analysis.ascii` -- dependency-free terminal charts;
 - :mod:`repro.analysis.compare` -- Flower-vs-Squirrel comparison reports
-  and the shape checks the benchmark harness asserts;
-- :mod:`repro.analysis.repetition` -- run-many-seeds helpers with
-  mean / standard deviation / confidence intervals;
-- :mod:`repro.analysis.export` -- CSV and Markdown exporters.
+  and the shape checks the benchmark harness asserts.
 """
 
 from repro.analysis.ascii import bar_chart, line_chart
 from repro.analysis.compare import ComparisonReport, ShapeCheck, shape_checks
-from repro.analysis.export import (
-    curve_to_csv,
-    markdown_table,
-    results_to_csv,
-    results_to_markdown,
-)
-from repro.analysis.repetition import AggregateResult, aggregate, repeat_experiment
 
 __all__ = [
     "line_chart",
@@ -29,11 +19,4 @@ __all__ = [
     "ComparisonReport",
     "ShapeCheck",
     "shape_checks",
-    "AggregateResult",
-    "aggregate",
-    "repeat_experiment",
-    "results_to_csv",
-    "results_to_markdown",
-    "curve_to_csv",
-    "markdown_table",
 ]

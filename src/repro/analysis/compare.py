@@ -33,7 +33,9 @@ class ShapeCheck:
     detail: str
 
 
-def _cdf_fraction_below(cdf: List[Tuple[float, float]], threshold: float) -> float:
+def cdf_fraction_below(cdf: List[Tuple[float, float]], threshold: float) -> float:
+    """Fraction of a stored CDF at or below *threshold*: the cumulative
+    fraction of the last ``(value, fraction)`` point with value <= it."""
     best = 0.0
     for value, fraction in cdf:
         if value <= threshold:
@@ -78,8 +80,8 @@ def shape_checks(
             )
         )
 
-    f_fast = _cdf_fraction_below(flower.lookup_cdf, 150.0)
-    s_slow = 1.0 - _cdf_fraction_below(squirrel.lookup_cdf, 1200.0)
+    f_fast = cdf_fraction_below(flower.lookup_cdf, 150.0)
+    s_slow = 1.0 - cdf_fraction_below(squirrel.lookup_cdf, 1200.0)
     checks.append(
         ShapeCheck(
             "fig4_lookup_distributions",
@@ -91,8 +93,8 @@ def shape_checks(
         )
     )
 
-    f_near = _cdf_fraction_below(flower.transfer_cdf, 100.0)
-    s_near = _cdf_fraction_below(squirrel.transfer_cdf, 100.0)
+    f_near = cdf_fraction_below(flower.transfer_cdf, 100.0)
+    s_near = cdf_fraction_below(squirrel.transfer_cdf, 100.0)
     checks.append(
         ShapeCheck(
             "fig5_transfer_distributions",

@@ -45,6 +45,11 @@ from repro.workload.catalog import Catalog
 from repro.workload.queries import QueryStream
 from repro.workload.zipf import ZipfSampler
 
+#: How long a client that found every directory instance busy waits before
+#: re-scanning D-ring; the same pause paces directory re-probes, D-ring
+#: join retries and takeover announcements.
+SCAN_RETRY_DELAY_MS = seconds(30)
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -59,17 +64,12 @@ class ProtocolParams:
             (paper: 0.5).
         zipf_exponent: object-popularity skew (Breslau et al.: ~0.8).
         summary_kind: ``"exact"`` or ``"bloom"`` content summaries.
-        gossip_shuffle_size: contacts exchanged per gossip round.
         directory_load_limit: members per directory instance before PetalUp
             splits; ``None`` = unbounded (plain Flower-CDN).
         max_instances: maximum directory instances per petal (PetalUp's
             2**m; 1 = plain Flower-CDN).
         directory_collaboration: whether directory peers of the same website
             answer each other's misses (section 3.2 "may collaborate").
-        member_expiry_rounds: keepalive rounds after which a silent content
-            peer is expired from the directory index.
-        scan_retry_delay_ms: client backoff before re-scanning D-ring when
-            every directory instance was busy.
         cache_capacity: per-peer cache size in objects; ``None`` is the
             paper's unbounded assumption, a number enables LRU replacement
             (the cache-policy extension the paper scopes out).
@@ -80,14 +80,6 @@ class ProtocolParams:
             (query / push / keepalive), via ``NetworkNode.retrying_rpc``;
             0 restores the seed's single-shot timeout behaviour where one
             lost message condemns the directory.
-        rpc_backoff_ms: base backoff between those retries (doubled per
-            attempt, deterministically jittered, capped).
-        dir_failure_threshold: consecutive exhausted-retry RPC failures
-            before a content peer declares its directory dead and starts
-            the replacement protocol (section 5.2.1); values > 1 make a
-            partition-stranded directory *suspect* first -- the peer keeps
-            serving from gossip-learnt summaries and re-probes rather than
-            electing a replacement that would race the heal.
         push_queue_limit: bounded drop-oldest buffer of push/keepalive
             updates queued while the directory is suspect; flushed
             (coalesced to the newest full summary) once it answers again.
@@ -171,18 +163,13 @@ class ProtocolParams:
     push_threshold: float = 0.5
     zipf_exponent: float = 0.8
     summary_kind: str = "exact"
-    gossip_shuffle_size: int = 5
     directory_load_limit: Optional[int] = None
     max_instances: int = 1
     directory_collaboration: bool = False
-    member_expiry_rounds: int = 2
-    scan_retry_delay_ms: float = seconds(30)
     cache_capacity: Optional[int] = None
     dring: RingParams = field(default_factory=RingParams)
     squirrel_directory_capacity: int = 8
     rpc_retries: int = 2
-    rpc_backoff_ms: float = 500.0
-    dir_failure_threshold: int = 2
     push_queue_limit: int = 8
     replication_k: int = 0
     replication_anti_entropy_rounds: int = 4
@@ -217,8 +204,6 @@ class ProtocolParams:
             raise CDNError("cache_capacity must be >= 1 or None")
         if self.rpc_retries < 0:
             raise CDNError("rpc_retries must be >= 0")
-        if self.dir_failure_threshold < 1:
-            raise CDNError("dir_failure_threshold must be >= 1")
         if self.push_queue_limit < 1:
             raise CDNError("push_queue_limit must be >= 1")
         if self.replication_k < 0:
@@ -492,7 +477,6 @@ class BasePeer(NetworkNode):
             ),
             on_give_up=lambda: self._fail_query(key, "failed_unreachable", started_at),
             retries=params.rpc_retries,
-            backoff_ms=params.rpc_backoff_ms,
         )
 
     def _fail_query(self, key: ObjectKey, outcome: str, started_at: float) -> None:

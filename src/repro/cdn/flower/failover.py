@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.petal import DirInfo
 from repro.cdn.flower.replication import (
     delta_sync_payload,
@@ -307,9 +308,7 @@ class DirectoryReplicator:
         self._schedule_retry()
 
     def _schedule_retry(self) -> None:
-        self.peer.sim.schedule(
-            4.0 * self.peer.system.params.scan_retry_delay_ms, self._retry_join
-        )
+        self.peer.sim.schedule(4.0 * SCAN_RETRY_DELAY_MS, self._retry_join)
 
     def _retry_join(self) -> None:
         """Re-announce and retry D-ring integration of a provisional role."""
@@ -363,7 +362,7 @@ class DirectoryReplicator:
         peer, role = self.peer, self.role
         if targets is None:
             now = peer.sim.now
-            if now - self._last_announce_ms < peer.system.params.scan_retry_delay_ms:
+            if now - self._last_announce_ms < SCAN_RETRY_DELAY_MS:
                 return
             self._last_announce_ms = now
             fanout = set(role.members.addresses()) | set(peer.view.addresses())

@@ -65,7 +65,6 @@ class FlowerPeer(
             self,
             self.view,
             self.rng,
-            shuffle_size=system.params.gossip_shuffle_size,
             local_data=self._gossip_data,
             on_peer_data=self._on_gossip_data,
             on_contact_dead=self._on_contact_dead,

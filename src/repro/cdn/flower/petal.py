@@ -15,8 +15,8 @@ What keeps a content peer attached to its petal:
   retry budget is a *strike*.  While strikes are pending the directory is
   only suspect -- queries degrade to gossip-learnt summaries, pushes
   queue (drop-oldest), a fast re-probe decides between recovery and
-  declared failure; at ``dir_failure_threshold`` the peer races to
-  replace the directory itself (section 5.2.1).
+  declared failure; at :data:`DIR_FAILURE_THRESHOLD` strikes the peer
+  races to replace the directory itself (section 5.2.1).
 """
 
 from __future__ import annotations
@@ -25,10 +25,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.gossip.summaries import make_summary
 from repro.net.message import Message
 from repro.sim.process import PeriodicProcess
 from repro.types import Address, ChordId, ObjectKey
+
+#: Consecutive exhausted-retry directory RPCs before a content peer
+#: declares its directory dead and races to replace it (section 5.2.1).
+#: Above 1, a partition-stranded directory is *suspect* first: the peer
+#: serves from gossip-learnt summaries and re-probes rather than electing
+#: a replacement that would race the heal.
+DIR_FAILURE_THRESHOLD = 2
 
 
 @dataclass
@@ -324,7 +332,6 @@ class PetalMember:
             on_reply=on_reply,
             on_give_up=on_give_up,
             retries=params.rpc_retries,
-            backoff_ms=params.rpc_backoff_ms,
         )
 
     def _tell_directory(
@@ -355,7 +362,7 @@ class PetalMember:
     def _on_directory_strike(self, info: DirInfo) -> None:
         """One directory RPC exhausted its whole retry budget.
 
-        Below ``dir_failure_threshold`` strikes the directory is only
+        Below :data:`DIR_FAILURE_THRESHOLD` strikes the directory is only
         *suspect* -- we keep serving queries from gossip-learnt summaries,
         queue pushes, and schedule a fast re-probe.  At the threshold we
         declare failure and race for the slot (section 5.2.1).
@@ -363,20 +370,17 @@ class PetalMember:
         if not self.alive or self.dir_info is not info:
             return
         self._dir_strikes += 1
-        params = self.system.params
         self.sim.emit(
             "flower.directory_suspect",
             peer=self.address,
             position=info.position_id,
             strikes=self._dir_strikes,
         )
-        if self._dir_strikes >= params.dir_failure_threshold:
+        if self._dir_strikes >= DIR_FAILURE_THRESHOLD:
             self._on_directory_failure(info)
         elif not self._reprobe_pending:
             self._reprobe_pending = True
-            self.sim.schedule(
-                params.scan_retry_delay_ms, self._reprobe_directory, info
-            )
+            self.sim.schedule(SCAN_RETRY_DELAY_MS, self._reprobe_directory, info)
 
     def _reprobe_directory(self, info: DirInfo) -> None:
         self._reprobe_pending = False

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.petal import DirInfo
 from repro.cdn.swarm import SwarmTransfer
 from repro.dht.node import ChordNode, LookupResult, NodeRef
@@ -483,7 +484,6 @@ class QueryPaths:
             ),
             on_give_up=lambda: self._retry_scan(key, started_at, tries),
             retries=params.rpc_retries,
-            backoff_ms=params.rpc_backoff_ms,
         )
 
     def _retry_scan(
@@ -494,7 +494,7 @@ class QueryPaths:
     ) -> None:
         if tries + 1 < _MAX_SCAN_TRIES:
             self.sim.schedule(
-                self.system.params.scan_retry_delay_ms,
+                SCAN_RETRY_DELAY_MS,
                 self._scan_dring,
                 key,
                 started_at,
@@ -512,7 +512,7 @@ class QueryPaths:
             # A bare registration attempt failed: try again later (query-less
             # peers have no other trigger to re-enter the petal).
             self.sim.schedule(
-                4 * self.system.params.scan_retry_delay_ms,
+                4 * SCAN_RETRY_DELAY_MS,
                 self._register_with_petal,
             )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.replication import full_sync_payload
 from repro.metrics.loadbalance import top_gini_contributors
 from repro.net.message import Message
@@ -177,7 +178,7 @@ class LoadRelief:
                 self.system.members_shed += len(partition)
             # Allow another attempt later either way; if the promotion
             # succeeded our successor pointer will show it.
-            self.sim.schedule(params.scan_retry_delay_ms, allow_next_attempt)
+            self.sim.schedule(SCAN_RETRY_DELAY_MS, allow_next_attempt)
 
         def on_timeout() -> None:
             d.promoting = False

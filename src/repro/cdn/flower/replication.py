@@ -256,9 +256,6 @@ class ReplicaStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def positions(self) -> List[ChordId]:
-        return list(self._records)
-
     def records(self) -> List[ReplicaRecord]:
         return list(self._records.values())
 

@@ -32,6 +32,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.cdn.flower.petal import DIR_FAILURE_THRESHOLD
 from repro.errors import CDNError
 from repro.sim.process import PeriodicProcess
 from repro.types import Address, ObjectKey
@@ -59,13 +60,13 @@ def staleness_bound_ms(params) -> float:
 
     A replica may lag its directory by up to ``anti_entropy_rounds`` sync
     periods (delta rejections force a full only on the anti-entropy
-    round), and the client may take ``dir_failure_threshold`` strike
+    round), and the client may take ``DIR_FAILURE_THRESHOLD`` strike
     periods to even start failing over; two more periods absorb transport
     retries and the takeover race.  Replica answers older than this are
     discarded by the querier and flagged by the chaos auditor (I7).
     """
     return params.keepalive_period_ms * (
-        params.replication_anti_entropy_rounds + params.dir_failure_threshold + 2
+        params.replication_anti_entropy_rounds + DIR_FAILURE_THRESHOLD + 2
     )
 
 

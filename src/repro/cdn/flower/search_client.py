@@ -187,7 +187,6 @@ class SearchClient:
             on_reply=on_reply,
             on_give_up=lambda: self._search_failover(keyword, rest, on_results),
             retries=params.rpc_retries,
-            backoff_ms=params.rpc_backoff_ms,
         )
 
     def _finish_search(

@@ -38,6 +38,10 @@ from repro.net.message import Message
 from repro.sim.process import PeriodicProcess
 from repro.types import Address, ObjectKey
 
+#: Keepalive rounds after which a silent content peer is expired from the
+#: directory index.
+MEMBER_EXPIRY_ROUNDS = 2
+
 
 class DirectoryService:
     """Serves *role*'s slot on behalf of *peer* (see module docstring).
@@ -427,7 +431,7 @@ class DirectoryService:
         """What a registering client needs to join the petal: dir-info
         and a view sample (section 3.2)."""
         peer = self.peer
-        size = self.system.params.gossip_shuffle_size
+        size = peer.gossip.shuffle_size
         sample = self.role.member_sample(peer.rng, size)
         if len(sample) < size:
             # Fresh instances hand out their legacy content view instead
@@ -541,7 +545,7 @@ class DirectoryService:
         peer, role = self.peer, self.role
         if not peer.alive:
             return
-        expired = role.expire_members(self.system.params.member_expiry_rounds)
+        expired = role.expire_members(MEMBER_EXPIRY_ROUNDS)
         if expired:
             self.system.expired_members += len(expired)
             sim = self.sim

@@ -56,11 +56,6 @@ class ShardedFlowerSystem(FlowerSystem):
             return super()._make_servers()
 
     # ------------------------------------------------------------- seeding
-    @property
-    def num_seed_identities(self) -> int:
-        """One initial directory peer per (website, local locality)."""
-        return self.catalog.num_websites * self.network.shard_map.localities_per_shard
-
     def _seed_slots(self) -> Iterable[Tuple[int, int, int]]:
         """This shard's slice of the deterministic global enumeration;
         identities number it 0..n_local-1 (each shard has its own

@@ -115,11 +115,6 @@ class FlowerSystem(CdnSystem):
         return FlowerPeer(self, identity, self.website_of(identity))
 
     # ------------------------------------------------------------- seeding
-    @property
-    def num_seed_identities(self) -> int:
-        """k x |W|: one initial directory peer per (website, locality)."""
-        return self.catalog.num_websites * self.binner.num_localities
-
     def setup_initial_population(self) -> None:
         """Create the initial directory peers and warm-start D-ring.
 

@@ -12,6 +12,6 @@ All of that behaviour lives in :mod:`repro.cdn.flower` (the scan in
 class that turns it on via :class:`~repro.cdn.base.ProtocolParams`.
 """
 
-from repro.cdn.petalup.system import PetalUpSystem, petalup_params
+from repro.cdn.petalup.system import PetalUpSystem
 
-__all__ = ["PetalUpSystem", "petalup_params"]
+__all__ = ["PetalUpSystem"]

@@ -7,10 +7,6 @@ is the configuration that activates them.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
-
-from repro.cdn.base import ProtocolParams
 from repro.cdn.flower.system import FlowerSystem
 from repro.errors import CDNError
 
@@ -22,24 +18,6 @@ DEFAULT_LOAD_LIMIT = 30
 DEFAULT_MAX_INSTANCES = 8
 
 
-def petalup_params(
-    base: Optional[ProtocolParams] = None,
-    load_limit: int = DEFAULT_LOAD_LIMIT,
-    max_instances: int = DEFAULT_MAX_INSTANCES,
-) -> ProtocolParams:
-    """Derive PetalUp-CDN parameters from a (Flower) parameter set."""
-    if load_limit < 1:
-        raise CDNError("load_limit must be >= 1")
-    if max_instances < 2:
-        raise CDNError("PetalUp-CDN needs max_instances >= 2")
-    base = base or ProtocolParams()
-    return dataclasses.replace(
-        base,
-        directory_load_limit=load_limit,
-        max_instances=max_instances,
-    )
-
-
 class PetalUpSystem(FlowerSystem):
     """Flower-CDN with elastic, load-split directory instances."""
 
@@ -49,7 +27,7 @@ class PetalUpSystem(FlowerSystem):
         if params.max_instances < 2 or params.directory_load_limit is None:
             raise CDNError(
                 "PetalUpSystem requires max_instances >= 2 and a finite "
-                "directory_load_limit; use petalup_params()"
+                "directory_load_limit (build_world fills in the defaults)"
             )
         super().__init__(sim, network, binner, catalog, params, metrics)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-from repro.cdn.base import BasePeer
+from repro.cdn.base import SCAN_RETRY_DELAY_MS, BasePeer
 from repro.dht.node import ChordNode, LookupResult, deliver_route_result, route_step
 from repro.net.message import Message
 from repro.types import Address, ObjectKey
@@ -79,9 +79,7 @@ class SquirrelPeer(BasePeer):
         if not self.alive or self.chord is None or self.chord.joined:
             return
         # Retry until we get in; queries work meanwhile via bootstrap starts.
-        self.sim.schedule(
-            self.system.params.scan_retry_delay_ms, self._retry_join
-        )
+        self.sim.schedule(SCAN_RETRY_DELAY_MS, self._retry_join)
 
     def _retry_join(self) -> None:
         if not self.alive or self.chord is None or self.chord.joined:

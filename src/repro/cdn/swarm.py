@@ -382,7 +382,6 @@ class SwarmTransfer:
             on_reply=on_reply,
             on_give_up=on_give_up,
             retries=params.rpc_retries,
-            backoff_ms=params.rpc_backoff_ms,
         )
 
     def _restart_from_zero(self) -> None:

@@ -21,7 +21,6 @@ peers only, with assigned -- not hashed -- identifiers) and the Squirrel
 baseline (every peer joins, identifiers hashed from addresses).
 """
 
-from repro.dht.diagnostics import RingHealth, max_ownership_imbalance, ring_health
 from repro.dht.idspace import IdSpace
 from repro.dht.node import ChordNode, LookupResult, NodeRef
 from repro.dht.ring import ChordRing, RingParams
@@ -33,7 +32,4 @@ __all__ = [
     "LookupResult",
     "ChordRing",
     "RingParams",
-    "RingHealth",
-    "ring_health",
-    "max_ownership_imbalance",
 ]

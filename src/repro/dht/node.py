@@ -33,6 +33,10 @@ from repro.net.transport import ACK, NetworkNode
 from repro.sim.process import PeriodicProcess, desynchronized_start
 from repro.types import Address, ChordId
 
+#: Relative jitter of the maintenance period, so nodes do not tick in
+#: lock-step.
+MAINTENANCE_JITTER = 0.1
+
 
 class NodeRef(NamedTuple):
     """A remote node as known locally: (identifier, network address)."""
@@ -271,7 +275,7 @@ class ChordNode:
             params.maintenance_period_ms,
             self._maintenance_tick,
             initial_delay=desynchronized_start(params.maintenance_period_ms, rng),
-            jitter=params.maintenance_jitter,
+            jitter=MAINTENANCE_JITTER,
             rng=rng,
         )
 

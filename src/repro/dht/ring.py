@@ -36,8 +36,6 @@ class RingParams:
             the ring survives any r-1 simultaneous adjacent failures.
         maintenance_period_ms: period of the combined stabilization tick
             (stabilize + notify + one finger repair + predecessor check).
-        maintenance_jitter: relative jitter applied to the period so nodes
-            do not tick in lock-step.
         lookup_max_probes: hard cap on hops per route (loop guard).
         rpc_timeout_ms: failure-detection timeout for Chord RPCs; must
             exceed the worst round trip.
@@ -54,7 +52,6 @@ class RingParams:
     bits: int = 32
     successor_list_size: int = 8
     maintenance_period_ms: float = seconds(30)
-    maintenance_jitter: float = 0.1
     lookup_max_probes: int = 64
     rpc_timeout_ms: float = 1200.0
     recursive_timeout_ms: float = 4000.0
@@ -146,8 +143,8 @@ class ChordRing:
     def successor_of(self, key: ChordId) -> Optional["ChordNode"]:
         """Registered member owning *key* (first id >= key, cyclically).
 
-        O(log n) bisect over the sorted-membership cache; diagnostics and
-        oracle checks use this instead of scanning ``members()``.
+        O(log n) bisect over the sorted-membership cache; oracle checks
+        use this instead of scanning ``members()``.
         """
         self._ensure_sorted()
         ids = self._sorted_ids

@@ -1,11 +1,9 @@
-"""Experiment harness: Table 1 configuration, runner, scenarios, results.
+"""Experiment harness: Table 1 configuration, runner, results.
 
 - :mod:`repro.experiments.config` -- :class:`ExperimentConfig`, mirroring
   the paper's Table 1 parameter for parameter;
 - :mod:`repro.experiments.runner` -- builds a world (simulator, topology,
   landmark binner, churn, CDN system) and runs it to the horizon;
-- :mod:`repro.experiments.scenarios` -- one function per paper figure /
-  table (Fig. 3, Fig. 4, Fig. 5, Table 2) plus the ablations;
 - :mod:`repro.experiments.results` -- JSON-serializable result records.
 """
 
@@ -18,18 +16,4 @@ __all__ = [
     "ExperimentResult",
     "build_world",
     "run_experiment",
-    "scenarios",
 ]
-
-
-def __getattr__(name):
-    # `scenarios` is exposed lazily: it imports repro.analysis, which
-    # imports repro.experiments.results -- eager importing here would make
-    # that a cycle whenever repro.analysis is imported first.
-    if name == "scenarios":
-        import importlib
-
-        module = importlib.import_module("repro.experiments.scenarios")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,8 +49,6 @@ class ExperimentConfig:
     Implementation knobs beyond Table 1:
 
     Attributes:
-        chord_bits: identifier-space width of every Chord ring.
-        chord_successor_list: successor-list length r.
         chord_maintenance_s: period of the combined stabilization tick.
         topology: ``"clustered"`` (the default, locality structure present)
             or ``"uniform"`` (no structure -- the locality ablation).
@@ -97,8 +95,8 @@ class ExperimentConfig:
             closed-loop per-peer query process of Table 1 is the only
             traffic and runs stay bit-identical to the goldens.
         openloop_diurnal_amplitude: relative amplitude in [0, 1) of the
-            sinusoidal diurnal modulation of the open-loop rate.
-        openloop_diurnal_period_hours: period of that diurnal cycle.
+            sinusoidal diurnal modulation of the open-loop rate (one
+            cycle a day).
         openloop_surges: regionally-correlated flash crowds riding the
             open-loop process -- a tuple of plain-number tuples
             ``(start_ms, ramp_ms, peak_multiplier, decay_ms, locality,
@@ -158,12 +156,13 @@ class ExperimentConfig:
     num_localities: int = 6
     latency_min_ms: float = 10.0
     latency_max_ms: float = 500.0
+    # No run sets these two, but they stay fields: they are the paper's
+    # parameters (Table 1's query rate; the Zipf skew of Breslau et al.),
+    # the first things a fidelity study varies.
     query_interval_min: float = 6.0
     gossip_period_min: float = 60.0
     push_threshold: float = 0.5
     zipf_exponent: float = 0.8
-    chord_bits: int = 32
-    chord_successor_list: int = 8
     chord_maintenance_s: float = 120.0
     topology: str = "clustered"
     summary_kind: str = "exact"
@@ -180,7 +179,6 @@ class ExperimentConfig:
     fault_schedule: Tuple[ScheduleSpec, ...] = ()
     openloop_rate_qps: float = 0.0
     openloop_diurnal_amplitude: float = 0.0
-    openloop_diurnal_period_hours: float = 24.0
     openloop_surges: tuple = ()
     directory_queue_limit: int = 0
     directory_service_ms: float = 40.0
@@ -227,8 +225,6 @@ class ExperimentConfig:
             raise ConfigError("openloop_rate_qps must be >= 0")
         if not 0.0 <= self.openloop_diurnal_amplitude < 1.0:
             raise ConfigError("openloop_diurnal_amplitude must be in [0, 1)")
-        if self.openloop_diurnal_period_hours <= 0:
-            raise ConfigError("openloop_diurnal_period_hours must be positive")
         if not isinstance(self.openloop_surges, tuple):
             object.__setattr__(
                 self,
@@ -334,8 +330,6 @@ class ExperimentConfig:
             swarm_stall_ms=self.swarm_stall_ms,
             swarm_retry_ms=self.swarm_retry_ms,
             dring=RingParams(
-                bits=self.chord_bits,
-                successor_list_size=self.chord_successor_list,
                 maintenance_period_ms=seconds(self.chord_maintenance_s),
                 rpc_timeout_ms=2.4 * self.latency_max_ms,
             ),

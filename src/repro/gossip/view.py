@@ -58,9 +58,6 @@ class PartialView:
     def __contains__(self, address: Address) -> bool:
         return address in self._contacts
 
-    def __iter__(self):
-        return iter(self._contacts.values())
-
     def addresses(self) -> List[Address]:
         return list(self._contacts)
 

@@ -112,8 +112,8 @@ class WeightedDistribution:
     extension): with heavy-tailed object sizes, "62% of queries within
     100 ms" can hide most of the *traffic* coming from far away -- here
     each sample (a transfer distance) is weighted by the bytes it moved,
-    so ``fraction_below(100)`` answers "what fraction of bytes travelled
-    within 100 ms".
+    so the CDF at 100 answers "what fraction of bytes travelled within
+    100 ms".
     """
 
     def __init__(self, samples: Sequence[tuple]) -> None:
@@ -125,9 +125,6 @@ class WeightedDistribution:
             total += weight
             self._cumulative.append(total)
         self._total = total
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     @property
     def empty(self) -> bool:
@@ -143,17 +140,6 @@ class WeightedDistribution:
                 self._cumulative[i] - self._cumulative[i - 1]
             ) * self._values[i]
         return weighted / self._total
-
-    def fraction_below(self, threshold: float) -> float:
-        """Weight fraction of samples <= threshold."""
-        if self.empty:
-            return 0.0
-        import bisect
-
-        index = bisect.bisect_right(self._values, threshold)
-        if index == 0:
-            return 0.0
-        return self._cumulative[index - 1] / self._total
 
     def cdf_points(self, num_points: int = 50) -> List[tuple]:
         """(value, cumulative weight fraction) pairs for plotting."""

@@ -155,12 +155,6 @@ class ClusteredTopology(Topology):
         except KeyError:
             raise TopologyError(f"unknown address {address}") from None
 
-    def distance(self, a: Address, b: Address) -> float:
-        """Euclidean distance between two registered peers."""
-        ax, ay = self.position(a)
-        bx, by = self.position(b)
-        return math.hypot(ax - bx, ay - by)
-
     def latency_at(self, pa: Coordinate, pb: Coordinate) -> float:
         """Latency between two raw coordinates (used by landmark probing)."""
         dist = math.hypot(pa[0] - pb[0], pa[1] - pb[1])

@@ -361,8 +361,7 @@ class Network:
         #: and revalidate it with one integer comparison.
         self.liveness_epoch = 0
         self.messages_sent = 0
-        #: drop cause -> count; see :data:`DROP_CAUSES`.  ``messages_dropped``
-        #: (the historical single counter) is the sum over all causes.
+        #: drop cause -> count; see :data:`DROP_CAUSES`.
         self.drop_counts: Dict[str, int] = {cause: 0 for cause in DROP_CAUSES}
         #: message kind -> number sent; the raw material of the overhead
         #: analysis ("minimizing the incurred overhead" -- paper section 1).
@@ -382,26 +381,6 @@ class Network:
         self.bandwidth = None
 
     # ------------------------------------------------------------ fault model
-    @property
-    def messages_dropped(self) -> int:
-        """Total messages dropped, over all causes."""
-        return sum(self.drop_counts.values())
-
-    @property
-    def dropped_loss(self) -> int:
-        """Messages dropped by (uniform or bursty) link loss."""
-        return self.drop_counts["loss"]
-
-    @property
-    def dropped_dead_dst(self) -> int:
-        """Messages addressed to crashed or unknown destinations."""
-        return self.drop_counts["dead_dst"]
-
-    @property
-    def dropped_partition(self) -> int:
-        """Messages cut by an active network partition."""
-        return self.drop_counts["partition"]
-
     def install_faults(self, controller) -> None:
         """Attach a :class:`~repro.net.faults.FaultController` to delivery.
 

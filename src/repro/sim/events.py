@@ -42,7 +42,7 @@ class EventHandle:
 
     Instances are returned by :meth:`EventQueue.push` (and therefore by
     ``Simulator.schedule``).  A handle is a view over the underlying heap
-    entry; ``time``/``seq``/``callback``/``args`` read through to it.
+    entry; ``time``/``callback``/``args`` read through to it.
     Handles order by ``(time, seq)``, mirroring heap order.
     """
 
@@ -55,10 +55,6 @@ class EventHandle:
     @property
     def time(self) -> float:
         return self._entry[_TIME]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[_SEQ]
 
     @property
     def callback(self) -> Optional[Callable[..., Any]]:
@@ -99,7 +95,7 @@ class EventHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.3f}, seq={self.seq}, {state})"
+        return f"EventHandle(t={self.time:.3f}, seq={self._entry[_SEQ]}, {state})"
 
 
 class EventQueue:

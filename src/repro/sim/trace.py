@@ -72,12 +72,6 @@ class TraceRecorder:
         self._watch_all = True
 
     # ------------------------------------------------------------------ emit
-    def emit(self, time: float, kind: str, **payload: Any) -> None:
-        """Emit one event.  Cheap (one Counter update) unless subscribed."""
-        self.counters[kind] += 1
-        if self._watch_all or kind in self._watched:
-            self._dispatch(TraceEvent(time, kind, payload))
-
     def _dispatch(self, event: TraceEvent) -> None:
         """Record/forward an event already known to be of interest."""
         kind = event.kind

@@ -21,7 +21,6 @@ reflect object accesses while we are interested in website accesses":
 
 from repro.workload.catalog import Catalog
 from repro.workload.churn import ChurnModel, ChurnSurgeSpec
-from repro.workload.flashcrowd import FlashCrowdChurnModel, FlashCrowdProfile
 from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload, RegionalSurge
 from repro.workload.queries import QueryStream
 from repro.workload.zipf import ZipfSampler
@@ -32,8 +31,6 @@ __all__ = [
     "QueryStream",
     "ChurnModel",
     "ChurnSurgeSpec",
-    "FlashCrowdProfile",
-    "FlashCrowdChurnModel",
     "ArrivalProfile",
     "OpenLoopWorkload",
     "RegionalSurge",

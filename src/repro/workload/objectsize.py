@@ -16,7 +16,7 @@ on every peer, shard, and run.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import ConfigError
 from repro.sim.rng import derive_seed
@@ -100,6 +100,3 @@ class ObjectSizeModel:
             return self.chunk_bytes
         rem = self.size_bytes(key) % self.chunk_bytes
         return rem if rem else self.chunk_bytes
-
-    def describe(self) -> Tuple[float, float, int]:
-        return (self.mean_kb, self.alpha, self.chunk_bytes)

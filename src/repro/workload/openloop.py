@@ -11,8 +11,8 @@ builds a backlog instead of slowing its clients down.
 This module adds that arrival process on top of the existing per-peer
 machinery:
 
-- a non-homogeneous Poisson process (via thinning, same technique as
-  :class:`~repro.workload.flashcrowd.FlashCrowdChurnModel`) with an
+- a non-homogeneous Poisson process (via thinning: candidates drawn at
+  the peak rate, each kept with probability rate / peak) with an
   optional sinusoidal **diurnal cycle** and any number of
   **regionally-correlated flash crowds** (:class:`RegionalSurge`) that
   concentrate the extra arrivals on one locality and optionally one hot
@@ -43,16 +43,18 @@ from repro.errors import WorkloadError
 #: invariant, so those keys are redrawn.
 _MAX_KEY_REDRAWS = 8
 
+#: Period of the diurnal cycle: one day.
+DIURNAL_PERIOD_MS = 86_400_000.0
+
 
 @dataclass(frozen=True)
 class RegionalSurge:
     """One regionally-correlated flash crowd riding the open-loop rate.
 
-    Same intensity shape as
-    :class:`~repro.workload.flashcrowd.FlashCrowdProfile` (linear ramp to
-    peak, exponential decay, floored at 1.0), but scoped: the *excess*
-    arrivals land in one locality and -- with ``hot_probability`` -- on
-    peers interested in one hot website.
+    Intensity shape: linear ramp from 1.0 to the peak, then exponential
+    decay, floored at 1.0.  The surge is scoped: the *excess* arrivals
+    land in one locality and -- with ``hot_probability`` -- on peers
+    interested in one hot website.
 
     Attributes:
         start_ms / ramp_ms / peak_multiplier / decay_ms: surge shape.
@@ -131,7 +133,6 @@ class ArrivalProfile:
 
     rate_qps: float
     diurnal_amplitude: float = 0.0
-    diurnal_period_ms: float = 86_400_000.0
     surges: Tuple[RegionalSurge, ...] = ()
 
     def __post_init__(self) -> None:
@@ -139,8 +140,6 @@ class ArrivalProfile:
             raise WorkloadError("open-loop rate must be positive")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise WorkloadError("diurnal amplitude must be in [0, 1)")
-        if self.diurnal_period_ms <= 0:
-            raise WorkloadError("diurnal period must be positive")
 
     @classmethod
     def from_config(cls, config) -> Optional["ArrivalProfile"]:
@@ -150,7 +149,6 @@ class ArrivalProfile:
         return cls(
             rate_qps=config.openloop_rate_qps,
             diurnal_amplitude=config.openloop_diurnal_amplitude,
-            diurnal_period_ms=config.openloop_diurnal_period_hours * 3_600_000.0,
             surges=tuple(
                 RegionalSurge.from_tuple(surge) for surge in config.openloop_surges
             ),
@@ -159,7 +157,7 @@ class ArrivalProfile:
     def diurnal(self, time_ms: float) -> float:
         if self.diurnal_amplitude == 0.0:
             return 1.0
-        phase = 2.0 * math.pi * time_ms / self.diurnal_period_ms
+        phase = 2.0 * math.pi * time_ms / DIURNAL_PERIOD_MS
         return 1.0 + self.diurnal_amplitude * math.sin(phase)
 
     def multiplier(self, time_ms: float) -> float:

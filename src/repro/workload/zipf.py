@@ -4,22 +4,10 @@
 citing Breslau et al. (INFOCOM 1999), who measured web-request popularity as
 Zipf-like with exponent alpha around 0.6-0.8.  We default to 0.8.
 
-Two sampling backends:
-
-``method="cdf"`` (default)
-    Inverse-CDF over precomputed cumulative probabilities -- O(log n) per
-    sample via ``bisect``, one uniform draw per sample.  This is the
-    historical implementation; its draw-to-rank mapping is part of the
-    deterministic-replay contract (same seed => same query sequence), so it
-    stays the default.
-
-``method="alias"``
-    Walker/Vose alias table -- O(1) per sample, still one uniform draw
-    (split into bucket index and acceptance fraction).  Samples the *same
-    distribution* but maps uniform draws to different ranks than the CDF
-    method, so switching backends changes the replayed sequence (not the
-    statistics).  Use it for throughput-bound synthetic workloads with
-    large universes.
+Sampling is inverse-CDF over precomputed cumulative probabilities --
+O(log n) per sample via ``bisect``, one uniform draw per sample.  The
+draw-to-rank mapping is part of the deterministic-replay contract (same
+seed => same query sequence).
 """
 
 from __future__ import annotations
@@ -30,8 +18,6 @@ from typing import List
 
 from repro.errors import WorkloadError
 
-_METHODS = ("cdf", "alias")
-
 
 class ZipfSampler:
     """Sample ranks 0..n-1 with P(rank i) proportional to 1/(i+1)^alpha.
@@ -41,20 +27,15 @@ class ZipfSampler:
     Args:
         n: universe size.
         exponent: the Zipf alpha (>= 0; 0 degenerates to uniform).
-        method: ``"cdf"`` (default, O(log n)/sample, replay-stable) or
-            ``"alias"`` (O(1)/sample, different draw-to-rank mapping).
     """
 
-    def __init__(self, n: int, exponent: float = 0.8, method: str = "cdf") -> None:
+    def __init__(self, n: int, exponent: float = 0.8) -> None:
         if n < 1:
             raise WorkloadError(f"Zipf universe must be non-empty (got n={n})")
         if exponent < 0:
             raise WorkloadError(f"Zipf exponent must be >= 0 (got {exponent})")
-        if method not in _METHODS:
-            raise WorkloadError(f"unknown Zipf method {method!r}; choose from {_METHODS}")
         self.n = n
         self.exponent = exponent
-        self.method = method
         weights = [1.0 / (rank + 1) ** exponent for rank in range(n)]
         total = sum(weights)
         cumulative: List[float] = []
@@ -64,32 +45,6 @@ class ZipfSampler:
             cumulative.append(acc / total)
         cumulative[-1] = 1.0  # guard against floating-point shortfall
         self._cumulative = cumulative
-        if method == "alias":
-            self._alias_prob, self._alias = self._build_alias(
-                [w / total for w in weights]
-            )
-
-    @staticmethod
-    def _build_alias(probs: List[float]) -> "tuple[List[float], List[int]]":
-        """Vose's stable O(n) alias-table construction."""
-        n = len(probs)
-        scaled = [p * n for p in probs]
-        prob = [0.0] * n
-        alias = list(range(n))
-        small = [i for i, s in enumerate(scaled) if s < 1.0]
-        large = [i for i, s in enumerate(scaled) if s >= 1.0]
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            prob[lo] = scaled[lo]
-            alias[lo] = hi
-            scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-            (small if scaled[hi] < 1.0 else large).append(hi)
-        for leftover in large:
-            prob[leftover] = 1.0
-        for leftover in small:  # numerical stragglers
-            prob[leftover] = 1.0
-        return prob, alias
 
     def probability(self, rank: int) -> float:
         """Exact probability mass of *rank*."""
@@ -100,26 +55,12 @@ class ZipfSampler:
 
     def sample(self, rng: random.Random) -> int:
         """One Zipf-distributed rank."""
-        if self.method == "alias":
-            scaled = rng.random() * self.n
-            bucket = int(scaled)
-            if bucket >= self.n:  # guard against rounding at 1.0
-                bucket = self.n - 1
-            if scaled - bucket < self._alias_prob[bucket]:
-                return bucket
-            return self._alias[bucket]
         return bisect_left(self._cumulative, rng.random())
 
     def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        if self.method == "alias":
-            sample = self.sample
-            return [sample(rng) for _ in range(count)]
         cumulative = self._cumulative
         uniform = rng.random
         return [bisect_left(cumulative, uniform()) for _ in range(count)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ZipfSampler(n={self.n}, alpha={self.exponent}, "
-            f"method={self.method!r})"
-        )
+        return f"ZipfSampler(n={self.n}, alpha={self.exponent})"

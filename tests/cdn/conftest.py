@@ -9,7 +9,7 @@ import pytest
 
 from repro.cdn.base import ProtocolParams
 from repro.cdn.flower.system import FlowerSystem
-from repro.cdn.petalup.system import PetalUpSystem, petalup_params
+from repro.cdn.petalup.system import PetalUpSystem
 from repro.cdn.squirrel.system import SquirrelSystem
 from repro.dht.ring import RingParams
 from repro.net.landmarks import LandmarkBinner
@@ -128,5 +128,5 @@ def squirrel_world():
 def petalup_world():
     return CdnWorld(
         PetalUpSystem,
-        params=petalup_params(make_params(), load_limit=3, max_instances=4),
+        params=make_params(directory_load_limit=3, max_instances=4),
     )

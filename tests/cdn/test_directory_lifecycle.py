@@ -2,11 +2,12 @@
 
 Section 5.2.2's voluntary-departure path (state handoff to a petal
 member that takes the D-ring position) and section 5.1's keepalive /
-expiry interplay (silent members age out after ``member_expiry_rounds``
+expiry interplay (silent members age out after ``MEMBER_EXPIRY_ROUNDS``
 sweeps; contact of any kind -- keepalive, push, query -- resets ages,
 and an expired member is re-admitted transparently by its next query).
 """
 
+from repro.cdn.flower.service import MEMBER_EXPIRY_ROUNDS
 from repro.sim.clock import minutes, seconds
 
 
@@ -138,8 +139,7 @@ class TestExpiryKeepaliveInterplay:
         # query) processes stop, as if all its messages were lost.
         client._keepalive_process.cancel()
         client._stop_query_process()
-        rounds = world.system.params.member_expiry_rounds
-        world.run((rounds + 2) * world.params.keepalive_period_ms * 1.1)
+        world.run((MEMBER_EXPIRY_ROUNDS + 2) * world.params.keepalive_period_ms * 1.1)
         assert not directory.directory.has_member(client.address)
         # eviction also purged the index pointers
         assert client.address not in directory.directory.member_keys
@@ -155,8 +155,7 @@ class TestExpiryKeepaliveInterplay:
         client, directory = _register_member(world)
         client._keepalive_process.cancel()
         client._stop_query_process()
-        rounds = world.system.params.member_expiry_rounds
-        world.run((rounds + 2) * world.params.keepalive_period_ms * 1.1)
+        world.run((MEMBER_EXPIRY_ROUNDS + 2) * world.params.keepalive_period_ms * 1.1)
         assert not directory.directory.has_member(client.address)
         # the comeback query re-admits the peer cleanly...
         record = world.query(client, (0, 7))

@@ -147,7 +147,7 @@ class TestMaintenance:
         world.query(client, (0, 5))
         directory = world.directory_of(0, client.locality)
         client.crash()
-        world.run(minutes(45))  # > member_expiry_rounds keepalive periods
+        world.run(minutes(45))  # > MEMBER_EXPIRY_ROUNDS keepalive periods
         assert not directory.directory.has_member(client.address)
 
     def test_directory_failure_recovery_by_member(self, flower_world):

@@ -11,11 +11,9 @@ Covers the three layers of the overload machinery separately:
 - the per-petal directory registry that makes instance lookups O(1).
 """
 
-import pytest
-
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.system import FlowerSystem
-from repro.cdn.petalup.system import PetalUpSystem, petalup_params
+from repro.cdn.petalup.system import PetalUpSystem
 from repro.sim.clock import minutes, seconds
 
 from tests.cdn.conftest import CdnWorld, make_params
@@ -157,9 +155,9 @@ def make_overload_petalup_world(load_limit=3, seed=1):
     return CdnWorld(
         PetalUpSystem,
         seed=seed,
-        params=petalup_params(
-            make_params(overload_shedding=True),
-            load_limit=load_limit,
+        params=make_params(
+            overload_shedding=True,
+            directory_load_limit=load_limit,
             max_instances=4,
         ),
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn.petalup.system import PetalUpSystem, petalup_params
+from repro.cdn.petalup.system import PetalUpSystem
 from repro.errors import CDNError
 from repro.sim.clock import minutes, seconds
 
@@ -13,8 +13,8 @@ def make_petalup_world(load_limit=3, max_instances=4, seed=1):
     return CdnWorld(
         PetalUpSystem,
         seed=seed,
-        params=petalup_params(
-            make_params(), load_limit=load_limit, max_instances=max_instances
+        params=make_params(
+            directory_load_limit=load_limit, max_instances=max_instances
         ),
     )
 
@@ -22,9 +22,12 @@ def make_petalup_world(load_limit=3, max_instances=4, seed=1):
 class TestConfiguration:
     def test_params_helper_validates(self):
         with pytest.raises(CDNError):
-            petalup_params(load_limit=0)
+            make_params(directory_load_limit=0, max_instances=4)
         with pytest.raises(CDNError):
-            petalup_params(max_instances=1)
+            CdnWorld(
+                PetalUpSystem,
+                params=make_params(directory_load_limit=3, max_instances=1),
+            )
 
     def test_system_requires_split_knobs(self):
         with pytest.raises(CDNError):

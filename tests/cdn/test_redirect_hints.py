@@ -10,7 +10,7 @@ outcome.
 """
 
 from repro.cdn.flower.system import FlowerSystem
-from repro.cdn.petalup.system import PetalUpSystem, petalup_params
+from repro.cdn.petalup.system import PetalUpSystem
 from repro.sim.clock import minutes, seconds
 
 from tests.cdn.conftest import CdnWorld, make_params
@@ -120,15 +120,13 @@ class TestHintPreRouting:
     def make_world(self):
         return CdnWorld(
             PetalUpSystem,
-            params=petalup_params(
-                make_params(
-                    overload_shedding=True,
-                    directory_queue_limit=4,
-                    directory_service_ms=40.0,
-                    redirect_hints=True,
-                    hint_ttl_ms=minutes(30),
-                ),
-                load_limit=3,
+            params=make_params(
+                overload_shedding=True,
+                directory_queue_limit=4,
+                directory_service_ms=40.0,
+                redirect_hints=True,
+                hint_ttl_ms=minutes(30),
+                directory_load_limit=3,
                 max_instances=4,
             ),
         )
@@ -178,16 +176,14 @@ class TestHintPreRouting:
         queried by it."""
         world = CdnWorld(
             PetalUpSystem,
-            params=petalup_params(
-                make_params(
-                    overload_shedding=True,
-                    directory_queue_limit=4,
-                    directory_service_ms=40.0,
-                    redirect_hints=True,
-                    hint_ttl_ms=minutes(30),
-                    replication_k=2,
-                ),
-                load_limit=3,
+            params=make_params(
+                overload_shedding=True,
+                directory_queue_limit=4,
+                directory_service_ms=40.0,
+                redirect_hints=True,
+                hint_ttl_ms=minutes(30),
+                replication_k=2,
+                directory_load_limit=3,
                 max_instances=4,
             ),
         )

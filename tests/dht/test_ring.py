@@ -21,7 +21,7 @@ def test_params_select_no_lookup_mode():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(RingParams)}
-    assert len(names) == 8
+    assert len(names) == 7
     assert not names & {
         "lookup_mode", "probe_retries", "retry_backoff_ms", "lookup_max_timeouts"
     }

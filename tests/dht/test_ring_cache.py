@@ -1,7 +1,7 @@
 """The sorted-membership cache behind ``ChordRing.members()``.
 
 ``members()`` / ``active_members()`` / ``successor_of()`` are called from
-diagnostics, oracle checks and bootstrap on every churn event; re-sorting
+oracle checks and bootstrap on every churn event; re-sorting
 the registry each time was O(n log n) per call.  The cache serves them
 from one lazily rebuilt sorted list.  These tests pin the contract: the
 cache is invisible (same results as a fresh sort), invalidated by every

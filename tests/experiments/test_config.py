@@ -77,7 +77,8 @@ def test_protocol_params_derivation():
     assert params.query_interval_ms == 6 * 60_000
     assert params.gossip_period_ms == 60 * 60_000
     assert params.keepalive_period_ms == params.gossip_period_ms
-    assert params.dring.bits == config.chord_bits
+    assert params.dring.bits == 32
+    assert params.dring.successor_list_size == 8
     assert params.dring.rpc_timeout_ms > 2 * config.latency_max_ms
 
 

@@ -112,7 +112,7 @@ def test_set_bursty_loss_replaces_the_spec_and_resets_links():
     send_at(sim, 60.0, a, b, "kept")
     sim.run()
     assert b.received == ["kept"]
-    assert network.dropped_loss == 1
+    assert network.drop_counts["loss"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_partition_cuts_both_directions_and_heals():
     b.send(a.address, "ping", seq="b->a cut")
     sim.run(until=500.0)
     assert a.received == [] and b.received == []
-    assert network.dropped_partition == 2
+    assert network.drop_counts["partition"] == 2
     assert controller.partition_active()
 
     # After the heal, the same links deliver again.
@@ -139,7 +139,7 @@ def test_partition_cuts_both_directions_and_heals():
     sim.run(until=2000.0)
     assert b.received == ["a->b ok"]
     assert a.received == ["b->a ok"]
-    assert network.dropped_partition == 2
+    assert network.drop_counts["partition"] == 2
     assert not controller.partition_active()
     assert sim.trace.count("fault.partition_start") == 1
     assert sim.trace.count("fault.partition_heal") == 1
@@ -156,7 +156,7 @@ def test_locality_partition_spares_intra_side_traffic():
     sim.run(until=100.0)
     assert c.received == ["same side"]
     assert b.received == []
-    assert network.dropped_partition == 1
+    assert network.drop_counts["partition"] == 1
     assert controller.partition_active()
 
 
@@ -191,7 +191,7 @@ def test_partition_cuts_rpc_replies_in_flight():
     sim.run(until=500.0)
     assert b.received == [1]
     assert outcomes == ["timeout"]
-    assert network.dropped_partition == 1
+    assert network.drop_counts["partition"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,8 @@ def test_gilbert_elliott_stationary_loss_rate():
     sim.run()
     observed = 1.0 - len(b.received) / total
     assert observed == pytest.approx(spec.stationary_loss_rate, abs=0.03)
-    assert network.dropped_loss == total - len(b.received)
-    assert controller.stats["burst_drops"] == network.dropped_loss
+    assert network.drop_counts["loss"] == total - len(b.received)
+    assert controller.stats["burst_drops"] == network.drop_counts["loss"]
 
 
 def test_gilbert_elliott_losses_are_bursty():
@@ -279,7 +279,7 @@ def test_latency_spike_window_delays_delivery():
     sim.run()
     assert b.received_at["normal"] == pytest.approx(10.0)
     assert b.received_at["spiked"] == pytest.approx(150.0 + 10.0 * 3.0 + 5.0)
-    assert network.messages_dropped == 0
+    assert sum(network.drop_counts.values()) == 0
 
 
 def test_latency_spike_adjusts_link_latency():
@@ -647,7 +647,7 @@ def test_calm_fault_plane_is_never_called():
     assert controller.calm_until < 5000.0
     sim.run(until=5300.0)  # ...and once more at delivery: cut by the partition
     assert controller.calls == 2
-    assert network.dropped_partition == 1
+    assert network.drop_counts["partition"] == 1
 
     # Every window is over.  Edges are polled, not scheduled: the first leg
     # afterwards makes the call that notices, and from then on nobody calls.

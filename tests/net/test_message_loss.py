@@ -47,7 +47,7 @@ def test_total_loss_drops_everything():
     sim.run()
     assert outcomes == ["timeout"] * 20
     assert b.received == 0
-    assert network.messages_dropped == 20
+    assert sum(network.drop_counts.values()) == 20
 
 
 def test_zero_loss_drops_nothing():
@@ -56,7 +56,7 @@ def test_zero_loss_drops_nothing():
         a.send(b.address, "ping")
     sim.run()
     assert b.received == 20
-    assert network.messages_dropped == 0
+    assert sum(network.drop_counts.values()) == 0
 
 
 def test_partial_loss_statistics():
@@ -138,7 +138,7 @@ def test_retry_survives_lost_request():
     sim.run()
     assert outcomes == ["reply"]
     assert b.received == 1  # attempt 1 never reached the handler
-    assert network.dropped_loss == 1
+    assert network.drop_counts["loss"] == 1
     assert sim.trace.count("net.rpc_retry") == 1
 
 
@@ -161,7 +161,7 @@ def test_retry_survives_lost_reply():
     sim.run()
     assert outcomes == ["reply"]
     assert b.received == 2  # both requests reached the handler
-    assert network.dropped_loss == 1
+    assert network.drop_counts["loss"] == 1
 
 
 def test_retry_budget_exhaustion_fires_give_up_once():
@@ -183,7 +183,7 @@ def test_retry_budget_exhaustion_fires_give_up_once():
     sim.run()
     assert outcomes == ["give_up"]
     assert b.received == 0
-    assert network.dropped_dead_dst == 3  # 1 try + 2 retries
+    assert network.drop_counts["dead_dst"] == 3  # 1 try + 2 retries
     assert sim.trace.count("net.rpc_retry") == 2
 
 

@@ -1,4 +1,7 @@
-"""Package-level tests: exports, lazy loading, error taxonomy."""
+"""Package-level tests: exports, lazy loading, error taxonomy, reachability."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +150,69 @@ def test_every_emit_counts_and_nothing_pretends_otherwise():
         TraceRecorder(counting=False)
     for name, text in _sources("").items():
         assert "_counting" not in text and ".tracing(" not in text, name
+
+
+def _module_index(root):
+    """Dotted name -> path of every module under ``src/repro``."""
+    src = root / "src"
+    index = {}
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        index[".".join(parts)] = path
+    return index
+
+
+def _resolve(module, name, index):
+    """The module ``from module import name`` reaches: a package
+    ``__init__`` re-export resolves to the module that defines the name."""
+    submodule = f"{module}.{name}"
+    if submodule in index:
+        return submodule
+    path = index.get(module)
+    if path is None or path.name != "__init__.py":
+        return module
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and any(
+            (alias.asname or alias.name) == name for alias in node.names
+        ):
+            return _resolve(node.module, name, index)
+    return None  # a lazy export: resolved elsewhere, the package is no customer
+
+
+def _imports(path, index):
+    """The ``repro`` modules one file imports, anywhere in its body."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.update(_resolve(node.module, alias.name, index) for alias in node.names)
+    return {name for name in found if name in index}
+
+
+def test_every_module_has_a_customer():
+    """Every module under ``src/repro`` is reached by following imports
+    from a run door: the CLI, ``python -m repro``, the benchmarks, the
+    examples and the scripts.  Tests are not doors, and a package
+    ``__init__`` importing a module is no customer either: a module only
+    its package re-exports and its own test file imports serves no run."""
+    root = Path(__file__).resolve().parents[1]
+    index = _module_index(root)
+    doors = [index["repro.cli"], index["repro.__main__"]]
+    for folder in ("benchmarks", "examples", "scripts"):
+        doors.extend((root / folder).rglob("*.py"))
+    reached = set()
+    todo = list(doors)
+    while todo:
+        for module in _imports(todo.pop(), index) - reached:
+            reached.add(module)
+            if index[module].name != "__init__.py":
+                todo.append(index[module])
+    orphans = sorted(
+        name
+        for name, path in index.items()
+        if path.name != "__init__.py" and path not in doors and name not in reached
+    )
+    assert orphans == [], orphans

@@ -5,8 +5,6 @@ import json
 import pathlib
 import sys
 
-import pytest
-
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 

@@ -82,15 +82,12 @@ class TestArrivalProfile:
             ArrivalProfile(rate_qps=0.0)
         with pytest.raises(WorkloadError):
             ArrivalProfile(rate_qps=1.0, diurnal_amplitude=1.0)
-        with pytest.raises(WorkloadError):
-            ArrivalProfile(rate_qps=1.0, diurnal_period_ms=0.0)
 
     def test_multiplier_composes_diurnal_and_surge_excess(self):
         surge = make_surge()
         profile = ArrivalProfile(
             rate_qps=10.0,
             diurnal_amplitude=0.5,
-            diurnal_period_ms=hours(24),
             surges=(surge,),
         )
         # Quarter period: diurnal at its crest, surge at its peak --
