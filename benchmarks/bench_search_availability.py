@@ -15,7 +15,7 @@ One scenario, two arms:
   replica holders (staleness-stamped), then to promoted takeover /
   provisional directories; availability in the wipe window stays >= 99%
   and no replica-served answer exceeds the declared staleness bound of
-  :func:`repro.cdn.flower.search.staleness_bound_ms`.
+  :func:`repro.cdn.flower.search_client.staleness_bound_ms`.
 
 CLI front door (CI smoke; exits non-zero when the warm gate fails), the
 one writer of the committed ``results/search_availability_warm.{json,txt}``
@@ -34,7 +34,8 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-from repro.cdn.flower.search import SearchAvailabilityTracker, staleness_bound_ms
+from repro.cdn.flower.search import SearchAvailabilityTracker
+from repro.cdn.flower.search_client import staleness_bound_ms
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
 from repro.metrics.report import render_table

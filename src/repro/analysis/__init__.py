@@ -9,14 +9,3 @@ in plain text and codifies the paper's qualitative claims as checkable
 - :mod:`repro.analysis.compare` -- Flower-vs-Squirrel comparison reports
   and the shape checks the benchmark harness asserts.
 """
-
-from repro.analysis.ascii import bar_chart, line_chart
-from repro.analysis.compare import ComparisonReport, ShapeCheck, shape_checks
-
-__all__ = [
-    "line_chart",
-    "bar_chart",
-    "ComparisonReport",
-    "ShapeCheck",
-    "shape_checks",
-]

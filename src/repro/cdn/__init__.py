@@ -15,9 +15,3 @@ This is the paper's contribution layer, built on the substrates:
   Druschel, PODC 2002), directory ("redirection") variant over one global
   Chord ring.
 """
-
-from repro.cdn.base import CdnSystem
-from repro.cdn.server import OriginServer
-from repro.cdn.storage import ContentStore
-
-__all__ = ["CdnSystem", "OriginServer", "ContentStore"]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.cdn.server import OriginServer
 from repro.cdn.storage import ContentStore
@@ -522,6 +522,9 @@ class CdnSystem:
         #: Object-size model (:class:`repro.workload.objectsize`); ``None``
         #: keeps every object a unit payload and swarming fully inert.
         self.sizes = None
+        #: :class:`~repro.cdn.swarm.SwarmTransfer`, bound together with
+        #: ``sizes`` so the swarming code loads only when swarming is on.
+        self.swarm_transfer = None
         # --- swarming accounting (zero-cost while ``swarming`` is off) ---
         self.swarm_started = 0
         self.swarm_completed = 0
@@ -598,9 +601,17 @@ class CdnSystem:
     def online_peers(self) -> int:
         return sum(1 for peer in self.peers.values() if peer.alive)
 
+    def extra_totals(self, openloop: bool) -> Dict[str, Any]:
+        """This protocol's own blocks of a result's ``extra`` (none here);
+        *openloop* says whether an open-loop workload drove the run."""
+        return {}
+
     def install_sizes(self, sizes) -> None:
         """Attach the object-size model (and share it with the origin
         servers so they can account bytes served)."""
+        from repro.cdn.swarm import SwarmTransfer
+
         self.sizes = sizes
+        self.swarm_transfer = SwarmTransfer
         for server in self.servers.values():
             server.sizes = sizes

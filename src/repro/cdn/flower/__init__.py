@@ -9,7 +9,7 @@ Module map:
 
 - :mod:`repro.cdn.flower.dring` -- (website, locality, instance) -> D-ring
   identifier assignment;
-- :mod:`repro.cdn.flower.peer` -- :class:`FlowerPeer`: state, session
+- :mod:`repro.cdn.flower.peer` -- ``FlowerPeer``: state, session
   lifecycle, message dispatch and the transitions between the content
   role and the directory role.  The content role is mixed in from:
 
@@ -17,7 +17,7 @@ Module map:
     content peers and directory peers; the one reader of a
     ``flower.query`` reply;
   - :mod:`repro.cdn.flower.hints` -- queue-aware redirect hints;
-  - :mod:`repro.cdn.flower.petal` -- :class:`DirInfo`, gossip, keepalive,
+  - :mod:`repro.cdn.flower.petal` -- ``DirInfo``, gossip, keepalive,
     push, the one "follow this directory" step, suspect-directory
     degradation and failure detection (section 5);
   - :mod:`repro.cdn.flower.search_client` -- keyword search with replica
@@ -26,42 +26,27 @@ Module map:
 
 - the directory role, present only while a peer joins or serves a slot:
 
-  - :mod:`repro.cdn.flower.directory` -- :class:`DirectoryRole`, its
+  - :mod:`repro.cdn.flower.directory` -- ``DirectoryRole``, its
     state: directory-index, member view, load accounting, version journal;
-  - :mod:`repro.cdn.flower.service` -- :class:`DirectoryService`, its
+  - :mod:`repro.cdn.flower.service` -- ``DirectoryService``, its
     behaviour: ring join, start/stop serving, admission and query
     serving, member traffic, the expiry sweep, search serving;
   - :mod:`repro.cdn.flower.relief` -- PetalUp split, member shedding and
     hot-key rebalancing of a served slot;
-  - :mod:`repro.cdn.flower.failover` -- :class:`DirectoryReplicator`, the
+  - :mod:`repro.cdn.flower.failover` -- ``DirectoryReplicator``, the
     replication plane of a served slot (only while ``replication_k > 0``):
     replica syncs, warm takeover, provisional serving, split-brain
     resolution;
 
 - :mod:`repro.cdn.flower.replication` -- sync payloads and the per-peer
-  :class:`ReplicaStore`;
+  ``ReplicaStore``;
 - :mod:`repro.cdn.flower.search` -- keyword space, search engine, probes;
 - :mod:`repro.cdn.flower.stats` -- the versioned ``system.stats()``;
 - :mod:`repro.cdn.flower.system` / :mod:`repro.cdn.flower.sharded` --
-  :class:`FlowerSystem`: initial population, churn hooks, D-ring bootstrap
+  ``FlowerSystem``: initial population, churn hooks, D-ring bootstrap
   (single simulator / one shard of the sharded engine).
 
 PetalUp-CDN (section 4) is this same code with a finite
 ``directory_load_limit`` and ``max_instances > 1``; see
 :mod:`repro.cdn.petalup`.
 """
-
-from repro.cdn.flower.dring import DRingKeyService
-from repro.cdn.flower.peer import FlowerPeer
-from repro.cdn.flower.petal import DirInfo
-from repro.cdn.flower.search import KeywordSearchEngine, KeywordSpace
-from repro.cdn.flower.system import FlowerSystem
-
-__all__ = [
-    "DRingKeyService",
-    "FlowerPeer",
-    "DirInfo",
-    "FlowerSystem",
-    "KeywordSpace",
-    "KeywordSearchEngine",
-]

@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.petal import DirInfo
-from repro.cdn.swarm import SwarmTransfer
 from repro.dht.node import ChordNode, LookupResult, NodeRef
 from repro.gossip.view import Contact
 from repro.types import Address, ObjectKey
@@ -355,7 +354,7 @@ class QueryPaths:
         ):
             # Large object: chunked multi-source transfer with per-chunk
             # failover instead of one atomic fetch (repro.cdn.swarm).
-            SwarmTransfer(
+            system.swarm_transfer(
                 self, key, provider, started_at, hops, extra_sources=sources
             ).start()
             return

@@ -17,7 +17,8 @@ search additionally inherits the *replicated* posting lists that ride the
 versioned sync channel: when the directory is suspect or a search times
 out, the content peer retries against the replica holders it learned from
 its directory (the heir plus the k D-ring successors), accepting answers
-only while their staleness stays under :func:`staleness_bound_ms`.
+only while their staleness stays under
+:func:`~repro.cdn.flower.search_client.staleness_bound_ms`.
 
 Usage::
 
@@ -32,7 +33,6 @@ import hashlib
 from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.cdn.flower.petal import DIR_FAILURE_THRESHOLD
 from repro.errors import CDNError
 from repro.sim.process import PeriodicProcess
 from repro.types import Address, ObjectKey
@@ -46,28 +46,6 @@ SearchCallback = Callable[[List[SearchMatch]], None]
 #: Far above any catalog the experiments build, so in practice the cache
 #: converges to "compute each object's digest exactly once per space".
 _KEYWORD_CACHE_SIZE = 65536
-
-#: How many extra petal-mates extend a search-failover chain beyond the
-#: synced replica holders (section 5.4): the member sample a directory
-#: ships in its failover plan, and the gossip-view contacts a client
-#: appends to it -- they catch promoted heirs / provisional claimants a
-#: stale hint cannot name.
-FAILOVER_EXTRA_CANDIDATES = 4
-
-
-def staleness_bound_ms(params) -> float:
-    """Declared bound on the age of replica-served search results.
-
-    A replica may lag its directory by up to ``anti_entropy_rounds`` sync
-    periods (delta rejections force a full only on the anti-entropy
-    round), and the client may take ``DIR_FAILURE_THRESHOLD`` strike
-    periods to even start failing over; two more periods absorb transport
-    retries and the takeover race.  Replica answers older than this are
-    discarded by the querier and flagged by the chaos auditor (I7).
-    """
-    return params.keepalive_period_ms * (
-        params.replication_anti_entropy_rounds + DIR_FAILURE_THRESHOLD + 2
-    )
 
 
 class KeywordSpace:

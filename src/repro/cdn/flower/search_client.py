@@ -17,10 +17,32 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.cdn.flower.search import FAILOVER_EXTRA_CANDIDATES, staleness_bound_ms
+from repro.cdn.flower.petal import DIR_FAILURE_THRESHOLD
 from repro.errors import CDNError
 from repro.net.message import Message
 from repro.types import Address
+
+#: How many extra petal-mates extend a search-failover chain beyond the
+#: synced replica holders (section 5.4): the member sample a directory
+#: ships in its failover plan, and the gossip-view contacts a client
+#: appends to it -- they catch promoted heirs / provisional claimants a
+#: stale hint cannot name.
+FAILOVER_EXTRA_CANDIDATES = 4
+
+
+def staleness_bound_ms(params) -> float:
+    """Declared bound on the age of replica-served search results.
+
+    A replica may lag its directory by up to ``anti_entropy_rounds`` sync
+    periods (delta rejections force a full only on the anti-entropy
+    round), and the client may take ``DIR_FAILURE_THRESHOLD`` strike
+    periods to even start failing over; two more periods absorb transport
+    retries and the takeover race.  Replica answers older than this are
+    discarded by the querier and flagged by the chaos auditor (I7).
+    """
+    return params.keepalive_period_ms * (
+        params.replication_anti_entropy_rounds + DIR_FAILURE_THRESHOLD + 2
+    )
 
 
 class SearchClient:

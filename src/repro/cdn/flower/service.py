@@ -32,7 +32,7 @@ from repro.cdn.flower.failover import DirectoryReplicator
 from repro.cdn.flower.petal import DirInfo
 from repro.cdn.flower.relief import LoadRelief
 from repro.cdn.flower.replication import delta_sync_payload, full_sync_payload
-from repro.cdn.flower.search import FAILOVER_EXTRA_CANDIDATES
+from repro.cdn.flower.search_client import FAILOVER_EXTRA_CANDIDATES
 from repro.dht.node import ChordNode, NodeRef
 from repro.net.message import Message
 from repro.sim.process import PeriodicProcess

@@ -14,14 +14,13 @@ directory role, and wired into a warm-started (already stabilized) D-ring.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cdn.base import BasePeer, CdnSystem, ProtocolParams
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.dring import DRingKeyService
 from repro.cdn.flower.peer import FlowerPeer
 from repro.cdn.flower.service import DirectoryService
-from repro.cdn.flower.stats import SystemStats, collect_system_stats
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
 from repro.errors import CDNError
@@ -30,6 +29,9 @@ from repro.net.landmarks import LandmarkBinner
 from repro.net.transport import Network
 from repro.sim.engine import Simulator
 from repro.workload.catalog import Catalog
+
+if TYPE_CHECKING:
+    from repro.cdn.flower.stats import SystemStats
 
 #: Attempts to place a seeded directory peer inside its target locality
 #: before accepting a (slightly suboptimal) out-of-locality placement.
@@ -190,12 +192,24 @@ class FlowerSystem(CdnSystem):
                 total += d.load
         return total
 
+    def extra_totals(self, openloop: bool) -> Dict[str, Any]:
+        extra: Dict[str, Any] = {
+            "directories": self.directory_count(),
+            "expired_members": self.expired_members,
+        }
+        params = self.params
+        if openloop or params.directory_queue_limit > 0 or params.overload_shedding:
+            extra["overload"] = self.stats().overload.to_dict()
+        return extra
+
     def stats(self) -> SystemStats:
         """One versioned snapshot of every extension's counters.
 
         The single stats entry point: typed sub-blocks for the overload,
         replication, and swarm planes (see
         :mod:`repro.cdn.flower.stats`).  Serialize with
-        ``stats().to_dict()``.
+        ``stats().to_dict()``.  Read after a run, so its module loads here.
         """
+        from repro.cdn.flower.stats import collect_system_stats
+
         return collect_system_stats(self)

@@ -11,7 +11,3 @@ All of that behaviour lives in :mod:`repro.cdn.flower` (the scan in
 ``LoadRelief.maybe_promote_next``); this package contributes the system
 class that turns it on via :class:`~repro.cdn.base.ProtocolParams`.
 """
-
-from repro.cdn.petalup.system import PetalUpSystem
-
-__all__ = ["PetalUpSystem"]

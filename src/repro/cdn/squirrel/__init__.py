@@ -15,14 +15,3 @@ The two weaknesses the paper exploits are faithfully present:
   peer" -- directories live in the home node's memory and die with it, and
   the successor that inherits the key range starts empty.
 """
-
-from repro.cdn.squirrel.homestore import HomeStorePeer, HomeStoreSquirrelSystem
-from repro.cdn.squirrel.peer import SquirrelPeer
-from repro.cdn.squirrel.system import SquirrelSystem
-
-__all__ = [
-    "SquirrelPeer",
-    "SquirrelSystem",
-    "HomeStorePeer",
-    "HomeStoreSquirrelSystem",
-]

@@ -130,6 +130,12 @@ class HomeStoreSquirrelSystem(SquirrelSystem):
     def _make_peer(self, identity: int):
         return HomeStorePeer(self, identity, self.website_of(identity))
 
+    def extra_totals(self, openloop: bool) -> Dict[str, Any]:
+        return {
+            **super().extra_totals(openloop),
+            "forced_replicas": self.total_forced_replicas(),
+        }
+
     def total_forced_replicas(self) -> int:
         """Objects peers currently store without having requested them."""
         return sum(

@@ -8,7 +8,7 @@ form Flower-CDN's initial D-ring (k x |W|) start online in a warm-started
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cdn.base import BasePeer, CdnSystem, ProtocolParams
 from repro.cdn.squirrel.peer import SquirrelPeer
@@ -70,6 +70,9 @@ class SquirrelSystem(CdnSystem):
                 peer._start_query_process()
 
     # ------------------------------------------------------------- reports
+    def extra_totals(self, openloop: bool) -> Dict[str, Any]:
+        return {"ring_size": self.ring_size()}
+
     def ring_size(self) -> int:
         """Live members of the global Chord ring."""
         return len(self.ring.active_members())

@@ -25,7 +25,7 @@ I7 **search availability** -- with replicated posting lists
    directory wipes and partitions (no petal accumulates a streak of
    unanswered searches), and replica-served results never exceed the
    declared staleness bound of
-   :func:`repro.cdn.flower.search.staleness_bound_ms`.
+   :func:`repro.cdn.flower.search_client.staleness_bound_ms`.
 I8 **shed accounting** -- a ``flower.query_shed`` for a keyed member
    query must refer to a query that is actually *open* in the ledger (a
    shed reported after the query already terminated would mean the
@@ -69,7 +69,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.cdn.flower.search import staleness_bound_ms
+from repro.cdn.flower.search_client import staleness_bound_ms
 from repro.cdn.flower.system import FlowerSystem
 from repro.net.faults import BurstyLossSpec, LatencySpikeSpec, PartitionSpec
 from repro.sim.clock import minutes

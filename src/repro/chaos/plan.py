@@ -54,10 +54,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.experiments.config import ScheduleSpec
 from repro.net.faults import (
     BurstyLossSpec,
     LatencySpikeSpec,
@@ -68,6 +67,9 @@ from repro.net.faults import (
 from repro.sim.clock import minutes
 from repro.workload.churn import ChurnSurgeSpec
 from repro.workload.openloop import RegionalSurge
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ScheduleSpec
 
 #: Current on-disk schema of serialized plans / reproducer bundles.
 #: 2: one spec list (``faults``) where schema 1 kept surges, overload

@@ -29,13 +29,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.ascii import line_chart
-from repro.analysis.compare import ComparisonReport
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import PROTOCOLS, run_experiment
-from repro.metrics.overhead import OverheadReport
-from repro.metrics.report import render_table
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -133,6 +129,8 @@ def _maybe_write_json(args: argparse.Namespace, payload: dict) -> None:
 
 
 def _print_result(result) -> None:
+    from repro.metrics.report import render_table
+
     print(result.summary_line())
     print()
     print(
@@ -154,6 +152,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _print_result(result)
     if args.plot and result.hit_ratio_curve:
+        from repro.analysis.ascii import line_chart
+
         print()
         print(
             line_chart(
@@ -168,6 +168,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Handler of ``repro compare``: Flower vs Squirrel + shape checks."""
+    from repro.analysis.ascii import line_chart
+    from repro.analysis.compare import ComparisonReport
+
     if getattr(args, "workers", 1) != 1:
         raise ConfigError(
             "compare runs squirrel, which the sharded engine does not "
@@ -198,6 +201,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Handler of ``repro sweep``: Table-2-style population sweep."""
+    from repro.metrics.report import render_table
+
     populations = [int(p) for p in args.populations.split(",")]
     protocols = args.protocols.split(",")
     rows = []
@@ -240,6 +245,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_overhead(args: argparse.Namespace) -> int:
     """Handler of ``repro overhead``: message-overhead breakdown."""
+    from repro.metrics.overhead import OverheadReport
+
     config = _config_from(args)
     result = run_experiment(
         args.protocol, config, seed=args.seed, workers=getattr(args, "workers", 1)

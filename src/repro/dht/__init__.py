@@ -20,16 +20,3 @@ Two consumers sit on top: the D-ring of Flower-CDN / PetalUp-CDN (directory
 peers only, with assigned -- not hashed -- identifiers) and the Squirrel
 baseline (every peer joins, identifiers hashed from addresses).
 """
-
-from repro.dht.idspace import IdSpace
-from repro.dht.node import ChordNode, LookupResult, NodeRef
-from repro.dht.ring import ChordRing, RingParams
-
-__all__ = [
-    "IdSpace",
-    "ChordNode",
-    "NodeRef",
-    "LookupResult",
-    "ChordRing",
-    "RingParams",
-]

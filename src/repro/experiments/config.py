@@ -27,19 +27,22 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.cdn.base import ProtocolParams
 from repro.dht.ring import RingParams
 from repro.errors import ConfigError
-from repro.net.faults import FaultSpec
 from repro.sim.clock import minutes, seconds
-from repro.workload.churn import ChurnSurgeSpec
-from repro.workload.openloop import RegionalSurge
 
-#: The kinds ``ExperimentConfig.fault_schedule`` accepts: what the fault
-#: controller executes, plus the two kinds a workload executes.
-ScheduleSpec = Union[FaultSpec, ChurnSurgeSpec, RegionalSurge]
+if TYPE_CHECKING:
+    from repro.net.faults import FaultSpec
+    from repro.workload.churn import ChurnSurgeSpec
+    from repro.workload.openloop import RegionalSurge
+
+    #: The kinds ``ExperimentConfig.fault_schedule`` accepts: what the
+    #: fault controller executes, plus the two kinds a workload executes.
+    #: A name for type checkers only, so a config loads no plane's module.
+    ScheduleSpec = Union[FaultSpec, ChurnSurgeSpec, RegionalSurge]
 
 
 @dataclass(frozen=True)

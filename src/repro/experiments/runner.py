@@ -19,23 +19,11 @@ simulator's RNG registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Type
 
 from repro.cdn.base import CdnSystem
-from repro.cdn.flower.search import (
-    KeywordSearchEngine,
-    KeywordSpace,
-    SearchProbeWorkload,
-)
-from repro.cdn.flower.stats import collect_swarm_stats
-from repro.cdn.flower.system import FlowerSystem
-from repro.cdn.petalup.system import PetalUpSystem
-from repro.cdn.squirrel.homestore import HomeStoreSquirrelSystem
-from repro.cdn.squirrel.system import SquirrelSystem
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results import ExperimentResult
-from repro.net.faults import FaultController
 from repro.net.landmarks import LandmarkBinner
 from repro.net.topology import ClusteredTopology, Topology, UniformRandomTopology
 from repro.net.transport import Network, NetworkNode
@@ -43,15 +31,42 @@ from repro.sim.clock import minutes, seconds
 from repro.sim.engine import Simulator
 from repro.workload.catalog import Catalog
 from repro.workload.churn import ChurnModel, ChurnSurgeSpec
-from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload, RegionalSurge
 
-#: protocol name -> system class
-PROTOCOLS = {
-    "flower": FlowerSystem,
-    "petalup": PetalUpSystem,
-    "squirrel": SquirrelSystem,
-    "squirrel-home": HomeStoreSquirrelSystem,
-}
+if TYPE_CHECKING:
+    from repro.cdn.flower.search import SearchProbeWorkload
+    from repro.experiments.results import ExperimentResult
+    from repro.net.faults import FaultController
+    from repro.workload.openloop import OpenLoopWorkload
+
+#: The protocols a world can run; :func:`_system_class` resolves each.
+PROTOCOLS = ("flower", "petalup", "squirrel", "squirrel-home")
+
+
+def _system_class(protocol: str) -> Type[CdnSystem]:
+    """The system class of *protocol*.
+
+    Imported here, when chosen, so a world loads the code of its own
+    protocol only: a Squirrel run never compiles Flower.
+    """
+    if protocol == "flower":
+        from repro.cdn.flower.system import FlowerSystem
+
+        return FlowerSystem
+    if protocol == "petalup":
+        from repro.cdn.petalup.system import PetalUpSystem
+
+        return PetalUpSystem
+    if protocol == "squirrel":
+        from repro.cdn.squirrel.system import SquirrelSystem
+
+        return SquirrelSystem
+    if protocol == "squirrel-home":
+        from repro.cdn.squirrel.homestore import HomeStoreSquirrelSystem
+
+        return HomeStoreSquirrelSystem
+    raise ConfigError(
+        f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}"
+    )
 
 
 @dataclass
@@ -123,6 +138,8 @@ def assemble_world(
     search engine and its probes, the initial population, churn, the
     open-loop workload, and every entry of ``config.fault_schedule`` --
     on the fault controller, the churn process or the open loop, by kind.
+    Each plane's module is imported in the branch that builds it, so a
+    world whose plane is off never loads that plane's code.
 
     Args:
         seed: the run's master seed.  Object sizes and uplink classes are
@@ -174,21 +191,30 @@ def assemble_world(
             )
         )
     search_probes: Optional[SearchProbeWorkload] = None
-    if config.search_keywords > 0 and isinstance(system, FlowerSystem):
-        # Keyword-search extension (section 5.4).  Installed before the
-        # initial population so seed directories attach their posting
-        # lists on activation; the probe workload draws from a dedicated
-        # stream and so never perturbs the protocol's own sequences.
-        system.search_engine = KeywordSearchEngine(
-            KeywordSpace(num_keywords=config.search_keywords)
+    if config.search_keywords > 0:
+        from repro.cdn.flower.search import (
+            KeywordSearchEngine,
+            KeywordSpace,
+            SearchProbeWorkload,
         )
-        if config.search_probe_period_s > 0:
-            search_probes = SearchProbeWorkload(
-                sim,
-                system,
-                period_ms=seconds(config.search_probe_period_s),
-                rng=sim.rng("search_probes"),
+        from repro.cdn.flower.system import FlowerSystem
+
+        if isinstance(system, FlowerSystem):
+            # Keyword-search extension (section 5.4).  Installed before
+            # the initial population so seed directories attach their
+            # posting lists on activation; the probe workload draws from
+            # a dedicated stream and so never perturbs the protocol's own
+            # sequences.
+            system.search_engine = KeywordSearchEngine(
+                KeywordSpace(num_keywords=config.search_keywords)
             )
+            if config.search_probe_period_s > 0:
+                search_probes = SearchProbeWorkload(
+                    sim,
+                    system,
+                    period_ms=seconds(config.search_probe_period_s),
+                    rng=sim.rng("search_probes"),
+                )
     system.setup_initial_population()
     churn = ChurnModel(
         sim,
@@ -205,15 +231,19 @@ def assemble_world(
         churn.seed_online(identity)
     churn.start()
     openloop: Optional[OpenLoopWorkload] = None
-    profile = ArrivalProfile.from_config(config)
-    if profile is not None:
+    if config.openloop_rate_qps > 0:
         # Open-loop overload traffic (own "openloop" RNG stream).  A rate
         # of zero builds nothing: no events, no draws, golden streams
         # untouched.
-        openloop = OpenLoopWorkload(sim, system, profile)
+        from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload
+
+        openloop = OpenLoopWorkload(sim, system, ArrivalProfile.from_config(config))
         openloop.start()
     faults: Optional[FaultController] = None
     if config.fault_schedule:
+        from repro.net.faults import FaultController
+        from repro.workload.openloop import RegionalSurge
+
         # The one place a schedule is installed: network faults and crash
         # campaigns go to the controller, the two workload kinds to the
         # workload they act on.  The controller draws from the dedicated
@@ -263,12 +293,7 @@ def build_world(
 ) -> World:
     """Assemble a deployment without running it (examples & tests use this
     to poke at intermediate states)."""
-    try:
-        system_cls = PROTOCOLS[protocol]
-    except KeyError:
-        raise ConfigError(
-            f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}"
-        ) from None
+    system_cls = _system_class(protocol)
     if protocol == "petalup":
         # PetalUp-CDN needs its split knobs on; fill in the defaults when
         # the caller did not choose them explicitly.
@@ -305,31 +330,20 @@ def world_totals(world: World) -> Dict[str, Any]:
     from every cell and folds them (``merge_shard_results``).
     """
     system = world.system
-    config = world.config
     extra: Dict[str, Any] = {
         "online_peers": system.online_peers,
         "message_counts": dict(world.network.kind_counts),
         "drop_counts": dict(world.network.drop_counts),
+        **system.extra_totals(openloop=world.openloop is not None),
     }
-    if isinstance(system, FlowerSystem):
-        extra["directories"] = system.directory_count()
-        extra["expired_members"] = system.expired_members
-        if (
-            config.openloop_rate_qps > 0
-            or config.directory_queue_limit > 0
-            or config.overload_shedding
-        ):
-            extra["overload"] = system.stats().overload.to_dict()
     if system.sizes is not None:
+        from repro.cdn.flower.stats import collect_swarm_stats
+
         extra["swarm"] = collect_swarm_stats(system).to_dict()
     if world.openloop is not None:
         extra["openloop"] = dict(world.openloop.stats)
     if world.faults is not None:
         extra["fault_stats"] = dict(world.faults.stats)
-    if isinstance(system, SquirrelSystem):
-        extra["ring_size"] = system.ring_size()
-    if isinstance(system, HomeStoreSquirrelSystem):
-        extra["forced_replicas"] = system.total_forced_replicas()
     return {
         "events_executed": world.sim.events_executed,
         "messages_sent": world.network.messages_sent,
@@ -344,6 +358,8 @@ def summarize(
 ) -> ExperimentResult:
     """Summarise a finished world; *own_extra* adds the caller's own keys
     (``availability``, ``chaos_plan``, ...) to the standard ``extra``."""
+    from repro.experiments.results import ExperimentResult
+
     totals = world_totals(world)
     totals["extra"].update(own_extra)
     return ExperimentResult.from_metrics(
@@ -473,6 +489,7 @@ def run_directory_recovery_experiment(
         the tracker's :meth:`~repro.metrics.recovery.DirectoryRecoveryTracker.summary`
         dict.
     """
+    from repro.cdn.flower.system import FlowerSystem
     from repro.metrics.recovery import DirectoryRecoveryTracker
 
     world = build_world(protocol, config, seed)

@@ -36,11 +36,11 @@ import heapq
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.cdn.flower.sharded import ShardedFlowerSystem
 from repro.errors import ConfigError
-from repro.experiments.config import ExperimentConfig, ScheduleSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import assemble_world, world_totals
 from repro.metrics.collector import OUTCOME_NAMES, MetricsCollector, RecordColumns
@@ -57,6 +57,9 @@ from repro.sim.rng import derive_seed
 from repro.sim.sharded import check_workers, run_windows_parallel
 from repro.sim.trace import StreamFingerprint
 from repro.workload.churn import ChurnSurgeSpec
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ScheduleSpec
 
 #: Protocols the sharded engine supports.  Flower's structure is the
 #: parallelism argument (petal traffic is locality-internal); squirrel's

@@ -14,16 +14,3 @@ provides the reusable pieces:
 - :mod:`repro.gossip.summaries` -- content summaries: an exact set-based
   summary and a Bloom-filter summary for the bandwidth-conscious variant.
 """
-
-from repro.gossip.cyclon import CyclonProtocol
-from repro.gossip.summaries import BloomSummary, ExactSummary, make_summary
-from repro.gossip.view import Contact, PartialView
-
-__all__ = [
-    "Contact",
-    "PartialView",
-    "CyclonProtocol",
-    "ExactSummary",
-    "BloomSummary",
-    "make_summary",
-]

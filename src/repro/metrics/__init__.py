@@ -10,7 +10,7 @@ The paper evaluates with three metrics:
    querying peer to the peer that will provide the requested object".
 
 :mod:`repro.metrics.collector` records every query as one row of typed
-columns (:class:`RecordColumns`), read back as :class:`QueryRecord` rows;
+columns (``RecordColumns``), read back as ``QueryRecord`` rows;
 :mod:`repro.metrics.timeseries` produces the hit-ratio-over-time curve of
 Figure 3; :mod:`repro.metrics.distribution` produces the bucketed latency /
 distance distributions of Figures 4 and 5; :mod:`repro.metrics.report`
@@ -19,25 +19,3 @@ availability and time-to-recover in fault-injection experiments;
 :mod:`repro.metrics.loadbalance` summarises how evenly load spreads
 (Gini coefficient) for the overload reports.
 """
-
-from repro.metrics.collector import MetricsCollector, QueryRecord, RecordColumns
-from repro.metrics.distribution import Distribution
-from repro.metrics.loadbalance import gini
-from repro.metrics.overhead import OverheadReport
-from repro.metrics.recovery import PhaseStats, RecoveryReport, track_issued_queries
-from repro.metrics.report import render_table
-from repro.metrics.timeseries import RatioSeries
-
-__all__ = [
-    "MetricsCollector",
-    "QueryRecord",
-    "RecordColumns",
-    "Distribution",
-    "RatioSeries",
-    "OverheadReport",
-    "PhaseStats",
-    "RecoveryReport",
-    "track_issued_queries",
-    "render_table",
-    "gini",
-]

@@ -13,24 +13,3 @@ al.).  This package reproduces both:
   node liveness, and offers RPC-with-timeout semantics (how peers *detect*
   failures in the maintenance protocols of section 5).
 """
-
-from repro.net.landmarks import LandmarkBinner
-from repro.net.message import Message
-from repro.net.topology import (
-    ClusteredTopology,
-    ExplicitTopology,
-    Topology,
-    UniformRandomTopology,
-)
-from repro.net.transport import Network, NetworkNode
-
-__all__ = [
-    "LandmarkBinner",
-    "Message",
-    "Topology",
-    "ClusteredTopology",
-    "UniformRandomTopology",
-    "ExplicitTopology",
-    "Network",
-    "NetworkNode",
-]

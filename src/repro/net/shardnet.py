@@ -33,7 +33,7 @@ override of the class the single-simulator build uses:
    in a canonical order (see :mod:`repro.sim.sharded`), where they pass the
    same delivery gate and the same reply settling as local traffic.
 
-Because ``Network._link_latency`` packs latency-cache keys as
+Because ``Network.latency`` packs latency-cache keys as
 ``(src << ADDR_SHIFT) | dst``, the full sharded address space must stay
 below ``2**ADDR_SHIFT`` (32 bits today): with 16-bit blocks that caps
 the map at 65536 shards — far beyond any practical host count.

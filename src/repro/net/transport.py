@@ -450,29 +450,31 @@ class Network:
         return len(self._nodes)
 
     def latency(self, a: Address, b: Address) -> float:
-        """One-way latency between two registered addresses."""
-        return self.topology.latency(a, b)
+        """One-way base latency between two registered addresses.
+
+        Memoized per directed pair (topologies are static; symmetric pairs
+        simply occupy two entries).  Keys are single ints --
+        ``(a << ADDR_SHIFT) | b`` -- because an int hash is markedly
+        cheaper than building and hashing a tuple on every send/rpc/reply.
+        :meth:`register` guarantees every address fits in ``ADDR_SHIFT``
+        bits, so the packing never aliases two links.  Fault-injected
+        adjustments are never cached: see :meth:`_link_latency`.
+        """
+        key = (a << ADDR_SHIFT) | b
+        cache = self._latency_cache
+        base = cache.get(key)
+        if base is None:
+            base = self.topology.latency(a, b)
+            cache[key] = base
+        return base
 
     def nodes(self) -> Iterator[NetworkNode]:
         """All registered nodes (fault campaigns iterate this)."""
         return iter(self._nodes.values())
 
     def _link_latency(self, src: Address, dst: Address) -> float:
-        """Base latency plus any active fault-injected degradation.
-
-        Base latencies are memoized per directed pair (topologies are static;
-        symmetric pairs simply occupy two entries).  Keys are single ints --
-        ``(src << ADDR_SHIFT) | dst`` -- because an int hash is markedly
-        cheaper than building and hashing a tuple on every send/rpc/reply.
-        :meth:`register` guarantees every address fits in ``ADDR_SHIFT``
-        bits, so the packing never aliases two links.
-        """
-        key = (src << ADDR_SHIFT) | dst
-        cache = self._latency_cache
-        base = cache.get(key)
-        if base is None:
-            base = self.topology.latency(src, dst)
-            cache[key] = base
+        """Base latency plus any active fault-injected degradation."""
+        base = self.latency(src, dst)
         faults = self.faults
         if faults is not None and self.sim.now >= faults.calm_until:
             return faults.latency_adjust(src, dst, base)

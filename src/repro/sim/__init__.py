@@ -18,28 +18,3 @@ framework (paper, section 6.1).  It provides:
 Like PeerSim's event-driven mode, the engine models per-link latency but not
 bandwidth or CPU contention.
 """
-
-from repro.sim.clock import HOUR, MINUTE, MS, SECOND, hours, minutes, ms_to_hours, ms_to_minutes, seconds
-from repro.sim.engine import Simulator
-from repro.sim.events import EventHandle, EventQueue
-from repro.sim.process import PeriodicProcess
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
-
-__all__ = [
-    "HOUR",
-    "MINUTE",
-    "MS",
-    "SECOND",
-    "hours",
-    "minutes",
-    "seconds",
-    "ms_to_hours",
-    "ms_to_minutes",
-    "EventHandle",
-    "EventQueue",
-    "Simulator",
-    "PeriodicProcess",
-    "RngRegistry",
-    "TraceRecorder",
-]

@@ -18,20 +18,3 @@ reflect object accesses while we are interested in website accesses":
   crowds, issued on top of (not instead of) the closed-loop streams so
   directories can actually saturate.
 """
-
-from repro.workload.catalog import Catalog
-from repro.workload.churn import ChurnModel, ChurnSurgeSpec
-from repro.workload.openloop import ArrivalProfile, OpenLoopWorkload, RegionalSurge
-from repro.workload.queries import QueryStream
-from repro.workload.zipf import ZipfSampler
-
-__all__ = [
-    "Catalog",
-    "ZipfSampler",
-    "QueryStream",
-    "ChurnModel",
-    "ChurnSurgeSpec",
-    "ArrivalProfile",
-    "OpenLoopWorkload",
-    "RegionalSurge",
-]

@@ -5,7 +5,7 @@ pin down the smaller mechanisms: dir-info reconciliation, summary-candidate
 selection, push triggering, registration payloads.
 """
 
-from repro.cdn.flower import DirInfo
+from repro.cdn.flower.petal import DirInfo
 from repro.gossip.view import Contact
 from repro.sim.clock import seconds
 

@@ -8,8 +8,8 @@ message kind must reach the same handler whether it arrives through
 
 import pytest
 
-from repro.cdn.flower import DirInfo
 from repro.cdn.flower.directory import DirectoryRole
+from repro.cdn.flower.petal import DirInfo
 from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.system import FlowerSystem
 from repro.cdn.squirrel.system import SquirrelSystem

@@ -6,8 +6,8 @@ from repro.cdn.flower.search import (
     KeywordSearchEngine,
     KeywordSpace,
     SearchAvailabilityTracker,
-    staleness_bound_ms,
 )
+from repro.cdn.flower.search_client import staleness_bound_ms
 from repro.cdn.flower.system import FlowerSystem
 from repro.errors import CDNError
 from repro.sim.clock import minutes, seconds

@@ -8,6 +8,7 @@ from repro.cdn.squirrel.system import SquirrelSystem
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    PROTOCOLS,
     World,
     build_world,
     run_experiment,
@@ -29,6 +30,11 @@ TINY = ExperimentConfig.scaled(
 def test_unknown_protocol_rejected():
     with pytest.raises(ConfigError):
         build_world("gnutella", TINY)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_registered_protocol_builds_its_own_system(protocol):
+    assert build_world(protocol, TINY, seed=3).system.name == protocol
 
 
 def test_build_world_flower():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import TopologyError, TransportError
 from repro.net.faults import FaultController
 from repro.net.message import Message
 from repro.net.topology import ExplicitTopology
@@ -47,6 +47,29 @@ def test_unknown_address_rejected():
     __, network, __ = make_network()
     with pytest.raises(TransportError):
         network.node(99)
+
+
+class CountingTopology(ExplicitTopology):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.asked = 0
+
+    def latency(self, a, b):
+        self.asked += 1
+        return super().latency(a, b)
+
+
+def test_latency_reads_through_the_link_cache():
+    sim = Simulator(seed=1)
+    topology = CountingTopology(MATRIX)
+    network = Network(sim, topology)
+    for __ in range(3):
+        Echo(network)
+    assert network.latency(0, 2) == 250.0
+    assert network.latency(0, 2) == 250.0
+    assert topology.asked == 1
+    with pytest.raises(TopologyError):
+        network.latency(0, 7)
 
 
 def test_one_way_message_arrives_after_latency():

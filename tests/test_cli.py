@@ -6,7 +6,21 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.conftest import fresh_loads
+
 FAST = ["--population", "60", "--hours", "1", "--seed", "3"]
+
+
+def test_importing_the_cli_loads_no_protocol_or_analysis():
+    """Each subcommand imports what it uses: ``--help`` or a Squirrel run
+    compiles neither Flower nor the chart and comparison code."""
+    loaded = fresh_loads("import repro.cli")
+    assert "repro.cli" in loaded
+    assert [
+        name
+        for name in loaded
+        if name.startswith(("repro.cdn.flower", "repro.analysis"))
+    ] == []
 
 
 def test_parser_requires_command():

@@ -1,4 +1,5 @@
-"""Package-level tests: exports, lazy loading, error taxonomy, reachability."""
+"""Package-level tests: exports, lazy loading, error taxonomy, reachability,
+and what a run loads."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,8 @@ from repro.errors import (
     TransportError,
     WorkloadError,
 )
+
+from tests.conftest import fresh_loads
 
 
 def test_version():
@@ -52,18 +55,82 @@ def test_all_list_is_importable():
         assert getattr(repro, name) is not None
 
 
-def test_subpackage_exports():
-    from repro import analysis, cdn, dht, experiments, gossip, metrics, net, sim, workload
+def test_no_subpackage_re_exports():
+    """A subpackage ``__init__`` is its docstring: an import there would
+    load the whole subpackage for whoever needs one module of it.  Only
+    ``repro.chaos`` re-exports (the benchmark imports ``run_chaos`` and
+    ``generate_plan`` from the package); the root package's API is lazy."""
+    root = Path(repro.__file__).parent
+    importing = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("__init__.py")
+        if path.parent not in (root, root / "chaos")
+        and any(
+            isinstance(node, (ast.Import, ast.ImportFrom))
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert importing == []
 
-    assert sim.Simulator
-    assert net.Network
-    assert dht.ChordNode
-    assert gossip.CyclonProtocol
-    assert workload.ChurnModel
-    assert cdn.CdnSystem
-    assert metrics.MetricsCollector
-    assert experiments.ExperimentConfig
-    assert analysis.ComparisonReport
+
+_BUILD_WORLD = """
+import sys
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_world
+
+build_world(sys.argv[1], ExperimentConfig.scaled(population=60), seed=1)
+"""
+
+
+@pytest.mark.parametrize(
+    "protocol, absent, max_lines",
+    [
+        pytest.param(
+            "squirrel",
+            (
+                "repro.cdn.flower",
+                "repro.cdn.petalup",
+                "repro.gossip",
+                "repro.net.faults",
+                "repro.workload.openloop",
+                "repro.chaos",
+                "repro.analysis",
+            ),
+            7_000,
+            id="squirrel",
+        ),
+        pytest.param(
+            "flower",
+            (
+                "repro.cdn.squirrel",
+                "repro.cdn.petalup",
+                "repro.net.faults",
+                "repro.net.bandwidth",
+                "repro.workload.openloop",
+                "repro.workload.objectsize",
+                "repro.cdn.swarm",
+                "repro.cdn.flower.search",
+                "repro.cdn.flower.stats",
+                "repro.chaos",
+            ),
+            11_500,
+            id="flower",
+        ),
+    ],
+)
+def test_a_world_loads_only_what_it_runs(protocol, absent, max_lines):
+    """Every run starts a fresh interpreter, whose set-up is mostly
+    compiling what it imports: a world with every plane off loads its own
+    protocol and nothing of the others or of the planes."""
+    loaded = fresh_loads(_BUILD_WORLD, protocol)
+    foreign = sorted(
+        name
+        for name in loaded
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in absent)
+    )
+    assert foreign == []
+    lines = sum(len(Path(path).read_text().splitlines()) for path in loaded.values())
+    assert lines <= max_lines, lines
 
 
 def test_no_flower_module_outgrows_its_role():
