@@ -58,7 +58,7 @@ WARM_AVAILABILITY_FLOOR = 0.99
 COLD_AVAILABILITY_CEILING = 0.5
 
 
-def _wipe_config(replication_k: int, population: int = POPULATION) -> ExperimentConfig:
+def _wipe_config(replication_k: int) -> ExperimentConfig:
     """Partition locality 0 (3h-5h), wipe its directories mid-cut, and
     probe keyword search inside the cut locality throughout.
 
@@ -68,7 +68,7 @@ def _wipe_config(replication_k: int, population: int = POPULATION) -> Experiment
     there is no warm state to measure.
     """
     return ExperimentConfig.scaled(
-        population=population,
+        population=POPULATION,
         duration_hours=9.0,
         num_websites=8,
         num_active_websites=2,
@@ -92,13 +92,11 @@ def _wipe_config(replication_k: int, population: int = POPULATION) -> Experiment
     )
 
 
-def run_search_availability_ab(
-    population: int = POPULATION, seed: int = SEED
-) -> Dict:
+def run_search_availability_ab(seed: int = SEED) -> Dict:
     """The cold (k=0) vs warm (k=WARM_K) search-availability comparison."""
     out: Dict[str, Dict] = {}
     for label, k in (("cold", 0), ("warm", WARM_K)):
-        config = _wipe_config(k, population=population)
+        config = _wipe_config(k)
         world = build_world("flower", config, seed=seed)
         # Focus the probe workload on the cut locality: that is where the
         # availability question is decided.
@@ -118,7 +116,7 @@ def run_search_availability_ab(
     return out
 
 
-def _ab_table(ab: Dict, population: int, seed: int) -> str:
+def _ab_table(ab: Dict, seed: int) -> str:
     rows = []
     for label in ("cold", "warm"):
         entry = ab[label]
@@ -148,7 +146,7 @@ def _ab_table(ab: Dict, population: int, seed: int) -> str:
         rows,
         title=(
             "search availability through a directory wipe "
-            f"(partition 3h-5h + wipe at 4h, P={population}, seed={seed})"
+            f"(partition 3h-5h + wipe at 4h, P={POPULATION}, seed={seed})"
         ),
     )
 
@@ -188,7 +186,7 @@ def test_replicated_search_survives_directory_wipe(benchmark):
         run_search_availability_ab, rounds=1, iterations=1
     )
     # Printed, not persisted: main() writes the committed A/B pair.
-    print(_ab_table(ab, POPULATION, SEED))
+    print(_ab_table(ab, SEED))
     assert _gates_pass(ab) == []
 
 
@@ -197,17 +195,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="search availability under directory wipe (cold vs warm)"
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller population (local smoke)"
-    )
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument(
         "--output", metavar="PATH", help="write the A/B comparison as JSON"
     )
     args = parser.parse_args(argv)
-    population = 100 if args.quick else POPULATION
-    ab = run_search_availability_ab(population=population, seed=args.seed)
-    table = _ab_table(ab, population, args.seed)
+    ab = run_search_availability_ab(seed=args.seed)
+    table = _ab_table(ab, args.seed)
     print(table)
     failures = _gates_pass(ab)
     if failures:
@@ -217,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("all search-availability gates hold")
     if args.output:
         payload = {
-            "population": population,
+            "population": POPULATION,
             "seed": args.seed,
             "warm_availability_floor": WARM_AVAILABILITY_FLOOR,
             "cold_availability_ceiling": COLD_AVAILABILITY_CEILING,

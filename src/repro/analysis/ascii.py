@@ -1,8 +1,7 @@
 """Dependency-free terminal charts.
 
 Good enough to *read* the paper's figures in a terminal or a CI log:
-multi-series line charts on a character grid (Figure 3) and labelled
-horizontal bar charts (Figures 4 and 5).
+multi-series line charts on a character grid (Figure 3).
 """
 
 from __future__ import annotations
@@ -75,31 +74,4 @@ def line_chart(
         for i, name in enumerate(series)
     )
     lines.append("          " + legend)
-    return "\n".join(lines)
-
-
-def bar_chart(
-    bars: Dict[str, float],
-    width: int = 40,
-    title: str = "",
-    as_percent: bool = True,
-) -> str:
-    """Render a labelled horizontal bar chart.
-
-    Args:
-        bars: label -> value (fractions when *as_percent*).
-        width: bar area width in characters.
-        as_percent: format values as percentages.
-    """
-    if not bars:
-        raise ReproError("bar_chart needs at least one bar")
-    peak = max(bars.values()) or 1.0
-    label_width = max(len(label) for label in bars)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in bars.items():
-        length = int(round(value / peak * width)) if peak > 0 else 0
-        rendered = f"{value:.1%}" if as_percent else f"{value:g}"
-        lines.append(f"{label.rjust(label_width)}  {'#' * length} {rendered}")
     return "\n".join(lines)

@@ -145,9 +145,6 @@ class ComparisonReport:
     def all_passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def failed(self) -> List[ShapeCheck]:
-        return [check for check in self.checks if not check.passed]
-
     def metric_table(self) -> str:
         rows = [
             [

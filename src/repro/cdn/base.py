@@ -63,7 +63,6 @@ class ProtocolParams:
         push_threshold: fraction of content changes that triggers a push
             (paper: 0.5).
         zipf_exponent: object-popularity skew (Breslau et al.: ~0.8).
-        summary_kind: ``"exact"`` or ``"bloom"`` content summaries.
         directory_load_limit: members per directory instance before PetalUp
             splits; ``None`` = unbounded (plain Flower-CDN).
         max_instances: maximum directory instances per petal (PetalUp's
@@ -74,22 +73,15 @@ class ProtocolParams:
             paper's unbounded assumption, a number enables LRU replacement
             (the cache-policy extension the paper scopes out).
         dring: Chord parameters of the D-ring (or Squirrel's global ring).
-        squirrel_directory_capacity: per-object home-directory size
-            (pointers to recent downloaders).
         rpc_retries: per-call retry budget of directory-facing RPCs
             (query / push / keepalive), via ``NetworkNode.retrying_rpc``;
             0 restores the seed's single-shot timeout behaviour where one
             lost message condemns the directory.
-        push_queue_limit: bounded drop-oldest buffer of push/keepalive
-            updates queued while the directory is suspect; flushed
-            (coalesced to the newest full summary) once it answers again.
         replication_k: number of D-ring successors each directory
             replicates its versioned (view, index) state to, plus one
             in-petal member heir (section 5.3 warm failover).  0 disables
             replication entirely -- no replica traffic, no extra RNG
             draws, runs bit-identical to the non-replicated build.
-        replication_anti_entropy_rounds: every Nth replica-sync round
-            ships a full snapshot instead of a delta (anti-entropy).
         directory_queue_limit: bounded admission queue (in requests) per
             directory instance.  0 disables admission control entirely --
             no queueing math runs, queries are never shed, the run stays
@@ -121,11 +113,6 @@ class ProtocolParams:
             progress and refetches the whole object from the origin.
         swarm_replicate: petal members each full-object holder places
             chunk replicas on (0 disables placement).
-        swarm_stall_ms: per-chunk stall deadline under the bandwidth
-            model; a chunk still in flight after this long abandons its
-            (slow) source and fails over.
-        swarm_retry_ms: base per-chunk retry backoff (doubled per
-            attempt, capped).
         redirect_hints: queue-aware redirect hints (overload extension).
             When on (and ``directory_queue_limit > 0``) directories
             piggyback their current admission-queue depth -- plus the
@@ -135,11 +122,6 @@ class ProtocolParams:
             instance *before* the admission queue sheds it.  Off by
             default: no hint is computed, shipped, or harvested, and runs
             stay bit-identical to the hint-free build.
-        hint_ttl_ms: how long a harvested load hint stays actionable.
-            Queue depths are only meaningful while the overload that
-            produced them persists; a hint older than this is ignored
-            (and the entry dropped from routing decisions) rather than
-            extrapolated.
         rebalance: shedding-aware content rebalancing.  When on, each
             directory tracks windowed per-key fetch counts and -- once
             overload pressure shows (sheds or a non-empty queue) -- spills
@@ -162,17 +144,13 @@ class ProtocolParams:
     keepalive_period_ms: float = minutes(60)
     push_threshold: float = 0.5
     zipf_exponent: float = 0.8
-    summary_kind: str = "exact"
     directory_load_limit: Optional[int] = None
     max_instances: int = 1
     directory_collaboration: bool = False
     cache_capacity: Optional[int] = None
     dring: RingParams = field(default_factory=RingParams)
-    squirrel_directory_capacity: int = 8
     rpc_retries: int = 2
-    push_queue_limit: int = 8
     replication_k: int = 0
-    replication_anti_entropy_rounds: int = 4
     directory_queue_limit: int = 0
     directory_service_ms: float = 40.0
     overload_shedding: bool = False
@@ -181,10 +159,7 @@ class ProtocolParams:
     swarm_sources: int = 4
     swarm_resume: bool = True
     swarm_replicate: int = 0
-    swarm_stall_ms: float = 8000.0
-    swarm_retry_ms: float = 200.0
     redirect_hints: bool = False
-    hint_ttl_ms: float = 60_000.0
     rebalance: bool = False
     rebalance_cooldown_rounds: int = 2
     rebalance_budget_kb: float = 1024.0
@@ -204,12 +179,8 @@ class ProtocolParams:
             raise CDNError("cache_capacity must be >= 1 or None")
         if self.rpc_retries < 0:
             raise CDNError("rpc_retries must be >= 0")
-        if self.push_queue_limit < 1:
-            raise CDNError("push_queue_limit must be >= 1")
         if self.replication_k < 0:
             raise CDNError("replication_k must be >= 0")
-        if self.replication_anti_entropy_rounds < 1:
-            raise CDNError("replication_anti_entropy_rounds must be >= 1")
         if self.directory_queue_limit < 0:
             raise CDNError("directory_queue_limit must be >= 0")
         if self.directory_service_ms <= 0:
@@ -220,12 +191,6 @@ class ProtocolParams:
             raise CDNError("swarm_sources must be >= 1")
         if self.swarm_replicate < 0:
             raise CDNError("swarm_replicate must be >= 0")
-        if self.swarm_stall_ms <= 0:
-            raise CDNError("swarm_stall_ms must be positive")
-        if self.swarm_retry_ms < 0:
-            raise CDNError("swarm_retry_ms must be >= 0")
-        if self.hint_ttl_ms <= 0:
-            raise CDNError("hint_ttl_ms must be positive")
         if self.rebalance_cooldown_rounds < 0:
             raise CDNError("rebalance_cooldown_rounds must be >= 0")
         if self.rebalance_budget_kb <= 0:

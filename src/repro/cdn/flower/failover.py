@@ -10,7 +10,7 @@ is everything a slot does with the replicas of
 - **ship them**: one sync tick per keepalive period (the paper couples
   directory maintenance to that cadence) sends each target a delta
   against the version it last acknowledged; every
-  ``anti_entropy_rounds``-th tick ships full snapshots instead;
+  ``ANTI_ENTROPY_ROUNDS``-th tick ships full snapshots instead;
 - **take over warm**: a cold replacement seeds itself from its own
   replica store first (the member heir winning the race pays zero round
   trips), then from the ring successors of the reclaimed position;
@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.petal import DirInfo
 from repro.cdn.flower.replication import (
+    ANTI_ENTROPY_ROUNDS,
     delta_sync_payload,
     full_sync_payload,
     merge_sync_payload,
@@ -53,7 +54,6 @@ class DirectoryReplicator:
         self.peer = peer
         self.role = service.role
         self.k = params.replication_k
-        self.anti_entropy_rounds = params.replication_anti_entropy_rounds
         #: target address -> last version it acknowledged.
         self.acked: Dict[Address, int] = {}
         self.rounds = 0
@@ -130,7 +130,7 @@ class DirectoryReplicator:
         # posting lists are live before they are serialized below.
         self.service.attach_search()
         self.rounds += 1
-        force_full = self.rounds % self.anti_entropy_rounds == 0
+        force_full = self.rounds % ANTI_ENTROPY_ROUNDS == 0
         for target in self.targets():
             self.sync_target(target, force_full=force_full)
 

@@ -16,23 +16,26 @@ from typing import Any, Dict, List, Optional
 from repro.cdn.flower.petal import DirInfo
 from repro.types import Address, ObjectKey
 
+#: How long a harvested load hint stays actionable (ms).
+HINT_TTL_MS = 60_000.0
+
 
 class RedirectHints:
     """Hint harvesting and the one hint-guided hop of
     :class:`~repro.cdn.flower.peer.FlowerPeer`; all state lives on the
     peer."""
 
-    def _fresh_depth(self, load: tuple, now: float, ttl_ms: float) -> Optional[int]:
+    def _fresh_depth(self, load: tuple, now: float) -> Optional[int]:
         """A harvested depth while still actionable, else None.
 
-        Queue depths are taken at face value within ``hint_ttl_ms`` of
-        their measurement: the overload that filled a queue persists on
+        Queue depths are taken at face value within :data:`HINT_TTL_MS`
+        of their measurement: the overload that filled a queue persists on
         the hint-refresh timescale (replies, keepalives, replica syncs),
         so extrapolating drain would systematically under-estimate.  Past
         the TTL the hint says nothing and is ignored.
         """
         depth, as_of = load
-        if now - as_of > ttl_ms:
+        if now - as_of > HINT_TTL_MS:
             return None
         return depth
 
@@ -49,11 +52,10 @@ class RedirectHints:
         if limit < 1 or not self._petal_loads:
             return None
         now = self.sim.now
-        ttl = params.hint_ttl_ms
         home = self._petal_loads.get(info.address)
         if home is None:
             return None
-        home_depth = self._fresh_depth(home, now, ttl)
+        home_depth = self._fresh_depth(home, now)
         if home_depth is None or home_depth < limit:
             return None
         best: Optional[Address] = None
@@ -61,7 +63,7 @@ class RedirectHints:
         for address in sorted(self._petal_loads):
             if address == info.address or address == self.address:
                 continue
-            depth = self._fresh_depth(self._petal_loads[address], now, ttl)
+            depth = self._fresh_depth(self._petal_loads[address], now)
             if depth is not None and depth < best_depth:
                 best = address
                 best_depth = depth

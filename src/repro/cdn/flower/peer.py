@@ -43,7 +43,7 @@ from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.swarm_holder import SwarmHolder
 from repro.dht.node import deliver_route_result, route_step
 from repro.gossip.cyclon import CyclonProtocol
-from repro.gossip.summaries import make_summary
+from repro.gossip.summaries import ExactSummary
 from repro.gossip.view import PartialView
 from repro.net.message import Message
 from repro.sim.process import PeriodicProcess
@@ -60,7 +60,7 @@ class FlowerPeer(
         # --- content role ---
         self.view = PartialView(owner=self.address)
         self.peer_summaries: Dict[Address, Any] = {}
-        self.summary = make_summary(system.params.summary_kind)
+        self.summary = ExactSummary()
         self.gossip = CyclonProtocol(
             self,
             self.view,

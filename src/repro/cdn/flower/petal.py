@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cdn.base import SCAN_RETRY_DELAY_MS
-from repro.gossip.summaries import make_summary
+from repro.gossip.summaries import ExactSummary
 from repro.net.message import Message
 from repro.sim.process import PeriodicProcess
 from repro.types import Address, ChordId, ObjectKey
@@ -37,6 +37,10 @@ from repro.types import Address, ChordId, ObjectKey
 #: serves from gossip-learnt summaries and re-probes rather than electing
 #: a replacement that would race the heal.
 DIR_FAILURE_THRESHOLD = 2
+
+#: Push/keepalive updates queued (drop-oldest) while the directory is
+#: suspect; flushed, coalesced to the newest full summary, once it answers.
+PUSH_QUEUE_LIMIT = 8
 
 
 @dataclass
@@ -170,20 +174,12 @@ class PetalMember:
         )
 
     def _on_evicted(self, keys) -> None:
-        # An exact summary simply unlearns the evicted keys.  A Bloom
-        # filter cannot, so it is rebuilt from the store.  Either way the
-        # next push carries the full key list and the directory's
-        # set-diff unlearns the evictions.
-        discard = getattr(self.summary, "discard", None)
-        if discard is not None:
-            discard(keys)
-        else:
-            self._rebuild_summary()
+        # The summary unlearns the evicted keys; the next push carries the
+        # full key list and the directory's set-diff unlearns them too.
+        self.summary.discard(keys)
 
     def _rebuild_summary(self) -> None:
-        self.summary = make_summary(self.system.params.summary_kind)
-        for key in self.store.keys():
-            self.summary.add(key)
+        self.summary = ExactSummary(self.store.keys())
 
     def _after_query(self, key: ObjectKey, outcome: str) -> None:
         self.summary.add(key)
@@ -412,9 +408,7 @@ class PetalMember:
         if not self._pending_pushes:
             # Built on the first queued push only: most peers never see
             # their directory suspect, and ``()`` is "nothing queued".
-            self._pending_pushes = deque(
-                maxlen=self.system.params.push_queue_limit
-            )
+            self._pending_pushes = deque(maxlen=PUSH_QUEUE_LIMIT)
         self._pending_pushes.append(keys)
         self.sim.emit(
             "flower.push_queued",

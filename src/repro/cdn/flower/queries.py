@@ -123,7 +123,7 @@ class QueryPaths:
             if payload.get("ok"):
                 self._finish_query(key, "hit_summary", provider, started_at)
             else:
-                # Bloom false positive (or a summary raced a pruned cache).
+                # The gossiped summary raced a pruned cache.
                 self.peer_summaries.pop(provider, None)
                 self._try_summary_fetch(key, candidates[1:], started_at, attempt + 1)
 

@@ -27,7 +27,7 @@ non-replicated build):
     Periodic (piggybacked on the keepalive/stabilization cadence) state
     transfer from a directory to one target.  Normally a **delta** against
     the version the target last acknowledged; every
-    ``replication_anti_entropy_rounds``-th round it is a **full snapshot**
+    :data:`ANTI_ENTROPY_ROUNDS`-th round it is a **full snapshot**
     (anti-entropy: heals any divergence deltas cannot express).  The
     receiver stores it in its :class:`ReplicaStore` and acknowledges the
     new version; version-behind syncs are rejected (``"stale"``), deltas
@@ -55,6 +55,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.types import Address, ChordId, ObjectKey
+
+#: Every Nth replica-sync round ships a full snapshot instead of a delta.
+ANTI_ENTROPY_ROUNDS = 4
 
 
 def full_sync_payload(role, origin: Address) -> Dict[str, Any]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.cdn.flower.petal import DIR_FAILURE_THRESHOLD
+from repro.cdn.flower.replication import ANTI_ENTROPY_ROUNDS
 from repro.errors import CDNError
 from repro.net.message import Message
 from repro.types import Address
@@ -33,7 +34,7 @@ FAILOVER_EXTRA_CANDIDATES = 4
 def staleness_bound_ms(params) -> float:
     """Declared bound on the age of replica-served search results.
 
-    A replica may lag its directory by up to ``anti_entropy_rounds`` sync
+    A replica may lag its directory by up to ``ANTI_ENTROPY_ROUNDS`` sync
     periods (delta rejections force a full only on the anti-entropy
     round), and the client may take ``DIR_FAILURE_THRESHOLD`` strike
     periods to even start failing over; two more periods absorb transport
@@ -41,7 +42,7 @@ def staleness_bound_ms(params) -> float:
     discarded by the querier and flagged by the chaos auditor (I7).
     """
     return params.keepalive_period_ms * (
-        params.replication_anti_entropy_rounds + DIR_FAILURE_THRESHOLD + 2
+        ANTI_ENTROPY_ROUNDS + DIR_FAILURE_THRESHOLD + 2
     )
 
 

@@ -3,7 +3,7 @@
 Each extension used to grow its own loosely shaped reporting dict.
 :func:`collect_system_stats` gathers them into frozen dataclasses under
 a single versioned :class:`SystemStats`, reached through
-``system.stats()``; the ``to_dict()`` methods keep those dict shapes, so
+``system.stats()``; each block's ``to_dict()`` keeps its dict shape, so
 existing reports and benchmarks keep parsing.
 
 ``STATS_VERSION`` bumps whenever a field is added, renamed, or changes
@@ -117,14 +117,6 @@ class SystemStats:
     replication: ReplicationStats
     swarm: SwarmStats
     version: int = STATS_VERSION
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "overload": self.overload.to_dict(),
-            "replication": self.replication.to_dict(),
-            "swarm": self.swarm.to_dict(),
-        }
 
 
 # ---------------------------------------------------------------- collectors

@@ -17,6 +17,9 @@ from repro.dht.node import ChordNode, LookupResult, deliver_route_result, route_
 from repro.net.message import Message
 from repro.types import Address, ObjectKey
 
+#: Per-object home-directory size: pointers to the most recent downloaders.
+HOME_DIRECTORY_CAPACITY = 8
+
 
 class SquirrelPeer(BasePeer):
     """A Squirrel peer: Chord member + home-node directory + client."""
@@ -208,8 +211,7 @@ class SquirrelPeer(BasePeer):
             delegates.move_to_end(requester)
         else:
             delegates[requester] = None
-            capacity = self.system.params.squirrel_directory_capacity
-            while len(delegates) > capacity:
+            while len(delegates) > HOME_DIRECTORY_CAPACITY:
                 delegates.popitem(last=False)  # evict the oldest
 
     def _drop_delegate(self, key: ObjectKey, delegate: Address) -> None:

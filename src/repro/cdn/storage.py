@@ -63,14 +63,6 @@ class ContentStore:
     def __contains__(self, key: ObjectKey) -> bool:
         return key in self._keys
 
-    def add(self, key: ObjectKey) -> bool:
-        """Store *key*; returns True if it was new.
-
-        Eviction side effects are reported through :meth:`add_with_evictions`
-        for callers that must propagate them (summary rebuild, re-querying).
-        """
-        return bool(self.add_with_evictions(key)[0])
-
     def add_with_evictions(self, key: ObjectKey) -> "tuple[bool, List[ObjectKey]]":
         """Store *key*; return (was_new, evicted_keys)."""
         if key in self._keys:
@@ -101,10 +93,6 @@ class ContentStore:
         return {index for ws, index in self._keys if ws == website}
 
     # ------------------------------------------------------------------ push
-    @property
-    def changes_since_push(self) -> int:
-        return self._changes_since_push
-
     def change_fraction(self) -> float:
         """Changes since last push relative to the last-pushed size.
 

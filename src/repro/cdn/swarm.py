@@ -53,6 +53,13 @@ from repro.types import Address, ObjectKey
 
 __all__ = ["SwarmTransfer"]
 
+#: Per-chunk stall deadline under the bandwidth model: a chunk still in
+#: flight after this long abandons its (slow) source and fails over.
+STALL_MS = 8000.0
+
+#: Base per-chunk retry backoff, doubled per attempt up to the cap.
+RETRY_MS = 200.0
+
 #: Cap on the exponential per-chunk retry backoff.
 RETRY_CAP_MS = 8000.0
 
@@ -86,8 +93,6 @@ class SwarmTransfer:
         self.parallel = params.swarm_parallel
         self.max_sources = params.swarm_sources
         self.resume = params.swarm_resume
-        self.stall_ms = params.swarm_stall_ms
-        self.retry_ms = params.swarm_retry_ms
         sizes = peer.system.sizes
         self.chunk_sizes: List[int] = sizes.chunk_sizes(key)
         self.size_bytes = sizes.size_bytes(key)
@@ -254,7 +259,7 @@ class SwarmTransfer:
             )
             self._flows[chunk] = flow
             self._timers[chunk] = self.sim.schedule(
-                self.stall_ms, self._stalled, chunk, source, gen
+                STALL_MS, self._stalled, chunk, source, gen
             )
 
         def on_timeout() -> None:
@@ -293,7 +298,7 @@ class SwarmTransfer:
             return
         attempts = self.attempts.get(chunk, 0) + 1
         self.attempts[chunk] = attempts
-        delay = min(self.retry_ms * (2.0 ** (attempts - 1)), RETRY_CAP_MS)
+        delay = min(RETRY_MS * (2.0 ** (attempts - 1)), RETRY_CAP_MS)
         gen = self.generation
 
         def retry() -> None:

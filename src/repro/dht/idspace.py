@@ -63,9 +63,3 @@ class IdSpace:
         if a == b:
             return True  # single node owns the whole circle
         return self.in_open(x, a, b) or x == b
-
-    def in_half_open_left(self, x: ChordId, a: ChordId, b: ChordId) -> bool:
-        """x in [a, b) going clockwise."""
-        if a == b:
-            return True
-        return self.in_open(x, a, b) or x == a

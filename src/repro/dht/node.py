@@ -37,6 +37,9 @@ from repro.types import Address, ChordId
 #: lock-step.
 MAINTENANCE_JITTER = 0.1
 
+#: Hard cap on hops per route: a route this long is a loop and is dropped.
+LOOKUP_MAX_PROBES = 64
+
 
 class NodeRef(NamedTuple):
     """A remote node as known locally: (identifier, network address)."""
@@ -676,7 +679,7 @@ def route_step(node: Optional["ChordNode"], host: NetworkNode, message: Message)
     payload = message.payload
     key: ChordId = payload["key"]
     hops: int = payload["hops"]
-    if hops >= node.ring.params.lookup_max_probes:
+    if hops >= LOOKUP_MAX_PROBES:
         return ACK  # loop guard: swallow silently
     successors = node.successors
     if not successors:

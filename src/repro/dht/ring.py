@@ -36,7 +36,6 @@ class RingParams:
             the ring survives any r-1 simultaneous adjacent failures.
         maintenance_period_ms: period of the combined stabilization tick
             (stabilize + notify + one finger repair + predecessor check).
-        lookup_max_probes: hard cap on hops per route (loop guard).
         rpc_timeout_ms: failure-detection timeout for Chord RPCs; must
             exceed the worst round trip.
         recursive_timeout_ms: end-to-end retry timeout of one routing
@@ -49,19 +48,18 @@ class RingParams:
         recursive_retries: recursive routing attempts before giving up.
     """
 
+    # Only the DHT tests set the three marked fields, to provoke failure
+    # paths: short successor lists, fast or few routing retries.
     bits: int = 32
-    successor_list_size: int = 8
+    successor_list_size: int = 8  # test seam
     maintenance_period_ms: float = seconds(30)
-    lookup_max_probes: int = 64
     rpc_timeout_ms: float = 1200.0
-    recursive_timeout_ms: float = 4000.0
-    recursive_retries: int = 2
+    recursive_timeout_ms: float = 4000.0  # test seam
+    recursive_retries: int = 2  # test seam
 
     def __post_init__(self) -> None:
         if self.successor_list_size < 1:
             raise DHTError("successor_list_size must be >= 1")
-        if self.lookup_max_probes < 1:
-            raise DHTError("invalid lookup limits")
 
 
 class ChordRing:

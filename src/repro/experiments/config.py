@@ -55,7 +55,6 @@ class ExperimentConfig:
         chord_maintenance_s: period of the combined stabilization tick.
         topology: ``"clustered"`` (the default, locality structure present)
             or ``"uniform"`` (no structure -- the locality ablation).
-        summary_kind: ``"exact"`` or ``"bloom"`` content summaries.
         directory_load_limit / max_instances: PetalUp-CDN's split knobs
             (None / 1 = plain Flower-CDN).
         directory_collaboration: same-website directory collaboration.
@@ -65,8 +64,6 @@ class ExperimentConfig:
             directory replicates its versioned state to this many D-ring
             successors plus one in-petal heir (0 = off, the default, which
             keeps runs bit-identical to the non-replicated build).
-        directory_replication_anti_entropy: full-snapshot anti-entropy
-            every Nth replica-sync round.
         search_keywords: keyword-space size of the optional search
             extension (paper section 7); > 0 installs a
             :class:`~repro.cdn.flower.search.KeywordSearchEngine` on
@@ -123,8 +120,6 @@ class ExperimentConfig:
             clients pre-route to the least-loaded live instance before
             being shed (needs ``directory_queue_limit > 0``; off = no
             hint computed or shipped, bit-identical runs).
-        hint_ttl_ms: how long a harvested load hint stays actionable;
-            older entries are ignored instead of extrapolated.
         rebalance / rebalance_cooldown_rounds / rebalance_budget_kb /
             rebalance_max_keys: shedding-aware content rebalancing --
             directories spill their top-Gini-contributing hot keys to
@@ -134,17 +129,15 @@ class ExperimentConfig:
         swarming: chunked multi-source transfers with per-chunk failover
             (:mod:`repro.cdn.swarm`).  Off = the paper's atomic-fetch
             model, bit-identical to the pre-swarming goldens.
-        swarm_parallel / swarm_sources / swarm_resume / swarm_replicate /
-            swarm_stall_ms / swarm_retry_ms: see
-            :class:`~repro.cdn.base.ProtocolParams`.
-        object_mean_kb / object_alpha / object_max_kb / swarm_chunk_kb:
-            the seeded bounded-Pareto object-size model
+        swarm_parallel / swarm_sources / swarm_resume / swarm_replicate:
+            see :class:`~repro.cdn.base.ProtocolParams`.
+        object_mean_kb / object_max_kb / swarm_chunk_kb: the seeded
+            bounded-Pareto object-size model
             (:mod:`repro.workload.objectsize`); only built when
             ``swarming`` is on.
         bandwidth_kbps: per-peer upload capacity of the optional
             fair-share bandwidth model (:mod:`repro.net.bandwidth`).
             0 = off, the default: links stay latency-only.
-        bandwidth_link_kbps: optional per-flow rate cap (0 = none).
         bandwidth_slow_fraction / bandwidth_slow_factor: deterministic
             fraction of peers whose uplink is ``capacity / factor``.
     """
@@ -157,18 +150,18 @@ class ExperimentConfig:
     objects_per_website: int = 500
     num_active_websites: int = 6
     num_localities: int = 6
-    latency_min_ms: float = 10.0
-    latency_max_ms: float = 500.0
-    # No run sets these two, but they stay fields: they are the paper's
-    # parameters (Table 1's query rate; the Zipf skew of Breslau et al.),
-    # the first things a fidelity study varies.
-    query_interval_min: float = 6.0
+    # No run sets the marked fields, but they stay fields: they are the
+    # paper's parameters (Table 1's latency range, query rate and push
+    # threshold; the Zipf skew of Breslau et al.), the first things a
+    # fidelity study varies.
+    latency_min_ms: float = 10.0  # paper parameter
+    latency_max_ms: float = 500.0  # paper parameter
+    query_interval_min: float = 6.0  # paper parameter
     gossip_period_min: float = 60.0
-    push_threshold: float = 0.5
-    zipf_exponent: float = 0.8
+    push_threshold: float = 0.5  # paper parameter
+    zipf_exponent: float = 0.8  # paper parameter
     chord_maintenance_s: float = 120.0
     topology: str = "clustered"
-    summary_kind: str = "exact"
     directory_load_limit: Optional[int] = None
     max_instances: int = 1
     directory_collaboration: bool = False
@@ -176,7 +169,6 @@ class ExperimentConfig:
     message_loss_rate: float = 0.0
     rpc_retries: int = 2
     directory_replication_k: int = 0
-    directory_replication_anti_entropy: int = 4
     search_keywords: int = 0
     search_probe_period_s: float = 0.0
     fault_schedule: Tuple[ScheduleSpec, ...] = ()
@@ -191,18 +183,13 @@ class ExperimentConfig:
     swarm_sources: int = 4
     swarm_resume: bool = True
     swarm_replicate: int = 0
-    swarm_stall_ms: float = 8000.0
-    swarm_retry_ms: float = 200.0
     swarm_chunk_kb: int = 64
     object_mean_kb: float = 64.0
-    object_alpha: float = 1.5
     object_max_kb: float = 4096.0
     bandwidth_kbps: float = 0.0
-    bandwidth_link_kbps: float = 0.0
     bandwidth_slow_fraction: float = 0.0
     bandwidth_slow_factor: float = 8.0
     redirect_hints: bool = False
-    hint_ttl_ms: float = 60_000.0
     rebalance: bool = False
     rebalance_cooldown_rounds: int = 2
     rebalance_budget_kb: float = 1024.0
@@ -213,8 +200,6 @@ class ExperimentConfig:
             raise ConfigError("rpc_retries must be >= 0")
         if self.directory_replication_k < 0:
             raise ConfigError("directory_replication_k must be >= 0")
-        if self.directory_replication_anti_entropy < 1:
-            raise ConfigError("directory_replication_anti_entropy must be >= 1")
         if self.search_keywords < 0:
             raise ConfigError("search_keywords must be >= 0")
         if self.search_probe_period_s < 0:
@@ -247,8 +232,6 @@ class ExperimentConfig:
             raise ConfigError("directory_service_ms must be positive")
         if self.redirect_hints and self.directory_queue_limit < 1:
             raise ConfigError("redirect_hints need directory_queue_limit >= 1")
-        if self.hint_ttl_ms <= 0:
-            raise ConfigError("hint_ttl_ms must be positive")
         if self.rebalance_cooldown_rounds < 0:
             raise ConfigError("rebalance_cooldown_rounds must be >= 0")
         if self.rebalance_budget_kb <= 0:
@@ -259,12 +242,10 @@ class ExperimentConfig:
             raise ConfigError("swarm_chunk_kb must be >= 1")
         if self.object_mean_kb <= 0:
             raise ConfigError("object_mean_kb must be positive")
-        if self.object_alpha <= 1.0:
-            raise ConfigError("object_alpha must be > 1")
         if self.object_max_kb < self.object_mean_kb:
             raise ConfigError("object_max_kb must be >= object_mean_kb")
-        if self.bandwidth_kbps < 0 or self.bandwidth_link_kbps < 0:
-            raise ConfigError("bandwidth rates must be >= 0")
+        if self.bandwidth_kbps < 0:
+            raise ConfigError("bandwidth_kbps must be >= 0")
         if not 0.0 <= self.bandwidth_slow_fraction <= 1.0:
             raise ConfigError("bandwidth_slow_fraction must be in [0, 1]")
         if self.bandwidth_slow_factor < 1.0:
@@ -307,19 +288,16 @@ class ExperimentConfig:
             keepalive_period_ms=minutes(self.gossip_period_min),
             push_threshold=self.push_threshold,
             zipf_exponent=self.zipf_exponent,
-            summary_kind=self.summary_kind,
             directory_load_limit=self.directory_load_limit,
             max_instances=self.max_instances,
             directory_collaboration=self.directory_collaboration,
             cache_capacity=self.peer_cache_capacity,
             rpc_retries=self.rpc_retries,
             replication_k=self.directory_replication_k,
-            replication_anti_entropy_rounds=self.directory_replication_anti_entropy,
             directory_queue_limit=self.directory_queue_limit,
             directory_service_ms=self.directory_service_ms,
             overload_shedding=self.overload_shedding,
             redirect_hints=self.redirect_hints,
-            hint_ttl_ms=self.hint_ttl_ms,
             rebalance=self.rebalance,
             rebalance_cooldown_rounds=self.rebalance_cooldown_rounds,
             rebalance_budget_kb=self.rebalance_budget_kb,
@@ -330,8 +308,6 @@ class ExperimentConfig:
             swarm_sources=self.swarm_sources,
             swarm_resume=self.swarm_resume,
             swarm_replicate=self.swarm_replicate,
-            swarm_stall_ms=self.swarm_stall_ms,
-            swarm_retry_ms=self.swarm_retry_ms,
             dring=RingParams(
                 maintenance_period_ms=seconds(self.chord_maintenance_s),
                 rpc_timeout_ms=2.4 * self.latency_max_ms,

@@ -7,7 +7,6 @@ paper metrics, the outcome breakdown, the hit-ratio-over-time curve
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Dict, List, Tuple
@@ -148,9 +147,6 @@ class ExperimentResult:
             "departures": self.departures,
             "extra": dict(self.extra),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def summary_line(self) -> str:
         """One-line human summary for harness output."""

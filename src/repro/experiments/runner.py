@@ -169,7 +169,6 @@ def assemble_world(
         system.install_sizes(
             ObjectSizeModel(
                 mean_kb=config.object_mean_kb,
-                alpha=config.object_alpha,
                 max_kb=config.object_max_kb,
                 chunk_kb=config.swarm_chunk_kb,
                 seed=seed,
@@ -183,7 +182,6 @@ def assemble_world(
                 sim,
                 BandwidthParams(
                     upload_kbps=config.bandwidth_kbps,
-                    link_kbps=config.bandwidth_link_kbps,
                     slow_fraction=config.bandwidth_slow_fraction,
                     slow_factor=config.bandwidth_slow_factor,
                     seed=seed,

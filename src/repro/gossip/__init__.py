@@ -11,6 +11,5 @@ provides the reusable pieces:
 - :mod:`repro.gossip.cyclon` -- the shuffle protocol driver, generic over
   the extra data CDN peers piggyback on each exchange (content summaries
   and dir-info, sections 3.1 and 5.1);
-- :mod:`repro.gossip.summaries` -- content summaries: an exact set-based
-  summary and a Bloom-filter summary for the bandwidth-conscious variant.
+- :mod:`repro.gossip.summaries` -- the exact set-based content summary.
 """

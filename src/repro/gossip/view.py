@@ -35,9 +35,6 @@ class Contact:
     address: Address
     age: int = 0
 
-    def aged(self, delta: int = 1) -> "Contact":
-        return Contact(self.address, self.age + delta)
-
 
 class PartialView:
     """A peer's partial view of its petal, keyed by address.
@@ -136,12 +133,6 @@ class PartialView:
         if len(pool) <= count:
             return list(pool)
         return rng.sample(pool, count)
-
-    def random_address(self, rng: random.Random) -> Optional[Address]:
-        """One uniformly random contact address, or None if empty."""
-        if not self._contacts:
-            return None
-        return rng.choice(list(self._contacts))
 
     def clear(self) -> None:
         self._contacts.clear()

@@ -58,7 +58,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from itertools import compress, starmap
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import CDNError
 from repro.types import LocalityId, ObjectKey, WebsiteId
@@ -141,10 +141,6 @@ class QueryRecord(NamedTuple):
     transfer_ms: float
     hops: int = 0
 
-    @property
-    def is_hit(self) -> bool:
-        return self.outcome in HIT_OUTCOMES
-
 
 def _row(
     time, website, object_index, locality, code, lookup_latency_ms, transfer_ms, hops
@@ -162,7 +158,7 @@ def _row(
     )
 
 
-class RecordColumns(Sequence):
+class RecordColumns:
     """Every query record of a run: eight typed columns, readable as rows.
 
     One ``array`` per :class:`QueryRecord` field, 41 bytes a query instead
@@ -177,9 +173,9 @@ class RecordColumns(Sequence):
     - **by column** -- ``records.time``, ``records.outcome``, ... are the
       arrays themselves (read them, never change them); :meth:`mask`
       selects rows by outcome.  Whatever scans a whole run reads these;
-    - **by row** -- a sequence of ``QueryRecord``: ``len``, index, slice
-      (a list), iteration and ``==`` against any sequence of records
-      build rows on access and keep none.  Unhashable, like a list.
+    - **by row** -- an iterable of ``QueryRecord``: ``len``, iteration and
+      ``==`` against any sequence of records build rows on access and keep
+      none.  Unhashable, like a list.  For a tail, ``itertools.islice``.
 
     Pickles as the eight raw buffers.
     """
@@ -215,11 +211,6 @@ class RecordColumns(Sequence):
     # --------------------------------------------------------------- as rows
     def __len__(self) -> int:
         return len(self.time)
-
-    def __getitem__(self, item: Union[int, slice]):
-        if isinstance(item, slice):
-            return [self[i] for i in range(*item.indices(len(self)))]
-        return _row(*[column[item] for column in self.columns()])
 
     def __iter__(self) -> Iterator[QueryRecord]:
         return starmap(_row, zip(*self.columns()))
@@ -303,11 +294,6 @@ class MetricsCollector:
         return sum(self._outcome_counts[o] for o in MISS_OUTCOMES)
 
     @property
-    def failures(self) -> int:
-        """Terminal failures (never served): crash sweeps, unreachable origin."""
-        return sum(self._outcome_counts[o] for o in FAILED_OUTCOMES)
-
-    @property
     def sheds(self) -> int:
         """Queries explicitly shed by a full directory admission queue."""
         return sum(self._outcome_counts[o] for o in SHED_OUTCOMES)
@@ -343,20 +329,3 @@ class MetricsCollector:
 
     def transfer_distances(self, hits_only: bool = False) -> List[float]:
         return self._served(self.records.transfer_ms, hits_only)
-
-    def filtered(
-        self,
-        website: Optional[WebsiteId] = None,
-        locality: Optional[LocalityId] = None,
-        outcomes: Optional[Iterable[str]] = None,
-    ) -> List[QueryRecord]:
-        rows = self.records
-        keep: Iterable[int] = range(len(rows))
-        if outcomes is not None:
-            keep = compress(keep, rows.mask(outcome_table(outcomes)))
-        return [
-            rows[i]
-            for i in keep
-            if (website is None or rows.website[i] == website)
-            and (locality is None or rows.locality[i] == locality)
-        ]

@@ -34,18 +34,7 @@ class Distribution:
     def empty(self) -> bool:
         return not self._sorted
 
-    # ------------------------------------------------------------- moments
-    def mean(self) -> float:
-        if self.empty:
-            return 0.0
-        return sum(self._sorted) / len(self._sorted)
-
-    def minimum(self) -> float:
-        return self._sorted[0] if self._sorted else 0.0
-
-    def maximum(self) -> float:
-        return self._sorted[-1] if self._sorted else 0.0
-
+    # ---------------------------------------------------------- percentiles
     def percentile(self, q: float) -> float:
         """The q-th percentile (nearest-rank), q in [0, 100]."""
         if not 0.0 <= q <= 100.0:
@@ -55,9 +44,6 @@ class Distribution:
         rank = max(1, math.ceil(q / 100.0 * len(self._sorted)))
         return self._sorted[rank - 1]
 
-    def median(self) -> float:
-        return self.percentile(50.0)
-
     # ---------------------------------------------------------------- shape
     def fraction_below(self, threshold: float) -> float:
         """P(X <= threshold) -- e.g. "resolved within 150 ms"."""
@@ -66,10 +52,6 @@ class Distribution:
         import bisect
 
         return bisect.bisect_right(self._sorted, threshold) / len(self._sorted)
-
-    def fraction_above(self, threshold: float) -> float:
-        """P(X > threshold) -- e.g. "take more than 1200 ms"."""
-        return 1.0 - self.fraction_below(threshold)
 
     def histogram(self, edges: Sequence[float]) -> Dict[str, float]:
         """Fractions per bucket, edges ascending; adds a final overflow

@@ -39,11 +39,6 @@ class RatioSeries:
     def __len__(self) -> int:
         return len(self._times)
 
-    def overall(self) -> float:
-        if not self._times:
-            return 0.0
-        return sum(self._successes) / len(self._successes)
-
     def cumulative(self, window_ms: float, until: float) -> List[RatioPoint]:
         """Cumulative ratio sampled every *window_ms* up to *until*."""
         self._validate(window_ms, until)

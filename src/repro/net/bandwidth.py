@@ -4,11 +4,9 @@ The base transport (:mod:`repro.net.transport`) is latency-only, matching
 the paper's PeerSim setup (section 6.1): a message of any size arrives
 after one link latency, so a content fetch is an atomic RPC and a serving
 peer that crashes mid-download is invisible.  This module adds the missing
-dimension for *large* objects:
-
-* every peer has a finite **upload capacity** (kilobits per second) that
-  is fair-shared across its concurrent outbound transfers, and
-* each transfer is optionally capped by a **per-link rate**.
+dimension for *large* objects: every peer has a finite **upload capacity**
+(kilobits per second) that is fair-shared across its concurrent outbound
+transfers.
 
 The model is strictly opt-in: ``Network.bandwidth`` stays ``None`` unless
 :meth:`Network.install_bandwidth` is called, and with it off no events,
@@ -22,9 +20,9 @@ are expressed in kbps, which conveniently equals bits-per-millisecond, so
 ``time_ms = size_bytes * 8 / rate_kbps``.  Fair sharing uses settle-then-
 reschedule: whenever the flow set at a sender changes, elapsed progress
 is credited to every active flow at the old rate, the new per-flow rate
-``min(link_kbps or inf, upload_kbps / n_flows)`` is computed, and each
-completion event is rescheduled.  All bookkeeping is driven by simulator
-events, so runs are deterministic.
+``upload_kbps / n_flows`` is computed, and each completion event is
+rescheduled.  All bookkeeping is driven by simulator events, so runs are
+deterministic.
 
 Slow uplinks.  A deterministic fraction of peers can be degraded to
 ``upload_kbps / slow_factor`` — membership is a pure function of the
@@ -53,14 +51,12 @@ class BandwidthParams:
 
     Attributes:
         upload_kbps: per-peer upload capacity, kilobits per second.
-        link_kbps: optional per-link (per-flow) rate cap; 0 disables it.
         slow_fraction: fraction of peers with a degraded uplink.
         slow_factor: slow peers upload at ``upload_kbps / slow_factor``.
         seed: master seed for the deterministic slow-uplink draw.
     """
 
     upload_kbps: float = 8000.0
-    link_kbps: float = 0.0
     slow_fraction: float = 0.0
     slow_factor: float = 8.0
     seed: int = 0
@@ -68,8 +64,6 @@ class BandwidthParams:
     def __post_init__(self) -> None:
         if self.upload_kbps <= 0:
             raise ConfigError(f"upload_kbps must be positive (got {self.upload_kbps})")
-        if self.link_kbps < 0:
-            raise ConfigError(f"link_kbps must be >= 0 (got {self.link_kbps})")
         if not 0.0 <= self.slow_fraction <= 1.0:
             raise ConfigError(
                 f"slow_fraction must be in [0, 1] (got {self.slow_fraction})"
@@ -163,9 +157,6 @@ class BandwidthModel:
         self._capacity[address] = capacity
         return capacity
 
-    def is_slow(self, address: Address) -> bool:
-        return self.capacity_kbps(address) < self.params.upload_kbps
-
     # ------------------------------------------------------------------
     # flow lifecycle
     # ------------------------------------------------------------------
@@ -253,9 +244,7 @@ class BandwidthModel:
         flows = self._flows_by_src.get(src)
         if not flows:
             return
-        share = self.capacity_kbps(src) / len(flows)
-        link = self.params.link_kbps
-        rate = min(share, link) if link > 0.0 else share
+        rate = self.capacity_kbps(src) / len(flows)
         for flow in flows:
             flow.rate_kbps = rate
             if flow._handle is not None:

@@ -91,7 +91,3 @@ class LandmarkBinner:
         locality = min(range(self.num_localities), key=vector.__getitem__)
         self._cache[address] = locality
         return locality
-
-    def forget(self, address: Address) -> None:
-        """Drop the cached locality (used when recycling peer identities)."""
-        self._cache.pop(address, None)

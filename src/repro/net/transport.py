@@ -446,9 +446,6 @@ class Network:
         node = self._nodes.get(address)
         return node is not None and node.alive
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def latency(self, a: Address, b: Address) -> float:
         """One-way base latency between two registered addresses.
 

@@ -35,13 +35,3 @@ def minutes(value: float) -> float:
 def hours(value: float) -> float:
     """Convert *value* hours to simulation-clock milliseconds."""
     return value * HOUR
-
-
-def ms_to_minutes(value_ms: float) -> float:
-    """Convert simulation-clock milliseconds to minutes."""
-    return value_ms / MINUTE
-
-
-def ms_to_hours(value_ms: float) -> float:
-    """Convert simulation-clock milliseconds to hours."""
-    return value_ms / HOUR

@@ -42,8 +42,7 @@ class EventHandle:
 
     Instances are returned by :meth:`EventQueue.push` (and therefore by
     ``Simulator.schedule``).  A handle is a view over the underlying heap
-    entry; ``time``/``callback``/``args`` read through to it.
-    Handles order by ``(time, seq)``, mirroring heap order.
+    entry; ``time`` reads through to it.
     """
 
     __slots__ = ("_entry", "cancelled")
@@ -55,14 +54,6 @@ class EventHandle:
     @property
     def time(self) -> float:
         return self._entry[_TIME]
-
-    @property
-    def callback(self) -> Optional[Callable[..., Any]]:
-        return self._entry[_CALLBACK]
-
-    @property
-    def args(self) -> Tuple[Any, ...]:
-        return self._entry[_ARGS]
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent.
@@ -88,10 +79,6 @@ class EventHandle:
         entry[_ARGS] = ()
         if callback is not None:
             callback(*args)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        a, b = self._entry, other._entry
-        return (a[_TIME], a[_SEQ]) < (b[_TIME], b[_SEQ])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -172,12 +159,6 @@ class EventQueue:
         self._dead = dead
         if dead > _COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
             self._compact()
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-        self._live = 0
-        self._dead = 0
 
     def _compact(self) -> None:
         """Rebuild the heap from live entries only (O(n)).

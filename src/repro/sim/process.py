@@ -62,18 +62,12 @@ class PeriodicProcess:
         self._jitter = jitter
         self._rng = rng
         self._handle: Optional[EventHandle] = None
-        self._ticks = 0
         self._cancelled = False
         #: ``self._tick`` bound once: rescheduling happens every tick, and a
         #: fresh bound method per schedule is measurable at fleet scale.
         self._tick_cb = self._tick
         first = period if initial_delay is None else initial_delay
         self._handle = sim.schedule(first, self._tick_cb)
-
-    @property
-    def ticks(self) -> int:
-        """Number of completed ticks."""
-        return self._ticks
 
     @property
     def active(self) -> bool:
@@ -98,7 +92,6 @@ class PeriodicProcess:
     def _tick(self) -> None:
         if self._cancelled:  # cancelled while the tick event was in flight
             return
-        self._ticks += 1
         # Reschedule before running the callback so the callback may cancel
         # the process (a peer deciding to leave mid-tick must not resurrect).
         #

@@ -49,16 +49,5 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a new registry whose master seed is derived from *name*.
-
-        Useful for sub-experiments (e.g. independent repetitions) that need
-        their own namespace of streams.
-        """
-        return RngRegistry(derive_seed(self.master_seed, name))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(master_seed={self.master_seed}, streams={sorted(self._streams)})"

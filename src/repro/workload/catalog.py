@@ -8,8 +8,6 @@ hashes URLs (Squirrel's home-node placement).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import WorkloadError
 from repro.types import ObjectKey, WebsiteId
 
@@ -52,11 +50,8 @@ class Catalog:
     def websites(self) -> range:
         return range(self.num_websites)
 
-    def active_websites(self) -> range:
-        """The websites that generate queries (the first n by convention)."""
-        return range(self.num_active_websites)
-
     def is_active(self, website: WebsiteId) -> bool:
+        """Whether *website* generates queries (the first n by convention)."""
         return 0 <= website < self.num_active_websites
 
     def validate_website(self, website: WebsiteId) -> None:
@@ -64,25 +59,9 @@ class Catalog:
             raise WorkloadError(f"unknown website {website}")
 
     # --------------------------------------------------------------- objects
-    def object_key(self, website: WebsiteId, index: int) -> ObjectKey:
-        self.validate_website(website)
-        if not 0 <= index < self.objects_per_website:
-            raise WorkloadError(
-                f"object index {index} outside [0, {self.objects_per_website})"
-            )
-        return (website, index)
-
-    def objects_of(self, website: WebsiteId) -> Iterator[ObjectKey]:
-        self.validate_website(website)
-        return ((website, index) for index in range(self.objects_per_website))
-
     def url(self, key: ObjectKey) -> str:
         """Canonical URL of an object (what Squirrel hashes)."""
         return f"http://ws{key[0]}.example.org/object/{key[1]}"
-
-    @property
-    def total_objects(self) -> int:
-        return self.num_websites * self.objects_per_website
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

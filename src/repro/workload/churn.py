@@ -120,9 +120,6 @@ class ChurnModel:
     def online_count(self) -> int:
         return len(self._online)
 
-    def is_online(self, identity: int) -> bool:
-        return identity in self._online
-
     @property
     def mean_interarrival_ms(self) -> float:
         """1 / arrival rate; arrival rate is P/m (paper section 6.1)."""

@@ -160,12 +160,6 @@ class ArrivalProfile:
         phase = 2.0 * math.pi * time_ms / DIURNAL_PERIOD_MS
         return 1.0 + self.diurnal_amplitude * math.sin(phase)
 
-    def multiplier(self, time_ms: float) -> float:
-        return self.diurnal(time_ms) + sum(s.excess(time_ms) for s in self.surges)
-
-    def rate_per_ms(self, time_ms: float) -> float:
-        return self.rate_qps / 1000.0 * self.multiplier(time_ms)
-
 
 class OpenLoopWorkload:
     """Drives open-loop arrivals into a CDN system.

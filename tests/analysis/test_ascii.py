@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.ascii import bar_chart, line_chart
+from repro.analysis.ascii import line_chart
 from repro.errors import ReproError
 
 
@@ -46,29 +46,3 @@ class TestLineChart:
         series = {f"s{i}": [(0, i), (1, i + 1)] for i in range(8)}
         chart = line_chart(series)
         assert "* s0" in chart and "* s6" in chart  # glyphs wrap around
-
-
-class TestBarChart:
-    def test_requires_data(self):
-        with pytest.raises(ReproError):
-            bar_chart({})
-
-    def test_bars_scale_to_peak(self):
-        chart = bar_chart({"big": 1.0, "half": 0.5}, width=10)
-        lines = chart.splitlines()
-        big = next(line for line in lines if "big" in line)
-        half = next(line for line in lines if "half" in line)
-        assert big.count("#") == 10
-        assert half.count("#") == 5
-
-    def test_percent_formatting(self):
-        chart = bar_chart({"a": 0.623})
-        assert "62.3%" in chart
-
-    def test_raw_formatting(self):
-        chart = bar_chart({"a": 42.0}, as_percent=False)
-        assert "42" in chart
-
-    def test_zero_values(self):
-        chart = bar_chart({"a": 0.0, "b": 0.0})
-        assert "0.0%" in chart

@@ -59,7 +59,9 @@ def test_failed_claim_detected():
     )
     report = ComparisonReport(weak_flower, squirrel)
     assert not report.all_passed
-    assert any(c.name == "fig3_flower_wins_finally" for c in report.failed())
+    assert any(
+        c.name == "fig3_flower_wins_finally" and not c.passed for c in report.checks
+    )
 
 
 def test_report_renders_tables():

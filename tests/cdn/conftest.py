@@ -5,6 +5,8 @@ explicitly; queries are injected with ``peer.resolve_query`` rather than
 waiting for the periodic query process.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.cdn.base import ProtocolParams
@@ -105,7 +107,7 @@ class CdnWorld:
         def mine():
             return [
                 r
-                for r in self.system.metrics.records[before:]
+                for r in islice(self.system.metrics.records, before, None)
                 if r.object_key == tuple(key) and r.time >= started
             ]
 

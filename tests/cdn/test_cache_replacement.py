@@ -23,14 +23,14 @@ class TestBoundedStore:
     def test_unbounded_never_evicts(self):
         store = ContentStore()
         for index in range(1000):
-            store.add((0, index))
+            store.add_with_evictions((0, index))
         assert len(store) == 1000
         assert store.evictions == 0
 
     def test_lru_eviction_order(self):
         store = ContentStore(capacity=3)
         for index in (1, 2, 3):
-            store.add((0, index))
+            store.add_with_evictions((0, index))
         was_new, evicted = store.add_with_evictions((0, 4))
         assert was_new and evicted == [(0, 1)]
         assert (0, 1) not in store and (0, 4) in store
@@ -38,7 +38,7 @@ class TestBoundedStore:
     def test_touch_refreshes_recency(self):
         store = ContentStore(capacity=3)
         for index in (1, 2, 3):
-            store.add((0, index))
+            store.add_with_evictions((0, index))
         store.touch((0, 1))           # 1 becomes most recent
         __, evicted = store.add_with_evictions((0, 4))
         assert evicted == [(0, 2)]
@@ -46,18 +46,18 @@ class TestBoundedStore:
 
     def test_re_adding_refreshes_recency(self):
         store = ContentStore(capacity=2)
-        store.add((0, 1))
-        store.add((0, 2))
-        assert not store.add((0, 1))  # duplicate, but refreshed
+        store.add_with_evictions((0, 1))
+        store.add_with_evictions((0, 2))
+        assert store.add_with_evictions((0, 1)) == (False, [])  # refreshed
         __, evicted = store.add_with_evictions((0, 3))
         assert evicted == [(0, 2)]
 
     def test_evictions_count_as_push_changes(self):
         store = ContentStore(capacity=2)
-        store.add((0, 1))
-        store.add((0, 2))
+        store.add_with_evictions((0, 1))
+        store.add_with_evictions((0, 2))
         store.mark_pushed()
-        store.add((0, 3))  # 1 insertion + 1 eviction = 2 changes / 2 pushed
+        store.add_with_evictions((0, 3))  # 1 insertion + 1 eviction: 2 changes / 2
         assert store.change_fraction() == 1.0
         assert store.should_push(0.5)
 
@@ -111,18 +111,14 @@ class TestFlowerWithBoundedCache:
         assert gossiped.contains((0, 1)) and not gossiped.contains((0, 3))
         assert not peer.summary.contains((0, 1))
 
-    @pytest.mark.parametrize("summary_kind", ["exact", "bloom"])
-    def test_summary_tracks_the_store_through_evictions(self, summary_kind):
-        world = CdnWorld(
-            params=make_params(cache_capacity=3, summary_kind=summary_kind)
-        )
+    def test_summary_tracks_the_store_through_evictions(self):
+        world = CdnWorld(params=make_params(cache_capacity=3))
         peer = world.arrive(website=0)
         for index in (1, 2, 3, 1, 4, 5, 2, 6):
             world.query(peer, (0, index))
-            held = peer.store.keys()
-            assert all(peer.summary.contains(key) for key in held)
-            if summary_kind == "exact":
-                assert peer.summary.keys() == held  # after _finish_query
+            held = peer.store.keys()  # after _finish_query
+            for key in [(0, i) for i in range(1, 7)]:
+                assert peer.summary.contains(key) == (key in held)
 
     def test_directory_unlearns_evicted_objects(self):
         world = self.make_world(capacity=2)

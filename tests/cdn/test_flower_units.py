@@ -94,7 +94,7 @@ class TestSummaryCandidates:
         peer = joined_client(world)
         holders = [joined_client(world, locality=peer.locality) for __ in range(3)]
         for holder in holders:
-            holder.store.add((0, 7))
+            holder.store.add_with_evictions((0, 7))
             holder.summary.add((0, 7))
             peer.view.add(Contact(holder.address))
             peer.peer_summaries[holder.address] = holder.summary.snapshot()
@@ -113,7 +113,7 @@ class TestPushBehaviour:
     def test_push_state_reset_on_registration(self):
         world = CdnWorld()
         peer = world.arrive(website=0)
-        peer.store.add((0, 9))
+        peer.store.add_with_evictions((0, 9))
         peer.store.mark_pushed()
         assert not peer.store.should_push(0.5)
         world.query(peer, (0, 1))  # registration resets push state + pushes

@@ -231,6 +231,41 @@ class TestReplicaAwareSplit:
         ]
         assert shed_addresses
 
+    def test_transfer_to_a_dead_successor_times_out_and_keeps_every_member(self):
+        """The warm successor dies just before ``flower.member_transfer``
+        goes out: the RPC times out, the shedder may try again, and no
+        member was told to move -- every one is still indexed here."""
+        world = make_overload_petalup_world()
+        fill_petal(world, count=6)
+        world.run_until(
+            lambda: world.system.instance_count(0, 0) >= 2,
+            horizon_ms=minutes(15),
+        )
+        first = world.directory_of(0, 0, instance=0)
+        second = world.directory_of(0, 0, instance=1)
+        for index in range(5):
+            peer = world.arrive(website=0, locality=0)
+            first.directory.add_member(peer.address, [(0, 10 + index)])
+        members = first.directory.members.addresses()
+        assert len(members) > world.system.params.directory_load_limit
+        relief = first.service.relief
+        assert relief.next_instance_address() == second.address
+        counts = world.network.kind_counts
+        sent = counts["flower.member_transfer"], counts["flower.member_shed"]
+        # The split's own sweeps may already have shed members: compare.
+        shed = first.directory.members_shed, world.system.members_shed
+
+        second.crash()
+        relief._shed_members_to_successor()
+        assert relief._shedding_members
+        assert counts["flower.member_transfer"] == sent[0] + 1
+        world.run_until(lambda: not relief._shedding_members, horizon_ms=seconds(30))
+
+        assert not relief._shedding_members
+        assert all(first.directory.has_member(address) for address in members)
+        assert counts["flower.member_shed"] == sent[1]
+        assert (first.directory.members_shed, world.system.members_shed) == shed
+
 
 class TestDirectoryRegistry:
     def test_registry_matches_ring_holder(self):

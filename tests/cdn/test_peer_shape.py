@@ -9,7 +9,7 @@ message kind must reach the same handler whether it arrives through
 import pytest
 
 from repro.cdn.flower.directory import DirectoryRole
-from repro.cdn.flower.petal import DirInfo
+from repro.cdn.flower.petal import PUSH_QUEUE_LIMIT, DirInfo
 from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.system import FlowerSystem
 from repro.cdn.squirrel.system import SquirrelSystem
@@ -128,12 +128,14 @@ def test_push_queue_exists_only_while_pushes_are_queued():
     """``()`` is "nothing queued": the bounded deque is built by the first
     queued push and dropped with the queue, so the many peers that never
     see their directory suspect never carry one."""
-    world = CdnWorld(FlowerSystem, params=make_params(push_queue_limit=2))
+    world = CdnWorld(FlowerSystem, params=make_params())
     peer = world.arrive(website=0, locality=0)
     assert peer._pending_pushes == ()
-    for index in range(3):
+    for index in range(PUSH_QUEUE_LIMIT + 1):
         peer._queue_push([(0, index)])
-    assert list(peer._pending_pushes) == [[(0, 1)], [(0, 2)]]  # drop-oldest
+    assert list(peer._pending_pushes) == [  # drop-oldest
+        [(0, index)] for index in range(1, PUSH_QUEUE_LIMIT + 1)
+    ]
     peer._forget_directory()
     assert peer._pending_pushes == ()
 

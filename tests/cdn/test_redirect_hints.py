@@ -26,7 +26,6 @@ def make_hint_world():
             directory_queue_limit=1,
             directory_service_ms=minutes(5),
             redirect_hints=True,
-            hint_ttl_ms=minutes(30),
         ),
     )
 
@@ -83,7 +82,7 @@ class TestHintStalenessUnderChurn:
         assert member._open_queries.get((0, 13)) is None
 
     def test_expired_hints_are_ignored(self):
-        """Past ``hint_ttl_ms`` a harvested depth says nothing: the
+        """Past ``HINT_TTL_MS`` a harvested depth says nothing: the
         client takes the normal home path and no hop is charged."""
         world = make_hint_world()
         world.run(minutes(1))
@@ -91,7 +90,7 @@ class TestHintStalenessUnderChurn:
         world.query(member, (0, 11))
         target = world.arrive(website=0, locality=1)
         home = world.directory_of(0, 0)
-        stale = world.sim.now - minutes(31)  # beyond the 30 min TTL
+        stale = world.sim.now - minutes(31)  # well beyond the one-minute TTL
         member._petal_loads = {
             home.address: (1, stale),
             target.address: (0, stale),
@@ -125,7 +124,6 @@ class TestHintPreRouting:
                 directory_queue_limit=4,
                 directory_service_ms=40.0,
                 redirect_hints=True,
-                hint_ttl_ms=minutes(30),
                 directory_load_limit=3,
                 max_instances=4,
             ),
@@ -181,7 +179,6 @@ class TestHintPreRouting:
                 directory_queue_limit=4,
                 directory_service_ms=40.0,
                 redirect_hints=True,
-                hint_ttl_ms=minutes(30),
                 replication_k=2,
                 directory_load_limit=3,
                 max_instances=4,

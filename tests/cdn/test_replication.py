@@ -26,10 +26,7 @@ def make_role(owner=99, website=0, locality=0, instance=0, position=12345):
 
 
 def replication_world(**overrides):
-    params = make_params(
-        replication_k=2, replication_anti_entropy_rounds=2, **overrides
-    )
-    return CdnWorld(FlowerSystem, params=params)
+    return CdnWorld(FlowerSystem, params=make_params(replication_k=2, **overrides))
 
 
 def _register(world, website=0, locality=0, key=(0, 5)):

@@ -7,6 +7,8 @@ from repro.cdn.flower.search import (
     KeywordSpace,
     SearchAvailabilityTracker,
 )
+from repro.cdn.flower.petal import DIR_FAILURE_THRESHOLD
+from repro.cdn.flower.replication import ANTI_ENTROPY_ROUNDS
 from repro.cdn.flower.search_client import staleness_bound_ms
 from repro.cdn.flower.system import FlowerSystem
 from repro.errors import CDNError
@@ -145,7 +147,7 @@ class TestPetalSearch:
         world = self.make_search_world()
         space = world.system.search_engine.space
         directory = world.directory_of(0, 0)
-        directory.store.add((0, 5))
+        directory.store.add_with_evictions((0, 5))
         keyword = next(iter(space.keywords_of((0, 5))))
         results = []
         directory.search(keyword, results.append)
@@ -178,10 +180,7 @@ class TestPetalSearch:
 
 
 def make_failover_world(**overrides):
-    params = make_params(
-        replication_k=2, replication_anti_entropy_rounds=2, **overrides
-    )
-    world = CdnWorld(FlowerSystem, params=params)
+    world = CdnWorld(FlowerSystem, params=make_params(replication_k=2, **overrides))
     world.system.search_engine = KeywordSearchEngine(
         KeywordSpace(num_keywords=8)
     )
@@ -193,12 +192,9 @@ class TestStalenessBound:
         base = make_params()
         slower = make_params(keepalive_period_ms=2 * base.keepalive_period_ms)
         assert staleness_bound_ms(slower) == 2 * staleness_bound_ms(base)
-        deeper = make_params(
-            replication_k=2,
-            replication_anti_entropy_rounds=2
-            * base.replication_anti_entropy_rounds,
+        assert staleness_bound_ms(base) == base.keepalive_period_ms * (
+            ANTI_ENTROPY_ROUNDS + DIR_FAILURE_THRESHOLD + 2
         )
-        assert staleness_bound_ms(deeper) > staleness_bound_ms(base)
 
 
 class TestSearchFailover:

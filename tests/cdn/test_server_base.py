@@ -81,7 +81,7 @@ class TestQueryAccounting:
     def test_local_hit_short_circuits(self):
         world = CdnWorld()
         peer = world.arrive(website=0)
-        peer.store.add((0, 9))
+        peer.store.add_with_evictions((0, 9))
         record = world.query(peer, (0, 9))
         assert record.outcome == "hit_local"
         assert record.transfer_ms == 0.0

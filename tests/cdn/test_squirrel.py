@@ -1,9 +1,7 @@
 """Protocol tests for the Squirrel baseline."""
 
-from repro.cdn.squirrel.system import SquirrelSystem
+from repro.cdn.squirrel.peer import HOME_DIRECTORY_CAPACITY
 from repro.sim.clock import minutes
-
-from tests.cdn.conftest import CdnWorld, make_params
 
 
 def home_of(world, key):
@@ -68,7 +66,7 @@ class TestQueryPath:
     def test_local_hit(self, squirrel_world):
         world = squirrel_world
         peer = world.arrive(website=0)
-        peer.store.add((0, 3))
+        peer.store.add_with_evictions((0, 3))
         record = world.query(peer, (0, 3))
         assert record.outcome == "hit_local"
 
@@ -90,15 +88,13 @@ class TestHomeNodeDirectory:
         if new_home is not None:
             assert (0, 5) not in new_home.home_directory
 
-    def test_delegate_capacity_evicts_oldest(self):
-        world = CdnWorld(
-            SquirrelSystem, params=make_params(squirrel_directory_capacity=2)
-        )
-        home = world.system.peers[0]
-        for requester in (11, 12, 13):
+    def test_delegate_capacity_evicts_oldest(self, squirrel_world):
+        home = squirrel_world.system.peers[0]
+        requesters = list(range(11, 13 + HOME_DIRECTORY_CAPACITY))
+        for requester in requesters:
             home._register_delegate((0, 1), requester)
         delegates = list(home.home_directory[(0, 1)])
-        assert delegates == [12, 13]
+        assert delegates == requesters[-HOME_DIRECTORY_CAPACITY:]
 
     def test_register_existing_delegate_refreshes(self, squirrel_world):
         home = squirrel_world.system.peers[0]

@@ -16,16 +16,16 @@ def test_empty_store():
 
 def test_add_and_contains():
     store = ContentStore()
-    assert store.add((0, 1))
+    assert store.add_with_evictions((0, 1)) == (True, [])
     assert (0, 1) in store
-    assert not store.add((0, 1))  # duplicate: no change
+    assert store.add_with_evictions((0, 1)) == (False, [])  # duplicate: no change
     assert len(store) == 1
 
 
 def test_initial_content_counts_as_changes():
     store = ContentStore([(0, 1), (0, 2)])
     assert len(store) == 2
-    assert store.changes_since_push == 2
+    assert store.change_fraction() == 2.0  # two changes, nothing pushed yet
     assert store.should_push(0.5)
 
 
@@ -45,7 +45,7 @@ def test_held_indexes_filters_by_website():
 
 def test_first_object_always_triggers_push():
     store = ContentStore()
-    store.add((0, 1))
+    store.add_with_evictions((0, 1))
     assert store.change_fraction() == 1.0
     assert store.should_push(0.5)
 
@@ -53,25 +53,25 @@ def test_first_object_always_triggers_push():
 def test_push_threshold_cycle():
     """Paper section 5.1: push when changes reach 50% of the pushed size."""
     store = ContentStore()
-    store.add((0, 1))
-    store.add((0, 2))
-    store.mark_pushed()           # directory saw 2 objects
+    store.add_with_evictions((0, 1))
+    store.add_with_evictions((0, 2))
+    store.mark_pushed()  # directory saw 2 objects
     assert not store.should_push(0.5)
-    store.add((0, 3))             # 1 change / 2 pushed = 0.5 -> push
+    store.add_with_evictions((0, 3))  # 1 change / 2 pushed = 0.5 -> push
     assert store.change_fraction() == 0.5
     assert store.should_push(0.5)
-    store.mark_pushed()           # directory saw 3
-    store.add((0, 4))             # 1/3 < 0.5
+    store.mark_pushed()  # directory saw 3
+    store.add_with_evictions((0, 4))  # 1/3 < 0.5
     assert not store.should_push(0.5)
-    store.add((0, 5))             # 2/3 >= 0.5
+    store.add_with_evictions((0, 5))  # 2/3 >= 0.5
     assert store.should_push(0.5)
 
 
 def test_mark_pushed_resets_changes():
     store = ContentStore([(0, 1)])
     store.mark_pushed()
-    assert store.changes_since_push == 0
     assert store.change_fraction() == 0.0
+    assert not store.should_push(0.5)
 
 
 # ------------------------------------------------- capacity / LRU eviction
@@ -92,8 +92,8 @@ def test_initial_content_beyond_capacity_is_trimmed_oldest_first():
 
 def test_add_beyond_capacity_evicts_lru():
     store = ContentStore(capacity=2)
-    store.add((0, 1))
-    store.add((0, 2))
+    store.add_with_evictions((0, 1))
+    store.add_with_evictions((0, 2))
     was_new, evicted = store.add_with_evictions((0, 3))
     assert was_new
     assert evicted == [(0, 1)]
@@ -103,8 +103,8 @@ def test_add_beyond_capacity_evicts_lru():
 
 def test_touch_and_readd_refresh_recency():
     store = ContentStore(capacity=2)
-    store.add((0, 1))
-    store.add((0, 2))
+    store.add_with_evictions((0, 1))
+    store.add_with_evictions((0, 2))
     store.touch((0, 1))  # (0, 2) becomes the LRU victim
     __, evicted = store.add_with_evictions((0, 3))
     assert evicted == [(0, 2)]
@@ -123,8 +123,8 @@ def test_touch_of_absent_key_is_a_noop():
 
 def test_evicted_key_can_be_readded_and_counts_as_new():
     store = ContentStore(capacity=1)
-    store.add((0, 1))
-    store.add((0, 2))  # evicts (0, 1)
+    store.add_with_evictions((0, 1))
+    store.add_with_evictions((0, 2))  # evicts (0, 1)
     was_new, evicted = store.add_with_evictions((0, 1))
     assert was_new
     assert evicted == [(0, 2)]
@@ -134,24 +134,23 @@ def test_evicted_key_can_be_readded_and_counts_as_new():
 
 def test_evictions_count_as_changes_for_the_push_threshold():
     store = ContentStore(capacity=2)
-    store.add((0, 1))
-    store.add((0, 2))
+    store.add_with_evictions((0, 1))
+    store.add_with_evictions((0, 2))
     store.mark_pushed()  # directory saw 2 objects
     assert not store.should_push(0.5)
     # One add at capacity = one insertion + one eviction = 2 changes
     # against a pushed size of 2 -> fraction 1.0, over threshold.
-    store.add((0, 3))
-    assert store.changes_since_push == 2
+    store.add_with_evictions((0, 3))
     assert store.change_fraction() == 1.0
     assert store.should_push(0.5)
     store.mark_pushed()
-    assert store.changes_since_push == 0
+    assert store.change_fraction() == 0.0
 
 
 def test_full_cycle_thrash_never_exceeds_capacity():
     store = ContentStore(capacity=3)
     for index in range(20):
-        store.add((0, index))
+        store.add_with_evictions((0, index))
         assert len(store) <= 3
     assert store.evictions == 17
     # The survivors are exactly the three most recent insertions.
@@ -161,10 +160,9 @@ def test_full_cycle_thrash_never_exceeds_capacity():
 def test_reset_push_state_counts_current_content_only():
     store = ContentStore(capacity=2)
     for index in range(5):
-        store.add((0, index))
+        store.add_with_evictions((0, index))
     store.reset_push_state()
     # A fresh directory only needs the 2 surviving keys, not the history
     # of evictions.
-    assert store.changes_since_push == 2
     assert store.change_fraction() == 2.0
     assert store.should_push(0.5)

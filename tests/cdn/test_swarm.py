@@ -6,10 +6,13 @@ fails over per-chunk) instead of restarting, and every terminal outcome
 accounts for 100% of the object's bytes.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.cdn.flower.system import FlowerSystem
 from repro.errors import ConfigError
+from repro.metrics.collector import HIT_OUTCOMES
 from repro.net.bandwidth import BandwidthModel, BandwidthParams
 from repro.sim.clock import seconds
 from repro.workload.objectsize import ObjectSizeModel
@@ -82,7 +85,6 @@ def swarm_world(resume=True, bandwidth_kbps=0.0, replicate=0, seed=1, chunk_kb=6
         swarming=True,
         swarm_resume=resume,
         swarm_replicate=replicate,
-        swarm_retry_ms=100.0,
     )
     world = CdnWorld(FlowerSystem, seed=seed, params=params)
     world.system.install_sizes(
@@ -134,8 +136,7 @@ def test_large_object_is_served_by_a_swarm_transfer():
     provider = seed_provider(world, key)
     client = world.arrive(website=key[0], locality=0)
     record = world.query(client, key)
-    assert record.outcome == "hit_swarm"
-    assert record.is_hit
+    assert record.outcome == "hit_swarm" and record.outcome in HIT_OUTCOMES
     system = world.system
     assert system.swarm_started == 1
     assert system.swarm_completed == 1
@@ -200,12 +201,12 @@ def test_warm_transfer_survives_seeder_death_by_resuming():
     world.run_until(
         lambda: any(
             r.object_key == key and r.time >= started
-            for r in system.metrics.records[before:]
+            for r in islice(system.metrics.records, before, None)
         )
     )
     record = next(
         r
-        for r in system.metrics.records[before:]
+        for r in islice(system.metrics.records, before, None)
         if r.object_key == key and r.time >= started
     )
     # Sole seeder died mid-download: the remaining chunks degrade to the
@@ -235,12 +236,12 @@ def test_cold_transfer_restarts_from_zero_on_seeder_death():
     world.run_until(
         lambda: any(
             r.object_key == key and r.time >= started
-            for r in system.metrics.records[before:]
+            for r in islice(system.metrics.records, before, None)
         )
     )
     record = next(
         r
-        for r in system.metrics.records[before:]
+        for r in islice(system.metrics.records, before, None)
         if r.object_key == key and r.time >= started
     )
     # The baseline strategy throws everything away and refetches the

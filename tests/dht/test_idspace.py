@@ -88,12 +88,6 @@ def test_half_open_right_includes_endpoint():
     assert SPACE.in_half_open_right(42, 7, 7)
 
 
-def test_half_open_left_includes_endpoint():
-    assert SPACE.in_half_open_left(0, 0, 10)
-    assert not SPACE.in_half_open_left(10, 0, 10)
-    assert SPACE.in_half_open_left(42, 7, 7)
-
-
 @given(x=ids, a=ids, b=ids)
 @settings(max_examples=300, deadline=None)
 def test_open_interval_matches_walk(x, a, b):
@@ -120,13 +114,13 @@ def test_half_open_right_consistent_with_open(x, a, b):
 @given(x=ids, a=ids, b=ids)
 @settings(max_examples=200, deadline=None)
 def test_interval_partition(x, a, b):
-    """For a != b, exactly one of: x in (a,b), x in [b,a), x == a."""
+    """For a != b, exactly one of: x in (a,b), x in (b,a], x == b."""
     if a == b:
         return
     memberships = [
         SPACE.in_open(x, a, b),
-        SPACE.in_half_open_left(x, b, a),
-        x == a,
+        SPACE.in_half_open_right(x, b, a),
+        x == b,
     ]
     assert sum(bool(m) for m in memberships) == 1
 

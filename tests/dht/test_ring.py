@@ -11,8 +11,6 @@ from tests.dht.conftest import ChordWorld
 def test_params_validation():
     with pytest.raises(DHTError):
         RingParams(successor_list_size=0)
-    with pytest.raises(DHTError):
-        RingParams(lookup_max_probes=0)
 
 
 def test_params_select_no_lookup_mode():
@@ -21,7 +19,7 @@ def test_params_select_no_lookup_mode():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(RingParams)}
-    assert len(names) == 7
+    assert len(names) == 6
     assert not names & {
         "lookup_mode", "probe_retries", "retry_backoff_ms", "lookup_max_timeouts"
     }

@@ -110,8 +110,6 @@ def test_reactive_plane_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(redirect_hints=True)  # needs a queue limit
     with pytest.raises(ConfigError):
-        ExperimentConfig(hint_ttl_ms=0.0)
-    with pytest.raises(ConfigError):
         ExperimentConfig(rebalance_max_keys=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(rebalance_budget_kb=0.0)

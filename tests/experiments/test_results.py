@@ -86,7 +86,7 @@ def test_json_roundtrip_preserves_everything():
         metrics=filled_metrics(),
         extra={"ring_size": 42},
     )
-    payload = json.loads(result.to_json())
+    payload = json.loads(json.dumps(result.to_dict()))
     assert payload["extra"]["ring_size"] == 42
     assert payload["hit_ratio"] == result.hit_ratio
     assert payload["outcome_counts"]["hit_summary"] == 1

@@ -98,7 +98,7 @@ def test_result_serialization_roundtrip():
     import json
 
     result = run_experiment("squirrel", TINY, seed=5)
-    payload = json.loads(result.to_json())
+    payload = json.loads(json.dumps(result.to_dict()))
     assert payload["protocol"] == "squirrel"
     assert payload["queries"] == result.queries
     assert payload["extra"]["ring_size"] >= 0

@@ -12,7 +12,6 @@ def test_empty_view():
     view = PartialView(owner=0)
     assert len(view) == 0
     assert view.oldest() is None
-    assert view.random_address(random.Random(1)) is None
     assert view.addresses() == []
 
 
@@ -97,13 +96,6 @@ def test_capacity_displaces_only_older():
     assert not view.add(Contact(4, age=9))
     assert 4 not in view
     assert len(view) == 2
-
-
-def test_aged_contact_copy():
-    contact = Contact(5, age=1)
-    older = contact.aged(2)
-    assert older.age == 3 and older.address == 5
-    assert contact.age == 1  # original untouched
 
 
 def test_clear():

@@ -15,7 +15,6 @@ from repro.metrics.distribution import (
 def test_empty_distribution():
     dist = Distribution([])
     assert dist.empty
-    assert dist.mean() == 0.0
     assert dist.percentile(50) == 0.0
     assert dist.fraction_below(10) == 0.0
     assert dist.histogram([1.0, 2.0]) == {}
@@ -23,10 +22,9 @@ def test_empty_distribution():
 
 
 def test_moments():
-    dist = Distribution([10.0, 20.0, 30.0])
-    assert dist.mean() == 20.0
-    assert dist.minimum() == 10.0
-    assert dist.maximum() == 30.0
+    dist = Distribution([30.0, 10.0, 20.0])
+    assert dist.percentile(0) == 10.0  # the minimum
+    assert dist.percentile(100) == 30.0  # the maximum
     assert len(dist) == 3
 
 
@@ -36,7 +34,6 @@ def test_percentiles_nearest_rank():
     assert dist.percentile(90) == 90
     assert dist.percentile(100) == 100
     assert dist.percentile(1) == 1
-    assert dist.median() == 50
 
 
 def test_percentile_bounds():
@@ -52,8 +49,6 @@ def test_fraction_below_and_above():
     assert dist.fraction_below(250) == 0.5
     assert dist.fraction_below(400) == 1.0
     assert dist.fraction_below(50) == 0.0
-    assert dist.fraction_above(250) == 0.5
-    assert abs(dist.fraction_above(400)) < 1e-12
 
 
 def test_fraction_below_is_inclusive():
@@ -97,7 +92,7 @@ def test_cdf_points_end_at_one():
 @settings(max_examples=100, deadline=None)
 def test_property_percentile_monotone(samples):
     dist = Distribution(samples)
-    previous = dist.minimum()
+    previous = min(samples)
     for q in (10, 25, 50, 75, 90, 100):
         value = dist.percentile(q)
         assert value >= previous
@@ -111,5 +106,5 @@ def test_property_percentile_monotone(samples):
 @settings(max_examples=100, deadline=None)
 def test_property_fractions_complementary(samples, threshold):
     dist = Distribution(samples)
-    total = dist.fraction_below(threshold) + dist.fraction_above(threshold)
-    assert abs(total - 1.0) < 1e-9
+    above = sum(1 for sample in samples if sample > threshold) / len(samples)
+    assert abs(dist.fraction_below(threshold) + above - 1.0) < 1e-9

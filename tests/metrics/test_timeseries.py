@@ -23,13 +23,6 @@ def test_observe_requires_time_order():
         series.observe(4.0, True)
 
 
-def test_overall():
-    series = filled_series()
-    assert series.overall() == 0.5
-    assert len(series) == 4
-    assert RatioSeries().overall() == 0.0
-
-
 def test_cumulative_curve():
     series = filled_series()
     points = series.cumulative(window_ms=10.0, until=30.0)

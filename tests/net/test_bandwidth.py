@@ -42,7 +42,7 @@ class Recorder:
     [
         {"upload_kbps": 0.0},
         {"upload_kbps": -10.0},
-        {"link_kbps": -1.0},
+        {"slow_factor": 0.0},
         {"slow_fraction": -0.1},
         {"slow_fraction": 1.5},
         {"slow_factor": 0.5},
@@ -97,15 +97,6 @@ def test_settle_then_reschedule_mid_flow_join():
     # 1500 ms with 4e6 bits left of 8e6 -> done at 2000 ms.
     times = {flow.dst: t for _, flow, t in rec.events}
     assert times == {2: 1500.0, 3: 2000.0}
-
-
-def test_link_cap_limits_a_lone_flow():
-    sim, model = make_model(upload_kbps=8000.0, link_kbps=2000.0)
-    rec = Recorder(sim)
-    model.start(1, 2, MB, on_done=rec.on_done)
-    sim.run()
-    # The link cap binds: 8e6 bits at 2000 bits/ms -> 4000 ms.
-    assert [t for _, _, t in rec.events] == [4000.0]
 
 
 def test_flows_at_distinct_senders_do_not_share():
@@ -182,20 +173,24 @@ def test_slow_fraction_one_degrades_everyone():
     sim.run()
     # 8e6 bits at 1000 bits/ms -> 8000 ms.
     assert [t for _, _, t in rec.events] == [8000.0]
-    assert model.is_slow(1)
+    assert model.capacity_kbps(1) == 1000.0
     assert model.slow_peers == 1
+
+
+def is_slow(model, address):
+    return model.capacity_kbps(address) < model.params.upload_kbps
 
 
 def test_slow_membership_is_deterministic_and_stable():
     _, a = make_model(slow_fraction=0.3, seed=7)
     _, b = make_model(slow_fraction=0.3, seed=7)
-    verdicts_a = [a.is_slow(address) for address in range(200)]
-    verdicts_b = [b.is_slow(address) for address in range(200)]
+    verdicts_a = [is_slow(a, address) for address in range(200)]
+    verdicts_b = [is_slow(b, address) for address in range(200)]
     assert verdicts_a == verdicts_b
     # Membership is per-address, not a shared stream: querying in a
     # different order must not change anyone's verdict.
     _, c = make_model(slow_fraction=0.3, seed=7)
-    verdicts_c = [c.is_slow(address) for address in reversed(range(200))]
+    verdicts_c = [is_slow(c, address) for address in reversed(range(200))]
     assert verdicts_c == list(reversed(verdicts_a))
     # And the fraction is roughly honoured.
     assert 0.15 < sum(verdicts_a) / 200 < 0.45

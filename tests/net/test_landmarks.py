@@ -35,20 +35,6 @@ def test_locality_is_cached():
     assert len(calls) == first_calls  # no new probes
 
 
-def test_forget_clears_cache():
-    count = {"n": 0}
-
-    def probe(addr, i):
-        count["n"] += 1
-        return float(i)
-
-    binner = LandmarkBinner(2, probe)
-    binner.locality_of(1)
-    binner.forget(1)
-    binner.locality_of(1)
-    assert count["n"] == 4  # probed twice (2 landmarks each)
-
-
 def test_landmark_vector_length():
     binner = LandmarkBinner(4, lambda a, i: float(i))
     assert binner.landmark_vector(0) == [0.0, 1.0, 2.0, 3.0]

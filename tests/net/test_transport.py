@@ -40,7 +40,7 @@ def test_addresses_assigned_sequentially():
     __, network, nodes = make_network()
     assert [n.address for n in nodes] == [0, 1, 2]
     assert network.node(1) is nodes[1]
-    assert len(network) == 3
+    assert network.node(2) is nodes[2]
 
 
 def test_unknown_address_rejected():

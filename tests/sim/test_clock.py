@@ -7,8 +7,6 @@ from repro.sim.clock import (
     SECOND,
     hours,
     minutes,
-    ms_to_hours,
-    ms_to_minutes,
     seconds,
 )
 
@@ -23,14 +21,6 @@ def test_seconds_minutes_hours():
     assert seconds(1.5) == 1500.0
     assert minutes(6) == 360_000.0
     assert hours(24) == 86_400_000.0
-
-
-def test_roundtrip_minutes():
-    assert ms_to_minutes(minutes(7.25)) == 7.25
-
-
-def test_roundtrip_hours():
-    assert ms_to_hours(hours(0.5)) == 0.5
 
 
 def test_fractional_units():

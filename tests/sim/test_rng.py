@@ -43,22 +43,3 @@ def test_consuming_one_stream_does_not_perturb_another():
     got_rest = [mixed.stream("b").random() for _ in range(4)]
     assert [got_first] + got_rest == expected
 
-
-def test_fork_creates_distinct_namespace():
-    registry = RngRegistry(7)
-    fork = registry.fork("rep-1")
-    assert fork.master_seed != registry.master_seed
-    assert fork.stream("a").random() != registry.stream("a").random()
-
-
-def test_fork_is_deterministic():
-    a = RngRegistry(7).fork("rep-1").stream("x").random()
-    b = RngRegistry(7).fork("rep-1").stream("x").random()
-    assert a == b
-
-
-def test_contains():
-    registry = RngRegistry(0)
-    assert "a" not in registry
-    registry.stream("a")
-    assert "a" in registry

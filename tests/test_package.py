@@ -283,3 +283,113 @@ def test_every_module_has_a_customer():
         if path.name != "__init__.py" and path not in doors and name not in reached
     )
     assert orphans == [], orphans
+
+
+#: The parameter classes of a run and the module each is declared in.
+_PARAMETER_CLASSES = {
+    "ExperimentConfig": "src/repro/experiments/config.py",
+    "ProtocolParams": "src/repro/cdn/base.py",
+    "RingParams": "src/repro/dht/ring.py",
+}
+
+#: A declaration carrying one of these is kept without a caller.
+_KEEP_MARKS = ("# paper parameter", "# test seam")
+
+
+def _declared_fields(root):
+    """``(class, field) -> marked`` for every field of the parameter
+    classes; *marked* when its declaration line carries a keep mark."""
+    fields = {}
+    for name, relative in _PARAMETER_CLASSES.items():
+        text = (root / relative).read_text()
+        lines = text.splitlines()
+        (body,) = [
+            node.body
+            for node in ast.parse(text).body
+            if isinstance(node, ast.ClassDef) and node.name == name
+        ]
+        for stmt in body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                line = lines[stmt.lineno - 1]
+                fields[name, stmt.target.id] = any(m in line for m in _KEEP_MARKS)
+    return fields
+
+
+def _keyword_setters(root):
+    """Every ``name=value`` keyword of a call outside ``tests/``.
+
+    Returns ``(direct, forwarded)``: *direct* holds the names some call
+    sets to a value that is not that same name read back from a config
+    (``config.<name>`` / ``self.<name>``); *forwarded* maps each keyword of
+    ``ExperimentConfig.protocol_params()`` to the ``self.<field>`` names
+    its value reads, since that method only forwards what the config was
+    set to."""
+    config_path = root / _PARAMETER_CLASSES["ExperimentConfig"]
+    direct, forwarded = set(), {}
+    paths = list((root / "src" / "repro").rglob("*.py"))
+    for folder in ("benchmarks", "examples", "scripts"):
+        paths.extend((root / folder).rglob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        inside = set()
+        if path == config_path:
+            (method,) = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "protocol_params"
+            ]
+            inside = {id(node) for node in ast.walk(method)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            for keyword in call.keywords:
+                name, value = keyword.arg, keyword.value
+                if name is None:
+                    continue
+                if id(call) in inside:
+                    forwarded.setdefault(name, []).append(
+                        {
+                            node.attr
+                            for node in ast.walk(value)
+                            if isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"
+                        }
+                    )
+                elif not (
+                    isinstance(value, ast.Attribute)
+                    and value.attr == name
+                    and isinstance(value.value, ast.Name)
+                    and value.value.id in ("config", "self")
+                ):
+                    direct.add(name)
+    return direct, forwarded
+
+
+def test_every_config_field_has_a_caller():
+    """A parameter field exists because some run sets it: a benchmark, an
+    example, a script or the CLI passes ``<field>=`` with a value of its
+    own.  ``ExperimentConfig.protocol_params()`` sets a ``ProtocolParams``
+    field only as far as the config fields it reads are set.  Table 1
+    parameters and the DHT tests' seams stay without a caller, marked at
+    their declaration; any other field only tests set is a module constant
+    at its reader."""
+    root = Path(__file__).resolve().parents[1]
+    fields = _declared_fields(root)
+    direct, forwarded = _keyword_setters(root)
+    config_set = {
+        field
+        for (cls, field), marked in fields.items()
+        if cls == "ExperimentConfig" and (marked or field in direct)
+    }
+    uncalled = sorted(
+        f"{cls}.{field}"
+        for (cls, field), marked in fields.items()
+        if not marked
+        and field not in direct
+        and not (
+            cls != "ExperimentConfig"
+            and any(reads <= config_set for reads in forwarded.get(field, ()))
+        )
+    )
+    assert uncalled == [], uncalled

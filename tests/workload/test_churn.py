@@ -44,7 +44,7 @@ def test_seed_online():
     sim = Simulator(seed=1)
     model = make_model(sim)
     model.seed_online(3)
-    assert model.is_online(3)
+    assert 3 in model._online
     assert model.online_count == 1
 
 
@@ -142,5 +142,5 @@ def test_departed_identity_goes_back_to_pool():
     model = make_model(sim, population=5, pool_factor=1.0)
     model.seed_online(0)
     sim.run(until=hours(24))
-    if not model.is_online(0):
+    if 0 not in model._online:
         assert model.online_count <= 5

@@ -90,19 +90,18 @@ class TestArrivalProfile:
             diurnal_amplitude=0.5,
             surges=(surge,),
         )
-        # Quarter period: diurnal at its crest, surge at its peak --
-        # the surge *adds* its excess on top of the diurnal factor.
-        t = hours(6)
-        assert profile.diurnal(t) == pytest.approx(1.5)
-        expected = 1.5 + (surge.intensity(t) - 1.0)
-        assert profile.multiplier(t) == pytest.approx(expected)
-        assert profile.rate_per_ms(t) == pytest.approx(
-            10.0 / 1000.0 * expected
-        )
+        # Quarter period: diurnal at its crest.  The surge *adds* its
+        # excess, intensity minus one, on top of the diurnal factor (the
+        # open loop sums the two per candidate).
+        assert profile.diurnal(hours(6)) == pytest.approx(1.5)
+        peak = surge.start_ms + surge.ramp_ms
+        for t in (hours(6), peak):
+            assert surge.excess(t) == pytest.approx(surge.intensity(t) - 1.0)
+        assert surge.excess(peak) > 0.0
 
     def test_flat_profile_multiplier_is_one(self):
         profile = ArrivalProfile(rate_qps=2.0)
-        assert profile.multiplier(hours(3)) == 1.0
+        assert profile.diurnal(hours(3)) == 1.0 and profile.surges == ()
 
 
 OPENLOOP_CONFIG = ExperimentConfig.scaled(
