@@ -640,14 +640,15 @@ class ChordNode:
 # PeerSim-style Chord simulations route.  The ack is what makes a hop
 # reliable: a previous hop that hears ``{"ok": False}`` or nothing within
 # ``rpc_timeout_ms`` purges the dead entry and reroutes through its next
-# best candidate, up to three handoffs (``forward_route``).  The positive
-# ack is the transport's ``ACK``: it settles the hop's RPC and calls
-# nobody, and on a fabric that cannot lose or delay it, it is not even an
-# event.  Only a route that runs out of handoffs, or whose result is lost,
-# is lost: the origin then retries the whole route after
-# ``recursive_timeout_ms`` (a deadline armed with ``Network.arm_deadline``,
-# so an attempt that finished in time never fires) and gives up after
-# ``recursive_retries`` attempts.
+# best candidate, up to three handoffs (``forward_route``, whose callbacks
+# are the methods of one slotted ``_Hop`` record).  The positive ack is the
+# transport's ``ACK``: it settles the hop's RPC and calls nobody; on a
+# fabric that cannot lose or delay it, it is not even an event, and a hop
+# answered in time never arms its deadline.  Only a route that runs out of
+# handoffs, or whose result is lost, is lost: the origin then retries the
+# whole route after ``recursive_timeout_ms`` (a deadline armed with
+# ``Network.arm_deadline``, so an attempt that finished in time never
+# fires) and gives up after ``recursive_retries`` attempts.
 #
 # Hosts keep one pending-callback table for all their Chord activity (a
 # host may run several logical nodes over its lifetime -- e.g. a Flower
@@ -702,7 +703,18 @@ def route_step(node: Optional["ChordNode"], host: NetworkNode, message: Message)
             hops=hops,
         )
         return ACK
-    forward_route(node, host, dict(payload, hops=hops + 1))
+    # The next hop's payload: a literal in the first hop's key order,
+    # cheaper than a ``dict(payload, hops=...)`` copy.
+    forward_route(
+        node,
+        host,
+        {
+            "key": key,
+            "origin": payload["origin"],
+            "nonce": payload["nonce"],
+            "hops": hops + 1,
+        },
+    )
     return ACK
 
 
@@ -728,30 +740,49 @@ def forward_route(
         nxt = successors[0] if successors else None
     if nxt is None or nxt.id == node.node_id:
         return
-
-    def on_ack(reply: Dict[str, Any]) -> None:
-        # Only a refusal gets here (the positive ack is the transport's
-        # ACK): the next hop answers but is not a ring member any more.
-        if not node.joined:
-            return
-        node.note_failed(nxt.id)
-        forward_route(node, host, payload, attempts - 1)
-
-    def on_timeout() -> None:
-        if not node.joined:
-            return  # shut down meanwhile: no table to repair, no reroute
-        node.note_failed(nxt.id)
-        host.sim.emit("chord.route_reroute", at=node.node_id, dead=nxt.id)
-        forward_route(node, host, payload, attempts - 1)
-
+    hop = _new_hop(_Hop)
+    hop.node = node
+    hop.host = host
+    hop.payload = payload
+    hop.attempts = attempts
+    hop.nxt = nxt
     host.rpc(
         nxt.address,
         "chord.route",
         payload,
-        on_reply=on_ack,
-        on_timeout=on_timeout,
-        timeout_ms=node.ring.params.rpc_timeout_ms,
+        hop.refused,
+        hop.timed_out,
+        node.ring.params.rpc_timeout_ms,
     )
+
+
+class _Hop:
+    """One handoff of a route to its next hop.  Its methods are the hop
+    RPC's callbacks, so a hop allocates one slotted record and no closure."""
+
+    __slots__ = ("node", "host", "payload", "attempts", "nxt")
+
+    def refused(self, reply: Dict[str, Any]) -> None:
+        # Only a refusal gets here (the positive ack is the transport's
+        # ACK): the next hop answers but is not a ring member any more.
+        node = self.node
+        if not node.joined:
+            return
+        node.note_failed(self.nxt.id)
+        forward_route(node, self.host, self.payload, self.attempts - 1)
+
+    def timed_out(self) -> None:
+        node = self.node
+        if not node.joined:
+            return  # shut down meanwhile: no table to repair, no reroute
+        dead = self.nxt.id
+        node.note_failed(dead)
+        self.host.sim.emit("chord.route_reroute", at=node.node_id, dead=dead)
+        forward_route(node, self.host, self.payload, self.attempts - 1)
+
+
+#: ``_Hop.__new__`` bound once: one hop record per forwarded hop.
+_new_hop = _Hop.__new__
 
 
 class _RecursiveLookup:
@@ -762,6 +793,20 @@ class _RecursiveLookup:
     :meth:`fire_timeout`): nothing refers back to it, and once it has
     finished its pending deadline is dropped without becoming an event.
     """
+
+    __slots__ = (
+        "node",
+        "key",
+        "on_done",
+        "start_address",
+        "started_at",
+        "attempts",
+        "settled",
+        "nonce",
+        "deadline",
+        "seq",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -779,37 +824,24 @@ class _RecursiveLookup:
         self.settled = False
         self.nonce: Optional[tuple] = None
 
-    # ------------------------------------------------------------ plumbing
-    def _next_nonce(self) -> tuple:
-        host = self.node.host
-        sequence = host._chord_nonce_seq + 1
-        host._chord_nonce_seq = sequence
-        return (host.address, sequence)
-
     # -------------------------------------------------------------- driving
     def begin(self) -> None:
         self.attempts += 1
-        node, host = self.node, self.node.host
-        self.nonce = self._next_nonce()
-        host._chord_pending_lookups[self.nonce] = self._on_result
+        node = self.node
+        host = node.host
+        # A fresh nonce per attempt, from the host's counter.
+        sequence = host._chord_nonce_seq + 1
+        host._chord_nonce_seq = sequence
+        nonce = self.nonce = (host.address, sequence)
+        host._chord_pending_lookups[nonce] = self._on_result
         host.network.arm_deadline(node.ring.params.recursive_timeout_ms, self)
-        payload = {
-            "key": self.key,
-            "origin": host.address,
-            "nonce": self.nonce,
-            "hops": 1,
-        }
+        key = self.key
+        payload = {"key": key, "origin": host.address, "nonce": nonce, "hops": 1}
         if self.start_address is not None and not node.joined:
             # Non-members hand the route to their bootstrap; no alternative
             # first hop exists, so a dead bootstrap surfaces as an attempt
             # timeout and, eventually, a failed lookup.
-            host.rpc(
-                self.start_address,
-                "chord.route",
-                payload,
-                on_reply=lambda reply: None,
-                on_timeout=lambda: None,
-            )
+            host.rpc(self.start_address, "chord.route", payload)
             return
         # First step runs locally: we are a ring member.
         successors = node.successors
@@ -817,7 +849,15 @@ class _RecursiveLookup:
         if succ is None:
             self._finish(None, 0)
             return
-        if node.space.in_half_open_right(self.key, node.node_id, succ.id):
+        node_id = node.node_id
+        succ_id = succ.id
+        # key in (node_id, succ_id] cyclically -- in_half_open_right
+        # inlined, as in route_step.
+        if (
+            node_id == succ_id
+            or (node_id < key <= succ_id)
+            or (node_id > succ_id and (key > node_id or key <= succ_id))
+        ):
             self._finish(succ, 0)
             return
         forward_route(node, host, payload)

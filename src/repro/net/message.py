@@ -26,7 +26,10 @@ class Message:
         kind: protocol-level message type (e.g. ``"gossip.shuffle"``).
         payload: protocol-owned content.
         sent_at: simulation time the message left the sender.
-        request_id: correlation id set by the RPC layer (None for one-way).
+        request_id: correlation id set by the RPC layer (None for one-way):
+            the sequence number an RPC reserves for its deadline.  An RPC's
+            request is a ``repro.net.transport._Request``, this envelope
+            plus the call's own state.
     """
 
     __slots__ = ("src", "dst", "kind", "payload", "sent_at", "request_id")

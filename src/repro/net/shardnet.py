@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigError, TransportError
 from repro.net.message import Message
 from repro.net.topology import ClusteredTopology
-from repro.net.transport import ADDR_SHIFT, DROPPED, Network, _RpcContext
+from repro.net.transport import ADDR_SHIFT, DROPPED, Network, _Request
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
 from repro.types import Address, Coordinate, LocalityId
@@ -267,8 +267,11 @@ class ShardedNetwork(Network):
     ``arrival`` is the virtual time the delivery event fired (request) or
     the reply would naturally land (reply); the scheduler floors it to the
     injection barrier.  ``token`` is ``(src_shard, serial)`` correlating a
-    cross-shard RPC to its pending context at the source, or None for
-    one-way messages.
+    cross-shard RPC to its pending request at the source, or None for
+    one-way messages.  The request itself waits in ``_pending_remote``
+    for its reply; its deadline was armed at send (the destination is not
+    in this shard's registry), so it fires locally unless a reply entry
+    settles the request first.
     """
 
     def __init__(
@@ -290,7 +293,7 @@ class ShardedNetwork(Network):
         self._placement_rng = sim.rng("placement")
         #: entries bound for other shards, drained at every barrier.
         self.outbox: List[tuple] = []
-        self._pending_remote: Dict[Tuple[int, int], _RpcContext] = {}
+        self._pending_remote: Dict[Tuple[int, int], _Request] = {}
         self._remote_serial = 0
         self.bus_entries_out = 0
 
@@ -324,20 +327,20 @@ class ShardedNetwork(Network):
         return address
 
     # -------------------------------------------------------------- delivery
-    def _deliver(self, message: Message, context: Optional[_RpcContext]) -> None:
+    def _deliver(self, message: Message) -> None:
         dst = message.dst
         if (dst >> BLOCK_BITS) == self.shard_id:
-            super()._deliver(message, context)
+            super()._deliver(message)
             return
         # Foreign shard: the link latency has already elapsed (this event
-        # fired at send + latency); ship the message over the bus.  The
-        # RPC timeout event stays local and fires unless a reply entry
-        # comes back and settles the context first.
+        # fired at send + latency); ship the message over the bus.  A
+        # request's deadline stays local and fires unless a reply entry
+        # comes back and settles the request first.
         token = None
-        if context is not None:
+        if message.request_id is not None:
             token = (self.shard_id, self._remote_serial)
             self._remote_serial += 1
-            self._pending_remote[token] = context
+            self._pending_remote[token] = message
         self.outbox.append(
             (
                 MSG,
@@ -375,7 +378,7 @@ class ShardedNetwork(Network):
         barrier later and cost an event the bus does not have.)"""
         __, __, __, dst, kind, payload, src, sent_at, token = entry
         message = Message(src, dst, kind, payload, sent_at=sent_at)
-        reply = super()._deliver(message, None)
+        reply = super()._deliver(message)
         if token is not None and reply is not DROPPED:
             self.messages_sent += 1
             self.outbox.append(
@@ -391,22 +394,22 @@ class ShardedNetwork(Network):
             self.bus_entries_out += 1
 
     def _apply_remote_reply(self, entry: tuple) -> None:
-        __, __, __, token, payload, replier = entry
-        context = self._pending_remote.pop(token, None)
-        if context is not None:  # else it timed out and was swept
-            self._deliver_reply(context, replier, payload)
+        __, __, __, token, payload, __ = entry
+        request = self._pending_remote.pop(token, None)
+        if request is not None:  # else it timed out and was swept
+            self._deliver_reply(request, payload)
 
     def sweep_settled(self) -> None:
-        """Drop pending cross-shard RPC contexts that have settled.
+        """Drop pending cross-shard requests that have settled.
 
-        A context settles either when its reply entry arrives or when its
+        A request settles either when its reply entry arrives or when its
         local timeout event fires; either way the map entry is dead weight.
         The window scheduler calls this at every barrier so never-answered
         RPCs (dead destination, dropped reply) do not accumulate.
         """
         pending = self._pending_remote
         if pending:
-            settled = [token for token, ctx in pending.items() if ctx.settled]
+            settled = [token for token, request in pending.items() if request.settled]
             for token in settled:
                 del pending[token]
 

@@ -10,6 +10,15 @@ This is where the simulation meets the "physical" network:
   have: *no reply within the timeout*.  All failure detection in the paper's
   maintenance protocols (section 5) is built on this.
 
+An RPC is one object, the request (:class:`_Request`): the envelope that
+travels also carries the caller, its callbacks and the deadline.  The
+deadline reserves its place in the event order at send but is an event
+only once its timeout can win: armed at send when the link is already as
+slow as the timeout or the request leaves this fabric, otherwise by the
+event that learns it (a drop, a reply due at or after the deadline, a
+caller down when the reply lands).  A call answered in time never arms
+its deadline at all.
+
 Protocol endpoints subclass :class:`NetworkNode` and implement handlers named
 ``handle_<kind>`` (dots in the kind become underscores).  A handler's return
 value becomes the RPC reply payload; a handler with nothing to say beyond
@@ -169,7 +178,7 @@ class NetworkNode:
         queue._seq = seq + 1
         heappush(
             queue._heap,
-            [now + latency, seq, network._deliver_cb, (message, None)],
+            [now + latency, seq, network._deliver_cb, (message,)],
         )
         live = queue._live + 1
         queue._live = live
@@ -208,21 +217,21 @@ class NetworkNode:
         sim = network.sim
         now = sim.now
         src_addr = self.address
-        # Message + context construction, inlined (__new__ + slot stores):
-        # two constructor frames per RPC are pure overhead at this rate.
-        message = _new_message(Message)
-        message.src = src_addr
-        message.dst = dst
-        message.kind = kind
-        message.payload = {} if payload is None else payload
-        message.sent_at = now
+        # The request is the call's state too: one envelope, built by
+        # __new__ + slot stores (a constructor frame per RPC is pure
+        # overhead at this rate).
+        request = _new_request(_Request)
+        request.src = src_addr
+        request.dst = dst
+        request.kind = kind
+        request.payload = {} if payload is None else payload
+        request.sent_at = now
+        request.caller = self
+        request.on_reply = on_reply
+        request.on_timeout = on_timeout
+        request.settled = False
         network.messages_sent += 1
         network.kind_counts[kind] += 1
-        context = _new_rpc_context(_RpcContext)
-        context.src = self
-        context.on_reply = on_reply
-        context.on_timeout = on_timeout
-        context.settled = False
         # Network._link_latency, inlined (int key, shift = ADDR_SHIFT).
         cache = network._latency_cache
         latency = cache.get((src_addr << 32) | dst)
@@ -234,19 +243,28 @@ class NetworkNode:
             latency = faults.latency_adjust(src_addr, dst, latency)
         # Two sequence numbers, exactly as a timeout defer followed by a
         # delivery defer would take them: the deadline owns the lower one,
-        # whether or not it ever becomes a heap entry.
-        network.arm_deadline(timeout_ms, context)
-        # The event sequence number doubles as the correlation id: it is
-        # unique per scheduled event, so per RPC, and already in hand.
-        message.request_id = context.seq
-        # sim.defer, inlined (one delivery event per request).
+        # whether or not it ever becomes a heap entry, and doubles as the
+        # correlation id (unique per scheduled event, so per RPC).  The
+        # deadline enters its FIFO now only if the timeout can already win,
+        # or if the request leaves this fabric (another shard answers it);
+        # otherwise the event that learns the timeout can win arms it (see
+        # Network._arm), and a request answered in time never is.
         queue = sim._queue
+        deadline = now + timeout_ms
+        if now + latency >= deadline or dst not in network._nodes:
+            network.arm_deadline(timeout_ms, request)
+            request.armed = True
+            request.request_id = request.seq
+        else:
+            seq = queue._seq
+            queue._seq = seq + 1
+            request.deadline = deadline
+            request.seq = request.request_id = seq
+            request.armed = False
+        # sim.defer, inlined (one delivery event per request).
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(
-            queue._heap,
-            [now + latency, seq, network._deliver_cb, (message, context)],
-        )
+        heappush(queue._heap, [now + latency, seq, network._deliver_cb, (request,)])
         live = queue._live + 1
         queue._live = live
         if live > queue._peak:
@@ -351,9 +369,10 @@ class Network:
         self._deliver_cb = self._deliver
         self._deliver_reply_cb = self._deliver_reply
         self._fire_timeouts_cb = self._fire_timeouts
-        #: timeout value -> records awaiting that timeout (RPC contexts,
-        #: lookup attempts), in deadline order; each non-empty FIFO has
-        #: exactly one heap entry, for its head (see :meth:`arm_deadline`).
+        #: timeout value -> records awaiting that timeout (RPC requests
+        #: armed at send, lookup attempts), in deadline order; each
+        #: non-empty FIFO has exactly one heap entry, for its head (see
+        #: :meth:`arm_deadline`).
         self._timeout_fifos: Dict[float, Deque[Any]] = {}
         #: bumped on every write of a node's ``alive`` flag (registration,
         #: :meth:`NetworkNode.fail`, :meth:`NetworkNode.revive`), so a
@@ -493,15 +512,18 @@ class Network:
             return "loss"
         return None
 
-    def _deliver(self, message: Message, context: Optional["_RpcContext"]) -> Any:
+    def _deliver(self, message: Message) -> Any:
         """The delivery event of a request or one-way message.  Returns the
         handler's reply (possibly ``None``) or :data:`DROPPED` -- read only
         by the sharded fabric, which answers a request that came in over
-        the bus with an outbox entry, not the reply event a *context* gets."""
+        the bus with an outbox entry, not the reply event a local
+        :class:`_Request` gets."""
         dst = message.dst
         dst_node = self._nodes.get(dst)
         if dst_node is None or not dst_node.alive:
             self._drop("dead_dst", message.kind, dst)
+            if message.request_id is not None and not message.armed:
+                self._arm(message)
             return DROPPED
         faults = self.faults
         if (
@@ -510,6 +532,8 @@ class Network:
             cause = self._delivery_drop_cause(message.src, dst)
             if cause is not None:
                 self._drop(cause, message.kind, dst)
+                if message.request_id is not None and not message.armed:
+                    self._arm(message)
                 return DROPPED
         # Cache-first dispatch: a node's ``_handler_cache`` only ever holds
         # handlers whose invocation is behaviourally identical to running the
@@ -518,7 +542,7 @@ class Network:
         # wrappers), so a hit here skips one Python frame per delivery.
         handler = dst_node._handler_cache.get(message.kind)
         reply = dst_node.on_message(message) if handler is None else handler(message)
-        if context is not None:
+        if message.request_id is not None:
             self.messages_sent += 1
             src = message.src
             # Network._link_latency, inlined (int key, shift = ADDR_SHIFT).
@@ -529,22 +553,25 @@ class Network:
                 cache[(dst << 32) | src] = latency
             sim = self.sim
             now = sim.now
+            arrival = now + latency
             faults = self.faults
             if faults is not None:
                 if now >= faults.calm_until:
-                    latency = faults.latency_adjust(dst, src, latency)
+                    arrival = now + faults.latency_adjust(dst, src, latency)
             elif (
                 reply is ACK
                 and self._drop_rate == 0.0
-                and now + latency < context.deadline
+                and arrival < message.deadline
             ):
                 # Nothing can drop, delay or outrun this ack (a tie with
                 # the deadline would lose to the timeout's lower sequence
                 # number, hence strict), and nobody listens for it: settle
                 # here and spend no reply event.
-                context.settled = True
-                context.src = context.on_reply = context.on_timeout = None
+                message.settled = True
+                message.caller = message.on_reply = message.on_timeout = None
                 return reply
+            if arrival >= message.deadline and not message.armed:
+                self._arm(message)  # the reply would arrive too late
             # sim.defer, inlined (one reply event per answered RPC).
             queue = sim._queue
             seq = queue._seq
@@ -552,10 +579,10 @@ class Network:
             heappush(
                 queue._heap,
                 [
-                    now + latency,
+                    arrival,
                     seq,
                     self._deliver_reply_cb,
-                    (context, dst, reply if reply is not None else {}),
+                    (message, reply if reply is not None else {}),
                 ],
             )
             live = queue._live + 1
@@ -564,12 +591,7 @@ class Network:
                 queue._peak = live
         return reply
 
-    def _deliver_reply(
-        self,
-        context: "_RpcContext",
-        replier: Address,
-        payload: Dict[str, Any],
-    ) -> None:
+    def _deliver_reply(self, request: "_Request", payload: Dict[str, Any]) -> None:
         # Same fast-path guard as request delivery: with no fault window
         # open and no configured loss, a reply cannot be dropped, so skip
         # the cause computation entirely (one reply per answered RPC).
@@ -577,27 +599,56 @@ class Network:
         if (
             faults is not None and self.sim.now >= faults.calm_until
         ) or self._drop_rate > 0.0:
-            cause = self._delivery_drop_cause(replier, context.src.address)
+            cause = self._delivery_drop_cause(request.dst, request.src)
             if cause is not None:
-                self._drop(cause, "(reply)", context.src.address)
+                self._drop(cause, "(reply)", request.src)
+                if not request.armed:
+                    self._arm(request)
                 return
         # Settle by reply, inline: this is the tail of every answered RPC.
-        if context.settled or not context.src.alive:
+        if request.settled:
             return
-        context.settled = True
-        on_reply = context.on_reply
-        context.src = context.on_reply = context.on_timeout = None
+        if not request.caller.alive:
+            # A caller revived before the deadline still hears its timeout.
+            if not request.armed:
+                self._arm(request)
+            return
+        request.settled = True
+        on_reply = request.on_reply
+        request.caller = request.on_reply = request.on_timeout = None
         if on_reply is not None and payload is not ACK:
             on_reply(payload)
+
+    def _arm(self, request: "_Request") -> None:
+        """Make *request*'s deadline the heap entry it reserved at send.
+
+        Called by the event that learns the timeout can win: the request
+        or its reply was dropped, the reply would arrive at or after the
+        deadline, or the caller was down when it arrived.  That event runs
+        before the deadline, and nothing can settle the request in
+        between, so the entry calls ``fire_timeout`` unconditionally -- at
+        exactly the ``(deadline, seq)`` an eagerly armed deadline has.
+        """
+        request.armed = True
+        queue = self.sim._queue
+        heappush(
+            queue._heap,
+            [request.deadline, request.seq, _Request.fire_timeout, (request,)],
+        )
+        live = queue._live + 1
+        queue._live = live
+        if live > queue._peak:
+            queue._peak = live
 
     def arm_deadline(self, timeout_ms: float, record: Any) -> None:
         """Give *record* a deadline *timeout_ms* from now.
 
         *record* is anything with ``settled`` / ``deadline`` / ``seq``
-        attributes and a ``fire_timeout()`` method (an RPC context, a
-        lookup attempt).  It takes one sequence number, as ``sim.defer``
-        would, and unless it is ``settled`` by then its ``fire_timeout()``
-        runs at exactly that ``(deadline, seq)`` -- but it is not an event
+        attributes and a ``fire_timeout()`` method (an RPC request armed
+        at send, a lookup attempt).  It takes one sequence number, as
+        ``sim.defer`` would, and unless it is ``settled`` by then its
+        ``fire_timeout()`` runs at exactly that ``(deadline, seq)`` -- but
+        it is not an event
         of its own: ``now`` is monotone, so deadlines of one timeout value
         are FIFO, only the head of each FIFO holds a heap entry, and a
         record settled while it waits behind that head never costs an
@@ -650,34 +701,38 @@ class Network:
             record.fire_timeout()
 
 
-class _RpcContext:
-    """Correlates one RPC's reply and timeout; whichever fires first wins
-    (:meth:`Network._deliver_reply` settles by reply, :meth:`Network._deliver`
-    by an :data:`ACK` that needs no reply event, :meth:`fire_timeout` by
-    timeout; :meth:`NetworkNode.rpc` and :meth:`Network.arm_deadline` fill
-    the slots).
+class _Request(Message):
+    """One RPC in flight: the request envelope is also the call's state.
 
-    Settling releases the callbacks at once: a context answered early
-    stays in its timeout FIFO until the deadline passes, and must not keep
-    the caller's closures (and whatever they capture) alive that long.
+    It correlates the reply and the timeout; whichever comes first wins
+    (:meth:`Network._deliver_reply` settles by reply,
+    :meth:`Network._deliver` by an :data:`ACK` that needs no reply event,
+    :meth:`fire_timeout` by timeout).  :meth:`NetworkNode.rpc` fills the
+    slots; ``deadline`` and ``seq`` are reserved at send, and ``armed``
+    says whether the deadline is already pending, in a timeout FIFO
+    (:meth:`Network.arm_deadline`) or as a heap entry (:meth:`Network._arm`).
+    A request answered in time is never armed at all.
+
+    Settling releases the caller and its callbacks at once: an eagerly
+    armed request answered early stays in its timeout FIFO until the
+    deadline passes, and must not keep the caller's closures (and
+    whatever they capture) alive that long.
     """
 
-    __slots__ = ("src", "on_reply", "on_timeout", "settled", "deadline", "seq")
+    __slots__ = ("caller", "on_reply", "on_timeout", "settled", "deadline", "seq", "armed")
 
     def fire_timeout(self) -> None:
-        if not self.src.alive:
+        if not self.caller.alive:
             return
         self.settled = True
         on_timeout = self.on_timeout
-        # ``src`` stays: a reply that arrives late still needs the source
-        # address for its fault-model drop check before it is discarded.
-        self.on_reply = self.on_timeout = None
+        self.caller = self.on_reply = self.on_timeout = None
         if on_timeout is not None:
             on_timeout()
 
 
-#: ``_RpcContext.__new__`` bound once -- see ``_new_message`` above.
-_new_rpc_context = _RpcContext.__new__
+#: ``_Request.__new__`` bound once -- see ``_new_message`` above.
+_new_request = _Request.__new__
 
 
 class _RetryingRpc:
@@ -686,7 +741,7 @@ class _RetryingRpc:
     Attempts are sequential, so one record serves the whole call and its
     methods are the attempt and timeout callbacks.  Nothing here refers to
     itself: the only references to the record are the pending attempt's
-    RPC context (``on_timeout``) or the backoff event, so the moment the
+    request (``on_timeout``) or the backoff event, so the moment the
     reply is delivered or the budget is spent the record -- and with it
     the caller's callbacks, the payload and whatever they capture -- is
     freed by refcount, never by the cyclic collector.

@@ -179,7 +179,7 @@ def test_on_message_and_delivery_reach_the_same_handler(system_cls):
         peer._handler_cache[kind] = spy
         message = _message(STALE, peer, kind, key=0, nonce=0, contacts=[])
         reply = peer.on_message(message)
-        world.network._deliver(message, None)
+        world.network._deliver(message)
         assert seen == [message, message], kind
         if kind in ROLE_LESS_REPLIES:
             assert reply == ROLE_LESS_REPLIES[kind], kind

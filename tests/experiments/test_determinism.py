@@ -41,6 +41,8 @@ from repro.sim.clock import hours, minutes
 from repro.sim.trace import StreamFingerprint
 from repro.workload.churn import ChurnSurgeSpec
 
+from tests.conftest import arm_every_deadline_at_send
+
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
 #: Re-derived when the query-lifecycle ledger landed: ``cdn.query_done``
 #: now carries the object key (the chaos auditor matches completions to
@@ -545,14 +547,17 @@ def test_tracing_does_not_change_results(protocol):
     assert traced_hit == quiet_hit
 
 
-def _run_observed(protocol, config, seed, acks_travel):
+def _run_observed(protocol, config, seed, acks_travel=False, arm_at_send=False):
     """Everything a run shows of itself except its event count -- and that
     count.  With *acks_travel* an empty fault controller is installed: no
     window ever opens, but a reply may now fail to arrive, so every ACK
-    takes the wire as an event of its own."""
+    takes the wire as an event of its own.  With *arm_at_send* every RPC
+    deadline enters its FIFO at send instead of being armed lazily."""
     world = build_world(protocol, config, seed)
     if acks_travel:
         FaultController(world.sim, world.network)
+    if arm_at_send:
+        arm_every_deadline_at_send(world.network)
     fingerprint = StreamFingerprint(world.sim.trace)
     world.run()
     network = world.network
@@ -599,3 +604,55 @@ def test_an_elided_ack_and_a_travelling_ack_run_the_same_world(
     wired, wired_events = _run_observed(protocol, config, seed, acks_travel=True)
     assert bare == wired
     assert bare_events < wired_events
+
+
+#: Fault planes for the arming oracle, each reaching other arming triggers:
+#: churn alone drops requests at dead destinations; loss drops requests and
+#: replies; the windows cut links and stretch some past their timeout.
+ARMING_FAULTS = {
+    "churn only": {},
+    "loss": {"message_loss_rate": 0.05},
+    "windows": {
+        "fault_schedule": (
+            PartitionSpec(locality=0, start_ms=minutes(10), heal_ms=minutes(20)),
+            LatencySpikeSpec(
+                start_ms=minutes(15), end_ms=minutes(25), multiplier=4.0, additive_ms=600.0
+            ),
+        )
+    },
+}
+
+
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None)
+@given(
+    protocol=st.sampled_from(["flower", "petalup", "squirrel"]),
+    population=st.integers(30, 100),
+    quarter_hours=st.integers(2, 8),
+    num_localities=st.integers(1, 3),
+    mean_uptime_min=st.sampled_from([10.0, 30.0, 60.0]),
+    faults=st.sampled_from(sorted(ARMING_FAULTS)),
+    seed=st.integers(0, 2**16),
+)
+def test_a_lazily_armed_and_an_eagerly_armed_deadline_run_the_same_world(
+    protocol, population, quarter_hours, num_localities, mean_uptime_min, faults, seed
+):
+    """The oracle of lazy arming is the fabric that arms every deadline at
+    send: the same world both ways emits the same trace stream, sends,
+    counts and drops the same messages and records the same queries.
+    Only the event count (and the peak of pending events) may differ, and
+    lazy arming never spends more events."""
+    config = ExperimentConfig.scaled(
+        population=population,
+        duration_hours=quarter_hours / 4,
+        num_websites=4,
+        num_active_websites=2,
+        num_localities=num_localities,
+        objects_per_website=30,
+        mean_uptime_min=mean_uptime_min,
+        **ARMING_FAULTS[faults],
+    )
+    lazy, lazy_events = _run_observed(protocol, config, seed)
+    eager, eager_events = _run_observed(protocol, config, seed, arm_at_send=True)
+    assert lazy == eager
+    assert lazy_events <= eager_events

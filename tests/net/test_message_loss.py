@@ -379,8 +379,9 @@ def test_retry_survives_a_lost_ack_without_a_word_to_on_reply():
 def test_a_finished_call_is_freed_by_refcount(refcount_only, answered):
     """Nothing of a retrying call refers to itself: the retry record, the
     caller's callbacks and whatever they capture are gone the moment the
-    reply is delivered or the budget is spent -- with the collector off,
-    and while the answered RPC's context still waits out its deadline."""
+    reply is delivered or the budget is spent -- with the collector off.
+    The answered attempt's deadline was never armed, so nothing of the
+    call is left pending either."""
     sim, network, a, b = make_pair()
     if not answered:
         b.fail()
@@ -409,7 +410,7 @@ def test_a_finished_call_is_freed_by_refcount(refcount_only, answered):
     assert all(ref() is not None for ref in refs)
     if answered:
         sim.run(until=25.0)  # the reply lands at 20, the deadline is 100
-        assert network._timeout_fifos[100.0]
+        assert sim.pending_events == 0
     else:
         sim.run()
     assert outcomes == (["reply"] if answered else ["give_up"])

@@ -1,13 +1,18 @@
 """Unit tests for the message transport: latency, liveness, RPC timeouts."""
 
+import random
+
 import pytest
 
 from repro.errors import TopologyError, TransportError
-from repro.net.faults import FaultController
+from repro.net.faults import FaultController, LatencySpikeSpec
 from repro.net.message import Message
+from repro.net.shardnet import ShardedNetwork, ShardedTopology, ShardMap, drain_outbox
 from repro.net.topology import ExplicitTopology
-from repro.net.transport import ACK, Network, NetworkNode
+from repro.net.transport import ACK, Network, NetworkNode, _Request
 from repro.sim.engine import Simulator
+
+from tests.conftest import arm_every_deadline_at_send
 
 
 MATRIX = [
@@ -20,8 +25,8 @@ MATRIX = [
 class Echo(NetworkNode):
     """Test node: records pings, echoes RPCs back."""
 
-    def __init__(self, network):
-        super().__init__(network)
+    def __init__(self, network, cluster_hint=None):
+        super().__init__(network, cluster_hint)
         self.pings = []
 
     def handle_ping(self, message):
@@ -215,16 +220,27 @@ def test_message_repr_and_dataclass():
 
 
 # ---------------------------------------------------------------------------
-# Deadline FIFOs: one armed heap entry per distinct timeout value, each
-# timeout still firing at the (deadline, seq) its RPC reserved.
+# Deadlines: each timeout fires at the (deadline, seq) its RPC reserved.  A
+# deadline that can win from the start waits in a FIFO per timeout value,
+# with one armed heap entry per FIFO; any other becomes a heap entry only
+# once some event learns that its timeout can win.
 # ---------------------------------------------------------------------------
 
 
 def armed_timeout_entries(sim, network):
-    """Heap entries that are timeout events (live ones only)."""
+    """Heap entries that are timeout events: FIFO heads and lazily armed
+    requests (live entries only)."""
     return sum(
-        1 for entry in sim._queue._heap if entry[2] == network._fire_timeouts_cb
+        1
+        for entry in sim._queue._heap
+        if entry[2] == network._fire_timeouts_cb or entry[2] is _Request.fire_timeout
     )
+
+
+#: A link of ``MATRIX`` (node 0 -> node 2) as long as the timeout below:
+#: a request on it lands exactly at its deadline, so its timeout can win
+#: from the start and it is armed in its FIFO at send.
+EAGER_TIMEOUT_MS = 250.0
 
 
 def test_interleaved_timeout_values_fire_in_deadline_then_seq_order():
@@ -261,55 +277,58 @@ def test_interleaved_timeout_values_fire_in_deadline_then_seq_order():
 
 def test_timeout_callback_issuing_same_timeout_rpc_keeps_one_armed_entry():
     sim, network, nodes = make_network()
-    nodes[1].fail()
+    nodes[2].fail()
     fired = []
     armed = []
+
+    def eager(on_timeout):
+        nodes[0].rpc(2, "ping", on_timeout=on_timeout, timeout_ms=EAGER_TIMEOUT_MS)
 
     def follow_up():
         fired.append(("follow-up", sim.now))
 
     def first():
         fired.append(("first", sim.now))
-        nodes[0].rpc(1, "ping", on_timeout=follow_up, timeout_ms=300.0)
+        eager(follow_up)
         armed.append(armed_timeout_entries(sim, network))
 
-    nodes[0].rpc(1, "ping", on_timeout=first, timeout_ms=300.0)
-    sim.schedule(
-        100.0,
-        lambda: nodes[0].rpc(
-            1,
-            "ping",
-            on_timeout=lambda: fired.append(("second", sim.now)),
-            timeout_ms=300.0,
-        ),
-    )
-    sim.run(until=350.0)
-    # "first" fired with "second" (deadline 400) waiting: the entry was
+    eager(first)
+    sim.schedule(100.0, eager, lambda: fired.append(("second", sim.now)))
+    sim.run(until=300.0)
+    # "first" fired with "second" (deadline 350) waiting: the entry was
     # re-armed for it before the callback ran, so the callback's own RPC
-    # (deadline 600) queued behind it without arming a second one.
+    # (deadline 500) queued behind it without arming a second one.
     assert armed == [1]
     assert armed_timeout_entries(sim, network) == 1
+    assert len(network._timeout_fifos[EAGER_TIMEOUT_MS]) == 2
     sim.run()
-    assert fired == [("first", 300.0), ("second", 400.0), ("follow-up", 600.0)]
+    assert fired == [("first", 250.0), ("second", 350.0), ("follow-up", 500.0)]
     assert armed_timeout_entries(sim, network) == 0
+    # 3 deliveries to the dead node (each at its deadline, ranked after
+    # it) + the scheduled call + 3 timeouts.
+    assert sim.events_executed == 3 + 1 + 3
 
 
 def test_timeout_callback_rearms_an_emptied_fifo():
     sim, network, nodes = make_network()
-    nodes[1].fail()
+    nodes[2].fail()
     fired = []
 
     def first():
-        nodes[0].rpc(1, "ping", on_timeout=lambda: fired.append(sim.now))
+        nodes[0].rpc(
+            2, "ping", on_timeout=lambda: fired.append(sim.now),
+            timeout_ms=EAGER_TIMEOUT_MS,
+        )
 
-    nodes[0].rpc(1, "ping", on_timeout=first)
-    sim.run(until=1500.0)
+    nodes[0].rpc(2, "ping", on_timeout=first, timeout_ms=EAGER_TIMEOUT_MS)
+    sim.run(until=400.0)
     assert armed_timeout_entries(sim, network) == 1
+    assert len(network._timeout_fifos[EAGER_TIMEOUT_MS]) == 1
     sim.run()
-    assert fired == [2000.0]
+    assert fired == [500.0]
 
 
-def test_answered_rpcs_leave_one_pending_event_not_one_each():
+def test_answered_rpcs_arm_no_deadline():
     sim, network, nodes = make_network()
     outcomes = []
     for __ in range(50):
@@ -319,16 +338,16 @@ def test_answered_rpcs_leave_one_pending_event_not_one_each():
             on_reply=lambda p: outcomes.append("reply"),
             on_timeout=lambda: outcomes.append("timeout"),
         )
-    assert sim.pending_events == 50 + 1   # deliveries + one armed timeout
+    assert sim.pending_events == 50       # deliveries only
     sim.run(until=250.0)                  # every reply landed at t=200
     assert outcomes == ["reply"] * 50
-    assert sim.pending_events == 1
+    assert sim.pending_events == 0
     sim.run()
     assert outcomes == ["reply"] * 50
-    # 50 deliveries + 50 replies + the single timeout entry, which found
-    # only settled contexts behind it and armed nothing.
-    assert sim.events_executed == 101
-    assert not network._timeout_fifos[1000.0]
+    # 50 deliveries + 50 replies: no deadline was ever an event, nor
+    # waited in a FIFO.
+    assert sim.events_executed == 100
+    assert not network._timeout_fifos
 
 
 def test_dead_source_timeout_stays_suppressed_and_does_not_block_the_fifo():
@@ -345,10 +364,25 @@ def test_dead_source_timeout_stays_suppressed_and_does_not_block_the_fifo():
     assert outcomes == [1050.0]
 
 
-def test_reply_releases_the_callbacks_before_the_deadline():
+def two_shards():
+    """Two one-locality shards with one ``Echo`` node each; tests drive the
+    bus between them by hand, as the window scheduler would."""
+    smap = ShardMap(num_shards=2, num_localities=2, num_websites=1)
+    sims = [Simulator(seed=7) for __ in range(2)]
+    networks = [
+        ShardedNetwork(sims[shard], ShardedTopology(smap, topology_seed=7), smap, shard)
+        for shard in range(2)
+    ]
+    nodes = [Echo(networks[shard], cluster_hint=shard) for shard in range(2)]
+    return sims, networks, nodes
+
+
+def test_reply_releases_the_callbacks_before_the_deadline(refcount_only):
+    """A request that leaves its shard is armed at send: it still waits in
+    its deadline FIFO after the reply entry settled it, holding nothing."""
     import weakref
 
-    sim, network, nodes = make_network()
+    sims, networks, nodes = two_shards()
 
     def on_reply(payload):
         pass
@@ -357,11 +391,189 @@ def test_reply_releases_the_callbacks_before_the_deadline():
         pass
 
     released = [weakref.ref(on_reply), weakref.ref(on_timeout)]
-    nodes[0].rpc(1, "ping", on_reply=on_reply, on_timeout=on_timeout)
+    nodes[0].rpc(nodes[1].address, "ping", on_reply=on_reply, on_timeout=on_timeout)
     del on_reply, on_timeout
-    sim.run(until=250.0)  # reply delivered at 200; the deadline is 1000
-    assert len(network._timeout_fifos[1000.0]) == 1  # still queued ...
+    sims[0].run(until=600.0)  # the link latency is at most 500 ms
+    requests = drain_outbox(networks[0])
+    sims[1].run(until=600.0)
+    networks[1].inject_entries(requests, 600.0)
+    sims[1].run(until=601.0)
+    replies = drain_outbox(networks[1])
+    networks[0].inject_entries(replies, 600.0)
+    sims[0].run(until=1200.0)  # the reply settled it; the deadline is 2000
+    assert len(nodes[1].pings) == 1
+    assert len(networks[0]._timeout_fifos[2000.0]) == 1  # still queued ...
     assert [ref() for ref in released] == [None, None]  # ... holding nothing
+
+
+# ---------------------------------------------------------------------------
+# Lazy arming: every event that learns a timeout can win arms it, at the
+# (deadline, seq) its RPC reserved -- the rank an eagerly armed deadline has.
+# ---------------------------------------------------------------------------
+
+
+class PricesAnyAddress(ExplicitTopology):
+    """``ExplicitTopology`` that prices links to unregistered addresses
+    too, so a request can be sent to an address no node holds."""
+
+    def latency(self, a, b):
+        return self._matrix[a][b]
+
+
+#: ``MATRIX`` plus address 3, which no node registers.
+MATRIX_4 = [row + [300.0] for row in MATRIX] + [[300.0, 300.0, 300.0, 0.0]]
+
+
+def fail_at(when, node_index):
+    def setup(sim, network, nodes):
+        sim.schedule_at(when, nodes[node_index].fail)
+
+    return setup
+
+
+def down_between(fail_ms, revive_ms):
+    def setup(sim, network, nodes):
+        sim.schedule_at(fail_ms, nodes[0].fail)
+        sim.schedule_at(revive_ms, nodes[0].revive)
+
+    return setup
+
+
+def partition_window(start_ms, heal_ms):
+    def setup(sim, network, nodes):
+        FaultController(sim, network).schedule_partition(
+            start_ms, heal_ms, group=frozenset({0})
+        )
+
+    return setup
+
+
+def certain_loss(sim, network, nodes):
+    network.configure_loss(1.0, random.Random(1))
+
+
+def spike_to_the_timeout(sim, network, nodes):
+    # Link 0 -> 1 is 100 ms; +900 ms makes it exactly the 1000 ms timeout.
+    FaultController(sim, network).schedule_latency_spike(
+        LatencySpikeSpec(0.0, 500.0, additive_ms=900.0)
+    )
+
+
+def single_fabric(setup, dst, timeout_ms):
+    """Node 0 sends one RPC at t=0 after *setup*; two markers share its
+    deadline instant, scheduled just before and just after the send."""
+
+    def run(eager):
+        sim = Simulator(seed=1)
+        network = Network(sim, PricesAnyAddress(MATRIX_4), default_timeout_ms=1000.0)
+        nodes = [Echo(network) for _ in range(3)]
+        if eager:
+            arm_every_deadline_at_send(network)
+        if setup is not None:
+            setup(sim, network, nodes)
+        log = []
+        sim.schedule_at(timeout_ms, log.append, ("before", timeout_ms))
+        nodes[0].rpc(
+            dst,
+            "ping",
+            on_reply=lambda p: log.append(("reply", sim.now)),
+            on_timeout=lambda: log.append(("timeout", sim.now)),
+            timeout_ms=timeout_ms,
+        )
+        sim.schedule_at(timeout_ms, log.append, ("after", timeout_ms))
+        sim.run()
+        return log, network
+
+    return run
+
+
+def cross_shard(eager):
+    """Node 0 of shard 0 asks the dead node of shard 1: no reply entry ever
+    comes back over the bus."""
+    sims, networks, nodes = two_shards()
+    nodes[1].fail()
+    if eager:
+        arm_every_deadline_at_send(networks[0])
+    sim, log = sims[0], []
+    deadline = networks[0].default_timeout_ms
+    sim.schedule_at(deadline, log.append, ("before", deadline))
+    nodes[0].rpc(
+        nodes[1].address,
+        "ping",
+        on_reply=lambda p: log.append(("reply", sim.now)),
+        on_timeout=lambda: log.append(("timeout", sim.now)),
+    )
+    sim.schedule_at(deadline, log.append, ("after", deadline))
+    sim.run(until=600.0)  # the link latency is at most 500 ms
+    entries = drain_outbox(networks[0])
+    sims[1].run(until=600.0)
+    networks[1].inject_entries(entries, 600.0)
+    sims[1].run()
+    assert not drain_outbox(networks[1])  # dropped: no reply entry
+    sim.run()
+    return log, networks[0]
+
+
+def timed_out_at(deadline):
+    return [("before", deadline), ("timeout", deadline), ("after", deadline)]
+
+
+#: case -> (world, whether the deadline enters its FIFO at send, the log).
+ARMING_TRIGGERS = {
+    "dead destination": (
+        single_fabric(fail_at(0.0, 1), 1, 1000.0), False, timed_out_at(1000.0)
+    ),
+    "unknown destination": (
+        single_fabric(None, 3, 1000.0), True, timed_out_at(1000.0)
+    ),
+    "partition cut": (
+        single_fabric(partition_window(50.0, 150.0), 1, 1000.0),
+        False,
+        timed_out_at(1000.0),
+    ),
+    "loss": (single_fabric(certain_loss, 1, 1000.0), False, timed_out_at(1000.0)),
+    "latency spike to the timeout": (
+        single_fabric(spike_to_the_timeout, 1, 1000.0), True, timed_out_at(1000.0)
+    ),
+    "reply after the deadline": (
+        single_fabric(None, 1, 150.0), False, timed_out_at(150.0)
+    ),
+    "reply at the deadline": (
+        single_fabric(None, 1, 200.0), False, timed_out_at(200.0)
+    ),
+    "dropped reply": (
+        single_fabric(partition_window(150.0, 500.0), 1, 1000.0),
+        False,
+        timed_out_at(1000.0),
+    ),
+    "caller down at the reply, revived in time": (
+        single_fabric(down_between(150.0, 500.0), 1, 1000.0),
+        False,
+        timed_out_at(1000.0),
+    ),
+    "caller down through the deadline": (
+        single_fabric(fail_at(150.0, 0), 1, 1000.0),
+        False,
+        [("before", 1000.0), ("after", 1000.0)],
+    ),
+    "cross-shard request": (cross_shard, True, timed_out_at(2000.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(ARMING_TRIGGERS))
+def test_a_deadline_fires_where_an_eagerly_armed_one_would(case):
+    """The timeout fires at its deadline, between the marker scheduled just
+    before the send and the one just after -- the rank its reserved
+    sequence number gives it -- exactly as in the same world with every
+    deadline armed at send.  Arming under a sequence number taken later
+    would run it after the second marker."""
+    world, at_send, expected = ARMING_TRIGGERS[case]
+    lazy_log, network = world(eager=False)
+    eager_log, __ = world(eager=True)
+    assert lazy_log == eager_log == expected
+    # Only a timeout that can win from the start, or a request that leaves
+    # the fabric, ever enters a FIFO; every other one is armed late.
+    assert bool(network._timeout_fifos) is at_send
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +623,7 @@ def probe(sim, node, outcomes, **kwargs):
     )
 
 
-def test_answered_ack_rpc_is_one_event_and_leaves_one_armed_entry():
+def test_answered_ack_rpc_is_one_event_and_arms_no_deadline():
     sim, network, nodes = make_ack_network()
     outcomes = []
     for __ in range(5):
@@ -421,13 +633,11 @@ def test_answered_ack_rpc_is_one_event_and_leaves_one_armed_entry():
     assert outcomes == []
     assert network.messages_sent == 10        # the acks are still counted
     assert sim.events_executed == 5           # ... but only requests ran
-    assert sim.pending_events == 1
-    assert armed_timeout_entries(sim, network) == 1
+    assert sim.pending_events == 0            # ... and no deadline waits
     sim.run()
-    # The armed entry found five settled contexts and armed nothing.
-    assert sim.events_executed == 6
+    assert sim.events_executed == 5
     assert outcomes == []
-    assert not network._timeout_fifos[1000.0]
+    assert not network._timeout_fifos
 
 
 @pytest.mark.parametrize(
@@ -469,8 +679,9 @@ def test_travelling_ack_can_be_lost_to_an_installed_fault_window():
 @pytest.mark.parametrize(
     "timeout_ms, events, expected",
     [
-        # The ack would land at t=200, before the deadline: elided.
-        (200.5, 2, []),
+        # The ack would land at t=200, before the deadline: elided, and
+        # the deadline is never armed.
+        (200.5, 1, []),
         # It would tie with the deadline, and the timeout owns the lower
         # sequence number: the ack travels and arrives too late.
         (200.0, 3, [("timeout", 200.0)]),
@@ -485,7 +696,8 @@ def test_ack_due_at_or_after_the_deadline_travels_and_loses(
     probe(sim, nodes[0], outcomes, timeout_ms=timeout_ms)
     sim.run()
     assert outcomes == expected
-    # request + armed timeout entry (+ the travelling ack)
+    # request (+ the deadline, armed when the ack was found to be too
+    # late, + the travelling ack)
     assert sim.events_executed == events
 
 
@@ -504,8 +716,8 @@ def test_elided_ack_releases_the_callbacks_at_delivery(refcount_only):
     nodes[0].rpc(1, "probe", on_reply=on_reply, on_timeout=on_timeout)
     del on_reply, on_timeout
     sim.run(until=150.0)  # the request landed at 100; the deadline is 1000
-    assert len(network._timeout_fifos[1000.0]) == 1  # still queued ...
-    assert [ref() for ref in released] == [None, None]  # ... holding nothing
+    assert sim.pending_events == 0  # the deadline was never armed ...
+    assert [ref() for ref in released] == [None, None]  # ... and nothing is held
 
 
 # ---------------------------------------------------------------------------

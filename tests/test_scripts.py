@@ -79,3 +79,46 @@ def test_render_experiments_with_one_pair(tmp_path, monkeypatch, capsys):
     assert "relative improvement" in out
     assert "| 3000 | Flower-CDN | 0.68 | 0.50 |" in out
     assert "Provenance" in out
+
+
+def _worker_output(**changes):
+    out = {
+        "run_s": 7.5,
+        "queries": 6249,
+        "issued": 6300,
+        "lookup_samples": 5000,
+        "sim": {"hit_ratio": 0.4, "lookup_ms_p99": 900.0},
+        "counts": {"sim.events": 1000, "sim.peak_pending": 60, "net.msgs": 500,
+                   "host.run_wall_s": 7.9},
+    }
+    for key, value in changes.items():
+        if key in out["counts"]:
+            out["counts"][key] = value
+        else:
+            out[key] = value
+    return out
+
+
+def test_ab_pairs_compares_what_is_simulated_and_nothing_else():
+    module = load_script("ab_pairs")
+    parent = _worker_output()
+    # Event counts, pending peaks and host clocks may move on purpose.
+    same = _worker_output(**{"sim.events": 900, "sim.peak_pending": 58,
+                             "host.run_wall_s": 7.0, "run_s": 7.0})
+    assert module.first_difference(parent, same) is None
+    moved = _worker_output(**{"net.msgs": 501})
+    assert module.first_difference(parent, moved) == "counts.net.msgs: parent 500, change 501"
+    sim = _worker_output(sim={"hit_ratio": 0.41, "lookup_ms_p99": 900.0})
+    assert module.first_difference(parent, sim).startswith("sim.hit_ratio:")
+
+
+def test_ab_pairs_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():
+    module = load_script("ab_pairs")
+    parent = [8.0, 8.1, 7.9, 8.2, 8.0, 7.8, 8.1, 8.0, 7.9, 8.0]
+    assert module.verdict(parent, [t - 0.5 for t in parent]) == (10, True)
+    # Nine wins, but a gap inside the parent's spread: no claim.
+    close = [t - 0.05 for t in parent[:9]] + [parent[9] + 0.1]
+    assert module.verdict(parent, close) == (9, False)
+    # A large gap won in only eight pairs: no claim either.
+    eight = [t - 0.5 for t in parent[:8]] + [9.0, 9.0]
+    assert module.verdict(parent, eight) == (8, False)
