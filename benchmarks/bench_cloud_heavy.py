@@ -26,7 +26,7 @@ hits are free and would drown the tail), queue/shed counters, terminal
 accounting, and the Gini coefficient of per-directory query load
 (:func:`repro.metrics.gini`).
 
-The acceptance gates (ISSUE 8):
+The acceptance gates, each named in :func:`compare`:
 
 - warm shows **no scan-latency cliff**: overload-window p99 stays within
   2x its own pre-overload p99;
@@ -36,11 +36,15 @@ The acceptance gates (ISSUE 8):
 - warm spreads directory load **more evenly**: strictly lower Gini than
   cold.
 
-CLI front door, the one writer of the committed
+A third, reactive arm (warm + redirect hints + content rebalancing) must
+lower the overload-window content Gini and the directory sheds against
+warm at an overload p99 no worse.
+
+CLI front door (:mod:`benchmarks.ab`), the one writer of the committed
 ``results/cloud_heavy_{overload,rebalance}.{json,txt}`` pairs (each table
 goes beside its JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_cloud_heavy.py \
+    PYTHONPATH=src python -m benchmarks.bench_cloud_heavy \
         --output results/cloud_heavy_overload.json \
         --output-rebalance results/cloud_heavy_rebalance.json
 
@@ -50,12 +54,10 @@ Always reduced scale: each A/B runs two full systems end-to-end (see the
 ablations note in bench_ablations.py).
 """
 
-import argparse
-import json
-import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from benchmarks import ab
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
 from repro.metrics.collector import SERVED_OUTCOMES
@@ -155,16 +157,17 @@ def _window_percentiles(records, window) -> Dict:
     }
 
 
-#: A petal must carry at least this share of the overload-window query
-#: traffic for its instances to enter the balance Gini: petals of
+#: A petal must carry at least this share of the overload-window traffic
+#: for its instances (or content peers) to enter a balance Gini: petals of
 #: inactive websites see members-only trickle and would otherwise drown
 #: the comparison in structural (active-vs-inactive) inequality neither
 #: strategy controls.
 _ACTIVE_PETAL_SHARE = 0.01
 
 
-def _window_loads(detail: Dict, baseline: Dict) -> List[float]:
-    """Per-instance overload-window query counts over the loaded petals.
+def _window_counts(detail: Dict, baseline: Dict, counter: str) -> List[float]:
+    """Per-address overload-window *counter* counts over the loaded petals:
+    ``"queries"`` per directory instance, ``"fetches"`` per content peer.
 
     A counter below its window-start snapshot means the peer demoted and
     re-promoted mid-window (the role restarts its counters), so the full
@@ -172,36 +175,9 @@ def _window_loads(detail: Dict, baseline: Dict) -> List[float]:
     """
     windowed = {}
     for address, entry in detail.items():
-        count = entry["queries"] - baseline.get(address, 0)
+        count = entry[counter] - baseline.get(address, 0)
         if count < 0:
-            count = entry["queries"]
-        windowed[address] = (entry["website"], entry["locality"], count)
-    petal_totals: Dict = {}
-    for website, locality, count in windowed.values():
-        petal = (website, locality)
-        petal_totals[petal] = petal_totals.get(petal, 0) + count
-    floor = _ACTIVE_PETAL_SHARE * sum(petal_totals.values())
-    return [
-        float(count)
-        for website, locality, count in windowed.values()
-        if petal_totals[(website, locality)] >= floor
-    ]
-
-
-def _window_fetches(detail: Dict, baseline: Dict) -> List[float]:
-    """Per-content-peer overload-window fetch counts (content Gini input).
-
-    Same snapshot-diff convention as :func:`_window_loads`, and the same
-    loaded-petal scoping: peers of petals that saw no meaningful
-    overload-window fetch traffic (inactive websites, un-surged
-    localities) would otherwise drown the comparison in structural
-    inequality neither strategy controls.
-    """
-    windowed = {}
-    for address, entry in detail.items():
-        count = entry["fetches"] - baseline.get(address, 0)
-        if count < 0:
-            count = entry["fetches"]
+            count = entry[counter]
         windowed[address] = (entry["website"], entry["locality"], count)
     petal_totals: Dict = {}
     for website, locality, count in windowed.values():
@@ -297,40 +273,22 @@ def _run_arm(
         "rebalance_adoptions": overload["rebalance_adoptions"],
         "rebalance_kb": overload["rebalance_kb"],
         "gini_directory_load": gini(
-            _window_loads(overload["directory_detail"], baseline_counts)
+            _window_counts(overload["directory_detail"], baseline_counts, "queries")
         ),
         "gini_directory_members": gini(overload["directory_loads"]),
         "gini_directory_queries": gini(overload["directory_queries"]),
         "gini_content_load": gini(overload["content_fetches"]),
         "gini_content_window": gini(
-            _window_fetches(overload["content_detail"], baseline_fetches)
+            _window_counts(overload["content_detail"], baseline_fetches, "fetches")
         ),
         "openloop": dict(world.openloop.stats),
     }
 
 
-def run_cold_warm_ab(population: int = POPULATION, seed: int = SEED) -> Dict:
-    """The cold (pure section 4) vs warm (replica-aware) overload A/B."""
-    return {
-        "cold": _run_arm(0, False, population, seed),
-        "warm": _run_arm(WARM_K, True, population, seed),
-    }
-
-
-def run_rebalance_ab(population: int = POPULATION, seed: int = SEED) -> Dict:
-    """The warm vs warm+hints+rebalance (reactive overload) A/B."""
-    return {
-        "warm": _run_arm(WARM_K, True, population, seed),
-        "rebalance": _run_arm(
-            WARM_K, True, population, seed, hints=True, rebalance=True
-        ),
-    }
-
-
-def _ab_table(ab: Dict, population: int, seed: int) -> str:
+def _ab_table(arms: Dict, population: int, seed: int) -> str:
     rows = []
     for label in ("cold", "warm"):
-        entry = ab[label]
+        entry = arms[label]
         rows.append(
             [
                 f"{label} (k={entry['replication_k']})",
@@ -367,24 +325,10 @@ def _ab_table(ab: Dict, population: int, seed: int) -> str:
     )
 
 
-def _ab_acceptable(ab: Dict) -> bool:
-    """The ISSUE 8 acceptance gates, all three at once."""
-    cold, warm = ab["cold"], ab["warm"]
-    # No scan-latency cliff under replica-aware shedding.
-    if warm["overload"]["p99"] > 2.0 * warm["pre"]["p99"]:
-        return False
-    # Every query terminally accounted, in both arms: nothing open at
-    # the horizon beyond the in-flight grace.
-    if cold["stale_open"] != 0 or warm["stale_open"] != 0:
-        return False
-    # Replica-aware shedding spreads directory load more evenly.
-    return warm["gini_directory_load"] < cold["gini_directory_load"]
-
-
-def _rebalance_table(ab: Dict, population: int, seed: int) -> str:
+def _rebalance_table(arms: Dict, population: int, seed: int) -> str:
     rows = []
     for label in ("warm", "rebalance"):
-        entry = ab[label]
+        entry = arms[label]
         rows.append(
             [
                 label,
@@ -420,117 +364,97 @@ def _rebalance_table(ab: Dict, population: int, seed: int) -> str:
     )
 
 
-def _rebalance_acceptable(ab: Dict) -> bool:
-    """The ISSUE 10 acceptance gates for the reactive (third) arm."""
-    warm, reb = ab["warm"], ab["rebalance"]
-    # Rebalancing spreads overload-window content serving more evenly.
-    if reb["gini_content_window"] >= warm["gini_content_window"]:
-        return False
-    # Hint pre-routing plus extra holders reduce admission-queue sheds.
-    if reb["directory_sheds"] >= warm["directory_sheds"]:
-        return False
-    # ...without giving the tail back: overload p99 no worse than warm.
-    if reb["overload"]["p99"] > warm["overload"]["p99"]:
-        return False
-    # And the ledger still closes: nothing stale-open, in either arm.
-    return warm["stale_open"] == 0 and reb["stale_open"] == 0
-
-
-def test_replica_aware_shedding_beats_section4_scan(benchmark):
-    ab = benchmark.pedantic(run_cold_warm_ab, rounds=1, iterations=1)
-    # Printed, not persisted: main() writes the committed A/B pairs.
-    print(_ab_table(ab, POPULATION, SEED))
-    # The overload actually bit: queries were shed in both arms.
-    assert ab["cold"]["shed_queries"] > 0
-    assert ab["warm"]["shed_queries"] > 0
-    # The warm win is attributable: members moved without a scan.
-    assert ab["warm"]["members_shed"] > 0
-    assert ab["cold"]["members_shed"] == 0
-    assert _ab_acceptable(ab)
-
-
-def test_hints_and_rebalance_act_on_the_gini(benchmark):
-    ab = benchmark.pedantic(run_rebalance_ab, rounds=1, iterations=1)
-    print(_rebalance_table(ab, POPULATION, SEED))
-    # The reactive arm actually reacted: hints routed, spills adopted.
-    assert ab["rebalance"]["hint_hops"] > 0
-    assert ab["rebalance"]["rebalance_adoptions"] > 0
-    # The warm arm never pays for machinery it did not enable.
-    assert ab["warm"]["hint_hops"] == 0
-    assert ab["warm"]["rebalance_spills"] == 0
-    assert _rebalance_acceptable(ab)
+def compare(
+    seed: int = SEED, population: int = POPULATION
+) -> Tuple[ab.Comparison, ab.Comparison]:
+    """The overload (cold vs warm) and rebalance (warm vs reactive)
+    comparisons over three arms, each run once: the warm arm is shared."""
+    cold = _run_arm(0, False, population, seed)
+    warm = _run_arm(WARM_K, True, population, seed)
+    reactive = _run_arm(WARM_K, True, population, seed, hints=True, rebalance=True)
+    overload = ab.Comparison(
+        table=_ab_table({"cold": cold, "warm": warm}, population, seed),
+        payload={
+            "population": population,
+            "seed": seed,
+            "cold": cold,
+            "warm": warm,
+            "rebalance": reactive,
+        },
+        gates={
+            # The overload actually bit: queries were shed in both arms.
+            "cold shed queries": cold["shed_queries"] > 0,
+            "warm shed queries": warm["shed_queries"] > 0,
+            # No scan-latency cliff under replica-aware shedding.
+            "warm overload p99 within 2x its pre-overload p99": (
+                warm["overload"]["p99"] <= 2.0 * warm["pre"]["p99"]
+            ),
+            # Every query terminally accounted: nothing open at the
+            # horizon beyond the in-flight grace.
+            "cold accounts for every query": cold["stale_open"] == 0,
+            "warm accounts for every query": warm["stale_open"] == 0,
+            # Replica-aware shedding spreads directory load more evenly,
+            # and the win is attributable: members moved without a scan.
+            "warm directory Gini below cold": (
+                warm["gini_directory_load"] < cold["gini_directory_load"]
+            ),
+            "warm shed members": warm["members_shed"] > 0,
+            "cold shed no member": cold["members_shed"] == 0,
+        },
+    )
+    rebalance = ab.Comparison(
+        table=_rebalance_table({"warm": warm, "rebalance": reactive}, population, seed),
+        payload={
+            "population": population,
+            "seed": seed,
+            "warm": warm,
+            "rebalance": reactive,
+        },
+        gates={
+            # The reactive arm actually reacted, and the warm arm never
+            # pays for machinery it did not enable.
+            "rebalance routed on hints": reactive["hint_hops"] > 0,
+            "rebalance adopted spills": reactive["rebalance_adoptions"] > 0,
+            "warm took no hint hop": warm["hint_hops"] == 0,
+            "warm spilled nothing": warm["rebalance_spills"] == 0,
+            # Rebalancing spreads overload-window content serving more
+            # evenly, and hint pre-routing plus extra holders reduce
+            # admission-queue sheds...
+            "rebalance content Gini below warm": (
+                reactive["gini_content_window"] < warm["gini_content_window"]
+            ),
+            "rebalance sheds fewer than warm": (
+                reactive["directory_sheds"] < warm["directory_sheds"]
+            ),
+            # ...without giving the tail back, and the ledger still closes.
+            "rebalance overload p99 no worse than warm": (
+                reactive["overload"]["p99"] <= warm["overload"]["p99"]
+            ),
+            "warm accounts for every query": warm["stale_open"] == 0,
+            "rebalance accounts for every query": reactive["stale_open"] == 0,
+        },
+    )
+    return overload, rebalance
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI front door: run the overload arms and write the comparisons."""
-    parser = argparse.ArgumentParser(
-        description="sustained-overload cold vs warm vs rebalance A/B"
-    )
+    """CLI front door; the test below is ``main([])``."""
+    parser = ab.parser("sustained-overload cold vs warm vs rebalance A/B", SEED)
     parser.add_argument(
         "--quick", action="store_true", help="smaller population (CI smoke)"
-    )
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the A/B comparison as JSON"
     )
     parser.add_argument(
         "--output-rebalance",
         metavar="PATH",
-        help="write the warm vs rebalance comparison as JSON",
+        help="write the warm vs rebalance comparison as JSON, and its table beside it",
     )
     args = parser.parse_args(argv)
-    population = 120 if args.quick else POPULATION
-    # Three arms, the warm one shared between both comparisons.
-    cold = _run_arm(0, False, population, args.seed)
-    warm = _run_arm(WARM_K, True, population, args.seed)
-    reactive = _run_arm(
-        WARM_K, True, population, args.seed, hints=True, rebalance=True
-    )
-    ab = {"cold": cold, "warm": warm}
-    reb_ab = {"warm": warm, "rebalance": reactive}
-    table = _ab_table(ab, population, args.seed)
-    reb_table = _rebalance_table(reb_ab, population, args.seed)
-    print(table)
-    print(reb_table)
-    ok = _ab_acceptable(ab)
-    reb_ok = _rebalance_acceptable(reb_ab)
-    print(
-        "overload gates (p99 cliff / accounting / Gini): "
-        + ("all pass" if ok else "FAIL -- regression in overload handling")
-    )
-    print(
-        "rebalance gates (content Gini / sheds / p99 / accounting): "
-        + ("all pass" if reb_ok else "FAIL -- reactive arm regressed")
-    )
-    if args.output:
-        payload = {
-            "population": population,
-            "seed": args.seed,
-            "gates_pass": ok,
-            "cold": cold,
-            "warm": warm,
-            "rebalance": reactive,
-            "rebalance_gates_pass": reb_ok,
-        }
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
-        print(f"wrote {args.output} and its table")
-    if args.output_rebalance:
-        payload = {
-            "population": population,
-            "seed": args.seed,
-            "gates_pass": reb_ok,
-            "warm": warm,
-            "rebalance": reactive,
-        }
-        with open(args.output_rebalance, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        pathlib.Path(args.output_rebalance).with_suffix(".txt").write_text(
-            reb_table + "\n"
-        )
-        print(f"wrote {args.output_rebalance} and its table")
-    return 0 if ok and reb_ok else 1
+    overload, rebalance = compare(args.seed, 120 if args.quick else POPULATION)
+    return ab.report((overload, args.output), (rebalance, args.output_rebalance))
+
+
+def test_overload_and_rebalance_gates(benchmark):
+    assert benchmark.pedantic(main, args=([],), rounds=1, iterations=1) == 0
 
 
 if __name__ == "__main__":

@@ -21,27 +21,24 @@ the recovery metrics the claim implies:
   (the warm failover of section 5.3).  Warm must be *strictly* better on
   both replica-aware metrics: time-to-full-index and cold-window misses.
 
-The cold/warm A/B also has a CLI front door, the one writer of the
-committed ``results/fault_recovery_warm_failover.{json,txt}`` pair (the
-table goes beside the JSON)::
+The cold/warm A/B also has a CLI front door (:mod:`benchmarks.ab`), the
+one writer of the committed ``results/fault_recovery_warm_failover.{json,txt}``
+pair (the table goes beside the JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_fault_recovery.py \
+    PYTHONPATH=src python -m benchmarks.bench_fault_recovery \
         --output results/fault_recovery_warm_failover.json
 
-which exits non-zero when warm fails to strictly beat cold (``--quick``
-for CI smoke runs).
+which exits non-zero when any gate fails.
 
 Always reduced scale: each test runs two full systems end-to-end (see the
 ablations note in bench_ablations.py).
 """
 
-import argparse
-import json
-import pathlib
 import sys
 from collections import Counter
 from typing import Dict, List, Optional
 
+from benchmarks import ab
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_world,
@@ -238,15 +235,9 @@ def test_retries_beat_single_shot_under_bursty_loss(benchmark):
 WARM_K = 2
 
 
-def _wipe_config(replication_k: int, population: int = POPULATION) -> ExperimentConfig:
+def _wipe_config(replication_k: int) -> ExperimentConfig:
     """Partition locality 0 (3h-5h) and wipe its directories mid-cut."""
-    return ExperimentConfig.scaled(
-        population=population,
-        duration_hours=9.0,
-        num_websites=8,
-        num_active_websites=2,
-        num_localities=3,
-        objects_per_website=60,
+    return _partition_config().replace(
         directory_replication_k=replication_k,
         fault_schedule=(
             PartitionSpec(
@@ -262,37 +253,33 @@ def _wipe_config(replication_k: int, population: int = POPULATION) -> Experiment
     )
 
 
-def run_cold_warm_ab(population: int = POPULATION, seed: int = SEED) -> Dict:
-    """The cold (k=0) vs warm (k=WARM_K) directory-recovery comparison."""
-    out: Dict[str, Dict] = {}
-    for label, k in (("cold", 0), ("warm", WARM_K)):
-        result, recovery, directory = run_directory_recovery_experiment(
-            "flower",
-            _wipe_config(k, population=population),
-            fault_start_ms=PARTITION_START,
-            fault_end_ms=PARTITION_HEAL,
-            seed=seed,
-            window_ms=minutes(30),
-            localities=[0],
-        )
-        out[label] = {
-            "replication_k": k,
-            "hit_ratio": result.hit_ratio,
-            "availability": recovery.availability,
-            "fault_hit_ratio": recovery.during.hit_ratio,
-            "time_to_full_index_ms": directory["time_to_full_index_ms"],
-            "cold_window_misses": directory["cold_window_misses"],
-            "replicas_adopted": directory["replicas_adopted"],
-            "takeover_staleness_ms": directory["takeover_staleness_ms"],
-            "replication": result.extra["replication"],
-        }
-    return out
+def _run_arm(replication_k: int, seed: int) -> Dict:
+    result, recovery, directory = run_directory_recovery_experiment(
+        "flower",
+        _wipe_config(replication_k),
+        fault_start_ms=PARTITION_START,
+        fault_end_ms=PARTITION_HEAL,
+        seed=seed,
+        window_ms=minutes(30),
+        localities=[0],
+    )
+    return {
+        "replication_k": replication_k,
+        "hit_ratio": result.hit_ratio,
+        "availability": recovery.availability,
+        "fault_hit_ratio": recovery.during.hit_ratio,
+        "time_to_full_index_ms": directory["time_to_full_index_ms"],
+        "cold_window_misses": directory["cold_window_misses"],
+        "replicas_adopted": directory["replicas_adopted"],
+        "takeover_staleness_ms": directory["takeover_staleness_ms"],
+        "replication": result.extra["replication"],
+    }
 
 
-def _ab_table(ab: Dict, population: int, seed: int) -> str:
+def _ab_table(arms: Dict, seed: int) -> str:
     rows = []
     for label in ("cold", "warm"):
-        entry = ab[label]
+        entry = arms[label]
         ttfi = entry["time_to_full_index_ms"]
         rows.append(
             [
@@ -318,70 +305,44 @@ def _ab_table(ab: Dict, population: int, seed: int) -> str:
         rows,
         title=(
             "cold vs warm directory failover "
-            f"(partition 3h-5h + wipe, P={population}, seed={seed})"
+            f"(partition 3h-5h + wipe, P={POPULATION}, seed={seed})"
         ),
     )
 
 
-def _ab_strictly_better(ab: Dict) -> bool:
-    cold, warm = ab["cold"], ab["warm"]
+def compare(seed: int = SEED) -> ab.Comparison:
+    """Cold (k=0) vs warm (k=WARM_K), each run once.  The section 5.3
+    acceptance bar: with k=2 the cold window is *strictly* shorter and
+    cheaper than the paper's cold replacement, and the win is
+    attributable to replicas."""
+    cold, warm = _run_arm(0, seed), _run_arm(WARM_K, seed)
     cold_ttfi = cold["time_to_full_index_ms"]
     warm_ttfi = warm["time_to_full_index_ms"]
-    if warm_ttfi is None:  # warm never recovered: hard fail
-        return False
-    if cold_ttfi is not None and warm_ttfi >= cold_ttfi:
-        return False
-    return warm["cold_window_misses"] < cold["cold_window_misses"]
-
-
-def test_warm_failover_beats_cold_restart(benchmark):
-    ab = benchmark.pedantic(run_cold_warm_ab, rounds=1, iterations=1)
-    # Printed, not persisted: main() writes the committed A/B pair.
-    print(_ab_table(ab, POPULATION, SEED))
-    # The section 5.3 acceptance bar: with k=2 the cold window is
-    # *strictly* shorter and cheaper than the paper's cold replacement.
-    assert _ab_strictly_better(ab)
-    # The warm run actually used replicas (the win is attributable).
-    assert ab["warm"]["replicas_adopted"] > 0
-    assert ab["cold"]["replicas_adopted"] == 0
-    assert ab["cold"]["replication"]["syncs"] == 0
+    return ab.Comparison(
+        table=_ab_table({"cold": cold, "warm": warm}, seed),
+        payload={"population": POPULATION, "seed": seed, "cold": cold, "warm": warm},
+        gates={
+            "warm reaches full index strictly sooner than cold": (
+                warm_ttfi is not None and (cold_ttfi is None or warm_ttfi < cold_ttfi)
+            ),
+            "warm has fewer cold-window misses than cold": (
+                warm["cold_window_misses"] < cold["cold_window_misses"]
+            ),
+            "warm adopted replicas": warm["replicas_adopted"] > 0,
+            "cold adopted no replica": cold["replicas_adopted"] == 0,
+            "cold never synced a replica": cold["replication"]["syncs"] == 0,
+        },
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI front door: run the cold/warm A/B and write the comparison."""
-    parser = argparse.ArgumentParser(
-        description="cold vs warm directory failover A/B"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller population (CI smoke)"
-    )
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the A/B comparison as JSON"
-    )
-    args = parser.parse_args(argv)
-    population = 100 if args.quick else POPULATION
-    ab = run_cold_warm_ab(population=population, seed=args.seed)
-    table = _ab_table(ab, population, args.seed)
-    print(table)
-    ok = _ab_strictly_better(ab)
-    print(
-        "warm strictly beats cold: "
-        + ("yes" if ok else "NO -- regression in warm failover")
-    )
-    if args.output:
-        payload = {
-            "population": population,
-            "seed": args.seed,
-            "warm_strictly_better": ok,
-            "cold": ab["cold"],
-            "warm": ab["warm"],
-        }
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
-        print(f"wrote {args.output} and its table")
-    return 0 if ok else 1
+    """CLI front door; the test below is ``main([])``."""
+    args = ab.parser("cold vs warm directory failover A/B", SEED).parse_args(argv)
+    return ab.report((compare(args.seed), args.output))
+
+
+def test_warm_failover_beats_cold_restart(benchmark):
+    assert benchmark.pedantic(main, args=([],), rounds=1, iterations=1) == 0
 
 
 if __name__ == "__main__":

@@ -17,23 +17,21 @@ One scenario, two arms:
   and no replica-served answer exceeds the declared staleness bound of
   :func:`repro.cdn.flower.search_client.staleness_bound_ms`.
 
-CLI front door (CI smoke; exits non-zero when the warm gate fails), the
-one writer of the committed ``results/search_availability_warm.{json,txt}``
+CLI front door (:mod:`benchmarks.ab`; exits non-zero when any gate fails),
+the one writer of the committed ``results/search_availability_warm.{json,txt}``
 pair (the table goes beside the JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_search_availability.py \
+    PYTHONPATH=src python -m benchmarks.bench_search_availability \
         --output results/search_availability_warm.json
 
 Always reduced scale: each arm runs a full system end-to-end (see the
 ablations note in bench_ablations.py).
 """
 
-import argparse
-import json
-import pathlib
 import sys
 from typing import Dict, List, Optional
 
+from benchmarks import ab
 from repro.cdn.flower.search import SearchAvailabilityTracker
 from repro.cdn.flower.search_client import staleness_bound_ms
 from repro.experiments.config import ExperimentConfig
@@ -92,34 +90,27 @@ def _wipe_config(replication_k: int) -> ExperimentConfig:
     )
 
 
-def run_search_availability_ab(seed: int = SEED) -> Dict:
-    """The cold (k=0) vs warm (k=WARM_K) search-availability comparison."""
-    out: Dict[str, Dict] = {}
-    for label, k in (("cold", 0), ("warm", WARM_K)):
-        config = _wipe_config(k)
-        world = build_world("flower", config, seed=seed)
-        # Focus the probe workload on the cut locality: that is where the
-        # availability question is decided.
-        world.search_probes.localities = [0]
-        tracker = SearchAvailabilityTracker(world.sim)
-        world.run()
-        window = tracker.window_stats(WIPE_AT, WIPE_AT + WINDOW_MS)
-        full = tracker.window_stats(0.0, world.sim.now)
-        out[label] = {
-            "replication_k": k,
-            "staleness_bound_ms": staleness_bound_ms(world.system.params),
-            "window": window,
-            "full_run": full,
-            "probes_issued": world.search_probes.issued,
-            "replication": world.system.stats().replication.to_dict(),
-        }
-    return out
+def _run_arm(replication_k: int, seed: int) -> Dict:
+    world = build_world("flower", _wipe_config(replication_k), seed=seed)
+    # Focus the probe workload on the cut locality: that is where the
+    # availability question is decided.
+    world.search_probes.localities = [0]
+    tracker = SearchAvailabilityTracker(world.sim)
+    world.run()
+    return {
+        "replication_k": replication_k,
+        "staleness_bound_ms": staleness_bound_ms(world.system.params),
+        "window": tracker.window_stats(WIPE_AT, WIPE_AT + WINDOW_MS),
+        "full_run": tracker.window_stats(0.0, world.sim.now),
+        "probes_issued": world.search_probes.issued,
+        "replication": world.system.stats().replication.to_dict(),
+    }
 
 
-def _ab_table(ab: Dict, seed: int) -> str:
+def _ab_table(arms: Dict, seed: int) -> str:
     rows = []
     for label in ("cold", "warm"):
-        entry = ab[label]
+        entry = arms[label]
         window = entry["window"]
         full = entry["full_run"]
         rows.append(
@@ -151,79 +142,53 @@ def _ab_table(ab: Dict, seed: int) -> str:
     )
 
 
-def _gates_pass(ab: Dict) -> List[str]:
-    """All failed acceptance gates (empty = the A/B holds)."""
-    failures = []
-    cold, warm = ab["cold"], ab["warm"]
-    if warm["window"]["availability"] < WARM_AVAILABILITY_FLOOR:
-        failures.append(
-            f"warm wipe-window availability "
-            f"{warm['window']['availability']:.3f} < {WARM_AVAILABILITY_FLOOR}"
-        )
-    if cold["window"]["availability"] > COLD_AVAILABILITY_CEILING:
-        failures.append(
-            f"cold wipe-window availability "
-            f"{cold['window']['availability']:.3f} > {COLD_AVAILABILITY_CEILING} "
-            "(no outage to recover from)"
-        )
-    for label in ("cold", "warm"):
-        entry = ab[label]
-        stale = entry["full_run"]["max_replica_staleness_ms"]
-        if stale > entry["staleness_bound_ms"]:
-            failures.append(
-                f"{label}: replica staleness {stale:.0f} ms beyond the "
-                f"declared bound {entry['staleness_bound_ms']:.0f} ms"
-            )
-    if warm["full_run"]["replica_served"] < 1:
-        failures.append("warm arm never served a search from a replica")
-    if cold["full_run"]["replica_served"] != 0:
-        failures.append("cold arm served searches from replicas at k=0")
-    return failures
+def _within_bound(entry: Dict) -> bool:
+    return entry["full_run"]["max_replica_staleness_ms"] <= entry["staleness_bound_ms"]
 
 
-def test_replicated_search_survives_directory_wipe(benchmark):
-    ab = benchmark.pedantic(
-        run_search_availability_ab, rounds=1, iterations=1
+def compare(seed: int = SEED) -> ab.Comparison:
+    """Cold (k=0) vs warm (k=WARM_K), each run once."""
+    arms = {"cold": _run_arm(0, seed), "warm": _run_arm(WARM_K, seed)}
+    cold, warm = arms["cold"], arms["warm"]
+    return ab.Comparison(
+        table=_ab_table(arms, seed),
+        payload={
+            "ab": arms,
+            "cold_availability_ceiling": COLD_AVAILABILITY_CEILING,
+            "population": POPULATION,
+            "seed": seed,
+            "warm_availability_floor": WARM_AVAILABILITY_FLOOR,
+        },
+        gates={
+            "warm wipe-window availability at least the floor": (
+                warm["window"]["availability"] >= WARM_AVAILABILITY_FLOOR
+            ),
+            "cold wipe-window availability at most the ceiling (an outage)": (
+                cold["window"]["availability"] <= COLD_AVAILABILITY_CEILING
+            ),
+            "cold replica staleness within the declared bound": _within_bound(cold),
+            "warm replica staleness within the declared bound": _within_bound(warm),
+            "warm served a search from a replica": (
+                warm["full_run"]["replica_served"] >= 1
+            ),
+            "cold served no search from a replica": (
+                cold["full_run"]["replica_served"] == 0
+            ),
+        },
     )
-    # Printed, not persisted: main() writes the committed A/B pair.
-    print(_ab_table(ab, SEED))
-    assert _gates_pass(ab) == []
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI front door: run the cold/warm A/B and write the comparison."""
-    parser = argparse.ArgumentParser(
-        description="search availability under directory wipe (cold vs warm)"
-    )
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the A/B comparison as JSON"
-    )
-    args = parser.parse_args(argv)
-    ab = run_search_availability_ab(seed=args.seed)
-    table = _ab_table(ab, args.seed)
-    print(table)
-    failures = _gates_pass(ab)
-    if failures:
-        for failure in failures:
-            print(f"GATE FAILED: {failure}")
-    else:
-        print("all search-availability gates hold")
-    if args.output:
-        payload = {
-            "population": POPULATION,
-            "seed": args.seed,
-            "warm_availability_floor": WARM_AVAILABILITY_FLOOR,
-            "cold_availability_ceiling": COLD_AVAILABILITY_CEILING,
-            "gates_failed": failures,
-            "ab": ab,
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
-        print(f"wrote {args.output} and its table")
-    return 1 if failures else 0
+    """CLI front door; the test below is ``main([])``."""
+    args = ab.parser(
+        "search availability under directory wipe (cold vs warm)", SEED
+    ).parse_args(argv)
+    return ab.report((compare(args.seed), args.output))
+
+
+def test_replicated_search_survives_directory_wipe(benchmark):
+    assert benchmark.pedantic(main, args=([],), rounds=1, iterations=1) == 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -19,7 +19,7 @@ transfer machinery:
   chunks are never re-fetched, and only the *remaining* chunks degrade
   to the origin when every P2P source is gone.
 
-The acceptance gates (ISSUE 9):
+The acceptance gates, each named in :func:`compare`:
 
 - warm terminally accounts **100%** of its transfers (so does cold):
   nothing open at the horizon beyond a short in-flight grace;
@@ -31,25 +31,23 @@ The acceptance gates (ISSUE 9):
 - warm keeps **strictly more bytes off the origin** than cold
   (higher offload fraction).
 
-CLI front door, the one writer of the committed
+CLI front door (:mod:`benchmarks.ab`), the one writer of the committed
 ``results/swarming_transfer.{json,txt}`` pair (the table goes beside the
 JSON)::
 
-    PYTHONPATH=src python benchmarks/bench_swarming.py \
+    PYTHONPATH=src python -m benchmarks.bench_swarming \
         --output results/swarming_transfer.json
 
-which exits non-zero when any gate fails (``--quick`` for CI smoke runs).
+which exits non-zero when any gate fails.
 
 Always reduced scale: each A/B runs two full systems end-to-end (see the
 ablations note in bench_ablations.py).
 """
 
-import argparse
-import json
-import pathlib
 import sys
 from typing import Dict, List, Optional
 
+from benchmarks import ab
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_world
 from repro.metrics.distribution import Distribution
@@ -77,12 +75,10 @@ STRIKE_POLL_MS = 500.0
 ACCOUNTING_GRACE = minutes(2.0)
 
 
-def _swarm_config(
-    warm: bool, population: int, duration_hours: float
-) -> ExperimentConfig:
+def _swarm_config(warm: bool) -> ExperimentConfig:
     return ExperimentConfig.scaled(
-        population=population,
-        duration_hours=duration_hours,
+        population=POPULATION,
+        duration_hours=DURATION_HOURS,
         num_websites=6,
         num_active_websites=2,
         num_localities=2,
@@ -103,9 +99,8 @@ def _swarm_config(
     )
 
 
-def _run_arm(warm: bool, population: int, duration_hours: float, seed: int) -> Dict:
-    config = _swarm_config(warm, population, duration_hours)
-    world = build_world("flower", config, seed)
+def _run_arm(warm: bool, seed: int) -> Dict:
+    world = build_world("flower", _swarm_config(warm), seed)
     system = world.system
     bandwidth = world.network.bandwidth
     strikes_landed = []
@@ -135,7 +130,7 @@ def _run_arm(warm: bool, population: int, duration_hours: float, seed: int) -> D
             peer.crash()
 
     for fraction in STRIKE_FRACTIONS:
-        world.sim.schedule(fraction * hours(duration_hours), strike)
+        world.sim.schedule(fraction * hours(DURATION_HOURS), strike)
     # Terminal transfer outcomes with elapsed times, straight off the
     # trace stream (subscribing enables the gated swarm.done emits).
     closes: List[Dict] = []
@@ -147,7 +142,7 @@ def _run_arm(warm: bool, population: int, duration_hours: float, seed: int) -> D
     # Terminal accounting: every transfer old enough to have terminated
     # must have closed (completed / degraded / failed); only transfers
     # started within the grace of the cut-off may still be open.
-    cutoff = hours(duration_hours) - ACCOUNTING_GRACE
+    cutoff = hours(DURATION_HOURS) - ACCOUNTING_GRACE
     open_at_end = 0
     stale_open = 0
     for peer in system.peers.values():
@@ -191,22 +186,10 @@ def _run_arm(warm: bool, population: int, duration_hours: float, seed: int) -> D
     }
 
 
-def run_cold_warm_ab(
-    population: int = POPULATION,
-    duration_hours: float = DURATION_HOURS,
-    seed: int = SEED,
-) -> Dict:
-    """The cold (single-source restart) vs warm (swarming failover) A/B."""
-    return {
-        "cold": _run_arm(False, population, duration_hours, seed),
-        "warm": _run_arm(True, population, duration_hours, seed),
-    }
-
-
-def _ab_table(ab: Dict, population: int, seed: int) -> str:
+def _ab_table(arms: Dict, seed: int) -> str:
     rows = []
     for label in ("cold", "warm"):
-        entry = ab[label]
+        entry = arms[label]
         rows.append(
             [
                 label,
@@ -237,80 +220,55 @@ def _ab_table(ab: Dict, population: int, seed: int) -> str:
         rows,
         title=(
             f"seeder death x{len(STRIKE_FRACTIONS)} (top {STRIKE_COUNT} "
-            f"uploaders) over {POPULATION if population is None else population}"
-            f" peers, seed={seed}, 4 Mbps uplinks (20% at 1/8 speed)"
+            f"uploaders) over {POPULATION} peers, seed={seed}, "
+            "4 Mbps uplinks (20% at 1/8 speed)"
         ),
     )
 
 
-def _ab_acceptable(ab: Dict) -> bool:
-    """The ISSUE 9 acceptance gates, all at once."""
-    cold, warm = ab["cold"], ab["warm"]
-    # 100% terminal accounting in both arms: nothing open at the horizon
-    # beyond the in-flight grace.
-    if cold["stale_open"] != 0 or warm["stale_open"] != 0:
-        return False
-    # Warm never restarts from zero; progress is resumed, not discarded.
-    if warm["restarts"] != 0:
-        return False
-    # Warm completes (or cleanly degrades) >= 99% of started transfers.
-    if warm["completion_fraction"] < 0.99:
-        return False
-    # Swarming keeps strictly more bytes off the origin.
-    return warm["offload_fraction"] > cold["offload_fraction"]
-
-
-def test_swarming_survives_seeder_death(benchmark):
-    ab = benchmark.pedantic(run_cold_warm_ab, rounds=1, iterations=1)
-    # Printed, not persisted: main() writes the committed A/B pair.
-    print(_ab_table(ab, POPULATION, SEED))
-    # The strikes actually bit: both arms lost chunk sources mid-flight.
-    assert ab["cold"]["chunk_retries"] > 0
-    assert ab["warm"]["chunk_retries"] > 0
-    # The cold baseline pays for failures with restarts-from-zero.
-    assert ab["cold"]["restarts"] > 0
-    assert _ab_acceptable(ab)
+def compare(seed: int = SEED) -> ab.Comparison:
+    """Cold (single-source restart) vs warm (swarming failover), each run
+    once."""
+    cold, warm = _run_arm(False, seed), _run_arm(True, seed)
+    return ab.Comparison(
+        table=_ab_table({"cold": cold, "warm": warm}, seed),
+        payload={
+            "population": POPULATION,
+            "duration_hours": DURATION_HOURS,
+            "seed": seed,
+            "cold": cold,
+            "warm": warm,
+        },
+        gates={
+            # The strikes actually bit: both arms lost chunk sources
+            # mid-flight, and cold paid with restarts-from-zero.
+            "cold retried chunks": cold["chunk_retries"] > 0,
+            "warm retried chunks": warm["chunk_retries"] > 0,
+            "cold restarted from zero": cold["restarts"] > 0,
+            # 100% terminal accounting in both arms: nothing open at the
+            # horizon beyond the in-flight grace.
+            "cold accounts for every transfer": cold["stale_open"] == 0,
+            "warm accounts for every transfer": warm["stale_open"] == 0,
+            # Progress is resumed, not discarded.
+            "warm never restarts from zero": warm["restarts"] == 0,
+            "warm finishes at least 99% of its transfers": (
+                warm["completion_fraction"] >= 0.99
+            ),
+            "warm offloads more bytes than cold": (
+                warm["offload_fraction"] > cold["offload_fraction"]
+            ),
+        },
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI front door: run the seeder-death A/B and write the comparison."""
-    parser = argparse.ArgumentParser(
-        description="seeder-death cold vs warm swarming A/B"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller population (CI smoke)"
-    )
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the A/B comparison as JSON"
-    )
-    args = parser.parse_args(argv)
-    population = 100 if args.quick else POPULATION
-    duration = 3.0 if args.quick else DURATION_HOURS
-    ab = run_cold_warm_ab(
-        population=population, duration_hours=duration, seed=args.seed
-    )
-    table = _ab_table(ab, population, args.seed)
-    print(table)
-    ok = _ab_acceptable(ab)
-    print(
-        "swarming gates (accounting / no-restart / completion / offload): "
-        + ("all pass" if ok else "FAIL -- regression in transfer failover")
-    )
-    if args.output:
-        payload = {
-            "population": population,
-            "duration_hours": duration,
-            "seed": args.seed,
-            "gates_pass": ok,
-            "cold": ab["cold"],
-            "warm": ab["warm"],
-        }
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        pathlib.Path(args.output).with_suffix(".txt").write_text(table + "\n")
-        print(f"wrote {args.output} and its table")
-    return 0 if ok else 1
+    """CLI front door; the test below is ``main([])``."""
+    args = ab.parser("seeder-death cold vs warm swarming A/B", SEED).parse_args(argv)
+    return ab.report((compare(args.seed), args.output))
+
+
+def test_swarming_survives_seeder_death(benchmark):
+    assert benchmark.pedantic(main, args=([],), rounds=1, iterations=1) == 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Tests for the repository scripts (sweep runner, EXPERIMENTS renderer)."""
+"""Tests for the repository scripts (sweep runner, EXPERIMENTS renderer,
+A/B pairs) and the A/B artifact emitter ``benchmarks/ab.py``."""
 
 import importlib.util
 import json
@@ -122,3 +123,51 @@ def test_ab_pairs_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(
     # A large gap won in only eight pairs: no claim either.
     eight = [t - 0.5 for t in parent[:8]] + [9.0, 9.0]
     assert module.verdict(parent, eight) == (8, False)
+
+
+_AB_TABLE = "mode  x\n----  -\ncold  1\nwarm  2"
+
+
+def _comparison(warm_wins):
+    from benchmarks import ab
+
+    return ab.Comparison(
+        table=_AB_TABLE,
+        payload={"seed": 3, "cold": {"x": 1}, "warm": {"x": 2}},
+        gates={"cold ran": True, "warm beat cold": warm_wins},
+    )
+
+
+def test_ab_report_writes_the_artifact_pair_when_every_gate_holds(tmp_path, capsys):
+    from benchmarks import ab
+
+    output = tmp_path / "X.json"
+    assert ab.report((_comparison(True), str(output))) == 0
+    stored = json.loads(output.read_text())
+    assert stored == {
+        "seed": 3,
+        "cold": {"x": 1},
+        "warm": {"x": 2},
+        "gates": {"cold ran": True, "warm beat cold": True},
+        "verdict": True,
+    }
+    assert (tmp_path / "X.txt").read_text() == _AB_TABLE + "\n"
+    out = capsys.readouterr().out
+    assert _AB_TABLE in out
+    assert "GATE FAILED" not in out
+
+
+def test_ab_report_names_a_failed_gate_and_still_writes_the_pair(tmp_path, capsys):
+    from benchmarks import ab
+
+    output = tmp_path / "X.json"
+    # A second comparison without a path is printed and judged, not written.
+    assert ab.report((_comparison(False), str(output)), (_comparison(True), None)) == 1
+    stored = json.loads(output.read_text())
+    assert stored["verdict"] is False
+    assert stored["gates"]["warm beat cold"] is False
+    assert (tmp_path / "X.txt").read_text() == _AB_TABLE + "\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["X.json", "X.txt"]
+    out = capsys.readouterr().out
+    assert "GATE FAILED: warm beat cold" in out
+    assert "GATE FAILED: cold ran" not in out
