@@ -99,7 +99,7 @@ def _run_arm(replication_k: int, seed: int) -> Dict:
     world.run()
     return {
         "replication_k": replication_k,
-        "staleness_bound_ms": staleness_bound_ms(world.system.params),
+        "staleness_bound_ms": staleness_bound_ms(world.system.gossip_period_ms),
         "window": tracker.window_stats(WIPE_AT, WIPE_AT + WINDOW_MS),
         "full_run": tracker.window_stats(0.0, world.sim.now),
         "probes_issued": world.search_probes.issued,

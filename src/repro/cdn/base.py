@@ -1,11 +1,7 @@
 """Protocol-independent CDN machinery.
 
-Three things live here:
+Two things live here:
 
-- :class:`ProtocolParams` -- every protocol knob of Table 1 plus the
-  implementation knobs (timeouts, retry delays, PetalUp limits), decoupled
-  from the experiment-level configuration so the CDN layer does not depend
-  on :mod:`repro.experiments`;
 - :class:`BasePeer` -- the life of one participant: arrival / crash /
   re-join, the periodic query process, and the query *accounting* shared by
   every protocol (when a query completes, compute lookup latency and
@@ -13,7 +9,11 @@ Three things live here:
   is apples-to-apples);
 - :class:`CdnSystem` -- the per-protocol orchestrator the experiment runner
   drives through ``on_arrival`` / ``on_departure`` callbacks from the churn
-  model.
+  model.  Its ``params`` is the run's
+  :class:`~repro.experiments.config.ExperimentConfig`, the one spelling of
+  every knob; the system derives the few values the protocols read in
+  milliseconds (query interval, gossip period, the D-ring's Chord
+  parameters) once, at construction.
 
 Measurement conventions (metrics of section 6):
 
@@ -27,12 +27,11 @@ Measurement conventions (metrics of section 6):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cdn.server import OriginServer
 from repro.cdn.storage import ContentStore
-from repro.dht.ring import RingParams
+from repro.dht.ring import ChordRing, RingParams
 from repro.errors import CDNError
 from repro.metrics.collector import MetricsCollector
 from repro.net.landmarks import LandmarkBinner
@@ -45,160 +44,13 @@ from repro.workload.catalog import Catalog
 from repro.workload.queries import QueryStream
 from repro.workload.zipf import ZipfSampler
 
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig
+
 #: How long a client that found every directory instance busy waits before
 #: re-scanning D-ring; the same pause paces directory re-probes, D-ring
 #: join retries and takeover announcements.
 SCAN_RETRY_DELAY_MS = seconds(30)
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """CDN protocol knobs (Table 1 plus implementation parameters).
-
-    Attributes:
-        query_interval_ms: gap between a peer's queries (paper: 6 min).
-        gossip_period_ms: petal gossip period (paper: 1 h).
-        keepalive_period_ms: content-peer -> directory keepalive period
-            (paper couples it to the gossip period: 1 h).
-        push_threshold: fraction of content changes that triggers a push
-            (paper: 0.5).
-        zipf_exponent: object-popularity skew (Breslau et al.: ~0.8).
-        directory_load_limit: members per directory instance before PetalUp
-            splits; ``None`` = unbounded (plain Flower-CDN).
-        max_instances: maximum directory instances per petal (PetalUp's
-            2**m; 1 = plain Flower-CDN).
-        directory_collaboration: whether directory peers of the same website
-            answer each other's misses (section 3.2 "may collaborate").
-        cache_capacity: per-peer cache size in objects; ``None`` is the
-            paper's unbounded assumption, a number enables LRU replacement
-            (the cache-policy extension the paper scopes out).
-        dring: Chord parameters of the D-ring (or Squirrel's global ring).
-        rpc_retries: per-call retry budget of directory-facing RPCs
-            (query / push / keepalive), via ``NetworkNode.retrying_rpc``;
-            0 restores the seed's single-shot timeout behaviour where one
-            lost message condemns the directory.
-        replication_k: number of D-ring successors each directory
-            replicates its versioned (view, index) state to, plus one
-            in-petal member heir (section 5.3 warm failover).  0 disables
-            replication entirely -- no replica traffic, no extra RNG
-            draws, runs bit-identical to the non-replicated build.
-        directory_queue_limit: bounded admission queue (in requests) per
-            directory instance.  0 disables admission control entirely --
-            no queueing math runs, queries are never shed, the run stays
-            bit-identical to the ungated build.  With a limit, a query
-            arriving at a directory whose virtual backlog already holds
-            this many requests is *shed* with an explicit redirect
-            instead of silently piling up.
-        directory_service_ms: mean service time one directory lookup
-            occupies the admission queue for (only read when
-            ``directory_queue_limit > 0``).
-        overload_shedding: replica-aware PetalUp overload handling.
-            When on, a splitting directory seeds the new instance with a
-            deterministic partition of its member view (derived from the
-            same versioned state the section 5.3 replicas carry), and an
-            instance that stays overloaded sheds members directly to its
-            warm ring successor instead of bouncing new clients through
-            the section 4 instance scan.  Off by default: splits hand
-            over an empty view, exactly the paper's behaviour.
-        swarming: chunked multi-source transfers (:mod:`repro.cdn.swarm`).
-            Off by default: fetches stay atomic RPCs, no object sizes are
-            consulted, the run stays bit-identical to the pre-swarming
-            build.  On, objects spanning more than one chunk are fetched
-            in parallel from multiple holders with per-chunk failover.
-        swarm_parallel: max concurrent chunk fetches per transfer.
-        swarm_sources: max distinct sources a transfer asks manifests of.
-        swarm_resume: keep completed chunks across source failures and
-            re-request only what's missing (the robustness headline).
-            Off = the cold baseline: any source failure discards all
-            progress and refetches the whole object from the origin.
-        swarm_replicate: petal members each full-object holder places
-            chunk replicas on (0 disables placement).
-        redirect_hints: queue-aware redirect hints (overload extension).
-            When on (and ``directory_queue_limit > 0``) directories
-            piggyback their current admission-queue depth -- plus the
-            depths gossiped to them by sibling instances over the
-            replication channel -- on replies and keepalives, and clients
-            use the hints to pre-route a query to the least-loaded live
-            instance *before* the admission queue sheds it.  Off by
-            default: no hint is computed, shipped, or harvested, and runs
-            stay bit-identical to the hint-free build.
-        rebalance: shedding-aware content rebalancing.  When on, each
-            directory tracks windowed per-key fetch counts and -- once
-            overload pressure shows (sheds or a non-empty queue) -- spills
-            the top-Gini-contributing hot keys to its least-loaded members
-            (``flower.rebalance`` -> ``flower.fetch`` -> push), so
-            subsequent fetches fan out.  Off by default: no counts are
-            kept and no spill traffic exists.
-        rebalance_cooldown_rounds: sweep rounds a directory stays quiet
-            after one spill pass (bounds churn).
-        rebalance_budget_kb: per-spill-pass byte budget; each spilled
-            key costs its modeled size (or ``rebalance_nominal_kb``
-            without a size model).
-        rebalance_max_keys: most keys spilled in one pass.
-        rebalance_nominal_kb: assumed per-object cost against the byte
-            budget when no object-size model is installed.
-    """
-
-    query_interval_ms: float = minutes(6)
-    gossip_period_ms: float = minutes(60)
-    keepalive_period_ms: float = minutes(60)
-    push_threshold: float = 0.5
-    zipf_exponent: float = 0.8
-    directory_load_limit: Optional[int] = None
-    max_instances: int = 1
-    directory_collaboration: bool = False
-    cache_capacity: Optional[int] = None
-    dring: RingParams = field(default_factory=RingParams)
-    rpc_retries: int = 2
-    replication_k: int = 0
-    directory_queue_limit: int = 0
-    directory_service_ms: float = 40.0
-    overload_shedding: bool = False
-    swarming: bool = False
-    swarm_parallel: int = 4
-    swarm_sources: int = 4
-    swarm_resume: bool = True
-    swarm_replicate: int = 0
-    redirect_hints: bool = False
-    rebalance: bool = False
-    rebalance_cooldown_rounds: int = 2
-    rebalance_budget_kb: float = 1024.0
-    rebalance_max_keys: int = 4
-    rebalance_nominal_kb: float = 64.0
-
-    def __post_init__(self) -> None:
-        if self.query_interval_ms <= 0 or self.gossip_period_ms <= 0:
-            raise CDNError("periods must be positive")
-        if not 0.0 < self.push_threshold:
-            raise CDNError("push threshold must be positive")
-        if self.max_instances < 1:
-            raise CDNError("max_instances must be >= 1")
-        if self.directory_load_limit is not None and self.directory_load_limit < 1:
-            raise CDNError("directory_load_limit must be >= 1 or None")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise CDNError("cache_capacity must be >= 1 or None")
-        if self.rpc_retries < 0:
-            raise CDNError("rpc_retries must be >= 0")
-        if self.replication_k < 0:
-            raise CDNError("replication_k must be >= 0")
-        if self.directory_queue_limit < 0:
-            raise CDNError("directory_queue_limit must be >= 0")
-        if self.directory_service_ms <= 0:
-            raise CDNError("directory_service_ms must be positive")
-        if self.swarm_parallel < 1:
-            raise CDNError("swarm_parallel must be >= 1")
-        if self.swarm_sources < 1:
-            raise CDNError("swarm_sources must be >= 1")
-        if self.swarm_replicate < 0:
-            raise CDNError("swarm_replicate must be >= 0")
-        if self.rebalance_cooldown_rounds < 0:
-            raise CDNError("rebalance_cooldown_rounds must be >= 0")
-        if self.rebalance_budget_kb <= 0:
-            raise CDNError("rebalance_budget_kb must be positive")
-        if self.rebalance_max_keys < 1:
-            raise CDNError("rebalance_max_keys must be >= 1")
-        if self.rebalance_nominal_kb <= 0:
-            raise CDNError("rebalance_nominal_kb must be positive")
 
 
 class BasePeer(NetworkNode):
@@ -233,7 +85,7 @@ class BasePeer(NetworkNode):
         self.rng: random.Random = self.sim.rng(f"peer-{identity}")
         self.website = website
         self.locality = system.binner.locality_of(self.address)
-        self.store = ContentStore(capacity=system.params.cache_capacity)
+        self.store = ContentStore(capacity=system.params.peer_cache_capacity)
         self.stream: Optional[QueryStream] = None
         self.queries_issued = 0
         self.sessions = 0
@@ -314,7 +166,7 @@ class BasePeer(NetworkNode):
             self.stream.mark_held(self.store.held_indexes(self.website))
         if self.stream.exhausted:
             return
-        interval = self.system.params.query_interval_ms
+        interval = self.system.query_interval_ms
         self._query_process = PeriodicProcess(
             self.sim,
             interval,
@@ -471,7 +323,7 @@ class CdnSystem:
         network: Network,
         binner: LandmarkBinner,
         catalog: Catalog,
-        params: ProtocolParams,
+        params: ExperimentConfig,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
         self.sim = sim
@@ -479,11 +331,18 @@ class CdnSystem:
         self.binner = binner
         self.catalog = catalog
         self.params = params
+        self.query_interval_ms = minutes(params.query_interval_min)
+        #: Table 1 couples the two: one period paces petal gossip and the
+        #: content-peer -> directory keepalives.
+        self.gossip_period_ms = minutes(params.gossip_period_min)
         self.metrics = metrics or MetricsCollector()
         self.zipf = ZipfSampler(catalog.objects_per_website, params.zipf_exponent)
         self.servers: Dict[WebsiteId, OriginServer] = self._make_servers()
         self.peers: Dict[int, BasePeer] = {}
         self._websites: Dict[int, WebsiteId] = {}
+        #: Flower's D-ring of directory peers, Squirrel's global ring.
+        self.ring = ChordRing(self._ring_params())
+        self.seed_identities: List[int] = []
         #: Object-size model (:class:`repro.workload.objectsize`); ``None``
         #: keeps every object a unit payload and swarming fully inert.
         self.sizes = None
@@ -499,6 +358,16 @@ class CdnSystem:
         self.swarm_chunk_retries = 0
         self.swarm_p2p_bytes = 0
         self.swarm_origin_bytes = 0
+
+    def _ring_params(self) -> RingParams:
+        """Chord parameters of the D-ring (Squirrel's global ring): the
+        configured maintenance period, and an RPC timeout above the worst
+        round trip.  The sharded system widens the timeout."""
+        params = self.params
+        return RingParams(
+            maintenance_period_ms=seconds(params.chord_maintenance_s),
+            rpc_timeout_ms=2.4 * params.latency_max_ms,
+        )
 
     def _make_servers(self) -> Dict[WebsiteId, OriginServer]:
         """One origin server per website.  Sharded systems override this to

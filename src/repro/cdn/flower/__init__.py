@@ -34,7 +34,7 @@ Module map:
   - :mod:`repro.cdn.flower.relief` -- PetalUp split, member shedding and
     hot-key rebalancing of a served slot;
   - :mod:`repro.cdn.flower.failover` -- ``DirectoryReplicator``, the
-    replication plane of a served slot (only while ``replication_k > 0``):
+    replication plane of a served slot (only while ``directory_replication_k > 0``):
     replica syncs, warm takeover, provisional serving, split-brain
     resolution;
 

@@ -2,7 +2,7 @@
 
 :class:`DirectoryReplicator` is what a
 :class:`~repro.cdn.flower.service.DirectoryService` carries while
-``replication_k > 0`` -- and only then, so a replication-off run never
+``directory_replication_k > 0`` -- and only then, so a replication-off run never
 constructs one and stays bit-identical to the non-replicated build.  It
 is everything a slot does with the replicas of
 :mod:`repro.cdn.flower.replication`:
@@ -49,11 +49,10 @@ class DirectoryReplicator:
 
     def __init__(self, service) -> None:
         peer = service.peer
-        params = peer.system.params
         self.service = service
         self.peer = peer
         self.role = service.role
-        self.k = params.replication_k
+        self.k = peer.system.params.directory_replication_k
         #: target address -> last version it acknowledged.
         self.acked: Dict[Address, int] = {}
         self.rounds = 0
@@ -70,7 +69,7 @@ class DirectoryReplicator:
         if self._process is not None:
             return
         peer = self.peer
-        period = peer.system.params.keepalive_period_ms
+        period = peer.system.gossip_period_ms
         self._process = PeriodicProcess(
             peer.sim,
             period,

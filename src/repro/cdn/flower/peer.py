@@ -90,7 +90,7 @@ class FlowerPeer(
         #: Chunk payload bytes served to swarming downloaders -- the load
         #: signal the seeder_death chaos phase targets.
         self.bytes_uploaded = 0
-        # --- warm failover (section 5.3; inert while replication_k == 0) ---
+        # --- warm failover (section 5.3; inert at directory_replication_k 0) ---
         self.replica_store = ReplicaStore()
         self._forget_membership()
         # --- dispatch ---
@@ -193,7 +193,7 @@ class FlowerPeer(
             # petal upon arrival" (section 6.1) -- they join through a
             # register scan rather than a first query.
             self.sim.schedule(
-                self.rng.uniform(0.0, self.system.params.query_interval_ms),
+                self.rng.uniform(0.0, self.system.query_interval_ms),
                 self._register_with_petal,
             )
 
@@ -248,7 +248,7 @@ class FlowerPeer(
         payload = message.payload
         params = self.system.params
         replica = payload.get("replica")
-        if replica is not None and params.replication_k > 0:
+        if replica is not None and params.directory_replication_k > 0:
             self.replica_store.accept(replica, self.sim.now)
         partition = payload.get("partition") if params.overload_shedding else None
         self._begin_directory_role(
@@ -270,7 +270,7 @@ class FlowerPeer(
         payload = message.payload
         snapshot = payload.get("snapshot")
         sync = payload.get("sync")
-        if sync is not None and self.system.params.replication_k > 0:
+        if sync is not None and self.system.params.directory_replication_k > 0:
             # Delta handoff (section 5.3): apply the leaving directory's
             # delta on top of whatever replica we already hold, then adopt
             # the reconstructed state as our own starting snapshot.
@@ -299,7 +299,7 @@ class FlowerPeer(
     def handle_flower_replica_sync(self, message: Message) -> Dict[str, Any]:
         """Store (or merge) a directory's replicated state (section 5.3)."""
         params = self.system.params
-        if params.replication_k < 1 or not self.alive:
+        if params.directory_replication_k < 1 or not self.alive:
             return {"status": "off"}
         payload = message.payload
         vector = payload.get("load_vector")
@@ -312,7 +312,7 @@ class FlowerPeer(
 
     def handle_flower_replica_fetch(self, message: Message) -> Dict[str, Any]:
         """Hand our stored replica of a position to its new claimant."""
-        if self.system.params.replication_k < 1 or not self.alive:
+        if self.system.params.directory_replication_k < 1 or not self.alive:
             return {"replica": None}
         position = message.payload["position"]
         d = self.directory

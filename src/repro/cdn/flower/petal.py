@@ -74,14 +74,12 @@ class PetalMember:
 
     # ------------------------------------------------------ periodic loops
     def _start_content_processes(self) -> None:
-        params = self.system.params
+        period = self.system.gossip_period_ms
         if self._gossip_process is None or not self._gossip_process.active:
-            self._gossip_process = self._content_process(
-                params.gossip_period_ms, self._gossip_tick
-            )
+            self._gossip_process = self._content_process(period, self._gossip_tick)
         if self._keepalive_process is None or not self._keepalive_process.active:
             self._keepalive_process = self._content_process(
-                params.keepalive_period_ms, self._keepalive_tick
+                period, self._keepalive_tick
             )
 
     def _content_process(
@@ -247,7 +245,7 @@ class PetalMember:
 
     def handle_flower_dir_redirect(self, message: Message) -> None:
         """Our directory demoted: re-point at the merge winner and re-push."""
-        if self.system.params.replication_k > 0 and self.alive:
+        if self.system.params.directory_replication_k > 0 and self.alive:
             info = self.dir_info
             position = message.payload["position"]
             if info is None or info.position_id == position:
@@ -263,7 +261,7 @@ class PetalMember:
 
     def handle_flower_dir_announce(self, message: Message) -> Dict[str, Any]:
         """A (possibly provisional) claimant announced it serves a slot."""
-        if self.system.params.replication_k < 1 or not self.alive:
+        if self.system.params.directory_replication_k < 1 or not self.alive:
             return {}
         payload = message.payload
         position = payload["position"]

@@ -249,7 +249,7 @@ class LoadRelief:
             cost_kb = (
                 sizes.size_bytes(key) / 1024.0
                 if sizes is not None
-                else params.rebalance_nominal_kb
+                else params.object_mean_kb
             )
             if cost_kb > budget_kb:
                 continue

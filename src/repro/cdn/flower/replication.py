@@ -19,7 +19,7 @@ Replication targets (``ReplicationParams.k`` + 1 of them):
   address -- deterministic), so a replica survives *inside* a partition
   that cuts the petal's locality off from the rest of the ring.
 
-Wire protocol (all kinds gated behind ``replication_k > 0``; a run with
+Wire protocol (all kinds gated behind ``directory_replication_k > 0``; a run with
 replication off sends none of these and stays bit-identical to the
 non-replicated build):
 

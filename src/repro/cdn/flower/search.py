@@ -12,7 +12,7 @@ answers "who in my petal has anything about K?" with zero extra protocol
 state -- the index keeps itself fresh through the usual push/expiry
 maintenance, so search inherits Flower-CDN's churn robustness for free.
 
-With warm directory failover enabled (section 5.3, ``replication_k > 0``)
+With warm directory failover enabled (section 5.3, ``directory_replication_k > 0``)
 search additionally inherits the *replicated* posting lists that ride the
 versioned sync channel: when the directory is suspect or a search times
 out, the content peer retries against the replica holders it learned from

@@ -31,8 +31,10 @@ from repro.types import Address
 FAILOVER_EXTRA_CANDIDATES = 4
 
 
-def staleness_bound_ms(params) -> float:
-    """Declared bound on the age of replica-served search results.
+def staleness_bound_ms(period_ms: float) -> float:
+    """Declared bound on the age of replica-served search results, given
+    the system's ``gossip_period_ms``, which also paces keepalives and
+    replica syncs.
 
     A replica may lag its directory by up to ``ANTI_ENTROPY_ROUNDS`` sync
     periods (delta rejections force a full only on the anti-entropy
@@ -41,7 +43,7 @@ def staleness_bound_ms(params) -> float:
     retries and the takeover race.  Replica answers older than this are
     discarded by the querier and flagged by the chaos auditor (I7).
     """
-    return params.keepalive_period_ms * (
+    return period_ms * (
         ANTI_ENTROPY_ROUNDS + DIR_FAILURE_THRESHOLD + 2
     )
 
@@ -167,7 +169,7 @@ class SearchClient:
         if engine is None or position is None:
             self._finish_search(keyword, [], "none", 0.0, on_results)
             return
-        bound = staleness_bound_ms(self.system.params)
+        bound = staleness_bound_ms(self.system.gossip_period_ms)
         record = self.replica_store.get(position)
         if record is not None:
             staleness = self.sim.now - record.updated_at

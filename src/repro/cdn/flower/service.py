@@ -9,7 +9,7 @@ until it stops serving it, and owns what is meaningless otherwise: the
 expiry sweep, the load relief of :mod:`repro.cdn.flower.relief` (PetalUp
 split, member shedding, hot-key spilling) and the replication plane
 (:class:`~repro.cdn.flower.failover.DirectoryReplicator`, constructed only
-while ``replication_k > 0``).
+while ``directory_replication_k > 0``).
 While it serves, ``peer.directory`` is its role and ``peer.service`` is
 the service; :meth:`DirectoryService.stop` is the one place both end.
 
@@ -64,7 +64,7 @@ class DirectoryService:
         self.shed_notices = shed_notices
         self._sweep_process: Optional[PeriodicProcess] = None
         #: The planes of a served slot: load relief and, while
-        #: ``replication_k > 0``, replication.  They point back at us, so
+        #: ``directory_replication_k > 0``, replication.  They point back at us, so
         #: they exist from :meth:`begin_serving` to :meth:`stop` only -- a
         #: service that never gets to serve (a lost join race, a crash
         #: mid-join) reaches nothing that reaches it, and is freed by
@@ -100,7 +100,7 @@ class DirectoryService:
             elif (
                 reason == "lookup"
                 and peer.alive
-                and self.system.params.replication_k > 0
+                and self.system.params.directory_replication_k > 0
                 and peer.directory is None
             ):
                 # D-ring is unreachable -- most likely we sit on the minority
@@ -170,9 +170,9 @@ class DirectoryService:
             # (A provisional role that wins the ring comes through here a
             # second time and keeps its planes and its sweep.)
             self.relief = LoadRelief(self)
-            if self.system.params.replication_k > 0:
+            if self.system.params.directory_replication_k > 0:
                 self.replicator = DirectoryReplicator(self)
-            period = self.system.params.keepalive_period_ms
+            period = self.system.gossip_period_ms
             self._sweep_process = PeriodicProcess(
                 self.sim,
                 period,
@@ -184,7 +184,7 @@ class DirectoryService:
 
     def serve_provisionally(self) -> None:
         """Serve the slot without ring membership (partition-side takeover,
-        section 5.3; needs ``replication_k > 0``).
+        section 5.3; needs ``directory_replication_k > 0``).
 
         The petal keeps a -- warm, if we held a replica -- directory during
         the cut; integration into D-ring is retried in the background until

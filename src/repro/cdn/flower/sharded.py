@@ -20,18 +20,20 @@ derives converged successor/predecessor/finger tables for its own nodes
 setup.
 
 Deviations from the single-process build (documented in docs/PROTOCOLS.md
-section 10), each one override below: origin servers are replicated per
-shard; of the one seed loop (``FlowerSystem.setup_initial_population``)
-three steps differ -- which slots are seeded here, exact instead of
-landmark-probed placement, warm tables from the global membership in
-enumeration order.  The bootstrap registry (``ring.random_bootstrap`` and
-join-race settlement) is shard-local with no override at all -- correct
-because a position's join candidates are always petal members of its own
-locality, hence of its own shard.
+section 10), each one override below: the D-ring's RPC timeout widens by
+the bus slack; origin servers are replicated per shard; of the one seed
+loop (``FlowerSystem.setup_initial_population``) three steps differ --
+which slots are seeded here, exact instead of landmark-probed placement,
+warm tables from the global membership in enumeration order.  The
+bootstrap registry (``ring.random_bootstrap`` and join-race settlement) is
+shard-local with no override at all -- correct because a position's join
+candidates are always petal members of its own locality, hence of its own
+shard.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, List, Tuple
 
 from repro.cdn.flower.peer import FlowerPeer
@@ -45,8 +47,17 @@ class ShardedFlowerSystem(FlowerSystem):
 
     Constructed like a :class:`FlowerSystem` on a
     :class:`~repro.net.shardnet.ShardedNetwork`, which carries the shard
-    context (``network.shard_map`` / ``network.shard_id``).
+    context (``network.shard_map`` / ``network.shard_id`` /
+    ``network.slack_ms``).
     """
+
+    def _ring_params(self):
+        # A cross-shard round trip can wait at two window barriers: the
+        # D-ring's failure detector widens by the network's bus slack.
+        params = super()._ring_params()
+        return dataclasses.replace(
+            params, rpc_timeout_ms=params.rpc_timeout_ms + self.network.slack_ms
+        )
 
     def _make_servers(self):
         # Every shard hosts its own replica of the (stateless, always-up)

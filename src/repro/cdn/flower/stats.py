@@ -60,7 +60,7 @@ class OverloadStats:
 class ReplicationStats:
     """Directory-state and search-index replication activity.
 
-    All-zero when ``replication_k == 0`` (nothing runs).  Used by the
+    All-zero when ``directory_replication_k == 0`` (nothing runs).  Used by the
     recovery benchmarks and the chaos report's context block.
     """
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.cdn.base import BasePeer, CdnSystem, ProtocolParams
+from repro.cdn.base import BasePeer, CdnSystem
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.dring import DRingKeyService
 from repro.cdn.flower.peer import FlowerPeer
 from repro.cdn.flower.service import DirectoryService
 from repro.dht.node import ChordNode
-from repro.dht.ring import ChordRing
 from repro.errors import CDNError
 from repro.metrics.collector import MetricsCollector
 from repro.net.landmarks import LandmarkBinner
@@ -32,6 +31,7 @@ from repro.workload.catalog import Catalog
 
 if TYPE_CHECKING:
     from repro.cdn.flower.stats import SystemStats
+    from repro.experiments.config import ExperimentConfig
 
 #: Attempts to place a seeded directory peer inside its target locality
 #: before accepting a (slightly suboptimal) out-of-locality placement.
@@ -49,18 +49,16 @@ class FlowerSystem(CdnSystem):
         network: Network,
         binner: LandmarkBinner,
         catalog: Catalog,
-        params: ProtocolParams,
+        params: ExperimentConfig,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
         super().__init__(sim, network, binner, catalog, params, metrics)
-        self.ring = ChordRing(params.dring)
         self.key_service = DRingKeyService(
             self.ring.space,
             catalog.num_websites,
             binner.num_localities,
             params.max_instances,
         )
-        self.seed_identities: List[int] = []
         #: Optional keyword-search extension (paper section 7 future work);
         #: set a :class:`~repro.cdn.flower.search.KeywordSearchEngine` to
         #: enable ``FlowerPeer.search``.

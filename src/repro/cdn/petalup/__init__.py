@@ -9,5 +9,7 @@ one of its content peers to join D-ring as the next instance.
 All of that behaviour lives in :mod:`repro.cdn.flower` (the scan in
 ``QueryPaths._contact_directory``, the split in
 ``LoadRelief.maybe_promote_next``); this package contributes the system
-class that turns it on via :class:`~repro.cdn.base.ProtocolParams`.
+class that requires it on: the run's
+:class:`~repro.experiments.config.ExperimentConfig` must set
+``directory_load_limit`` and ``max_instances >= 2``.
 """

@@ -8,37 +8,18 @@ form Flower-CDN's initial D-ring (k x |W|) start online in a warm-started
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.cdn.base import BasePeer, CdnSystem, ProtocolParams
+from repro.cdn.base import BasePeer, CdnSystem
 from repro.cdn.squirrel.peer import SquirrelPeer
 from repro.dht.node import ChordNode
-from repro.dht.ring import ChordRing
 from repro.errors import CDNError
-from repro.metrics.collector import MetricsCollector
-from repro.net.landmarks import LandmarkBinner
-from repro.net.transport import Network
-from repro.sim.engine import Simulator
-from repro.workload.catalog import Catalog
 
 
 class SquirrelSystem(CdnSystem):
     """The Squirrel baseline (directory variant over one global ring)."""
 
     name = "squirrel"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        binner: LandmarkBinner,
-        catalog: Catalog,
-        params: ProtocolParams,
-        metrics: Optional[MetricsCollector] = None,
-    ) -> None:
-        super().__init__(sim, network, binner, catalog, params, metrics)
-        self.ring = ChordRing(params.dring)
-        self.seed_identities: List[int] = []
 
     def _make_peer(self, identity: int) -> BasePeer:
         return SquirrelPeer(self, identity, self.website_of(identity))

@@ -10,7 +10,7 @@ both into a standard experiment world and dumps minimal reproducer
 bundles to ``results/chaos/`` on violation.
 """
 
-from repro.chaos.auditor import AuditorConfig, InvariantAuditor, Violation
+from repro.chaos.auditor import InvariantAuditor, Violation
 from repro.chaos.plan import ChaosPhase, ChaosPlan, ChurnSurgeSpec, generate_plan
 from repro.chaos.runner import (
     ChaosRunReport,
@@ -21,7 +21,6 @@ from repro.chaos.runner import (
 )
 
 __all__ = [
-    "AuditorConfig",
     "ChaosPhase",
     "ChaosPlan",
     "ChaosRunReport",

@@ -21,7 +21,7 @@ I6 **view hygiene** -- gossip partial views never contain the owner
    itself, and dead contacts are evicted within a bound derived from the
    gossip period.
 I7 **search availability** -- with replicated posting lists
-   (``replication_k > 0``) keyword searches keep getting answered through
+   (``directory_replication_k > 0``) keyword searches keep getting answered through
    directory wipes and partitions (no petal accumulates a streak of
    unanswered searches), and replica-served results never exceed the
    declared staleness bound of
@@ -110,26 +110,22 @@ WATCHED_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class AuditorConfig:
-    """Knobs of the online auditor (bounds in ms unless noted).
-
-    The staleness/convergence bounds are *factors* over the protocol's own
-    periods (keepalive, gossip, audit), so the auditor adapts to whatever
-    parameterization the experiment uses instead of hard-coding paper-scale
-    timings.
-    """
-
-    audit_period_ms: float = minutes(10.0)
-    ledger_grace_ms: float = minutes(5.0)
-    reacquire_bound_ms: float = minutes(45.0)
-    index_staleness_factor: float = 4.0
-    view_staleness_factor: float = 12.0
-    ring_strikes: int = 3
-    duplicate_strikes: int = 2
-    search_strikes: int = 3
-    trace_window: int = 256
-    max_violations: int = 25
+# Auditor bounds (ms unless noted).  The staleness and reacquire bounds
+# are factors over, or slack on top of, the system's own periods, so the
+# auditor adapts to whatever parameterization the run uses instead of
+# hard-coding paper-scale timings.
+AUDIT_PERIOD_MS = minutes(10.0)
+LEDGER_GRACE_MS = minutes(5.0)
+REACQUIRE_SLACK_MS = minutes(45.0)
+INDEX_STALENESS_FACTOR = 4.0
+VIEW_STALENESS_FACTOR = 12.0
+RING_STRIKES = 3
+DUPLICATE_STRIKES = 2
+SEARCH_STRIKES = 3
+#: trace events kept as context for a reproducer bundle.
+TRACE_WINDOW = 256
+#: violations recorded before the auditor stops reporting.
+MAX_VIOLATIONS = 25
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,6 @@ class InvariantAuditor:
             any -- carried into reproducer bundles.  Its specs are the
             tail of the world's ``fault_schedule``
             (:func:`repro.chaos.runner.merged_config`).
-        config: auditor bounds (defaults are derived-friendly).
         results_dir: where reproducer bundles are written (created lazily;
             ``None`` disables bundle dumping).
         halt_on_violation: stop the simulation at the first violation
@@ -185,7 +180,6 @@ class InvariantAuditor:
         self,
         world,
         plan=None,
-        config: Optional[AuditorConfig] = None,
         results_dir: Optional[str] = "results/chaos",
         halt_on_violation: bool = False,
     ) -> None:
@@ -194,26 +188,22 @@ class InvariantAuditor:
         self.system = world.system
         self.network = world.network
         self.plan = plan
-        self.config = config or AuditorConfig()
         self.results_dir = results_dir
         self.halt_on_violation = halt_on_violation
         self.flower: Optional[FlowerSystem] = (
             world.system if isinstance(world.system, FlowerSystem) else None
         )
-        params = world.system.params
-        cfg = self.config
-        #: derived bounds (protocol-period aware; see AuditorConfig).
-        self.index_staleness_ms = cfg.index_staleness_factor * max(
-            params.keepalive_period_ms, params.gossip_period_ms
-        )
-        self.view_staleness_ms = cfg.view_staleness_factor * params.gossip_period_ms
-        self.reacquire_bound_ms = cfg.reacquire_bound_ms + 2.0 * (
-            params.keepalive_period_ms + params.query_interval_ms
+        period = self.system.gossip_period_ms
+        #: derived bounds (protocol-period aware; see the module constants).
+        self.index_staleness_ms = INDEX_STALENESS_FACTOR * period
+        self.view_staleness_ms = VIEW_STALENESS_FACTOR * period
+        self.reacquire_bound_ms = REACQUIRE_SLACK_MS + 2.0 * (
+            period + self.system.query_interval_ms
         )
         #: I7: declared replica-staleness bound of search results (search
         #: module owns the formula; the client enforces it at failover
         #: time, the auditor re-checks every served result against it).
-        self.search_staleness_bound_ms = staleness_bound_ms(params)
+        self.search_staleness_bound_ms = staleness_bound_ms(period)
         self.violations: List[Violation] = []
         self.stats: Dict[str, int] = {
             "audits": 0,
@@ -256,7 +246,7 @@ class InvariantAuditor:
         self._transfers: Dict[Tuple[int, tuple], Dict[str, Any]] = {}
         self._transfer_leaks: Set[Tuple[int, tuple]] = set()
         # --- trace window (context for reproducer bundles) ---
-        self._window: Deque[TraceEvent] = deque(maxlen=cfg.trace_window)
+        self._window: Deque[TraceEvent] = deque(maxlen=TRACE_WINDOW)
         # --- fault context ---
         self._last_disturbance_ms = 0.0
         self._partition_active = False
@@ -292,7 +282,7 @@ class InvariantAuditor:
         self._finalized = False
         self._saturated = False
         self._subscribe()
-        self.sim.schedule(cfg.audit_period_ms, self._audit_tick)
+        self.sim.schedule(AUDIT_PERIOD_MS, self._audit_tick)
 
     # ------------------------------------------------------------ subscribing
     def _subscribe(self) -> None:
@@ -620,14 +610,14 @@ class InvariantAuditor:
             self._search_streak.pop(petal, None)
             return
         self.stats["searches_unanswered"] += 1
-        if self.system.params.replication_k <= 0:
+        if self.system.params.directory_replication_k <= 0:
             # Without replicas an outage through a directory wipe is the
             # expected baseline (the cold arm of the availability A/B),
             # not a violation.
             return
         streak = self._search_streak.get(petal, 0) + 1
         self._search_streak[petal] = streak
-        strikes = self.config.search_strikes
+        strikes = SEARCH_STRIKES
         if self._partition_active or self._in_disturbance_window(event.time, 0.0):
             # Inside a declared disturbance the first probe or two may
             # race the takeover; only a sustained streak is a violation.
@@ -640,7 +630,7 @@ class InvariantAuditor:
                 details={
                     "consecutive_unanswered": streak,
                     "strikes": strikes,
-                    "replication_k": self.system.params.replication_k,
+                    "replication_k": self.system.params.directory_replication_k,
                 },
             )
 
@@ -648,7 +638,6 @@ class InvariantAuditor:
     def _audit_tick(self) -> None:
         if self._finalized or self._saturated:
             return
-        cfg = self.config
         now = self.sim.now
         self.stats["audits"] += 1
         faults = getattr(self.world, "faults", None)
@@ -664,7 +653,7 @@ class InvariantAuditor:
             self._audit_ring(now)
             self._audit_views(now)
         if not self._saturated:
-            self.sim.schedule(cfg.audit_period_ms, self._audit_tick)
+            self.sim.schedule(AUDIT_PERIOD_MS, self._audit_tick)
 
     def finalize(self) -> List[Violation]:
         """Close the ledger at the horizon; return all violations."""
@@ -675,7 +664,7 @@ class InvariantAuditor:
 
     # -------------------------------------------------------- I1: the ledger
     def _audit_ledger(self, now: float, horizon_reached: bool) -> None:
-        grace = self.config.ledger_grace_ms
+        grace = LEDGER_GRACE_MS
         for key, opened in list(self._open.items()):
             if key in self._leak_reported:
                 continue
@@ -722,7 +711,6 @@ class InvariantAuditor:
         return holders
 
     def _audit_slots(self, now: float) -> None:
-        cfg = self.config
         holders = self._live_slot_holders()
         # --- I2: at most one live directory per slot (strike-based to
         # tolerate the instant of a handoff/claim race mid-settling) ---
@@ -739,7 +727,7 @@ class InvariantAuditor:
                     continue
                 streak = self._dup_streak.get(slot, 0) + 1
                 self._dup_streak[slot] = streak
-                if streak >= cfg.duplicate_strikes:
+                if streak >= DUPLICATE_STRIKES:
                     self._violation(
                         "duplicate_directory",
                         subject=slot,
@@ -840,14 +828,13 @@ class InvariantAuditor:
         )
 
     def _audit_ring(self, now: float) -> None:
-        cfg = self.config
         # Convergence is only owed once faults have quiesced for a while.
-        settle = 2.0 * cfg.audit_period_ms
+        settle = 2.0 * AUDIT_PERIOD_MS
         # A join/shutdown seconds before the audit legitimately leaves the
         # newcomer outside the predecessor's successor pointer until the
         # next stabilization round or two; give membership changes that
         # long before owing a perfect cycle.
-        ring_settle = 2.0 * self.flower.params.dring.maintenance_period_ms
+        ring_settle = 2.0 * self.flower.ring.params.maintenance_period_ms
         if (
             self._partition_active
             or now - self._last_disturbance_ms < settle
@@ -861,7 +848,7 @@ class InvariantAuditor:
             self._ring_strike = 0
             return
         self._ring_strike += 1
-        if self._ring_strike >= cfg.ring_strikes and "ring" not in self._reported:
+        if self._ring_strike >= RING_STRIKES and "ring" not in self._reported:
             self._reported.add("ring")
             self._violation(
                 "ring_not_converged",
@@ -972,7 +959,7 @@ class InvariantAuditor:
         path = self._dump_bundle(violation)
         if path is not None:
             self.bundle_paths.append(path)
-        if len(self.violations) >= self.config.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             self._saturated = True
         if self.halt_on_violation:
             self.sim.stop()

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.chaos.auditor import AuditorConfig, InvariantAuditor, Violation
+from repro.chaos.auditor import InvariantAuditor, Violation
 from repro.chaos.plan import ChaosPlan, spec_from_dict, spec_to_dict
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
@@ -202,7 +202,6 @@ def run_chaos(
     results_dir: Optional[str] = "results/chaos",
     halt_on_violation: bool = False,
     collect_fingerprint: bool = False,
-    auditor_config: Optional[AuditorConfig] = None,
 ) -> ChaosRunReport:
     """Run *plan* against *protocol* with the invariant auditor online.
 
@@ -217,7 +216,6 @@ def run_chaos(
         halt_on_violation: stop the simulation at the first violation.
         collect_fingerprint: also hash the full trace stream (used by the
             replay-determinism tests; costs one firehose subscriber).
-        auditor_config: override the auditor's bounds.
 
     Returns:
         A :class:`ChaosRunReport`; ``report.ok`` is the pass/fail bit.
@@ -227,7 +225,6 @@ def run_chaos(
     auditor = InvariantAuditor(
         world,
         plan=plan,
-        config=auditor_config,
         results_dir=results_dir,
         halt_on_violation=halt_on_violation,
     )
@@ -270,7 +267,6 @@ def replay_bundle(
     results_dir: Optional[str] = None,
     halt_on_violation: bool = False,
     collect_fingerprint: bool = False,
-    auditor_config: Optional[AuditorConfig] = None,
 ) -> ChaosRunReport:
     """Re-execute a dumped reproducer bundle bit-for-bit.
 
@@ -304,5 +300,4 @@ def replay_bundle(
         results_dir=results_dir,
         halt_on_violation=halt_on_violation,
         collect_fingerprint=collect_fingerprint,
-        auditor_config=auditor_config,
     )

@@ -29,10 +29,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from repro.cdn.base import ProtocolParams
-from repro.dht.ring import RingParams
 from repro.errors import ConfigError
-from repro.sim.clock import minutes, seconds
 
 if TYPE_CHECKING:
     from repro.net.faults import FaultSpec
@@ -49,15 +46,28 @@ if TYPE_CHECKING:
 class ExperimentConfig:
     """Everything that defines one simulation run (see module docstring).
 
+    The CDN systems read this object as their ``params``; the values
+    they need in milliseconds (``query_interval_ms``, ``gossip_period_ms``,
+    which also paces keepalives, and the D-ring's
+    :class:`~repro.dht.ring.RingParams`) are derived once per system, in
+    :class:`~repro.cdn.base.CdnSystem`.
+
     Implementation knobs beyond Table 1:
 
     Attributes:
         chord_maintenance_s: period of the combined stabilization tick.
         topology: ``"clustered"`` (the default, locality structure present)
             or ``"uniform"`` (no structure -- the locality ablation).
-        directory_load_limit / max_instances: PetalUp-CDN's split knobs
-            (None / 1 = plain Flower-CDN).
-        directory_collaboration: same-website directory collaboration.
+        directory_load_limit / max_instances: PetalUp-CDN's split knobs:
+            members per directory instance before a split, and the most
+            instances per petal (PetalUp's ``2**m``); None / 1 = plain
+            Flower-CDN.
+        directory_collaboration: whether directory peers of the same
+            website answer each other's misses (section 3.2 "may
+            collaborate").
+        peer_cache_capacity: per-peer cache size in objects; ``None`` is
+            the paper's unbounded assumption, a number enables LRU
+            replacement (the cache-policy extension the paper scopes out).
         rpc_retries: retry budget of directory-facing RPCs; 0 restores the
             seed's single-shot behaviour.
         directory_replication_k: warm-failover replication degree -- each
@@ -120,17 +130,29 @@ class ExperimentConfig:
             clients pre-route to the least-loaded live instance before
             being shed (needs ``directory_queue_limit > 0``; off = no
             hint computed or shipped, bit-identical runs).
-        rebalance / rebalance_cooldown_rounds / rebalance_budget_kb /
-            rebalance_max_keys: shedding-aware content rebalancing --
-            directories spill their top-Gini-contributing hot keys to
-            under-loaded members under overload pressure, bounded by a
-            cooldown and a per-pass byte budget (see
-            :class:`~repro.cdn.base.ProtocolParams`).
+        rebalance: shedding-aware content rebalancing -- each directory
+            keeps windowed per-key fetch counts and, once overload
+            pressure shows (sheds or a non-empty queue), spills its
+            top-Gini-contributing hot keys to its least-loaded members
+            (``flower.rebalance`` -> ``flower.fetch`` -> push), so later
+            fetches fan out.  Off = no counts kept, no spill traffic.
+        rebalance_cooldown_rounds: sweep rounds a directory stays quiet
+            after one spill pass (bounds churn).
+        rebalance_budget_kb: per-spill-pass byte budget; each spilled key
+            costs its modeled size, or ``object_mean_kb`` without a size
+            model.
+        rebalance_max_keys: most keys spilled in one pass.
         swarming: chunked multi-source transfers with per-chunk failover
             (:mod:`repro.cdn.swarm`).  Off = the paper's atomic-fetch
             model, bit-identical to the pre-swarming goldens.
-        swarm_parallel / swarm_sources / swarm_resume / swarm_replicate:
-            see :class:`~repro.cdn.base.ProtocolParams`.
+        swarm_parallel: most concurrent chunk fetches per transfer.
+        swarm_sources: most distinct sources a transfer asks manifests of.
+        swarm_resume: keep completed chunks across source failures and
+            re-request only what is missing.  Off = the cold baseline:
+            any source failure discards all progress and refetches the
+            whole object from the origin.
+        swarm_replicate: petal members each full-object holder places
+            chunk replicas on (0 = no placement).
         object_mean_kb / object_max_kb / swarm_chunk_kb: the seeded
             bounded-Pareto object-size model
             (:mod:`repro.workload.objectsize`); only built when
@@ -196,6 +218,16 @@ class ExperimentConfig:
     rebalance_max_keys: int = 4
 
     def __post_init__(self) -> None:
+        if self.query_interval_min <= 0 or self.gossip_period_min <= 0:
+            raise ConfigError("periods must be positive")
+        if self.push_threshold <= 0:
+            raise ConfigError("push_threshold must be positive")
+        if self.max_instances < 1:
+            raise ConfigError("max_instances must be >= 1")
+        if self.directory_load_limit is not None and self.directory_load_limit < 1:
+            raise ConfigError("directory_load_limit must be >= 1 or None")
+        if self.peer_cache_capacity is not None and self.peer_cache_capacity < 1:
+            raise ConfigError("peer_cache_capacity must be >= 1 or None")
         if self.rpc_retries < 0:
             raise ConfigError("rpc_retries must be >= 0")
         if self.directory_replication_k < 0:
@@ -238,6 +270,12 @@ class ExperimentConfig:
             raise ConfigError("rebalance_budget_kb must be positive")
         if self.rebalance_max_keys < 1:
             raise ConfigError("rebalance_max_keys must be >= 1")
+        if self.swarm_parallel < 1:
+            raise ConfigError("swarm_parallel must be >= 1")
+        if self.swarm_sources < 1:
+            raise ConfigError("swarm_sources must be >= 1")
+        if self.swarm_replicate < 0:
+            raise ConfigError("swarm_replicate must be >= 0")
         if self.swarm_chunk_kb < 1:
             raise ConfigError("swarm_chunk_kb must be >= 1")
         if self.object_mean_kb <= 0:
@@ -279,40 +317,6 @@ class ExperimentConfig:
     @property
     def duration_ms(self) -> float:
         return self.duration_hours * 3_600_000.0
-
-    def protocol_params(self) -> ProtocolParams:
-        """The CDN-layer parameter object derived from this config."""
-        return ProtocolParams(
-            query_interval_ms=minutes(self.query_interval_min),
-            gossip_period_ms=minutes(self.gossip_period_min),
-            keepalive_period_ms=minutes(self.gossip_period_min),
-            push_threshold=self.push_threshold,
-            zipf_exponent=self.zipf_exponent,
-            directory_load_limit=self.directory_load_limit,
-            max_instances=self.max_instances,
-            directory_collaboration=self.directory_collaboration,
-            cache_capacity=self.peer_cache_capacity,
-            rpc_retries=self.rpc_retries,
-            replication_k=self.directory_replication_k,
-            directory_queue_limit=self.directory_queue_limit,
-            directory_service_ms=self.directory_service_ms,
-            overload_shedding=self.overload_shedding,
-            redirect_hints=self.redirect_hints,
-            rebalance=self.rebalance,
-            rebalance_cooldown_rounds=self.rebalance_cooldown_rounds,
-            rebalance_budget_kb=self.rebalance_budget_kb,
-            rebalance_max_keys=self.rebalance_max_keys,
-            rebalance_nominal_kb=self.object_mean_kb,
-            swarming=self.swarming,
-            swarm_parallel=self.swarm_parallel,
-            swarm_sources=self.swarm_sources,
-            swarm_resume=self.swarm_resume,
-            swarm_replicate=self.swarm_replicate,
-            dring=RingParams(
-                maintenance_period_ms=seconds(self.chord_maintenance_s),
-                rpc_timeout_ms=2.4 * self.latency_max_ms,
-            ),
-        )
 
     # ------------------------------------------------------------ presets
     @classmethod

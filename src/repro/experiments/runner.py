@@ -175,19 +175,9 @@ def assemble_world(
             )
         )
     if config.bandwidth_kbps > 0.0:
-        from repro.net.bandwidth import BandwidthModel, BandwidthParams
+        from repro.net.bandwidth import BandwidthModel
 
-        network.install_bandwidth(
-            BandwidthModel(
-                sim,
-                BandwidthParams(
-                    upload_kbps=config.bandwidth_kbps,
-                    slow_fraction=config.bandwidth_slow_fraction,
-                    slow_factor=config.bandwidth_slow_factor,
-                    seed=seed,
-                ),
-            )
-        )
+        network.install_bandwidth(BandwidthModel(sim, config, seed))
     search_probes: Optional[SearchProbeWorkload] = None
     if config.search_keywords > 0:
         from repro.cdn.flower.search import (
@@ -225,7 +215,7 @@ def assemble_world(
         on_arrival=system.on_arrival,
         on_departure=system.on_departure,
     )
-    for identity in getattr(system, "seed_identities", []):
+    for identity in system.seed_identities:
         churn.seed_online(identity)
     churn.start()
     openloop: Optional[OpenLoopWorkload] = None
@@ -313,9 +303,7 @@ def build_world(
         sim,
         network,
         binner,
-        lambda catalog: system_cls(
-            sim, network, binner, catalog, config.protocol_params()
-        ),
+        lambda catalog: system_cls(sim, network, binner, catalog, config),
     )
 
 

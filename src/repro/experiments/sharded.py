@@ -24,9 +24,10 @@ goldens.
 
 Timeout inflation: every cross-shard hop can be floored to the next window
 barrier, so a round trip stretches by up to ``2 * window_ms`` beyond pure
-link latency.  The dring RPC timeout and the transport default timeout are
-widened by exactly that slack, keeping failure detection sound (no spurious
-timeouts from bus scheduling alone).
+link latency.  The shard's network carries that slack (``slack_ms``) and
+widens its default timeout by it; the sharded Flower system widens the
+D-ring RPC timeout by the same amount, keeping failure detection sound (no
+spurious timeouts from bus scheduling alone).
 """
 
 from __future__ import annotations
@@ -126,15 +127,6 @@ class ShardCell:
         fingerprint: bool,
     ) -> None:
         self.shard_id = shard_id
-        slack_ms = 2.0 * window_ms
-        params = config.protocol_params()
-        params = dataclasses.replace(
-            params,
-            dring=dataclasses.replace(
-                params.dring,
-                rpc_timeout_ms=params.dring.rpc_timeout_ms + slack_ms,
-            ),
-        )
         sim = Simulator(seed=derive_seed(master_seed, f"shard-{shard_id}"))
         self.fingerprint = StreamFingerprint(sim.trace) if fingerprint else None
         topology = ShardedTopology(
@@ -148,20 +140,22 @@ class ShardCell:
             topology,
             shard_map,
             shard_id,
-            default_timeout_ms=3.0 * config.latency_max_ms + slack_ms,
+            default_timeout_ms=3.0 * config.latency_max_ms,
+            slack_ms=2.0 * window_ms,
         )
         binner = ShardedBinner(shard_map)
+        config = config.replace(
+            fault_schedule=shard_schedule(
+                config.fault_schedule, shard_map.num_shards, shard_id
+            )
+        )
         self.world = assemble_world(
-            config.replace(
-                fault_schedule=shard_schedule(
-                    config.fault_schedule, shard_map.num_shards, shard_id
-                )
-            ),
+            config,
             master_seed,
             sim,
             network,
             binner,
-            lambda catalog: ShardedFlowerSystem(sim, network, binner, catalog, params),
+            lambda catalog: ShardedFlowerSystem(sim, network, binner, catalog, config),
             num_identities=_split(config.num_identities, shard_map.num_shards, shard_id),
             population=_split(config.population, shard_map.num_shards, shard_id),
         )

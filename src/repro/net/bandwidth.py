@@ -20,12 +20,12 @@ are expressed in kbps, which conveniently equals bits-per-millisecond, so
 ``time_ms = size_bytes * 8 / rate_kbps``.  Fair sharing uses settle-then-
 reschedule: whenever the flow set at a sender changes, elapsed progress
 is credited to every active flow at the old rate, the new per-flow rate
-``upload_kbps / n_flows`` is computed, and each completion event is
+``bandwidth_kbps / n_flows`` is computed, and each completion event is
 rescheduled.  All bookkeeping is driven by simulator events, so runs are
 deterministic.
 
 Slow uplinks.  A deterministic fraction of peers can be degraded to
-``upload_kbps / slow_factor`` — membership is a pure function of the
+``bandwidth_kbps / bandwidth_slow_factor`` — membership is a pure function of the
 model seed and the address (no shared RNG stream), so adding peers never
 perturbs who is slow.
 """
@@ -34,42 +34,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
 from repro.types import Address
 
-__all__ = ["BandwidthParams", "BandwidthModel", "Flow"]
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig
 
-
-@dataclass(frozen=True)
-class BandwidthParams:
-    """Knobs for the fair-share upload model.
-
-    Attributes:
-        upload_kbps: per-peer upload capacity, kilobits per second.
-        slow_fraction: fraction of peers with a degraded uplink.
-        slow_factor: slow peers upload at ``upload_kbps / slow_factor``.
-        seed: master seed for the deterministic slow-uplink draw.
-    """
-
-    upload_kbps: float = 8000.0
-    slow_fraction: float = 0.0
-    slow_factor: float = 8.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.upload_kbps <= 0:
-            raise ConfigError(f"upload_kbps must be positive (got {self.upload_kbps})")
-        if not 0.0 <= self.slow_fraction <= 1.0:
-            raise ConfigError(
-                f"slow_fraction must be in [0, 1] (got {self.slow_fraction})"
-            )
-        if self.slow_factor < 1.0:
-            raise ConfigError(f"slow_factor must be >= 1 (got {self.slow_factor})")
+__all__ = ["BandwidthModel", "Flow"]
 
 
 class Flow:
@@ -120,9 +95,13 @@ class BandwidthModel:
     RPCs on the base transport.
     """
 
-    def __init__(self, sim: Simulator, params: BandwidthParams) -> None:
+    def __init__(self, sim: Simulator, config: ExperimentConfig, seed: int) -> None:
         self.sim = sim
-        self.params = params
+        #: the run's config: ``bandwidth_kbps`` per peer, and the slow
+        #: uplinks' ``bandwidth_slow_fraction`` / ``bandwidth_slow_factor``.
+        self.config = config
+        #: master seed of the deterministic slow-uplink draw.
+        self.seed = seed
         self._flows_by_src: Dict[Address, List[Flow]] = {}
         self._capacity: Dict[Address, float] = {}
         #: Counters (exported through ``stats().swarm`` / bench reports).
@@ -147,12 +126,12 @@ class BandwidthModel:
         cached = self._capacity.get(address)
         if cached is not None:
             return cached
-        p = self.params
-        capacity = p.upload_kbps
-        if p.slow_fraction > 0.0:
-            draw = random.Random(derive_seed(p.seed, f"uplink:{address}")).random()
-            if draw < p.slow_fraction:
-                capacity = p.upload_kbps / p.slow_factor
+        config = self.config
+        capacity = config.bandwidth_kbps
+        if config.bandwidth_slow_fraction > 0.0:
+            draw = random.Random(derive_seed(self.seed, f"uplink:{address}")).random()
+            if draw < config.bandwidth_slow_fraction:
+                capacity = config.bandwidth_kbps / config.bandwidth_slow_factor
                 self.slow_peers += 1
         self._capacity[address] = capacity
         return capacity

@@ -281,10 +281,14 @@ class ShardedNetwork(Network):
         shard_map: ShardMap,
         shard_id: int,
         default_timeout_ms: float = 2000.0,
+        slack_ms: float = 0.0,
     ) -> None:
-        super().__init__(sim, topology, default_timeout_ms)
+        super().__init__(sim, topology, default_timeout_ms + slack_ms)
         self.shard_map = shard_map
         self.shard_id = shard_id
+        #: how far the window barriers can stretch a cross-shard round
+        #: trip (``2 * window_ms``); every timeout of the shard widens by it.
+        self.slack_ms = slack_ms
         self._localities = shard_map.localities_of(shard_id)
         #: locality -> peer addresses handed out so far.
         self._locality_fill: Dict[LocalityId, int] = {}

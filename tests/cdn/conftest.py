@@ -9,28 +9,27 @@ from itertools import islice
 
 import pytest
 
-from repro.cdn.base import ProtocolParams
 from repro.cdn.flower.system import FlowerSystem
 from repro.cdn.petalup.system import PetalUpSystem
 from repro.cdn.squirrel.system import SquirrelSystem
-from repro.dht.ring import RingParams
+from repro.experiments.config import ExperimentConfig
 from repro.net.landmarks import LandmarkBinner
 from repro.net.topology import ClusteredTopology
 from repro.net.transport import Network
-from repro.sim.clock import minutes, seconds
+from repro.sim.clock import minutes
 from repro.sim.engine import Simulator
 from repro.workload.catalog import Catalog
 
 
 def make_params(**overrides):
+    """The config a test world's system reads (its world-shape fields are
+    unused: ``CdnWorld`` builds its own catalog and topology)."""
     defaults = dict(
-        query_interval_ms=minutes(6),
-        gossip_period_ms=minutes(10),      # fast gossip keeps tests short
-        keepalive_period_ms=minutes(10),
-        dring=RingParams(bits=24, maintenance_period_ms=seconds(20)),
+        gossip_period_min=10.0,  # fast gossip keeps tests short
+        chord_maintenance_s=20.0,
     )
     defaults.update(overrides)
-    return ProtocolParams(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 class CdnWorld:

@@ -82,7 +82,7 @@ class TestStreamForget:
 
 class TestFlowerWithBoundedCache:
     def make_world(self, capacity=3):
-        return CdnWorld(params=make_params(cache_capacity=capacity))
+        return CdnWorld(params=make_params(peer_cache_capacity=capacity))
 
     def test_peer_cache_bounded(self):
         world = self.make_world(capacity=3)
@@ -112,7 +112,7 @@ class TestFlowerWithBoundedCache:
         assert not peer.summary.contains((0, 1))
 
     def test_summary_tracks_the_store_through_evictions(self):
-        world = CdnWorld(params=make_params(cache_capacity=3))
+        world = CdnWorld(params=make_params(peer_cache_capacity=3))
         peer = world.arrive(website=0)
         for index in (1, 2, 3, 1, 4, 5, 2, 6):
             world.query(peer, (0, index))

@@ -124,7 +124,7 @@ class TestExpiryKeepaliveInterplay:
         before = world.system.expired_members
         # several full sweep periods: the client's periodic keepalive
         # keeps touching its directory entry
-        world.run(4 * world.params.keepalive_period_ms)
+        world.run(4 * world.system.gossip_period_ms)
         assert directory.directory.has_member(client.address)
         assert world.system.expired_members == before
 
@@ -139,7 +139,7 @@ class TestExpiryKeepaliveInterplay:
         # query) processes stop, as if all its messages were lost.
         client._keepalive_process.cancel()
         client._stop_query_process()
-        world.run((MEMBER_EXPIRY_ROUNDS + 2) * world.params.keepalive_period_ms * 1.1)
+        world.run((MEMBER_EXPIRY_ROUNDS + 2) * world.system.gossip_period_ms * 1.1)
         assert not directory.directory.has_member(client.address)
         # eviction also purged the index pointers
         assert client.address not in directory.directory.member_keys
@@ -155,7 +155,7 @@ class TestExpiryKeepaliveInterplay:
         client, directory = _register_member(world)
         client._keepalive_process.cancel()
         client._stop_query_process()
-        world.run((MEMBER_EXPIRY_ROUNDS + 2) * world.params.keepalive_period_ms * 1.1)
+        world.run((MEMBER_EXPIRY_ROUNDS + 2) * world.system.gossip_period_ms * 1.1)
         assert not directory.directory.has_member(client.address)
         # the comeback query re-admits the peer cleanly...
         record = world.query(client, (0, 7))

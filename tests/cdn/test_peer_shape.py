@@ -92,7 +92,8 @@ def _suspect_with_queued_push(peer):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_every_repoint_entry_ends_in_the_same_state(entry):
     following, suspect, learn = ENTRY_POINTS[entry]
-    world = CdnWorld(FlowerSystem, params=make_params(replication_k=2))
+    params = make_params(directory_replication_k=2)
+    world = CdnWorld(FlowerSystem, params=params)
     directory = world.directory_of(0, 0)
     position = directory.directory.position_id
     peer = world.arrive(website=0, locality=0)

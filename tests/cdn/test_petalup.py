@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cdn.petalup.system import PetalUpSystem
-from repro.errors import CDNError
+from repro.errors import CDNError, ConfigError
 from repro.sim.clock import minutes, seconds
 
 from tests.cdn.conftest import CdnWorld, make_params
@@ -21,7 +21,7 @@ def make_petalup_world(load_limit=3, max_instances=4, seed=1):
 
 class TestConfiguration:
     def test_params_helper_validates(self):
-        with pytest.raises(CDNError):
+        with pytest.raises(ConfigError):
             make_params(directory_load_limit=0, max_instances=4)
         with pytest.raises(CDNError):
             CdnWorld(

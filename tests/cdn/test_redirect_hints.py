@@ -179,7 +179,7 @@ class TestHintPreRouting:
                 directory_queue_limit=4,
                 directory_service_ms=40.0,
                 redirect_hints=True,
-                replication_k=2,
+                directory_replication_k=2,
                 directory_load_limit=3,
                 max_instances=4,
             ),

@@ -26,7 +26,8 @@ def make_role(owner=99, website=0, locality=0, instance=0, position=12345):
 
 
 def replication_world(**overrides):
-    return CdnWorld(FlowerSystem, params=make_params(replication_k=2, **overrides))
+    params = make_params(directory_replication_k=2, **overrides)
+    return CdnWorld(FlowerSystem, params=params)
 
 
 def _register(world, website=0, locality=0, key=(0, 5)):
@@ -206,7 +207,8 @@ class TestPeriodicSync:
         assert stats["replica_holders"] >= 1
 
     def test_replication_off_runs_no_machinery(self):
-        world = CdnWorld(FlowerSystem, params=make_params(replication_k=0))
+        params = make_params(directory_replication_k=0)
+        world = CdnWorld(FlowerSystem, params=params)
         _register(world, key=(0, 5))
         world.run(minutes(25))
         stats = world.system.stats().replication.to_dict()

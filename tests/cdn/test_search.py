@@ -180,7 +180,9 @@ class TestPetalSearch:
 
 
 def make_failover_world(**overrides):
-    world = CdnWorld(FlowerSystem, params=make_params(replication_k=2, **overrides))
+    world = CdnWorld(
+        FlowerSystem, params=make_params(directory_replication_k=2, **overrides)
+    )
     world.system.search_engine = KeywordSearchEngine(
         KeywordSpace(num_keywords=8)
     )
@@ -189,10 +191,13 @@ def make_failover_world(**overrides):
 
 class TestStalenessBound:
     def test_bound_tracks_protocol_periods(self):
-        base = make_params()
-        slower = make_params(keepalive_period_ms=2 * base.keepalive_period_ms)
-        assert staleness_bound_ms(slower) == 2 * staleness_bound_ms(base)
-        assert staleness_bound_ms(base) == base.keepalive_period_ms * (
+        def bound(gossip_period_min):
+            params = make_params(gossip_period_min=gossip_period_min)
+            system = CdnWorld(FlowerSystem, params=params).system
+            return staleness_bound_ms(system.gossip_period_ms)
+
+        assert bound(20.0) == 2 * bound(10.0)
+        assert bound(10.0) == minutes(10) * (
             ANTI_ENTROPY_ROUNDS + DIR_FAILURE_THRESHOLD + 2
         )
 
@@ -223,12 +228,13 @@ class TestSearchFailover:
         assert len(done) == 1
         event = done[0]
         assert event.payload["source"] in ("replica", "takeover")
-        bound = staleness_bound_ms(world.system.params)
+        bound = staleness_bound_ms(world.system.gossip_period_ms)
         assert 0.0 <= event.payload["staleness_ms"] <= bound
 
     def test_search_without_failover_state_reports_outage(self):
         """k=0: a dead directory means a sustained, *accounted* outage."""
-        world = CdnWorld(FlowerSystem, params=make_params(replication_k=0))
+        params = make_params(directory_replication_k=0)
+        world = CdnWorld(FlowerSystem, params=params)
         world.system.search_engine = KeywordSearchEngine(
             KeywordSpace(num_keywords=8)
         )

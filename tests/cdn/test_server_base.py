@@ -2,30 +2,20 @@
 
 import pytest
 
-from repro.cdn.base import ProtocolParams
 from repro.errors import CDNError
+from repro.experiments.config import ExperimentConfig
 
 from tests.cdn.conftest import CdnWorld
 
 
-class TestProtocolParams:
+class TestSystemParams:
     def test_defaults_match_table_1(self):
-        params = ProtocolParams()
-        assert params.query_interval_ms == 6 * 60_000
-        assert params.gossip_period_ms == 60 * 60_000
-        assert params.push_threshold == 0.5
-        assert params.max_instances == 1
-        assert params.directory_load_limit is None
-
-    def test_validation(self):
-        with pytest.raises(CDNError):
-            ProtocolParams(query_interval_ms=0)
-        with pytest.raises(CDNError):
-            ProtocolParams(push_threshold=0.0)
-        with pytest.raises(CDNError):
-            ProtocolParams(max_instances=0)
-        with pytest.raises(CDNError):
-            ProtocolParams(directory_load_limit=0)
+        system = CdnWorld(params=ExperimentConfig()).system
+        assert system.query_interval_ms == 6 * 60_000
+        assert system.gossip_period_ms == 60 * 60_000
+        assert system.params.push_threshold == 0.5
+        assert system.params.max_instances == 1
+        assert system.params.directory_load_limit is None
 
 
 class TestOriginServer:

@@ -13,7 +13,7 @@ import pytest
 from repro.cdn.flower.system import FlowerSystem
 from repro.errors import ConfigError
 from repro.metrics.collector import HIT_OUTCOMES
-from repro.net.bandwidth import BandwidthModel, BandwidthParams
+from repro.net.bandwidth import BandwidthModel
 from repro.sim.clock import seconds
 from repro.workload.objectsize import ObjectSizeModel
 
@@ -85,17 +85,14 @@ def swarm_world(resume=True, bandwidth_kbps=0.0, replicate=0, seed=1, chunk_kb=6
         swarming=True,
         swarm_resume=resume,
         swarm_replicate=replicate,
+        bandwidth_kbps=bandwidth_kbps,
     )
     world = CdnWorld(FlowerSystem, seed=seed, params=params)
     world.system.install_sizes(
         ObjectSizeModel(mean_kb=256.0, chunk_kb=chunk_kb, seed=seed)
     )
     if bandwidth_kbps > 0.0:
-        world.network.install_bandwidth(
-            BandwidthModel(
-                world.sim, BandwidthParams(upload_kbps=bandwidth_kbps, seed=seed)
-            )
-        )
+        world.network.install_bandwidth(BandwidthModel(world.sim, params, seed))
     return world
 
 

@@ -1,7 +1,6 @@
 """End-to-end chaos runs: clean audits, deterministic replay, and the
 auditor actually tripping on an intentionally broken build."""
 
-import dataclasses
 import glob
 import json
 import os
@@ -10,7 +9,8 @@ import pytest
 
 from repro.cdn.base import BasePeer
 from repro.chaos import generate_plan, load_bundle, replay_bundle, run_chaos
-from repro.chaos.auditor import AuditorConfig, InvariantAuditor
+from repro.chaos import auditor as auditor_module
+from repro.chaos.auditor import SEARCH_STRIKES, InvariantAuditor
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.runner import config_from_dict, config_to_dict, merged_config
 from repro.errors import ConfigError, TransportError
@@ -218,16 +218,15 @@ def leaky_completions(monkeypatch):
 
 @pytest.mark.slow
 def test_broken_build_trips_auditor_and_bundle_replays(
-    tmp_path, leaky_completions
+    tmp_path, leaky_completions, monkeypatch
 ):
-    auditor_config = dataclasses.replace(AuditorConfig(), max_violations=2)
+    monkeypatch.setattr(auditor_module, "MAX_VIOLATIONS", 2)
     report = run_chaos(
         "flower",
         small_config(),
         small_plan(2),
         seed=2,
         results_dir=str(tmp_path),
-        auditor_config=auditor_config,
     )
     assert not report.ok
     assert {v.kind for v in report.violations} == {"query_leaked"}
@@ -245,11 +244,7 @@ def test_broken_build_trips_auditor_and_bundle_replays(
     # With the build still broken, the replay re-triggers the very same
     # violation from nothing but the bundle.
     leaky_completions["n"] = 0
-    replay = replay_bundle(
-        report.bundle_paths[0],
-        results_dir=None,
-        auditor_config=auditor_config,
-    )
+    replay = replay_bundle(report.bundle_paths[0], results_dir=None)
     assert not replay.ok
     assert replay.violations[0].kind == report.violations[0].kind
     assert replay.violations[0].subject == report.violations[0].subject
@@ -336,7 +331,7 @@ def test_search_outage_streak_trips_i7_when_replicated():
 
     world = _search_world(replication_k=2)
     auditor = InvariantAuditor(world, results_dir=None)
-    strikes = auditor.config.search_strikes
+    strikes = SEARCH_STRIKES
     # An answered search in between resets the streak.
     for _ in range(strikes - 1):
         _emit_search(world, "none")

@@ -71,15 +71,40 @@ def test_replace():
     assert config.population == 3000  # frozen original untouched
 
 
-def test_protocol_params_derivation():
-    config = ExperimentConfig.paper()
-    params = config.protocol_params()
-    assert params.query_interval_ms == 6 * 60_000
-    assert params.gossip_period_ms == 60 * 60_000
-    assert params.keepalive_period_ms == params.gossip_period_ms
-    assert params.dring.bits == 32
-    assert params.dring.successor_list_size == 8
-    assert params.dring.rpc_timeout_ms > 2 * config.latency_max_ms
+def test_systems_derive_protocol_periods():
+    """What a CDN system derives from its config, pinned to the values the
+    pre-derivation parameter copy held (ms)."""
+    from tests.cdn.conftest import CdnWorld
+
+    for config, maintenance_ms in (
+        (ExperimentConfig(), 120_000.0),
+        (ExperimentConfig.scaled(), 60_000.0),
+        (ExperimentConfig.paper(5000), 120_000.0),
+    ):
+        system = CdnWorld(params=config).system
+        assert system.params is config
+        assert system.query_interval_ms == 360_000.0
+        assert system.gossip_period_ms == 3_600_000.0
+        ring = system.ring.params
+        assert ring.maintenance_period_ms == maintenance_ms
+        assert ring.rpc_timeout_ms == 1_200.0
+        assert (ring.bits, ring.successor_list_size) == (32, 8)
+
+
+def test_cdn_knob_validation():
+    for bad in (
+        dict(query_interval_min=0.0),
+        dict(gossip_period_min=0.0),
+        dict(push_threshold=0.0),
+        dict(max_instances=0),
+        dict(directory_load_limit=0),
+        dict(peer_cache_capacity=0),
+        dict(swarm_parallel=0),
+        dict(swarm_sources=0),
+        dict(swarm_replicate=-1),
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
 
 
 def test_unknown_kwargs_still_rejected():

@@ -37,6 +37,13 @@ def test_every_registered_protocol_builds_its_own_system(protocol):
     assert build_world(protocol, TINY, seed=3).system.name == protocol
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_system_reads_the_run_config(protocol):
+    """The run's config is the system's one parameter object, not a copy."""
+    config = TINY.replace(directory_load_limit=3, max_instances=4)
+    assert build_world(protocol, config, seed=3).system.params is config
+
+
 def test_build_world_flower():
     world = build_world("flower", TINY, seed=3)
     assert isinstance(world.system, FlowerSystem)
@@ -194,6 +201,18 @@ def test_shard_cell_holds_a_world():
     InvariantAuditor(cell.world, results_dir=None)
     cell.run_to(minutes(1))
     assert cell.finalize()["totals"]["events_executed"] > 0
+
+
+def test_shard_cell_widens_timeouts_by_the_bus_slack():
+    """A cross-shard round trip can wait at two window barriers, so a
+    cell's D-ring and transport time out ``2 * window`` later."""
+    from repro.experiments.sharded import ShardCell
+    from repro.net.shardnet import ShardMap
+
+    shard_map = ShardMap(2, SHARDED.num_localities, SHARDED.num_websites)
+    cell = ShardCell(SHARDED, 1, shard_map, 0, 75.0, False)
+    assert cell.world.system.ring.params.rpc_timeout_ms == 1_200.0 + 2 * 75.0
+    assert cell.world.network.default_timeout_ms == 1_500.0 + 2 * 75.0
 
 
 def test_shard_cell_schedules_its_share_of_a_churn_surge():

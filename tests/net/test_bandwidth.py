@@ -8,16 +8,17 @@ arithmetic, no tolerance fudging needed beyond float epsilon.
 import pytest
 
 from repro.errors import ConfigError
-from repro.net.bandwidth import BandwidthModel, BandwidthParams
+from repro.experiments.config import ExperimentConfig
+from repro.net.bandwidth import BandwidthModel
 from repro.sim.engine import Simulator
 
 MB = 1_000_000
 
 
-def make_model(**kwargs):
+def make_model(bandwidth_kbps=8000.0, seed=0, **overrides):
     sim = Simulator(seed=1)
-    params = BandwidthParams(**kwargs)
-    return sim, BandwidthModel(sim, params)
+    config = ExperimentConfig(bandwidth_kbps=bandwidth_kbps, **overrides)
+    return sim, BandwidthModel(sim, config, seed)
 
 
 class Recorder:
@@ -40,17 +41,19 @@ class Recorder:
 @pytest.mark.parametrize(
     "bad",
     [
-        {"upload_kbps": 0.0},
-        {"upload_kbps": -10.0},
-        {"slow_factor": 0.0},
-        {"slow_fraction": -0.1},
-        {"slow_fraction": 1.5},
-        {"slow_factor": 0.5},
+        {"bandwidth_kbps": -1.0},
+        {"bandwidth_kbps": -10.0},
+        {"bandwidth_slow_factor": 0.0},
+        {"bandwidth_slow_fraction": -0.1},
+        {"bandwidth_slow_fraction": 1.5},
+        {"bandwidth_slow_factor": 0.5},
     ],
 )
 def test_params_validation(bad):
+    """The model reads the run's config, which rejects bad values (0 kbps
+    is valid there: it switches the model off)."""
     with pytest.raises(ConfigError):
-        BandwidthParams(**bad)
+        ExperimentConfig(**bad)
 
 
 def test_zero_size_flow_rejected():
@@ -63,7 +66,7 @@ def test_zero_size_flow_rejected():
 
 
 def test_single_flow_timing():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     rec = Recorder(sim)
     model.start(1, 2, MB, on_done=rec.on_done)
     sim.run()
@@ -75,7 +78,7 @@ def test_single_flow_timing():
 
 
 def test_fair_share_two_concurrent_flows():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     rec = Recorder(sim)
     model.start(1, 2, MB, on_done=rec.on_done)
     model.start(1, 3, MB, on_done=rec.on_done)
@@ -87,7 +90,7 @@ def test_fair_share_two_concurrent_flows():
 
 
 def test_settle_then_reschedule_mid_flow_join():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     rec = Recorder(sim)
     model.start(1, 2, MB, on_done=rec.on_done)
     sim.schedule(500.0, model.start, 1, 3, MB, rec.on_done)
@@ -100,7 +103,7 @@ def test_settle_then_reschedule_mid_flow_join():
 
 
 def test_flows_at_distinct_senders_do_not_share():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     rec = Recorder(sim)
     model.start(1, 9, MB, on_done=rec.on_done)
     model.start(2, 9, MB, on_done=rec.on_done)
@@ -113,7 +116,7 @@ def test_flows_at_distinct_senders_do_not_share():
 
 
 def test_abort_uploads_of_fires_on_abort_and_counts():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     rec = Recorder(sim)
     model.start(1, 2, MB, on_done=rec.on_done, on_abort=rec.on_abort)
     model.start(1, 3, MB, on_done=rec.on_done, on_abort=rec.on_abort)
@@ -141,7 +144,7 @@ def test_abort_uploads_of_idle_sender_is_zero():
 
 
 def test_cancel_is_silent_and_idempotent():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     rec = Recorder(sim)
     flow = model.start(1, 2, MB, on_done=rec.on_done, on_abort=rec.on_abort)
     peer = model.start(1, 3, MB, on_done=rec.on_done, on_abort=rec.on_abort)
@@ -166,7 +169,7 @@ def test_cancel_is_silent_and_idempotent():
 
 def test_slow_fraction_one_degrades_everyone():
     sim, model = make_model(
-        upload_kbps=8000.0, slow_fraction=1.0, slow_factor=8.0
+        bandwidth_kbps=8000.0, bandwidth_slow_fraction=1.0, bandwidth_slow_factor=8.0
     )
     rec = Recorder(sim)
     model.start(1, 2, MB, on_done=rec.on_done)
@@ -178,18 +181,18 @@ def test_slow_fraction_one_degrades_everyone():
 
 
 def is_slow(model, address):
-    return model.capacity_kbps(address) < model.params.upload_kbps
+    return model.capacity_kbps(address) < model.config.bandwidth_kbps
 
 
 def test_slow_membership_is_deterministic_and_stable():
-    _, a = make_model(slow_fraction=0.3, seed=7)
-    _, b = make_model(slow_fraction=0.3, seed=7)
+    _, a = make_model(bandwidth_slow_fraction=0.3, seed=7)
+    _, b = make_model(bandwidth_slow_fraction=0.3, seed=7)
     verdicts_a = [is_slow(a, address) for address in range(200)]
     verdicts_b = [is_slow(b, address) for address in range(200)]
     assert verdicts_a == verdicts_b
     # Membership is per-address, not a shared stream: querying in a
     # different order must not change anyone's verdict.
-    _, c = make_model(slow_fraction=0.3, seed=7)
+    _, c = make_model(bandwidth_slow_fraction=0.3, seed=7)
     verdicts_c = [is_slow(c, address) for address in reversed(range(200))]
     assert verdicts_c == list(reversed(verdicts_a))
     # And the fraction is roughly honoured.
@@ -197,7 +200,7 @@ def test_slow_membership_is_deterministic_and_stable():
 
 
 def test_stats_shape():
-    sim, model = make_model(upload_kbps=8000.0)
+    sim, model = make_model(bandwidth_kbps=8000.0)
     model.start(1, 2, MB, on_done=lambda flow: None)
     sim.run()
     assert model.stats() == {

@@ -285,12 +285,28 @@ def test_every_module_has_a_customer():
     assert orphans == [], orphans
 
 
-#: The parameter classes of a run and the module each is declared in.
-_PARAMETER_CLASSES = {
-    "ExperimentConfig": "src/repro/experiments/config.py",
-    "ProtocolParams": "src/repro/cdn/base.py",
-    "RingParams": "src/repro/dht/ring.py",
-}
+def _names_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _parameter_classes(root):
+    """Every ``*Config`` / ``*Params`` dataclass under ``src/repro``:
+    ``name -> (class node, its module's lines)``.  Found, not listed, so a
+    second parameter object copying the config's fields cannot slip past
+    the field census."""
+    classes = {}
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Config", "Params"))
+                and any(_names_dataclass(d) for d in node.decorator_list)
+            ):
+                classes[node.name] = (node, text.splitlines())
+    return classes
+
 
 #: A declaration carrying one of these is kept without a caller.
 _KEEP_MARKS = ("# paper parameter", "# test seam")
@@ -300,15 +316,8 @@ def _declared_fields(root):
     """``(class, field) -> marked`` for every field of the parameter
     classes; *marked* when its declaration line carries a keep mark."""
     fields = {}
-    for name, relative in _PARAMETER_CLASSES.items():
-        text = (root / relative).read_text()
-        lines = text.splitlines()
-        (body,) = [
-            node.body
-            for node in ast.parse(text).body
-            if isinstance(node, ast.ClassDef) and node.name == name
-        ]
-        for stmt in body:
+    for name, (node, lines) in _parameter_classes(root).items():
+        for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                 line = lines[stmt.lineno - 1]
                 fields[name, stmt.target.id] = any(m in line for m in _KEEP_MARKS)
@@ -316,80 +325,51 @@ def _declared_fields(root):
 
 
 def _keyword_setters(root):
-    """Every ``name=value`` keyword of a call outside ``tests/``.
-
-    Returns ``(direct, forwarded)``: *direct* holds the names some call
-    sets to a value that is not that same name read back from a config
-    (``config.<name>`` / ``self.<name>``); *forwarded* maps each keyword of
-    ``ExperimentConfig.protocol_params()`` to the ``self.<field>`` names
-    its value reads, since that method only forwards what the config was
-    set to."""
-    config_path = root / _PARAMETER_CLASSES["ExperimentConfig"]
-    direct, forwarded = set(), {}
+    """Every ``name=value`` keyword of a call outside ``tests/`` whose
+    value is not that same name read back from a config (``config.<name>``
+    / ``self.<name>``): the names some call sets to a value of its own."""
+    direct = set()
     paths = list((root / "src" / "repro").rglob("*.py"))
     for folder in ("benchmarks", "examples", "scripts"):
         paths.extend((root / folder).rglob("*.py"))
     for path in paths:
-        tree = ast.parse(path.read_text())
-        inside = set()
-        if path == config_path:
-            (method,) = [
-                node
-                for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "protocol_params"
-            ]
-            inside = {id(node) for node in ast.walk(method)}
-        for call in ast.walk(tree):
+        for call in ast.walk(ast.parse(path.read_text())):
             if not isinstance(call, ast.Call):
                 continue
             for keyword in call.keywords:
                 name, value = keyword.arg, keyword.value
                 if name is None:
                     continue
-                if id(call) in inside:
-                    forwarded.setdefault(name, []).append(
-                        {
-                            node.attr
-                            for node in ast.walk(value)
-                            if isinstance(node, ast.Attribute)
-                            and isinstance(node.value, ast.Name)
-                            and node.value.id == "self"
-                        }
-                    )
-                elif not (
+                if not (
                     isinstance(value, ast.Attribute)
                     and value.attr == name
                     and isinstance(value.value, ast.Name)
                     and value.value.id in ("config", "self")
                 ):
                     direct.add(name)
-    return direct, forwarded
+    return direct
+
+
+def test_one_parameter_object_per_layer():
+    """The run's knobs have one spelling, ``ExperimentConfig``; the Chord
+    layer's ``RingParams`` is the only other parameter object, built from
+    it.  A new one must earn its place here."""
+    root = Path(__file__).resolve().parents[1]
+    assert set(_parameter_classes(root)) == {"ExperimentConfig", "RingParams"}
 
 
 def test_every_config_field_has_a_caller():
     """A parameter field exists because some run sets it: a benchmark, an
     example, a script or the CLI passes ``<field>=`` with a value of its
-    own.  ``ExperimentConfig.protocol_params()`` sets a ``ProtocolParams``
-    field only as far as the config fields it reads are set.  Table 1
-    parameters and the DHT tests' seams stay without a caller, marked at
-    their declaration; any other field only tests set is a module constant
-    at its reader."""
+    own.  Table 1 parameters and the DHT tests' seams stay without a
+    caller, marked at their declaration; any other field only tests set is
+    a module constant at its reader."""
     root = Path(__file__).resolve().parents[1]
     fields = _declared_fields(root)
-    direct, forwarded = _keyword_setters(root)
-    config_set = {
-        field
-        for (cls, field), marked in fields.items()
-        if cls == "ExperimentConfig" and (marked or field in direct)
-    }
+    direct = _keyword_setters(root)
     uncalled = sorted(
         f"{cls}.{field}"
         for (cls, field), marked in fields.items()
-        if not marked
-        and field not in direct
-        and not (
-            cls != "ExperimentConfig"
-            and any(reads <= config_set for reads in forwarded.get(field, ()))
-        )
+        if not marked and field not in direct
     )
     assert uncalled == [], uncalled
