@@ -71,6 +71,17 @@ GOLDEN_FAULTED = (
     0.6450742240215924,
 )
 
+#: (stream SHA-256, hit ratio) for GOLDEN_FAULTED's run plus 5 % uniform
+#: loss: partition cuts, bursty draws and uniform draws interleave inside
+#: one delivery check.  Recorded while uniform loss was still a second
+#: drop path beside the fault controller, so it pins the order of causes
+#: (partition, bursty, uniform) and the one ``loss``-stream draw per
+#: delivery attempt.
+GOLDEN_LOSSY = (
+    "97c7f9022ef2accf373d3fe3925d73f5e594af1bae69da5357b92d0edb4bb420",
+    0.5084615384615384,
+)
+
 #: phase the plan must contain -> (protocol, config overrides,
 #: ``generate_plan`` opt-ins, stream SHA-256, hit ratio) of one
 #: ``run_chaos`` per plan menu over CHAOS_GOLDEN_BASE at seed 1, chaos
@@ -196,6 +207,17 @@ def test_golden_faulted_stream_fingerprint():
     config = golden_config().replace(fault_schedule=FAULT_SCHEDULE)
     sha, hit_ratio, _ = run_world("flower", firehose=True, config=config)
     assert (sha, hit_ratio) == GOLDEN_FAULTED
+
+
+@pytest.mark.slow
+def test_golden_lossy_stream_fingerprint():
+    """GOLDEN_FAULTED's run under 5 % uniform loss as well, event for
+    event."""
+    config = golden_config().replace(
+        fault_schedule=FAULT_SCHEDULE, message_loss_rate=0.05
+    )
+    sha, hit_ratio, _ = run_world("flower", firehose=True, config=config)
+    assert (sha, hit_ratio) == GOLDEN_LOSSY
 
 
 @pytest.mark.slow
