@@ -14,6 +14,7 @@ from benchmarks.conftest import emit_report
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.report import render_table
+from repro.net.faults import UniformLossSpec
 
 ABLATION_POPULATION = 180
 ABLATION_HOURS = 8.0
@@ -249,8 +250,9 @@ def test_ablation_message_loss(benchmark):
     def run():
         rows = []
         for loss in (0.0, 0.02, 0.05, 0.10):
+            schedule = (UniformLossSpec(loss),) if loss else ()
             result = run_experiment(
-                "flower", ablation_config(message_loss_rate=loss), seed=2
+                "flower", ablation_config(fault_schedule=schedule), seed=2
             )
             rows.append(
                 [

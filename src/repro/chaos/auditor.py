@@ -71,7 +71,6 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cdn.flower.search_client import staleness_bound_ms
 from repro.cdn.flower.system import FlowerSystem
-from repro.net.faults import BurstyLossSpec, LatencySpikeSpec, PartitionSpec
 from repro.sim.clock import minutes
 from repro.sim.trace import TraceEvent
 
@@ -126,6 +125,14 @@ SEARCH_STRIKES = 3
 TRACE_WINDOW = 256
 #: violations recorded before the auditor stops reporting.
 MAX_VIOLATIONS = 25
+#: ``stats`` entries that count one trace kind each: read off the trace's
+#: own counters, not tallied a second time.
+TRACE_COUNTED = {
+    "stale_completions": "cdn.query_stale",
+    "keys_rebalanced": "flower.key_rebalanced",
+    "keys_adopted": "flower.key_adopted",
+    "chunk_retries": "swarm.chunk_retry",
+}
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,9 @@ class InvariantAuditor:
         #: time, the auditor re-checks every served result against it).
         self.search_staleness_bound_ms = staleness_bound_ms(period)
         self.violations: List[Violation] = []
-        self.stats: Dict[str, int] = {
+        #: the tallies behind :attr:`stats`; the TRACE_COUNTED entries stay
+        #: 0 here and only hold their place in the report's key order.
+        self._stats: Dict[str, int] = {
             "audits": 0,
             "queries_opened": 0,
             "queries_closed": 0,
@@ -247,30 +256,14 @@ class InvariantAuditor:
         self._transfer_leaks: Set[Tuple[int, tuple]] = set()
         # --- trace window (context for reproducer bundles) ---
         self._window: Deque[TraceEvent] = deque(maxlen=TRACE_WINDOW)
-        # --- fault context ---
+        # --- fault context: windowed faults are asked of the controller
+        # (see _disturbed); point faults land here.
         self._last_disturbance_ms = 0.0
-        self._partition_active = False
         #: last ring-membership change (join/shutdown): a node needs a
         #: couple of stabilization rounds to be stitched into every
         #: successor pointer, so convergence is only owed once membership
         #: has quiesced.
         self._last_ring_change_ms = float("-inf")
-        #: declared fault windows (partitions, latency, bounded loss) from
-        #: the config's schedule: convergence is only owed outside them.
-        #: The event subscriptions catch point faults (mass failures) and
-        #: partition edges; windowed faults never emit edge events, so
-        #: they are read off the schedule instead -- selected by type, not
-        #: by which attributes a spec happens to have: the surges riding
-        #: in the same schedule have a start too, and they must not widen
-        #: the I2 / I3 / I5 / I7 tolerance.
-        self._disturbance_windows: List[Tuple[float, float]] = []
-        for spec in world.config.fault_schedule:
-            if isinstance(spec, PartitionSpec):
-                self._disturbance_windows.append((spec.start_ms, spec.heal_ms))
-            elif isinstance(spec, LatencySpikeSpec) or (
-                isinstance(spec, BurstyLossSpec) and spec.end_ms is not None
-            ):
-                self._disturbance_windows.append((spec.start_ms, spec.end_ms))
         # --- staleness / convergence trackers ---
         self._first_seen: Dict[tuple, float] = {}
         self._vacant_since: Dict[tuple, float] = {}
@@ -284,20 +277,25 @@ class InvariantAuditor:
         self._subscribe()
         self.sim.schedule(AUDIT_PERIOD_MS, self._audit_tick)
 
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The auditor's tallies by name, a fresh dict on every read; the
+        :data:`TRACE_COUNTED` entries come from the trace's counters."""
+        counters = self.sim.trace.counters
+        stats = dict(self._stats)
+        for name, kind in TRACE_COUNTED.items():
+            stats[name] = counters[kind]
+        return stats
+
     # ------------------------------------------------------------ subscribing
     def _subscribe(self) -> None:
         trace = self.sim.trace
         handlers = {
             "cdn.query": self._on_query,
             "cdn.query_done": self._on_query_done,
-            "cdn.query_stale": self._on_query_stale,
-            "fault.partition_start": self._on_partition_edge,
-            "fault.partition_heal": self._on_partition_edge,
             "fault.mass_failure": self._on_disturbance,
             "flower.directory_active": self._on_directory_active,
             "flower.hint_hop": self._on_hint_hop,
-            "flower.key_adopted": self._on_key_adopted,
-            "flower.key_rebalanced": self._on_key_rebalanced,
             "flower.members_shed": self._on_members_shed,
             "flower.query_shed": self._on_query_shed,
             "flower.search_done": self._on_search_done,
@@ -305,7 +303,6 @@ class InvariantAuditor:
             "chord.shutdown": self._on_ring_change,
             "swarm.start": self._on_swarm_start,
             "swarm.chunk_done": self._on_swarm_chunk_done,
-            "swarm.chunk_retry": self._on_swarm_chunk_retry,
             "swarm.restart": self._on_swarm_restart,
             "swarm.done": self._on_swarm_done,
         }
@@ -328,7 +325,7 @@ class InvariantAuditor:
     # ------------------------------------------------------- ledger handlers
     def _on_query(self, event: TraceEvent) -> None:
         key = (event.payload["peer"], tuple(event.payload["key"]))
-        self.stats["queries_opened"] += 1
+        self._stats["queries_opened"] += 1
         if key in self._open:
             # A second issue while the first is open would make the done
             # events ambiguous; the query process never does this.
@@ -351,11 +348,11 @@ class InvariantAuditor:
         self._leak_reported.discard(key)
         self._ever_closed.add(key)
         self._hint_hopped.pop(key, None)
-        self.stats["queries_closed"] += 1
+        self._stats["queries_closed"] += 1
 
     # ------------------------------------------------ I8: shed accounting
     def _on_query_shed(self, event: TraceEvent) -> None:
-        self.stats["queries_shed"] += 1
+        self._stats["queries_shed"] += 1
         raw_key = event.payload.get("key")
         if raw_key is None:
             return  # register-only scan shed: no query ledger entry owed
@@ -376,11 +373,11 @@ class InvariantAuditor:
             )
 
     def _on_members_shed(self, event: TraceEvent) -> None:
-        self.stats["members_shed"] += int(event.payload.get("count", 0))
+        self._stats["members_shed"] += int(event.payload.get("count", 0))
 
     # --------------------------------------------- I10: hint-hop discipline
     def _on_hint_hop(self, event: TraceEvent) -> None:
-        self.stats["hint_hops"] += 1
+        self._stats["hint_hops"] += 1
         payload = event.payload
         peer = payload["peer"]
         key = (peer, tuple(payload["key"]))
@@ -432,18 +429,12 @@ class InvariantAuditor:
         # accounted miss, which I1 enforces.  Count it for the report.
         network = self.network
         if not network.is_alive(target):
-            self.stats["hint_dead_targets"] += 1
-
-    def _on_key_rebalanced(self, event: TraceEvent) -> None:
-        self.stats["keys_rebalanced"] += 1
-
-    def _on_key_adopted(self, event: TraceEvent) -> None:
-        self.stats["keys_adopted"] += 1
+            self._stats["hint_dead_targets"] += 1
 
     # ------------------------------------------------ I9: transfer ledger
     def _on_swarm_start(self, event: TraceEvent) -> None:
         key = (event.payload["peer"], tuple(event.payload["key"]))
-        self.stats["transfers_opened"] += 1
+        self._stats["transfers_opened"] += 1
         if key in self._transfers:
             # A superseding query aborts (and closes) the old transfer
             # *before* registering the new one, so an open entry here
@@ -484,11 +475,8 @@ class InvariantAuditor:
         entry["chunks"].add(chunk)
         entry["bytes"] += int(event.payload["bytes"])
 
-    def _on_swarm_chunk_retry(self, event: TraceEvent) -> None:
-        self.stats["chunk_retries"] += 1
-
     def _on_swarm_restart(self, event: TraceEvent) -> None:
-        self.stats["transfer_restarts"] += 1
+        self._stats["transfer_restarts"] += 1
         key = (event.payload["peer"], tuple(event.payload["key"]))
         entry = self._transfers.get(key)
         if entry is not None:
@@ -508,7 +496,7 @@ class InvariantAuditor:
             )
             return
         self._transfer_leaks.discard(key)
-        self.stats["transfers_closed"] += 1
+        self._stats["transfers_closed"] += 1
         outcome = event.payload["outcome"]
         reported = int(event.payload["bytes"]) + int(event.payload["origin_bytes"])
         details = {
@@ -520,9 +508,9 @@ class InvariantAuditor:
             "chunk_count": entry["chunk_count"],
         }
         if outcome == "degraded":
-            self.stats["transfers_degraded"] += 1
+            self._stats["transfers_degraded"] += 1
         if outcome == "failed":
-            self.stats["transfers_failed"] += 1
+            self._stats["transfers_failed"] += 1
             # A failed close (downloader crash, superseded query, origin
             # unreachable) may be partial, but what *was* reported must
             # match what the ledger saw this generation.
@@ -545,18 +533,13 @@ class InvariantAuditor:
                 "transfer_bytes_inconsistent", subject=key, details=details
             )
 
-    def _on_query_stale(self, event: TraceEvent) -> None:
-        # Informational: a suppressed stale completion is the ledger
-        # working as intended (the query was already crash-finalized).
-        self.stats["stale_completions"] += 1
-
     # ------------------------------------------------------- fault handlers
-    def _on_partition_edge(self, event: TraceEvent) -> None:
-        self._last_disturbance_ms = event.time
-        faults = getattr(self.world, "faults", None)
-        self._partition_active = (
-            faults is not None and faults.partition_active(event.time)
-        )
+    def _disturbed(self, now: float, settle: float = 0.0) -> bool:
+        """Is *now* inside, or within *settle* after, a fault window
+        (partition, latency spike, bounded bursty loss)?  Convergence is
+        only owed outside them."""
+        faults = self.world.faults
+        return faults is not None and faults.disturbed(now, settle)
 
     def _on_disturbance(self, event: TraceEvent) -> None:
         self._last_disturbance_ms = event.time
@@ -572,7 +555,7 @@ class InvariantAuditor:
         )
         since = self._vacant_since.pop(slot, None)
         if since is not None:
-            self.stats["reacquired_slots"] += 1
+            self._stats["reacquired_slots"] += 1
             self.reacquire_times_ms.append(event.time - since)
 
     # ------------------------------------------------- I7: search plane
@@ -581,14 +564,14 @@ class InvariantAuditor:
         source = payload["source"]
         if source == "unregistered":
             return  # never joined a petal: no availability owed yet
-        self.stats["searches"] += 1
+        self._stats["searches"] += 1
         petal = (payload["website"], payload["locality"])
         staleness = float(payload.get("staleness_ms", 0.0))
         if source == "replica":
-            self.stats["search_replica_served"] += 1
+            self._stats["search_replica_served"] += 1
             rounded = int(round(staleness))
-            if rounded > self.stats["search_stale_max_ms"]:
-                self.stats["search_stale_max_ms"] = rounded
+            if rounded > self._stats["search_stale_max_ms"]:
+                self._stats["search_stale_max_ms"] = rounded
             if (
                 staleness > self.search_staleness_bound_ms
                 and ("search_stale", petal) not in self._reported
@@ -609,7 +592,7 @@ class InvariantAuditor:
         if source != "none":
             self._search_streak.pop(petal, None)
             return
-        self.stats["searches_unanswered"] += 1
+        self._stats["searches_unanswered"] += 1
         if self.system.params.directory_replication_k <= 0:
             # Without replicas an outage through a directory wipe is the
             # expected baseline (the cold arm of the availability A/B),
@@ -618,7 +601,7 @@ class InvariantAuditor:
         streak = self._search_streak.get(petal, 0) + 1
         self._search_streak[petal] = streak
         strikes = SEARCH_STRIKES
-        if self._partition_active or self._in_disturbance_window(event.time, 0.0):
+        if self._disturbed(event.time):
             # Inside a declared disturbance the first probe or two may
             # race the takeover; only a sustained streak is a violation.
             strikes *= 2
@@ -639,13 +622,7 @@ class InvariantAuditor:
         if self._finalized or self._saturated:
             return
         now = self.sim.now
-        self.stats["audits"] += 1
-        faults = getattr(self.world, "faults", None)
-        self._partition_active = (
-            faults is not None and faults.partition_active(now)
-        )
-        if self._partition_active:
-            self._last_disturbance_ms = now
+        self._stats["audits"] += 1
         self._audit_ledger(now, horizon_reached=False)
         if self.flower is not None:
             self._audit_slots(now)
@@ -714,7 +691,7 @@ class InvariantAuditor:
         holders = self._live_slot_holders()
         # --- I2: at most one live directory per slot (strike-based to
         # tolerate the instant of a handoff/claim race mid-settling) ---
-        disturbed = self._partition_active or self._in_disturbance_window(now, 0.0)
+        disturbed = self._disturbed(now)
         if disturbed:
             # A partition legitimately splits a slot: a provisional claimant
             # inside the cut coexists with the registered holder outside it
@@ -740,7 +717,7 @@ class InvariantAuditor:
                 del self._dup_streak[slot]
         # --- I3: bounded reacquire of instance-0 slots of active websites ---
         system = self.flower
-        if self._partition_active or self._in_disturbance_window(now, 0.0):
+        if disturbed:
             # A partition (or a declared loss/latency window) legitimately
             # stalls both detection and rejoin; restart every vacancy
             # clock at the current time.
@@ -819,14 +796,6 @@ class InvariantAuditor:
         )
 
     # ------------------------------------------------ I5: ring convergence
-    def _in_disturbance_window(self, now: float, settle: float) -> bool:
-        """Is *now* inside (or within *settle* of the end of) any declared
-        fault window from the schedule?"""
-        return any(
-            start <= now < end + settle
-            for start, end in self._disturbance_windows
-        )
-
     def _audit_ring(self, now: float) -> None:
         # Convergence is only owed once faults have quiesced for a while.
         settle = 2.0 * AUDIT_PERIOD_MS
@@ -836,10 +805,9 @@ class InvariantAuditor:
         # long before owing a perfect cycle.
         ring_settle = 2.0 * self.flower.ring.params.maintenance_period_ms
         if (
-            self._partition_active
-            or now - self._last_disturbance_ms < settle
+            now - self._last_disturbance_ms < settle
             or now - self._last_ring_change_ms < ring_settle
-            or self._in_disturbance_window(now, settle)
+            or self._disturbed(now, settle)
         ):
             self._ring_strike = 0
             return
@@ -986,7 +954,7 @@ class InvariantAuditor:
             "plan": self.plan.to_dict() if self.plan is not None else None,
             "violation": violation.to_dict(),
             "violation_index": len(self.violations) - 1,
-            "stats": dict(self.stats),
+            "stats": self.stats,
             "trace_window": [
                 {
                     "time": event.time,
@@ -1014,7 +982,9 @@ class InvariantAuditor:
             "open_queries": len(self._open),
             "open_transfers": len(self._transfers),
             "online_peers": self.system.online_peers,
-            "partition_active": self._partition_active,
+            "partition_active": (
+                self.world.faults is not None and self.world.faults.partition_active()
+            ),
         }
         if self.flower is not None:
             holders = self._live_slot_holders()

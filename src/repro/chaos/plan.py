@@ -63,6 +63,7 @@ from repro.net.faults import (
     MassFailureSpec,
     PartitionSpec,
     SeederDeathSpec,
+    UniformLossSpec,
 )
 from repro.sim.clock import minutes
 from repro.workload.churn import ChurnSurgeSpec
@@ -94,6 +95,7 @@ class ChaosPhase:
 
 #: spec-type registry for the JSON round trip.
 _SPEC_TYPES = {
+    "uniform_loss": UniformLossSpec,
     "bursty_loss": BurstyLossSpec,
     "partition": PartitionSpec,
     "latency_spike": LatencySpikeSpec,

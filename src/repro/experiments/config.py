@@ -86,7 +86,8 @@ class ExperimentConfig:
             frozen specs (:data:`ScheduleSpec`), each kind defined beside
             the thing it acts on: the network faults and crash campaigns
             of :mod:`repro.net.faults`
-            (:class:`~repro.net.faults.BurstyLossSpec`,
+            (:class:`~repro.net.faults.UniformLossSpec`,
+            :class:`~repro.net.faults.BurstyLossSpec`,
             :class:`~repro.net.faults.PartitionSpec`,
             :class:`~repro.net.faults.LatencySpikeSpec`,
             :class:`~repro.net.faults.MassFailureSpec`,
@@ -97,8 +98,8 @@ class ExperimentConfig:
             without an open loop).  Installed in one place,
             :func:`~repro.experiments.runner.assemble_world`, on the
             dedicated ``faults`` / ``chaos`` RNG streams; a chaos plan is
-            a tuple appended here.  Empty = nothing injected (uniform
-            ``message_loss_rate`` still applies).
+            a tuple appended here.  Empty = nothing injected: only a dead
+            destination loses a message.
         openloop_rate_qps: aggregate open-loop arrival rate (queries per
             second across the whole system) of the overload workload
             (:mod:`repro.workload.openloop`).  0 = off, the default: the
@@ -188,7 +189,6 @@ class ExperimentConfig:
     max_instances: int = 1
     directory_collaboration: bool = False
     peer_cache_capacity: Optional[int] = None
-    message_loss_rate: float = 0.0
     rpc_retries: int = 2
     directory_replication_k: int = 0
     search_keywords: int = 0
@@ -290,8 +290,6 @@ class ExperimentConfig:
             raise ConfigError("bandwidth_slow_factor must be >= 1")
         if self.population < 1:
             raise ConfigError("population must be positive")
-        if not 0.0 <= self.message_loss_rate < 1.0:
-            raise ConfigError("message_loss_rate must be in [0, 1)")
         if self.peer_pool_factor < 1.0:
             raise ConfigError("peer_pool_factor must be >= 1 (pool >= population)")
         if self.duration_hours <= 0 or self.mean_uptime_min <= 0:

@@ -134,7 +134,7 @@ def assemble_world(
     """Populate a fabric -- simulator, network, binner -- into a :class:`World`.
 
     Everything a deployment needs beyond its fabric is wired here and only
-    here: uniform loss, catalog, CDN system, object sizes, bandwidth, the
+    here: catalog, CDN system, object sizes, bandwidth, the
     search engine and its probes, the initial population, churn, the
     open-loop workload, and every entry of ``config.fault_schedule`` --
     on the fault controller, the churn process or the open loop, by kind.
@@ -150,8 +150,6 @@ def assemble_world(
             target population (default: the config's; a shard passes its
             share of each).
     """
-    if config.message_loss_rate > 0.0:
-        network.configure_loss(config.message_loss_rate, sim.rng("loss"))
     catalog = Catalog(
         num_websites=config.num_websites,
         objects_per_website=config.objects_per_website,
@@ -235,10 +233,10 @@ def assemble_world(
         # The one place a schedule is installed: network faults and crash
         # campaigns go to the controller, the two workload kinds to the
         # workload they act on.  The controller draws from the dedicated
-        # "faults" stream and a surge's website pin from "chaos", so the
-        # injection decisions themselves perturb no other component's
-        # random sequence and fault runs stay comparable with fault-free
-        # runs of the same seed.
+        # "faults" stream (uniform loss from "loss") and a surge's website
+        # pin from "chaos", so the injection decisions themselves perturb
+        # no other component's random sequence and fault runs stay
+        # comparable with fault-free runs of the same seed.
         faults = FaultController(
             sim, network, rng=sim.rng("faults"), locality_of=binner.locality_of
         )

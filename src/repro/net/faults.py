@@ -1,18 +1,18 @@
-"""Fault injection: bursty loss, partitions, latency spikes, crash campaigns.
+"""Fault injection: message loss, partitions, latency spikes, crash campaigns.
 
-The seed harness could only stress the protocols two ways -- i.i.d. uniform
-message loss (:meth:`~repro.net.transport.Network.configure_loss`) and
-independent crash churn.  Real overlay stress is *correlated*: routers fail
-and take whole localities offline, congested links drop packets in bursts,
-backbone cuts partition the network for minutes and then heal.  This module
-provides those scenarios as schedulable, reproducible fault campaigns:
+Crash churn alone is independent; real overlay stress is *correlated*:
+routers fail and take whole localities offline, congested links drop
+packets in bursts, backbone cuts partition the network for minutes and
+then heal.  This module provides those scenarios as schedulable,
+reproducible fault campaigns:
 
+- **uniform loss** -- every delivery attempt dropped i.i.d. with one
+  probability (the baseline lossy network);
 - **Gilbert-Elliott bursty loss** -- a two-state Markov chain per link
   (good/bad); the bad state drops with high probability, producing the
   loss *bursts* that defeat single-shot RPC failure detection;
-- **network partitions** -- traffic crossing a locality (or explicit
-  address-set) boundary is cut in both directions between a start and a
-  heal time;
+- **network partitions** -- traffic crossing a locality boundary is cut in
+  both directions between a start and a heal time;
 - **latency-degradation windows** -- a multiplier and/or additive spike on
   selected links for a while (congestion, route flaps);
 - **mass-failure campaigns** -- crash a fraction of a locality's peers, or
@@ -22,9 +22,12 @@ provides those scenarios as schedulable, reproducible fault campaigns:
   at a scheduled instant, ranked at the strike.
 
 Everything is driven by the deterministic simulation clock, and every
-random draw comes from one dedicated RNG stream (``"faults"`` by default),
-so a run with fault injection is exactly as reproducible as one without:
-identical seeds produce identical trajectories, fault for fault.
+random draw comes from a dedicated RNG stream (``"faults"`` by default;
+uniform loss draws from ``"loss"``), so a run with fault injection is
+exactly as reproducible as one without: identical seeds produce identical
+trajectories, fault for fault.  The controller is the network's one drop
+path: a message is lost to a dead destination or to :meth:`drop_cause`,
+never to anything else.
 
 Declarative specs (:class:`PartitionSpec` & friends) are hashable frozen
 dataclasses so they can ride inside the frozen
@@ -57,6 +60,23 @@ LocalityFn = Callable[[Address], Optional[int]]
 # ---------------------------------------------------------------------------
 # Declarative fault specs (hashable; embeddable in ExperimentConfig)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class UniformLossSpec:
+    """Drop every delivery attempt -- request, reply or one-way -- i.i.d.
+    with probability ``rate``, for the whole run.
+
+    Protocols already treat a lost message exactly like one to a dead
+    peer (an RPC timeout), so loss needs no protocol code; only the
+    failure rate goes up.
+    """
+
+    rate: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rate < 1.0:
+            raise ConfigError(f"uniform loss rate must be in [0, 1) (got {self.rate})")
+
 
 @dataclass(frozen=True)
 class BurstyLossSpec:
@@ -183,7 +203,12 @@ class SeederDeathSpec:
 
 #: The kinds :meth:`FaultController.apply` accepts.
 FaultSpec = Union[
-    BurstyLossSpec, PartitionSpec, LatencySpikeSpec, MassFailureSpec, SeederDeathSpec
+    UniformLossSpec,
+    BurstyLossSpec,
+    PartitionSpec,
+    LatencySpikeSpec,
+    MassFailureSpec,
+    SeederDeathSpec,
 ]
 
 
@@ -212,32 +237,19 @@ class _GilbertElliottLink:
 
 
 class _Partition:
-    """One scheduled partition: an address-set (or locality) boundary cut
-    during ``[start_ms, end_ms)``."""
+    """One scheduled partition: a locality boundary cut during
+    ``[start_ms, end_ms)``."""
 
-    def __init__(
-        self,
-        start_ms: float,
-        heal_ms: float,
-        side: Optional[frozenset],
-        locality: Optional[int],
-        locality_of: Optional[LocalityFn],
-    ) -> None:
-        self.start_ms = start_ms
-        self.end_ms = heal_ms
-        self._side = side
-        self._locality = locality
+    def __init__(self, spec: PartitionSpec, locality_of: LocalityFn) -> None:
+        self.start_ms = spec.start_ms
+        self.end_ms = spec.heal_ms
+        self._locality = spec.locality
         self._locality_of = locality_of
 
-    def _in_side(self, address: Address) -> bool:
-        if self._side is not None:
-            return address in self._side
-        if self._locality_of is None:
-            return False
-        return self._locality_of(address) == self._locality
-
     def cuts(self, src: Address, dst: Address) -> bool:
-        return self._in_side(src) != self._in_side(dst)
+        locality_of = self._locality_of
+        locality = self._locality
+        return (locality_of(src) == locality) != (locality_of(dst) == locality)
 
 
 class _LatencySpike:
@@ -318,6 +330,10 @@ class FaultController:
         self.locality_of = locality_of
         self._bursty: Optional[BurstyLossSpec] = None
         self._links: Dict[Tuple[Address, Address], _GilbertElliottLink] = {}
+        self._uniform: Optional[UniformLossSpec] = None
+        #: the stream uniform loss draws from: the simulator's ``"loss"``
+        #: stream, fetched when a :class:`UniformLossSpec` is installed.
+        self.loss_rng: Optional[random.Random] = None
         #: the whole schedule, in registration order.
         self._partitions: List[_Partition] = []
         self._spikes: List[_LatencySpike] = []
@@ -331,7 +347,7 @@ class FaultController:
         #: dropped and no latency adjusted, so a caller that sees
         #: ``now < calm_until`` may skip :meth:`drop_cause` and
         #: :meth:`latency_adjust` altogether.  ``-inf`` while any window
-        #: is open.
+        #: is open or uniform loss is installed.
         self.calm_until = inf
         #: fault kind -> how many times it struck (drops, crashes, ...).
         self.stats: Dict[str, int] = {}
@@ -339,134 +355,78 @@ class FaultController:
 
     # ------------------------------------------------------------- configure
     def apply(self, specs: Iterable[FaultSpec]) -> None:
-        """Install every declarative spec from a ``fault_schedule``.
+        """Install declarative specs: a ``fault_schedule``, or more of them
+        mid-run.  A window takes effect as soon as the clock is inside it;
+        an instant already past fires now, and is reported (see
+        :meth:`_due`).
 
-        A schedule carries at most one bursty-loss window (the controller
-        runs one Gilbert-Elliott chain per link); a second one is an
-        error, not a silent replacement of the first.
+        The controller runs one Gilbert-Elliott chain per link and one
+        uniform-loss draw per delivery, so it carries at most one spec of
+        each of those two kinds: a second one is an error, not a silent
+        replacement of the first.  Locality-scoped specs need the
+        ``locality_of`` mapping.
         """
-        bursty: Optional[BurstyLossSpec] = None
+        sim = self.sim
         for spec in specs:
-            if isinstance(spec, BurstyLossSpec):
-                if bursty is not None:
-                    raise TransportError(
-                        "a fault schedule can carry only one bursty-loss "
-                        f"window, got {bursty!r} and {spec!r}"
-                    )
-                bursty = spec
-                self.set_bursty_loss(spec)
-            elif isinstance(spec, PartitionSpec):
-                self.schedule_partition(
-                    spec.start_ms, spec.heal_ms, locality=spec.locality
+            if isinstance(spec, PartitionSpec):
+                self._need_locality_of(spec)
+                self._partitions.append(_Partition(spec, self.locality_of))
+                sim.schedule_at(
+                    self._due(spec.start_ms, "partition_start"),
+                    sim.emit,
+                    "fault.partition_start",
+                )
+                sim.schedule_at(
+                    self._due(spec.heal_ms, "partition_heal"),
+                    sim.emit,
+                    "fault.partition_heal",
                 )
             elif isinstance(spec, LatencySpikeSpec):
-                self.schedule_latency_spike(spec)
+                if spec.locality is not None:
+                    self._need_locality_of(spec)
+                self._spikes.append(_LatencySpike(spec, self.locality_of))
+            elif isinstance(spec, BurstyLossSpec):
+                self._only_one(self._bursty, spec, "bursty-loss window")
+                self._bursty = spec
+            elif isinstance(spec, UniformLossSpec):
+                self._only_one(self._uniform, spec, "uniform loss rate")
+                self._uniform = spec
+                self.loss_rng = sim.rng("loss")
             elif isinstance(spec, MassFailureSpec):
-                self.schedule_mass_failure(
-                    spec.at_ms,
-                    fraction=spec.fraction,
-                    locality=spec.locality,
-                    directories_only=spec.directories_only,
+                if spec.locality is not None:
+                    self._need_locality_of(spec)
+                sim.schedule_at(
+                    self._due(spec.at_ms, "mass_failure"),
+                    self._execute_mass_failure,
+                    spec,
                 )
             elif isinstance(spec, SeederDeathSpec):
-                self.schedule_seeder_death(spec)
+                sim.schedule_at(
+                    self._due(spec.at_ms, "seeder_death"),
+                    self._execute_seeder_death,
+                    spec,
+                )
             else:
                 raise TransportError(f"unknown fault spec {spec!r}")
+        self._refresh(sim.now)
 
-    def set_bursty_loss(self, spec: BurstyLossSpec) -> None:
-        """Enable Gilbert-Elliott loss on every link (one spec at a time:
-        a later call replaces the earlier spec and resets every link)."""
-        self._bursty = spec
-        self._links.clear()
-        self._refresh(self.sim.now)
+    def _need_locality_of(self, spec: FaultSpec) -> None:
+        if self.locality_of is None:
+            raise TransportError(f"{spec!r} needs a locality_of mapping")
 
-    def schedule_partition(
-        self,
-        start_ms: float,
-        heal_ms: float,
-        locality: Optional[int] = None,
-        group: Optional[frozenset] = None,
-    ) -> None:
-        """Cut traffic across a boundary during ``[start_ms, heal_ms)``.
-
-        Exactly one of *locality* (binned side) or *group* (explicit
-        address set) selects the isolated side.
-        """
-        if (locality is None) == (group is None):
-            raise TransportError("pass exactly one of locality= or group=")
-        if locality is not None and self.locality_of is None:
+    @staticmethod
+    def _only_one(installed: Optional[FaultSpec], spec: FaultSpec, what: str) -> None:
+        if installed is not None:
             raise TransportError(
-                "locality partitions need a locality_of mapping"
+                f"a fault schedule can carry only one {what}, "
+                f"got {installed!r} and {spec!r}"
             )
-        if heal_ms <= start_ms:
-            raise TransportError("partition must heal after it starts")
-        partition = _Partition(
-            start_ms,
-            heal_ms,
-            frozenset(group) if group is not None else None,
-            locality,
-            self.locality_of,
-        )
-        self._partitions.append(partition)
-        self._refresh(self.sim.now)
-        self.sim.schedule_at(
-            self._due(start_ms, "partition_start"),
-            self._emit_partition,
-            "start",
-            partition,
-        )
-        self.sim.schedule_at(
-            self._due(heal_ms, "partition_heal"), self._emit_partition, "heal", partition
-        )
-
-    def _emit_partition(self, edge: str, partition: _Partition) -> None:
-        self.sim.emit(f"fault.partition_{edge}")
-
-    def schedule_latency_spike(self, spec: LatencySpikeSpec) -> None:
-        """Degrade matching links during the spec's window."""
-        if spec.locality is not None and self.locality_of is None:
-            raise TransportError("locality spikes need a locality_of mapping")
-        self._spikes.append(_LatencySpike(spec, self.locality_of))
-        self._refresh(self.sim.now)
-
-    def schedule_mass_failure(
-        self,
-        at_ms: float,
-        fraction: float = 0.5,
-        locality: Optional[int] = None,
-        directories_only: bool = False,
-    ) -> None:
-        """Crash *fraction* of matching live peers at time *at_ms*.
-
-        Victims are drawn with the controller's RNG from the nodes alive
-        at fire time.  A node exposing ``crash()`` (CDN peers) is crashed
-        through it so protocol processes are cancelled; bare network
-        nodes just ``fail()``.
-        """
-        if locality is not None and self.locality_of is None:
-            raise TransportError("locality campaigns need a locality_of mapping")
-        spec = MassFailureSpec(
-            at_ms=at_ms,
-            fraction=fraction,
-            locality=locality,
-            directories_only=directories_only,
-        )
-        self.sim.schedule_at(
-            self._due(at_ms, "mass_failure"), self._execute_mass_failure, spec
-        )
-
-    def schedule_seeder_death(self, spec: SeederDeathSpec) -> None:
-        """Crash the top ``spec.count`` uploaders at ``spec.at_ms``."""
-        self.sim.schedule_at(
-            self._due(spec.at_ms, "seeder_death"), self._execute_seeder_death, spec
-        )
 
     def _due(self, at_ms: float, what: str) -> float:
-        """Clamp a fire time to ``now``; a past-due time is no longer
-        silently absorbed -- it is executed immediately *and* reported
-        (warning trace event + ``stats["past_due_reschedules"]``), so a
-        mis-ordered fault schedule is visible instead of quietly shifting
-        the campaign's timing.
+        """Clamp a fire time to ``now``; a past-due time is executed
+        immediately *and* reported (warning trace event +
+        ``stats["past_due_reschedules"]``), so a mis-ordered fault schedule
+        is visible instead of quietly shifting the campaign's timing.
         """
         now = self.sim.now
         if at_ms >= now:
@@ -483,6 +443,10 @@ class FaultController:
         return now
 
     def _execute_mass_failure(self, spec: MassFailureSpec) -> None:
+        """Victims are drawn with the controller's RNG from the matching
+        nodes alive now.  A node exposing ``crash()`` (CDN peers) is
+        crashed through it so its protocol processes are cancelled; a bare
+        network node just ``fail()``s."""
         victims = []
         for node in self.network.nodes():
             if not node.alive:
@@ -554,13 +518,20 @@ class FaultController:
                 self._bursty_open = True
                 edge = min(edge, end_ms)
         self._next_edge_ms = edge
-        calm = not (self._open_partitions or self._open_spikes or self._bursty_open)
+        calm = not (
+            self._open_partitions
+            or self._open_spikes
+            or self._bursty_open
+            or self._uniform is not None
+        )
         self.calm_until = edge if calm else -inf
 
     # --------------------------------------------------------- network hooks
     def drop_cause(self, src: Address, dst: Address) -> Optional[str]:
         """Consulted once per delivery attempt: partition cut first (a cut
-        link drops deterministically), then the bursty-loss chain."""
+        link drops deterministically), then the bursty-loss chain, then
+        one uniform-loss draw.  Both losses are cause ``"loss"``; only the
+        bursty ones are counted in :attr:`stats`."""
         now = self.sim.now
         if now >= self._next_edge_ms:
             self._refresh(now)
@@ -575,6 +546,9 @@ class FaultController:
             if link.step_and_drop(self._bursty, self.rng):
                 self.stats["burst_drops"] = self.stats.get("burst_drops", 0) + 1
                 return "loss"
+        uniform = self._uniform
+        if uniform is not None and self.loss_rng.random() < uniform.rate:
+            return "loss"
         return None
 
     def latency_adjust(self, src: Address, dst: Address, base: float) -> float:
@@ -590,11 +564,24 @@ class FaultController:
         return adjusted
 
     # ------------------------------------------------------------ inspection
-    def partition_active(self, now: Optional[float] = None) -> bool:
-        """Is any partition cutting traffic now (or at time *now*)?"""
-        present = self.sim.now
-        if now is None or now == present:
-            if present >= self._next_edge_ms:
-                self._refresh(present)
-            return bool(self._open_partitions)
-        return any(p.start_ms <= now < p.end_ms for p in self._partitions)
+    def partition_active(self) -> bool:
+        """Is any partition cutting traffic now?"""
+        now = self.sim.now
+        if now >= self._next_edge_ms:
+            self._refresh(now)
+        return bool(self._open_partitions)
+
+    def disturbed(self, now: float, settle: float) -> bool:
+        """Is *now* inside, or within *settle* after, a partition, a
+        latency spike or a bounded bursty-loss window?
+
+        Those are the schedule's disturbances with an end, after which a
+        protocol owes convergence again.  Uniform loss and an unbounded
+        bursty window last the whole run: they are the network the
+        protocols must converge on, not a window.
+        """
+        windows = [*self._partitions, *self._spikes]
+        bursty = self._bursty
+        if bursty is not None and bursty.end_ms is not None:
+            windows.append(bursty)
+        return any(w.start_ms <= now < w.end_ms + settle for w in windows)

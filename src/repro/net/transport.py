@@ -67,6 +67,13 @@ MAX_PACKED_ADDRESS = 1 << ADDR_SHIFT
 #: What :meth:`Network._deliver` returns for a message it dropped.
 DROPPED = object()
 
+#: :meth:`NetworkNode.retrying_rpc`'s backoff ladder: the wait before retry
+#: ``n`` is ``min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS *
+#: RETRY_BACKOFF_FACTOR**n)``, scaled by a jitter factor.
+RETRY_BACKOFF_MS = 500.0
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_BACKOFF_CAP_MS = 8000.0
+
 
 class _Ack:
     """The type of :data:`ACK`; pickles by name, so a copy that crossed
@@ -277,19 +284,17 @@ class NetworkNode:
         payload: Optional[Dict[str, Any]] = None,
         on_reply: Optional[ReplyCallback] = None,
         on_give_up: Optional[FailureCallback] = None,
-        timeout_ms: Optional[float] = None,
         retries: int = 2,
-        backoff_ms: float = 500.0,
-        backoff_factor: float = 2.0,
-        backoff_cap_ms: float = 8000.0,
         rng: Optional["random.Random"] = None,
     ) -> None:
         """RPC with capped exponential backoff and deterministic jitter.
 
         A single lost request or reply no longer looks like a dead peer:
-        the call is retried up to *retries* times, waiting
-        ``min(cap, backoff * factor**attempt)`` scaled by a jitter factor
-        in [0.5, 1.0) between attempts.  Only when the whole budget is
+        each attempt waits the network's default timeout, and the call is
+        retried up to *retries* times, waiting
+        ``min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS *
+        RETRY_BACKOFF_FACTOR**attempt)`` scaled by a jitter factor in
+        [0.5, 1.0) between attempts.  Only when the whole budget is
         exhausted does *on_give_up* fire -- the moment protocol code may
         legitimately declare the destination failed.
 
@@ -306,11 +311,7 @@ class NetworkNode:
         record.body = dict(payload or {})
         record.on_reply = on_reply
         record.on_give_up = on_give_up
-        record.timeout_ms = timeout_ms
         record.retries = retries
-        record.backoff_ms = backoff_ms
-        record.backoff_factor = backoff_factor
-        record.backoff_cap_ms = backoff_cap_ms
         record.rng = rng if rng is not None else self.sim.rng("rpc.retry")
         record.number = 0
         record.attempt()
@@ -354,8 +355,6 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.default_timeout_ms = default_timeout_ms
-        self._drop_rate = 0.0
-        self._drop_rng: Optional["random.Random"] = None
         #: address -> node; a dict, because the sharded fabric's structured
         #: addresses are sparse.
         self._nodes: Dict[Address, NetworkNode] = {}
@@ -389,8 +388,9 @@ class Network:
         self.kind_counts: Dict[str, int] = defaultdict(int)
         #: optional :class:`~repro.net.faults.FaultController`; consulted at
         #: scheduling time (latency degradation) and delivery time (partition
-        #: cuts, bursty loss), in both cases only once the clock has reached
-        #: its ``calm_until``.
+        #: cuts, bursty and uniform loss), in both cases only once the clock
+        #: has reached its ``calm_until``.  Without one, only a dead
+        #: destination loses a message.
         self.faults = None
         #: optional :class:`~repro.net.bandwidth.BandwidthModel`.  ``None``
         #: (the default) keeps the latency-only link model bit-identical to
@@ -411,26 +411,6 @@ class Network:
     def install_bandwidth(self, model) -> None:
         """Attach a :class:`~repro.net.bandwidth.BandwidthModel`."""
         self.bandwidth = model
-
-    def configure_loss(self, rate: float, rng: "random.Random") -> None:
-        """Drop each delivery (requests, replies, one-ways) i.i.d. with
-        probability *rate* -- failure injection beyond crash churn.
-
-        Protocols already treat lost messages exactly like messages to dead
-        peers (RPC timeouts), so no protocol code changes; only the failure
-        *rate* goes up.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise TransportError(f"loss rate must be in [0, 1] (got {rate})")
-        self._drop_rate = rate
-        self._drop_rng = rng
-
-    def _lost(self) -> bool:
-        return (
-            self._drop_rate > 0.0
-            and self._drop_rng is not None
-            and self._drop_rng.random() < self._drop_rate
-        )
 
     # -------------------------------------------------------------- registry
     def _next_address(self, cluster_hint: Optional[int]) -> Address:
@@ -501,17 +481,6 @@ class Network:
         self.sim.emit("net.drop", message_kind=kind, dst=dst, cause=cause)
 
     # -------------------------------------------------------------- delivery
-    def _delivery_drop_cause(self, src: Address, dst: Address) -> Optional[str]:
-        """Why a delivery on link src -> dst is lost right now, if at all."""
-        faults = self.faults
-        if faults is not None and self.sim.now >= faults.calm_until:
-            cause = faults.drop_cause(src, dst)
-            if cause is not None:
-                return cause
-        if self._drop_rate > 0.0 and self._lost():
-            return "loss"
-        return None
-
     def _deliver(self, message: Message) -> Any:
         """The delivery event of a request or one-way message.  Returns the
         handler's reply (possibly ``None``) or :data:`DROPPED` -- read only
@@ -526,10 +495,8 @@ class Network:
                 self._arm(message)
             return DROPPED
         faults = self.faults
-        if (
-            faults is not None and self.sim.now >= faults.calm_until
-        ) or self._drop_rate > 0.0:
-            cause = self._delivery_drop_cause(message.src, dst)
+        if faults is not None and self.sim.now >= faults.calm_until:
+            cause = faults.drop_cause(message.src, dst)
             if cause is not None:
                 self._drop(cause, message.kind, dst)
                 if message.request_id is not None and not message.armed:
@@ -558,11 +525,7 @@ class Network:
             if faults is not None:
                 if now >= faults.calm_until:
                     arrival = now + faults.latency_adjust(dst, src, latency)
-            elif (
-                reply is ACK
-                and self._drop_rate == 0.0
-                and arrival < message.deadline
-            ):
+            elif reply is ACK and arrival < message.deadline:
                 # Nothing can drop, delay or outrun this ack (a tie with
                 # the deadline would lose to the timeout's lower sequence
                 # number, hence strict), and nobody listens for it: settle
@@ -592,14 +555,12 @@ class Network:
         return reply
 
     def _deliver_reply(self, request: "_Request", payload: Dict[str, Any]) -> None:
-        # Same fast-path guard as request delivery: with no fault window
-        # open and no configured loss, a reply cannot be dropped, so skip
-        # the cause computation entirely (one reply per answered RPC).
+        # Same fast-path guard as request delivery: while the fault plane
+        # is calm a reply cannot be dropped, so skip the cause computation
+        # entirely (one reply per answered RPC).
         faults = self.faults
-        if (
-            faults is not None and self.sim.now >= faults.calm_until
-        ) or self._drop_rate > 0.0:
-            cause = self._delivery_drop_cause(request.dst, request.src)
+        if faults is not None and self.sim.now >= faults.calm_until:
+            cause = faults.drop_cause(request.dst, request.src)
             if cause is not None:
                 self._drop(cause, "(reply)", request.src)
                 if not request.armed:
@@ -754,11 +715,7 @@ class _RetryingRpc:
         "body",
         "on_reply",
         "on_give_up",
-        "timeout_ms",
         "retries",
-        "backoff_ms",
-        "backoff_factor",
-        "backoff_cap_ms",
         "rng",
         "number",
         "__weakref__",
@@ -770,14 +727,7 @@ class _RetryingRpc:
         src = self.src
         if not src.alive:
             return
-        src.rpc(
-            self.dst,
-            self.kind,
-            dict(self.body),
-            self.on_reply,
-            self.timed_out,
-            self.timeout_ms,
-        )
+        src.rpc(self.dst, self.kind, dict(self.body), self.on_reply, self.timed_out)
 
     def timed_out(self) -> None:
         """Attempt ``number`` went unanswered: back off and retry, or give
@@ -791,7 +741,7 @@ class _RetryingRpc:
                 self.on_give_up()
             return
         delay = min(
-            self.backoff_cap_ms, self.backoff_ms * (self.backoff_factor ** number)
+            RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS * (RETRY_BACKOFF_FACTOR ** number)
         )
         delay *= 0.5 + 0.5 * self.rng.random()
         self.number = number + 1

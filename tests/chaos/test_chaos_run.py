@@ -22,6 +22,7 @@ from repro.net.faults import (
     MassFailureSpec,
     PartitionSpec,
     SeederDeathSpec,
+    UniformLossSpec,
 )
 from repro.sim.clock import hours, minutes
 from repro.workload.churn import ChurnSurgeSpec
@@ -92,11 +93,12 @@ ONE_OF_EACH_KIND = (
         p_good_to_bad=0.05, p_bad_to_good=0.3, start_ms=minutes(30), end_ms=minutes(40)
     ),
     MassFailureSpec(at_ms=minutes(45), fraction=0.2),
+    UniformLossSpec(0.05),
 )
 
 
 def test_schedule_of_every_kind_round_trips_and_builds_everywhere():
-    """All seven kinds ride in one ``fault_schedule``: the config stays
+    """All eight kinds ride in one ``fault_schedule``: the config stays
     hashable, survives the bundle's JSON form equal, and every protocol's
     world installs it (open-loop surges and seeder deaths are inert where
     their plane is off)."""
@@ -111,21 +113,25 @@ def test_schedule_of_every_kind_round_trips_and_builds_everywhere():
     assert overloaded.openloop.surges == [ONE_OF_EACH_KIND[2]]
 
 
-def test_auditor_reads_disturbance_windows_by_type():
+def test_auditor_owes_convergence_outside_fault_windows_only():
     """Partitions, latency spikes and *bounded* bursty loss open a window
     in which convergence is not owed; nothing else in a schedule does --
-    in particular not the surges, which also carry a ``start_ms``."""
+    in particular not the surges, which also carry a ``start_ms``, nor
+    uniform loss and unbounded bursty loss, which last the whole run."""
 
-    def windows(schedule):
+    def disturbed_minutes(schedule, settle=0.0):
         world = build_world("flower", small_config().replace(fault_schedule=schedule), 1)
-        return InvariantAuditor(world, results_dir=None)._disturbance_windows
+        auditor = InvariantAuditor(world, results_dir=None)
+        return [m for m in range(0, 90, 5) if auditor._disturbed(minutes(m), settle)]
 
-    assert windows(ONE_OF_EACH_KIND) == [
-        (minutes(10), minutes(20)),
-        (minutes(15), minutes(30)),
-        (minutes(30), minutes(40)),
-    ]
-    assert windows((BurstyLossSpec(p_good_to_bad=0.05, p_bad_to_good=0.3),)) == []
+    # Partition 10-20, spike 15-30, bursty loss 30-40 minutes.
+    assert disturbed_minutes(ONE_OF_EACH_KIND) == [10, 15, 20, 25, 30, 35]
+    assert disturbed_minutes(ONE_OF_EACH_KIND, minutes(5)) == list(range(10, 45, 5))
+    weather = (
+        BurstyLossSpec(p_good_to_bad=0.05, p_bad_to_good=0.3),
+        UniformLossSpec(0.05),
+    )
+    assert disturbed_minutes(weather) == []
 
 
 def test_bundle_stores_each_spec_of_its_plan_once(tmp_path):

@@ -17,6 +17,7 @@ from repro.net.faults import (
     MassFailureSpec,
     PartitionSpec,
     SeederDeathSpec,
+    UniformLossSpec,
 )
 from repro.sim.clock import hours
 from repro.workload.churn import ChurnSurgeSpec
@@ -231,6 +232,7 @@ def test_spec_registry_round_trips_every_type():
         RegionalSurge(10.0, 5.0, 3.0, 20.0, locality=1, hot_website=2),
         SeederDeathSpec(at_ms=30.0, count=3, hot_website=1),
         SeederDeathSpec(at_ms=30.0, count=1),
+        UniformLossSpec(0.05),
         ChaosPhase("calm", 0.0, 50.0),
     ]
     for spec in specs:

@@ -36,6 +36,7 @@ from repro.net.faults import (
     LatencySpikeSpec,
     MassFailureSpec,
     PartitionSpec,
+    UniformLossSpec,
 )
 from repro.sim.clock import hours, minutes
 from repro.sim.trace import StreamFingerprint
@@ -214,7 +215,7 @@ def test_golden_lossy_stream_fingerprint():
     """GOLDEN_FAULTED's run under 5 % uniform loss as well, event for
     event."""
     config = golden_config().replace(
-        fault_schedule=FAULT_SCHEDULE, message_loss_rate=0.05
+        fault_schedule=FAULT_SCHEDULE + (UniformLossSpec(0.05),)
     )
     sha, hit_ratio, _ = run_world("flower", firehose=True, config=config)
     assert (sha, hit_ratio) == GOLDEN_LOSSY
@@ -633,7 +634,7 @@ def test_an_elided_ack_and_a_travelling_ack_run_the_same_world(
 #: replies; the windows cut links and stretch some past their timeout.
 ARMING_FAULTS = {
     "churn only": {},
-    "loss": {"message_loss_rate": 0.05},
+    "loss": {"fault_schedule": (UniformLossSpec(0.05),)},
     "windows": {
         "fault_schedule": (
             PartitionSpec(locality=0, start_ms=minutes(10), heal_ms=minutes(20)),

@@ -14,7 +14,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_recovery_experiment,
 )
-from repro.net.faults import PartitionSpec
+from repro.net.faults import PartitionSpec, UniformLossSpec
 from repro.sim.clock import hours, minutes
 
 TINY = ExperimentConfig.scaled(
@@ -193,7 +193,9 @@ def test_shard_cell_holds_a_world():
     from repro.net.shardnet import ShardMap
 
     shard_map = ShardMap(4, SHARDED.num_localities, SHARDED.num_websites)
-    config = SHARDED.replace(search_keywords=8, message_loss_rate=0.01)
+    config = SHARDED.replace(
+        search_keywords=8, fault_schedule=(UniformLossSpec(0.01),)
+    )
     cell = ShardCell(config, 1, shard_map, 2, default_window_ms(config), False)
     assert isinstance(cell.world, World)
     assert cell.world.system.search_engine is not None

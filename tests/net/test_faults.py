@@ -1,5 +1,5 @@
-"""Tests for the fault-injection subsystem (partitions, bursty loss,
-latency spikes, mass failures, determinism)."""
+"""Tests for the fault-injection subsystem (partitions, bursty and uniform
+loss, latency spikes, mass failures, determinism)."""
 
 import random
 
@@ -14,6 +14,7 @@ from repro.net.faults import (
     LatencySpikeSpec,
     MassFailureSpec,
     PartitionSpec,
+    UniformLossSpec,
 )
 from repro.net.topology import ExplicitTopology
 from repro.net.transport import Network, NetworkNode
@@ -85,7 +86,8 @@ def test_apply_rejects_unknown_spec():
 
 def test_apply_rejects_a_second_bursty_window():
     """One Gilbert-Elliott chain per link: a schedule with two bursty specs
-    (a config's own plus a chaos plan's, say) must not lose one silently."""
+    (a config's own plus a chaos plan's, say) must not lose one silently,
+    and neither may a second one installed mid-run."""
     sim, network, __ = make_world()
     controller = FaultController(sim, network)
     first = BurstyLossSpec(p_good_to_bad=0.1, p_bad_to_good=0.5, end_ms=100.0)
@@ -94,25 +96,9 @@ def test_apply_rejects_a_second_bursty_window():
         controller.apply([first, MassFailureSpec(at_ms=5.0), second])
     assert repr(first) in str(raised.value)
     assert repr(second) in str(raised.value)
-
-
-def test_set_bursty_loss_replaces_the_spec_and_resets_links():
-    always = BurstyLossSpec(
-        p_good_to_bad=0.0, p_bad_to_good=0.0, loss_good=1.0, loss_bad=1.0
-    )
-    never = BurstyLossSpec(p_good_to_bad=0.0, p_bad_to_good=0.0)
-    sim, network, (a, b) = make_world()
-    controller = FaultController(sim, network)
-    controller.set_bursty_loss(always)
-    send_at(sim, 0.0, a, b, "lost")
     sim.run(until=50.0)
-    assert controller._links
-    controller.set_bursty_loss(never)  # mid-run: takes effect at once
-    assert not controller._links
-    send_at(sim, 60.0, a, b, "kept")
-    sim.run()
-    assert b.received == ["kept"]
-    assert network.drop_counts["loss"] == 1
+    with pytest.raises(TransportError, match="only one bursty-loss window"):
+        controller.apply([second])
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +107,8 @@ def test_set_bursty_loss_replaces_the_spec_and_resets_links():
 
 def test_partition_cuts_both_directions_and_heals():
     sim, network, (a, b) = make_world()
-    controller = FaultController(sim, network)
-    controller.schedule_partition(
-        start_ms=0.0, heal_ms=1000.0, group=frozenset({a.address})
-    )
+    controller = FaultController(sim, network, locality_of={a.address: 0}.get)
+    controller.apply([PartitionSpec(locality=0, start_ms=0.0, heal_ms=1000.0)])
 
     a.send(b.address, "ping", seq="a->b cut")
     b.send(a.address, "ping", seq="b->a cut")
@@ -160,26 +144,32 @@ def test_locality_partition_spares_intra_side_traffic():
     assert controller.partition_active()
 
 
-def test_partition_requires_exactly_one_side_selector():
-    sim, network, (a, __) = make_world()
-    controller = FaultController(sim, network, locality_of=lambda addr: 0)
-    with pytest.raises(TransportError):
-        controller.schedule_partition(0.0, 1.0)
-    with pytest.raises(TransportError):
-        controller.schedule_partition(
-            0.0, 1.0, locality=0, group=frozenset({a.address})
-        )
+def test_locality_scoped_specs_need_a_locality_of_mapping():
+    sim, network, __ = make_world()
+    controller = FaultController(sim, network)
+    for spec in (
+        PartitionSpec(locality=0, start_ms=0.0, heal_ms=1.0),
+        LatencySpikeSpec(start_ms=0.0, end_ms=1.0, multiplier=2.0, locality=0),
+        MassFailureSpec(at_ms=1.0, locality=0),
+    ):
+        with pytest.raises(TransportError, match="locality_of"):
+            controller.apply([spec])
+    # Unscoped, the same kinds need no mapping.
+    controller.apply(
+        [
+            LatencySpikeSpec(start_ms=0.0, end_ms=1.0, multiplier=2.0),
+            MassFailureSpec(at_ms=1.0),
+        ]
+    )
 
 
 def test_partition_cuts_rpc_replies_in_flight():
     """A partition starting between request delivery and reply arrival cuts
     the reply: the handler ran but the caller times out."""
     sim, network, (a, b) = make_world(latency=10.0)
-    controller = FaultController(sim, network)
+    controller = FaultController(sim, network, locality_of={a.address: 0}.get)
     # Request arrives at t=10 (before the cut); reply would arrive at t=20.
-    controller.schedule_partition(
-        start_ms=15.0, heal_ms=1000.0, group=frozenset({a.address})
-    )
+    controller.apply([PartitionSpec(locality=0, start_ms=15.0, heal_ms=1000.0)])
     outcomes = []
     a.rpc(
         b.address,
@@ -204,7 +194,7 @@ def test_gilbert_elliott_stationary_loss_rate():
 
     sim, network, (a, b) = make_world(seed=7)
     controller = FaultController(sim, network)
-    controller.set_bursty_loss(spec)
+    controller.apply([spec])
     total = 4000
     for seq in range(total):
         send_at(sim, float(seq), a, b, seq)
@@ -220,7 +210,7 @@ def test_gilbert_elliott_losses_are_bursty():
     1 / p_bad_to_good, well above the ~1.1 of i.i.d. loss at the same rate."""
     spec = BurstyLossSpec(p_good_to_bad=0.05, p_bad_to_good=0.4)
     sim, network, (a, b) = make_world(seed=11)
-    FaultController(sim, network).set_bursty_loss(spec)
+    FaultController(sim, network).apply([spec])
     # One shared link, strictly ordered sends -> the delivery sequence is
     # the chain's trajectory.
     total = 6000
@@ -257,7 +247,7 @@ def test_bursty_loss_respects_window():
         end_ms=200.0,
     )
     sim, network, (a, b) = make_world()
-    FaultController(sim, network).set_bursty_loss(spec)
+    FaultController(sim, network).apply([spec])
     send_at(sim, 10.0, a, b, "before")
     send_at(sim, 140.0, a, b, "inside")
     send_at(sim, 300.0, a, b, "after")
@@ -271,9 +261,8 @@ def test_bursty_loss_respects_window():
 
 def test_latency_spike_window_delays_delivery():
     sim, network, (a, b) = make_world(latency=10.0)
-    FaultController(sim, network).schedule_latency_spike(
-        LatencySpikeSpec(start_ms=100.0, end_ms=200.0, multiplier=3.0, additive_ms=5.0)
-    )
+    spike = LatencySpikeSpec(start_ms=100.0, end_ms=200.0, multiplier=3.0, additive_ms=5.0)
+    FaultController(sim, network).apply([spike])
     send_at(sim, 0.0, a, b, "normal")
     send_at(sim, 150.0, a, b, "spiked")
     sim.run()
@@ -285,8 +274,8 @@ def test_latency_spike_window_delays_delivery():
 def test_latency_spike_adjusts_link_latency():
     sim, network, (a, b) = make_world(latency=10.0)
     controller = FaultController(sim, network)
-    controller.schedule_latency_spike(
-        LatencySpikeSpec(start_ms=0.0, end_ms=100.0, multiplier=3.0, additive_ms=5.0)
+    controller.apply(
+        [LatencySpikeSpec(start_ms=0.0, end_ms=100.0, multiplier=3.0, additive_ms=5.0)]
     )
     assert network._link_latency(a.address, b.address) == pytest.approx(35.0)
     sim.run(until=150.0)  # run() advances the clock past the window
@@ -301,7 +290,7 @@ def test_latency_spike_adjusts_link_latency():
 def test_mass_failure_crashes_requested_fraction():
     sim, network, nodes = make_world(num_nodes=10, seed=3)
     controller = FaultController(sim, network)
-    controller.schedule_mass_failure(at_ms=100.0, fraction=0.5)
+    controller.apply([MassFailureSpec(at_ms=100.0, fraction=0.5)])
     sim.run(until=200.0)
     dead = [n for n in nodes if not n.alive]
     assert len(dead) == 5
@@ -324,7 +313,9 @@ def test_mass_failure_directories_only():
     for node in nodes[:2]:
         node.is_directory = True
     controller = FaultController(sim, network)
-    controller.schedule_mass_failure(at_ms=10.0, fraction=1.0, directories_only=True)
+    controller.apply(
+        [MassFailureSpec(at_ms=10.0, fraction=1.0, directories_only=True)]
+    )
     sim.run(until=50.0)
     assert all(not n.alive for n in nodes[:2])
     assert all(n.alive for n in nodes[2:])
@@ -335,7 +326,7 @@ def test_mass_failure_uses_crash_hook_when_available():
     crashed = []
     nodes[0].crash = lambda: (crashed.append(True), nodes[0].fail())
     controller = FaultController(sim, network)
-    controller.schedule_mass_failure(at_ms=10.0, fraction=1.0)
+    controller.apply([MassFailureSpec(at_ms=10.0, fraction=1.0)])
     sim.run(until=50.0)
     assert crashed == [True]
     assert all(not n.alive for n in nodes)
@@ -349,11 +340,13 @@ def test_past_due_fault_reschedules_loudly():
     sim.trace.subscribe(
         "fault.past_due_reschedule", lambda e: warnings.append(e.payload)
     )
-    controller = FaultController(sim, network)
+    controller = FaultController(sim, network, locality_of={nodes[0].address: 0}.get)
     sim.run(until=100.0)
-    controller.schedule_mass_failure(at_ms=40.0, fraction=1.0)  # 60 ms late
-    controller.schedule_partition(
-        start_ms=10.0, heal_ms=200.0, group=frozenset({nodes[0].address})
+    controller.apply(
+        [
+            MassFailureSpec(at_ms=40.0, fraction=1.0),  # 60 ms late
+            PartitionSpec(locality=0, start_ms=10.0, heal_ms=200.0),
+        ]
     )
     sim.run(until=300.0)
     assert controller.stats["past_due_reschedules"] == 2
@@ -366,7 +359,7 @@ def test_past_due_fault_reschedules_loudly():
 def test_on_time_fault_does_not_warn():
     sim, network, _nodes = make_world(num_nodes=2, seed=6)
     controller = FaultController(sim, network)
-    controller.schedule_mass_failure(at_ms=50.0, fraction=1.0)
+    controller.apply([MassFailureSpec(at_ms=50.0, fraction=1.0)])
     sim.run(until=100.0)
     assert "past_due_reschedules" not in controller.stats
 
@@ -406,6 +399,8 @@ def test_controller_defaults_to_dedicated_rng_stream():
     controller = FaultController(sim, network)
     assert controller.rng is sim.rng("faults")
     assert controller.rng is not sim.rng("churn")
+    controller.apply([UniformLossSpec(0.1)])
+    assert controller.loss_rng is sim.rng("loss")
 
 
 # ---------------------------------------------------------------------------
@@ -420,37 +415,44 @@ class FullScanReference:
     controller must be indistinguishable from, RNG draw for RNG draw.
     """
 
-    def __init__(self, rng, locality_of):
+    def __init__(self, rng, loss_rng, locality_of):
         self.rng = rng
+        self.loss_rng = loss_rng
         self.locality_of = locality_of
-        self.partitions = []  # (start, heal, locality, group)
+        self.partitions = []  # (start, heal, locality)
         self.spikes = []
         self.bursty = None
+        self.uniform_rate = None
         self.bad_links = {}
-
-    def set_bursty(self, spec):
-        self.bursty = spec
-        self.bad_links = {}
-
-    def _in_side(self, address, locality, group):
-        if group is not None:
-            return address in group
-        return self.locality_of(address) == locality
 
     def partition_active(self, now):
-        return any(start <= now < heal for start, heal, __, __ in self.partitions)
+        return any(start <= now < heal for start, heal, __ in self.partitions)
+
+    def disturbed(self, now, settle):
+        windows = [(start, heal) for start, heal, __ in self.partitions]
+        windows += [(spec.start_ms, spec.end_ms) for spec in self.spikes]
+        if self.bursty is not None and self.bursty.end_ms is not None:
+            windows.append((self.bursty.start_ms, self.bursty.end_ms))
+        return any(start <= now < end + settle for start, end in windows)
 
     def drop_cause(self, now, src, dst):
-        for start, heal, locality, group in self.partitions:
-            if start <= now < heal and self._in_side(
-                src, locality, group
-            ) != self._in_side(dst, locality, group):
+        for start, heal, locality in self.partitions:
+            if start <= now < heal and (self.locality_of(src) == locality) != (
+                self.locality_of(dst) == locality
+            ):
                 return "partition"
+        if self._bursty_drops(now, src, dst):
+            return "loss"
+        if self.uniform_rate is not None and self.loss_rng.random() < self.uniform_rate:
+            return "loss"
+        return None
+
+    def _bursty_drops(self, now, src, dst):
         spec = self.bursty
         if spec is None or now < spec.start_ms:
-            return None
+            return False
         if spec.end_ms is not None and now >= spec.end_ms:
-            return None
+            return False
         bad = self.bad_links.get((src, dst), False)
         if bad:
             if self.rng.random() < spec.p_bad_to_good:
@@ -459,9 +461,7 @@ class FullScanReference:
             bad = True
         self.bad_links[(src, dst)] = bad
         loss = spec.loss_bad if bad else spec.loss_good
-        if loss > 0.0 and self.rng.random() < loss:
-            return "loss"
-        return None
+        return loss > 0.0 and self.rng.random() < loss
 
     def latency_adjust(self, now, src, dst, base):
         for spec in self.spikes:
@@ -480,15 +480,7 @@ _length = st.integers(min_value=1, max_value=10).map(lambda n: 10.0 * n)
 #: ``None`` installs a window before the run, a time installs it mid-run.
 _install_at = st.none() | _grid
 _locality = st.integers(min_value=0, max_value=2)
-_partitions = st.lists(
-    st.tuples(
-        _install_at,
-        _grid,
-        _length,
-        _locality | st.frozensets(st.integers(0, 3), min_size=1, max_size=3),
-    ),
-    max_size=6,
-)
+_partitions = st.lists(st.tuples(_install_at, _grid, _length, _locality), max_size=6)
 _spikes = st.lists(
     st.tuples(
         _install_at,
@@ -504,14 +496,17 @@ _probability = st.sampled_from([0.0, 0.3, 0.7, 1.0])
 _bursty = st.none() | st.tuples(
     _install_at, _grid, st.none() | _length, _probability, _probability, _probability
 )
+_uniform = st.none() | st.tuples(_install_at, st.sampled_from([0.0, 0.3, 0.7]))
 #: Query times off the grid, strictly inside windows and gaps.
 _between = st.lists(_grid.map(lambda t: t + 5.0), max_size=6)
 _LINKS = [(0, 1), (1, 0), (0, 3), (2, 1), (3, 2)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(_partitions, _spikes, _bursty, _between)
-def test_open_window_sets_match_a_full_scan(partitions, spikes, bursty, extra_times):
+@given(_partitions, _spikes, _bursty, _uniform, _between)
+def test_open_window_sets_match_a_full_scan(
+    partitions, spikes, bursty, uniform, extra_times
+):
     sim, network, __ = make_world(num_nodes=4)
 
     def locality_of(address):
@@ -520,24 +515,24 @@ def test_open_window_sets_match_a_full_scan(partitions, spikes, bursty, extra_ti
     controller = FaultController(
         sim, network, rng=random.Random(11), locality_of=locality_of
     )
-    reference = FullScanReference(random.Random(11), locality_of)
+    reference = FullScanReference(random.Random(11), random.Random(12), locality_of)
 
     installs = []  # (install time or None, callable installing on both sides)
     times = set(extra_times)
-    for at, start, length, side in partitions:
-        locality, group = (side, None) if isinstance(side, int) else (None, side)
+    for at, start, length, locality in partitions:
+        spec = PartitionSpec(locality=locality, start_ms=start, heal_ms=start + length)
 
-        def install(start=start, heal=start + length, locality=locality, group=group):
-            controller.schedule_partition(start, heal, locality=locality, group=group)
-            reference.partitions.append((start, heal, locality, group))
+        def install(spec=spec):
+            controller.apply([spec])
+            reference.partitions.append((spec.start_ms, spec.heal_ms, spec.locality))
 
         installs.append((at, install))
-        times.update((start, start + length))
+        times.update((spec.start_ms, spec.heal_ms))
     for at, start, length, multiplier, additive, locality in spikes:
         spec = LatencySpikeSpec(start, start + length, multiplier, additive, locality)
 
         def install(spec=spec):
-            controller.schedule_latency_spike(spec)
+            controller.apply([spec])
             reference.spikes.append(spec)
 
         installs.append((at, install))
@@ -554,13 +549,22 @@ def test_open_window_sets_match_a_full_scan(partitions, spikes, bursty, extra_ti
         )
 
         def install(spec=spec):
-            controller.set_bursty_loss(spec)
-            reference.set_bursty(spec)
+            controller.apply([spec])
+            reference.bursty = spec
 
         installs.append((at, install))
         times.add(spec.start_ms)
         if spec.end_ms is not None:
             times.add(spec.end_ms)
+    if uniform is not None:
+        at, rate = uniform
+
+        def install(rate=rate):
+            controller.apply([UniformLossSpec(rate)])
+            controller.loss_rng = random.Random(12)
+            reference.uniform_rate = rate
+
+        installs.append((at, install))
     times.update(at for at, __ in installs if at is not None)
 
     for at, install in installs:
@@ -578,16 +582,18 @@ def test_open_window_sets_match_a_full_scan(partitions, spikes, bursty, extra_ti
             cause = None if calm else controller.drop_cause(src, dst)
             assert cause == reference.drop_cause(now, src, dst)
             assert controller.rng.getstate() == reference.rng.getstate()
+            if controller.loss_rng is not None:
+                assert controller.loss_rng.getstate() == reference.loss_rng.getstate()
             calm = now < controller.calm_until
             adjusted = 10.0 if calm else controller.latency_adjust(src, dst, 10.0)
             assert adjusted == reference.latency_adjust(now, src, dst, 10.0)
             # Called directly (no gate) the hooks answer the same.
             assert controller.latency_adjust(src, dst, 10.0) == adjusted
+        if reference.uniform_rate is not None:
+            assert controller.calm_until == float("-inf")
         assert controller.partition_active() == reference.partition_active(now)
-        for other in (now - 10.0, now + 10.0):
-            assert controller.partition_active(other) == reference.partition_active(
-                other
-            )
+        for settle in (0.0, 15.0):
+            assert controller.disturbed(now, settle) == reference.disturbed(now, settle)
 
 
 class CountingController(FaultController):
@@ -663,20 +669,16 @@ def test_calm_fault_plane_is_never_called():
 
 def test_scheduling_mid_run_ends_the_calm():
     sim, network, (a, b) = make_world(latency=10.0)
-    controller = CountingController(sim, network)
-    controller.schedule_latency_spike(
-        LatencySpikeSpec(start_ms=1000.0, end_ms=2000.0, multiplier=2.0)
-    )
+    controller = CountingController(sim, network, locality_of={a.address: 0}.get)
+    controller.apply([LatencySpikeSpec(start_ms=1000.0, end_ms=2000.0, multiplier=2.0)])
     sim.run(until=100.0)
     assert controller.calm_until == 1000.0
-    controller.schedule_latency_spike(
-        LatencySpikeSpec(start_ms=50.0, end_ms=300.0, additive_ms=7.0)
-    )
+    controller.apply([LatencySpikeSpec(start_ms=50.0, end_ms=300.0, additive_ms=7.0)])
     assert controller.calm_until <= sim.now  # already open
     a.send(b.address, "ping", seq="spiked")
     sim.run(until=200.0)
     assert b.received_at["spiked"] == pytest.approx(117.0)
-    controller.schedule_partition(400.0, 500.0, group=frozenset({a.address}))
+    controller.apply([PartitionSpec(locality=0, start_ms=400.0, heal_ms=500.0)])
     sim.run(until=350.0)
     a.send(b.address, "ping", seq="calm again")
     assert controller.calm_until == 400.0

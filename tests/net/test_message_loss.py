@@ -4,7 +4,8 @@ import weakref
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import ConfigError, TransportError
+from repro.net.faults import FaultController, UniformLossSpec
 from repro.net.topology import ExplicitTopology
 from repro.net.transport import ACK, Network, NetworkNode
 from repro.sim.engine import Simulator
@@ -26,16 +27,37 @@ def make_pair(loss=0.0, seed=1, answering=Responder):
         sim, ExplicitTopology([[0.0, 10.0], [10.0, 0.0]]), default_timeout_ms=100.0
     )
     if loss:
-        network.configure_loss(loss, sim.rng("loss"))
+        lossy(network, loss)
     return sim, network, Responder(network), answering(network)
 
 
+def lossy(network, rate, draws=None):
+    """Install uniform loss at *rate*; *draws* scripts the loss stream."""
+    controller = FaultController(network.sim, network)
+    controller.apply([UniformLossSpec(rate)])
+    if draws is not None:
+        controller.loss_rng = ScriptedRng(draws)
+    return controller
+
+
 def test_loss_rate_validated():
-    sim, network, __, __ = make_pair()
-    with pytest.raises(TransportError):
-        network.configure_loss(1.5, sim.rng("loss"))
-    with pytest.raises(TransportError):
-        network.configure_loss(-0.1, sim.rng("loss"))
+    for rate in (1.0, 1.5, -0.1):
+        with pytest.raises(ConfigError):
+            UniformLossSpec(rate)
+
+
+def test_loss_rate_config_validated():
+    """A config read back from a reproducer bundle checks its rate too."""
+    from repro.chaos.runner import config_from_dict, config_to_dict
+    from repro.experiments.config import ExperimentConfig
+
+    data = config_to_dict(
+        ExperimentConfig.scaled(fault_schedule=(UniformLossSpec(0.5),))
+    )
+    assert config_from_dict(data).fault_schedule == (UniformLossSpec(0.5),)
+    data["fault_schedule"][0]["rate"] = 1.0
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
 
 
 def test_total_loss_drops_everything():
@@ -92,19 +114,19 @@ def test_flower_functions_under_lossy_network():
         num_active_websites=2,
         num_localities=2,
         objects_per_website=25,
-        message_loss_rate=0.05,
+        fault_schedule=(UniformLossSpec(0.05),),
     )
     result = run_experiment("flower", config, seed=19)
     assert result.queries > 50
     assert result.hit_ratio > 0.0  # degraded, but alive
+    assert result.extra["fault_stats"] == {}  # uniform drops are not tallied there
 
 
-def test_loss_rate_config_validated():
-    from repro.errors import ConfigError
-    from repro.experiments.config import ExperimentConfig
-
-    with pytest.raises(ConfigError):
-        ExperimentConfig.scaled(message_loss_rate=1.0)
+def test_a_schedule_carries_one_uniform_loss_rate():
+    sim, network, __, __ = make_pair()
+    controller = FaultController(sim, network)
+    with pytest.raises(TransportError, match="only one uniform loss rate"):
+        controller.apply([UniformLossSpec(0.1), UniformLossSpec(0.2)])
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +146,7 @@ class ScriptedRng:
 def test_retry_survives_lost_request():
     """First request dropped mid-flight; the retry gets through."""
     sim, network, a, b = make_pair()
-    network.configure_loss(0.5, ScriptedRng([0.1]))  # drop only attempt 1
+    lossy(network, 0.5, [0.1])  # drop only attempt 1
     outcomes = []
     a.retrying_rpc(
         b.address,
@@ -133,7 +155,6 @@ def test_retry_survives_lost_request():
         on_reply=lambda p: outcomes.append("reply"),
         on_give_up=lambda: outcomes.append("give_up"),
         retries=2,
-        backoff_ms=20.0,
     )
     sim.run()
     assert outcomes == ["reply"]
@@ -147,7 +168,7 @@ def test_retry_survives_lost_reply():
     caller still ends with exactly one reply."""
     sim, network, a, b = make_pair()
     # Draw 1: request 1 delivered.  Draw 2: reply 1 dropped.  Then clean.
-    network.configure_loss(0.5, ScriptedRng([0.9, 0.1]))
+    lossy(network, 0.5, [0.9, 0.1])
     outcomes = []
     a.retrying_rpc(
         b.address,
@@ -156,7 +177,6 @@ def test_retry_survives_lost_reply():
         on_reply=lambda p: outcomes.append("reply"),
         on_give_up=lambda: outcomes.append("give_up"),
         retries=2,
-        backoff_ms=20.0,
     )
     sim.run()
     assert outcomes == ["reply"]
@@ -178,7 +198,6 @@ def test_retry_budget_exhaustion_fires_give_up_once():
         on_reply=lambda p: outcomes.append("reply"),
         on_give_up=lambda: outcomes.append("give_up"),
         retries=2,
-        backoff_ms=20.0,
     )
     sim.run()
     assert outcomes == ["give_up"]
@@ -222,7 +241,7 @@ def test_zero_retries_matches_single_shot_semantics():
     """retries=0 restores the seed's behaviour: one lost message condemns
     the call."""
     sim, network, a, b = make_pair()
-    network.configure_loss(0.5, ScriptedRng([0.1]))
+    lossy(network, 0.5, [0.1])
     outcomes = []
     a.retrying_rpc(
         b.address,
@@ -241,8 +260,8 @@ def test_zero_retries_matches_single_shot_semantics():
 
 
 def test_backoff_delays_and_attempt_numbers_are_exact():
-    """delay_n = min(cap, backoff * factor**n) * (0.5 + 0.5 * u_n), one
-    draw per retry, and ``net.rpc_retry`` numbers the attempt it announces."""
+    """delay_n = min(8000, 500 * 2**n) * (0.5 + 0.5 * u_n), one draw per
+    retry, and ``net.rpc_retry`` numbers the attempt it announces."""
     sim, network, a, b = make_pair()  # 10 ms links, 100 ms timeout
     b.fail()
     sim.trace.record("net.rpc_retry", "net.drop")
@@ -252,26 +271,42 @@ def test_backoff_delays_and_attempt_numbers_are_exact():
         "ping",
         {},
         on_give_up=lambda: gave_up.append(sim.now),
-        retries=2,
-        backoff_ms=20.0,
-        backoff_factor=2.0,
-        backoff_cap_ms=30.0,
-        rng=ScriptedRng([0.0, 0.5]),
+        retries=6,
+        rng=ScriptedRng([0.0, 0.5, 0.0, 0.0, 0.0, 0.0]),
     )
     sim.run()
-    # Attempt 0 at t=0 times out at 100; wait min(30, 20) * 0.5 = 10.
-    # Attempt 1 at 110 times out at 210; wait min(30, 40) * 0.75 = 22.5.
-    # Attempt 2 at 232.5 times out at 332.5: the budget is spent.
+    # Attempt 0 at t=0 times out at 100; wait min(8000, 500) * 0.5 = 250.
+    # Attempt 1 at 350 times out at 450; wait min(8000, 1000) * 0.75 = 750.
+    # Attempt 2 at 1200 times out at 1300; wait 2000 * 0.5 = 1000.
+    # Attempt 3 at 2300 times out at 2400; wait 4000 * 0.5 = 2000.
+    # Attempt 4 at 4400 times out at 4500; wait min(8000, 8000) * 0.5 = 4000.
+    # Attempt 5 at 8500 times out at 8600; wait min(8000, 16000) * 0.5 = 4000.
+    # Attempt 6 at 12600 times out at 12700: the budget is spent.
     retries = sim.trace.events("net.rpc_retry")
-    assert [(e.time, e.payload["attempt"]) for e in retries] == [(100.0, 1), (210.0, 2)]
+    assert [(e.time, e.payload["attempt"]) for e in retries] == [
+        (100.0, 1),
+        (450.0, 2),
+        (1300.0, 3),
+        (2400.0, 4),
+        (4500.0, 5),
+        (8600.0, 6),
+    ]
     assert all(
         e.payload["rpc_kind"] == "ping" and e.payload["dst"] == b.address
         for e in retries
     )
     # Each request dies at the dead destination one link latency after it
     # was sent.
-    assert [e.time for e in sim.trace.events("net.drop")] == [10.0, 120.0, 242.5]
-    assert gave_up == [332.5]
+    assert [e.time for e in sim.trace.events("net.drop")] == [
+        10.0,
+        360.0,
+        1210.0,
+        2310.0,
+        4410.0,
+        8510.0,
+        12610.0,
+    ]
+    assert gave_up == [12700.0]
 
 
 def test_source_dying_mid_backoff_ends_the_chain():
@@ -287,10 +322,9 @@ def test_source_dying_mid_backoff_ends_the_chain():
         on_reply=lambda p: outcomes.append("reply"),
         on_give_up=lambda: outcomes.append("give_up"),
         retries=2,
-        backoff_ms=20.0,
         rng=ScriptedRng([0.0]),
     )
-    sim.schedule(105.0, a.fail)  # timeout at 100, next attempt due at 110
+    sim.schedule(105.0, a.fail)  # timeout at 100, next attempt due at 350
     sim.run()
     assert outcomes == []
     assert network.messages_sent == 1
@@ -317,9 +351,9 @@ def test_every_attempt_carries_the_payload_as_it_was_at_the_call():
     )
     a, b = Responder(network), Scribbler(network)
     # Draw 1: request 1 delivered.  Draw 2: reply 1 dropped.  Then clean.
-    network.configure_loss(0.5, ScriptedRng([0.9, 0.1]))
+    lossy(network, 0.5, [0.9, 0.1])
     payload = {"value": 1}
-    a.retrying_rpc(b.address, "ping", payload, retries=1, backoff_ms=20.0)
+    a.retrying_rpc(b.address, "ping", payload, retries=1)
     payload["value"] = 2  # the caller moves on
     sim.run()
     assert b.seen == [{"value": 1}, {"value": 1}]
@@ -338,7 +372,7 @@ def test_under_configured_loss_an_ack_travels_and_can_be_lost():
     and when that draw loses it the caller times out."""
     sim, network, a, b = make_pair(answering=Acker)
     # Call 1: request in, ack in.  Call 2: request in, ack lost.
-    network.configure_loss(0.5, ScriptedRng([0.9, 0.9, 0.9, 0.1]))
+    lossy(network, 0.5, [0.9, 0.9, 0.9, 0.1])
     outcomes = []
     for __ in range(2):
         a.rpc(
@@ -358,7 +392,7 @@ def test_under_configured_loss_an_ack_travels_and_can_be_lost():
 
 def test_retry_survives_a_lost_ack_without_a_word_to_on_reply():
     sim, network, a, b = make_pair(answering=Acker)
-    network.configure_loss(0.5, ScriptedRng([0.9, 0.1]))  # ack 1 lost
+    lossy(network, 0.5, [0.9, 0.1])  # ack 1 lost
     outcomes = []
     a.retrying_rpc(
         b.address,
@@ -367,7 +401,6 @@ def test_retry_survives_a_lost_ack_without_a_word_to_on_reply():
         on_reply=lambda p: outcomes.append("reply"),
         on_give_up=lambda: outcomes.append("give_up"),
         retries=2,
-        backoff_ms=20.0,
     )
     sim.run()
     assert b.received == 2
@@ -389,10 +422,10 @@ def test_a_finished_call_is_freed_by_refcount(refcount_only, answered):
     refs = []
     rpc = a.rpc
 
-    def spy(dst, kind, payload, on_reply, on_timeout, timeout_ms):
+    def spy(dst, kind, payload, on_reply, on_timeout):
         # The timeout callback is the record's bound method.
         refs.append(weakref.ref(getattr(on_timeout, "__self__", on_timeout)))
-        rpc(dst, kind, payload, on_reply, on_timeout, timeout_ms)
+        rpc(dst, kind, payload, on_reply, on_timeout)
 
     a.rpc = spy
 
@@ -431,7 +464,7 @@ def test_flower_retries_beat_single_shot_under_loss():
         num_active_websites=2,
         num_localities=2,
         objects_per_website=25,
-        message_loss_rate=0.10,
+        fault_schedule=(UniformLossSpec(0.10),),
     )
     with_retries = run_experiment("flower", base, seed=19)
     single_shot = run_experiment("flower", base.replace(rpc_retries=0), seed=19)

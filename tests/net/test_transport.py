@@ -1,11 +1,14 @@
 """Unit tests for the message transport: latency, liveness, RPC timeouts."""
 
-import random
-
 import pytest
 
 from repro.errors import TopologyError, TransportError
-from repro.net.faults import FaultController, LatencySpikeSpec
+from repro.net.faults import (
+    FaultController,
+    LatencySpikeSpec,
+    PartitionSpec,
+    UniformLossSpec,
+)
 from repro.net.message import Message
 from repro.net.shardnet import ShardedNetwork, ShardedTopology, ShardMap, drain_outbox
 from repro.net.topology import ExplicitTopology
@@ -439,23 +442,39 @@ def down_between(fail_ms, revive_ms):
     return setup
 
 
+def cut_off_node_0(sim, network, start_ms, heal_ms):
+    """Partition node 0 (locality 0; nobody else has one) from the rest."""
+    FaultController(sim, network, locality_of={0: 0}.get).apply(
+        [PartitionSpec(locality=0, start_ms=start_ms, heal_ms=heal_ms)]
+    )
+
+
 def partition_window(start_ms, heal_ms):
     def setup(sim, network, nodes):
-        FaultController(sim, network).schedule_partition(
-            start_ms, heal_ms, group=frozenset({0})
-        )
+        cut_off_node_0(sim, network, start_ms, heal_ms)
 
     return setup
 
 
+class Draws:
+    """A loss stream whose every draw is *value*."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
 def certain_loss(sim, network, nodes):
-    network.configure_loss(1.0, random.Random(1))
+    FaultController(sim, network).apply([UniformLossSpec(0.5)])
+    network.faults.loss_rng = Draws(0.0)
 
 
 def spike_to_the_timeout(sim, network, nodes):
     # Link 0 -> 1 is 100 ms; +900 ms makes it exactly the 1000 ms timeout.
-    FaultController(sim, network).schedule_latency_spike(
-        LatencySpikeSpec(0.0, 500.0, additive_ms=900.0)
+    FaultController(sim, network).apply(
+        [LatencySpikeSpec(0.0, 500.0, additive_ms=900.0)]
     )
 
 
@@ -592,23 +611,14 @@ class Acker(Echo):
         return {"ok": False} if self.refuse else ACK
 
 
-class NeverDrops:
-    """A loss RNG whose every draw is above any loss rate."""
-
-    def random(self):
-        return 1.0
-
-
 def make_ack_network(fabric="bare"):
     """Nodes 0 and 1 are 100 ms apart; the default timeout is 1000 ms.
-    ``"loss"`` and ``"faults"`` are fabrics on which a sent reply *may*
-    fail to arrive -- although on these two it never does."""
+    ``"faults"`` is a fabric on which a sent reply *may* fail to arrive --
+    although on this one it never does."""
     sim = Simulator(seed=1)
     network = Network(sim, ExplicitTopology(MATRIX), default_timeout_ms=1000.0)
     nodes = [Acker(network) for _ in range(3)]
-    if fabric == "loss":
-        network.configure_loss(0.5, NeverDrops())
-    elif fabric == "faults":
+    if fabric == "faults":
         FaultController(sim, network)  # installed, no window scheduled
     return sim, network, nodes
 
@@ -641,7 +651,7 @@ def test_answered_ack_rpc_is_one_event_and_arms_no_deadline():
 
 
 @pytest.mark.parametrize(
-    "fabric, events", [("bare", 1), ("loss", 2), ("faults", 2)]
+    "fabric, events", [("bare", 1), ("faults", 2)]
 )
 def test_on_reply_is_not_called_for_an_ack_elided_or_travelling(fabric, events):
     sim, network, nodes = make_ack_network(fabric)
@@ -665,9 +675,8 @@ def test_negative_reply_is_still_delivered():
 
 def test_travelling_ack_can_be_lost_to_an_installed_fault_window():
     sim, network, nodes = make_ack_network()
-    faults = FaultController(sim, network)
     # Opens after the request landed (t=100), before the ack does (t=200).
-    faults.schedule_partition(150.0, 500.0, group=frozenset({0}))
+    cut_off_node_0(sim, network, 150.0, 500.0)
     outcomes = []
     probe(sim, nodes[0], outcomes)
     sim.run()
