@@ -17,6 +17,7 @@ a "performance" commit.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,21 @@ GOLDEN_FAULTED = (
 GOLDEN_LOSSY = (
     "97c7f9022ef2accf373d3fe3925d73f5e594af1bae69da5357b92d0edb4bb420",
     0.5084615384615384,
+)
+
+#: (stream SHA-256, answer digest, hit ratio) for the golden scenario
+#: with keyword search and k=2 replication on flower at seed 1, through a
+#: locality-0 partition whose directories all crash mid-window: 34 probes
+#: are answered from replicas and 5 by takeover.  The answer digest
+#: chains every replica's ``search_matches`` for every keyword, so it pins
+#: what the replicated state answers, not only the searches the probes
+#: happened to issue.  Recorded while replicas still carried posting lists
+#: beside the member index; it pins that answering from the index alone
+#: gives the same results.
+GOLDEN_SEARCH = (
+    "f92eb63ed20fa5d21e529f4414daebe31fc713e892b5c1ce3ac297d79ca81f7a",
+    "4444162e3d331f390c56384a4dd9114e9d72e33da62d596b1f742a983157ac51",
+    0.7641509433962265,
 )
 
 #: phase the plan must contain -> (protocol, config overrides,
@@ -219,6 +235,47 @@ def test_golden_lossy_stream_fingerprint():
     )
     sha, hit_ratio, _ = run_world("flower", firehose=True, config=config)
     assert (sha, hit_ratio) == GOLDEN_LOSSY
+
+
+@pytest.mark.slow
+def test_golden_search_stream_and_replica_answers():
+    """Keyword search through a partition and a directory wipe-out, event
+    for event, plus every answer each held replica gives for every
+    keyword at the end of the run."""
+    config = golden_config().replace(
+        directory_replication_k=2,
+        search_keywords=24,
+        search_probe_period_s=45.0,
+        gossip_period_min=10.0,
+        fault_schedule=(
+            PartitionSpec(locality=0, start_ms=hours(2), heal_ms=hours(4)),
+            MassFailureSpec(
+                at_ms=hours(3), fraction=1.0, locality=0, directories_only=True
+            ),
+        ),
+    )
+    world = build_world("flower", config, SEED)
+    fingerprint = StreamFingerprint(world.sim.trace)
+    world.run()
+    engine = world.system.search_engine
+    space = engine.space
+    answers = hashlib.sha256()
+    for address, peer in sorted(world.system.peers.items()):
+        if not peer.alive:
+            continue
+        for record in sorted(
+            peer.replica_store.records(), key=lambda r: r.position
+        ):
+            for keyword in space.all_keywords():
+                matches = record.search_matches(space, keyword, engine.max_results)
+                answers.update(
+                    repr((address, record.position, keyword, matches)).encode()
+                )
+    assert (
+        fingerprint.hexdigest(),
+        answers.hexdigest(),
+        world.system.metrics.hit_ratio(),
+    ) == GOLDEN_SEARCH
 
 
 @pytest.mark.slow
