@@ -5,13 +5,13 @@ PR 4/5 made directory *content service* survive a wipe through replicated
 now carries the keyword-search plane (section 5.4 of docs/PROTOCOLS.md).
 One scenario, two arms:
 
-- **cold (k=0)** -- no replicated posting lists.  A partition cuts
+- **cold (k=0)** -- no replicated directory-index.  A partition cuts
   locality 0 off the backbone (3h-5h) and every directory inside the cut
   is wiped at 4h.  Keyword searches issued by locality-0 members have
   nowhere to go: the wipe window shows a sustained outage ("none"
   completions).
-- **warm (k=2)** -- posting lists replicate to the member heir plus two
-  D-ring successors.  Through the same wipe, searches fail over to
+- **warm (k=2)** -- the directory-index replicates to the member heir
+  plus two D-ring successors.  Through the same wipe, searches fail over to
   replica holders (staleness-stamped), then to promoted takeover /
   provisional directories; availability in the wipe window stays >= 99%
   and no replica-served answer exceeds the declared staleness bound of

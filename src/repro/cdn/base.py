@@ -88,7 +88,6 @@ class BasePeer(NetworkNode):
         self.store = ContentStore(capacity=system.params.peer_cache_capacity)
         self.stream: Optional[QueryStream] = None
         self.queries_issued = 0
-        self.sessions = 0
         self._query_process: Optional[PeriodicProcess] = None
         #: key -> issue time of queries not yet finalized (the ledger).
         self._open_queries: Dict[ObjectKey, float] = {}
@@ -99,7 +98,6 @@ class BasePeer(NetworkNode):
     def begin_session(self) -> None:
         """Come online: start querying if the peer's website is active."""
         self.revive()
-        self.sessions += 1
         if self.system.catalog.is_active(self.website):
             self._start_query_process()
         self._on_session_begin()
@@ -349,13 +347,11 @@ class CdnSystem:
         #: :class:`~repro.cdn.swarm.SwarmTransfer`, bound together with
         #: ``sizes`` so the swarming code loads only when swarming is on.
         self.swarm_transfer = None
-        # --- swarming accounting (zero-cost while ``swarming`` is off) ---
-        self.swarm_started = 0
+        # --- swarming accounting (zero-cost while ``swarming`` is off);
+        # starts, restarts, chunk retries and degraded transfers are the
+        # counts of their ``swarm.*`` trace kinds ---
         self.swarm_completed = 0
-        self.swarm_degraded = 0
         self.swarm_failed = 0
-        self.swarm_restarts = 0
-        self.swarm_chunk_retries = 0
         self.swarm_p2p_bytes = 0
         self.swarm_origin_bytes = 0
 

@@ -99,16 +99,6 @@ class DirectoryRole:
         #: True while the owner serves the slot without having won the
         #: ring position (partition-side takeover awaiting reconciliation).
         self.provisional = False
-        #: Keyword-search posting lists (section 5.4).  ``search_space`` is
-        #: attached lazily when the system runs a search engine and stays
-        #: None otherwise, so plain builds maintain no posting state at
-        #: all.  The posting journal reuses the member-view version counter
-        #: (stamps only, no extra bumps): like the member journal this is
-        #: pure state -- no randomness, no events.
-        self.search_space = None
-        self.postings: Dict[str, Set[ObjectKey]] = {}
-        self.posting_changed: Dict[str, int] = {}
-        self.posting_removed: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ load
     @property
@@ -223,71 +213,6 @@ class DirectoryRole:
             if version > base_version
         )
 
-    # ---------------------------------------------------- search postings
-    def attach_search(self, space) -> None:
-        """Attach a keyword space and (re)build posting lists from the
-        index.  Idempotent; pure state (no randomness, no events)."""
-        if space is self.search_space:
-            return
-        self.search_space = space
-        self.postings = {}
-        self.posting_changed = {}
-        self.posting_removed = {}
-        for key in self.index:
-            self._posting_add(key)
-
-    def _posting_add(self, key: ObjectKey) -> None:
-        """A key just entered the index: list it under its keywords."""
-        space = self.search_space
-        if space is None:
-            return
-        for keyword in space.keywords_of(key):
-            self.postings.setdefault(keyword, set()).add(key)
-            self.posting_changed[keyword] = self.version
-            self.posting_removed.pop(keyword, None)
-
-    def _posting_drop(self, key: ObjectKey) -> None:
-        """A key just left the index entirely: unlist it everywhere."""
-        space = self.search_space
-        if space is None:
-            return
-        for keyword in space.keywords_of(key):
-            keys = self.postings.get(keyword)
-            if keys is None:
-                continue
-            keys.discard(key)
-            if keys:
-                self.posting_changed[keyword] = self.version
-            else:
-                del self.postings[keyword]
-                self.posting_changed.pop(keyword, None)
-                self.posting_removed[keyword] = self.version
-
-    def postings_changed_since(self, base_version: int) -> List[str]:
-        """Keywords whose posting list changed after *base_version*."""
-        return sorted(
-            keyword
-            for keyword, version in self.posting_changed.items()
-            if version > base_version
-        )
-
-    def postings_removed_since(self, base_version: int) -> List[str]:
-        """Keywords whose posting list emptied after *base_version*."""
-        return sorted(
-            keyword
-            for keyword, version in self.posting_removed.items()
-            if version > base_version
-        )
-
-    @property
-    def search_version(self) -> int:
-        """Version stamp of the newest posting-affecting change (0 when
-        search is detached or the index never held a key)."""
-        return max(
-            max(self.posting_changed.values(), default=0),
-            max(self.posting_removed.values(), default=0),
-        )
-
     # -------------------------------------------------------------- members
     def add_member(self, address: Address, keys: Iterable[ObjectKey] = ()) -> None:
         """Register a content peer (fresh age) and index its keys."""
@@ -318,7 +243,6 @@ class DirectoryRole:
                     holders.discard(address)
                     if not holders:
                         del self.index[key]
-                        self._posting_drop(key)
 
     def update_member_keys(self, address: Address, keys: Iterable[ObjectKey]) -> None:
         """Apply a push: replace the member's key set in the index."""
@@ -332,12 +256,10 @@ class DirectoryRole:
                 holders.discard(address)
                 if not holders:
                     del self.index[key]
-                    self._posting_drop(key)
         for key in new - old:
             holders = self.index.get(key)
             if holders is None:
                 self.index[key] = {address}
-                self._posting_add(key)
             else:
                 holders.add(address)
         if new:
@@ -384,62 +306,26 @@ class DirectoryRole:
     def snapshot(self) -> Dict[str, object]:
         """Serializable copy of the index + view (voluntary-leave handoff,
         section 5.2.2)."""
-        data: Dict[str, object] = {
+        return {
             "version": self.version,
             "members": [(c.address, c.age) for c in self.members.contacts()],
             "member_keys": {
                 address: sorted(keys) for address, keys in self.member_keys.items()
             },
         }
-        if self.search_space is not None:
-            data["postings"] = [
-                (keyword, sorted(keys))
-                for keyword, keys in sorted(self.postings.items())
-            ]
-        return data
 
     def adopt_snapshot(self, snapshot: Dict[str, object]) -> None:
         """Install a predecessor's index + view (received at handoff)."""
         inherited = int(snapshot.get("version", 0))
         if inherited > self.version:
             self.version = inherited
-        space = self.search_space
-        postings = snapshot.get("postings") if space is not None else None
-        if postings is not None:
-            # The predecessor handed its posting lists over (section 5.4):
-            # install them wholesale below instead of re-deriving keyword
-            # sets key by key while the members are adopted.
-            self.search_space = None
-        try:
-            for address, age in snapshot.get("members", []):
-                if address != self.owner_address:
-                    self.members.add(Contact(address, age))
-                    self._mark_changed(address)
-            for address, keys in snapshot.get("member_keys", {}).items():
-                if address != self.owner_address:
-                    self.update_member_keys(address, [tuple(k) for k in keys])
-        finally:
-            if postings is not None:
-                self.search_space = space
-                self._install_postings(postings)
-
-    def _install_postings(self, postings: Iterable) -> None:
-        """Adopt handed-off posting lists wholesale.
-
-        Keys no longer in the index (e.g. the previous owner's own
-        entries, dropped during adoption) are filtered out, and the
-        journal restamps every surviving keyword at the current version so
-        the next delta sync ships the adopted lists downstream.
-        """
-        indexed = set(self.index)
-        self.postings = {}
-        self.posting_changed = {}
-        self.posting_removed = {}
-        for keyword, keys in postings:
-            live = {tuple(k) for k in keys} & indexed
-            if live:
-                self.postings[keyword] = live
-                self.posting_changed[keyword] = self.version
+        for address, age in snapshot.get("members", []):
+            if address != self.owner_address:
+                self.members.add(Contact(address, age))
+                self._mark_changed(address)
+        for address, keys in snapshot.get("member_keys", {}).items():
+            if address != self.owner_address:
+                self.update_member_keys(address, [tuple(k) for k in keys])
 
     def merge_remote(
         self,

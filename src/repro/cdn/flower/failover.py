@@ -124,10 +124,6 @@ class DirectoryReplicator:
     def _sync_tick(self) -> None:
         if not self._serving():
             return
-        # Lazy search attach: tests (and late-configured runs) install the
-        # engine after seed directories exist; make sure this role's
-        # posting lists are live before they are serialized below.
-        self.service.attach_search()
         self.rounds += 1
         force_full = self.rounds % ANTI_ENTROPY_ROUNDS == 0
         for target in self.targets():

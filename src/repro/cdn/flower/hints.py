@@ -89,7 +89,6 @@ class RedirectHints:
         closes exactly once on every branch.
         """
         system = self.system
-        system.hint_hops += 1
         self.sim.emit(
             "flower.hint_hop",
             peer=self.address,

@@ -463,7 +463,6 @@ class PetalMember:
                 __, evicted = self.store.add_with_evictions(key)
                 if evicted:
                     self._forget_evicted(evicted)
-                self.system.rebalance_adoptions += 1
                 self.summary.add(key)
                 self._maybe_place_chunks(key)
                 self.sim.emit(

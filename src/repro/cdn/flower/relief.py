@@ -260,7 +260,6 @@ class LoadRelief:
             spilled += 1
             round_load[target] = round_load.get(target, 0) + 1
             d.keys_rebalanced += 1
-            self.system.rebalance_spills += 1
             self.system.rebalance_kb += cost_kb
             # The index lags pushes, so any single holder may have evicted
             # the key since it registered; hand the adopter a few candidate

@@ -52,7 +52,7 @@ what keeps replication-off runs on the determinism goldens.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.types import Address, ChordId, ObjectKey
 
@@ -67,7 +67,7 @@ def full_sync_payload(role, origin: Address) -> Dict[str, Any]:
         (address, age, sorted(role.member_keys.get(address, ())))
         for address, age in ages.items()
     ]
-    payload = {
+    return {
         "position": role.position_id,
         "website": role.website,
         "locality": role.locality,
@@ -78,15 +78,6 @@ def full_sync_payload(role, origin: Address) -> Dict[str, Any]:
         "entries": entries,
         "removed": [],
     }
-    if role.search_space is not None:
-        # Section 5.4: the keyword posting lists ride the same channel.
-        # A full sync carries the complete set (replace-all semantics).
-        payload["postings"] = [
-            (keyword, sorted(keys))
-            for keyword, keys in sorted(role.postings.items())
-        ]
-        payload["postings_removed"] = []
-    return payload
 
 
 def delta_sync_payload(role, origin: Address, base_version: int) -> Dict[str, Any]:
@@ -96,7 +87,7 @@ def delta_sync_payload(role, origin: Address, base_version: int) -> Dict[str, An
         (address, ages.get(address, 0), sorted(role.member_keys.get(address, ())))
         for address in role.changed_since(base_version)
     ]
-    payload = {
+    return {
         "position": role.position_id,
         "website": role.website,
         "locality": role.locality,
@@ -108,16 +99,6 @@ def delta_sync_payload(role, origin: Address, base_version: int) -> Dict[str, An
         "entries": entries,
         "removed": role.removed_since(base_version),
     }
-    if role.search_space is not None:
-        # A delta ships each touched keyword's *current* full list
-        # (replace-per-keyword semantics) plus tombstones for keywords
-        # whose lists emptied -- same shape the member journal uses.
-        payload["postings"] = [
-            (keyword, sorted(role.postings.get(keyword, ())))
-            for keyword in role.postings_changed_since(base_version)
-        ]
-        payload["postings_removed"] = role.postings_removed_since(base_version)
-    return payload
 
 
 def merge_sync_payload(role, payload: Dict[str, Any]) -> int:
@@ -145,7 +126,6 @@ class ReplicaRecord:
         "updated_at",
         "members",
         "member_keys",
-        "postings",
     )
 
     def __init__(self, payload: Dict[str, Any], now: float) -> None:
@@ -158,9 +138,6 @@ class ReplicaRecord:
         self.updated_at: float = now
         self.members: Dict[Address, int] = {}
         self.member_keys: Dict[Address, List[ObjectKey]] = {}
-        #: keyword -> posting list, mirrored from the origin's journal
-        #: (empty when the origin runs without a search engine).
-        self.postings: Dict[str, Set[ObjectKey]] = {}
         self._apply_entries(payload)
 
     def _apply_entries(self, payload: Dict[str, Any]) -> None:
@@ -170,21 +147,12 @@ class ReplicaRecord:
         for address in payload.get("removed", ()):
             self.members.pop(address, None)
             self.member_keys.pop(address, None)
-        for keyword, keys in payload.get("postings", ()):
-            self.postings[keyword] = {tuple(k) for k in keys}
-        for keyword in payload.get("postings_removed", ()):
-            self.postings.pop(keyword, None)
 
     def apply(self, payload: Dict[str, Any], now: float) -> None:
         """Install a full snapshot or apply a delta on top of this record."""
         if payload.get("full"):
             self.members.clear()
             self.member_keys.clear()
-            if "postings" in payload:
-                # Only a search-carrying full resets the lists: an origin
-                # that attached its engine late must not wipe postings it
-                # simply does not ship.
-                self.postings.clear()
         self.origin = payload["origin"]
         self.version = payload["version"]
         self.updated_at = now
@@ -192,52 +160,29 @@ class ReplicaRecord:
 
     def to_snapshot(self) -> Dict[str, Any]:
         """The :meth:`DirectoryRole.adopt_snapshot`-compatible form."""
-        snapshot = {
+        return {
             "version": self.version,
             "members": [(address, age) for address, age in self.members.items()],
             "member_keys": {
                 address: list(keys) for address, keys in self.member_keys.items()
             },
         }
-        if self.postings:
-            snapshot["postings"] = [
-                (keyword, sorted(keys))
-                for keyword, keys in sorted(self.postings.items())
-            ]
-        return snapshot
 
     def search_matches(self, space, keyword: str, max_results: int) -> List[Tuple]:
-        """Answer a scoped keyword search from this replica.
+        """Answer a scoped keyword search from this replica's member index.
 
-        Providers follow the live engine's rule (smallest indexed
-        address); keys whose every holder has been removed from the
-        replica are skipped.  When the origin never shipped posting lists
-        (it ran before search was enabled) the lists are derived from the
-        replicated member keys via *space* -- same answer, more hashing.
+        Matching keys come from the replicated member keys via *space*;
+        providers follow the live engine's rule (smallest holding
+        address), in key order, at most *max_results* of them.
         """
-        keys = self.postings.get(keyword)
-        if keys is None and not self.postings:
-            keys = {
-                key
-                for held in self.member_keys.values()
-                for key in held
-                if space.matches(key, keyword)
-            }
-        matches: List[Tuple] = []
-        for key in sorted(keys or ()):
-            provider = min(
-                (
-                    address
-                    for address, held in self.member_keys.items()
-                    if key in held
-                ),
-                default=None,
-            )
-            if provider is not None:
-                matches.append((key, provider))
-                if len(matches) >= max_results:
-                    break
-        return matches
+        providers: Dict[ObjectKey, Address] = {}
+        for address, held in self.member_keys.items():
+            for key in held:
+                if space.matches(key, keyword) and (
+                    key not in providers or address < providers[key]
+                ):
+                    providers[key] = address
+        return sorted(providers.items())[:max_results]
 
     def summary(self, now: float) -> Dict[str, Any]:
         """Wire form returned to a ``flower.replica_fetch``."""

@@ -13,8 +13,8 @@ state -- the index keeps itself fresh through the usual push/expiry
 maintenance, so search inherits Flower-CDN's churn robustness for free.
 
 With warm directory failover enabled (section 5.3, ``directory_replication_k > 0``)
-search additionally inherits the *replicated* posting lists that ride the
-versioned sync channel: when the directory is suspect or a search times
+search additionally inherits the *replicated* directory-index that rides
+the versioned sync channel: when the directory is suspect or a search times
 out, the content peer retries against the replica holders it learned from
 its directory (the heir plus the k D-ring successors), accepting answers
 only while their staleness stays under
@@ -174,7 +174,6 @@ class SearchProbeWorkload:
         self.localities = None if localities is None else frozenset(localities)
         self.websites = None if websites is None else frozenset(websites)
         self.issued = 0
-        self.skipped = 0
         self.process = PeriodicProcess(
             sim, period_ms, self._tick, initial_delay=rng.uniform(0.0, period_ms)
         )
@@ -196,7 +195,6 @@ class SearchProbeWorkload:
             return
         peers = self._candidates()
         if not peers:
-            self.skipped += 1
             return
         peer = peers[self.rng.randrange(len(peers))]
         keyword = f"kw{self.rng.randrange(engine.space.num_keywords)}"

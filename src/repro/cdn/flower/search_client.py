@@ -9,8 +9,8 @@ from the ``search_replicas`` plan directories piggyback on keepalive /
 push / registration replies, extended with fresh petal-mates from the
 gossip view.  Replica answers are accepted only within the declared
 staleness bound.  The answering side of that failover --
-``flower.search_replica``, served from our replica store -- lives here
-too: every peer may hold a replica.
+``flower.search_replica``, answered from the replicated member index in
+our replica store -- lives here too: every peer may hold a replica.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ What a directory does here:
   to the next PetalUp instance, collaborating with sibling directories;
 - keeps its member view fresh from keepalives and pushes and expires
   silent members in a periodic sweep;
-- answers petal keyword searches from its posting lists.
+- answers petal keyword searches from its directory-index.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class DirectoryService:
         joiner wins (section 5.2.2)."""
         peer, role = self.peer, self.role
         peer._recovering = True
-        self.attach_search()
         role.chord = ChordNode(peer, self.system.ring, role.position_id)
         if snapshot is not None:
             role.adopt_snapshot(snapshot)
@@ -161,7 +160,6 @@ class DirectoryService:
         -- section 5.2.2).
         """
         peer, role = self.peer, self.role
-        self.attach_search()
         peer.directory = role
         peer.service = self
         self.system.register_directory(peer, role)
@@ -229,10 +227,6 @@ class DirectoryService:
         instead of the whole snapshot.
         """
         peer, role = self.peer, self.role
-        # Make sure the handoff carries the posting lists even when the
-        # engine was installed after this role went live (satellite of
-        # section 5.4: the heir must not rebuild the inverted index).
-        self.attach_search()
         replicator = self.replicator
         heir = replicator.member_heir() if replicator is not None else None
         if heir is None:
@@ -260,16 +254,6 @@ class DirectoryService:
                 position=role.position_id,
             )
         self.sim.emit("flower.directory_left", peer=peer.address)
-
-    def attach_search(self) -> None:
-        """Attach the system's keyword space to the role (idempotent no-op
-        when no search engine is configured).  Called lazily from every
-        path that reads or ships posting lists, because tests and
-        late-configured runs install ``system.search_engine`` after seed
-        directories already exist."""
-        engine = self.system.search_engine
-        if engine is not None:
-            self.role.attach_search(engine.space)
 
     # =====================================================================
     # Query serving (sections 3.2 and 4)
@@ -319,7 +303,6 @@ class DirectoryService:
         queue at its bound is the rate-based overload signal the paper's
         member-count test cannot see.
         """
-        self.system.shed_queries += 1
         redirect = self.relief.next_instance_address()
         self.sim.emit(
             "flower.query_shed",
@@ -572,7 +555,6 @@ class DirectoryService:
     def search_index(self, keyword: str) -> List[tuple]:
         """Matches for *keyword* in the live directory-index (the caller
         checked that a search engine runs)."""
-        self.attach_search()
         peer = self.peer
         matches = self.system.search_engine.search_index(
             self.role.index, peer.store.keys(), peer.address, keyword

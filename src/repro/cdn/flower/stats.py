@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 from repro.types import Address
 
 #: Version of the :class:`SystemStats` shape (see module docstring).
-STATS_VERSION = 1
+STATS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class OverloadStats:
 
 @dataclass(frozen=True)
 class ReplicationStats:
-    """Directory-state and search-index replication activity.
+    """Directory-state replication activity.
 
     All-zero when ``directory_replication_k == 0`` (nothing runs).  Used by the
     recovery benchmarks and the chaos report's context block.
@@ -71,11 +71,6 @@ class ReplicationStats:
     replicas_stored: int = 0
     replica_holders: int = 0
     provisional_directories: int = 0
-    search_directories: int = 0
-    search_postings: int = 0
-    search_replicas: int = 0
-    search_replica_staleness_ms: float = 0.0
-    search_index: Dict[Any, Dict[str, Any]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -163,14 +158,15 @@ def collect_overload_stats(system) -> OverloadStats:
                 "locality": peer.locality,
                 "fetches": peer.fetches_served,
             }
+    counted = system.sim.trace.counters
     return OverloadStats(
-        queries_shed=system.shed_queries,
+        queries_shed=counted["flower.query_shed"],
         members_shed=system.members_shed,
-        hint_hops=system.hint_hops,
+        hint_hops=counted["flower.hint_hop"],
         hint_hits=system.hint_hits,
         hint_stale=system.hint_stale,
-        rebalance_spills=system.rebalance_spills,
-        rebalance_adoptions=system.rebalance_adoptions,
+        rebalance_spills=counted["flower.key_rebalanced"],
+        rebalance_adoptions=counted["flower.key_adopted"],
         rebalance_kb=system.rebalance_kb,
         directories=directories,
         peak_queue_depth=peak_queue_depth,
@@ -190,12 +186,6 @@ def collect_replication_stats(system) -> ReplicationStats:
     replicas_stored = 0
     replica_holders = 0
     provisional_directories = 0
-    search_directories = 0
-    search_postings = 0
-    search_replicas = 0
-    search_replica_staleness_ms = 0.0
-    search_index: Dict[Any, Dict[str, Any]] = {}
-    now = system.sim.now
     for peer in system.peers.values():
         if not peer.alive:
             continue
@@ -203,24 +193,8 @@ def collect_replication_stats(system) -> ReplicationStats:
         if stored:
             replicas_stored += stored
             replica_holders += 1
-        for record in peer.replica_store.records():
-            if record.postings:
-                search_replicas += 1
-                staleness = now - record.updated_at
-                if staleness > search_replica_staleness_ms:
-                    search_replica_staleness_ms = staleness
-        d = peer.directory
-        if d is not None:
-            if d.provisional:
-                provisional_directories += 1
-            if d.search_space is not None:
-                search_directories += 1
-                search_postings += len(d.postings)
-                search_index[d.position_id] = {
-                    "version": d.search_version,
-                    "postings": len(d.postings),
-                    "provisional": d.provisional,
-                }
+        if peer.directory is not None and peer.directory.provisional:
+            provisional_directories += 1
         replicator = peer.service.replicator if peer.service is not None else None
         if replicator is not None:
             for key in counters:
@@ -233,11 +207,6 @@ def collect_replication_stats(system) -> ReplicationStats:
         replicas_stored=replicas_stored,
         replica_holders=replica_holders,
         provisional_directories=provisional_directories,
-        search_directories=search_directories,
-        search_postings=search_postings,
-        search_replicas=search_replicas,
-        search_replica_staleness_ms=search_replica_staleness_ms,
-        search_index=search_index,
     )
 
 
@@ -246,13 +215,14 @@ def collect_swarm_stats(system) -> SwarmStats:
     total_bytes = system.swarm_p2p_bytes + system.swarm_origin_bytes
     offload = system.swarm_p2p_bytes / total_bytes if total_bytes else 0.0
     bandwidth = system.network.bandwidth
+    counted = system.sim.trace.counters
     return SwarmStats(
-        transfers_started=system.swarm_started,
+        transfers_started=counted["swarm.start"],
         transfers_completed=system.swarm_completed,
-        transfers_degraded=system.swarm_degraded,
+        transfers_degraded=counted["swarm.degraded"],
         transfers_failed=system.swarm_failed,
-        restarts=system.swarm_restarts,
-        chunk_retries=system.swarm_chunk_retries,
+        restarts=counted["swarm.restart"],
+        chunk_retries=counted["swarm.chunk_retry"],
         p2p_bytes=system.swarm_p2p_bytes,
         origin_bytes=system.swarm_origin_bytes,
         offload_fraction=offload,

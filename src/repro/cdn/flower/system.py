@@ -69,22 +69,18 @@ class FlowerSystem(CdnSystem):
         #: removal when accounting recovery behaviour.
         self.expired_members = 0
         #: Overload extension totals (survive role teardown, unlike the
-        #: per-role counters): queries rejected at an admission queue and
-        #: members handed to a successor instance by replica-aware sheds.
-        self.shed_queries = 0
+        #: per-role counters): members handed to a successor instance by
+        #: replica-aware sheds.  Queries shed, hint hops, rebalance spills
+        #: and adoptions are the counts of their trace kinds.
         self.members_shed = 0
-        #: Queue-aware redirect hints (reactive overload extension): total
-        #: hint-guided pre-route hops taken, how many of those landed a
-        #: directory hit, and how many hit a stale target (crashed or
-        #: demoted since it gossiped its load).
-        self.hint_hops = 0
+        #: Queue-aware redirect hints (reactive overload extension): how
+        #: many hint-guided pre-route hops landed a directory hit, and how
+        #: many hit a stale target (crashed or demoted since it gossiped
+        #: its load).
         self.hint_hits = 0
         self.hint_stale = 0
-        #: Shedding-aware content rebalancing: hot-key spill orders issued
-        #: by pressured directories, adoptions completed by the targets,
-        #: and the byte budget they consumed (in KB).
-        self.rebalance_spills = 0
-        self.rebalance_adoptions = 0
+        #: Shedding-aware content rebalancing: the byte budget spill
+        #: orders consumed (in KB).
         self.rebalance_kb = 0.0
         #: Live directory registry: ``(website, locality) -> {address:
         #: peer}``, maintained at every directory-role transition so

@@ -23,9 +23,6 @@ class OriginServer(NetworkNode):
         super().__init__(network)
         self.website = website
         self.requests_served = 0
-        #: Chunk requests from degraded swarming transfers (section is the
-        #: swarming extension; zero in paper-faithful runs).
-        self.chunks_served = 0
         #: Origin-served payload bytes -- whole objects plus chunks.  Only
         #: accounted when an object-size model is installed.
         self.bytes_served = 0
@@ -51,7 +48,6 @@ class OriginServer(NetworkNode):
         key = tuple(message.payload["key"])
         ok = key[0] == self.website
         if ok:
-            self.chunks_served += 1
             self.bytes_served += message.payload.get("size", 0)
         return {"ok": ok}
 

@@ -45,8 +45,7 @@ class SquirrelSystem(CdnSystem):
             chord_nodes.append(peer.chord)
         self.ring.warm_start(chord_nodes)
         for peer in peers:
-            # Sessions are already ring-wired: skip the join in the hook.
-            peer.sessions += 1
+            # Already ring-wired: start querying without the session hook.
             if self.catalog.is_active(peer.website):
                 peer._start_query_process()
 

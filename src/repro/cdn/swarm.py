@@ -128,7 +128,6 @@ class SwarmTransfer:
         if old is not None:
             old.abort()  # superseded by a fresh query for the same key
         peer._swarms[self.key] = self
-        peer.system.swarm_started += 1
         self.sim.emit(
             "swarm.start",
             peer=peer.address,
@@ -284,7 +283,6 @@ class SwarmTransfer:
 
     def _chunk_failed(self, chunk: int, source: Address, reason: str) -> None:
         self._clear_chunk(chunk)
-        self.peer.system.swarm_chunk_retries += 1
         self.sim.emit(
             "swarm.chunk_retry",
             peer=self.peer.address,
@@ -342,7 +340,6 @@ class SwarmTransfer:
         """Fetch one remaining chunk from the origin server (degraded)."""
         if not self.degraded:
             self.degraded = True
-            self.peer.system.swarm_degraded += 1
             self.sim.emit(
                 "swarm.degraded",
                 peer=self.peer.address,
@@ -393,7 +390,6 @@ class SwarmTransfer:
         """Cold-mode source failure: discard progress, refetch everything
         from the origin (the whole-object fallback of the baseline)."""
         self.restarts += 1
-        self.peer.system.swarm_restarts += 1
         self.generation += 1
         for chunk in list(self.in_flight):
             self._clear_chunk(chunk)

@@ -20,7 +20,7 @@ I5 **ring convergence** -- after faults quiesce, the D-ring successor
 I6 **view hygiene** -- gossip partial views never contain the owner
    itself, and dead contacts are evicted within a bound derived from the
    gossip period.
-I7 **search availability** -- with replicated posting lists
+I7 **search availability** -- with the directory-index replicated
    (``directory_replication_k > 0``) keyword searches keep getting answered through
    directory wipes and partitions (no petal accumulates a streak of
    unanswered searches), and replica-served results never exceed the

@@ -42,27 +42,14 @@ LOOKUP_MAX_PROBES = 64
 
 
 class NodeRef(NamedTuple):
-    """A remote node as known locally: (identifier, network address)."""
+    """A remote node as known locally: (identifier, network address).
+
+    Immutable, so a ``NodeRef`` is its own wire form: messages carry it as
+    is, and the sharded bus unpickles it as a ``NodeRef``.
+    """
 
     id: ChordId
     address: Address
-
-    def pack(self) -> "tuple":
-        """Wire form of this ref.
-
-        A ``NodeRef`` *is* a tuple (NamedTuple), so it is its own wire
-        form -- returning ``self`` avoids one tuple allocation per packed
-        ref on the maintenance hot path (hundreds of thousands per run).
-        """
-        return self
-
-    @staticmethod
-    def unpack(raw: Optional[tuple]) -> Optional["NodeRef"]:
-        if type(raw) is NodeRef or raw is None:
-            # Simulated peers share one address space, so packed refs arrive
-            # as the NodeRef they were packed from: identity, no allocation.
-            return raw
-        return NodeRef(raw[0], raw[1])
 
 
 class LookupResult(NamedTuple):
@@ -223,13 +210,12 @@ class ChordNode:
             if not payload.get("successors"):
                 on_failed("lookup", None)
                 return
-            succlist = [NodeRef.unpack(raw) for raw in payload["successors"]]
-            self.successors = self._merged_successors(succ, succlist)
+            self.successors = self._merged_successors(succ, payload["successors"])
 
             def notify_reply(reply: Dict[str, Any]) -> None:
                 if not reply.get("accepted", False):
                     self.successors = []
-                    on_failed("race", NodeRef.unpack(reply.get("holder")))
+                    on_failed("race", reply.get("holder"))
                     return
                 if not self.ring.try_register(self):
                     # A same-id candidate integrated through a different
@@ -245,7 +231,7 @@ class ChordNode:
             self.host.rpc(
                 succ.address,
                 "chord.notify",
-                {"candidate": self.ref.pack()},
+                {"candidate": self.ref},
                 on_reply=notify_reply,
                 on_timeout=lambda: on_failed("lookup", None),
                 timeout_ms=self.ring.params.rpc_timeout_ms,
@@ -300,10 +286,10 @@ class ChordNode:
         pred, succ = self.predecessor, self.successor
         if pred is not None and succ is not None and pred.id != self.node_id:
             self.host.send(
-                pred.address, "chord.successor_hint", successor=succ.pack()
+                pred.address, "chord.successor_hint", successor=succ
             )
             self.host.send(
-                succ.address, "chord.predecessor_hint", predecessor=pred.pack()
+                succ.address, "chord.predecessor_hint", predecessor=pred
             )
         self.shutdown()
 
@@ -419,8 +405,8 @@ class ChordNode:
 
     def handle_chord_get_state(self, message: Message) -> Dict[str, Any]:
         """Stabilization read: our predecessor and successor list."""
-        # NodeRefs are their own wire form (see NodeRef.pack); a plain list
-        # copy packs the successor list without per-entry method calls.
+        # NodeRefs are immutable tuples and so their own wire form: a
+        # plain list copy ships the successor list.
         return {
             "id": self.node_id,
             "predecessor": self.predecessor,
@@ -429,14 +415,14 @@ class ChordNode:
 
     def handle_chord_notify(self, message: Message) -> Dict[str, Any]:
         """A node believes it is our predecessor (join or stabilize)."""
-        candidate = NodeRef.unpack(message.payload["candidate"])
+        candidate = message.payload["candidate"]
         if candidate is None or not self.joined:
             return {"accepted": False, "holder": None}
         pred = self.predecessor
         if pred is not None and candidate.id == pred.id and candidate.address != pred.address:
             # Identifier collision: the position is already held (the
             # paper's D-ring join race, section 5.2.2).
-            return {"accepted": False, "holder": pred.pack()}
+            return {"accepted": False, "holder": pred}
         if (
             pred is None
             or pred.id == self.node_id
@@ -445,7 +431,7 @@ class ChordNode:
         ):
             self.predecessor = candidate
             return {"accepted": True}
-        return {"accepted": False, "holder": pred.pack()}
+        return {"accepted": False, "holder": pred}
 
     def handle_chord_ping(self, message: Message) -> Any:
         """Liveness probe (predecessor check): a ring member just acks."""
@@ -453,7 +439,7 @@ class ChordNode:
 
     def handle_chord_successor_hint(self, message: Message) -> None:
         """A gracefully leaving successor points us past itself."""
-        hint = NodeRef.unpack(message.payload["successor"])
+        hint = message.payload["successor"]
         if hint is not None and self.joined and hint.id != self.node_id:
             leaving = self.successor
             if leaving is not None:
@@ -463,7 +449,7 @@ class ChordNode:
 
     def handle_chord_predecessor_hint(self, message: Message) -> None:
         """A gracefully leaving predecessor points us past itself."""
-        hint = NodeRef.unpack(message.payload["predecessor"])
+        hint = message.payload["predecessor"]
         if hint is None or not self.joined or hint.id == self.node_id:
             return None
         pred = self.predecessor
@@ -517,10 +503,7 @@ class ChordNode:
                 # failure, else the ring would never route around it.
                 on_timeout()
                 return
-            pred = NodeRef.unpack(payload.get("predecessor"))
-            # The successor entries are NodeRefs already (their own wire
-            # form -- see NodeRef.pack); no per-entry unpack needed on this,
-            # the most frequent maintenance reply in a run.
+            pred = payload.get("predecessor")
             succlist = payload["successors"]
             new_succ = succ
             if (
@@ -865,7 +848,7 @@ class _RecursiveLookup:
     def _on_result(self, payload: Dict[str, Any]) -> None:
         if self.settled or not self.node.host.alive:
             return
-        self._finish(NodeRef.unpack(payload.get("result")), payload.get("hops", 0))
+        self._finish(payload.get("result"), payload.get("hops", 0))
 
     def fire_timeout(self) -> None:
         """The current attempt's deadline passed with no result."""

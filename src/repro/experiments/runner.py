@@ -186,11 +186,9 @@ def assemble_world(
         from repro.cdn.flower.system import FlowerSystem
 
         if isinstance(system, FlowerSystem):
-            # Keyword-search extension (section 5.4).  Installed before
-            # the initial population so seed directories attach their
-            # posting lists on activation; the probe workload draws from
-            # a dedicated stream and so never perturbs the protocol's own
-            # sequences.
+            # Keyword-search extension (section 5.4).  The probe workload
+            # draws from a dedicated stream and so never perturbs the
+            # protocol's own sequences.
             system.search_engine = KeywordSearchEngine(
                 KeywordSpace(num_keywords=config.search_keywords)
             )

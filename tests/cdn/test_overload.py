@@ -135,7 +135,7 @@ class TestQueryShedding:
         world.query(first, (0, 11))
         record = world.query(second, (0, 13))
         assert record.outcome == "shed_overload"
-        assert world.system.shed_queries >= 1
+        assert world.system.stats().overload.queries_shed >= 1
         assert world.system.metrics.sheds >= 1
         directory = world.directory_of(0, 0)
         assert directory.directory.queries_shed >= 1
@@ -148,7 +148,7 @@ class TestQueryShedding:
         peer = world.arrive(website=0, locality=0)
         record = world.query(peer, (0, 11))
         assert record.outcome != "shed_overload"
-        assert world.system.shed_queries == 0
+        assert world.system.stats().overload.queries_shed == 0
 
 
 def make_overload_petalup_world(load_limit=3, seed=1):

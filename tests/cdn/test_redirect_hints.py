@@ -56,7 +56,7 @@ class TestHintStalenessUnderChurn:
         plant_loads(member, home.address, target.address, world.sim.now)
         record = world.query(member, (0, 13))
         assert record.outcome == "miss_failed"
-        assert world.system.hint_hops == 1
+        assert world.system.stats().overload.hint_hops == 1
         assert world.system.hint_stale == 1
         assert target.address not in member._petal_loads
         assert member._open_queries.get((0, 13)) is None
@@ -76,7 +76,7 @@ class TestHintStalenessUnderChurn:
         plant_loads(member, home.address, target.address, world.sim.now)
         record = world.query(member, (0, 13))
         assert record.outcome == "shed_overload"
-        assert world.system.hint_hops == 1
+        assert world.system.stats().overload.hint_hops == 1
         assert world.system.hint_stale == 1
         assert target.address not in member._petal_loads
         assert member._open_queries.get((0, 13)) is None
@@ -96,7 +96,7 @@ class TestHintStalenessUnderChurn:
             target.address: (0, stale),
         }
         record = world.query(member, (0, 13))
-        assert world.system.hint_hops == 0
+        assert world.system.stats().overload.hint_hops == 0
         assert record.outcome == "shed_overload"  # queue still full
 
     def test_hints_off_never_preroutes(self):
@@ -112,7 +112,7 @@ class TestHintStalenessUnderChurn:
         home = world.directory_of(0, 0)
         plant_loads(member, home.address, home.address + 1, world.sim.now)
         world.query(member, (0, 13))
-        assert world.system.hint_hops == 0
+        assert world.system.stats().overload.hint_hops == 0
 
 
 class TestHintPreRouting:
@@ -163,7 +163,7 @@ class TestHintPreRouting:
             second.address: (0, world.sim.now),
         }
         record = world.query(member, (0, 15))
-        assert world.system.hint_hops == 1
+        assert world.system.stats().overload.hint_hops == 1
         assert record.outcome in ("hit_directory", "miss_server")
         assert member._open_queries.get((0, 15)) is None
 

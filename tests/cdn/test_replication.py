@@ -335,7 +335,8 @@ class TestSplitBrainReconciliation:
 
 
 # ---------------------------------------------------------------------------
-# Replicated search: posting lists over the sync channel (section 5.4)
+# Replicated search: replicas answer from the replicated member index
+# (section 5.4)
 # ---------------------------------------------------------------------------
 
 class TestPostingReplication:
@@ -344,38 +345,9 @@ class TestPostingReplication:
 
         space = KeywordSpace(num_keywords=8)
         role = make_role()
-        role.attach_search(space)
         role.add_member(10, [(0, 5)])
         role.add_member(11, [(0, 9)])
         return role, space
-
-    def test_full_payload_carries_postings(self):
-        role, space = self._searchable_role()
-        payload = full_sync_payload(role, role.owner_address)
-        shipped = {kw: {tuple(k) for k in keys} for kw, keys in payload["postings"]}
-        for keyword in space.keywords_of((0, 5)):
-            assert (0, 5) in shipped[keyword]
-        assert payload["postings_removed"] == []
-
-    def test_delta_ships_only_changed_keywords(self):
-        role, space = self._searchable_role()
-        base = role.version
-        role.update_member_keys(10, [(0, 5), (0, 7)])
-        payload = delta_sync_payload(role, role.owner_address, base)
-        changed = {kw for kw, __ in payload["postings"]}
-        assert changed == set(space.keywords_of((0, 7)))
-
-    def test_removal_tombstones_empty_posting_lists(self):
-        role, space = self._searchable_role()
-        base = role.version
-        role.remove_member(11)
-        payload = delta_sync_payload(role, role.owner_address, base)
-        removed = set(payload["postings_removed"])
-        survivors = space.keywords_of((0, 5))
-        for keyword in space.keywords_of((0, 9)):
-            if keyword not in survivors:
-                assert keyword in removed
-                assert keyword not in role.postings
 
     def test_replica_record_answers_searches(self):
         from repro.cdn.flower.search import KeywordSpace
@@ -389,25 +361,23 @@ class TestPostingReplication:
         matches = record.search_matches(KeywordSpace(num_keywords=8), keyword, 20)
         assert ((0, 5), 10) in matches
 
-    def test_delta_updates_replica_postings(self):
+    def test_delta_updates_replica_search_answers(self):
         role, space = self._searchable_role()
         store = ReplicaStore()
         store.accept(full_sync_payload(role, role.owner_address), now=0.0)
         base = role.version
         role.update_member_keys(10, [(0, 5), (0, 7)])
+        role.remove_member(11)
         ack = store.accept(
             delta_sync_payload(role, role.owner_address, base), now=1.0
         )
         assert ack["status"] == "ok"
         record = store.get(role.position_id)
         keyword = next(iter(space.keywords_of((0, 7))))
-        assert (0, 7) in record.postings[keyword]
-
-    def test_search_off_roles_ship_no_postings(self):
-        role = make_role()
-        role.add_member(10, [(0, 5)])
-        payload = full_sync_payload(role, role.owner_address)
-        assert "postings" not in payload
+        assert ((0, 7), 10) in record.search_matches(space, keyword, 20)
+        for keyword in space.keywords_of((0, 9)):
+            matches = record.search_matches(space, keyword, 20)
+            assert all(key != (0, 9) for key, __ in matches)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +412,6 @@ class TestSplitBrainSearch:
         role.add_member(client.address, [(0, 5)])
         DirectoryService(claimant, role).serve_provisionally()
         assert claimant.directory is role and role.provisional
-        # Promotion attached the search plane: postings are live.
-        assert role.search_space is space and role.postings
 
         # Scoped replica-plane queries are answered authoritatively.
         keyword = next(iter(space.keywords_of((0, 5))))

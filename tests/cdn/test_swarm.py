@@ -124,7 +124,7 @@ def test_small_objects_keep_the_atomic_fetch_path():
     client = world.arrive(website=key[0], locality=0)
     record = world.query(client, key)
     assert record.outcome == "hit_directory"
-    assert world.system.swarm_started == 0
+    assert world.sim.trace.count("swarm.start") == 0
 
 
 def test_large_object_is_served_by_a_swarm_transfer():
@@ -135,9 +135,9 @@ def test_large_object_is_served_by_a_swarm_transfer():
     record = world.query(client, key)
     assert record.outcome == "hit_swarm" and record.outcome in HIT_OUTCOMES
     system = world.system
-    assert system.swarm_started == 1
+    assert world.sim.trace.count("swarm.start") == 1
     assert system.swarm_completed == 1
-    assert system.swarm_degraded == 0
+    assert world.sim.trace.count("swarm.degraded") == 0
     # Byte accounting: all of the object came over P2P chunk payloads,
     # and the provider billed exactly those uploads.
     size = system.sizes.size_bytes(key)
@@ -209,14 +209,14 @@ def test_warm_transfer_survives_seeder_death_by_resuming():
     # Sole seeder died mid-download: the remaining chunks degrade to the
     # origin, completed chunks are KEPT (resume, never restart).
     assert record.outcome == "miss_degraded"
-    assert system.swarm_restarts == 0
-    assert system.swarm_degraded == 1
+    assert world.sim.trace.count("swarm.restart") == 0
+    assert world.sim.trace.count("swarm.degraded") == 1
     assert system.swarm_p2p_bytes > 0, "progress before the crash was discarded"
     assert system.swarm_origin_bytes > 0
     # 100% terminal accounting: every byte of the object is attributed.
     size = system.sizes.size_bytes(key)
     assert system.swarm_p2p_bytes + system.swarm_origin_bytes == size
-    assert system.swarm_chunk_retries > 0
+    assert world.sim.trace.count("swarm.chunk_retry") > 0
 
 
 def test_cold_transfer_restarts_from_zero_on_seeder_death():
@@ -244,7 +244,7 @@ def test_cold_transfer_restarts_from_zero_on_seeder_death():
     # The baseline strategy throws everything away and refetches the
     # whole object from the origin.
     assert record.outcome == "miss_degraded"
-    assert system.swarm_restarts >= 1
+    assert world.sim.trace.count("swarm.restart") >= 1
 
 
 def test_downloader_crash_mid_transfer_settles_the_ledger():
@@ -254,7 +254,7 @@ def test_downloader_crash_mid_transfer_settles_the_ledger():
     seed_provider(world, key)
     client = world.arrive(website=key[0], locality=0)
     client.resolve_query(key, started_at=world.sim.now)
-    world.run_until(lambda: system.swarm_started == 1)
+    world.run_until(lambda: world.sim.trace.count("swarm.start") == 1)
     client.crash()
     world.run(seconds(5))
     # The transfer closed without a served outcome and no swarm state

@@ -133,6 +133,22 @@ def test_a_world_loads_only_what_it_runs(protocol, absent, max_lines):
     assert lines <= max_lines, lines
 
 
+#: Ceiling on ``ast.stmt`` nodes under ``src/repro`` -- the statement
+#: count every simplification is measured by.  A change that needs more
+#: raises it in its own diff and says why.
+SRC_STATEMENT_BUDGET = 8_202
+
+
+def test_src_stays_within_its_statement_budget():
+    root = Path(repro.__file__).parent
+    statements = sum(
+        isinstance(node, ast.stmt)
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+    assert statements <= SRC_STATEMENT_BUDGET, statements
+
+
 def test_no_flower_module_outgrows_its_role():
     """``cdn/flower`` is one module per role/plane; a file past 700 lines
     is a second role hiding in the first (``peer.py`` once held 3075)."""
