@@ -16,11 +16,14 @@ runs ``sharded`` in one process (``--workers 1``).  The script prints:
   for neither side);
 - the verdict of the claim rule: the change wins at least nine tenths of
   the pairs, and its median beats the parent's by more than the parent's
-  interquartile range;
+  interquartile range.  Below ten pairs no claim can be made, and the
+  verdict says "too few pairs to claim";
 - the first difference between the two sides in what they simulate: the
   ``sim`` block, ``queries``, ``issued``, ``lookup_samples`` or any exact
   count.  ``sim.events``, ``sim.peak_pending`` and the host-clock counts
-  may differ and are not compared.
+  may differ and are not compared.  When the two sides differ, every
+  ``sim`` metric follows, parent and change side by side, so a change of
+  behaviour can be read from one run.
 
 It only reads ``benchmarks/e2e`` in the two checkouts and writes nothing.
 The exit status is 1 when the two sides simulate differently, else 0.
@@ -59,6 +62,9 @@ MAY_DIFFER = frozenset({"sim.events", "sim.peak_pending"}) | HOST_COUNTS
 
 #: The share of pairs the change must win to claim a gain.
 WIN_SHARE = 0.9
+
+#: The fewest pairs a claim may rest on.
+MIN_PAIRS = 10
 
 
 def run_worker(checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
@@ -119,6 +125,30 @@ def verdict(parent_s: Sequence[float], change_s: Sequence[float]) -> Tuple[int, 
     return wins, claimable
 
 
+def verdict_line(parent_s: Sequence[float], change_s: Sequence[float]) -> str:
+    """The printed summary of :func:`verdict`."""
+    wins, claimable = verdict(parent_s, change_s)
+    parent_median = statistics.median(parent_s)
+    change_median = statistics.median(change_s)
+    if len(parent_s) < MIN_PAIRS:
+        label = "too few pairs to claim"
+    else:
+        label = "gain" if claimable else "no claimable gain"
+    return (
+        f"change wins {wins}/{len(parent_s)} pairs; median "
+        f"{(change_median - parent_median) / parent_median:+.1%}; verdict: {label}"
+    )
+
+
+def sim_table(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
+    """Every ``sim`` metric of two runs, parent and change side by side."""
+    old, new = parent.get("sim", {}), change.get("sim", {})
+    return [
+        f"sim.{name}: parent {old.get(name)!r}  change {new.get(name)!r}"
+        for name in sorted(set(old) | set(new))
+    ]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ab_pairs", description=__doc__.split("\n\n")[0]
@@ -149,19 +179,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     for side in ("parent", "change"):
         q1, median, q3 = quartiles(times[side])
         print(f"{side:6s}: median {median:.3f} s  q1 {q1:.3f}  q3 {q3:.3f}")
-    wins, claimable = verdict(times["parent"], times["change"])
-    parent_median = statistics.median(times["parent"])
-    change_median = statistics.median(times["change"])
-    print(
-        f"change wins {wins}/{args.pairs} pairs; median "
-        f"{(change_median - parent_median) / parent_median:+.1%}; "
-        f"verdict: {'gain' if claimable else 'no claimable gain'}"
-    )
+    print(verdict_line(times["parent"], times["change"]))
     for name in ("sim.events", "sim.peak_pending"):
         old, new = (first[side]["counts"].get(name) for side in ("parent", "change"))
         print(f"{name}: parent {old}  change {new}")
     if difference is not None:
         print(f"simulations differ: {difference}")
+        print("\n".join(sim_table(first["parent"], first["change"])))
         return 1
     print("simulations identical (sim.events / sim.peak_pending / host counts not compared)")
     return 0

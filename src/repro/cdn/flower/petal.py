@@ -52,11 +52,16 @@ class DirInfo:
         address: last known network address of its holder.
         age: periods since we last heard from it; reset on any contact,
             reconciled during gossip (smaller age wins).
+        unanswered: member queries released before their retry ladder
+            ended, whose ladder is still out.  Their own pushes wait for
+            it, as they would had the query waited: a released query adds
+            no strike of its own.
     """
 
     position_id: ChordId
     address: Address
     age: int = 0
+    unanswered: int = 0
 
     def pack(self) -> tuple:
         return (self.position_id, self.address, self.age)
@@ -152,12 +157,12 @@ class PetalMember:
             info.age += 1
             self._tell_directory(info, "flower.keepalive", {})
 
-    def _push_to_directory(self) -> None:
+    def _push_to_directory(self, hold: bool = False) -> None:
         info = self.dir_info
         if info is None or not self.alive:
             return
         keys = sorted(self.store.keys())
-        if self._dir_suspect:
+        if self._dir_suspect or hold:
             self._queue_push(keys)
             return
 
@@ -188,7 +193,12 @@ class PetalMember:
             and self.dir_info is not None
             and self.store.should_push(self.system.params.push_threshold)
         ):
-            self._push_to_directory()
+            # A query released before its directory ladder ended completes
+            # while the ladder is still out; had it waited, the ladder's
+            # strike would have come first and queued this push.
+            self._push_to_directory(
+                hold=outcome == "miss_failed" and self.dir_info.unanswered > 0
+            )
 
     def handle_flower_fetch(self, message: Message) -> Dict[str, Any]:
         """Serve an object from our cache to a petal member."""
@@ -316,16 +326,20 @@ class PetalMember:
         payload: Dict[str, Any],
         on_reply: Callable[[Dict[str, Any]], None],
         on_give_up: Callable[[], None],
+        on_release: Optional[Callable[[], None]] = None,
     ) -> None:
-        """All directory-facing RPCs share the retry budget/backoff knobs."""
-        params = self.system.params
+        """All directory-facing RPCs share the retry budget/backoff knobs.
+
+        The whole ladder feeds strikes and suspicion; a caller that must
+        not wait it out (a query) is released by *on_release*."""
         self.retrying_rpc(
             info.address,
             kind,
             payload,
             on_reply=on_reply,
             on_give_up=on_give_up,
-            retries=params.rpc_retries,
+            retries=self.system.params.rpc_retries,
+            on_release=on_release,
         )
 
     def _tell_directory(

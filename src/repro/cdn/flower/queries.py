@@ -160,27 +160,53 @@ class QueryPaths:
                 self._query_hinted_instance(key, started_at, info, *route)
                 return
 
-        def on_reply(payload: Dict[str, Any]) -> None:
-            if payload.get("status") == "not_directory":
-                self._on_directory_failure(info)
-                self._fetch_from_server(key, "miss_failed", started_at)
-                return
-            self._note_directory_alive(info, payload)
-            self._after_queue_wait(
-                payload,
-                key,
-                started_at,
-                lambda: self._apply_member_reply(
-                    key, started_at, payload, info.address, siblings={info.address}
-                ),
-            )
+        # A dead directory must not hold a query for the whole retry
+        # ladder: once the first retry goes unanswered too, the query goes
+        # to the origin, and the rest of the ladder runs on detached.  The
+        # one retry it waits for is what rescues it from a lost packet.  A
+        # late reply then only tells us whether the directory is alive.
+        released = False
 
-        def on_give_up() -> None:
-            self._on_directory_strike(info)
+        def release() -> None:
+            nonlocal released
+            released = True
+            info.unanswered += 1
             self._fetch_from_server(key, "miss_failed", started_at)
 
+        def on_give_up() -> None:
+            info.unanswered -= 1
+            self._on_directory_strike(info)
+
+        def on_reply(payload: Dict[str, Any]) -> None:
+            if released:
+                info.unanswered -= 1
+            if payload.get("status") == "not_directory":
+                self._on_directory_failure(info)
+                if not released:
+                    self._fetch_from_server(key, "miss_failed", started_at)
+            else:
+                self._note_directory_alive(info, payload)
+                if not released:
+                    self._after_queue_wait(
+                        payload,
+                        key,
+                        started_at,
+                        lambda: self._apply_member_reply(
+                            key,
+                            started_at,
+                            payload,
+                            info.address,
+                            siblings={info.address},
+                        ),
+                    )
+
         self._directory_rpc(
-            info, "flower.query", {"key": key, "member": True}, on_reply, on_give_up
+            info,
+            "flower.query",
+            {"key": key, "member": True},
+            on_reply,
+            on_give_up,
+            on_release=release,
         )
 
     def _after_queue_wait(

@@ -286,6 +286,7 @@ class NetworkNode:
         on_give_up: Optional[FailureCallback] = None,
         retries: int = 2,
         rng: Optional["random.Random"] = None,
+        on_release: Optional[FailureCallback] = None,
     ) -> None:
         """RPC with capped exponential backoff and deterministic jitter.
 
@@ -296,7 +297,12 @@ class NetworkNode:
         RETRY_BACKOFF_FACTOR**attempt)`` scaled by a jitter factor in
         [0.5, 1.0) between attempts.  Only when the whole budget is
         exhausted does *on_give_up* fire -- the moment protocol code may
-        legitimately declare the destination failed.
+        legitimately declare the destination failed.  *on_release* fires
+        when the first retry goes unanswered (with no retry budget, the
+        only attempt), before the ladder goes on: a caller that cannot
+        wait out the whole budget stops waiting there, after one retry
+        had its chance against a lost packet, and leaves the verdict to
+        *on_give_up*.
 
         Jitter draws come from the simulator's dedicated ``"rpc.retry"``
         stream (or *rng*), so runs stay reproducible and unrelated
@@ -311,6 +317,7 @@ class NetworkNode:
         record.body = dict(payload or {})
         record.on_reply = on_reply
         record.on_give_up = on_give_up
+        record.on_release = on_release
         record.retries = retries
         record.rng = rng if rng is not None else self.sim.rng("rpc.retry")
         record.number = 0
@@ -715,6 +722,7 @@ class _RetryingRpc:
         "body",
         "on_reply",
         "on_give_up",
+        "on_release",
         "retries",
         "rng",
         "number",
@@ -736,6 +744,8 @@ class _RetryingRpc:
         if not src.alive:
             return
         number = self.number
+        if number == min(1, self.retries) and self.on_release is not None:
+            self.on_release()
         if number >= self.retries:
             if self.on_give_up is not None:
                 self.on_give_up()

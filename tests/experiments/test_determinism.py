@@ -46,14 +46,14 @@ from repro.workload.churn import ChurnSurgeSpec
 from tests.conftest import arm_every_deadline_at_send
 
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
-#: Re-derived when the query-lifecycle ledger landed: ``cdn.query_done``
-#: now carries the object key (the chaos auditor matches completions to
-#: issues by it).  The hit ratios are bit-identical to the previous
-#: goldens -- the ledger schedules no events and draws no randomness, so
-#: only trace payloads moved, never behaviour.
+#: Every Flower golden below was re-derived, on purpose and at once, when
+#: a member query began to be released to the origin once its first
+#: retry at its directory goes unanswered (the rest of the retry ladder
+#: runs on detached and only feeds strikes).  Squirrel never asks a Flower
+#: directory, so its golden did not move.
 GOLDEN = {
     "flower": (
-        "907429cb81b248f8c0122c2620214dc7bf51dd4ad7f790b2e7eeca26f5700a14",
+        "b97a4094a5d922679ccb149637e8592c862d56d539ac2b50dc4d135dc08cd28e",
         0.7420758234928527,
     ),
     "squirrel": (
@@ -64,39 +64,40 @@ GOLDEN = {
 
 #: (stream SHA-256, hit ratio) for GOLDEN_CONFIG + FAULT_SCHEDULE on
 #: flower at seed 1: the only golden stream with the fault plane on.
-#: Recorded on the commit *before* the controller became edge-triggered
-#: (open-window sets + ``calm_until``), so it pins the per-message full
-#: scan's behaviour: 346 partition drops, 697 burst drops, 16 mass-failure
-#: crashes.
+#: First recorded on the commit *before* the controller became
+#: edge-triggered (open-window sets + ``calm_until``), so it pinned the
+#: per-message full scan's behaviour (346 partition drops, 697 burst
+#: drops, 16 mass-failure crashes); re-derived since with every golden
+#: (see GOLDEN).
 GOLDEN_FAULTED = (
-    "27ad95454612352c75356bf87d6eb67079a77c8a559f2e152a3fc8d696560b1a",
-    0.6450742240215924,
+    "be5230638e6a9f7f729a85145cf4025c8003c24e31686a7d38dd6aefd3919c8e",
+    0.6091718001368925,
 )
 
 #: (stream SHA-256, hit ratio) for GOLDEN_FAULTED's run plus 5 % uniform
 #: loss: partition cuts, bursty draws and uniform draws interleave inside
-#: one delivery check.  Recorded while uniform loss was still a second
-#: drop path beside the fault controller, so it pins the order of causes
-#: (partition, bursty, uniform) and the one ``loss``-stream draw per
-#: delivery attempt.
+#: one delivery check.  First recorded while uniform loss was still a
+#: second drop path beside the fault controller, so it pinned the order
+#: of causes (partition, bursty, uniform) and the one ``loss``-stream draw
+#: per delivery attempt; re-derived since with every golden (see GOLDEN).
 GOLDEN_LOSSY = (
-    "97c7f9022ef2accf373d3fe3925d73f5e594af1bae69da5357b92d0edb4bb420",
-    0.5084615384615384,
+    "7a1849b85975c23c56b7aadd8ebff3cec4d973e3309d4dae34f33da3684d1067",
+    0.5437037037037037,
 )
 
 #: (stream SHA-256, answer digest, hit ratio) for the golden scenario
 #: with keyword search and k=2 replication on flower at seed 1, through a
-#: locality-0 partition whose directories all crash mid-window: 34 probes
-#: are answered from replicas and 5 by takeover.  The answer digest
-#: chains every replica's ``search_matches`` for every keyword, so it pins
-#: what the replicated state answers, not only the searches the probes
-#: happened to issue.  Recorded while replicas still carried posting lists
-#: beside the member index; it pins that answering from the index alone
-#: gives the same results.
+#: locality-0 partition whose directories all crash mid-window.  The
+#: answer digest chains every replica's ``search_matches`` for every
+#: keyword, so it pins what the replicated state answers, not only the
+#: searches the probes happened to issue.  First recorded while replicas
+#: still carried posting lists beside the member index, so it pinned that
+#: answering from the index alone gives the same results; re-derived
+#: since with every golden (see GOLDEN).
 GOLDEN_SEARCH = (
-    "f92eb63ed20fa5d21e529f4414daebe31fc713e892b5c1ce3ac297d79ca81f7a",
-    "4444162e3d331f390c56384a4dd9114e9d72e33da62d596b1f742a983157ac51",
-    0.7641509433962265,
+    "d78806efb772e609ac6768c49d65fcb3aad8dbf717f228d6fe3c25dbf288f42a",
+    "755e9f83c38f3e983aef45b61691c18232defd1d7c112127c2186cd984966e5c",
+    0.7648247978436657,
 )
 
 #: phase the plan must contain -> (protocol, config overrides,
@@ -106,19 +107,19 @@ GOLDEN_SEARCH = (
 #: around a ``split_brain``; the overload plan two ``sustained_overload``
 #: plateaus (3 454 surge arrivals), a ``churn_burst`` and two flash
 #: crowds; the seeder plan two ``seeder_death`` strikes (one lands), a
-#: ``churn_burst`` and two flash crowds.  Recorded
-#: on the commit *before* surges, overload windows and seeder deaths moved
-#: from three side lists of the plan (each with its own installer, run
-#: after the auditor and the phase markers) into ``fault_schedule``, so
-#: they pin that one installer schedules in the same order and draws the
-#: same streams as three.
+#: ``churn_burst`` and two flash crowds.  First recorded on the commit
+#: *before* surges, overload windows and seeder deaths moved from three
+#: side lists of the plan (each with its own installer, run after the
+#: auditor and the phase markers) into ``fault_schedule``, so they pinned
+#: that one installer schedules in the same order and draws the same
+#: streams as three; re-derived since with every golden (see GOLDEN).
 GOLDEN_CHAOS = {
     "flash_crowd": (
         "flower",
         {},
         {},
-        "c5b85bbadbb412b11d6cca1efd05589baa0881c5dcd11ef356ba388d567ac1fc",
-        0.4005252790544977,
+        "5a0ce7acb249bd6e1885cdf8d9436ce843ec544e49dcfb0d334d27f98372b529",
+        0.4115734720416125,
     ),
     "sustained_overload": (
         "petalup",
@@ -131,7 +132,7 @@ GOLDEN_CHAOS = {
             rebalance=True,
         ),
         dict(overload=True),
-        "790fdc779a62aa18c6aa1c79e44e9c343ce62a05a26f1572efe7af42bf974718",
+        "27c553cf651f8749bc6ba970713900cc8915e30bcca6e87cb1d36a205fbf87f0",
         0.9458549423329979,
     ),
     "seeder_death": (
@@ -144,7 +145,7 @@ GOLDEN_CHAOS = {
             bandwidth_slow_fraction=0.15,
         ),
         dict(seeder_death=True),
-        "9ac5d7a0235ce1d1af9f1d26c88c731c9c40669fd1d86e68e1f2739d9d111a7c",
+        "56f03144119be0b75654a6e2fe74fd1622cd2dd71d8a93dcb05e294e2a0ec15d",
         0.33881278538812787,
     ),
 }
@@ -405,10 +406,10 @@ def test_same_seed_reruns_are_bit_identical():
 #: unobservable in the results.
 SHARDED_GOLDEN_HIT = 0.28780487804878047
 SHARDED_GOLDEN_FINGERPRINTS = {
-    "0": "a39f505a28a99ab7d26344661eb39c20d7ea8515b782e0efe91cd48aae7d78ce",
+    "0": "eeb0bb290cb1301336914593094396a8d9834f2ee68449c16bcdd16712856826",
     "1": "6046684ccee1a6b17585c7cf0ca2302ed68fd3d3f105bab25975fefe8b52b91c",
-    "2": "ca641471705ab089b9cef83f77813b977efa609dfc1381127c6dbd9d5f62babd",
-    "3": "1d83023183373833450f9c1e85fbc1f8af8b20ee44ae0a5ddd3c498c40bc032d",
+    "2": "26227a291c670a5c33b409406285cfee2923cf35b55017adfd11e3240bf8c4ae",
+    "3": "42e7fceb787b6b08f29ae629b6f5c480f4ea07d2afee31b3375d4987ea37caa2",
 }
 
 

@@ -125,6 +125,30 @@ def test_ab_pairs_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(
     assert module.verdict(parent, eight) == (8, False)
 
 
+def test_ab_pairs_claims_nothing_below_ten_pairs():
+    module = load_script("ab_pairs")
+    parent = [8.0, 8.1, 7.9, 8.2, 8.0, 7.8, 8.1, 8.0, 7.9, 8.0]
+    faster = [t - 0.5 for t in parent]
+    assert module.verdict_line(parent, faster).endswith("verdict: gain")
+    # One pair has no spread to beat: a faster run is noise, not a gain.
+    assert module.verdict_line(parent[:1], faster[:1]).endswith(
+        "verdict: too few pairs to claim"
+    )
+    assert module.verdict_line(parent[:9], faster[:9]) == (
+        "change wins 9/9 pairs; median -6.2%; verdict: too few pairs to claim"
+    )
+
+
+def test_ab_pairs_prints_every_sim_metric_of_both_sides():
+    module = load_script("ab_pairs")
+    parent = _worker_output()
+    change = _worker_output(sim={"hit_ratio": 0.41, "lookup_ms_p99": 450.0})
+    assert module.sim_table(parent, change) == [
+        "sim.hit_ratio: parent 0.4  change 0.41",
+        "sim.lookup_ms_p99: parent 900.0  change 450.0",
+    ]
+
+
 _AB_TABLE = "mode  x\n----  -\ncold  1\nwarm  2"
 
 
