@@ -52,10 +52,8 @@ class DirInfo:
         address: last known network address of its holder.
         age: periods since we last heard from it; reset on any contact,
             reconciled during gossip (smaller age wins).
-        unanswered: member queries released before their retry ladder
-            ended, whose ladder is still out.  Their own pushes wait for
-            it, as they would had the query waited: a released query adds
-            no strike of its own.
+        unanswered: retry ladders of released member queries still out
+            (see ``QueryPaths._released_query``).
     """
 
     position_id: ChordId
@@ -157,12 +155,12 @@ class PetalMember:
             info.age += 1
             self._tell_directory(info, "flower.keepalive", {})
 
-    def _push_to_directory(self, hold: bool = False) -> None:
+    def _push_to_directory(self) -> None:
         info = self.dir_info
         if info is None or not self.alive:
             return
         keys = sorted(self.store.keys())
-        if self._dir_suspect or hold:
+        if self._dir_suspect:
             self._queue_push(keys)
             return
 
@@ -193,12 +191,12 @@ class PetalMember:
             and self.dir_info is not None
             and self.store.should_push(self.system.params.push_threshold)
         ):
-            # A query released before its directory ladder ended completes
-            # while the ladder is still out; had it waited, the ladder's
-            # strike would have come first and queued this push.
-            self._push_to_directory(
-                hold=outcome == "miss_failed" and self.dir_info.unanswered > 0
-            )
+            # (A released query's ladder still out: the push waits for
+            # its strike, see QueryPaths._released_query.)
+            if outcome == "miss_failed" and self.dir_info.unanswered:
+                self._queue_push(sorted(self.store.keys()))
+            else:
+                self._push_to_directory()
 
     def handle_flower_fetch(self, message: Message) -> Dict[str, Any]:
         """Serve an object from our cache to a petal member."""
@@ -332,13 +330,14 @@ class PetalMember:
 
         The whole ladder feeds strikes and suspicion; a caller that must
         not wait it out (a query) is released by *on_release*."""
+        params = self.system.params
         self.retrying_rpc(
             info.address,
             kind,
             payload,
             on_reply=on_reply,
             on_give_up=on_give_up,
-            retries=self.system.params.rpc_retries,
+            retries=params.rpc_retries,
             on_release=on_release,
         )
 

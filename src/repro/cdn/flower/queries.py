@@ -26,7 +26,7 @@ sibling walk / miss).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.petal import DirInfo
@@ -160,45 +160,30 @@ class QueryPaths:
                 self._query_hinted_instance(key, started_at, info, *route)
                 return
 
-        # A dead directory must not hold a query for the whole retry
-        # ladder: once the first retry goes unanswered too, the query goes
-        # to the origin, and the rest of the ladder runs on detached.  The
-        # one retry it waits for is what rescues it from a lost packet.  A
-        # late reply then only tells us whether the directory is alive.
-        released = False
-
-        def release() -> None:
-            nonlocal released
-            released = True
-            info.unanswered += 1
-            self._fetch_from_server(key, "miss_failed", started_at)
-
-        def on_give_up() -> None:
-            info.unanswered -= 1
-            self._on_directory_strike(info)
+        release, settle = self._released_query(info, key, started_at)
 
         def on_reply(payload: Dict[str, Any]) -> None:
-            if released:
-                info.unanswered -= 1
+            released = settle()
             if payload.get("status") == "not_directory":
                 self._on_directory_failure(info)
                 if not released:
                     self._fetch_from_server(key, "miss_failed", started_at)
-            else:
-                self._note_directory_alive(info, payload)
-                if not released:
-                    self._after_queue_wait(
-                        payload,
-                        key,
-                        started_at,
-                        lambda: self._apply_member_reply(
-                            key,
-                            started_at,
-                            payload,
-                            info.address,
-                            siblings={info.address},
-                        ),
-                    )
+                return
+            self._note_directory_alive(info, payload)
+            if released:
+                return
+            self._after_queue_wait(
+                payload,
+                key,
+                started_at,
+                lambda: self._apply_member_reply(
+                    key, started_at, payload, info.address, siblings={info.address}
+                ),
+            )
+
+        def on_give_up() -> None:
+            settle()
+            self._on_directory_strike(info)
 
         self._directory_rpc(
             info,
@@ -208,6 +193,37 @@ class QueryPaths:
             on_give_up,
             on_release=release,
         )
+
+    def _released_query(
+        self, info: DirInfo, key: ObjectKey, started_at: float
+    ) -> Tuple[Callable[[], None], Callable[[], bool]]:
+        """The release of a member query from its directory's retry ladder.
+
+        A dead directory must not hold a query for the whole ladder: once
+        the first retry goes unanswered too, ``release`` sends the query
+        to the origin and the rest of the ladder runs on detached.  The
+        one retry it waits for is what rescues it from a lost packet.
+        ``settle()`` runs when the ladder ends (a reply or the give-up)
+        and says whether the query was released; a late reply then only
+        tells us whether the directory is alive.  Meanwhile
+        ``info.unanswered`` counts the ladder out: its strike has not
+        landed yet, so the query's own push waits in the queue, as it
+        would had the query waited (``PetalMember._after_query``).
+        """
+        released = False
+
+        def release() -> None:
+            nonlocal released
+            released = True
+            info.unanswered += 1
+            self._fetch_from_server(key, "miss_failed", started_at)
+
+        def settle() -> bool:
+            if released:
+                info.unanswered -= 1
+            return released
+
+        return release, settle
 
     def _after_queue_wait(
         self,

@@ -103,6 +103,8 @@ class SearchClient:
             return
 
         def on_reply(payload: Dict[str, Any]) -> None:
+            if not self.alive:
+                return
             if payload.get("status") != "ok":
                 self._search_failover(
                     keyword, self._search_failover_plan(), on_results
@@ -118,6 +120,8 @@ class SearchClient:
             )
 
         def on_give_up() -> None:
+            if not self.alive:
+                return
             self._on_directory_strike(info)
             self._search_failover(keyword, self._search_failover_plan(), on_results)
 
@@ -183,8 +187,11 @@ class SearchClient:
             self._finish_search(keyword, [], "none", 0.0, on_results)
             return
         target, rest = candidates[0], candidates[1:]
+        params = self.system.params
 
         def on_reply(payload: Dict[str, Any]) -> None:
+            if not self.alive:
+                return
             if payload.get("status") == "ok":
                 staleness = float(payload.get("staleness_ms", 0.0))
                 if staleness <= bound:
@@ -204,7 +211,7 @@ class SearchClient:
             {"position": position, "keyword": keyword},
             on_reply=on_reply,
             on_give_up=lambda: self._search_failover(keyword, rest, on_results),
-            retries=self.system.params.rpc_retries,
+            retries=params.rpc_retries,
         )
 
     def _finish_search(

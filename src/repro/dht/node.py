@@ -178,8 +178,11 @@ class ChordNode:
         failure ``on_failed(reason, holder)`` fires with reason one of
         ``"taken"`` (another node already holds this exact identifier --
         the D-ring replacement race of section 5.2.2; *holder* is that
-        node), ``"lookup"`` (routing failed) or ``"race"`` (a concurrent
-        joiner integrated first).
+        node), ``"lookup"`` (routing failed) or ``"race"`` (the successor refused
+        us, or a concurrent joiner integrated first; *holder* is the node
+        registered at this identifier or, before one is, the same-id
+        predecessor the successor refused us for -- never a node at
+        another identifier).
         """
         if self.joined:
             raise DHTError("node already joined")
@@ -213,17 +216,18 @@ class ChordNode:
             self.successors = self._merged_successors(succ, payload["successors"])
 
             def notify_reply(reply: Dict[str, Any]) -> None:
-                if not reply.get("accepted", False):
-                    self.successors = []
-                    on_failed("race", reply.get("holder"))
-                    return
-                if not self.ring.try_register(self):
-                    # A same-id candidate integrated through a different
-                    # successor while we were joining: it won (section
-                    # 5.2.2 -- first to integrate succeeds).
+                if not reply.get("accepted", False) or not self.ring.try_register(self):
+                    # Refused, or a same-id candidate integrated through a
+                    # different successor while we were joining: whoever
+                    # registered our identifier won (section 5.2.2 --
+                    # first to integrate succeeds).  Before anyone has,
+                    # the same-id predecessor that refused us is the
+                    # winner still integrating.
                     self.successors = []
                     holder = self.ring.holder_of(self.node_id)
-                    on_failed("race", holder.ref if holder is not None else None)
+                    on_failed(
+                        "race", holder.ref if holder is not None else reply.get("holder")
+                    )
                     return
                 self._complete_join(register=False)
                 on_joined()
@@ -431,7 +435,9 @@ class ChordNode:
         ):
             self.predecessor = candidate
             return {"accepted": True}
-        return {"accepted": False, "holder": pred}
+        # Our predecessor sits at another identifier: it holds nothing the
+        # candidate asked for.
+        return {"accepted": False}
 
     def handle_chord_ping(self, message: Message) -> Any:
         """Liveness probe (predecessor check): a ring member just acks."""

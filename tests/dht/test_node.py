@@ -156,6 +156,23 @@ class TestJoin:
         flat = outcomes[0] + outcomes[1]
         assert sorted(flat) == ["joined", "race"] or sorted(flat) == ["joined", "taken"]
 
+    def test_refused_join_names_no_holder_at_another_identifier(self):
+        """A joiner routed to a stale successor is refused because that
+        successor's predecessor lies between them; the predecessor holds
+        another identifier, so it is no race winner to follow."""
+        world = ChordWorld(seed=2)
+        hosts = world.warm_ring([1000, 40000, 50000])
+        joiner = world.add_node(30000)
+        outcome = []
+        joiner.chord._finish_join(
+            hosts[2].chord.ref,
+            on_joined=lambda: outcome.append("joined"),
+            on_failed=lambda reason, holder: outcome.append((reason, holder)),
+        )
+        world.sim.run(until=seconds(30))
+        assert outcome == [("race", None)]
+        assert not joiner.chord.joined
+
     def test_join_then_stabilization_integrates_fully(self):
         world = ChordWorld(seed=4)
         hosts = world.warm_ring([1000, 20000, 50000])
