@@ -26,19 +26,21 @@ hits are free and would drown the tail), queue/shed counters, terminal
 accounting, and the Gini coefficient of per-directory query load
 (:func:`repro.metrics.gini`).
 
-The acceptance gates, each named in :func:`compare`:
+Every arm runs at :data:`PAIRED_SEEDS` consecutive seeds.  The
+acceptance gates, each named in :func:`compare`:
 
 - warm shows **no scan-latency cliff**: overload-window p99 stays within
-  2x its own pre-overload p99;
-- **every** query is terminally accounted in both arms: sheds included,
-  no ledger entry left open at the horizon beyond a short in-flight
-  grace for queries issued just before the cut-off;
-- warm spreads directory load **more evenly**: strictly lower Gini than
-  cold.
+  2x its own pre-overload p99, at every seed;
+- **every** query is terminally accounted in both arms, at every seed:
+  sheds included, no ledger entry left open at the horizon beyond a
+  short in-flight grace for queries issued just before the cut-off;
+- warm spreads directory load **more evenly**: the median over seeds of
+  the paired Gini difference (warm minus cold) is below zero.
 
 A third, reactive arm (warm + redirect hints + content rebalancing) must
 lower the overload-window content Gini and the directory sheds against
-warm at an overload p99 no worse.
+warm at an overload p99 no worse, each in the median of the paired
+differences.
 
 CLI front door (:mod:`benchmarks.ab`), the one writer of the committed
 ``results/cloud_heavy_{overload,rebalance}.{json,txt}`` pairs (each table
@@ -55,6 +57,7 @@ ablations note in bench_ablations.py).
 """
 
 import sys
+from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from benchmarks import ab
@@ -67,7 +70,12 @@ from repro.metrics.report import render_table
 from repro.sim.clock import hours, minutes
 
 POPULATION = 180
+#: ``--quick`` (CI's smoke run): small enough that the five paired seeds
+#: cost about what one seed at 120 peers did.
+QUICK_POPULATION = 60
 SEED = 17
+#: Every arm runs at this many consecutive seeds from ``--seed`` on.
+PAIRED_SEEDS = 5
 WARM_K = 2
 
 DURATION_HOURS = 6.0
@@ -285,26 +293,29 @@ def _run_arm(
     }
 
 
-def _ab_table(arms: Dict, population: int, seed: int) -> str:
+def _ab_table(runs: List[Dict], population: int) -> str:
     rows = []
-    for label in ("cold", "warm"):
-        entry = arms[label]
-        rows.append(
-            [
-                f"{label} (k={entry['replication_k']})",
-                f"{entry['pre']['p99']:.0f} ms",
-                f"{entry['overload']['p99']:.0f} ms",
-                f"{entry['p99_ratio']:.2f}x",
-                entry["shed_queries"],
-                entry["members_shed"],
-                entry["peak_queue_depth"],
-                f"{entry['gini_directory_load']:.3f}",
-                f"{entry['accounted_fraction']:.1%}",
-                f"{entry['hit_ratio']:.3f}",
-            ]
-        )
+    for run in runs:
+        for label in ("cold", "warm"):
+            entry = run[label]
+            rows.append(
+                [
+                    run["seed"],
+                    f"{label} (k={entry['replication_k']})",
+                    f"{entry['pre']['p99']:.0f} ms",
+                    f"{entry['overload']['p99']:.0f} ms",
+                    f"{entry['p99_ratio']:.2f}x",
+                    entry["shed_queries"],
+                    entry["members_shed"],
+                    entry["peak_queue_depth"],
+                    f"{entry['gini_directory_load']:.3f}",
+                    f"{entry['accounted_fraction']:.1%}",
+                    f"{entry['hit_ratio']:.3f}",
+                ]
+            )
     return render_table(
         [
+            "seed",
             "mode",
             "pre p99",
             "overload p99",
@@ -320,31 +331,34 @@ def _ab_table(arms: Dict, population: int, seed: int) -> str:
         title=(
             f"sustained {SURGE_PEAK:.0f}x overload from "
             f"{SURGE_START / 3_600_000.0:.0f}h "
-            f"(P={population}, seed={seed}, queue=6, service=400ms)"
+            f"(P={population}, queue=6, service=400ms)"
         ),
     )
 
 
-def _rebalance_table(arms: Dict, population: int, seed: int) -> str:
+def _rebalance_table(runs: List[Dict], population: int) -> str:
     rows = []
-    for label in ("warm", "rebalance"):
-        entry = arms[label]
-        rows.append(
-            [
-                label,
-                f"{entry['overload']['p99']:.0f} ms",
-                entry["directory_sheds"],
-                entry["hint_hops"],
-                entry["hint_hits"],
-                entry["hint_stale"],
-                entry["rebalance_spills"],
-                entry["rebalance_adoptions"],
-                f"{entry['gini_content_window']:.3f}",
-                f"{entry['accounted_fraction']:.1%}",
-            ]
-        )
+    for run in runs:
+        for label in ("warm", "rebalance"):
+            entry = run[label]
+            rows.append(
+                [
+                    run["seed"],
+                    label,
+                    f"{entry['overload']['p99']:.0f} ms",
+                    entry["directory_sheds"],
+                    entry["hint_hops"],
+                    entry["hint_hits"],
+                    entry["hint_stale"],
+                    entry["rebalance_spills"],
+                    entry["rebalance_adoptions"],
+                    f"{entry['gini_content_window']:.3f}",
+                    f"{entry['accounted_fraction']:.1%}",
+                ]
+            )
     return render_table(
         [
+            "seed",
             "mode",
             "overload p99",
             "dir sheds",
@@ -359,86 +373,141 @@ def _rebalance_table(arms: Dict, population: int, seed: int) -> str:
         rows,
         title=(
             f"warm vs hints+rebalance under sustained {SURGE_PEAK:.0f}x "
-            f"overload (P={population}, seed={seed})"
+            f"overload (P={population})"
         ),
     )
+
+
+def _paired_median(runs: List[Dict], arm: str, than: str, metric) -> float:
+    """The median over seeds of ``metric(run[arm]) - metric(run[than])``."""
+    return median(metric(run[arm]) - metric(run[than]) for run in runs)
 
 
 def compare(
     seed: int = SEED, population: int = POPULATION
 ) -> Tuple[ab.Comparison, ab.Comparison]:
     """The overload (cold vs warm) and rebalance (warm vs reactive)
-    comparisons over three arms, each run once: the warm arm is shared."""
-    cold = _run_arm(0, False, population, seed)
-    warm = _run_arm(WARM_K, True, population, seed)
-    reactive = _run_arm(WARM_K, True, population, seed, hints=True, rebalance=True)
+    comparisons over three arms, each run once at each of the
+    :data:`PAIRED_SEEDS` seeds from *seed* on: the warm arm is shared.
+
+    A gate on one arm must hold at every seed; a gate comparing two arms
+    holds in the median of their paired differences, since one run of
+    this chaotic system is a draw that any change to a shared random
+    stream redraws."""
+    runs = [
+        {
+            "seed": run_seed,
+            "cold": _run_arm(0, False, population, run_seed),
+            "warm": _run_arm(WARM_K, True, population, run_seed),
+            "rebalance": _run_arm(
+                WARM_K, True, population, run_seed, hints=True, rebalance=True
+            ),
+        }
+        for run_seed in range(seed, seed + PAIRED_SEEDS)
+    ]
+
+    def every(arm: str, holds) -> bool:
+        return all(holds(run[arm]) for run in runs)
+
+    medians = {
+        "warm minus cold directory Gini": _paired_median(
+            runs, "warm", "cold", lambda arm: arm["gini_directory_load"]
+        ),
+        "rebalance minus warm content Gini": _paired_median(
+            runs, "rebalance", "warm", lambda arm: arm["gini_content_window"]
+        ),
+        "rebalance minus warm directory sheds": _paired_median(
+            runs, "rebalance", "warm", lambda arm: arm["directory_sheds"]
+        ),
+        "rebalance minus warm overload p99 ms": _paired_median(
+            runs, "rebalance", "warm", lambda arm: arm["overload"]["p99"]
+        ),
+    }
+    medians_line = "paired medians over seeds: " + ", ".join(
+        f"{name} {value:+.3f}" for name, value in medians.items()
+    )
     overload = ab.Comparison(
-        table=_ab_table({"cold": cold, "warm": warm}, population, seed),
+        table=_ab_table(runs, population) + "\n" + medians_line,
         payload={
             "population": population,
-            "seed": seed,
-            "cold": cold,
-            "warm": warm,
-            "rebalance": reactive,
+            "seeds": [run["seed"] for run in runs],
+            "paired_medians": medians,
+            "runs": runs,
         },
         gates={
             # The overload actually bit: queries were shed in both arms.
-            "cold shed queries": cold["shed_queries"] > 0,
-            "warm shed queries": warm["shed_queries"] > 0,
+            "cold shed queries": every("cold", lambda arm: arm["shed_queries"] > 0),
+            "warm shed queries": every("warm", lambda arm: arm["shed_queries"] > 0),
             # No scan-latency cliff under replica-aware shedding.
-            "warm overload p99 within 2x its pre-overload p99": (
-                warm["overload"]["p99"] <= 2.0 * warm["pre"]["p99"]
+            "warm overload p99 within 2x its pre-overload p99": every(
+                "warm", lambda arm: arm["overload"]["p99"] <= 2.0 * arm["pre"]["p99"]
             ),
             # Every query terminally accounted: nothing open at the
             # horizon beyond the in-flight grace.
-            "cold accounts for every query": cold["stale_open"] == 0,
-            "warm accounts for every query": warm["stale_open"] == 0,
+            "cold accounts for every query": every(
+                "cold", lambda arm: arm["stale_open"] == 0
+            ),
+            "warm accounts for every query": every(
+                "warm", lambda arm: arm["stale_open"] == 0
+            ),
             # Replica-aware shedding spreads directory load more evenly,
             # and the win is attributable: members moved without a scan.
-            "warm directory Gini below cold": (
-                warm["gini_directory_load"] < cold["gini_directory_load"]
-            ),
-            "warm shed members": warm["members_shed"] > 0,
-            "cold shed no member": cold["members_shed"] == 0,
+            "warm directory Gini below cold": medians["warm minus cold directory Gini"]
+            < 0,
+            "warm shed members": every("warm", lambda arm: arm["members_shed"] > 0),
+            "cold shed no member": every("cold", lambda arm: arm["members_shed"] == 0),
         },
     )
     rebalance = ab.Comparison(
-        table=_rebalance_table({"warm": warm, "rebalance": reactive}, population, seed),
+        table=_rebalance_table(runs, population) + "\n" + medians_line,
         payload={
             "population": population,
-            "seed": seed,
-            "warm": warm,
-            "rebalance": reactive,
+            "seeds": [run["seed"] for run in runs],
+            "paired_medians": medians,
+            "runs": [
+                {label: run[label] for label in ("seed", "warm", "rebalance")}
+                for run in runs
+            ],
         },
         gates={
             # The reactive arm actually reacted, and the warm arm never
             # pays for machinery it did not enable.
-            "rebalance routed on hints": reactive["hint_hops"] > 0,
-            "rebalance adopted spills": reactive["rebalance_adoptions"] > 0,
-            "warm took no hint hop": warm["hint_hops"] == 0,
-            "warm spilled nothing": warm["rebalance_spills"] == 0,
+            "rebalance routed on hints": every(
+                "rebalance", lambda arm: arm["hint_hops"] > 0
+            ),
+            "rebalance adopted spills": every(
+                "rebalance", lambda arm: arm["rebalance_adoptions"] > 0
+            ),
+            "warm took no hint hop": every("warm", lambda arm: arm["hint_hops"] == 0),
+            "warm spilled nothing": every(
+                "warm", lambda arm: arm["rebalance_spills"] == 0
+            ),
             # Rebalancing spreads overload-window content serving more
             # evenly, and hint pre-routing plus extra holders reduce
             # admission-queue sheds...
             "rebalance content Gini below warm": (
-                reactive["gini_content_window"] < warm["gini_content_window"]
+                medians["rebalance minus warm content Gini"] < 0
             ),
             "rebalance sheds fewer than warm": (
-                reactive["directory_sheds"] < warm["directory_sheds"]
+                medians["rebalance minus warm directory sheds"] < 0
             ),
             # ...without giving the tail back, and the ledger still closes.
             "rebalance overload p99 no worse than warm": (
-                reactive["overload"]["p99"] <= warm["overload"]["p99"]
+                medians["rebalance minus warm overload p99 ms"] <= 0
             ),
-            "warm accounts for every query": warm["stale_open"] == 0,
-            "rebalance accounts for every query": reactive["stale_open"] == 0,
+            "warm accounts for every query": every(
+                "warm", lambda arm: arm["stale_open"] == 0
+            ),
+            "rebalance accounts for every query": every(
+                "rebalance", lambda arm: arm["stale_open"] == 0
+            ),
         },
     )
     return overload, rebalance
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI front door; the test below is ``main([])``."""
+    """CLI front door; the test below is ``main(["--quick"])``."""
     parser = ab.parser("sustained-overload cold vs warm vs rebalance A/B", SEED)
     parser.add_argument(
         "--quick", action="store_true", help="smaller population (CI smoke)"
@@ -449,12 +518,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the warm vs rebalance comparison as JSON, and its table beside it",
     )
     args = parser.parse_args(argv)
-    overload, rebalance = compare(args.seed, 120 if args.quick else POPULATION)
+    population = QUICK_POPULATION if args.quick else POPULATION
+    overload, rebalance = compare(args.seed, population)
     return ab.report((overload, args.output), (rebalance, args.output_rebalance))
 
 
 def test_overload_and_rebalance_gates(benchmark):
-    assert benchmark.pedantic(main, args=([],), rounds=1, iterations=1) == 0
+    # Quick scale: five paired seeds at full scale cost half an hour.
+    assert benchmark.pedantic(main, args=(["--quick"],), rounds=1, iterations=1) == 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ the recovery metrics the claim implies:
   after the heal (time-to-recover is finite);
 - **bursty loss** -- a Gilbert-Elliott channel at ~10% stationary loss.
   With the retry/backoff RPC layer enabled (the default) Flower's hit
-  ratio is strictly better than the seed's single-shot behaviour
-  (``rpc_retries=0``) at the same loss rate and seed, at a cost counted
-  as retransmissions per RPC kind;
+  ratio beats the seed's single-shot behaviour (``rpc_retries=0``) at the
+  same loss rate: the median over eight seeds of the paired difference
+  is positive, at a cost counted as retransmissions per RPC kind;
 - **cold vs warm failover** -- the same partition plus a total directory
   wipe inside the cut, run once with replication off (the paper's cold
   replacement of section 5.2) and once with ``directory_replication_k=2``
@@ -36,6 +36,7 @@ ablations note in bench_ablations.py).
 
 import sys
 from collections import Counter
+from statistics import median
 from typing import Dict, List, Optional
 
 from benchmarks import ab
@@ -150,6 +151,13 @@ def test_partition_and_heal_recovery(benchmark):
 #: mean burst length 1 / 0.45 ~ 2.2 deliveries.
 BURSTY_10PCT = BurstyLossSpec(p_good_to_bad=0.05, p_bad_to_good=0.45)
 
+#: The bursty-loss A/B runs both arms at each of these seeds and gates the
+#: median of the paired hit-ratio differences: one run of a chaotic system
+#: is a draw that any change to a shared random stream redraws (at one
+#: seed the two arms have tied within 0.001), eight paired runs are a
+#: measurement.
+BURSTY_SEEDS = (4, 5, 6, 7, 8, 9, 10, 11)
+
 
 def _run_counting_retransmissions(config: ExperimentConfig, seed: int):
     """One Flower run, plus its RPC retransmissions counted by kind."""
@@ -159,7 +167,7 @@ def _run_counting_retransmissions(config: ExperimentConfig, seed: int):
         "net.rpc_retry", lambda event: retransmitted.update((event.payload["rpc_kind"],))
     )
     world.run()
-    return summarize(world, "flower", seed), dict(retransmitted)
+    return summarize(world, "flower", seed), retransmitted
 
 
 def test_retries_beat_single_shot_under_bursty_loss(benchmark):
@@ -175,57 +183,79 @@ def test_retries_beat_single_shot_under_bursty_loss(benchmark):
         objects_per_website=40,
         fault_schedule=(BURSTY_10PCT,),
     )
+    arms = {
+        "flower (retries=2)": config,
+        "flower (single-shot)": config.replace(rpc_retries=0),
+    }
 
     def run():
         return {
-            "flower (retries=2)": _run_counting_retransmissions(config, 4),
-            "flower (single-shot)": _run_counting_retransmissions(
-                config.replace(rpc_retries=0), 4
-            ),
+            name: [_run_counting_retransmissions(arm, seed) for seed in BURSTY_SEEDS]
+            for name, arm in arms.items()
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    rows = [
-        [
-            name,
-            f"{result.hit_ratio:.3f}",
-            f"{result.mean_lookup_latency_ms:.0f} ms",
-            result.extra["drop_counts"].get("loss", 0),
-            result.messages_sent,
-            sum(retransmitted.values()),
-        ]
-        for name, (result, retransmitted) in results.items()
+    rows = []
+    retransmitted: Dict[str, Counter] = {}
+    for name, runs in results.items():
+        retransmitted[name] = sum((counts for __, counts in runs), Counter())
+        rows.append(
+            [
+                name,
+                f"{median(result.hit_ratio for result, __ in runs):.3f}",
+                f"{median(result.mean_lookup_latency_ms for result, __ in runs):.0f} ms",
+                sum(result.extra["drop_counts"].get("loss", 0) for result, __ in runs),
+                sum(result.messages_sent for result, __ in runs),
+                sum(retransmitted[name].values()),
+            ]
+        )
+    leads = [
+        retries.hit_ratio - single.hit_ratio
+        for (retries, __), (single, __) in zip(
+            results["flower (retries=2)"], results["flower (single-shot)"]
+        )
     ]
-    retries, retransmitted = results["flower (retries=2)"]
-    single, single_retransmitted = results["flower (single-shot)"]
     emit_report(
         "fault_recovery_bursty_loss",
         render_table(
-            ["variant", "hit ratio", "lookup", "lost messages", "sent", "retransmitted"],
+            [
+                "variant",
+                "hit ratio (median)",
+                "lookup (median)",
+                "lost messages",
+                "sent",
+                "retransmitted",
+            ],
             rows,
             title=(
                 f"Gilbert-Elliott loss at "
                 f"{BURSTY_10PCT.stationary_loss_rate:.0%} stationary rate "
-                f"(P={config.population}, {config.duration_hours:.0f}h)"
+                f"(P={config.population}, {config.duration_hours:.0f}h, "
+                f"seeds {BURSTY_SEEDS[0]}-{BURSTY_SEEDS[-1]}; counts summed)"
             ),
         )
+        + "\nretries=2 minus single-shot hit ratio by seed: "
+        + ", ".join(f"{seed} {lead:+.3f}" for seed, lead in zip(BURSTY_SEEDS, leads))
+        + f" (median {median(leads):+.4f})"
         + "\nretransmissions by kind (retries=2): "
-        + ", ".join(f"{kind} {count}" for kind, count in sorted(retransmitted.items())),
+        + ", ".join(
+            f"{kind} {count}"
+            for kind, count in sorted(retransmitted["flower (retries=2)"].items())
+        ),
     )
 
-    # The acceptance bar: retry/backoff strictly beats the seed's
-    # single-shot RPC behaviour at the same loss rate and seed.
-    assert retries.hit_ratio > single.hit_ratio
+    # The acceptance bar: retry/backoff beats the seed's single-shot RPC
+    # behaviour at the same loss rate, seed for seed, in the median.
+    assert median(leads) > 0
     # The win is not free: it costs retransmissions of the directory- and
     # server-facing RPCs, which single-shot never sends.  Total traffic is
     # no measure of that cost: single-shot condemns a directory on one lost
     # message, and the D-ring scans and replacement races that follow send
-    # about as much as the retries do (53 425 messages with retries, 54 333
-    # without, at this config and seed).
-    assert single_retransmitted == {}
-    assert retransmitted.get("flower.query", 0) > 0
-    assert retransmitted.get("server.fetch", 0) > 0
+    # about as much as the retries do.
+    assert not retransmitted["flower (single-shot)"]
+    assert retransmitted["flower (retries=2)"]["flower.query"] > 0
+    assert retransmitted["flower (retries=2)"]["server.fetch"] > 0
 
 
 # ---------------------------------------------------------------------------
