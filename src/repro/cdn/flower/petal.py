@@ -52,14 +52,11 @@ class DirInfo:
         address: last known network address of its holder.
         age: periods since we last heard from it; reset on any contact,
             reconciled during gossip (smaller age wins).
-        unanswered: retry ladders of released member queries still out
-            (see ``QueryPaths._released_query``).
     """
 
     position_id: ChordId
     address: Address
     age: int = 0
-    unanswered: int = 0
 
     def pack(self) -> tuple:
         return (self.position_id, self.address, self.age)
@@ -191,12 +188,7 @@ class PetalMember:
             and self.dir_info is not None
             and self.store.should_push(self.system.params.push_threshold)
         ):
-            # (A released query's ladder still out: the push waits for
-            # its strike, see QueryPaths._released_query.)
-            if outcome == "miss_failed" and self.dir_info.unanswered:
-                self._queue_push(sorted(self.store.keys()))
-            else:
-                self._push_to_directory()
+            self._push_to_directory()
 
     def handle_flower_fetch(self, message: Message) -> Dict[str, Any]:
         """Serve an object from our cache to a petal member."""
@@ -324,12 +316,10 @@ class PetalMember:
         payload: Dict[str, Any],
         on_reply: Callable[[Dict[str, Any]], None],
         on_give_up: Callable[[], None],
-        on_release: Optional[Callable[[], None]] = None,
+        timeout_ms: Optional[float] = None,
     ) -> None:
-        """All directory-facing RPCs share the retry budget/backoff knobs.
-
-        The whole ladder feeds strikes and suspicion; a caller that must
-        not wait it out (a query) is released by *on_release*."""
+        """All directory-facing RPCs share the retry budget/backoff knobs
+        (each attempt waits *timeout_ms*, the network default when None)."""
         params = self.system.params
         self.retrying_rpc(
             info.address,
@@ -338,7 +328,7 @@ class PetalMember:
             on_reply=on_reply,
             on_give_up=on_give_up,
             retries=params.rpc_retries,
-            on_release=on_release,
+            timeout_ms=timeout_ms,
         )
 
     def _tell_directory(

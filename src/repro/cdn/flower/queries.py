@@ -26,7 +26,7 @@ sibling walk / miss).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.petal import DirInfo
@@ -41,6 +41,12 @@ _MAX_SUMMARY_ATTEMPTS = 2
 #: How many times a new client restarts its D-ring scan before giving up
 #: on the P2P system for this query.
 _MAX_SCAN_TRIES = 2
+
+#: Each attempt of a member query at its home directory times out after
+#: this many one-way latencies of the link plus the slack, capped at the
+#: network's default timeout.
+QUERY_TIMEOUT_LATENCIES = 6.0
+QUERY_TIMEOUT_SLACK_MS = 100.0
 
 
 class QueryPaths:
@@ -160,18 +166,12 @@ class QueryPaths:
                 self._query_hinted_instance(key, started_at, info, *route)
                 return
 
-        release, settle = self._released_query(info, key, started_at)
-
         def on_reply(payload: Dict[str, Any]) -> None:
-            released = settle()
             if payload.get("status") == "not_directory":
                 self._on_directory_failure(info)
-                if not released:
-                    self._fetch_from_server(key, "miss_failed", started_at)
+                self._fetch_from_server(key, "miss_failed", started_at)
                 return
             self._note_directory_alive(info, payload)
-            if released:
-                return
             self._after_queue_wait(
                 payload,
                 key,
@@ -182,48 +182,26 @@ class QueryPaths:
             )
 
         def on_give_up() -> None:
-            settle()
             self._on_directory_strike(info)
+            self._fetch_from_server(key, "miss_failed", started_at)
 
+        # Directory links stay inside the petal, so an attempt timed by the
+        # link's own latency detects a dead directory in a few hundred ms
+        # (section 5.2: one timeout) where the network default waits out
+        # the slowest link of the whole topology.
+        latency = self.network.link_latency(self.address, info.address)
+        timeout_ms = min(
+            self.network.default_timeout_ms,
+            QUERY_TIMEOUT_LATENCIES * latency + QUERY_TIMEOUT_SLACK_MS,
+        )
         self._directory_rpc(
             info,
             "flower.query",
             {"key": key, "member": True},
             on_reply,
             on_give_up,
-            on_release=release,
+            timeout_ms=timeout_ms,
         )
-
-    def _released_query(
-        self, info: DirInfo, key: ObjectKey, started_at: float
-    ) -> Tuple[Callable[[], None], Callable[[], bool]]:
-        """The release of a member query from its directory's retry ladder.
-
-        A dead directory must not hold a query for the whole ladder: once
-        the first retry goes unanswered too, ``release`` sends the query
-        to the origin and the rest of the ladder runs on detached.  The
-        one retry it waits for is what rescues it from a lost packet.
-        ``settle()`` runs when the ladder ends (a reply or the give-up)
-        and says whether the query was released; a late reply then only
-        tells us whether the directory is alive.  Meanwhile
-        ``info.unanswered`` counts the ladder out: its strike has not
-        landed yet, so the query's own push waits in the queue, as it
-        would had the query waited (``PetalMember._after_query``).
-        """
-        released = False
-
-        def release() -> None:
-            nonlocal released
-            released = True
-            info.unanswered += 1
-            self._fetch_from_server(key, "miss_failed", started_at)
-
-        def settle() -> bool:
-            if released:
-                info.unanswered -= 1
-            return released
-
-        return release, settle
 
     def _after_queue_wait(
         self,

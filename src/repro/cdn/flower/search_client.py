@@ -19,9 +19,10 @@ from typing import Any, Dict, List
 
 from repro.cdn.flower.petal import DIR_FAILURE_THRESHOLD
 from repro.cdn.flower.replication import ANTI_ENTROPY_ROUNDS
+from repro.dht.node import ChordNode, LookupResult
 from repro.errors import CDNError
 from repro.net.message import Message
-from repro.types import Address
+from repro.types import Address, ChordId
 
 #: How many extra petal-mates extend a search-failover chain beyond the
 #: synced replica holders (section 5.4): the member sample a directory
@@ -103,8 +104,6 @@ class SearchClient:
             return
 
         def on_reply(payload: Dict[str, Any]) -> None:
-            if not self.alive:
-                return
             if payload.get("status") != "ok":
                 self._search_failover(
                     keyword, self._search_failover_plan(), on_results
@@ -120,8 +119,6 @@ class SearchClient:
             )
 
         def on_give_up() -> None:
-            if not self.alive:
-                return
             self._on_directory_strike(info)
             self._search_failover(keyword, self._search_failover_plan(), on_results)
 
@@ -158,14 +155,23 @@ class SearchClient:
         return plan
 
     def _search_failover(
-        self, keyword: str, candidates: List[Address], on_results
+        self,
+        keyword: str,
+        candidates: List[Address],
+        on_results,
+        ring_asked: bool = False,
     ) -> None:
         """Walk the known replica holders of our slot (member heir first,
         then ring successors) until one answers within the staleness
         bound; our own replica store is consulted first (the heir itself
-        pays zero round trips)."""
+        pays zero round trips).  Once the chain is spent, D-ring names one
+        more candidate (:meth:`_search_via_ring`)."""
         engine = self.system.search_engine
         position = self._search_position
+        if position is None and self.dir_info is not None:
+            # No directory has answered us since we followed this slot, so
+            # no plan was harvested: fail over for the slot we follow.
+            position = self.dir_info.position_id
         if engine is None or position is None:
             self._finish_search(keyword, [], "none", 0.0, on_results)
             return
@@ -184,14 +190,18 @@ class SearchClient:
         while candidates and candidates[0] == self.address:
             candidates = candidates[1:]
         if not candidates:
-            self._finish_search(keyword, [], "none", 0.0, on_results)
+            if ring_asked:
+                self._finish_search(keyword, [], "none", 0.0, on_results)
+            else:
+                self._search_via_ring(keyword, position, on_results)
             return
         target, rest = candidates[0], candidates[1:]
         params = self.system.params
 
+        def next_candidate() -> None:
+            self._search_failover(keyword, rest, on_results, ring_asked)
+
         def on_reply(payload: Dict[str, Any]) -> None:
-            if not self.alive:
-                return
             if payload.get("status") == "ok":
                 staleness = float(payload.get("staleness_ms", 0.0))
                 if staleness <= bound:
@@ -203,15 +213,35 @@ class SearchClient:
                         on_results,
                     )
                     return
-            self._search_failover(keyword, rest, on_results)
+            next_candidate()
 
         self.retrying_rpc(
             target,
             "flower.search_replica",
             {"position": position, "keyword": keyword},
             on_reply=on_reply,
-            on_give_up=lambda: self._search_failover(keyword, rest, on_results),
+            on_give_up=next_candidate,
             retries=params.rpc_retries,
+        )
+
+    def _search_via_ring(self, keyword: str, position: ChordId, on_results) -> None:
+        """The failover chain is spent (a peer that joined the slot after
+        its last replica sync may never have heard a plan, nor know a
+        petal-mate): route over D-ring to the slot.  The node found holds
+        the slot, or, while it is vacant, is its ring successor, the
+        first of the k replica holders (section 5.4)."""
+        bootstrap = self.system.ring.random_bootstrap(self.rng)
+        if bootstrap is None:
+            self._finish_search(keyword, [], "none", 0.0, on_results)
+            return
+
+        def on_lookup(result: LookupResult) -> None:
+            found = [result.found.address] if result.ok else []
+            self._search_failover(keyword, found, on_results, ring_asked=True)
+
+        # A transient Chord node drives the lookup, as a new client's does.
+        ChordNode(self, self.system.ring, position).lookup(
+            position, on_lookup, start=bootstrap
         )
 
     def _finish_search(

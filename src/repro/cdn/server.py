@@ -19,6 +19,9 @@ from repro.types import WebsiteId
 class OriginServer(NetworkNode):
     """The authoritative server of one website."""
 
+    #: Servers never fail in this model: fault campaigns pass them over.
+    never_fails = True
+
     def __init__(self, network: Network, website: WebsiteId) -> None:
         super().__init__(network)
         self.website = website

@@ -159,7 +159,8 @@ class MassFailureSpec:
 
     ``locality=None`` draws from the whole population;
     ``directories_only=True`` restricts the campaign to nodes currently
-    holding a directory role (Flower's D-ring wipe scenario).
+    holding a directory role (Flower's D-ring wipe scenario).  A node
+    marked ``never_fails`` (an origin server) is never drawn.
     """
 
     at_ms: float
@@ -444,12 +445,13 @@ class FaultController:
 
     def _execute_mass_failure(self, spec: MassFailureSpec) -> None:
         """Victims are drawn with the controller's RNG from the matching
-        nodes alive now.  A node exposing ``crash()`` (CDN peers) is
-        crashed through it so its protocol processes are cancelled; a bare
-        network node just ``fail()``s."""
+        nodes alive now, never from those marked ``never_fails`` (origin
+        servers, which nothing revives).  A node exposing ``crash()`` (CDN
+        peers) is crashed through it so its protocol processes are
+        cancelled; a bare network node just ``fail()``s."""
         victims = []
         for node in self.network.nodes():
-            if not node.alive:
+            if not node.alive or getattr(node, "never_fails", False):
                 continue
             if spec.locality is not None and (
                 self.locality_of is None

@@ -388,7 +388,7 @@ class ShardedNetwork(Network):
             self.outbox.append(
                 (
                     REPLY,
-                    self.sim.now + self._link_latency(dst, src),
+                    self.sim.now + self.link_latency(dst, src),
                     token[0],
                     token,
                     reply if reply is not None else {},

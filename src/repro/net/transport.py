@@ -170,7 +170,7 @@ class NetworkNode:
         message.request_id = None
         network.messages_sent += 1
         network.kind_counts[kind] += 1
-        # Network._link_latency, inlined (int key, shift = ADDR_SHIFT).
+        # Network.link_latency, inlined (int key, shift = ADDR_SHIFT).
         cache = network._latency_cache
         latency = cache.get((src_addr << 32) | dst)
         if latency is None:
@@ -239,7 +239,7 @@ class NetworkNode:
         request.settled = False
         network.messages_sent += 1
         network.kind_counts[kind] += 1
-        # Network._link_latency, inlined (int key, shift = ADDR_SHIFT).
+        # Network.link_latency, inlined (int key, shift = ADDR_SHIFT).
         cache = network._latency_cache
         latency = cache.get((src_addr << 32) | dst)
         if latency is None:
@@ -286,23 +286,18 @@ class NetworkNode:
         on_give_up: Optional[FailureCallback] = None,
         retries: int = 2,
         rng: Optional["random.Random"] = None,
-        on_release: Optional[FailureCallback] = None,
+        timeout_ms: Optional[float] = None,
     ) -> None:
         """RPC with capped exponential backoff and deterministic jitter.
 
         A single lost request or reply no longer looks like a dead peer:
-        each attempt waits the network's default timeout, and the call is
-        retried up to *retries* times, waiting
+        each attempt waits *timeout_ms* (the network's default timeout
+        when None), and the call is retried up to *retries* times, waiting
         ``min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS *
         RETRY_BACKOFF_FACTOR**attempt)`` scaled by a jitter factor in
         [0.5, 1.0) between attempts.  Only when the whole budget is
         exhausted does *on_give_up* fire -- the moment protocol code may
-        legitimately declare the destination failed.  *on_release* fires
-        when the first retry goes unanswered (with no retry budget, the
-        only attempt), before the ladder goes on: a caller that cannot
-        wait out the whole budget stops waiting there, after one retry
-        had its chance against a lost packet, and leaves the verdict to
-        *on_give_up*.
+        legitimately declare the destination failed.
 
         Jitter draws come from the simulator's dedicated ``"rpc.retry"``
         stream (or *rng*), so runs stay reproducible and unrelated
@@ -317,7 +312,7 @@ class NetworkNode:
         record.body = dict(payload or {})
         record.on_reply = on_reply
         record.on_give_up = on_give_up
-        record.on_release = on_release
+        record.timeout_ms = timeout_ms
         record.retries = retries
         record.rng = rng if rng is not None else self.sim.rng("rpc.retry")
         record.number = 0
@@ -461,7 +456,7 @@ class Network:
         cheaper than building and hashing a tuple on every send/rpc/reply.
         :meth:`register` guarantees every address fits in ``ADDR_SHIFT``
         bits, so the packing never aliases two links.  Fault-injected
-        adjustments are never cached: see :meth:`_link_latency`.
+        adjustments are never cached: see :meth:`link_latency`.
         """
         key = (a << ADDR_SHIFT) | b
         cache = self._latency_cache
@@ -475,7 +470,7 @@ class Network:
         """All registered nodes (fault campaigns iterate this)."""
         return iter(self._nodes.values())
 
-    def _link_latency(self, src: Address, dst: Address) -> float:
+    def link_latency(self, src: Address, dst: Address) -> float:
         """Base latency plus any active fault-injected degradation."""
         base = self.latency(src, dst)
         faults = self.faults
@@ -519,7 +514,7 @@ class Network:
         if message.request_id is not None:
             self.messages_sent += 1
             src = message.src
-            # Network._link_latency, inlined (int key, shift = ADDR_SHIFT).
+            # Network.link_latency, inlined (int key, shift = ADDR_SHIFT).
             cache = self._latency_cache
             latency = cache.get((dst << 32) | src)
             if latency is None:
@@ -722,10 +717,10 @@ class _RetryingRpc:
         "body",
         "on_reply",
         "on_give_up",
-        "on_release",
         "retries",
         "rng",
         "number",
+        "timeout_ms",
         "__weakref__",
     )
 
@@ -735,7 +730,14 @@ class _RetryingRpc:
         src = self.src
         if not src.alive:
             return
-        src.rpc(self.dst, self.kind, dict(self.body), self.on_reply, self.timed_out)
+        src.rpc(
+            self.dst,
+            self.kind,
+            dict(self.body),
+            self.on_reply,
+            self.timed_out,
+            self.timeout_ms,
+        )
 
     def timed_out(self) -> None:
         """Attempt ``number`` went unanswered: back off and retry, or give
@@ -744,8 +746,6 @@ class _RetryingRpc:
         if not src.alive:
             return
         number = self.number
-        if number == min(1, self.retries) and self.on_release is not None:
-            self.on_release()
         if number >= self.retries:
             if self.on_give_up is not None:
                 self.on_give_up()

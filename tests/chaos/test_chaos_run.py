@@ -283,6 +283,30 @@ def test_all_planes_at_once_stay_clean(tmp_path):
     assert stats["transfers_opened"] == stats["transfers_closed"] > 0
 
 
+def test_per_link_timeouts_keep_the_deadline_fifos_few():
+    """Each member query times its directory attempts by its own link,
+    so timeouts take as many values as there are links.  The transport
+    keys a timeout FIFO by value, but a deadline enters one only when its
+    timeout can already win at send: on the e2e ``chaos`` world (P = 240,
+    k = 2, an intensity-1.5 plan, here 3 h of it) the FIFOs stay one per
+    protocol-wide timeout, not one per link."""
+    config = ExperimentConfig.scaled(
+        population=240, duration_hours=3.0, directory_replication_k=2
+    )
+    plan = generate_plan(
+        1,
+        horizon_ms=config.duration_ms,
+        num_localities=config.num_localities,
+        num_websites=config.num_websites,
+        intensity=1.5,
+        population=config.population,
+    )
+    world = build_world("flower", merged_config(config, plan), seed=1)
+    world.run()
+    assert len(world.system.metrics) > 1000
+    assert len(world.network._timeout_fifos) <= 3
+
+
 def test_load_bundle_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"hello": "world"}))

@@ -47,16 +47,16 @@ from tests.conftest import arm_every_deadline_at_send
 
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
 #: Every Flower golden below was re-derived, on purpose and at once, when
-#: a member query began to be released to the origin once its first
-#: retry at its directory goes unanswered (the rest of the retry ladder
-#: runs on detached and only feeds strikes), and a refused D-ring join
-#: stopped following a predecessor at another identifier.  Squirrel never
-#: asks a Flower directory and ignores who won a join, so its golden did
-#: not move.
+#: each attempt of a member query at its directory began to time out
+#: after 6 one-way latencies of the link plus 100 ms (not the network
+#: default), mass failures stopped drawing origin servers, and a spent
+#: search failover chain began to ask D-ring for the slot.  Squirrel
+#: never asks a Flower directory, and its golden scenario has no fault
+#: schedule, so its golden did not move.
 GOLDEN = {
     "flower": (
-        "b97a4094a5d922679ccb149637e8592c862d56d539ac2b50dc4d135dc08cd28e",
-        0.7420758234928527,
+        "b5ba3a2eb5e48e479d15582031c7b03b44da0fc7f49c326089cdd31e37619353",
+        0.729595015576324,
     ),
     "squirrel": (
         "2e834d2f6f1be94f55110f8134efce6585e205f4f63fcdbae2b69fe537afd0d3",
@@ -72,8 +72,8 @@ GOLDEN = {
 #: drops, 16 mass-failure crashes); re-derived since with every golden
 #: (see GOLDEN).
 GOLDEN_FAULTED = (
-    "bafe7d7a7bc69026db9dafffe5b886b65eefabee643ff96b44a224618e7a42a1",
-    0.6635174418604651,
+    "cea50cdbbe8d7149de41bf79d81ce4bd40c0bf7b0de3ef07094bae38019e9111",
+    0.6394328156650911,
 )
 
 #: (stream SHA-256, hit ratio) for GOLDEN_FAULTED's run plus 5 % uniform
@@ -83,8 +83,8 @@ GOLDEN_FAULTED = (
 #: of causes (partition, bursty, uniform) and the one ``loss``-stream draw
 #: per delivery attempt; re-derived since with every golden (see GOLDEN).
 GOLDEN_LOSSY = (
-    "7015e3f6d08c96303db2efc1485c7f3f783aa9e704d0a3b261e78baf655045ab",
-    0.5120606478290833,
+    "ede36f9c57ad8d99ccb1690f7f4aa0ab1f7e8bdf2177567e77e76709dc01dd98",
+    0.516983695652174,
 )
 
 #: (stream SHA-256, answer digest, hit ratio) for the golden scenario
@@ -97,9 +97,9 @@ GOLDEN_LOSSY = (
 #: answering from the index alone gives the same results; re-derived
 #: since with every golden (see GOLDEN).
 GOLDEN_SEARCH = (
-    "95fd9d9981d708ce8d76acd8407027618811717d7995ce05c5ac707c17fd93cd",
-    "bcdea8f170bea932640c2cf5049039a86bf2701712d5b228479512b5965b73c9",
-    0.7685560053981106,
+    "bc389deebb7776e7d5c37235061c5b44330a62ea5286a75234e7256542bc95b9",
+    "65b41c6b8016cd5929651577c26ec13616140c61423f8baba0b59bd52a52fa5c",
+    0.7660581473968898,
 )
 
 #: phase the plan must contain -> (protocol, config overrides,
@@ -120,8 +120,8 @@ GOLDEN_CHAOS = {
         "flower",
         {},
         {},
-        "f26f8e417cc1b842693d5c29e702e163e0631bb4790dde25e25a7ed0e92690cc",
-        0.41465009810333553,
+        "ed6cfc90d8db5e20b8f5b4552e6688b920793c9d258c2e2e5e060cbb10a720c8",
+        0.42071197411003236,
     ),
     "sustained_overload": (
         "petalup",
@@ -134,8 +134,8 @@ GOLDEN_CHAOS = {
             rebalance=True,
         ),
         dict(overload=True),
-        "df1fab594aa4bda1a0562f0c662769ee228618bcb9ea28451d1c1254bf8bca42",
-        0.9454292127873675,
+        "18b1af32b3f15ef2bd91297022d7633da5e7d184acd5f65df293ba8c73ed87d4",
+        0.9459386246662281,
     ),
     "seeder_death": (
         "flower",
@@ -147,8 +147,8 @@ GOLDEN_CHAOS = {
             bandwidth_slow_fraction=0.15,
         ),
         dict(seeder_death=True),
-        "106bbc344c258a23d621b365cc7a2a0c35a78351bb9070fa64aae3127675ba9d",
-        0.34823091247672255,
+        "613862fc21b4e0f6530ecdcabad51bf05af44ac54874d993acc0a4bdbf451019",
+        0.34983498349834985,
     ),
 }
 CHAOS_GOLDEN_BASE = dict(population=120, duration_hours=6.0, directory_replication_k=2)
@@ -408,10 +408,10 @@ def test_same_seed_reruns_are_bit_identical():
 #: unobservable in the results.
 SHARDED_GOLDEN_HIT = 0.28780487804878047
 SHARDED_GOLDEN_FINGERPRINTS = {
-    "0": "eeb0bb290cb1301336914593094396a8d9834f2ee68449c16bcdd16712856826",
-    "1": "6046684ccee1a6b17585c7cf0ca2302ed68fd3d3f105bab25975fefe8b52b91c",
-    "2": "26227a291c670a5c33b409406285cfee2923cf35b55017adfd11e3240bf8c4ae",
-    "3": "42e7fceb787b6b08f29ae629b6f5c480f4ea07d2afee31b3375d4987ea37caa2",
+    "0": "16ac03be3f0ac655b1ae66b1566cdf69596b897683f5bdf9e6b58846c6321eeb",
+    "1": "a355cd751677c8b727765c86fb4c85f71a5237b4c18aa976638b1a25fa0773db",
+    "2": "74e209d12ee0aa36116b014fd9a58e2ad9ef73fec35a8df54c22d79f80d742ba",
+    "3": "300c9b55bd647772eb22a612f7dfb6e45e1ef668fcbb39031591208042a3b351",
 }
 
 

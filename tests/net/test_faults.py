@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdn.server import OriginServer
 from repro.errors import TransportError
 from repro.net.faults import (
     BurstyLossSpec,
@@ -34,12 +35,11 @@ class Recorder(NetworkNode):
         return {"ok": True}
 
 
-def make_world(num_nodes=2, latency=10.0, seed=1):
+def make_world(num_nodes=2, latency=10.0, seed=1, spare=0):
+    """*num_nodes* recorders, and room for *spare* more nodes."""
     sim = Simulator(seed=seed)
-    matrix = [
-        [0.0 if i == j else latency for j in range(num_nodes)]
-        for i in range(num_nodes)
-    ]
+    size = num_nodes + spare
+    matrix = [[0.0 if i == j else latency for j in range(size)] for i in range(size)]
     network = Network(sim, ExplicitTopology(matrix), default_timeout_ms=100.0)
     nodes = [Recorder(network) for __ in range(num_nodes)]
     return sim, network, nodes
@@ -271,15 +271,15 @@ def test_latency_spike_window_delays_delivery():
     assert sum(network.drop_counts.values()) == 0
 
 
-def test_latency_spike_adjusts_link_latency():
+def test_latency_spike_adjustslink_latency():
     sim, network, (a, b) = make_world(latency=10.0)
     controller = FaultController(sim, network)
     controller.apply(
         [LatencySpikeSpec(start_ms=0.0, end_ms=100.0, multiplier=3.0, additive_ms=5.0)]
     )
-    assert network._link_latency(a.address, b.address) == pytest.approx(35.0)
+    assert network.link_latency(a.address, b.address) == pytest.approx(35.0)
     sim.run(until=150.0)  # run() advances the clock past the window
-    assert network._link_latency(a.address, b.address) == pytest.approx(10.0)
+    assert network.link_latency(a.address, b.address) == pytest.approx(10.0)
     assert controller.latency_adjust(a.address, b.address, 10.0) == pytest.approx(10.0)
 
 
@@ -330,6 +330,19 @@ def test_mass_failure_uses_crash_hook_when_available():
     sim.run(until=50.0)
     assert crashed == [True]
     assert all(not n.alive for n in nodes)
+
+
+def test_mass_failure_never_crashes_an_origin_server():
+    """Servers never fail in this model, and nothing would revive one: a
+    population-wide campaign passes them over."""
+    sim, network, nodes = make_world(num_nodes=6, seed=3, spare=2)
+    servers = [OriginServer(network, website) for website in range(2)]
+    controller = FaultController(sim, network)
+    controller.apply([MassFailureSpec(at_ms=10.0, fraction=1.0)])
+    sim.run(until=50.0)
+    assert all(not n.alive for n in nodes)
+    assert all(server.alive for server in servers)
+    assert controller.stats["mass_failures"] == len(nodes)
 
 
 def test_past_due_fault_reschedules_loudly():

@@ -422,10 +422,10 @@ def test_a_finished_call_is_freed_by_refcount(refcount_only, answered):
     refs = []
     rpc = a.rpc
 
-    def spy(dst, kind, payload, on_reply, on_timeout):
+    def spy(dst, kind, payload, on_reply, on_timeout, timeout_ms):
         # The timeout callback is the record's bound method.
         refs.append(weakref.ref(getattr(on_timeout, "__self__", on_timeout)))
-        rpc(dst, kind, payload, on_reply, on_timeout)
+        rpc(dst, kind, payload, on_reply, on_timeout, timeout_ms)
 
     a.rpc = spy
 

@@ -52,12 +52,12 @@ def test_no_aliasing_past_the_old_20_bit_boundary():
     pair_a = (0, 2**20 + 5)
     pair_b = (1, 5)
     assert (pair_a[0] << 20) | pair_a[1] == (pair_b[0] << 20) | pair_b[1]
-    latency_a = network._link_latency(*pair_a)
-    latency_b = network._link_latency(*pair_b)
+    latency_a = network.link_latency(*pair_a)
+    latency_b = network.link_latency(*pair_b)
     assert latency_a != latency_b
     assert len(network._latency_cache) == 2
     # Cache hits return the right entry too.
-    assert network._link_latency(*pair_b) == latency_b
+    assert network.link_latency(*pair_b) == latency_b
 
 
 class _Full(dict):
