@@ -57,6 +57,7 @@ ablations note in bench_ablations.py).
 """
 
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from statistics import median
 from typing import Dict, List, Optional, Tuple
 
@@ -70,12 +71,14 @@ from repro.metrics.report import render_table
 from repro.sim.clock import hours, minutes
 
 POPULATION = 180
-#: ``--quick`` (CI's smoke run): small enough that the five paired seeds
-#: cost about what one seed at 120 peers did.
+#: ``--quick`` (CI's smoke run): small enough that the five paired seeds,
+#: two at a time, take about as long as one seed at 120 peers did.
 QUICK_POPULATION = 60
 SEED = 17
-#: Every arm runs at this many consecutive seeds from ``--seed`` on.
+#: Every arm runs at this many consecutive seeds from ``--seed`` on,
+#: the seeds on this many processes.
 PAIRED_SEEDS = 5
+SEED_WORKERS = 2
 WARM_K = 2
 
 DURATION_HOURS = 6.0
@@ -378,6 +381,18 @@ def _rebalance_table(runs: List[Dict], population: int) -> str:
     )
 
 
+def _run_seed(seed: int, population: int) -> Dict:
+    """The three arms at one seed."""
+    return {
+        "seed": seed,
+        "cold": _run_arm(0, False, population, seed),
+        "warm": _run_arm(WARM_K, True, population, seed),
+        "rebalance": _run_arm(
+            WARM_K, True, population, seed, hints=True, rebalance=True
+        ),
+    }
+
+
 def _paired_median(runs: List[Dict], arm: str, than: str, metric) -> float:
     """The median over seeds of ``metric(run[arm]) - metric(run[than])``."""
     return median(metric(run[arm]) - metric(run[than]) for run in runs)
@@ -394,17 +409,11 @@ def compare(
     holds in the median of their paired differences, since one run of
     this chaotic system is a draw that any change to a shared random
     stream redraws."""
-    runs = [
-        {
-            "seed": run_seed,
-            "cold": _run_arm(0, False, population, run_seed),
-            "warm": _run_arm(WARM_K, True, population, run_seed),
-            "rebalance": _run_arm(
-                WARM_K, True, population, run_seed, hints=True, rebalance=True
-            ),
-        }
-        for run_seed in range(seed, seed + PAIRED_SEEDS)
-    ]
+    seeds = range(seed, seed + PAIRED_SEEDS)
+    # Runs are independent and deterministic, so two processes are exact
+    # and keep the five seeds' wall time near one seed's.
+    with ProcessPoolExecutor(max_workers=SEED_WORKERS) as pool:
+        runs = list(pool.map(_run_seed, seeds, [population] * len(seeds)))
 
     def every(arm: str, holds) -> bool:
         return all(holds(run[arm]) for run in runs)

@@ -231,6 +231,41 @@ class TestSearchFailover:
         bound = staleness_bound_ms(world.system.gossip_period_ms)
         assert 0.0 <= event.payload["staleness_ms"] <= bound
 
+    def test_member_without_a_plan_reaches_the_replica_over_d_ring(self):
+        """A member that never heard a failover plan and knows no
+        petal-mate (it followed the slot after the holder's last reply to
+        it) still reaches a replica once its directory dies: the spent
+        chain ends with a D-ring lookup of the slot, whose ring successor
+        holds a replica."""
+        world = make_failover_world()
+        space = world.system.search_engine.space
+        holder = world.arrive(website=0, locality=0)
+        directory = world.directory_of(0, 0)
+        world.query(holder, (0, 5))
+        client = world.arrive(website=0, locality=0)
+        world.query(client, (0, 9))
+        world.run(minutes(25))  # replicas synced and acknowledged
+        position = client.dir_info.position_id
+        assert client.replica_store.get(position) is None  # not the heir
+        client._search_position = None
+        client._search_replicas = []
+        client._search_members = []
+        for contact in list(client.view.contacts()):
+            client.view.remove(contact.address)
+
+        directory.crash()
+        world.run(minutes(2))  # D-ring drops the dead holder
+        assert client.dir_info.address == directory.address
+        world.sim.trace.record("flower.search_done")
+        keyword = next(iter(space.keywords_of((0, 5))))
+        results = []
+        client.search(keyword, results.append)
+        world.run(minutes(1))
+
+        assert any(key == (0, 5) for key, __ in results[0])
+        (done,) = world.sim.trace.events("flower.search_done")
+        assert done.payload["source"] in ("replica", "takeover")
+
     def test_search_without_failover_state_reports_outage(self):
         """k=0: a dead directory means a sustained, *accounted* outage."""
         params = make_params(directory_replication_k=0)
