@@ -271,7 +271,7 @@ def test_latency_spike_window_delays_delivery():
     assert sum(network.drop_counts.values()) == 0
 
 
-def test_latency_spike_adjustslink_latency():
+def test_latency_spike_adjusts_link_latency():
     sim, network, (a, b) = make_world(latency=10.0)
     controller = FaultController(sim, network)
     controller.apply(
