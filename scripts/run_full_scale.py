@@ -2,8 +2,10 @@
 """Run the paper-scale evaluation (Table 1 parameters, 24 simulated hours).
 
 Produces one JSON file per (protocol, population) pair under ``results/``:
-the Table 2 row metrics, the Figure 3 hit-ratio curve, and the Figure 4 / 5
-latency and distance histograms at the paper's bucket edges.
+the Table 2 row metrics, the Figure 3 hit-ratio curve, the Figure 4 / 5
+latency and distance histograms at the paper's bucket edges, and the
+standard ``extra`` block every run door writes (message and drop counts,
+online peers).
 
 Usage::
 
@@ -22,8 +24,7 @@ import sys
 import time
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_world
-from repro.experiments.results import ExperimentResult
+from repro.experiments.runner import build_world, summarize
 from repro.metrics.distribution import (
     LOOKUP_LATENCY_EDGES,
     TRANSFER_DISTANCE_EDGES,
@@ -37,17 +38,7 @@ def run_one(protocol: str, population: int, seed: int, out_dir: pathlib.Path) ->
     world = build_world(protocol, config, seed=seed)
     world.run()
     metrics = world.system.metrics
-    result = ExperimentResult.from_metrics(
-        protocol=protocol,
-        seed=seed,
-        population=population,
-        duration_hours=config.duration_hours,
-        metrics=metrics,
-        events_executed=world.sim.events_executed,
-        messages_sent=world.network.messages_sent,
-        arrivals=world.churn.arrivals,
-        departures=world.churn.departures,
-    )
+    result = summarize(world, protocol, seed)
     payload = result.to_dict()
     payload["wall_seconds"] = round(time.time() - started, 1)
     payload["fig4_lookup_histogram"] = Distribution(

@@ -303,19 +303,8 @@ class DirectoryRole:
         initial petal view."""
         return [c.address for c in self.members.sample(rng, count)]
 
-    def snapshot(self) -> Dict[str, object]:
-        """Serializable copy of the index + view (voluntary-leave handoff,
-        section 5.2.2)."""
-        return {
-            "version": self.version,
-            "members": [(c.address, c.age) for c in self.members.contacts()],
-            "member_keys": {
-                address: sorted(keys) for address, keys in self.member_keys.items()
-            },
-        }
-
     def adopt_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Install a predecessor's index + view (received at handoff)."""
+        """Install an inherited index + view (a promotion's partition)."""
         inherited = int(snapshot.get("version", 0))
         if inherited > self.version:
             self.version = inherited

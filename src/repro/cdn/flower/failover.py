@@ -171,8 +171,6 @@ class DirectoryReplicator:
                 self.resolve_conflict(
                     reply["holder"], bool(reply.get("registered"))
                 )
-            elif status == "off":
-                self.acked.pop(target, None)
             else:  # "stale": the target holds a *newer* replica than our
                 # state -- we are a version-behind origin (split-brain
                 # loser racing its own demotion).  Stop acknowledging;

@@ -37,7 +37,7 @@ from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.hints import RedirectHints
 from repro.cdn.flower.petal import PetalMember
 from repro.cdn.flower.queries import QueryPaths
-from repro.cdn.flower.replication import ReplicaRecord, ReplicaStore
+from repro.cdn.flower.replication import ReplicaStore
 from repro.cdn.flower.search_client import SearchClient
 from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.swarm_holder import SwarmHolder
@@ -108,8 +108,6 @@ class FlowerPeer(
             "chord.get_state",
             "chord.notify",
             "chord.ping",
-            "chord.successor_hint",
-            "chord.predecessor_hint",
         ):
             cache[kind] = dispatch_chord_component
 
@@ -243,7 +241,7 @@ class FlowerPeer(
         -- notifying earlier would race their pushes against our ring
         join.
         """
-        if self.directory is not None or self._recovering or not self.alive:
+        if self.directory is not None or self._recovering:
             return {"accepted": False}
         payload = message.payload
         params = self.system.params
@@ -263,47 +261,12 @@ class FlowerPeer(
         )
         return {"accepted": True}
 
-    def handle_flower_handoff(self, message: Message) -> None:
-        """Receive a leaving directory's state and take its place."""
-        if self.directory is not None or self._recovering or not self.alive:
-            return
-        payload = message.payload
-        snapshot = payload.get("snapshot")
-        sync = payload.get("sync")
-        if sync is not None and self.system.params.directory_replication_k > 0:
-            # Delta handoff (section 5.3): apply the leaving directory's
-            # delta on top of whatever replica we already hold, then adopt
-            # the reconstructed state as our own starting snapshot.
-            record = self.replica_store.get(sync["position"])
-            if record is None:
-                record = ReplicaRecord(sync, self.sim.now)
-            else:
-                record.apply(sync, self.sim.now)
-            snapshot = record.to_snapshot()
-            self.replica_store.drop(sync["position"])
-        self._begin_directory_role(
-            payload["website"],
-            payload["locality"],
-            payload["instance"],
-            payload["position"],
-            snapshot=snapshot,
-        )
-
-    def leave_directory_gracefully(self) -> None:
-        """Voluntary departure of a directory peer (section 5.2.2); see
-        :meth:`DirectoryService.leave_gracefully`."""
-        if self.service is not None:
-            self.service.leave_gracefully()
-
     # ------------------------------ holding replicas (section 5.3 handlers)
     def handle_flower_replica_sync(self, message: Message) -> Dict[str, Any]:
         """Store (or merge) a directory's replicated state (section 5.3)."""
-        params = self.system.params
-        if params.directory_replication_k < 1 or not self.alive:
-            return {"status": "off"}
         payload = message.payload
         vector = payload.get("load_vector")
-        if vector is not None and params.redirect_hints:
+        if vector is not None:
             self._harvest_load_vector(payload, vector)
         service = self.service
         if service is not None and service.role.position_id == payload["position"]:
@@ -312,8 +275,6 @@ class FlowerPeer(
 
     def handle_flower_replica_fetch(self, message: Message) -> Dict[str, Any]:
         """Hand our stored replica of a position to its new claimant."""
-        if self.system.params.directory_replication_k < 1 or not self.alive:
-            return {"replica": None}
         position = message.payload["position"]
         d = self.directory
         if d is not None and d.position_id == position:
@@ -327,11 +288,6 @@ class FlowerPeer(
         """A demoting claimant hands us its state -- if we still serve
         that slot."""
         service = self.service
-        if (
-            service is None
-            or service.replicator is None
-            or not self.alive
-            or service.role.position_id != message.payload["position"]
-        ):
+        if service is None or service.role.position_id != message.payload["position"]:
             return {"status": "not_directory"}
         return service.replicator.handle_slot_reconcile(message)

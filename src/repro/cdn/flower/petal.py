@@ -240,16 +240,15 @@ class PetalMember:
     def handle_flower_member_shed(self, message: Message) -> None:
         """Our overloaded directory shed us to another instance: re-point
         dir-info at it and re-push so its index reflects our cache."""
-        if self.alive and not self._recovering:
+        if not self._recovering:
             self._redirected(message.payload["position"], message.payload["address"])
 
     def handle_flower_dir_redirect(self, message: Message) -> None:
         """Our directory demoted: re-point at the merge winner and re-push."""
-        if self.system.params.directory_replication_k > 0 and self.alive:
-            info = self.dir_info
-            position = message.payload["position"]
-            if info is None or info.position_id == position:
-                self._redirected(position, message.payload["winner"])
+        info = self.dir_info
+        position = message.payload["position"]
+        if info is None or info.position_id == position:
+            self._redirected(position, message.payload["winner"])
 
     def _redirected(self, position: ChordId, address: Address) -> None:
         """A directory told us to follow *address* instead (no-op when we
@@ -261,8 +260,6 @@ class PetalMember:
 
     def handle_flower_dir_announce(self, message: Message) -> Dict[str, Any]:
         """A (possibly provisional) claimant announced it serves a slot."""
-        if self.system.params.directory_replication_k < 1 or not self.alive:
-            return {}
         payload = message.payload
         position = payload["position"]
         claimant = message.src

@@ -302,7 +302,7 @@ class LoadRelief:
     def handle_member_transfer(self, message: Message) -> Dict[str, Any]:
         """Adopt members an overloaded predecessor instance shed to us."""
         payload = message.payload
-        if not self.peer.alive or self.role.position_id != payload["position"]:
+        if self.role.position_id != payload["position"]:
             return {"ok": False}
         for address, keys in payload["entries"]:
             if address != self.peer.address:

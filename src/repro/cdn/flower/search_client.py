@@ -272,8 +272,6 @@ class SearchClient:
         slot we replicate -- or serve authoritatively when we turned out
         to be the slot's (possibly provisional) directory ourselves."""
         engine = self.system.search_engine
-        if engine is None or not self.alive:
-            return {"status": "off"}
         position = message.payload["position"]
         keyword = message.payload["keyword"]
         service = self.service

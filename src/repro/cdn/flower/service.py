@@ -31,7 +31,6 @@ from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.failover import DirectoryReplicator
 from repro.cdn.flower.petal import DirInfo
 from repro.cdn.flower.relief import LoadRelief
-from repro.cdn.flower.replication import delta_sync_payload, full_sync_payload
 from repro.cdn.flower.search_client import FAILOVER_EXTRA_CANDIDATES
 from repro.dht.node import ChordNode, NodeRef
 from repro.net.message import Message
@@ -195,8 +194,9 @@ class DirectoryService:
         self.begin_serving()
         self.replicator.serve_provisionally()
 
-    def stop(self, graceful: bool = False) -> None:
-        """Stop serving the slot: crash, demotion or (*graceful*) leave."""
+    def stop(self) -> None:
+        """Stop serving the slot: on a crash or a demotion (the
+        reproduction is crash-only, as section 6.1)."""
         peer, role = self.peer, self.role
         if self._sweep_process is not None:
             self._sweep_process.cancel()
@@ -204,10 +204,7 @@ class DirectoryService:
         if self.replicator is not None:
             self.replicator.stop()
         if role.chord is not None:
-            if graceful:
-                role.chord.leave_gracefully()
-            else:
-                role.chord.shutdown()
+            role.chord.shutdown()
             role.chord = None
         self.system.unregister_directory(peer, role)
         peer.directory = None
@@ -215,45 +212,6 @@ class DirectoryService:
         # Our planes point back at us; let go of them so the role's index
         # is freed now, by refcount, not by the cyclic collector.
         self.relief = self.replicator = None
-
-    def leave_gracefully(self) -> None:
-        """Voluntary departure (section 5.2.2): transfer a copy of the view
-        and directory-index to a content peer, which joins D-ring in our
-        place, then leave the ring.
-
-        With replication enabled (section 5.3) the preferred heir is the
-        member that already receives our replica syncs, and the handoff
-        carries only a **delta** against the version it last acknowledged
-        instead of the whole snapshot.
-        """
-        peer, role = self.peer, self.role
-        replicator = self.replicator
-        heir = replicator.member_heir() if replicator is not None else None
-        if heir is None:
-            sample = role.member_sample(peer.rng, 1)
-            heir = sample[0] if sample else None
-        self.stop(graceful=True)
-        if heir is not None:
-            if replicator is None:
-                state = {"snapshot": role.snapshot()}
-            elif heir in replicator.acked:
-                state = {
-                    "sync": delta_sync_payload(
-                        role, peer.address, replicator.acked[heir]
-                    )
-                }
-            else:
-                state = {"sync": full_sync_payload(role, peer.address)}
-            peer.send(
-                heir,
-                "flower.handoff",
-                **state,
-                website=role.website,
-                locality=role.locality,
-                instance=role.instance,
-                position=role.position_id,
-            )
-        self.sim.emit("flower.directory_left", peer=peer.address)
 
     # =====================================================================
     # Query serving (sections 3.2 and 4)

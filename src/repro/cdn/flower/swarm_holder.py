@@ -28,8 +28,6 @@ class SwarmHolder:
     def handle_swarm_manifest(self, message: Message) -> Dict[str, Any]:
         """Name the chunks we hold plus other holders we know of."""
         sizes = self.system.sizes
-        if sizes is None:
-            return {"ok": False}
         key = tuple(message.payload["key"])
         if key in self.store:
             have = list(range(sizes.chunk_count(key)))
@@ -47,8 +45,6 @@ class SwarmHolder:
     def handle_swarm_chunk(self, message: Message) -> Dict[str, Any]:
         """Agree to upload one chunk (payload timing is the caller's flow)."""
         sizes = self.system.sizes
-        if sizes is None:
-            return {"ok": False}
         key = tuple(message.payload["key"])
         chunk = message.payload["chunk"]
         if not 0 <= chunk < sizes.chunk_count(key):
@@ -62,8 +58,6 @@ class SwarmHolder:
     def handle_swarm_place(self, message: Message) -> None:
         """Accept a chunk-replica placement from a full-object holder."""
         sizes = self.system.sizes
-        if sizes is None:
-            return
         key = tuple(message.payload["key"])
         if key in self.store:
             return  # already a full holder; partial state would be noise

@@ -95,7 +95,8 @@ class FlowerSystem(CdnSystem):
         slot[peer.address] = peer
 
     def unregister_directory(self, peer: FlowerPeer, role: DirectoryRole) -> None:
-        """A peer stopped serving *role* (crash, demotion, graceful leave)."""
+        """A peer stopped serving *role*: it crashed or was demoted (the
+        reproduction is crash-only, as section 6.1)."""
         slot = self._directory_registry.get((role.website, role.locality))
         if slot is not None:
             slot.pop(peer.address, None)

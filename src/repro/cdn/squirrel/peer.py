@@ -42,8 +42,6 @@ class SquirrelPeer(BasePeer):
             "chord.get_state",
             "chord.notify",
             "chord.ping",
-            "chord.successor_hint",
-            "chord.predecessor_hint",
         ):
             cache[kind] = dispatch_chord_component
 

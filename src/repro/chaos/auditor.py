@@ -128,9 +128,14 @@ MAX_VIOLATIONS = 25
 #: ``stats`` entries that count one trace kind each: read off the trace's
 #: own counters, not tallied a second time.
 TRACE_COUNTED = {
+    "queries_opened": "cdn.query",
     "stale_completions": "cdn.query_stale",
+    "queries_shed": "flower.query_shed",
+    "hint_hops": "flower.hint_hop",
     "keys_rebalanced": "flower.key_rebalanced",
     "keys_adopted": "flower.key_adopted",
+    "transfers_opened": "swarm.start",
+    "transfer_restarts": "swarm.restart",
     "chunk_retries": "swarm.chunk_retry",
 }
 
@@ -325,7 +330,6 @@ class InvariantAuditor:
     # ------------------------------------------------------- ledger handlers
     def _on_query(self, event: TraceEvent) -> None:
         key = (event.payload["peer"], tuple(event.payload["key"]))
-        self._stats["queries_opened"] += 1
         if key in self._open:
             # A second issue while the first is open would make the done
             # events ambiguous; the query process never does this.
@@ -352,7 +356,6 @@ class InvariantAuditor:
 
     # ------------------------------------------------ I8: shed accounting
     def _on_query_shed(self, event: TraceEvent) -> None:
-        self._stats["queries_shed"] += 1
         raw_key = event.payload.get("key")
         if raw_key is None:
             return  # register-only scan shed: no query ledger entry owed
@@ -377,7 +380,6 @@ class InvariantAuditor:
 
     # --------------------------------------------- I10: hint-hop discipline
     def _on_hint_hop(self, event: TraceEvent) -> None:
-        self._stats["hint_hops"] += 1
         payload = event.payload
         peer = payload["peer"]
         key = (peer, tuple(payload["key"]))
@@ -434,7 +436,6 @@ class InvariantAuditor:
     # ------------------------------------------------ I9: transfer ledger
     def _on_swarm_start(self, event: TraceEvent) -> None:
         key = (event.payload["peer"], tuple(event.payload["key"]))
-        self._stats["transfers_opened"] += 1
         if key in self._transfers:
             # A superseding query aborts (and closes) the old transfer
             # *before* registering the new one, so an open entry here
@@ -476,7 +477,6 @@ class InvariantAuditor:
         entry["bytes"] += int(event.payload["bytes"])
 
     def _on_swarm_restart(self, event: TraceEvent) -> None:
-        self._stats["transfer_restarts"] += 1
         key = (event.payload["peer"], tuple(event.payload["key"]))
         entry = self._transfers.get(key)
         if entry is not None:

@@ -273,7 +273,7 @@ class ChordNode:
         )
 
     def shutdown(self) -> None:
-        """Stop participating (crash or leave).  Safe to call repeatedly."""
+        """Stop participating (crash or demotion).  Safe to call repeatedly."""
         if self._maintenance is not None:
             self._maintenance.cancel()
             self._maintenance = None
@@ -284,18 +284,6 @@ class ChordNode:
         # about to be dropped, and must be freeable by refcount.
         self._handler_cache.clear()
         self.host.sim.emit("chord.shutdown", id=self.node_id)
-
-    def leave_gracefully(self) -> None:
-        """Voluntary departure: hand neighbours to each other, then go."""
-        pred, succ = self.predecessor, self.successor
-        if pred is not None and succ is not None and pred.id != self.node_id:
-            self.host.send(
-                pred.address, "chord.successor_hint", successor=succ
-            )
-            self.host.send(
-                succ.address, "chord.predecessor_hint", predecessor=pred
-            )
-        self.shutdown()
 
     # ------------------------------------------------------------ local data
     def closest_preceding(self, key: ChordId) -> Optional[NodeRef]:
@@ -442,30 +430,6 @@ class ChordNode:
     def handle_chord_ping(self, message: Message) -> Any:
         """Liveness probe (predecessor check): a ring member just acks."""
         return ACK if self.joined else {"id": self.node_id, "joined": False}
-
-    def handle_chord_successor_hint(self, message: Message) -> None:
-        """A gracefully leaving successor points us past itself."""
-        hint = message.payload["successor"]
-        if hint is not None and self.joined and hint.id != self.node_id:
-            leaving = self.successor
-            if leaving is not None:
-                self.note_failed(leaving.id)
-            self.successors = self._merged_successors(hint, self.successors)
-        return None
-
-    def handle_chord_predecessor_hint(self, message: Message) -> None:
-        """A gracefully leaving predecessor points us past itself."""
-        hint = message.payload["predecessor"]
-        if hint is None or not self.joined or hint.id == self.node_id:
-            return None
-        pred = self.predecessor
-        if (
-            pred is None
-            or pred.address == message.src  # sender is our leaving predecessor
-            or self.space.in_open(hint.id, pred.id, self.node_id)
-        ):
-            self.predecessor = hint
-        return None
 
     # ---------------------------------------------------------- maintenance
     def _maintenance_tick(self) -> None:

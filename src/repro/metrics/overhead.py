@@ -26,7 +26,6 @@ _PREFIX_CATEGORIES = (
     ("flower.push", "maintenance"),
     ("flower.dead_provider", "maintenance"),
     ("flower.promote", "maintenance"),
-    ("flower.handoff", "maintenance"),
     ("flower.register", "maintenance"),
     ("flower.query", "query"),
     ("flower.fetch", "query"),

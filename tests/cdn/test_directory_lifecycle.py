@@ -1,10 +1,9 @@
-"""Directory-role lifecycle: voluntary leave, member expiry, re-admission.
+"""Directory-role lifecycle: member expiry and re-admission.
 
-Section 5.2.2's voluntary-departure path (state handoff to a petal
-member that takes the D-ring position) and section 5.1's keepalive /
-expiry interplay (silent members age out after ``MEMBER_EXPIRY_ROUNDS``
-sweeps; contact of any kind -- keepalive, push, query -- resets ages,
-and an expired member is re-admitted transparently by its next query).
+Section 5.1's keepalive / expiry interplay: silent members age out after
+``MEMBER_EXPIRY_ROUNDS`` sweeps; contact of any kind -- keepalive, push,
+query -- resets ages, and an expired member is re-admitted transparently
+by its next query.
 """
 
 from repro.cdn.flower.service import MEMBER_EXPIRY_ROUNDS
@@ -20,93 +19,6 @@ def _register_member(world, website=0, locality=0, key=(0, 5)):
     world.run(seconds(10))  # push lands; index now references the client
     assert directory.directory.has_member(client.address)
     return client, directory
-
-
-class TestGracefulLeave:
-    def test_handoff_preserves_index_and_position(self, flower_world):
-        world = flower_world
-        first, old_dir = _register_member(world, key=(0, 5))
-        second, _ = _register_member(
-            world, locality=first.locality, key=(0, 9)
-        )
-        old_snapshot = old_dir.directory.snapshot()
-        assert old_snapshot["member_keys"]  # index is non-trivial
-
-        old_dir.leave_directory_gracefully()
-        assert old_dir.directory is None
-        world.run(seconds(10))  # handoff message delivers
-
-        new_dir = world.directory_of(0, first.locality)
-        assert new_dir is not None
-        assert new_dir.address != old_dir.address
-        # the heir is drawn from the petal: one of the two members
-        assert new_dir.address in (first.address, second.address)
-        role = new_dir.directory
-        assert role.website == 0 and role.locality == first.locality
-        # the heir drops its *own* snapshot entry (it is the owner now)
-        # but keeps the other member's index pointers
-        other = second if new_dir.address == first.address else first
-        other_key = (0, 9) if other is second else (0, 5)
-        assert role.has_member(other.address)
-        assert other_key in set(role.member_keys.get(other.address, ()))
-
-    def test_heir_answers_searches_right_after_handoff(self, flower_world):
-        """Section 5.4: the heir adopts the predecessor's directory-index
-        from the handoff without deriving a single keyword set, and
-        answers searches from it immediately after promotion."""
-        from repro.cdn.flower.search import KeywordSearchEngine, KeywordSpace
-
-        world = flower_world
-        engine = KeywordSearchEngine(KeywordSpace(num_keywords=8))
-        world.system.search_engine = engine
-        first, old_dir = _register_member(world, key=(0, 5))
-        second, _ = _register_member(
-            world, locality=first.locality, key=(0, 9)
-        )
-
-        derivations = []
-        real_keywords_of = engine.space.keywords_of
-        engine.space.keywords_of = lambda key: (
-            derivations.append(key) or real_keywords_of(key)
-        )
-        try:
-            old_dir.leave_directory_gracefully()
-            world.run(seconds(10))  # handoff message delivers
-        finally:
-            engine.space.keywords_of = real_keywords_of
-
-        new_dir = world.directory_of(0, first.locality)
-        assert new_dir is not None and new_dir.address != old_dir.address
-        # Adopting the index derived nothing.
-        assert derivations == []
-        # The surviving member's keys are searchable through the heir.
-        other = second if new_dir.address == first.address else first
-        other_key = (0, 9) if other is second else (0, 5)
-        keyword = next(iter(real_keywords_of(other_key)))
-        results = []
-        new_dir.search(keyword, results.append)  # local: zero round trips
-        assert any(key == other_key for key, __ in results[0])
-
-    def test_leave_without_members_just_vacates(self, flower_world):
-        world = flower_world
-        directory = world.directory_of(1, 1)
-        directory.leave_directory_gracefully()
-        world.run(seconds(10))
-        # nobody to hand off to: the slot is simply vacant
-        assert world.directory_of(1, 1) is None
-        assert directory.directory is None
-
-    def test_queries_survive_handoff(self, flower_world):
-        """A fresh client in the petal still resolves after the handoff."""
-        world = flower_world
-        client, old_dir = _register_member(world, key=(0, 5))
-        old_dir.leave_directory_gracefully()
-        world.run(seconds(10))
-        newcomer = world.arrive(website=0, locality=client.locality)
-        record = world.query(newcomer, (0, 5))
-        # served, one way or another (directory hit via the inherited
-        # index, or a server miss if the lookup raced the takeover)
-        assert record.outcome in ("hit_directory", "hit_gossip", "miss_server")
 
 
 class TestExpiryKeepaliveInterplay:
@@ -165,12 +77,23 @@ class TestExpiryKeepaliveInterplay:
         }
 
     def test_expiry_sweep_runs_only_while_directory(self, flower_world):
-        """After a graceful leave the old holder sweeps no more."""
+        """A crash ends the role, and the role's expiry sweep with it."""
         world = flower_world
         client, old_dir = _register_member(world)
-        old_dir.leave_directory_gracefully()
-        before = world.system.expired_members
+        sweep = old_dir.service._sweep_process
+        assert sweep.active
+        swept_by_old = []
+        world.sim.trace.subscribe(
+            "flower.member_expired",
+            lambda e: e.payload["directory"] == old_dir.address
+            and swept_by_old.append(e),
+        )
+        old_dir.crash()
+        assert old_dir.directory is None and old_dir.service is None
+        assert not sweep.active
         world.run(minutes(45))
-        # the old holder cannot expire anyone; only the heir's sweep runs
-        assert old_dir.directory is None
-        assert world.system.expired_members >= before
+        # the old holder expires no one; the heir's sweep is a new one
+        assert swept_by_old == []
+        heir = world.directory_of(0, client.locality)
+        assert heir is not None and heir.address != old_dir.address
+        assert heir.service._sweep_process.active

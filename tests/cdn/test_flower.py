@@ -194,24 +194,6 @@ class TestMaintenance:
         replacement = world.directory_of(1, 0)
         assert replacement.directory.website == 1
 
-    def test_graceful_leave_hands_state_to_heir(self, flower_world):
-        world = flower_world
-        client = world.arrive(website=0)
-        world.query(client, (0, 5))
-        world.run(seconds(10))
-        directory = world.directory_of(0, client.locality)
-        directory.leave_directory_gracefully()
-        directory.fail()
-        world.run_until(
-            lambda: world.directory_of(0, client.locality) is not None,
-            horizon_ms=minutes(10),
-        )
-        heir = world.directory_of(0, client.locality)
-        assert heir.address == client.address
-        assert heir.directory.providers_of((0, 5)) == set() or (
-            heir.directory.has_member(client.address) is False
-        )
-
 
 class TestNonActiveWebsites:
     def test_non_active_peer_registers_without_querying(self):

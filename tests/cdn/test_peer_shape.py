@@ -151,8 +151,6 @@ ROLE_LESS_REPLIES = {
     "chord.get_state": {},
     "chord.notify": {},
     "chord.ping": {},
-    "chord.successor_hint": {},
-    "chord.predecessor_hint": {},
 }
 
 
@@ -167,7 +165,7 @@ def test_on_message_and_delivery_reach_the_same_handler(system_cls):
     registered = dict(peer._handler_cache)
     assert set(ROLE_LESS_REPLIES) <= set(registered)
     assert ("gossip.shuffle" in registered) == (system_cls is FlowerSystem)
-    # The five component kinds share one bound method, not one each.
+    # The three component kinds share one bound method, not one each.
     component_kinds = [k for k, reply in ROLE_LESS_REPLIES.items() if reply == {}]
     assert len({id(registered[kind]) for kind in component_kinds}) == 1
     for kind, handler in registered.items():

@@ -4,7 +4,7 @@ Unit tests pin the versioning contract (journal, full/delta payloads,
 the :class:`ReplicaStore` acceptance rules, per-entry merge dominance);
 world tests drive the protocol end to end: periodic syncs landing on the
 member heir, a crash replacement winning the section 5.2 race *warm*,
-the graceful-leave delta handoff, and the split-brain reconciliation in
+and the split-brain reconciliation in
 which a provisional claimant merges into the ring-registered holder and
 demotes (invariants I2/I4).
 """
@@ -249,33 +249,6 @@ class TestWarmTakeover:
         for event in adopted:
             assert event.payload["staleness_ms"] >= 0.0
         assert any(e.payload["adopted"] > 0 for e in adopted)
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: graceful leave hands a delta to the acked heir
-# ---------------------------------------------------------------------------
-
-class TestGracefulLeaveWithReplication:
-    def test_heir_is_the_replica_target_and_keeps_the_index(self):
-        world = replication_world()
-        first, old_dir = _register(world, key=(0, 5))
-        second, _ = _register(world, key=(0, 9))
-        world.run(minutes(25))  # heir has acknowledged at least one sync
-        heir_address = min(first.address, second.address)
-
-        old_dir.leave_directory_gracefully()
-        assert old_dir.service is None  # replicator detached with the role
-        world.run(seconds(30))
-
-        new_dir = world.directory_of(0, 0)
-        assert new_dir is not None
-        assert new_dir.address == heir_address
-        role = new_dir.directory
-        other = second if heir_address == first.address else first
-        other_key = (0, 9) if other is second else (0, 5)
-        assert role.has_member(other.address)
-        assert other_key in set(role.member_keys.get(other.address, ()))
-        assert role.version > 0  # inherited journal, not a cold start
 
 
 # ---------------------------------------------------------------------------

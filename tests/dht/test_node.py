@@ -253,15 +253,6 @@ class TestStabilizationUnderChurn:
         world.sim.run(until=minutes(3))
         assert hosts[1].chord.predecessor is None or hosts[1].chord.predecessor.id != 0
 
-    def test_graceful_leave_hints_neighbours(self):
-        world = ChordWorld(seed=12)
-        hosts = world.warm_ring([0, 10000, 20000])
-        hosts[1].chord.leave_gracefully()
-        hosts[1].alive = False
-        world.sim.run(until=seconds(10))
-        assert hosts[0].chord.successor.id == 20000
-        assert hosts[2].chord.predecessor.id == 0
-
     def test_shutdown_idempotent(self):
         world = ChordWorld()
         (host,) = world.warm_ring([5])

@@ -392,6 +392,36 @@ def test_swarming_off_matches_the_golden_stream():
     assert hit_ratio == golden_hit
 
 
+#: message kinds only a live plane sends -> the config switch of that plane.
+PLANE_KINDS = {
+    "flower.replica_": "directory_replication_k",
+    "flower.dir_announce": "directory_replication_k",
+    "flower.dir_redirect": "directory_replication_k",
+    "flower.slot_reconcile": "directory_replication_k",
+    "flower.search_replica": "search_keywords",
+    "swarm.": "swarming",
+}
+
+
+@pytest.mark.parametrize("replication_k", [0, 2])
+def test_a_plane_that_is_off_sends_nothing(replication_k):
+    """The handlers of these kinds do not re-check their plane's switch:
+    the sender is the plane itself, so with the plane off no such message
+    exists.  Replication is on in the second world, to show the count
+    would see its traffic."""
+    config = golden_config().replace(
+        duration_hours=2.0, directory_replication_k=replication_k
+    )
+    world = build_world("flower", config, SEED)
+    world.run()
+    sent = world.network.kind_counts
+    for prefix, switch in PLANE_KINDS.items():
+        kinds = [kind for kind in sent if kind.startswith(prefix)]
+        if not getattr(config, switch):
+            assert kinds == [], (switch, kinds)
+    assert (sent["flower.replica_sync"] > 0) == (replication_k > 0)
+
+
 @pytest.mark.slow
 def test_same_seed_reruns_are_bit_identical():
     """Two fresh worlds from the same seed produce the same stream."""

@@ -7,7 +7,7 @@ def test_classification_covers_every_protocol_kind():
     maintenance = [
         "chord.route", "chord.get_state", "chord.notify",
         "chord.ping", "gossip.shuffle", "flower.keepalive", "flower.push",
-        "flower.dead_provider", "flower.promote", "flower.handoff",
+        "flower.dead_provider", "flower.promote",
         "squirrel.dead",
     ]
     query = [

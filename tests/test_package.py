@@ -135,14 +135,13 @@ def test_a_world_loads_only_what_it_runs(protocol, absent, max_lines):
 
 #: Ceiling on ``ast.stmt`` nodes under ``src/repro`` -- the statement
 #: count every simplification is measured by.  A change that needs more
-#: raises it in its own diff and says why.  8 222 -> 8 215: timing a
-#: member query's directory attempts by the link's latency made the
-#: release of a query from its retry ladder unneeded, and deleting it
-#: (the ``retrying_rpc`` hook, ``QueryPaths._released_query``, the
-#: ``DirInfo.unanswered`` count and the push hold) and three dead
-#: ``alive`` guards in the search client paid for the D-ring step that
-#: ends a spent search failover chain.
-SRC_STATEMENT_BUDGET = 8_215
+#: raises it in its own diff and says why.  8 215 -> 8 125: the
+#: reproduction is crash-only, as the paper's section 6.1, so voluntary
+#: leave (the directory handoff, Chord's neighbour hints) went; so did
+#: the handler guards against a dead receiver or a plane that is off,
+#: which the transport and the sender already rule out, and the
+#: replicator's branch for the ``"off"`` reply only such a guard sent.
+SRC_STATEMENT_BUDGET = 8_125
 
 
 def test_src_stays_within_its_statement_budget():
@@ -155,19 +154,35 @@ def test_src_stays_within_its_statement_budget():
     assert statements <= SRC_STATEMENT_BUDGET, statements
 
 
+#: Modules of ``src/repro`` that were over :data:`MODULE_LINE_CAP` when the
+#: cap was extended from ``cdn/flower`` to the whole package, at their line
+#: counts then.  A ceiling may only fall; a module under the cap leaves
+#: this table.
+MODULE_LINE_CAP = 700
+MODULE_LINE_CEILINGS = {
+    "chaos/auditor.py": 999,
+    "dht/node.py": 855,
+    "net/transport.py": 761,
+}
+
+
 def test_no_flower_module_outgrows_its_role():
-    """``cdn/flower`` is one module per role/plane; a file past 700 lines
-    is a second role hiding in the first (``peer.py`` once held 3075)."""
-    from pathlib import Path
-
-    import repro.cdn.flower
-
-    package = Path(repro.cdn.flower.__file__).parent
+    """A module past 700 lines is a second role hiding in the first
+    (``cdn/flower/peer.py`` once held 3075).  The cap began with
+    ``cdn/flower`` and now covers all of ``src/repro``; the modules that
+    were already over it hold their ceilings."""
+    root = Path(repro.__file__).parent
     lengths = {
-        path.name: len(path.read_text().splitlines())
-        for path in package.glob("*.py")
+        str(path.relative_to(root)): len(path.read_text().splitlines())
+        for path in root.rglob("*.py")
     }
-    assert lengths and max(lengths.values()) <= 700, lengths
+    over = {
+        name: length
+        for name, length in lengths.items()
+        if length > MODULE_LINE_CEILINGS.get(name, MODULE_LINE_CAP)
+    }
+    assert lengths and over == {}, over
+    assert all(lengths[name] > MODULE_LINE_CAP for name in MODULE_LINE_CEILINGS)
 
 
 def _sources(*subpackages):
@@ -183,11 +198,18 @@ def _sources(*subpackages):
 
 def test_a_run_is_summarised_in_one_place():
     """``ExperimentResult.from_metrics(`` is called by the world summary
-    and by the shard merge, nowhere else (five hand-rolled ``extra`` blocks
-    once disagreed about which planes to report)."""
+    and by the shard merge, nowhere else -- not in the package, nor in a
+    script, benchmark or example (five hand-rolled ``extra`` blocks once
+    disagreed about which planes to report)."""
+    repo = Path(__file__).resolve().parents[1]
+    run_doors = {
+        str(path.relative_to(repo)): path.read_text()
+        for sub in ("scripts", "benchmarks", "examples")
+        for path in (repo / sub).rglob("*.py")
+    }
     callers = {
         name: text.count("ExperimentResult.from_metrics(")
-        for name, text in _sources("").items()
+        for name, text in {**_sources(""), **run_doors}.items()
     }
     callers = {name: count for name, count in callers.items() if count}
     assert sum(callers.values()) <= 2, callers

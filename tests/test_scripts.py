@@ -18,7 +18,8 @@ def load_script(name):
 
 
 def test_run_full_scale_run_one(tmp_path, monkeypatch):
-    """run_one must produce a JSON file with the figure histograms."""
+    """run_one must produce a JSON file with the figure histograms and the
+    standard ``extra`` block of every other run door."""
     module = load_script("run_full_scale")
     # shrink the configuration drastically for the test
     from repro.experiments.config import ExperimentConfig
@@ -43,6 +44,8 @@ def test_run_full_scale_run_one(tmp_path, monkeypatch):
     assert "fig4_lookup_histogram" in stored
     assert "fig5_transfer_histogram" in stored
     assert payload["queries"] == stored["queries"]
+    assert stored["extra"]["message_counts"]["flower.query"] > 0
+    assert {"online_peers", "drop_counts"} <= set(stored["extra"])
 
 
 def test_render_experiments_handles_missing_results(tmp_path, monkeypatch, capsys):
