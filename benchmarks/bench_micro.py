@@ -2,7 +2,7 @@
 
 These are classic pytest-benchmark loops over the hot inner operations of
 the simulation: the event engine, Chord lookups on a warm ring, a Cyclon
-shuffle round, Zipf sampling and the topology's latency metric.  They guard
+shuffle round and the topology's latency metric.  They guard
 against performance regressions that would make paper-scale runs (tens of
 millions of events) impractical.
 """
@@ -12,7 +12,6 @@ import random
 from repro.dht.ring import RingParams
 from repro.net.topology import ClusteredTopology
 from repro.sim.engine import Simulator
-from repro.workload.zipf import ZipfSampler
 
 from tests.dht.conftest import ChordWorld
 
@@ -53,12 +52,6 @@ def test_chord_lookup_warm_ring(benchmark):
 
     result = benchmark(run)
     assert result.ok
-
-
-def test_zipf_sampling(benchmark):
-    sampler = ZipfSampler(500, 0.8)
-    rng = random.Random(1)
-    benchmark(lambda: sampler.sample_many(rng, 1000))
 
 
 def test_topology_latency_metric(benchmark):

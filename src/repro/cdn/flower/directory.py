@@ -305,9 +305,6 @@ class DirectoryRole:
 
     def adopt_snapshot(self, snapshot: Dict[str, object]) -> None:
         """Install an inherited index + view (a promotion's partition)."""
-        inherited = int(snapshot.get("version", 0))
-        if inherited > self.version:
-            self.version = inherited
         for address, age in snapshot.get("members", []):
             if address != self.owner_address:
                 self.members.add(Contact(address, age))

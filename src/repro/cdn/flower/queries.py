@@ -8,8 +8,10 @@
   petal as a content peer;
 - a **content peer** "does not use D-ring anymore": it answers from its own
   store, then from gossip-learnt content summaries (fetching from the
-  closest summarised holder), then by asking its directory peer, and only
-  then falls back to the origin web server;
+  closest summarised holder), then by asking its directory peer (and
+  fetching from the provider it names, or from one backup holder when
+  that provider is dead), and only then falls back to the origin web
+  server; every fetch and directory attempt is timed by its own link;
 - a **directory peer** answers its own queries from its index.
 
 Overload extensions ride the content-peer path: a shed request follows
@@ -137,7 +139,14 @@ class QueryPaths:
             self._drop_contact(provider)
             self._try_summary_fetch(key, candidates[1:], started_at, attempt + 1)
 
-        self.rpc(provider, "flower.fetch", {"key": key}, on_reply, on_timeout)
+        self.rpc(
+            provider,
+            "flower.fetch",
+            {"key": key},
+            on_reply,
+            on_timeout,
+            timeout_ms=self._link_timeout_ms(provider),
+        )
 
     def _ask_directory(
         self, key: ObjectKey, started_at: float, preroute: bool = True
@@ -185,22 +194,27 @@ class QueryPaths:
             self._on_directory_strike(info)
             self._fetch_from_server(key, "miss_failed", started_at)
 
-        # Directory links stay inside the petal, so an attempt timed by the
-        # link's own latency detects a dead directory in a few hundred ms
-        # (section 5.2: one timeout) where the network default waits out
-        # the slowest link of the whole topology.
-        latency = self.network.link_latency(self.address, info.address)
-        timeout_ms = min(
-            self.network.default_timeout_ms,
-            QUERY_TIMEOUT_LATENCIES * latency + QUERY_TIMEOUT_SLACK_MS,
-        )
         self._directory_rpc(
             info,
             "flower.query",
             {"key": key, "member": True},
             on_reply,
             on_give_up,
-            timeout_ms=timeout_ms,
+            timeout_ms=self._link_timeout_ms(info.address),
+        )
+
+    def _link_timeout_ms(self, address: Address) -> float:
+        """How long one query RPC to *address* waits for its answer.
+
+        A query's directory and providers sit inside the petal or close
+        by, so an attempt timed by the link's own latency detects a dead
+        peer in a few hundred ms (section 5.2: one timeout) where the
+        network default waits out the slowest link of the whole topology.
+        """
+        return min(
+            self.network.default_timeout_ms,
+            QUERY_TIMEOUT_LATENCIES * self.network.link_latency(self.address, address)
+            + QUERY_TIMEOUT_SLACK_MS,
         )
 
     def _after_queue_wait(
@@ -379,11 +393,19 @@ class QueryPaths:
             ).start()
             return
 
+        def fall_back() -> None:
+            # One backup holder the directory named, then the origin: a
+            # dead or pruned provider costs a second fetch, not a miss.
+            if sources:
+                self._fetch_provider(key, sources[0], outcome, started_at, hops)
+            else:
+                self._fetch_from_server(key, "miss_failed", started_at, hops)
+
         def on_reply(payload: Dict[str, Any]) -> None:
             if payload.get("ok"):
                 self._finish_query(key, outcome, provider, started_at, hops)
             else:
-                self._fetch_from_server(key, "miss_failed", started_at, hops)
+                fall_back()
 
         def on_timeout() -> None:
             self._drop_contact(provider)
@@ -391,9 +413,16 @@ class QueryPaths:
             # before the next expiry sweep notices.
             if self.dir_info is not None:
                 self.send(self.dir_info.address, "flower.dead_provider", dead=provider)
-            self._fetch_from_server(key, "miss_failed", started_at, hops)
+            fall_back()
 
-        self.rpc(provider, "flower.fetch", {"key": key}, on_reply, on_timeout)
+        self.rpc(
+            provider,
+            "flower.fetch",
+            {"key": key},
+            on_reply,
+            on_timeout,
+            timeout_ms=self._link_timeout_ms(provider),
+        )
 
     # --------------------------------------------------- new-client D-ring
     def _scan_dring(
@@ -511,17 +540,17 @@ class QueryPaths:
         started_at: Optional[float],
         tries: int,
     ) -> None:
+        if key is not None:
+            # The query does not wait out a rescan: it goes to the origin
+            # now and the registration goes on without it.
+            self._fetch_from_server(key, "miss_failed", started_at)
+            self._registering = True
         if tries + 1 < _MAX_SCAN_TRIES:
             self.sim.schedule(
-                SCAN_RETRY_DELAY_MS,
-                self._scan_dring,
-                key,
-                started_at,
-                0,
-                tries + 1,
+                SCAN_RETRY_DELAY_MS, self._scan_dring, None, None, 0, tries + 1
             )
         else:
-            self._scan_failed(key, started_at)
+            self._scan_failed(None, None)
 
     def _scan_failed(self, key: Optional[ObjectKey], started_at: Optional[float]) -> None:
         self._registering = False
@@ -539,10 +568,6 @@ class QueryPaths:
         """Join the petal: harvest the reply, seed the view, follow the
         directory that registered us."""
         self._registering = False
-        position = reply.get("dir_position")
-        address = reply.get("dir_address")
-        if position is None or address is None:
-            return
         if self.directory is not None:
             return  # we became a directory in the meantime
         self._harvest_search_replicas(reply)
@@ -550,10 +575,9 @@ class QueryPaths:
         for contact_address in reply.get("view_sample", []):
             if contact_address != self.address:
                 self.view.add(Contact(contact_address, age=0))
-        self.sim.emit(
-            "flower.joined_petal", peer=self.address, position=position
-        )
-        self._follow_directory(DirInfo(position, address))
+        position = reply["dir_position"]
+        self.sim.emit("flower.joined_petal", peer=self.address, position=position)
+        self._follow_directory(DirInfo(position, reply["dir_address"]))
 
     def _register_with_petal(self) -> None:
         """Bare registration (no query): non-active arrivals and re-joins."""

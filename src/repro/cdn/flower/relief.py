@@ -197,7 +197,6 @@ class LoadRelief:
         if partition:
             ages = {c.address: c.age for c in d.members.contacts()}
             payload["partition"] = {
-                "version": 0,
                 "members": [(member, ages.get(member, 0)) for member in partition],
                 "member_keys": {
                     member: sorted(d.member_keys.get(member, ()))

@@ -74,9 +74,12 @@ class DirectoryService:
     # =====================================================================
     # Lifecycle: join the ring, start serving, stop serving
     # =====================================================================
-    def join_ring(self, snapshot: Optional[Dict[str, Any]] = None) -> None:
+    def join_ring(
+        self, snapshot: Optional[Dict[str, Any]] = None, retry: bool = True
+    ) -> None:
         """Try to join D-ring at the slot's position; only the first
-        joiner wins (section 5.2.2)."""
+        joiner wins (section 5.2.2).  With *retry*, a failed lookup is
+        tried once more before the slot is served provisionally."""
         peer, role = self.peer, self.role
         peer._recovering = True
         role.chord = ChordNode(peer, self.system.ring, role.position_id)
@@ -86,26 +89,34 @@ class DirectoryService:
 
         def on_failed(reason: str, holder: Optional[NodeRef]) -> None:
             peer._recovering = False
-            self.shed_notices = ()
             role.chord.shutdown()
             role.chord = None
+            provisional = (
+                reason == "lookup"
+                and peer.alive
+                and self.system.params.directory_replication_k > 0
+                and peer.directory is None
+            )
             if holder is not None and peer.alive:
                 # Someone else integrated first: adopt them (section 5.2.2)
                 # and hand them our content by pushing.
                 peer._follow_directory(
                     DirInfo(role.position_id, holder.address), forgive=False
                 )
-            elif (
-                reason == "lookup"
-                and peer.alive
-                and self.system.params.directory_replication_k > 0
-                and peer.directory is None
-            ):
-                # D-ring is unreachable -- most likely we sit on the minority
-                # side of a partition.  Serve the petal *provisionally*
-                # (seeded from any replica we hold) and keep retrying the
-                # integration; the reconciliation protocol resolves any
-                # split-brain claim once the partition heals (section 5.3).
+            elif provisional and retry:
+                # One dead hop on the route fails a lookup as surely as a
+                # partition does: ask again from a fresh bootstrap before
+                # claiming the slot without the ring, or we would serve
+                # beside the live holder the failed route hid from us.
+                self.join_ring(retry=False)
+            elif provisional:
+                # D-ring is unreachable twice over -- most likely we sit on
+                # the minority side of a partition.  Serve the petal
+                # *provisionally* (seeded from any replica we hold) and keep
+                # retrying the integration; the reconciliation protocol
+                # resolves any split-brain claim once the partition heals
+                # (section 5.3).  A provisional claim sends no shed notices.
+                self.shed_notices = ()
                 self.serve_provisionally()
             self.sim.emit(
                 "flower.directory_join_failed", peer=peer.address, reason=reason
@@ -355,18 +366,13 @@ class DirectoryService:
     def provider_hints(
         self, key: ObjectKey, exclude: Set[Address]
     ) -> Optional[List[Address]]:
-        """Extra full-object holders for a swarming downloader, or None.
-
-        Only computed (and only shipped on the wire) when swarming is on,
-        so paper-faithful replies stay byte-identical.
-        """
-        params = self.system.params
-        if not params.swarming:
-            return None
+        """Other indexed holders of *key*, or None: a plain fetch's backup
+        when the named provider is dead, a swarming downloader's extra
+        sources."""
         others = self.role.providers_of(key) - exclude
         if not others:
             return None
-        return sorted(others)[: params.swarm_sources]
+        return sorted(others)[: self.system.params.swarm_sources]
 
     def registration_payload(self, joiner: Address) -> Dict[str, Any]:
         """What a registering client needs to join the petal: dir-info

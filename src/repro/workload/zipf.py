@@ -57,10 +57,5 @@ class ZipfSampler:
         """One Zipf-distributed rank."""
         return bisect_left(self._cumulative, rng.random())
 
-    def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        cumulative = self._cumulative
-        uniform = rng.random
-        return [bisect_left(cumulative, uniform()) for _ in range(count)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfSampler(n={self.n}, alpha={self.exponent})"

@@ -111,7 +111,6 @@ def test_member_sample():
 def test_snapshot_roundtrip():
     # The snapshot form a promotion's partition carries (section 5.3).
     snapshot = {
-        "version": 3,
         "members": [(5, 0), (6, 1)],
         "member_keys": {5: [(0, 1), (0, 2)], 6: [(0, 2)]},
     }
@@ -120,11 +119,10 @@ def test_snapshot_roundtrip():
     assert heir.has_member(5) and heir.has_member(6)
     assert heir.providers_of((0, 2)) == {5, 6}
     assert heir.providers_of((0, 1)) == {5}
-    assert heir.version >= 3
 
 
 def test_adopt_snapshot_skips_self():
-    snapshot = {"version": 1, "members": [(77, 0)], "member_keys": {77: [(0, 1)]}}
+    snapshot = {"members": [(77, 0)], "member_keys": {77: [(0, 1)]}}
     heir = DirectoryRole(77, 0, 1, 0, 1234)
     heir.adopt_snapshot(snapshot)
     assert not heir.has_member(77)

@@ -307,6 +307,39 @@ def test_per_link_timeouts_keep_the_deadline_fifos_few():
     assert len(world.network._timeout_fifos) <= 3
 
 
+def test_a_lookup_failure_does_not_make_a_second_directory():
+    """A dead hop fails a D-ring lookup as surely as a partition does.
+    On the e2e ``chaos`` configuration at P = 400 (seed 1), two peers
+    once failed their joins at slot (6, 1, 0) with reason ``lookup``
+    while peer 228 had held the slot's ring position since 29 541 s, and
+    both served it provisionally: the audits at 29 400 s and 30 000 s each
+    saw more than one holder (``duplicate_directory``).  A join retries the lookup once from a fresh bootstrap
+    before it serves without the ring."""
+    config = ExperimentConfig.scaled(
+        population=400, duration_hours=24.0, directory_replication_k=2
+    )
+    plan = generate_plan(
+        1,
+        horizon_ms=config.duration_ms,
+        num_localities=config.num_localities,
+        num_websites=config.num_websites,
+        intensity=1.5,
+        population=config.population,
+    )
+    plan = ChaosPlan(
+        name=plan.name,
+        chaos_seed=plan.chaos_seed,
+        horizon_ms=30_060_000.0,
+        faults=plan.faults,
+        phases=plan.phases,
+    )
+    report = run_chaos(
+        "flower", config, plan, seed=1, results_dir=None, halt_on_violation=True
+    )
+    assert [v.kind for v in report.violations] == []
+    assert report.stats["audits"] >= 50
+
+
 def test_load_bundle_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"hello": "world"}))

@@ -47,16 +47,18 @@ from tests.conftest import arm_every_deadline_at_send
 
 #: protocol -> (stream SHA-256, hit ratio) for GOLDEN_CONFIG at seed 1.
 #: Every Flower golden below was re-derived, on purpose and at once, when
-#: each attempt of a member query at its directory began to time out
-#: after 6 one-way latencies of the link plus 100 ms (not the network
-#: default), mass failures stopped drawing origin servers, and a spent
-#: search failover chain began to ask D-ring for the slot.  Squirrel
-#: never asks a Flower directory, and its golden scenario has no fault
-#: schedule, so its golden did not move.
+#: every ``flower.fetch`` of a query began to time out after 6 one-way
+#: latencies of its link plus 100 ms (as a member query's directory
+#: attempts already did), a provider answer began to name backup holders
+#: with swarming off and a failed plain fetch to try the first of them,
+#: a new client's turned-away scan began to send its query to the origin
+#: at once, and a ring join failing on its lookup began to retry once
+#: before serving provisionally.  Squirrel never asks a Flower directory,
+#: so its golden did not move.
 GOLDEN = {
     "flower": (
-        "b5ba3a2eb5e48e479d15582031c7b03b44da0fc7f49c326089cdd31e37619353",
-        0.729595015576324,
+        "6fed7a0585b6ea4fe7c1dd0c8fdf80c5162af1eb8ed60ddcf5671ff7e39ffe68",
+        0.7775700934579439,
     ),
     "squirrel": (
         "2e834d2f6f1be94f55110f8134efce6585e205f4f63fcdbae2b69fe537afd0d3",
@@ -72,8 +74,8 @@ GOLDEN = {
 #: drops, 16 mass-failure crashes); re-derived since with every golden
 #: (see GOLDEN).
 GOLDEN_FAULTED = (
-    "cea50cdbbe8d7149de41bf79d81ce4bd40c0bf7b0de3ef07094bae38019e9111",
-    0.6394328156650911,
+    "fd818d1a59b7d220c8f755eaedc4993ccb10123b7eca8ce878a34fbc85c9d567",
+    0.6788321167883211,
 )
 
 #: (stream SHA-256, hit ratio) for GOLDEN_FAULTED's run plus 5 % uniform
@@ -83,8 +85,8 @@ GOLDEN_FAULTED = (
 #: of causes (partition, bursty, uniform) and the one ``loss``-stream draw
 #: per delivery attempt; re-derived since with every golden (see GOLDEN).
 GOLDEN_LOSSY = (
-    "ede36f9c57ad8d99ccb1690f7f4aa0ab1f7e8bdf2177567e77e76709dc01dd98",
-    0.516983695652174,
+    "26633373b2f47eb67ca0bf064bc88d9de36789ce895e43c61e5c9fcdb009293d",
+    0.5566231983527797,
 )
 
 #: (stream SHA-256, answer digest, hit ratio) for the golden scenario
@@ -97,9 +99,9 @@ GOLDEN_LOSSY = (
 #: answering from the index alone gives the same results; re-derived
 #: since with every golden (see GOLDEN).
 GOLDEN_SEARCH = (
-    "bc389deebb7776e7d5c37235061c5b44330a62ea5286a75234e7256542bc95b9",
-    "65b41c6b8016cd5929651577c26ec13616140c61423f8baba0b59bd52a52fa5c",
-    0.7660581473968898,
+    "e9de9c3a8bf412c37b2ae63289e50fe67c657d84dd7a8b0dfe4630faf3e8bd91",
+    "ee8bdccc8e7d4b1863fc0bf38495f90d506d2017a7618a2c10cb0a6bbacada42",
+    0.7970430107526881,
 )
 
 #: phase the plan must contain -> (protocol, config overrides,
@@ -120,8 +122,8 @@ GOLDEN_CHAOS = {
         "flower",
         {},
         {},
-        "ed6cfc90d8db5e20b8f5b4552e6688b920793c9d258c2e2e5e060cbb10a720c8",
-        0.42071197411003236,
+        "35f9f4d268c53c36a55e32dcc03d9a351c7f789bc3e2e31cbc3b65b99a2de7f5",
+        0.42115509409474366,
     ),
     "sustained_overload": (
         "petalup",
@@ -134,8 +136,8 @@ GOLDEN_CHAOS = {
             rebalance=True,
         ),
         dict(overload=True),
-        "18b1af32b3f15ef2bd91297022d7633da5e7d184acd5f65df293ba8c73ed87d4",
-        0.9459386246662281,
+        "6e6709d86709faa528fdc78e17ef69a9384a969d20ef054436e506cd813a477d",
+        0.9467858663260962,
     ),
     "seeder_death": (
         "flower",
@@ -147,8 +149,8 @@ GOLDEN_CHAOS = {
             bandwidth_slow_fraction=0.15,
         ),
         dict(seeder_death=True),
-        "613862fc21b4e0f6530ecdcabad51bf05af44ac54874d993acc0a4bdbf451019",
-        0.34983498349834985,
+        "adbacabe4dab072d2dd3d00580d3149f4e71c66f1eacf54010bfa4f2123f293d",
+        0.36182572614107883,
     ),
 }
 CHAOS_GOLDEN_BASE = dict(population=120, duration_hours=6.0, directory_replication_k=2)
@@ -368,9 +370,10 @@ def test_swarming_off_matches_the_golden_stream():
     The swarming extension (object sizes, chunked multi-source
     transfers, the fair-share bandwidth model) is gated on ``swarming``
     and ``bandwidth_kbps > 0``: with both off no size model is
-    installed, no bandwidth model attaches to the network, no flow or
-    swarm event is ever scheduled, and provider replies carry no extra
-    hints.  Varying every harmless swarm knob with the gates closed must
+    installed, no bandwidth model attaches to the network, and no flow or
+    swarm event is ever scheduled.  ``swarm_sources`` still caps the
+    backup holders a provider answer names, but a plain fetch reads only
+    the first.  Varying every harmless swarm knob with the gates closed must
     reproduce the exact pinned fingerprint; if this test moves, some
     swarming code leaked outside its gate.
     """
@@ -436,12 +439,12 @@ def test_same_seed_reruns_are_bit_identical():
 #: below, seed 1, 4 shards; the invariance tests require workers=2 and 4 to
 #: reproduce these exact hashes, which is what makes the worker count
 #: unobservable in the results.
-SHARDED_GOLDEN_HIT = 0.28780487804878047
+SHARDED_GOLDEN_HIT = 0.3024390243902439
 SHARDED_GOLDEN_FINGERPRINTS = {
-    "0": "16ac03be3f0ac655b1ae66b1566cdf69596b897683f5bdf9e6b58846c6321eeb",
-    "1": "a355cd751677c8b727765c86fb4c85f71a5237b4c18aa976638b1a25fa0773db",
-    "2": "74e209d12ee0aa36116b014fd9a58e2ad9ef73fec35a8df54c22d79f80d742ba",
-    "3": "300c9b55bd647772eb22a612f7dfb6e45e1ef668fcbb39031591208042a3b351",
+    "0": "4dfca4a48e191ea2ea2001acb9af3a28420b5d6fb8d44e841aceee266720cf92",
+    "1": "04f169796fb679d50860dd1d98aa49e4b3e4638b7dcb8529054bbcf0113c83cc",
+    "2": "2bcfa6a295a72bf43c69f44568891660056c13ff8d3632baf0c997c9efef250f",
+    "3": "159bdb172a29cd1e867057d120dcf8d0cc1ac9cac6bdf258ba68cf5e5b2e63be",
 }
 
 

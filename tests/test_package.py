@@ -141,7 +141,13 @@ def test_a_world_loads_only_what_it_runs(protocol, absent, max_lines):
 #: the handler guards against a dead receiver or a plane that is off,
 #: which the transport and the sender already rule out, and the
 #: replicator's branch for the ``"off"`` reply only such a guard sent.
-SRC_STATEMENT_BUDGET = 8_125
+#: 8 125 -> 8 123: a dead provider's backup fetch, the join's lookup
+#: retry and the new client's early origin fetch are paid for by deleting
+#: ``ZipfSampler.sample_many`` (no run sampled in bulk), the snapshot
+#: version no promotion sent, swarming's guard on the backup holders, the
+#: inline copy of the per-link timeout and a registration reply's guard
+#: against fields every registration carries.
+SRC_STATEMENT_BUDGET = 8_123
 
 
 def test_src_stays_within_its_statement_budget():

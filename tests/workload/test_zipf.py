@@ -61,17 +61,11 @@ def test_samples_in_range_and_skewed():
     assert top_10_share > 0.15  # heavy head, unlike uniform (0.02)
 
 
-def test_sample_many():
-    sampler = ZipfSampler(10)
-    rng = random.Random(1)
-    samples = sampler.sample_many(rng, 50)
-    assert len(samples) == 50
-
-
 def test_deterministic_given_rng_seed():
     sampler = ZipfSampler(100, 0.8)
-    a = sampler.sample_many(random.Random(3), 20)
-    b = sampler.sample_many(random.Random(3), 20)
+    rng_a, rng_b = random.Random(3), random.Random(3)
+    a = [sampler.sample(rng_a) for _ in range(20)]
+    b = [sampler.sample(rng_b) for _ in range(20)]
     assert a == b
 
 
