@@ -9,9 +9,10 @@
 - a **content peer** "does not use D-ring anymore": it answers from its own
   store, then from gossip-learnt content summaries (fetching from the
   closest summarised holder), then by asking its directory peer (and
-  fetching from the provider it names, or from one backup holder when
-  that provider is dead), and only then falls back to the origin web
-  server; every fetch and directory attempt is timed by its own link;
+  fetching from the provider it names, or from the closest other holder
+  it names when that provider is dead), and only then falls back to the
+  origin web server; every fetch and directory attempt is timed by its
+  own link;
 - a **directory peer** answers its own queries from its index.
 
 Overload extensions ride the content-peer path: a shed request follows
@@ -394,10 +395,16 @@ class QueryPaths:
             return
 
         def fall_back() -> None:
-            # One backup holder the directory named, then the origin: a
+            # The closest holder the directory named, then the origin: a
             # dead or pruned provider costs a second fetch, not a miss.
             if sources:
-                self._fetch_provider(key, sources[0], outcome, started_at, hops)
+                self._fetch_provider(
+                    key,
+                    min(sources, key=lambda a: self.network.latency(self.address, a)),
+                    outcome,
+                    started_at,
+                    hops,
+                )
             else:
                 self._fetch_from_server(key, "miss_failed", started_at, hops)
 
@@ -540,17 +547,17 @@ class QueryPaths:
         started_at: Optional[float],
         tries: int,
     ) -> None:
-        if key is not None:
-            # The query does not wait out a rescan: it goes to the origin
-            # now and the registration goes on without it.
-            self._fetch_from_server(key, "miss_failed", started_at)
-            self._registering = True
         if tries + 1 < _MAX_SCAN_TRIES:
             self.sim.schedule(
-                SCAN_RETRY_DELAY_MS, self._scan_dring, None, None, 0, tries + 1
+                SCAN_RETRY_DELAY_MS,
+                self._scan_dring,
+                key,
+                started_at,
+                0,
+                tries + 1,
             )
         else:
-            self._scan_failed(None, None)
+            self._scan_failed(key, started_at)
 
     def _scan_failed(self, key: Optional[ObjectKey], started_at: Optional[float]) -> None:
         self._registering = False

@@ -41,6 +41,11 @@ from repro.types import Address, ObjectKey
 #: directory index.
 MEMBER_EXPIRY_ROUNDS = 2
 
+#: Backup holders a provider answer names while swarming is off (with it
+#: on, ``swarm_sources``); a querier whose provider fails fetches from the
+#: closest of them (section 3.2's "close-by content peer").
+BACKUP_CANDIDATES = 4
+
 
 class DirectoryService:
     """Serves *role*'s slot on behalf of *peer* (see module docstring).
@@ -74,50 +79,53 @@ class DirectoryService:
     # =====================================================================
     # Lifecycle: join the ring, start serving, stop serving
     # =====================================================================
-    def join_ring(
-        self, snapshot: Optional[Dict[str, Any]] = None, retry: bool = True
-    ) -> None:
+    def join_ring(self, snapshot: Optional[Dict[str, Any]] = None) -> None:
         """Try to join D-ring at the slot's position; only the first
-        joiner wins (section 5.2.2).  With *retry*, a failed lookup is
-        tried once more before the slot is served provisionally."""
+        joiner wins (section 5.2.2)."""
+        if snapshot is not None:
+            self.role.adopt_snapshot(snapshot)
+        self._attempt_join(first=True)
+
+    def _attempt_join(self, first: bool) -> None:
+        """One join attempt; a failed lookup on the *first* is tried once
+        more before the slot is served provisionally."""
         peer, role = self.peer, self.role
         peer._recovering = True
         role.chord = ChordNode(peer, self.system.ring, role.position_id)
-        if snapshot is not None:
-            role.adopt_snapshot(snapshot)
         bootstrap = self.system.ring.random_bootstrap(peer.rng)
 
         def on_failed(reason: str, holder: Optional[NodeRef]) -> None:
             peer._recovering = False
             role.chord.shutdown()
             role.chord = None
-            provisional = (
-                reason == "lookup"
-                and peer.alive
-                and self.system.params.directory_replication_k > 0
-                and peer.directory is None
-            )
             if holder is not None and peer.alive:
                 # Someone else integrated first: adopt them (section 5.2.2)
                 # and hand them our content by pushing.
                 peer._follow_directory(
                     DirInfo(role.position_id, holder.address), forgive=False
                 )
-            elif provisional and retry:
-                # One dead hop on the route fails a lookup as surely as a
-                # partition does: ask again from a fresh bootstrap before
-                # claiming the slot without the ring, or we would serve
-                # beside the live holder the failed route hid from us.
-                self.join_ring(retry=False)
-            elif provisional:
-                # D-ring is unreachable twice over -- most likely we sit on
-                # the minority side of a partition.  Serve the petal
-                # *provisionally* (seeded from any replica we hold) and keep
-                # retrying the integration; the reconciliation protocol
-                # resolves any split-brain claim once the partition heals
-                # (section 5.3).  A provisional claim sends no shed notices.
-                self.shed_notices = ()
-                self.serve_provisionally()
+            elif (
+                reason == "lookup"
+                and peer.alive
+                and self.system.params.directory_replication_k > 0
+                and peer.directory is None
+            ):
+                if first:
+                    # One dead hop on the route fails a lookup as surely as
+                    # a partition does: ask again from a fresh bootstrap
+                    # before claiming the slot without the ring, or we would
+                    # serve beside the live holder the failed route hid.
+                    self._attempt_join(first=False)
+                else:
+                    # D-ring is unreachable twice over -- most likely we sit
+                    # on the minority side of a partition.  Serve the petal
+                    # *provisionally* (seeded from any replica we hold) and
+                    # keep retrying the integration; the reconciliation
+                    # protocol resolves any split-brain claim once the
+                    # partition heals (section 5.3).  A provisional claim
+                    # sends no shed notices.
+                    self.shed_notices = ()
+                    self.serve_provisionally()
             self.sim.emit(
                 "flower.directory_join_failed", peer=peer.address, reason=reason
             )
@@ -367,12 +375,16 @@ class DirectoryService:
         self, key: ObjectKey, exclude: Set[Address]
     ) -> Optional[List[Address]]:
         """Other indexed holders of *key*, or None: a plain fetch's backup
-        when the named provider is dead, a swarming downloader's extra
-        sources."""
+        candidates when the named provider is dead, a swarming
+        downloader's extra sources."""
         others = self.role.providers_of(key) - exclude
         if not others:
             return None
-        return sorted(others)[: self.system.params.swarm_sources]
+        return sorted(others)[
+            : self.system.params.swarm_sources
+            if self.system.params.swarming
+            else BACKUP_CANDIDATES
+        ]
 
     def registration_payload(self, joiner: Address) -> Dict[str, Any]:
         """What a registering client needs to join the petal: dir-info

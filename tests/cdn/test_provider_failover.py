@@ -3,16 +3,14 @@
 Every ``flower.fetch`` a query sends waits ``QUERY_TIMEOUT_LATENCIES``
 one-way latencies of its link plus ``QUERY_TIMEOUT_SLACK_MS``, capped at
 the network's default timeout -- the rule a member's directory attempts
-follow.  A directory's provider answer names one backup holder besides
-the provider; a plain fetch that times out (or finds the object pruned)
-tries that backup once before the query goes to the origin
-(``miss_failed``).  A new client whose D-ring scan fails sends its query
-to the origin at once and registers without it.
+follow.  A directory's provider answer names other holders besides the
+provider; a plain fetch that times out (or finds the object pruned)
+tries the one closest to the querier once -- the close-by content peer of
+section 3.2 -- before the query goes to the origin (``miss_failed``).
 """
 
 import pytest
 
-from repro.cdn.base import SCAN_RETRY_DELAY_MS
 from repro.cdn.flower.queries import (
     QUERY_TIMEOUT_LATENCIES,
     QUERY_TIMEOUT_SLACK_MS,
@@ -84,6 +82,41 @@ def test_a_crashed_provider_with_a_live_backup_is_a_directory_hit():
     assert second_at - first_at == pytest.approx(timeout)
 
 
+def test_the_backup_is_the_named_holder_closest_to_the_querier():
+    """Not the first named (the lowest address): every querier would pile
+    its backup fetches on that one holder."""
+    world = CdnWorld()
+    group = arrivals_in_one_locality(world, 5)
+
+    def closest(querier, peers):
+        return min(peers, key=lambda p: world.network.latency(querier.address, p.address))
+
+    # A querier and a provider whose loss leaves a closest holder that is
+    # not the lowest address, so the two rules pick different backups.
+    querier, dead, rest = next(
+        (q, d, rest)
+        for q in group
+        for d in group
+        if d is not q
+        for rest in [[h for h in group if h not in (q, d)]]
+        if closest(q, rest) is not min(rest, key=lambda p: p.address)
+    )
+    for holder in (dead, *rest):
+        world.query(holder, KEY)
+    world.query(querier, (0, 9))
+    world.run(seconds(10))
+    name_as_provider(world.directory_of(0, querier.locality), dead)
+    dead.crash()
+    sent = spy_on_rpcs(querier)
+    record = world.query(querier, KEY)
+
+    assert record.outcome == "hit_directory"
+    assert [dst for _, dst in fetches(sent)] == [
+        dead.address,
+        closest(querier, rest).address,
+    ]
+
+
 def test_with_both_holders_dead_the_query_reaches_the_origin_after_two_short_timeouts():
     world, directory, dead, backup, querier = petal_with_two_holders()
     name_as_provider(directory, dead)
@@ -125,37 +158,3 @@ def test_a_dead_summary_candidate_costs_a_per_link_wait():
     assert waited == pytest.approx(link_timeout(world, querier, dead))
     assert waited < DEFAULT_TIMEOUT_MS / 2
 
-
-def test_a_failed_new_client_scan_records_its_query_once_and_still_registers():
-    """The directory turns the first scan away; the query goes to the
-    origin at once (not after the rescan) and the registration goes on."""
-    world = CdnWorld()
-    settler, client = arrivals_in_one_locality(world, 2)
-    world.query(settler, (0, 9))
-    directory = world.directory_of(0, settler.locality)
-    service = directory.service
-    handle_query = service.handle_query
-    turned_away = []
-
-    def refuse_first_client(message):
-        if message.payload.get("new_client") and not turned_away:
-            turned_away.append(message.src)
-            return {"status": "not_directory"}
-        return handle_query(message)
-
-    service.handle_query = refuse_first_client
-    world.sim.trace.record("cdn.query_done", "cdn.query_stale")
-    asked_at = world.sim.now
-    record = world.query(client, KEY)
-
-    assert turned_away == [client.address]
-    assert record.outcome == "miss_failed"
-    assert record.time - asked_at < SCAN_RETRY_DELAY_MS
-    assert client._registering
-    world.run(SCAN_RETRY_DELAY_MS + seconds(10))
-    assert client.dir_info is not None and client.dir_info.address == directory.address
-    mine = [r for r in world.system.metrics.records if r.object_key == KEY and r.time >= asked_at]
-    assert len(mine) == 1
-    done = [e for e in world.sim.trace.events("cdn.query_done") if e.payload["peer"] == client.address]
-    assert len(done) == 1
-    assert world.sim.trace.events("cdn.query_stale") == []

@@ -17,6 +17,7 @@ from repro.cdn.flower.replication import (
 )
 from repro.cdn.flower.service import DirectoryService
 from repro.cdn.flower.system import FlowerSystem
+from repro.dht.node import ChordNode
 from repro.sim.clock import minutes, seconds
 from tests.cdn.conftest import CdnWorld, make_params
 
@@ -305,6 +306,47 @@ class TestSplitBrainReconciliation:
             for e in demoted
         )
         assert registered.directory.has_member(client.address)
+
+
+class TestJoinLookupRetry:
+    """A dead hop fails a D-ring lookup as surely as a partition does, so
+    a join whose lookup fails asks once more from a fresh bootstrap
+    before it serves the slot without the ring."""
+
+    def _claim_taken_slot(self, monkeypatch, failures):
+        world = replication_world()
+        client, registered = _register(world, key=(0, 5))
+        claimant = world.arrive(website=0, locality=0)
+        world.run(minutes(5))
+        real_join = ChordNode.join
+        joins = []
+
+        def join(node, bootstrap, on_joined, on_failed):
+            joins.append(bootstrap)
+            if len(joins) <= failures:
+                node.host.sim.schedule(10.0, on_failed, "lookup", None)
+            else:
+                real_join(node, bootstrap, on_joined, on_failed)
+
+        monkeypatch.setattr(ChordNode, "join", join)
+        position = world.system.key_service.position_id(0, 0, 0)
+        role = DirectoryRole(claimant.address, 0, 0, 0, position)
+        DirectoryService(claimant, role).join_ring()
+        world.run(minutes(1))
+        return registered, claimant, role, joins
+
+    def test_one_failed_lookup_retries_and_follows_the_holder(self, monkeypatch):
+        registered, claimant, role, joins = self._claim_taken_slot(monkeypatch, 1)
+        assert len(joins) == 2
+        assert not role.provisional
+        assert claimant.directory is None
+        assert claimant.dir_info.address == registered.address
+        assert registered.directory is not None
+
+    def test_two_failed_lookups_serve_provisionally(self, monkeypatch):
+        registered, claimant, role, joins = self._claim_taken_slot(monkeypatch, 2)
+        assert len(joins) == 2
+        assert claimant.directory is role and role.provisional
 
 
 # ---------------------------------------------------------------------------

@@ -307,14 +307,19 @@ def test_per_link_timeouts_keep_the_deadline_fifos_few():
     assert len(world.network._timeout_fifos) <= 3
 
 
+@pytest.mark.slow
 def test_a_lookup_failure_does_not_make_a_second_directory():
     """A dead hop fails a D-ring lookup as surely as a partition does.
     On the e2e ``chaos`` configuration at P = 400 (seed 1), two peers
     once failed their joins at slot (6, 1, 0) with reason ``lookup``
     while peer 228 had held the slot's ring position since 29 541 s, and
     both served it provisionally: the audits at 29 400 s and 30 000 s each
-    saw more than one holder (``duplicate_directory``).  A join retries the lookup once from a fresh bootstrap
-    before it serves without the ring."""
+    saw more than one holder (``duplicate_directory``).  A join retries
+    the lookup once from a fresh bootstrap before it serves without the
+    ring.  ``tests/cdn/test_replication.py``'s ``TestJoinLookupRetry``
+    guards that rule; since the backup-holder change redrew the stream,
+    this run no longer fails a lookup at that slot without the retry, and
+    it stays as a clean-run check of the P = 400 chaos configuration."""
     config = ExperimentConfig.scaled(
         population=400, duration_hours=24.0, directory_replication_k=2
     )

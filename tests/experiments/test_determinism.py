@@ -50,15 +50,14 @@ from tests.conftest import arm_every_deadline_at_send
 #: every ``flower.fetch`` of a query began to time out after 6 one-way
 #: latencies of its link plus 100 ms (as a member query's directory
 #: attempts already did), a provider answer began to name backup holders
-#: with swarming off and a failed plain fetch to try the first of them,
-#: a new client's turned-away scan began to send its query to the origin
-#: at once, and a ring join failing on its lookup began to retry once
+#: with swarming off and a failed plain fetch to try the one closest to
+#: the querier, and a ring join failing on its lookup began to retry once
 #: before serving provisionally.  Squirrel never asks a Flower directory,
 #: so its golden did not move.
 GOLDEN = {
     "flower": (
-        "6fed7a0585b6ea4fe7c1dd0c8fdf80c5162af1eb8ed60ddcf5671ff7e39ffe68",
-        0.7775700934579439,
+        "cbd2419d3ba708c54a7b1a6b760579014d840bb8692f0f2b618d2fa433de9aa1",
+        0.7753578095830741,
     ),
     "squirrel": (
         "2e834d2f6f1be94f55110f8134efce6585e205f4f63fcdbae2b69fe537afd0d3",
@@ -74,8 +73,8 @@ GOLDEN = {
 #: drops, 16 mass-failure crashes); re-derived since with every golden
 #: (see GOLDEN).
 GOLDEN_FAULTED = (
-    "fd818d1a59b7d220c8f755eaedc4993ccb10123b7eca8ce878a34fbc85c9d567",
-    0.6788321167883211,
+    "2d772a2405c77fe9058c1901e60c0af19634d466acc7852ab214a91a964460b7",
+    0.6849498327759197,
 )
 
 #: (stream SHA-256, hit ratio) for GOLDEN_FAULTED's run plus 5 % uniform
@@ -85,8 +84,8 @@ GOLDEN_FAULTED = (
 #: of causes (partition, bursty, uniform) and the one ``loss``-stream draw
 #: per delivery attempt; re-derived since with every golden (see GOLDEN).
 GOLDEN_LOSSY = (
-    "26633373b2f47eb67ca0bf064bc88d9de36789ce895e43c61e5c9fcdb009293d",
-    0.5566231983527797,
+    "b7c1d8cee4bb074cab17eb3a103d7fe9690fd51194a9498cb58a243509719f27",
+    0.5501336898395722,
 )
 
 #: (stream SHA-256, answer digest, hit ratio) for the golden scenario
@@ -99,9 +98,9 @@ GOLDEN_LOSSY = (
 #: answering from the index alone gives the same results; re-derived
 #: since with every golden (see GOLDEN).
 GOLDEN_SEARCH = (
-    "e9de9c3a8bf412c37b2ae63289e50fe67c657d84dd7a8b0dfe4630faf3e8bd91",
-    "ee8bdccc8e7d4b1863fc0bf38495f90d506d2017a7618a2c10cb0a6bbacada42",
-    0.7970430107526881,
+    "c308e16db1c7e5c255c846387caba80c81ea91ddefee01239405187ae897777c",
+    "a4709fffabf0e371bc8c91e3a2bd0e11ad9370f8149d5a08895631cf849408ac",
+    0.793127147766323,
 )
 
 #: phase the plan must contain -> (protocol, config overrides,
@@ -122,8 +121,8 @@ GOLDEN_CHAOS = {
         "flower",
         {},
         {},
-        "35f9f4d268c53c36a55e32dcc03d9a351c7f789bc3e2e31cbc3b65b99a2de7f5",
-        0.42115509409474366,
+        "b519e7db67869d41e35a5bf1ac1d92e383c15435940f08272e2aebee468a6b47",
+        0.4127190136275146,
     ),
     "sustained_overload": (
         "petalup",
@@ -136,8 +135,8 @@ GOLDEN_CHAOS = {
             rebalance=True,
         ),
         dict(overload=True),
-        "6e6709d86709faa528fdc78e17ef69a9384a969d20ef054436e506cd813a477d",
-        0.9467858663260962,
+        "439919955ec4e0aad4ac166167089a35bc74655ce3985c7f382a742d1ed0265a",
+        0.9467471651379697,
     ),
     "seeder_death": (
         "flower",
@@ -149,7 +148,7 @@ GOLDEN_CHAOS = {
             bandwidth_slow_fraction=0.15,
         ),
         dict(seeder_death=True),
-        "adbacabe4dab072d2dd3d00580d3149f4e71c66f1eacf54010bfa4f2123f293d",
+        "ff93ce1132602835cfaaf39d20c367a5165d60e5e21b3236515a918debbe8064",
         0.36182572614107883,
     ),
 }
@@ -371,9 +370,9 @@ def test_swarming_off_matches_the_golden_stream():
     transfers, the fair-share bandwidth model) is gated on ``swarming``
     and ``bandwidth_kbps > 0``: with both off no size model is
     installed, no bandwidth model attaches to the network, and no flow or
-    swarm event is ever scheduled.  ``swarm_sources`` still caps the
-    backup holders a provider answer names, but a plain fetch reads only
-    the first.  Varying every harmless swarm knob with the gates closed must
+    swarm event is ever scheduled, and a provider answer names up to
+    ``BACKUP_CANDIDATES`` backup holders, not ``swarm_sources``.  Varying
+    every harmless swarm knob with the gates closed must
     reproduce the exact pinned fingerprint; if this test moves, some
     swarming code leaked outside its gate.
     """
