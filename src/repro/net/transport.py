@@ -180,17 +180,9 @@ class NetworkNode:
         if faults is not None and now >= faults.calm_until:
             latency = faults.latency_adjust(src_addr, dst, latency)
         # sim.defer, inlined (one delivery event per message).
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
         heappush(
-            queue._heap,
-            [now + latency, seq, network._deliver_cb, (message,)],
+            sim._heap, [now + latency, next(sim._seq), network._deliver_cb, (message,)]
         )
-        live = queue._live + 1
-        queue._live = live
-        if live > queue._peak:
-            queue._peak = live
 
     def rpc(
         self,
@@ -256,26 +248,19 @@ class NetworkNode:
         # or if the request leaves this fabric (another shard answers it);
         # otherwise the event that learns the timeout can win arms it (see
         # Network._arm), and a request answered in time never is.
-        queue = sim._queue
         deadline = now + timeout_ms
         if now + latency >= deadline or dst not in network._nodes:
             network.arm_deadline(timeout_ms, request)
             request.armed = True
             request.request_id = request.seq
         else:
-            seq = queue._seq
-            queue._seq = seq + 1
             request.deadline = deadline
-            request.seq = request.request_id = seq
+            request.seq = request.request_id = next(sim._seq)
             request.armed = False
         # sim.defer, inlined (one delivery event per request).
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, [now + latency, seq, network._deliver_cb, (request,)])
-        live = queue._live + 1
-        queue._live = live
-        if live > queue._peak:
-            queue._peak = live
+        heappush(
+            sim._heap, [now + latency, next(sim._seq), network._deliver_cb, (request,)]
+        )
 
     def retrying_rpc(
         self,
@@ -538,22 +523,15 @@ class Network:
             if arrival >= message.deadline and not message.armed:
                 self._arm(message)  # the reply would arrive too late
             # sim.defer, inlined (one reply event per answered RPC).
-            queue = sim._queue
-            seq = queue._seq
-            queue._seq = seq + 1
             heappush(
-                queue._heap,
+                sim._heap,
                 [
                     arrival,
-                    seq,
+                    next(sim._seq),
                     self._deliver_reply_cb,
                     (message, reply if reply is not None else {}),
                 ],
             )
-            live = queue._live + 1
-            queue._live = live
-            if live > queue._peak:
-                queue._peak = live
         return reply
 
     def _deliver_reply(self, request: "_Request", payload: Dict[str, Any]) -> None:
@@ -593,15 +571,10 @@ class Network:
         exactly the ``(deadline, seq)`` an eagerly armed deadline has.
         """
         request.armed = True
-        queue = self.sim._queue
         heappush(
-            queue._heap,
+            self.sim._heap,
             [request.deadline, request.seq, _Request.fire_timeout, (request,)],
         )
-        live = queue._live + 1
-        queue._live = live
-        if live > queue._peak:
-            queue._peak = live
 
     def arm_deadline(self, timeout_ms: float, record: Any) -> None:
         """Give *record* a deadline *timeout_ms* from now.
@@ -618,20 +591,13 @@ class Network:
         event at all.
         """
         sim = self.sim
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
+        record.seq = seq = next(sim._seq)
         record.deadline = deadline = sim.now + timeout_ms
-        record.seq = seq
         fifo = self._timeout_fifos.get(timeout_ms)
         if fifo is None:
             fifo = self._timeout_fifos[timeout_ms] = deque()
         if not fifo:
-            heappush(queue._heap, [deadline, seq, self._fire_timeouts_cb, (fifo,)])
-            live = queue._live + 1
-            queue._live = live
-            if live > queue._peak:
-                queue._peak = live
+            heappush(sim._heap, [deadline, seq, self._fire_timeouts_cb, (fifo,)])
         fifo.append(record)
 
     def _fire_timeouts(self, fifo: Deque[Any]) -> None:
@@ -649,15 +615,10 @@ class Network:
             head = fifo[0]
             if not head.settled:
                 # sim.defer at the head's reserved position, inlined.
-                queue = self.sim._queue
                 heappush(
-                    queue._heap,
+                    self.sim._heap,
                     [head.deadline, head.seq, self._fire_timeouts_cb, (fifo,)],
                 )
-                live = queue._live + 1
-                queue._live = live
-                if live > queue._peak:
-                    queue._peak = live
                 break
             fifo.popleft()
         if not record.settled:

@@ -5,9 +5,11 @@ framework (paper, section 6.1).  It provides:
 
 - :mod:`repro.sim.clock` -- time-unit helpers (the simulator's clock counts
   milliseconds, the paper's parameters are given in minutes and hours).
-- :mod:`repro.sim.events` -- the event heap and cancellable event handles.
+- :mod:`repro.sim.events` -- the event heap's entry format and cancellable
+  event handles.
 - :mod:`repro.sim.engine` -- the :class:`~repro.sim.engine.Simulator` that
-  owns the clock, the event queue and the named random-number streams.
+  owns the clock, the event heap with its one dispatch loop, and the named
+  random-number streams.
 - :mod:`repro.sim.process` -- periodic processes (gossip rounds, keepalive
   timers, Chord stabilization, ...).
 - :mod:`repro.sim.rng` -- deterministic named random streams so that a whole

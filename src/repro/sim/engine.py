@@ -1,4 +1,4 @@
-"""The simulator: clock + event queue + RNG streams + trace bus.
+"""The simulator: clock + event heap + RNG streams + trace bus.
 
 One :class:`Simulator` instance drives an entire experiment.  Protocol code
 never advances time itself; it only *schedules* callbacks::
@@ -12,12 +12,15 @@ in scheduling order (see :mod:`repro.sim.events`).
 
 Performance notes:
 
-- :meth:`Simulator.run` is a *batched* loop that works directly on the heap
-  of slotted entries -- no per-event ``peek``/``pop``/``_fire`` call chain
-  and no handle-object churn.  Semantics (ordering, half-open ``until``,
-  ``stop()``, cancellation) are bit-identical to the step-wise loop,
-  which is what serves the tests' ``max_events`` budget: there is one
-  copy of the inlined dispatch, and it knows no budget.
+- The simulator owns the event heap itself: ``_heap`` (entries
+  ``[time, seq, callback, args]``), ``_seq`` (an :func:`itertools.count`),
+  ``_dead`` (tombstones still in the heap) and ``_peak``.  The hot
+  schedulers -- :meth:`Simulator.defer`, ``PeriodicProcess._tick`` and the
+  transport's sends -- push an entry with one ``heappush`` statement.
+- :meth:`Simulator.run` is the one dispatch loop: it works directly on
+  the heap of slotted entries, with no per-event call chain and no handle
+  churn.  It records the peak of pending events before each dispatch, so
+  no push pays for that bookkeeping.
 - :meth:`Simulator.emit` always counts (the per-kind counters feed the
   reports and the benchmark ledger) and is subscriber-gated past that: it
   consults the trace recorder's cheap interest flags and builds no
@@ -28,11 +31,12 @@ Performance notes:
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush
+from itertools import count
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import _CALLBACK, _COMPACT_MIN_DEAD, EventHandle
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceEvent, TraceRecorder
 
@@ -51,7 +55,10 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.trace = TraceRecorder()
-        self._queue = EventQueue()
+        self._heap: List[List[Any]] = []
+        self._seq = count()
+        self._dead = 0  # tombstones still sitting in the heap
+        self._peak = 0  # most events pending before one dispatch
         self._rng = RngRegistry(seed)
         self._running = False
         self._stopped = False
@@ -66,12 +73,17 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events currently scheduled and not cancelled."""
-        return len(self._queue)
+        return len(self._heap) - self._dead
 
     @property
     def peak_pending_events(self) -> int:
-        """High-water mark of simultaneously pending events."""
-        return self._queue.peak_pending
+        """High-water mark of simultaneously pending events.
+
+        :meth:`run` samples the pending count before each dispatch; the
+        count now is included, so events scheduled and not yet run count
+        too.
+        """
+        return max(self._peak, self.pending_events)
 
     # ------------------------------------------------------------- scheduling
     def schedule(
@@ -87,7 +99,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self.now + delay, callback, args)
+        entry = [self.now + delay, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def defer(
         self,
@@ -98,21 +112,12 @@ class Simulator:
         """Like :meth:`schedule` but fire-and-forget: no handle is returned
         (and none is allocated), so the event cannot be cancelled.
 
-        The hot transport paths use this for message deliveries and RPC
-        timeouts, which are never cancelled individually.  The push is
-        inlined here (``EventQueue.push`` minus the handle) because this is
-        the single most frequent scheduling call in a run.
+        The hot transport paths inline this push for message deliveries
+        and RPC timeouts, which are never cancelled individually.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, [self.now + delay, seq, callback, args])
-        live = queue._live + 1
-        queue._live = live
-        if live > queue._peak:
-            queue._peak = live
+        heappush(self._heap, [self.now + delay, next(self._seq), callback, args])
 
     def schedule_at(
         self,
@@ -125,13 +130,27 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        return self._queue.push(time, callback, args)
+        entry = [time, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def cancel(self, handle: EventHandle) -> None:
-        """Cancel a pending event.  Idempotent; safe on fired handles."""
+        """Cancel a pending event.  Idempotent; safe on fired handles.
+
+        The entry stays in the heap as a tombstone.  When tombstones come
+        to dominate the heap (cancel storms under churn), it is rebuilt
+        from the live entries *in place*, so :meth:`run` may hold on to
+        the list object across the whole loop.
+        """
         if handle.active:
             handle.cancel()
-            self._queue.notify_cancelled()
+            dead = self._dead + 1
+            self._dead = dead
+            heap = self._heap
+            if dead > _COMPACT_MIN_DEAD and dead * 2 > len(heap):
+                heap[:] = [entry for entry in heap if entry[_CALLBACK] is not None]
+                heapify(heap)
+                self._dead = 0
 
     # ------------------------------------------------------------------- rng
     def rng(self, name: str) -> random.Random:
@@ -144,32 +163,15 @@ class Simulator:
         return self._rng.master_seed
 
     # --------------------------------------------------------------- running
-    def step(self) -> bool:
-        """Execute the single next event.  Return False if none remained."""
-        if not self._queue:
-            return False
-        handle = self._queue.pop()
-        if handle.time < self.now:  # pragma: no cover - heap invariant
-            raise SimulationError("event queue returned an event from the past")
-        self.now = handle.time
-        self._events_executed += 1
-        handle._fire()
-        return True
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the horizon *until* (ms), the queue drains, or
+        a callback calls :meth:`stop`.
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the horizon *until* (ms), or the queue drains.
-
-        When *until* is given, the clock is advanced exactly to it on return,
-        so back-to-back ``run`` calls tile the timeline without gaps.  Events
-        scheduled at exactly ``until`` are NOT executed (half-open interval
-        ``[now, until)``), which makes ``run(until=t); run(until=t)`` a no-op.
-
-        Args:
-            until: absolute stop time in ms.
-            max_events: optional safety valve for tests; exactly *max_events*
-                events are allowed to execute -- a (max_events+1)-th pending
-                event within the horizon raises :class:`SimulationError`
-                *before* it runs.
+        When *until* is given, the clock is advanced exactly to it on return
+        (unless stopped), so back-to-back ``run`` calls tile the timeline
+        without gaps.  Events scheduled at exactly ``until`` are NOT
+        executed (half-open interval ``[now, until)``), which makes
+        ``run(until=t); run(until=t)`` a no-op.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
@@ -177,7 +179,6 @@ class Simulator:
             raise SimulationError(f"cannot run backwards (until={until}, now={self.now})")
         self._running = True
         self._stopped = False
-        queue = self._queue
         executed = 0
         pop = heappop
         # Hoist the optional-argument check out of the loop: no horizon
@@ -185,52 +186,40 @@ class Simulator:
         horizon = float("inf") if until is None else until
         # The heap list object is stable (compaction rebuilds it in place),
         # so its reference can be hoisted out of the loop.
-        heap = queue._heap
+        heap = self._heap
+        peak = self._peak
         try:
-            if max_events is not None:
-                self._run_budgeted(horizon, max_events)
-            else:
-                while not self._stopped:
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[2] is None:
-                        # Discard tombstones of cancelled events (lazy deletion).
-                        dead = queue._dead
-                        while heap and heap[0][2] is None:
-                            pop(heap)
-                            if dead > 0:
-                                dead -= 1
-                        queue._dead = dead
-                        continue
-                    time = entry[0]
-                    if time >= horizon:
-                        break
-                    pop(heap)
-                    queue._live -= 1
-                    self.now = time
-                    executed += 1
-                    callback = entry[2]
-                    args = entry[3]
-                    entry[2] = None
-                    callback(*args)
+            while not self._stopped:
+                if not heap:
+                    break
+                entry = heap[0]
+                if entry[2] is None:
+                    # Discard tombstones of cancelled events (lazy deletion).
+                    dead = self._dead
+                    while heap and heap[0][2] is None:
+                        pop(heap)
+                        if dead > 0:
+                            dead -= 1
+                    self._dead = dead
+                    continue
+                time = entry[0]
+                if time >= horizon:
+                    break
+                pending = len(heap) - self._dead
+                if pending > peak:
+                    peak = self._peak = pending
+                pop(heap)
+                self.now = time
+                executed += 1
+                callback = entry[2]
+                args = entry[3]
+                entry[2] = None
+                callback(*args)
             if until is not None and not self._stopped:
                 self.now = until
         finally:
             self._events_executed += executed
             self._running = False
-
-    def _run_budgeted(self, horizon: float, max_events: int) -> None:
-        """The ``max_events`` safety valve, served stepwise: tests are its
-        only callers, so it costs the batched loop not even a comparison."""
-        queue = self._queue
-        for ran in range(max_events + 1):
-            time = queue.peek_time()
-            if self._stopped or time is None or time >= horizon:
-                return
-            if ran == max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            self.step()
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""

@@ -95,10 +95,10 @@ class PeriodicProcess:
         # Reschedule before running the callback so the callback may cancel
         # the process (a peer deciding to leave mid-tick must not resurrect).
         #
-        # The gap draw, ``rng.uniform``, ``sim.schedule`` and
-        # ``EventQueue.push`` are all inlined below: a tick is two Python
-        # frames (this one and the callback) instead of six, and every
-        # periodic process in the system ticks for the whole run.
+        # The gap draw, ``rng.uniform`` and ``sim.schedule`` are all
+        # inlined below: a tick is two Python frames (this one and the
+        # callback) instead of five, and every periodic process in the
+        # system ticks for the whole run.
         jitter = self._jitter
         period = self._period
         if jitter == 0.0:
@@ -110,15 +110,8 @@ class PeriodicProcess:
             # the drawn sequence is bit-identical.
             gap = low + (high - low) * self._rng.random()
         sim = self._sim
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        entry = [sim.now + gap, seq, self._tick_cb, ()]
-        heappush(queue._heap, entry)
-        live = queue._live + 1
-        queue._live = live
-        if live > queue._peak:
-            queue._peak = live
+        entry = [sim.now + gap, next(sim._seq), self._tick_cb, ()]
+        heappush(sim._heap, entry)
         handle = _new_handle(EventHandle)
         handle._entry = entry
         handle.cancelled = False

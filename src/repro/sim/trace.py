@@ -64,12 +64,17 @@ class TraceRecorder:
     def subscribe_all(self, listener: TraceListener) -> None:
         """Invoke *listener* for every event of every kind (the firehose).
 
-        :class:`StreamFingerprint` is its one caller: it fingerprints the
-        full ordered event stream.  Kind-specific listeners fire before
-        firehose listeners for any given event.
+        :class:`StreamFingerprint` is its one caller in the package: it
+        fingerprints the full ordered event stream.  Kind-specific
+        listeners fire before firehose listeners for any given event.
         """
         self._all_listeners.append(listener)
         self._watch_all = True
+
+    def unsubscribe_all(self, listener: TraceListener) -> None:
+        """Remove a firehose *listener* added by :meth:`subscribe_all`."""
+        self._all_listeners.remove(listener)
+        self._watch_all = bool(self._all_listeners)
 
     # ------------------------------------------------------------------ emit
     def _dispatch(self, event: TraceEvent) -> None:

@@ -88,9 +88,20 @@ class CdnWorld:
         self.sim.run(until=self.sim.now + duration_ms)
 
     def run_until(self, predicate, horizon_ms=minutes(30)):
-        deadline = self.sim.now + horizon_ms
-        while not predicate() and self.sim.now < deadline and self.sim.pending_events:
-            self.sim.step()
+        """Run until *predicate* holds, checked at every trace event: the
+        run stops after the first event in which an emit finds it holding."""
+        sim = self.sim
+        if not predicate():  # run() would clear a stop() made before it
+
+            def check(_event):
+                if predicate():
+                    sim.stop()
+
+            sim.trace.subscribe_all(check)
+            try:
+                sim.run(until=sim.now + horizon_ms)
+            finally:
+                sim.trace.unsubscribe_all(check)
         assert predicate(), "condition not reached within horizon"
 
     def query(self, peer, key):

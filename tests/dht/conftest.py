@@ -61,10 +61,14 @@ class ChordWorld:
     def lookup_sync(self, host, key, start=None, horizon=600_000.0):
         """Run a lookup to completion and return its result."""
         results = []
-        host.chord.lookup(key, results.append, start=start)
-        deadline = self.sim.now + horizon
-        while not results and self.sim.now < deadline and self.sim.pending_events:
-            self.sim.step()
+
+        def done(result):
+            results.append(result)
+            self.sim.stop()
+
+        host.chord.lookup(key, done, start=start)
+        if not results:  # run() would clear a stop() made before it
+            self.sim.run(until=self.sim.now + horizon)
         assert results, "lookup did not complete"
         return results[0]
 

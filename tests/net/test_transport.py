@@ -235,7 +235,7 @@ def armed_timeout_entries(sim, network):
     requests (live entries only)."""
     return sum(
         1
-        for entry in sim._queue._heap
+        for entry in sim._heap
         if entry[2] == network._fire_timeouts_cb or entry[2] is _Request.fire_timeout
     )
 

@@ -113,15 +113,48 @@ def test_stop_halts_run():
     assert sim.pending_events == 1
 
 
-def test_max_events_guard():
+def test_stop_from_a_trace_listener_halts_after_the_emitting_event():
+    """A listener's ``stop()`` lets the emitting event finish, then halts
+    the run before the next event, even one at the same instant."""
+    sim = Simulator()
+    fired = []
+
+    def halt(_event):
+        sim.stop()
+
+    def emitter():
+        sim.emit("ping")
+        fired.append("emitter")
+
+    sim.trace.subscribe_all(halt)
+    sim.schedule(1.0, emitter)
+    sim.schedule(1.0, fired.append, "same instant")
+    sim.run()
+    assert fired == ["emitter"]
+    assert sim.now == 1.0
+    assert sim.pending_events == 1
+    sim.trace.unsubscribe_all(halt)
+    sim.schedule(1.0, emitter)
+    sim.run()
+    assert fired == ["emitter", "same instant", "emitter"]
+
+
+def test_peak_pending_is_counted_at_dispatch():
+    """The peak counts the events pending before each dispatch, including
+    those scheduled before the run; cancelled entries never count."""
     sim = Simulator()
 
-    def forever():
-        sim.schedule(1.0, forever)
+    def a():
+        for _ in range(4):
+            sim.schedule_at(5.0, lambda: None)
 
-    sim.schedule(1.0, forever)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=100)
+    sim.schedule_at(1.0, a)
+    sim.schedule_at(2.0, lambda: None)
+    for handle in [sim.schedule_at(3.0, lambda: None) for _ in range(10)]:
+        sim.cancel(handle)
+    assert sim.peak_pending_events == 2
+    sim.run()
+    assert sim.peak_pending_events == 5
 
 
 def test_run_not_reentrant():

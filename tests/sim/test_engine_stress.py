@@ -1,16 +1,12 @@
-"""Stress tests for the slotted event queue and the batched run loop.
+"""Stress tests for the slotted event heap and the batched run loop.
 
-These target the two places the fast representation could silently go
-wrong: cancellation storms (tombstones + compaction must not disturb
-ordering, accounting or memory), and the ``max_events`` budget boundary
-(exactly N events run; the N+1-th raises *before* executing).
+These target the place the fast representation could silently go wrong:
+cancellation storms (tombstones + compaction must not disturb ordering,
+accounting or memory).
 """
 
 import random
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.events import _COMPACT_MIN_DEAD
 from repro.sim.process import PeriodicProcess
@@ -45,13 +41,13 @@ def test_cancellation_storm_compacts_the_heap():
     sim = Simulator()
     keep = sim.schedule(10.0, lambda: None)
     handles = [sim.schedule(1.0, lambda: None) for _ in range(4 * _COMPACT_MIN_DEAD)]
-    heap = sim._queue._heap
+    heap = sim._heap
     assert len(heap) == len(handles) + 1
     for h in handles:
         sim.cancel(h)
     # Compaction triggers once tombstones dominate: only live entries remain,
     # and the heap *list object* is the same one (run() hoists its reference).
-    assert sim._queue._heap is heap
+    assert sim._heap is heap
     assert len(heap) < len(handles)
     assert sim.pending_events == 1
     assert keep.active
@@ -101,63 +97,3 @@ def test_periodic_process_storm_cancel():
     sim.run(until=500.0)
     assert counts == snapshot
     assert all(not p.active for p in procs)
-
-
-# --------------------------------------------------------- max_events bound
-def test_max_events_exact_budget_is_not_an_error():
-    """Exactly max_events events inside the horizon is fine."""
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i), fired.append, i)
-    sim.run(max_events=10)
-    assert fired == list(range(10))
-    assert sim.events_executed == 10
-
-
-def test_max_events_boundary_raises_before_excess_event_runs():
-    """The (max_events+1)-th event raises *before* its callback executes."""
-    sim = Simulator()
-    fired = []
-    for i in range(11):
-        sim.schedule(float(i), fired.append, i)
-    with pytest.raises(SimulationError, match="max_events=10"):
-        sim.run(max_events=10)
-    # The first 10 ran; the 11th was refused without executing.
-    assert fired == list(range(10))
-    assert sim.events_executed == 10
-    assert sim.pending_events == 1
-
-
-def test_max_events_zero_refuses_first_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=0)
-    assert fired == []
-    assert sim.events_executed == 0
-
-
-def test_max_events_ignores_events_beyond_horizon():
-    """Only events inside the half-open horizon count against the budget."""
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(50.0, fired.append, 50)  # beyond the horizon: not counted
-    sim.run(until=10.0, max_events=1)
-    assert fired == [1]
-    assert sim.now == 10.0
-    assert sim.pending_events == 1
-
-
-def test_max_events_does_not_count_tombstones():
-    """Cancelled events surfacing at the heap top never consume budget."""
-    sim = Simulator()
-    fired = []
-    doomed = [sim.schedule(float(i), fired.append, i) for i in range(50)]
-    for h in doomed[:49]:
-        sim.cancel(h)
-    sim.run(max_events=1)
-    assert fired == [49]
-    assert sim.events_executed == 1

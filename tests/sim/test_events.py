@@ -1,58 +1,53 @@
-"""Unit tests for the event heap."""
+"""Unit tests for the event heap, driven through the Simulator that owns it."""
 
 import weakref
 
-import pytest
-
-from repro.sim.events import EventQueue
+from repro.sim.engine import Simulator
 
 
 def test_empty_queue():
-    queue = EventQueue()
-    assert len(queue) == 0
-    assert not queue
-    assert queue.peek_time() is None
-    with pytest.raises(IndexError):
-        queue.pop()
+    sim = Simulator()
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.events_executed == 0
+    assert sim.now == 0.0
 
 
 def test_pop_in_time_order():
-    queue = EventQueue()
+    sim = Simulator()
     fired = []
-    queue.push(3.0, fired.append, ("c",))
-    queue.push(1.0, fired.append, ("a",))
-    queue.push(2.0, fired.append, ("b",))
-    while queue:
-        queue.pop()._fire()
+    sim.schedule_at(3.0, fired.append, "c")
+    sim.schedule_at(1.0, fired.append, "a")
+    sim.schedule_at(2.0, fired.append, "b")
+    sim.run()
     assert fired == ["a", "b", "c"]
 
 
 def test_ties_fire_in_scheduling_order():
-    queue = EventQueue()
+    sim = Simulator()
     fired = []
     for name in "abcde":
-        queue.push(5.0, fired.append, (name,))
-    while queue:
-        queue.pop()._fire()
+        sim.schedule_at(5.0, fired.append, name)
+    sim.run()
     assert fired == list("abcde")
 
 
 def test_cancelled_events_are_skipped():
-    queue = EventQueue()
+    sim = Simulator()
     fired = []
-    handle = queue.push(1.0, fired.append, ("cancelled",))
-    queue.push(2.0, fired.append, ("kept",))
-    handle.cancel()
-    queue.notify_cancelled()
-    assert len(queue) == 1
-    assert queue.peek_time() == 2.0
-    queue.pop()._fire()
+    handle = sim.schedule_at(1.0, fired.append, "cancelled")
+    sim.schedule_at(2.0, fired.append, "kept")
+    sim.cancel(handle)
+    assert sim.pending_events == 1
+    sim.run()
     assert fired == ["kept"]
+    assert sim.now == 2.0
+    assert sim.events_executed == 1
 
 
 def test_cancel_is_idempotent():
-    queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
+    sim = Simulator()
+    handle = sim.schedule_at(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
     assert not handle.active
@@ -69,8 +64,8 @@ def test_cancel_drops_callback_reference():
 
     owner, payload = Owner(), Owner()
     refs = [weakref.ref(owner), weakref.ref(payload)]
-    queue = EventQueue()
-    handle = queue.push(1.0, owner.tick, (payload,))
+    sim = Simulator()
+    handle = sim.schedule_at(1.0, owner.tick, payload)
     del owner, payload
     assert all(ref() is not None for ref in refs)
     handle.cancel()
